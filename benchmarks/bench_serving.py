@@ -172,7 +172,8 @@ def _run_zipf_load(n_shards, n_sessions, n_ops, query_every, seed=0):
     tester-floor shape where a handful of hot populations take most of the
     trickle.  Every ``query_every`` ingests an ``estimate`` lands on a
     (also Zipf-drawn) key, so the measurement includes the merge-on-read
-    flush barriers, not just raw buffered appends.
+    barrier flushes of the queried keys and the final flush of every
+    buffer, not just raw buffered appends.
     """
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, n_sessions + 1, dtype=float)

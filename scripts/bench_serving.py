@@ -12,8 +12,9 @@ Single-shard mode is the bit-identical passthrough (every row hits the
 store immediately); multi-shard mode buffers rows per key and flushes
 64-row blocks, so hot keys amortise store and accumulator overhead.  The
 interleaved queries are part of the measurement on purpose: each one is a
-merge-on-read barrier that flushes the ingest buffers, so the reported
-throughput includes the cost coalescing has to pay back.
+merge-on-read barrier that flushes the queried key's ingest buffer, and
+the final flush of every buffer is inside the timed window, so the
+reported throughput includes the cost coalescing has to pay back.
 
 Usage (from the repository root)::
 

@@ -25,11 +25,90 @@ from repro.core.crossval import CrossValidationResult, TwoDimensionalCV
 from repro.core.estimators import MomentEstimate, MomentEstimator
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import HyperParameterError, InsufficientDataError
-from repro.linalg.validation import as_samples, clip_eigenvalues, symmetrize
+from repro.exceptions import DimensionError, HyperParameterError, InsufficientDataError
+from repro.linalg.batched import clip_eigenvalues_batched, symmetrize_batched
+from repro.linalg.validation import as_samples, clip_eigenvalues
 from repro.stats.suffstats import SufficientStats
 
-__all__ = ["map_moments", "map_moments_from_stats", "BMFEstimator"]
+__all__ = ["map_moments", "map_moments_from_stats", "map_moments_stack", "BMFEstimator"]
+
+#: Eigenvalue floor applied to stacked MAP covariances; identical to the
+#: scalar floor in :meth:`BMFEstimator.estimate`.
+MAP_EIG_FLOOR = 1e-12
+
+
+def map_moments_stack(
+    prior_means: np.ndarray,
+    prior_covs: np.ndarray,
+    kappa0: np.ndarray,
+    v0: np.ndarray,
+    counts: np.ndarray,
+    means: np.ndarray,
+    scatters: np.ndarray,
+    eig_floor_rel: float = MAP_EIG_FLOOR,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. (31)–(32) for ``B`` independent sessions in one vectorised pass.
+
+    The one implementation of the MAP arithmetic:
+    :func:`map_moments_from_stats` is its ``B = 1`` call, and the serving
+    scorer calls it on coalesced batches of sessions.
+
+    Parameters
+    ----------
+    prior_means, prior_covs:
+        ``(B, d)`` / ``(B, d, d)`` early-stage moments per session.
+    kappa0, v0:
+        ``(B,)`` hyper-parameters per session (``kappa0 > 0``, ``v0 > d``).
+    counts, means, scatters:
+        ``(B,)`` / ``(B, d)`` / ``(B, d, d)`` accumulated sufficient
+        statistics per session; ``counts`` may contain zeros (sessions
+        that have not ingested yet — they return the prior mode).
+    eig_floor_rel:
+        Relative eigenvalue floor for the returned covariances; matches
+        the scalar estimator's guard.  Pass ``0`` to skip.
+
+    Returns
+    -------
+    ``(mu_map, sigma_map)`` of shapes ``(B, d)`` and ``(B, d, d)``.  Every
+    operation is element-wise per member, so member ``i`` is bit-identical
+    to a ``B = 1`` call on member ``i`` alone.
+    """
+    mu_e = np.atleast_2d(np.asarray(prior_means, dtype=float))
+    sig_e = np.asarray(prior_covs, dtype=float)
+    k0 = np.atleast_1d(np.asarray(kappa0, dtype=float))
+    nu0 = np.atleast_1d(np.asarray(v0, dtype=float))
+    n = np.atleast_1d(np.asarray(counts, dtype=float))
+    xbar = np.atleast_2d(np.asarray(means, dtype=float))
+    scatter = np.asarray(scatters, dtype=float)
+
+    b, d = mu_e.shape
+    if sig_e.shape != (b, d, d) or scatter.shape != (b, d, d):
+        raise DimensionError(
+            f"covariance stacks must be ({b}, {d}, {d}), got "
+            f"{sig_e.shape} and {scatter.shape}"
+        )
+    if xbar.shape != (b, d) or k0.shape != (b,) or nu0.shape != (b,) or n.shape != (b,):
+        raise DimensionError("per-session arrays disagree on the batch size B")
+    if np.any(k0 <= 0.0):
+        raise HyperParameterError("every kappa0 must be > 0")
+    if np.any(nu0 <= d):
+        raise HyperParameterError(f"every v0 must exceed d = {d}")
+    if np.any(n < 0):
+        raise DimensionError("sample counts must be >= 0")
+
+    kn = k0 + n
+    mu_map = (k0[:, None] * mu_e + n[:, None] * xbar) / kn[:, None]
+    diff = mu_e - xbar
+    coef = k0 * n / kn
+    numerator = (
+        (nu0 - d)[:, None, None] * sig_e
+        + scatter
+        + coef[:, None, None] * (diff[:, :, None] * diff[:, None, :])
+    )
+    sigma_map = symmetrize_batched(numerator / (nu0 + n - d)[:, None, None])
+    if eig_floor_rel > 0.0:
+        sigma_map = clip_eigenvalues_batched(sigma_map, eig_floor_rel)
+    return mu_map, sigma_map
 
 
 def map_moments_from_stats(
@@ -45,7 +124,8 @@ def map_moments_from_stats(
     :class:`~repro.stats.suffstats.SufficientStats` accumulator without
     re-visiting raw samples — this is what makes the one-shot and
     streaming (serving) paths provably identical: both funnel through
-    this single arithmetic.
+    this single arithmetic, the ``B = 1`` call of
+    :func:`map_moments_stack` (no eigenvalue floor; callers apply it).
 
     ``n == 0`` is allowed and returns the prior mode ``(mu_E, Sigma_E)``
     exactly — the natural answer for a serving session that has not yet
@@ -61,16 +141,17 @@ def map_moments_from_stats(
     if v0 <= d:
         raise HyperParameterError(f"v0 must exceed d = {d}, got {v0}")
 
-    n = stats.n
-    diff = prior.mean - stats.mean
-    mu_map = (kappa0 * prior.mean + n * stats.mean) / (kappa0 + n)
-    numerator = (
-        (v0 - d) * prior.covariance
-        + stats.scatter
-        + (kappa0 * n / (kappa0 + n)) * np.outer(diff, diff)
+    mu_map, sigma_map = map_moments_stack(
+        prior.mean[None],
+        prior.covariance[None],
+        np.array([kappa0], dtype=float),
+        np.array([v0], dtype=float),
+        np.array([stats.n], dtype=float),
+        stats.mean[None],
+        stats.scatter[None],
+        eig_floor_rel=0.0,
     )
-    sigma_map = symmetrize(numerator / (v0 + n - d))
-    return mu_map, sigma_map
+    return mu_map[0], sigma_map[0]
 
 
 def map_moments(

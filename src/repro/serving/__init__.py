@@ -6,9 +6,9 @@ BMF is actually consumed on a tester floor — measurements trickle in die
 by die, and the MAP estimate must be queryable at any instant without
 re-touching raw samples.  The stack is layered bottom-up:
 
-* :mod:`repro.serving.suffstats` — mergeable sufficient-statistics
-  substrate (re-exported from :mod:`repro.stats.suffstats`) plus the
-  stacked Eq. (31)–(32) MAP kernel.
+* :mod:`repro.serving.suffstats` — serving names for the mergeable
+  sufficient-statistics substrate (:mod:`repro.stats.suffstats`) and the
+  stacked Eq. (31)–(32) MAP kernel (:mod:`repro.core.bmf`).
 * :mod:`repro.serving.counters` — thread-safe request/ingest/latency
   counters shared by every layer above.
 * :mod:`repro.serving.wal` — per-shard append-only, sha256-chained
@@ -33,6 +33,7 @@ re-touching raw samples.  The stack is layered bottom-up:
   ``repro serve`` CLI verb (fronts either service).
 """
 
+from repro.core.bmf import map_moments_stack
 from repro.serving.checkpoint import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_SCHEMA_VERSION,
@@ -52,9 +53,9 @@ from repro.serving.router import MANIFEST_SCHEMA, HashRing, ShardedMomentService
 from repro.serving.scoring import BatchScorer
 from repro.serving.service import MomentService
 from repro.serving.sessions import Session, SessionStore
-from repro.serving.suffstats import SufficientStats, map_moments_stack, merge_all
 from repro.serving.wal import WAL_SCHEMA, WAL_SCHEMA_V2, WriteAheadLog
 from repro.serving.worker import ShardWorker
+from repro.stats.suffstats import SufficientStats, merge_all
 
 __all__ = [
     "BatchScorer",

@@ -31,14 +31,14 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigError, ReproError, ServiceOverloadedError
 from repro.experiments.parallel import resolve_n_jobs
 
-__all__ = ["Request", "MicroBatchQueue", "QUERY_KINDS"]
+__all__ = ["Request", "MicroBatchQueue", "QUERY_KINDS", "build_requests"]
 
 #: Request kinds the serving layer understands.
 QUERY_KINDS = ("estimate", "loglik", "yield")
@@ -69,6 +69,29 @@ class Request:
     payload: Any
     future: "Future[Any]" = field(default_factory=Future)
     submitted_at: float = 0.0
+
+
+def build_requests(
+    queries: Sequence[Tuple[str, str, Any]],
+    record_request: Callable[[str], None],
+) -> List[Request]:
+    """Turn ``(kind, key, payload)`` queries into one synchronous batch.
+
+    Kinds are validated and counted (``record_request(kind)``) in
+    submission order and every request shares one submission stamp; an
+    unknown kind raises :class:`~repro.exceptions.ConfigError` after the
+    queries before it were counted.
+    """
+    now = time.perf_counter()
+    requests: List[Request] = []
+    for kind, key, payload in queries:
+        if kind not in QUERY_KINDS:
+            raise ConfigError(f"unknown request kind {kind!r}; expected {QUERY_KINDS}")
+        record_request(kind)
+        requests.append(
+            Request(kind=kind, key=str(key), payload=payload, submitted_at=now)
+        )
+    return requests
 
 
 #: A batch handler: answers every request in the list by resolving its

@@ -14,11 +14,13 @@
   query.
 * **Ingest coalescing** — accepted sample blocks are buffered per key
   and flushed to the owning worker as one stacked block once
-  ``flush_rows`` rows accumulate (or at any read barrier: queries,
-  checkpoints, listings).  This turns per-row Welford updates into block
-  Chan merges, which is where the multi-shard throughput win comes from
-  on a single-core box; the rounding difference is covered by the
-  documented 1e-10 equivalence bound.
+  ``flush_rows`` rows accumulate, or at a read barrier.  The barrier is
+  per key: a query flushes only the keys it reads, so every other buffer
+  keeps coalescing.  Checkpoints, listings, ``stats`` and ``close`` are
+  global barriers that flush every key.  This turns per-row Welford
+  updates into block Chan merges, which is where the multi-shard
+  throughput win comes from on a single-core box; the rounding
+  difference is covered by the documented 1e-10 equivalence bound.
 * **Merge-on-read queries** — the router snapshots the key's
   per-shard :class:`~repro.stats.suffstats.SufficientStats`, Chan-merges
   them in shard-index order (:func:`~repro.stats.suffstats.merge_all`),
@@ -42,9 +44,8 @@ import bisect
 import hashlib
 import json
 import threading
-import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -56,7 +57,7 @@ from repro.experiments.parallel import thread_map
 from repro.io import check_schema_version, write_json_atomic
 from repro.schemas import MANIFEST_SCHEMA
 from repro.serving.counters import ServiceCounters
-from repro.serving.queue import QUERY_KINDS, Request
+from repro.serving.queue import QUERY_KINDS, build_requests
 from repro.serving.scoring import BatchScorer
 from repro.serving.sessions import Session
 from repro.serving.wal import DEFAULT_FLUSH_BYTES, WriteAheadLog
@@ -264,6 +265,11 @@ class ShardedMomentService:
         self._rotation: Dict[str, int] = {}
         # per-key rows routed through this router (monotone; survives flushes)
         self._routed_rows: Dict[str, int] = {}
+        # coalescing gauges: blocks and rows handed to workers, and how many
+        # of those blocks a barrier forced out before the row threshold
+        self._flushed_blocks = 0
+        self._flushed_rows = 0
+        self._barrier_blocks = 0
 
     # ------------------------------------------------------------------
     @property
@@ -315,7 +321,7 @@ class ShardedMomentService:
         """
         key = str(key)
         with self._ingest_lock:
-            self._flush_key_locked(key)
+            self._flush_key_locked(key, barrier=True)
         if self.placement == "spread":
             dropped = [worker.drop_session(key) for worker in self.workers]
             return any(dropped)
@@ -358,7 +364,7 @@ class ShardedMomentService:
             self._buffered_rows[key] = pending
             self._routed_rows[key] = self._routed_rows.get(key, 0) + rows
             if pending >= self.flush_rows:
-                self._flush_key_locked(key)
+                self._flush_key_locked(key, barrier=False)
             return self._routed_rows[key]
 
     def ingest_stats(self, key: str, stats: SufficientStats) -> int:
@@ -370,7 +376,7 @@ class ShardedMomentService:
         key = str(key)
         self.counters.record_ingest(stats.n)
         with self._ingest_lock:
-            self._flush_key_locked(key)
+            self._flush_key_locked(key, barrier=True)
             self._routed_rows[key] = self._routed_rows.get(key, 0) + stats.n
             return self._ingest_worker_locked(key).ingest_stats(key, stats)
 
@@ -382,12 +388,19 @@ class ShardedMomentService:
             return self.workers[cursor % self.ring.n_shards]
         return self._home(key)
 
-    def _flush_key_locked(self, key: str) -> None:
-        """Fold ``key``'s buffered blocks into its worker (lock held)."""
+    def _flush_key_locked(self, key: str, barrier: bool) -> None:
+        """Fold ``key``'s buffered blocks into its worker (lock held).
+
+        ``barrier`` marks a flush forced before the row threshold (a read
+        or ordering barrier), which the coalescing gauges count apart.
+        """
         blocks = self._buffers.pop(key, [])
-        self._buffered_rows.pop(key, None)
+        rows = self._buffered_rows.pop(key, 0)
         if not blocks:
             return
+        self._flushed_blocks += 1
+        self._flushed_rows += rows
+        self._barrier_blocks += int(barrier)
         stacked = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
         self._ingest_worker_locked(key).ingest(key, stacked)
 
@@ -395,7 +408,20 @@ class ShardedMomentService:
         """Flush every ingest buffer (deterministic key order)."""
         with self._ingest_lock:
             for key in sorted(self._buffers):
-                self._flush_key_locked(key)
+                self._flush_key_locked(key, barrier=True)
+
+    def flush_keys(self, keys: Iterable[str]) -> None:
+        """Per-key read barrier: flush the buffers of ``keys`` only.
+
+        Read-your-writes needs nothing more than the queried keys'
+        acknowledged rows in their workers; every other key's buffer keeps
+        coalescing toward ``flush_rows``.  Keys flush in sorted order, so
+        the worker op sequence (and each WAL) stays a pure function of the
+        request stream.
+        """
+        with self._ingest_lock:
+            for key in sorted({str(key) for key in keys}):
+                self._flush_key_locked(key, barrier=True)
 
     # ------------------------------------------------------------------
     # queries (merge-on-read)
@@ -433,26 +459,17 @@ class ShardedMomentService:
     def query_many(self, queries: Sequence[Tuple[str, str, Any]]) -> List[Any]:
         """Score ``(kind, key, payload)`` queries as one merged batch.
 
-        Ingest buffers are flushed first (read-your-writes), then the
-        router collects per-shard statistics, merges, and scores through
-        the shared grouped scorer.  Single-shard compat mode delegates to
-        the worker so counters land exactly where the pre-shard service
-        put them.
+        The buffers of the queried keys are flushed first
+        (read-your-writes, :meth:`flush_keys`); other keys keep their
+        buffers.  The router then collects per-shard statistics, merges,
+        and scores through the shared grouped scorer.  Single-shard compat
+        mode delegates to the worker so counters land exactly where the
+        pre-shard service put them.
         """
-        self.flush()
+        self.flush_keys(key for _, key, _ in queries)
         if self.ring.n_shards == 1:
             return self.workers[0].query_many(queries)
-        requests: List[Request] = []
-        now = time.perf_counter()
-        for kind, key, payload in queries:
-            if kind not in QUERY_KINDS:
-                raise ConfigError(
-                    f"unknown request kind {kind!r}; expected {QUERY_KINDS}"
-                )
-            self.counters.record_request(kind)
-            requests.append(
-                Request(kind=kind, key=str(key), payload=payload, submitted_at=now)
-            )
+        requests = build_requests(queries, self.counters.record_request)
         self.scorer.score(requests, self._merged_snapshot)
         return [request.future.result() for request in requests]
 
@@ -474,13 +491,32 @@ class ShardedMomentService:
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Router counters plus per-shard snapshots and fleet totals."""
+        """Router counters plus per-shard snapshots and fleet totals.
+
+        ``stats`` is a global barrier: it flushes every buffer before the
+        shards are read.  ``coalescing`` reports what was still buffered
+        when the call arrived (``pending_keys``/``pending_rows``), the
+        blocks and rows handed to workers so far, and how many of those
+        blocks a barrier forced out before ``flush_rows`` accumulated.
+        """
+        with self._ingest_lock:
+            pending_keys = len(self._buffered_rows)
+            pending_rows = sum(self._buffered_rows.values())
         self.flush()
+        with self._ingest_lock:
+            coalescing = {
+                "pending_keys": pending_keys,
+                "pending_rows": pending_rows,
+                "blocks": self._flushed_blocks,
+                "rows": self._flushed_rows,
+                "barrier_blocks": self._barrier_blocks,
+            }
         out = self.counters.snapshot()
         shards = [worker.stats() for worker in self.workers]
         out["n_shards"] = self.ring.n_shards
         out["placement"] = self.placement
         out["flush_rows"] = self.flush_rows
+        out["coalescing"] = coalescing
         out["sessions_live"] = sum(s["sessions_live"] for s in shards)
         out["sessions_evicted"] = sum(s["sessions_evicted"] for s in shards)
         # WAL append/flush gauges accrue on the worker counters (each log

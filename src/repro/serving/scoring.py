@@ -6,7 +6,7 @@ stacked-kernel calls:
 
 ``estimate``
     one vectorised Eq. (31)–(32) pass per distinct metric dimension
-    (:func:`~repro.serving.suffstats.map_moments_stack`);
+    (:func:`~repro.core.bmf.map_moments_stack`);
 ``loglik``
     one ``cholesky_batched_safe`` + ``solve_triangular_batched`` stack per
     ``(d, n_rows)`` group, mirroring
@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.bmf import map_moments_stack
 from repro.core.estimators import MomentEstimate
 from repro.exceptions import DimensionError, ReproError, SpecificationError
 from repro.linalg.backends import use_kernel_backend
@@ -48,7 +49,6 @@ from repro.linalg.batched import (
 from repro.serving.counters import ServiceCounters
 from repro.serving.queue import Request
 from repro.serving.sessions import Session
-from repro.serving.suffstats import map_moments_stack
 from repro.yieldest.parametric import gaussian_box_probabilities
 
 __all__ = ["BatchScorer", "SnapshotFn"]

@@ -40,7 +40,6 @@ covered checkpoint).
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,11 +49,11 @@ from repro.core.prior import PriorKnowledge
 from repro.exceptions import ConfigError, ReproError, SessionNotFoundError
 from repro.serving.checkpoint import load_checkpoint, save_checkpoint
 from repro.serving.counters import ServiceCounters
-from repro.serving.queue import QUERY_KINDS, Request
+from repro.serving.queue import Request, build_requests
 from repro.serving.scoring import BatchScorer
 from repro.serving.sessions import Session, SessionStore
-from repro.serving.suffstats import SufficientStats
 from repro.serving.wal import WalRecord, WriteAheadLog
+from repro.stats.suffstats import SufficientStats
 
 __all__ = ["ShardWorker"]
 
@@ -79,7 +78,7 @@ class ShardWorker:
     wal_delta_rows:
         Optional suffstats-delta threshold: a 2-D ingest block with at
         least this many rows is logged as its
-        :class:`~repro.serving.suffstats.SufficientStats` — ``O(d^2)``
+        :class:`~repro.stats.suffstats.SufficientStats` — ``O(d^2)``
         per record — instead of the raw ``O(n·d)`` samples, and applied
         through the same statistics merge live and on replay.  Because
         ``store.ingest`` folds a 2-D block in as exactly one Chan merge
@@ -246,17 +245,7 @@ class ShardWorker:
         whole list is scored as one grouped batch.  Raises the first
         request error encountered, in submission order.
         """
-        requests: List[Request] = []
-        now = time.perf_counter()
-        for kind, key, payload in queries:
-            if kind not in QUERY_KINDS:
-                raise ConfigError(
-                    f"unknown request kind {kind!r}; expected {QUERY_KINDS}"
-                )
-            self.counters.record_request(kind)
-            requests.append(
-                Request(kind=kind, key=str(key), payload=payload, submitted_at=now)
-            )
+        requests = build_requests(queries, self.counters.record_request)
         self.score_requests(requests)
         return [request.future.result() for request in requests]
 

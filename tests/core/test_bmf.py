@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.bmf import BMFEstimator, map_moments
+from repro.core.bmf import (
+    BMFEstimator,
+    map_moments,
+    map_moments_from_stats,
+    map_moments_stack,
+)
 from repro.core.errors import covariance_error, mean_error
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.mle import MLEstimator
@@ -11,6 +16,7 @@ from repro.core.prior import PriorKnowledge
 from repro.exceptions import HyperParameterError, InsufficientDataError
 from repro.linalg.validation import is_spd
 from repro.stats.moments import mle_covariance
+from repro.stats.suffstats import SufficientStats
 
 
 class TestMapMoments:
@@ -85,6 +91,32 @@ class TestMapMoments:
     def test_rejects_dim_mismatch(self, synthetic_prior, rng):
         with pytest.raises(InsufficientDataError):
             map_moments(synthetic_prior, rng.standard_normal((5, 3)), 1.0, 12.0)
+
+    def test_scalar_path_is_a_stack_member_bit_for_bit(self, synthetic_prior, rng):
+        """Eq. 31-32 exist once: the scalar call is the B = 1 stack call, and
+        a stack member does not depend on its neighbours."""
+        d = synthetic_prior.dim
+        stats = [SufficientStats.empty(d)] + [
+            SufficientStats.from_samples(rng.standard_normal((n, d)) + 1.0)
+            for n in (1, 3, 40)
+        ]
+        kappas, nus = [0.5, 2.0, 30.0, 1e3], [d + 0.1, d + 4.0, 50.0, 1e3]
+        mu, sigma = map_moments_stack(
+            np.stack([synthetic_prior.mean] * len(stats)),
+            np.stack([synthetic_prior.covariance] * len(stats)),
+            np.asarray(kappas),
+            np.asarray(nus),
+            np.asarray([s.n for s in stats], dtype=float),
+            np.stack([s.mean for s in stats]),
+            np.stack([s.scatter for s in stats]),
+            eig_floor_rel=0.0,
+        )
+        for i, member in enumerate(stats):
+            mu_i, sigma_i = map_moments_from_stats(
+                synthetic_prior, member, kappas[i], nus[i]
+            )
+            np.testing.assert_array_equal(mu_i, mu[i])
+            np.testing.assert_array_equal(sigma_i, sigma[i])
 
 
 class TestBMFEstimator:

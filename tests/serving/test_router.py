@@ -167,6 +167,102 @@ class TestLifecycle:
             ShardedMomentService(n_shards=2, placement="mirror")
 
 
+class TestPerKeyReadBarrier:
+    """A query flushes the buffers of the keys it reads, and only those."""
+
+    def test_query_flushes_only_the_queried_key(self, prior, rng):
+        with ShardedMomentService(n_shards=4, flush_rows=16) as svc:
+            for key in ("a", "b"):
+                svc.create_session(key, prior, kappa0=KAPPA0, v0=V0)
+                for _ in range(5):
+                    svc.ingest(key, rng.standard_normal(D))
+            assert svc.estimate("a").n_samples == 5
+            coalescing = svc.stats()["coalescing"]
+            # "b" was still buffered when stats() arrived
+            assert coalescing["pending_keys"] == 1
+            assert coalescing["pending_rows"] == 5
+            assert coalescing["blocks"] == 2
+            assert coalescing["barrier_blocks"] == 2
+
+    def test_unqueried_keys_keep_coalescing(self, prior, rng):
+        with ShardedMomentService(n_shards=2, flush_rows=8) as svc:
+            for key in ("hot", "cold"):
+                svc.create_session(key, prior, kappa0=KAPPA0, v0=V0)
+            for _ in range(8):
+                svc.ingest("hot", rng.standard_normal(D))
+                svc.estimate("cold")
+            coalescing = svc.stats()["coalescing"]
+            # one full threshold block, no barrier-forced fragments
+            assert coalescing["blocks"] == 1
+            assert coalescing["rows"] == 8
+            assert coalescing["barrier_blocks"] == 0
+
+    def test_batch_barrier_covers_every_named_key(self, prior, blocks):
+        reference = _reference(prior, blocks)
+        with ShardedMomentService(n_shards=4, flush_rows=64) as svc:
+            _populate(svc, prior, blocks)
+            queries = [("estimate", key, None) for key in KEYS[3:7] + KEYS[3:5]]
+            for (_, key, _), est in zip(queries, svc.query_many(queries)):
+                np.testing.assert_allclose(est.mean, reference[key][0], atol=1e-10)
+                assert est.n_samples == reference[key][2]
+            assert svc.stats()["coalescing"]["pending_keys"] == len(KEYS) - 4
+
+    def test_unreadable_buffer_does_not_fail_other_reads(self, prior, rng):
+        """Rows buffered for a key that has no session fail that key's own
+        read, not an unrelated one (a global drain used to raise here)."""
+        with ShardedMomentService(n_shards=2, flush_rows=8) as svc:
+            svc.create_session("real", prior, kappa0=KAPPA0, v0=V0)
+            svc.ingest("ghost", rng.standard_normal(D))
+            svc.ingest("real", rng.standard_normal(D))
+            assert svc.estimate("real").n_samples == 1
+            with pytest.raises(SessionNotFoundError):
+                svc.estimate("ghost")
+
+    @pytest.mark.parametrize("placement", ["hash", "spread"])
+    def test_interleaved_reads_match_single_process(self, placement, prior, rng):
+        keys = KEYS[:6]
+        stream = [
+            (keys[int(rng.integers(len(keys)))], rng.standard_normal(D))
+            for _ in range(200)
+        ]
+        with MomentService(start_queue=False) as single, ShardedMomentService(
+            n_shards=4, placement=placement, flush_rows=8
+        ) as svc:
+            for service in (single, svc):
+                for key in keys:
+                    service.create_session(key, prior, kappa0=KAPPA0, v0=V0)
+            for i, (key, row) in enumerate(stream):
+                single.ingest(key, row)
+                svc.ingest(key, row)
+                if i % 7 == 0:
+                    probe = keys[i % len(keys)]
+                    expected = single.query_many([("estimate", probe, None)])[0]
+                    got = svc.estimate(probe)
+                    np.testing.assert_allclose(got.mean, expected.mean, atol=1e-10)
+                    np.testing.assert_allclose(
+                        got.covariance, expected.covariance, atol=1e-10
+                    )
+                    assert got.n_samples == expected.n_samples
+
+    def test_recover_is_bit_identical_after_partial_barriers(
+        self, prior, rng, tmp_path
+    ):
+        wal_dir = tmp_path / "wal"
+        keys = KEYS[:8]
+        svc = ShardedMomentService(n_shards=4, wal_dir=wal_dir, flush_rows=8)
+        for key in keys:
+            svc.create_session(key, prior, kappa0=KAPPA0, v0=V0)
+        for i in range(300):
+            svc.ingest(keys[int(rng.integers(len(keys)))], rng.standard_normal(D))
+            if i % 11 == 0:
+                svc.estimate(keys[i % len(keys)])
+        svc.close()
+        live = [worker.store.to_dict() for worker in svc.workers]
+        recovered = ShardedMomentService.recover(wal_dir)
+        assert [worker.store.to_dict() for worker in recovered.workers] == live
+        recovered.close()
+
+
 class TestSingleShardGate:
     def test_checkpoint_bytes_match_moment_service(self, prior, blocks, tmp_path):
         """``--shards 1`` is bit-identical to the pre-shard service:
