@@ -3,7 +3,7 @@
 The serving acceptance number lives here: with 64 concurrent sessions at
 d = 5, scoring one coalesced batch through the stacked kernels must be at
 least 5x faster than issuing the same queries one request at a time.
-Both paths run the *identical* scoring code (`MomentService.query_many`),
+Both paths run the *identical* scoring code (`ShardWorker.query_many`),
 so the comparison isolates exactly what micro-batching buys — amortised
 Python dispatch and ``(B, d, d)`` LAPACK calls instead of ``B`` separate
 ``(d, d)`` ones.
@@ -25,7 +25,7 @@ import pytest
 from _bench_util import emit
 from repro.bench import append_entry
 from repro.core.prior import PriorKnowledge
-from repro.serving import MomentService, ShardedMomentService
+from repro.serving import ShardedMomentService, ShardWorker
 
 D = 5
 N_SESSIONS = 64
@@ -42,9 +42,9 @@ def _sizing(scale):
     return {"rows_per_session": 200, "repeats": 5, "ingest_rows": 20_000}
 
 
-def _build_service(rows_per_session: int, seed: int = 0) -> MomentService:
+def _build_service(rows_per_session: int, seed: int = 0) -> ShardWorker:
     rng = np.random.default_rng(seed)
-    service = MomentService(start_queue=False)
+    service = ShardWorker(shard_id=0)
     for i in range(N_SESSIONS):
         a = rng.standard_normal((D, D))
         prior = PriorKnowledge(rng.standard_normal(D), a @ a.T + D * np.eye(D))
@@ -71,7 +71,7 @@ def sized(scale):
 
 def test_ingest_throughput(sized, scale):
     """Single-row Welford ingest rate (the tester-floor trickle path)."""
-    service = MomentService(start_queue=False)
+    service = ShardWorker(shard_id=0)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((D, D))
     prior = PriorKnowledge(rng.standard_normal(D), a @ a.T + D * np.eye(D))

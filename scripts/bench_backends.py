@@ -13,7 +13,7 @@ Two sweeps, both appended to the ``BENCH_backends.json`` trajectory (see
   backend exists for — and records dense as infeasible rather than a
   time.
 * **Kernel micro-benchmark** — the three batched SPD primitives behind
-  the CV scorer and the serving micro-batcher
+  the CV scorer and the serving batch scorer
   (``cholesky_batched`` / ``solve_triangular_batched`` /
   ``mahalanobis_sq_batched``) through the numpy backend and, when the
   optional numba package is importable, the compiled backend (cold JIT

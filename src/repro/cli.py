@@ -158,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--checkpoint",
         default=None,
-        help="restore state from this checkpoint if it exists",
+        help="restore state from this checkpoint if it exists: a directory "
+        "holding manifest.json restores the sharded router, a file one "
+        "unsharded worker (shard flags then conflict); a missing path "
+        "starts fresh by the shard flags",
     )
     serve.add_argument(
         "--save-on-exit",
@@ -176,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="shard-worker count (1 without other shard flags is the "
-        "bit-identical single-process compatibility mode)",
+        help="shard-worker count for a fresh start (1 without other shard "
+        "flags serves one unsharded worker with a single-file checkpoint)",
     )
     serve.add_argument(
         "--wal-dir",
@@ -639,26 +642,28 @@ def _cmd_serve(args) -> int:
     import os
     from pathlib import Path
 
-    from repro.serving import MomentService, ShardedMomentService, serve_loop
+    from repro.exceptions import ConfigError
+    from repro.serving import ShardedMomentService, ShardWorker, serve_loop
 
-    # Any shard-mode flag routes through the sharded stack; the bare
-    # single-shard invocation keeps the original MomentService path so its
-    # behaviour and checkpoint bytes stay identical to the pre-shard CLI.
-    sharded = (
-        args.shards != 1
-        or args.wal_dir is not None
-        or args.flush_rows is not None
-        or args.placement != "hash"
-    )
+    # An existing checkpoint picks the entry point by its layout: a
+    # manifest directory restores the router, a single file the worker.
+    # Only a fresh start (no checkpoint on disk) goes by the shard flags.
+    shard_flags = [
+        flag
+        for flag, given in (
+            (f"--shards {args.shards}", args.shards != 1),
+            ("--wal-dir", args.wal_dir is not None),
+            ("--flush-rows", args.flush_rows is not None),
+            ("--placement spread", args.placement != "hash"),
+        )
+        if given
+    ]
     if args.save_on_exit and not args.checkpoint:
         print("--save-on-exit requires --checkpoint", file=sys.stderr)
         return 2
     service: Any
-    if sharded:
-        manifest = (
-            os.path.join(args.checkpoint, "manifest.json") if args.checkpoint else None
-        )
-        if manifest is not None and os.path.exists(manifest):
+    if args.checkpoint and os.path.isdir(args.checkpoint):
+        try:
             service = ShardedMomentService.restore(
                 args.checkpoint,
                 wal_dir=args.wal_dir,
@@ -667,11 +672,26 @@ def _cmd_serve(args) -> int:
                 wal_flush_bytes=args.wal_flush_bytes,
                 wal_delta_rows=args.wal_delta_rows,
             )
+        except ConfigError as exc:
+            print(f"cannot restore {args.checkpoint}: {exc}", file=sys.stderr)
+            return 2
+        print(
+            f"restored {service.n_shards}-shard service from {args.checkpoint}",
+            file=sys.stderr,
+        )
+    elif args.checkpoint and os.path.exists(args.checkpoint):
+        if shard_flags:
             print(
-                f"restored {service.n_shards}-shard service from {args.checkpoint}",
+                f"{args.checkpoint} is a single-file checkpoint, which serves "
+                f"one unsharded worker; it conflicts with {', '.join(shard_flags)} "
+                "(sharded serving restores from a manifest directory)",
                 file=sys.stderr,
             )
-        elif args.wal_dir is not None and sorted(
+            return 2
+        service = ShardWorker.restore(args.checkpoint)
+        print(f"restored service state from {args.checkpoint}", file=sys.stderr)
+    elif shard_flags:
+        if args.wal_dir is not None and sorted(
             Path(args.wal_dir).glob("shard-*.wal")
         ):
             service = ShardedMomentService.recover(
@@ -710,15 +730,8 @@ def _cmd_serve(args) -> int:
                 wal_flush_bytes=args.wal_flush_bytes,
                 wal_delta_rows=args.wal_delta_rows,
             )
-    elif args.checkpoint and os.path.exists(args.checkpoint):
-        service = MomentService.restore(args.checkpoint, start_queue=False)
-        print(f"restored service state from {args.checkpoint}", file=sys.stderr)
     else:
-        service = MomentService(
-            max_sessions=args.max_sessions,
-            ttl_ops=args.ttl_ops,
-            start_queue=False,
-        )
+        service = ShardWorker(max_sessions=args.max_sessions, ttl_ops=args.ttl_ops)
     print(
         "repro serving loop: one JSON request per line on stdin "
         "(op: ping/create/ingest/estimate/loglik/yield/sessions/drop/"
@@ -841,20 +854,38 @@ def _emit_wire_requests(args) -> int:
     return 0
 
 
+def _reject_manifest_dir(path: str, verb: str) -> bool:
+    """Report (and return True) when ``path`` is a checkpoint directory:
+    ``ingest``/``query`` work on single-file checkpoints only."""
+    import os
+
+    if not os.path.isdir(path):
+        return False
+    print(
+        f"{path} is a directory (a sharded checkpoint holds a manifest.json); "
+        f"'repro {verb}' works on single-file checkpoints — serve the "
+        f"directory with 'repro serve --checkpoint {path}' instead",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _cmd_ingest(args) -> int:
     import os
 
     from repro.core.prior import PriorKnowledge
     from repro.io import load_dataset
-    from repro.serving import MomentService
+    from repro.serving import ShardWorker
 
     if args.emit_wire is not None:
         return _emit_wire_requests(args)
+    if _reject_manifest_dir(args.checkpoint, "ingest"):
+        return 2
     dataset = load_dataset(args.dataset)
     if os.path.exists(args.checkpoint):
-        service = MomentService.restore(args.checkpoint, start_queue=False)
+        service = ShardWorker.restore(args.checkpoint)
     elif args.create:
-        service = MomentService(start_queue=False)
+        service = ShardWorker()
     else:
         print(
             f"checkpoint {args.checkpoint} does not exist (pass --create to start one)",
@@ -892,9 +923,11 @@ def _cmd_query(args) -> int:
     import json
 
     from repro.io import load_dataset
-    from repro.serving import MomentService
+    from repro.serving import ShardWorker
 
-    service = MomentService.restore(args.checkpoint, start_queue=False)
+    if _reject_manifest_dir(args.checkpoint, "query"):
+        return 2
+    service = ShardWorker.restore(args.checkpoint)
 
     if args.kind == "stats":
         print(json.dumps(service.stats(), indent=2, sort_keys=True))  # reprolint: disable=RPL009 -- human-readable console display, never persisted or hashed

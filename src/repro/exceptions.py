@@ -110,12 +110,3 @@ class WalCorruptionError(ReproError, RuntimeError):
     it would reconstruct a state that never existed.
     """
 
-
-class ServiceOverloadedError(ReproError, RuntimeError):
-    """Raised when the serving request queue is full (backpressure).
-
-    The micro-batching queue bounds its pending-request memory; once the
-    bound is hit, new submissions fail fast with this error instead of
-    growing the queue without limit.  Callers should retry with backoff or
-    shed load.
-    """

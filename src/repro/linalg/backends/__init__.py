@@ -5,7 +5,7 @@ Two backend kinds plug into the numerical substrate:
 * **kernel backends** (``"numpy"``, ``"numba"``) implement the batched
   SPD primitives behind :mod:`repro.linalg.batched` — every consumer of
   ``cholesky_batched`` / ``solve_triangular_batched`` /
-  ``mahalanobis_sq_batched`` (the CV scorer, the serving micro-batcher)
+  ``mahalanobis_sq_batched`` (the CV scorer, the serving batch scorer)
   switches backend through this one seam, with zero changes at call
   sites;
 * **MNA backends** (``"dense"``, ``"sparse"``) pick the system-solve

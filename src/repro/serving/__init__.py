@@ -16,21 +16,20 @@ re-touching raw samples.  The stack is layered bottom-up:
   group-commit buffering, torn-tail recovery, and atomic compaction.
 * :mod:`repro.serving.sessions` — keyed session store with LRU capacity
   and logical-clock TTL eviction.
-* :mod:`repro.serving.queue` — micro-batching query queue with bounded
-  backpressure.
+* :mod:`repro.serving.queue` — the query :class:`Request` and its
+  validation (:func:`~repro.serving.queue.build_requests`).
 * :mod:`repro.serving.checkpoint` — atomic, integrity-checked snapshot /
   bit-identical restore.
 * :mod:`repro.serving.scoring` — the grouped stacked-kernel batch
   scorer all services answer through.
 * :mod:`repro.serving.worker` — :class:`ShardWorker`: one store slice +
-  counters + scorer (+ WAL), with bit-identical log replay.
-* :mod:`repro.serving.service` — :class:`MomentService`, the
-  single-process composition (one worker + micro-batch queue).
+  counters + scorer (+ WAL), with bit-identical log replay.  A worker on
+  its own is the single-process service; it checkpoints to one file.
 * :mod:`repro.serving.router` — :class:`ShardedMomentService`:
   consistent-hash placement, coalesced ingest, merge-on-read queries,
-  manifest checkpoints.
+  manifest-directory checkpoints.
 * :mod:`repro.serving.protocol` — JSON-lines request handling for the
-  ``repro serve`` CLI verb (fronts either service).
+  ``repro serve`` CLI verb (fronts either entry point).
 """
 
 from repro.core.bmf import map_moments_stack
@@ -48,10 +47,9 @@ from repro.serving.protocol import (
     handle_request,
     serve_loop,
 )
-from repro.serving.queue import QUERY_KINDS, MicroBatchQueue, Request
+from repro.serving.queue import QUERY_KINDS, Request
 from repro.serving.router import MANIFEST_SCHEMA, HashRing, ShardedMomentService
 from repro.serving.scoring import BatchScorer
-from repro.serving.service import MomentService
 from repro.serving.sessions import Session, SessionStore
 from repro.serving.wal import WAL_SCHEMA, WAL_SCHEMA_V2, WriteAheadLog
 from repro.serving.worker import ShardWorker
@@ -63,8 +61,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "HashRing",
     "MANIFEST_SCHEMA",
-    "MicroBatchQueue",
-    "MomentService",
     "QUERY_KINDS",
     "Request",
     "ServiceCounters",

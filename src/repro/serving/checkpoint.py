@@ -73,7 +73,7 @@ def _digest(state: Dict[str, Any]) -> str:
 def save_checkpoint(state: Dict[str, Any], path: PathLike) -> str:
     """Write a service state dictionary atomically; returns the sha256.
 
-    ``state`` is what :meth:`repro.serving.service.MomentService.state_dict`
+    ``state`` is what :meth:`repro.serving.worker.ShardWorker.state_dict`
     produces (the function itself is agnostic — any JSON-safe dict works,
     which keeps it testable in isolation).
     """

@@ -1,8 +1,7 @@
-"""Thread-safe service counters (shared by workers, services, and routers).
+"""Thread-safe service counters (shared by shard workers and the router).
 
 Extracted to the bottom of the serving sub-layering so every layer above —
-:class:`~repro.serving.worker.ShardWorker`,
-:class:`~repro.serving.service.MomentService`, and the shard router — can
+:class:`~repro.serving.worker.ShardWorker` and the shard router — can
 count requests/ingest/latency through one implementation without import
 cycles.
 

@@ -32,9 +32,9 @@ Supported operations (full field reference in ``docs/SERVING.md``):
 Errors never kill the loop: any :class:`~repro.exceptions.ReproError` or
 malformed-input error is reported on the offending response line and the
 loop keeps reading.  Queries taken through this module use the service's
-synchronous batch path (`MomentService.query_many`) — a single stdin
-reader gains nothing from cross-request coalescing, and determinism is
-worth more on the wire.
+synchronous batch path (``query_many``) — a single stdin reader gains
+nothing from cross-request coalescing, and determinism is worth more on
+the wire.
 
 **Zero-copy arrays.**  Every array-valued request field (``samples``,
 ``prior_mean``, ``x``, spec bounds, suffstats ``mean``/``scatter``)
@@ -65,7 +65,7 @@ import numpy as np
 from repro.exceptions import ConfigError, ReproError
 from repro.schemas import canonical_json
 from repro.serving.router import ShardedMomentService
-from repro.serving.service import MomentService
+from repro.serving.worker import ShardWorker
 from repro.core.prior import PriorKnowledge
 from repro.stats.suffstats import SufficientStats
 
@@ -82,11 +82,11 @@ __all__ = [
 #: Marker value of the zero-copy float64 array envelope.
 WIRE_B64F64 = "b64f64"
 
-#: Any service the wire protocol can front: the single-process
-#: :class:`MomentService` or the sharded router.  Both expose the same
-#: session-lifecycle / ingest / synchronous-query surface; the protocol
-#: layer never reaches into stores or workers directly.
-ServingService = Union[MomentService, ShardedMomentService]
+#: Any service the wire protocol can front: a single-file
+#: :class:`ShardWorker` or the sharded router.  Both expose the same
+#: session-lifecycle / ingest / synchronous-query / checkpoint surface; the
+#: protocol layer never reaches into stores or workers directly.
+ServingService = Union[ShardWorker, ShardedMomentService]
 
 #: Operations the wire protocol accepts.
 PROTOCOL_OPS = (

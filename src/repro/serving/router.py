@@ -32,10 +32,10 @@
 
 Single-shard mode is the compatibility gate: ``n_shards=1`` with
 ``flush_rows=1`` and no WAL routes every call straight through to the
-one worker, reproducing the pre-shard
-:class:`~repro.serving.service.MomentService` bit-for-bit — counters,
-eviction order, and checkpoint bytes (the equivalence suite compares the
-files byte-wise).
+one worker, reproducing a bare WAL-less
+:class:`~repro.serving.worker.ShardWorker` bit-for-bit — counters,
+eviction order, and checkpoint bytes (the equivalence suite compares
+``shard-000.ckpt`` with the worker's checkpoint file byte-wise).
 """
 
 from __future__ import annotations
@@ -462,9 +462,9 @@ class ShardedMomentService:
         The buffers of the queried keys are flushed first
         (read-your-writes, :meth:`flush_keys`); other keys keep their
         buffers.  The router then collects per-shard statistics, merges,
-        and scores through the shared grouped scorer.  Single-shard compat
-        mode delegates to the worker so counters land exactly where the
-        pre-shard service put them.
+        and scores through the shared grouped scorer.  Single-shard mode
+        delegates to the worker so counters land exactly where a bare
+        worker puts them.
         """
         self.flush_keys(key for _, key, _ in queries)
         if self.ring.n_shards == 1:
@@ -775,8 +775,7 @@ class ShardedMomentService:
         """Flush buffers and close every shard WAL (idempotent)."""
         self.flush()
         for worker in self.workers:
-            if worker.wal is not None:
-                worker.wal.close()
+            worker.close()
 
     def __enter__(self) -> "ShardedMomentService":
         return self

@@ -16,17 +16,12 @@ stacked-kernel calls:
     call per distinct bounds set.
 
 The scorer is deliberately ignorant of *where* sessions live: callers
-supply a ``snapshot_one(key) -> Session`` callable.  The single-process
-:class:`~repro.serving.service.MomentService` hands it a session-store
-snapshot; a shard worker hands it its own store slice; the shard router
-hands it sessions whose sufficient statistics were Chan-merged from many
-workers (merge-on-read).  All three therefore answer through literally the
-same code, which is what makes the sharded equivalence guarantees cheap to
-state: any difference is in the statistics handed in, never in the scoring.
-
-This code was extracted verbatim from the PR-5 ``MomentService`` —
-group-by ordering, repair ladder, and accumulation order are unchanged, so
-pre-refactor answers are reproduced bit-for-bit.
+supply a ``snapshot_one(key) -> Session`` callable.  A shard worker
+hands it a snapshot of its own store slice; the shard router hands it
+sessions whose sufficient statistics were Chan-merged from many workers
+(merge-on-read).  Both therefore answer through literally the same code,
+which is what makes the sharded equivalence guarantees cheap to state: any
+difference is in the statistics handed in, never in the scoring.
 """
 
 from __future__ import annotations

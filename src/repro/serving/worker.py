@@ -4,9 +4,10 @@ A :class:`ShardWorker` is the unit the sharded serving stack replicates:
 it owns one :class:`~repro.serving.sessions.SessionStore` slice, its own
 :class:`~repro.serving.counters.ServiceCounters`, a
 :class:`~repro.serving.scoring.BatchScorer`, and (optionally) a
-:class:`~repro.serving.wal.WriteAheadLog`.  The single-process
-:class:`~repro.serving.service.MomentService` is exactly one worker with
-a micro-batch queue in front; the shard router owns N of them.
+:class:`~repro.serving.wal.WriteAheadLog`.  A worker on its own is the
+single-process service, behind single-file checkpoints (``repro serve``
+without shard flags, ``repro ingest``, ``repro query``); the shard router
+owns N of them behind a manifest directory.
 
 **Log-then-apply.**  Every state mutation — session create/drop, ingest,
 statistics merge, and the logical-clock ticks queries cause ("touch"
@@ -70,9 +71,9 @@ class ShardWorker:
         :class:`~repro.serving.sessions.SessionStore`).
     wal:
         Optional write-ahead log this worker appends to before every
-        mutation.  ``None`` (the default, and what ``MomentService``
-        uses) keeps behaviour *and checkpoint bytes* identical to the
-        pre-shard service.  An attached log without an observer gets this
+        mutation.  ``None`` (the default) keeps the checkpoint free of
+        WAL offsets, byte-identical to the shard file of a WAL-less
+        one-shard router.  An attached log without an observer gets this
         worker's counters as its observer, so WAL append/flush gauges
         surface through :meth:`stats`.
     wal_delta_rows:
@@ -223,7 +224,7 @@ class ShardWorker:
             self.wal.append("touch", {"keys": list(keys), "kinds": kinds})
 
     def score_requests(self, requests: List[Request]) -> None:
-        """Score a coalesced batch (the micro-batch queue handler body).
+        """Score a batch of requests through the grouped scorer.
 
         Request-rate accounting happened at submission; with a WAL
         attached, one ``touch`` record captures both the per-key clock
@@ -240,8 +241,7 @@ class ShardWorker:
     def query_many(self, queries: Sequence[Tuple[str, str, Any]]) -> List[Any]:
         """Score a list of ``(kind, key, payload)`` queries in one batch.
 
-        Identical semantics to the pre-shard ``MomentService.query_many``:
-        kinds are validated and counted in submission order, then the
+        Kinds are validated and counted in submission order, then the
         whole list is scored as one grouped batch.  Raises the first
         request error encountered, in submission order.
         """
@@ -372,8 +372,8 @@ class ShardWorker:
     def state_dict(self) -> Dict[str, Any]:
         """Exact JSON-safe shard state.
 
-        Without a WAL this is byte-for-byte the pre-shard
-        ``MomentService`` state layout; with one, a ``wal`` entry records
+        Without a WAL this is the plain single-file checkpoint layout;
+        with one, a ``wal`` entry records
         the log offset the state covers (every op up to and including
         ``seq`` is reflected — appends are synchronous log-then-apply).
         """
@@ -450,3 +450,15 @@ class ShardWorker:
         if self.wal is not None:
             self.wal.truncate_through(covered)
         return digest
+
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close the attached WAL, if any (idempotent)."""
+        if self.wal is not None:
+            self.wal.close()
+
+    def __enter__(self) -> "ShardWorker":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -6,17 +6,30 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.prior import PriorKnowledge
-from repro.serving import MomentService, handle_request, serve_loop
+from repro.serving import (
+    ShardedMomentService,
+    ShardWorker,
+    handle_request,
+    serve_loop,
+)
 
 D = 3
 
 
 @pytest.fixture
-def service(rng):
-    svc = MomentService(start_queue=False)
-    yield svc
-    svc.close()
+def service():
+    with ShardWorker() as svc:
+        yield svc
+
+
+class RouterService:
+    """Mixin: rerun a protocol suite against the other entry point, a
+    two-shard router with coalesced ingest."""
+
+    @pytest.fixture
+    def service(self):
+        with ShardedMomentService(n_shards=2, flush_rows=4) as svc:
+            yield svc
 
 
 @pytest.fixture
@@ -95,8 +108,8 @@ class TestOps:
         path = tmp_path / "wire.ckpt"
         response = call(service, op="checkpoint", path=str(path))
         assert response["ok"] and len(response["sha256"]) == 64
-        restored = MomentService.restore(path, start_queue=False)
-        assert "dut" in restored.store
+        restored = type(service).restore(path)
+        assert restored.session_keys() == ["dut"]
 
 
 class TestErrorContainment:
@@ -306,3 +319,25 @@ class TestBrokenPipe:
             service, lines=['{"op": "ping"}\n'] * 3, out=FlushBrokenSink()
         )
         assert handled == 0
+
+
+# The same suites through the router: every op, error path, the loop, the
+# wire encodings and broken pipes must behave identically.
+class TestOpsRouter(RouterService, TestOps):
+    pass
+
+
+class TestErrorContainmentRouter(RouterService, TestErrorContainment):
+    pass
+
+
+class TestServeLoopRouter(RouterService, TestServeLoop):
+    pass
+
+
+class TestWireEncodingRouter(RouterService, TestWireEncoding):
+    pass
+
+
+class TestBrokenPipeRouter(RouterService, TestBrokenPipe):
+    pass

@@ -10,8 +10,8 @@ from repro.exceptions import ConfigError, SessionNotFoundError
 from repro.serving import (
     MANIFEST_SCHEMA,
     HashRing,
-    MomentService,
     ShardedMomentService,
+    ShardWorker,
 )
 
 D = 3
@@ -48,8 +48,8 @@ def _populate(service, prior, blocks, order=None):
 
 
 def _reference(prior, blocks):
-    """Single-process answers for every key."""
-    with MomentService(start_queue=False) as svc:
+    """Single-process answers for every key (a WAL-less worker)."""
+    with ShardWorker() as svc:
         _populate(svc, prior, blocks)
         out = {}
         for key in KEYS:
@@ -115,7 +115,7 @@ class TestMergeOnReadEquivalence:
     def test_loglik_and_yield_match(self, prior, blocks, rng):
         x = rng.standard_normal((5, D))
         lower, upper = np.full(D, -2.0), np.full(D, 2.0)
-        with MomentService(start_queue=False) as single:
+        with ShardWorker() as single:
             _populate(single, prior, blocks)
             ref_ll = single.query_many([("loglik", KEYS[0], x)])[0]
             ref_y = single.query_many([("yield", KEYS[1], (lower, upper))])[0]
@@ -225,7 +225,7 @@ class TestPerKeyReadBarrier:
             (keys[int(rng.integers(len(keys)))], rng.standard_normal(D))
             for _ in range(200)
         ]
-        with MomentService(start_queue=False) as single, ShardedMomentService(
+        with ShardWorker() as single, ShardedMomentService(
             n_shards=4, placement=placement, flush_rows=8
         ) as svc:
             for service in (single, svc):
@@ -265,9 +265,9 @@ class TestPerKeyReadBarrier:
 
 class TestSingleShardGate:
     def test_checkpoint_bytes_match_moment_service(self, prior, blocks, tmp_path):
-        """``--shards 1`` is bit-identical to the pre-shard service:
+        """``--shards 1`` is bit-identical to a bare WAL-less worker:
         counters, eviction order, and checkpoint bytes."""
-        single = MomentService(start_queue=False)
+        single = ShardWorker()
         sharded = ShardedMomentService(n_shards=1)
         for svc in (single, sharded):
             _populate(svc, prior, blocks)

@@ -1,6 +1,8 @@
-"""MomentService end-to-end: equivalence, checkpointing, overload, counters."""
+"""Serving entry points end to end: equivalence, errors, checkpoints, counters.
 
-import threading
+Queries run through the one-shard :class:`ShardedMomentService`; single-file
+checkpoints and the store-level counters through :class:`ShardWorker`.
+"""
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from repro.core.prior import PriorKnowledge
 from repro.exceptions import (
     ConfigError,
     DimensionError,
-    ServiceOverloadedError,
     SessionNotFoundError,
     SpecificationError,
 )
-from repro.serving import MomentService
+from repro.serving import ShardedMomentService, ShardWorker, WriteAheadLog
+from repro.serving.queue import build_requests
 from repro.stats.multivariate_gaussian import MultivariateGaussian
 from repro.yieldest.parametric import gaussian_box_probability
 
@@ -34,19 +36,28 @@ def samples(rng) -> np.ndarray:
     return rng.standard_normal((40, D)) @ np.diag([1.0, 0.5, 2.0, 1.5])
 
 
+def _feed(target, prior, samples):
+    target.create_session("dut", prior, kappa0=KAPPA0, v0=V0)
+    for row in samples:
+        target.ingest("dut", row)
+    return target
+
+
 @pytest.fixture
 def service(prior, samples):
-    svc = MomentService(max_batch=8, max_wait=0.001, seed=5)
-    svc.create_session("dut", prior, kappa0=KAPPA0, v0=V0)
-    for row in samples:
-        svc.ingest("dut", row)
-    yield svc
-    svc.close()
+    with ShardedMomentService() as svc:
+        yield _feed(svc, prior, samples)
+
+
+@pytest.fixture
+def worker(prior, samples):
+    with ShardWorker() as single:
+        yield _feed(single, prior, samples)
 
 
 class TestQueries:
     def test_estimate_matches_one_shot_bmf(self, service, prior, samples):
-        estimate = service.estimate("dut", timeout=10.0)
+        estimate = service.estimate("dut")
         reference = BMFEstimator(prior, kappa0=KAPPA0, v0=V0).estimate(samples)
         np.testing.assert_allclose(estimate.mean, reference.mean, atol=1e-10)
         np.testing.assert_allclose(
@@ -57,14 +68,14 @@ class TestQueries:
         assert estimate.info["kappa0"] == KAPPA0
 
     def test_loglik_matches_scalar_gaussian(self, service, prior, samples):
-        value = service.loglik("dut", samples[:10], timeout=10.0)
+        value = service.loglik("dut", samples[:10])
         reference = BMFEstimator(prior, kappa0=KAPPA0, v0=V0).estimate(samples)
         gaussian = MultivariateGaussian(reference.mean, reference.covariance)
         assert value == pytest.approx(gaussian.loglik(samples[:10]), abs=1e-8)
 
     def test_yield_matches_scalar_box_probability(self, service, prior, samples):
         lower, upper = np.full(D, -3.0), np.full(D, 3.0)
-        value = service.yield_prob("dut", lower, upper, timeout=10.0)
+        value = service.yield_prob("dut", lower, upper)
         reference = BMFEstimator(prior, kappa0=KAPPA0, v0=V0).estimate(samples)
         expected = gaussian_box_probability(
             reference.mean, reference.covariance, lower, upper
@@ -85,18 +96,18 @@ class TestQueries:
         assert 0.0 <= results[2] <= 1.0
 
     def test_sync_and_batched_paths_agree(self, service, samples):
-        """The queue path and query_many run the same scoring code."""
-        async_est = service.estimate("dut", timeout=10.0)
-        sync_est = service.query_many([("estimate", "dut", None)])[0]
-        assert np.array_equal(async_est.mean, sync_est.mean)
-        assert np.array_equal(async_est.covariance, sync_est.covariance)
-        async_ll = service.loglik("dut", samples[:7], timeout=10.0)
-        sync_ll = service.query_many([("loglik", "dut", samples[:7])])[0]
-        assert async_ll == sync_ll
+        """The one-query helpers and query_many run the same scoring code."""
+        single_est = service.estimate("dut")
+        batch_est = service.query_many([("estimate", "dut", None)])[0]
+        assert np.array_equal(single_est.mean, batch_est.mean)
+        assert np.array_equal(single_est.covariance, batch_est.covariance)
+        single_ll = service.loglik("dut", samples[:7])
+        batch_ll = service.query_many([("loglik", "dut", samples[:7])])[0]
+        assert single_ll == batch_ll
 
     def test_empty_session_returns_prior_mode(self, service, prior):
         service.create_session("fresh", prior, kappa0=KAPPA0, v0=V0)
-        estimate = service.estimate("fresh", timeout=10.0)
+        estimate = service.estimate("fresh")
         np.testing.assert_allclose(estimate.mean, prior.mean, atol=1e-12)
         assert estimate.n_samples == 0
 
@@ -104,57 +115,51 @@ class TestQueries:
 class TestErrors:
     def test_unknown_session(self, service):
         with pytest.raises(SessionNotFoundError):
-            service.estimate("ghost", timeout=10.0)
+            service.estimate("ghost")
 
     def test_bad_loglik_payload(self, service):
         with pytest.raises(DimensionError):
-            service.loglik("dut", np.zeros((3, D + 1)), timeout=10.0)
+            service.loglik("dut", np.zeros((3, D + 1)))
         with pytest.raises(DimensionError):
-            service.loglik("dut", np.zeros((0, D)), timeout=10.0)
+            service.loglik("dut", np.zeros((0, D)))
 
     def test_bad_yield_bounds(self, service):
         with pytest.raises(SpecificationError):
-            service.yield_prob("dut", np.zeros(D), np.zeros(D), timeout=10.0)
+            service.yield_prob("dut", np.zeros(D), np.zeros(D))
         with pytest.raises(SpecificationError):
-            service.yield_prob("dut", np.zeros(D - 1), np.ones(D - 1), timeout=10.0)
+            service.yield_prob("dut", np.zeros(D - 1), np.ones(D - 1))
 
-    def test_error_does_not_poison_the_batch(self, service, samples):
-        """One bad request in a coalesced batch fails alone."""
-        good_and_bad = [
-            ("estimate", "dut", None),
-            ("estimate", "ghost", None),
-            ("loglik", "dut", samples[:3]),
-        ]
-        futures = [
-            service.submit(kind, key, payload) for kind, key, payload in good_and_bad
-        ]
-        assert futures[0].result(timeout=10.0).dim == D
+    def test_error_does_not_poison_the_batch(self, worker, samples):
+        """One bad request in a scored batch fails alone."""
+        requests = build_requests(
+            [
+                ("estimate", "dut", None),
+                ("estimate", "ghost", None),
+                ("loglik", "dut", samples[:3]),
+            ],
+            worker.counters.record_request,
+        )
+        worker.score_requests(requests)
+        futures = [request.future for request in requests]
+        assert futures[0].result().dim == D
         with pytest.raises(SessionNotFoundError):
-            futures[1].result(timeout=10.0)
-        assert np.isfinite(futures[2].result(timeout=10.0))
+            futures[1].result()
+        assert np.isfinite(futures[2].result())
 
     def test_unknown_kind_in_query_many(self, service):
         with pytest.raises(ConfigError):
             service.query_many([("divine", "dut", None)])
 
-    def test_no_queue_mode_rejects_submit(self, prior):
-        service = MomentService(start_queue=False)
-        service.create_session("a", prior, kappa0=KAPPA0, v0=V0)
-        with pytest.raises(ConfigError):
-            service.submit("estimate", "a")
-        # blocking helpers silently fall back to the sync path
-        assert service.estimate("a").dim == D
-
 
 class TestCheckpointRestore:
-    def test_save_kill_restore_identical(self, service, tmp_path, samples):
+    def test_save_kill_restore_identical(self, worker, tmp_path, samples):
         """The acceptance criterion: restore is bit-identical."""
-        before = service.estimate("dut", timeout=10.0)
+        before = worker.query_many([("estimate", "dut", None)])[0]
         path = tmp_path / "service.ckpt"
-        service.checkpoint(path)
-        service.close()  # "kill" the process's service
+        worker.checkpoint(path)
+        worker.close()  # "kill" the process's service
 
-        restored = MomentService.restore(path, start_queue=False)
+        restored = ShardWorker.restore(path)
         after = restored.query_many([("estimate", "dut", None)])[0]
         assert np.array_equal(after.mean, before.mean)
         assert np.array_equal(after.covariance, before.covariance)
@@ -165,18 +170,11 @@ class TestCheckpointRestore:
         self, prior, samples, tmp_path
     ):
         """Checkpoint mid-stream, keep ingesting on both sides: identical."""
-        straight = MomentService(start_queue=False)
-        straight.create_session("dut", prior, kappa0=KAPPA0, v0=V0)
-        for row in samples:
-            straight.ingest("dut", row)
-
-        interrupted = MomentService(start_queue=False)
-        interrupted.create_session("dut", prior, kappa0=KAPPA0, v0=V0)
-        for row in samples[:17]:
-            interrupted.ingest("dut", row)
+        straight = _feed(ShardWorker(), prior, samples)
+        interrupted = _feed(ShardWorker(), prior, samples[:17])
         path = tmp_path / "mid.ckpt"
         interrupted.checkpoint(path)
-        resumed = MomentService.restore(path, start_queue=False)
+        resumed = ShardWorker.restore(path)
         for row in samples[17:]:
             resumed.ingest("dut", row)
 
@@ -185,92 +183,41 @@ class TestCheckpointRestore:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.covariance, b.covariance)
 
-    def test_restore_rejects_foreign_state_version(self, service, tmp_path):
+    def test_restore_rejects_foreign_state_version(self, worker, tmp_path):
         from repro.serving.checkpoint import load_checkpoint, save_checkpoint
 
         path = tmp_path / "service.ckpt"
-        service.checkpoint(path)
+        worker.checkpoint(path)
         state = load_checkpoint(path)
         state["state_version"] = 99
         save_checkpoint(state, path)
         with pytest.raises(ConfigError, match="state_version"):
-            MomentService.restore(path)
-
-
-class TestOverloadUnderConcurrency:
-    def test_backpressure_under_seeded_concurrent_driver(self, prior, samples):
-        """Many threads hammer a tiny queue: some requests are shed with
-        ServiceOverloadedError, every accepted one completes correctly,
-        and the overload is visible in the counters."""
-        gate = threading.Event()
-        service = MomentService(
-            max_batch=2, max_wait=0.0, max_pending=4, seed=123
-        )
-        service.create_session("dut", prior, kappa0=KAPPA0, v0=V0)
-        service.ingest("dut", samples)
-
-        accepted, rejected = [], []
-        lock = threading.Lock()
-
-        def driver(worker_seed: int) -> None:
-            rng = np.random.default_rng(worker_seed)
-            gate.wait(5.0)
-            for _ in range(50):
-                try:
-                    future = service.submit("estimate", "dut")
-                except ServiceOverloadedError:
-                    with lock:
-                        rejected.append(worker_seed)
-                    continue
-                with lock:
-                    accepted.append(future)
-                if rng.random() < 0.2:
-                    future.result(timeout=10.0)  # occasionally drain
-
-        threads = [
-            threading.Thread(target=driver, args=(seed,)) for seed in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=30.0)
-
-        reference = None
-        for future in accepted:
-            estimate = future.result(timeout=10.0)
-            if reference is None:
-                reference = estimate
-            assert np.array_equal(estimate.mean, reference.mean)
-        assert len(rejected) >= 1, "driver never tripped backpressure"
-        stats = service.stats()
-        assert stats["queue"]["overflows"] == len(rejected)
-        assert stats["queue"]["requests_handled"] == len(accepted)
-        service.close()
+            ShardWorker.restore(path)
 
 
 class TestCountersAndStats:
-    def test_stats_shape(self, service, samples):
-        service.estimate("dut", timeout=10.0)
-        service.loglik("dut", samples[:4], timeout=10.0)
-        stats = service.stats()
+    def test_stats_shape(self, worker, samples):
+        worker.query_many([("estimate", "dut", None)])
+        worker.query_many([("loglik", "dut", samples[:4])])
+        stats = worker.stats()
         assert stats["requests"]["estimate"] >= 1
         assert stats["requests"]["loglik"] >= 1
         assert stats["ingested_samples"] == samples.shape[0]
         assert stats["sessions_live"] == 1
         assert stats["latency_ms_p50"] is not None
         assert stats["latency_ms_p99"] >= stats["latency_ms_p50"]
-        queue = stats["queue"]
-        assert queue["batches_dispatched"] >= 1
-        assert queue["mean_occupancy"] >= 1.0
 
-    def test_close_is_idempotent(self, prior):
-        service = MomentService()
-        service.close()
-        service.close()
+    def test_close_is_idempotent(self, tmp_path):
+        worker = ShardWorker(wal=WriteAheadLog.create(tmp_path / "w.wal", shard_id=0))
+        worker.close()
+        worker.close()
 
-    def test_context_manager(self, prior):
-        with MomentService() as service:
-            service.create_session("a", prior, kappa0=KAPPA0, v0=V0)
-        with pytest.raises(ConfigError):
-            service.submit("estimate", "a")
+    def test_context_manager(self, prior, samples, tmp_path):
+        """Leaving the block closes the WAL, flushing its group-commit buffer."""
+        path = tmp_path / "w.wal"
+        wal = WriteAheadLog.create(path, shard_id=0, version=2, flush_records=64)
+        with ShardWorker(wal=wal) as worker:
+            _feed(worker, prior, samples[:3])
+        reopened = WriteAheadLog.open(path)
+        assert reopened.verify() == 4
+        reopened.close()

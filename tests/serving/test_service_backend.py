@@ -1,4 +1,4 @@
-"""MomentService kernel-backend knob: scoping, equivalence, restore."""
+"""ShardWorker kernel-backend knob: scoping, equivalence, restore."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import BackendUnavailableError
 from repro.linalg.backends import available_backends
-from repro.serving import MomentService
+from repro.serving import ShardWorker
 
 D = 4
 
@@ -17,7 +17,7 @@ def build_service(linalg_backend=None, seed=0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((D, D))
     prior = PriorKnowledge(rng.standard_normal(D), a @ a.T + D * np.eye(D))
-    service = MomentService(start_queue=False, linalg_backend=linalg_backend)
+    service = ShardWorker(linalg_backend=linalg_backend)
     service.create_session("pop", prior, kappa0=2.0, v0=D + 3.0)
     service.ingest("pop", rng.standard_normal((64, D)))
     return service
@@ -62,9 +62,7 @@ class TestLinalgBackendKnob:
         service = build_service()
         path = tmp_path / "ckpt.json"
         service.checkpoint(path)
-        restored = MomentService.restore(
-            path, start_queue=False, linalg_backend="numpy"
-        )
+        restored = ShardWorker.restore(path, linalg_backend="numpy")
         orig_est, orig_ll = score(service)
         rest_est, rest_ll = score(restored)
         assert np.array_equal(rest_est.mean, orig_est.mean)

@@ -1,4 +1,4 @@
-"""ShardWorker: service parity, bit-identical WAL replay, crash recovery."""
+"""ShardWorker: bit-identical WAL replay, crash recovery."""
 
 import hashlib
 
@@ -8,7 +8,7 @@ import pytest
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import SessionNotFoundError
 from repro.io import canonical_json
-from repro.serving import MomentService, ShardWorker, WriteAheadLog
+from repro.serving import ShardWorker, WriteAheadLog
 from repro.stats.suffstats import SufficientStats
 
 D = 3
@@ -46,31 +46,6 @@ def _drive(target, prior, rng, queries=True):
                 ("estimate", "die/0", None),
             ]
         )
-
-
-class TestServiceParity:
-    def test_wal_less_worker_matches_moment_service_state(self, prior):
-        """The no-WAL worker *is* the pre-shard service state layout."""
-        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        worker = ShardWorker(shard_id=0)
-        service = MomentService(start_queue=False)
-        _drive(worker, prior, rng_a)
-        _drive(service, prior, rng_b)
-        assert canonical_json(worker.state_dict()) == canonical_json(
-            service.state_dict()
-        )
-
-    def test_checkpoint_bytes_match_moment_service(self, prior, tmp_path):
-        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        worker = ShardWorker(shard_id=0)
-        service = MomentService(start_queue=False)
-        _drive(worker, prior, rng_a)
-        _drive(service, prior, rng_b)
-        worker.checkpoint(tmp_path / "w.ckpt")
-        service.checkpoint(tmp_path / "s.ckpt")
-        assert (tmp_path / "w.ckpt").read_bytes() == (
-            tmp_path / "s.ckpt"
-        ).read_bytes()
 
 
 class TestReplayBitIdentity:

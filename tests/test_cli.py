@@ -473,6 +473,107 @@ class TestShardedServingVerbs:
             wal.close()
 
 
+class TestCheckpointLayout:
+    """An existing checkpoint picks the entry point by its on-disk layout:
+    a manifest directory restores the router, a single file the worker."""
+
+    _run_serve = TestShardedServingVerbs._run_serve
+    _requests = TestShardedServingVerbs._requests
+
+    def _ingest_file(self, bank_path, path):
+        args = ["ingest", str(path), "--session", "adc/tt", "--dataset"]
+        args += [str(bank_path), "--samples", "12", "--create"]
+        assert main(args) == 0
+
+    def _manifest_dir(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "ckpt"
+        reqs = self._requests() + [
+            {"op": "checkpoint", "path": str(target)},
+            {"op": "shutdown"},
+        ]
+        flags = ["--shards", "2", "--wal-dir", str(tmp_path / "wal")]
+        code, responses = self._run_serve(monkeypatch, capsys, flags, reqs)
+        assert code == 0 and (target / "manifest.json").exists()
+        return target, responses
+
+    def test_serve_restores_manifest_dir_without_shard_flags(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        target, first = self._manifest_dir(tmp_path, monkeypatch, capsys)
+        code, second = self._run_serve(
+            monkeypatch,
+            capsys,
+            ["--checkpoint", str(target)],
+            [{"op": "estimate", "key": "lna/tt"}, {"op": "shutdown"}],
+        )
+        assert code == 0
+        assert second[0]["mean"] == first[-3]["mean"]
+        # a directory without a manifest is reported, not served empty
+        (tmp_path / "empty").mkdir()
+        assert main(["serve", "--checkpoint", str(tmp_path / "empty")]) == 2
+        assert "no shard manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--shards", "2"], "--shards 2"),
+            (["--wal-dir", "WAL"], "--wal-dir"),
+            (["--flush-rows", "4"], "--flush-rows"),
+            (["--placement", "spread"], "--placement spread"),
+        ],
+        ids=["shards", "wal-dir", "flush-rows", "placement"],
+    )
+    def test_serve_file_checkpoint_conflicts_with_shard_flags(
+        self, flags, named, bank_path, tmp_path, capsys, monkeypatch
+    ):
+        import io as io_module
+
+        path = tmp_path / "state.ckpt"
+        self._ingest_file(bank_path, path)
+        before = path.read_bytes()
+        flags = [str(tmp_path / "wal") if f == "WAL" else f for f in flags]
+        monkeypatch.setattr("sys.stdin", io_module.StringIO('{"op": "ping"}\n'))
+        capsys.readouterr()
+        code = main(["serve", "--checkpoint", str(path), "--save-on-exit"] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "single-file checkpoint" in err and named in err
+        assert path.read_bytes() == before
+
+    def test_ingest_rejects_checkpoint_dir(
+        self, bank_path, tmp_path, capsys, monkeypatch
+    ):
+        target, _ = self._manifest_dir(tmp_path, monkeypatch, capsys)
+        args = ["ingest", str(target), "--session", "lna/tt", "--dataset"]
+        assert main(args + [str(bank_path), "--create"]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_query_rejects_checkpoint_dir(self, tmp_path, capsys, monkeypatch):
+        target, _ = self._manifest_dir(tmp_path, monkeypatch, capsys)
+        assert main(["query", str(target), "stats"]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_missing_path_follows_shard_flags(self, tmp_path, capsys, monkeypatch):
+        file_path, dir_path = tmp_path / "fresh.ckpt", tmp_path / "fresh-dir"
+        create = self._requests()[:1] + [{"op": "shutdown"}]
+        save = ["--save-on-exit", "--checkpoint"]
+        code, _ = self._run_serve(monkeypatch, capsys, save + [str(file_path)], create)
+        assert code == 0 and file_path.is_file()
+        code, _ = self._run_serve(
+            monkeypatch, capsys, ["--shards", "2"] + save + [str(dir_path)], create
+        )
+        assert code == 0 and (dir_path / "manifest.json").exists()
+        # each layout then restores through its own entry point, flags or not
+        for path in (file_path, dir_path):
+            code, responses = self._run_serve(
+                monkeypatch,
+                capsys,
+                ["--checkpoint", str(path)],
+                [{"op": "sessions"}, {"op": "shutdown"}],
+            )
+            assert code == 0 and responses[0]["sessions"] == ["lna/tt"]
+
+
 class TestWireEmitAndWalFlags:
     def test_serve_parser_accepts_wal_knobs(self):
         parser = build_parser()

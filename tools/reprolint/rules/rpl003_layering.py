@@ -52,7 +52,7 @@ DEFAULT_LAYERS: List[List[str]] = [
     ],
     ["repro.serving.scoring"],
     ["repro.serving.worker"],
-    ["repro.serving.service", "repro.serving.router"],
+    ["repro.serving.router"],
     ["repro.serving.protocol", "repro.serving"],
     ["repro.cli", "repro.__main__", "repro"],
 ]

@@ -4,7 +4,7 @@ When a class guards an attribute with a lock *somewhere* — any method
 mutates ``self.attr`` inside ``with self._lock:`` — then every other
 mutation of that attribute in the class must also hold the lock.  A single
 unguarded write is how the serving stack's ingest fan-out
-(``router.thread_map``), the micro-batch queue, and the WAL write buffer
+(``router.thread_map``) and the WAL write buffer
 corrupt state under concurrency: the guarded sites promise exclusion the
 stray site silently breaks.
 
