@@ -1,11 +1,12 @@
-"""Vectorized vs loop Monte-Carlo engines: the PR's dataset-generation speedup.
+"""Vectorized vs loop Monte-Carlo engines: the dataset-generation speedup.
 
 Times both ``simulate_batch`` engines on the op-amp and flash-ADC banks
-(the Sec. 5 workloads) and asserts the vectorized metrics match the scalar
-reference to <=1e-10 relative error before any timing is reported.  The
-checked-in numbers live in ``BENCH_mc.json`` via ``scripts/bench_mc.py``;
-this module keeps the comparison running under the benchmark marker (and
-at ``REPRO_BENCH_SCALE=smoke`` sizes in CI).
+(the Sec. 5 workloads) and the folded-cascode OTA bank, and asserts the
+vectorized metrics match the scalar reference to <=1e-10 relative error
+before any timing is reported.  The checked-in numbers live in
+``BENCH_mc.json`` via ``scripts/bench_mc.py``; this module keeps the
+comparison running under the benchmark marker (and at
+``REPRO_BENCH_SCALE=smoke`` sizes in CI).
 """
 
 import time
@@ -16,6 +17,7 @@ import pytest
 from _bench_util import emit
 from repro.circuits.adc import FlashADC
 from repro.circuits.opamp import TwoStageOpAmp
+from repro.circuits.ota import FoldedCascodeOTA
 
 SEED = 2015
 
@@ -23,6 +25,14 @@ SEED = 2015
 @pytest.fixture(scope="module")
 def opamp_problem(scale):
     sim = TwoStageOpAmp.schematic()
+    rng = np.random.default_rng(SEED)
+    samples = sim.process_model().sample(sim.devices, scale.opamp_bank, rng)
+    return sim, samples
+
+
+@pytest.fixture(scope="module")
+def ota_problem(scale):
+    sim = FoldedCascodeOTA.post_layout()
     rng = np.random.default_rng(SEED)
     samples = sim.process_model().sample(sim.devices, scale.opamp_bank, rng)
     return sim, samples
@@ -80,3 +90,26 @@ def test_adc_engines_equivalent(adc_problem):
         "max rel metric diff %.1e"
         % (seeds.size, loop_s, batched_s, loop_s / max(batched_s, 1e-12), rel)
     )
+
+
+def test_ota_engines_equivalent(ota_problem, scale):
+    """OTA: 1e-10 agreement always; >=10x over the per-die loop at non-smoke scale."""
+    sim, samples = ota_problem
+    sim.simulate_batch(samples[:1])  # build the stamp plan outside the timing
+    batched_s, batched = min(
+        (_timed(lambda: sim.simulate_batch(samples)) for _ in range(3)),
+        key=lambda timed: timed[0],
+    )
+    loop_s, loop = _timed(lambda: sim.simulate_batch(samples, engine="loop"))
+
+    rel = np.max(np.abs(batched - loop) / np.maximum(np.abs(loop), 1e-300))
+    speedup = loop_s / max(batched_s, 1e-12)
+    emit(
+        "OTA bank (n=%d): loop %.2f s, vectorized %.3f s -> %.1fx, "
+        "max rel metric diff %.1e"
+        % (len(samples), loop_s, batched_s, speedup, rel)
+    )
+    assert rel <= 1e-10
+    # Smoke runners are too noisy to gate a ratio.
+    if scale.label != "smoke":
+        assert speedup >= 10.0

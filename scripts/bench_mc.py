@@ -1,16 +1,18 @@
 #!/usr/bin/env python
 """Benchmark the Monte-Carlo engines: per-die loop vs vectorized batch.
 
-Generates the paper's op-amp and flash-ADC sample banks through both
-``simulate_batch`` engines (schematic and post-layout stages of the same
-dies), verifies the vectorized metrics agree with the scalar reference to
-tight relative error, and writes the timing summary to ``BENCH_mc.json``
-at the repository root so regressions are visible in review diffs.
+Generates the paper's op-amp and flash-ADC sample banks, plus the
+folded-cascode OTA's default 2000-die bank, through both ``simulate_batch``
+engines (schematic and post-layout stages of the same dies), verifies the
+vectorized metrics agree with the scalar reference to tight relative
+error, and writes the timing summary to ``BENCH_mc.json`` at the
+repository root so regressions are visible in review diffs.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/bench_mc.py [--opamp-samples 5000]
-        [--adc-samples 1000] [--repeats 3] [--out BENCH_mc.json]
+        [--adc-samples 1000] [--ota-samples 2000] [--repeats 3]
+        [--out BENCH_mc.json]
 
 Times are best-of-``--repeats`` wall clock; the headline ``loop_s`` /
 ``batched_s`` / ``speedup`` fields refer to the 5000-sample op-amp bank
@@ -33,6 +35,7 @@ import numpy as np
 from repro.bench import append_entry
 from repro.circuits.adc import FlashADC
 from repro.circuits.opamp import TwoStageOpAmp
+from repro.circuits.ota import FoldedCascodeOTA
 
 
 def best_of(fn, repeats: int) -> tuple[float, object]:
@@ -50,9 +53,10 @@ def max_rel_diff(batched: np.ndarray, loop: np.ndarray) -> float:
     return float(np.max(np.abs(batched - loop) / scale))
 
 
-def bench_opamp(n_samples: int, seed: int, repeats: int) -> dict:
-    early = TwoStageOpAmp.schematic()
-    late = TwoStageOpAmp.post_layout()
+def bench_process_circuit(sim_cls, n_samples: int, seed: int, repeats: int) -> dict:
+    """Both engines on one process-sample circuit (op-amp, OTA)."""
+    early = sim_cls.schematic()
+    late = sim_cls.post_layout()
     rng = np.random.default_rng(seed)
     samples = early.process_model().sample(early.devices, n_samples, rng)
 
@@ -103,6 +107,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--opamp-samples", type=int, default=5000)
     parser.add_argument("--adc-samples", type=int, default=1000)
+    parser.add_argument("--ota-samples", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=2015)
     parser.add_argument(
@@ -112,10 +117,15 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    opamp = bench_opamp(args.opamp_samples, args.seed, args.repeats)
+    opamp = bench_process_circuit(
+        TwoStageOpAmp, args.opamp_samples, args.seed, args.repeats
+    )
     adc = bench_adc(args.adc_samples, args.seed, args.repeats)
+    ota = bench_process_circuit(
+        FoldedCascodeOTA, args.ota_samples, args.seed, args.repeats
+    )
 
-    worst = max(opamp["max_rel_metric_diff"], adc["max_rel_metric_diff"])
+    worst = max(section["max_rel_metric_diff"] for section in (opamp, adc, ota))
     if worst > 1e-10:
         raise SystemExit(
             f"engines diverge (max rel metric diff = {worst:g}) -- refusing to report"
@@ -127,6 +137,7 @@ def main() -> None:
         config={
             "opamp_samples": args.opamp_samples,
             "adc_samples": args.adc_samples,
+            "ota_samples": args.ota_samples,
             "repeats": args.repeats,
             "seed": args.seed,
         },
@@ -137,9 +148,10 @@ def main() -> None:
             "max_rel_metric_diff": opamp["max_rel_metric_diff"],
             "opamp": opamp,
             "adc": adc,
+            "ota": ota,
         },
     )
-    for name, section in (("opamp", opamp), ("adc", adc)):
+    for name, section in (("opamp", opamp), ("adc", adc), ("ota", ota)):
         print(
             f"{name}: loop {section['loop_s']:.3f} s | batched "
             f"{section['batched_s']:.3f} s | speedup {section['speedup']}x | "

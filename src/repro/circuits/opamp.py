@@ -32,8 +32,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.circuits.batch import StampPlanSimulator
 from repro.circuits.devices import Mosfet, MosfetGeometry, MosfetProcess
-from repro.circuits.mna import ACAnalysis, StampPlan
+from repro.circuits.mna import ACAnalysis
 from repro.circuits.netlist import Netlist
 from repro.circuits.process import ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
@@ -155,7 +156,7 @@ class _Parasitics:
     extraction_derate: float = 0.0   # signoff-extraction parasitic shortfall
 
 
-class TwoStageOpAmp:
+class TwoStageOpAmp(StampPlanSimulator):
     """Simulator for one design stage (schematic or post-layout).
 
     Use the class methods :meth:`schematic` and :meth:`post_layout` to get
@@ -168,15 +169,12 @@ class TwoStageOpAmp:
     #: frequency across all process corners.
     _FREQ_GRID = np.logspace(1, 11, 321)
 
-    #: Component names whose stamp values vary per process draw; everything
-    #: else in the macromodel is topology shared by the whole bank.
     _VARIABLE = ("Ggm1", "R1", "C1", "Cc", "Ggm6", "R2", "C2")
 
     def __init__(self, design: OpAmpDesign, parasitics: Optional[_Parasitics] = None) -> None:
         self.design = design
         self.parasitics = parasitics if parasitics is not None else _Parasitics()
         self._devices = design.devices()
-        self._plan: Optional[StampPlan] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -204,11 +202,6 @@ class TwoStageOpAmp:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def devices(self) -> List[Mosfet]:
-        """Nominal device instances (for process-model sampling)."""
-        return [dev for dev, _pol in self._devices]
-
     def process_model(self) -> ProcessVariationModel:
         """The default variation model used in the paper reproduction."""
         return ProcessVariationModel(
@@ -218,28 +211,23 @@ class TwoStageOpAmp:
         )
 
     # ------------------------------------------------------------------
-    def _varied_devices(self, sample: ProcessSample) -> Dict[str, Mosfet]:
-        out: Dict[str, Mosfet] = {}
+    def _shape_variation(self, dvth, dkp):
         par = self.parasitics
-        for dev, pol in self._devices:
-            varied = sample.apply(dev, pol)
-            dvth, dkp = varied.dvth, varied.dkp_rel
-            if par.stress_kp_gain != 0.0:
-                # STI-stress interaction: layout proximity effects amplify
-                # the *variation component* of kp post-layout, re-shaping
-                # (not just shifting) the late-stage response.
-                dkp = dkp * (1.0 + par.stress_kp_gain)
-            if par.proximity_quad != 0.0:
-                # Litho-proximity (LOD/WPE) effects are nonlinear in the
-                # process state: quadratic in the threshold deviation.
-                # Crucially this term vanishes at the nominal corner, so
-                # the Sec. 4.1 nominal shift cannot remove the mean bias
-                # it induces in the late-stage *distribution* — this is
-                # what makes the op-amp's early-stage mean knowledge less
-                # trustworthy than its covariance knowledge (Sec. 5.1).
-                dvth = dvth + par.proximity_quad * dvth * dvth / 0.012
-            out[dev.name] = dev.with_variation(dvth, dkp)
-        return out
+        if par.stress_kp_gain != 0.0:
+            # STI-stress interaction: layout proximity effects amplify
+            # the *variation component* of kp post-layout, re-shaping
+            # (not just shifting) the late-stage response.
+            dkp = dkp * (1.0 + par.stress_kp_gain)
+        if par.proximity_quad != 0.0:
+            # Litho-proximity (LOD/WPE) effects are nonlinear in the
+            # process state: quadratic in the threshold deviation.
+            # Crucially this term vanishes at the nominal corner, so
+            # the Sec. 4.1 nominal shift cannot remove the mean bias
+            # it induces in the late-stage *distribution* — this is
+            # what makes the op-amp's early-stage mean knowledge less
+            # trustworthy than its covariance knowledge (Sec. 5.1).
+            dvth = dvth + par.proximity_quad * dvth * dvth / 0.012
+        return dvth, dkp
 
     def _bias_currents(self, devs: Dict[str, Mosfet]) -> Tuple[float, float, float]:
         """Actual tail/stage-2/bias currents from square-law mirror physics.
@@ -312,6 +300,11 @@ class TwoStageOpAmp:
         else:
             net.capacitor("C2", "out_int", "0", c2)
         return net
+
+    def _netlist(self, sample: ProcessSample) -> Netlist:
+        devs = self._varied_devices(sample)
+        i_tail, i_stage2, _ = self._bias_currents(devs)
+        return self._macromodel(devs, i_tail, i_stage2)
 
     @staticmethod
     def _output_node(netlist: Netlist) -> str:
@@ -406,153 +399,9 @@ class TwoStageOpAmp:
         nominal = model.nominal_sample(sim.devices)
         return sim.simulate(nominal)
 
-    def simulate_batch(
-        self,
-        samples: List[ProcessSample],
-        engine: str = "vectorized",
-        memory_budget_mb: float = 512.0,
-        n_jobs: Optional[int] = None,
-        mna_backend: Optional[str] = None,
-    ) -> np.ndarray:
-        """Metrics matrix ``(len(samples), 5)`` in metric-name order.
-
-        Parameters
-        ----------
-        samples:
-            Process draws; must be non-empty.
-        engine:
-            ``"vectorized"`` (default) runs the batched stamp-plan engine —
-            one symbolic MNA assembly, stacked chunked solves, vectorized
-            metric extraction.  ``"loop"`` is the per-die reference path;
-            the two agree to better than 1e-10 relative error.
-        memory_budget_mb:
-            Peak-memory bound for the stacked complex systems; the solve
-            is chunked so ``n_samples * n_freq * m^2`` never exceeds it.
-        n_jobs:
-            Optional process-based sharding of the vectorized engine
-            (``-1`` = all CPUs).  Results are bit-identical to the
-            single-process engine for every worker count.
-        mna_backend:
-            System-solve strategy forwarded to
-            :meth:`repro.circuits.mna.StampPlan.solve_batched`:
-            ``"dense"``, ``"sparse"``, or ``None``/``"auto"`` (size
-            heuristic — the macromodel's tiny reduced core always
-            resolves dense).
-        """
-        sample_list = list(samples)
-        if not sample_list:
-            raise SimulationError("simulate_batch requires at least one process sample")
-        if engine == "loop":
-            return np.array([self.simulate(s).as_array() for s in sample_list])
-        if engine != "vectorized":
-            raise SimulationError(
-                f"unknown engine {engine!r}; expected 'vectorized' or 'loop'"
-            )
-        from repro.experiments.parallel import fork_available, replicate, resolve_n_jobs
-
-        jobs = min(resolve_n_jobs(n_jobs), len(sample_list))
-        if jobs > 1 and fork_available():
-            self._stamp_plan()  # build once; workers inherit it through fork
-            shards = [
-                s for s in np.array_split(np.arange(len(sample_list)), jobs) if s.size
-            ]
-            parts = replicate(
-                lambda idx: self._simulate_chunked(
-                    [sample_list[i] for i in idx], memory_budget_mb, mna_backend
-                ),
-                shards,
-                n_jobs=jobs,
-            )
-            return np.vstack(parts)
-        return self._simulate_chunked(sample_list, memory_budget_mb, mna_backend)
-
     # ------------------------------------------------------------------
     # vectorized engine
     # ------------------------------------------------------------------
-    #: Samples per pipeline pass.  Small enough that the ~25 working
-    #: (chunk, n_freq) planes stay cache-resident — measured ~4x faster
-    #: than streaming the whole bank through memory — while large enough
-    #: to amortise per-call numpy overhead.
-    _PIPELINE_CHUNK = 512
-
-    def _simulate_chunked(
-        self,
-        samples: List[ProcessSample],
-        memory_budget_mb: float,
-        mna_backend: Optional[str] = None,
-    ) -> np.ndarray:
-        """Run the vectorized engine in cache-sized sample chunks.
-
-        Every metric is computed row-independently, so chunk boundaries
-        cannot change results: the output is bit-identical for any chunk
-        size.  The memory budget can only shrink the chunk further.
-        """
-        budget_rows = int(
-            memory_budget_mb * 2**20 // (self._FREQ_GRID.size * 8 * 32)
-        )
-        chunk = max(1, min(self._PIPELINE_CHUNK, budget_rows))
-        if len(samples) <= chunk:
-            return self._simulate_batch_vectorized(samples, memory_budget_mb, mna_backend)
-        return np.vstack(
-            [
-                self._simulate_batch_vectorized(
-                    samples[i : i + chunk], memory_budget_mb, mna_backend
-                )
-                for i in range(0, len(samples), chunk)
-            ]
-        )
-
-    def _stamp_plan(self) -> StampPlan:
-        """The macromodel's symbolic scatter plan (topology-only, cached)."""
-        if self._plan is None:
-            model = ProcessVariationModel(0.0, 0.0, 0.0, 0.0, 0.0)
-            devs = self._varied_devices(model.nominal_sample(self.devices))
-            i_tail, i_stage2, _ = self._bias_currents(devs)
-            template = self._macromodel(devs, i_tail, i_stage2)
-            self._plan = StampPlan(template, variable=self._VARIABLE)
-        return self._plan
-
-    def _batched_device_arrays(
-        self, samples: List[ProcessSample]
-    ) -> Dict[str, Dict[str, np.ndarray]]:
-        """Per-device variation arrays, mirroring :meth:`_varied_devices`."""
-        par = self.parasitics
-        n = len(samples)
-        dvth_g = {
-            "n": np.array([s.global_variation.dvth_n for s in samples]),
-            "p": np.array([s.global_variation.dvth_p for s in samples]),
-        }
-        dkp_g = {
-            "n": np.array([s.global_variation.dkp_rel_n for s in samples]),
-            "p": np.array([s.global_variation.dkp_rel_p for s in samples]),
-        }
-        out: Dict[str, Dict[str, np.ndarray]] = {}
-        for dev, pol in self._devices:
-            local = np.array(
-                [s.local.get(dev.name, (0.0, 0.0)) for s in samples]
-            ).reshape(n, 2)
-            dvth = dvth_g[pol] + local[:, 0]
-            dkp = dkp_g[pol] + local[:, 1]
-            if par.stress_kp_gain != 0.0:
-                dkp = dkp * (1.0 + par.stress_kp_gain)
-            if par.proximity_quad != 0.0:
-                dvth = dvth + par.proximity_quad * dvth * dvth / 0.012
-            kp_eff = dev.process.kp * (1.0 + dkp)
-            if np.any(kp_eff <= 0.0):
-                raise SimulationError(
-                    f"{dev.name}: kp variation drives kp non-positive in batch"
-                )
-            out[dev.name] = {
-                "dvth": dvth,
-                "dkp": dkp,
-                "vth": dev.process.vth + dvth,
-                "beta": kp_eff * dev.geometry.ratio,
-                "lambda_": dev.process.lambda_,
-                "cgg": (2.0 / 3.0) * dev.geometry.area * dev.process.cox
-                + dev.geometry.width * dev.process.cov,
-            }
-        return out
-
     def _batched_bias_currents(
         self, devs: Dict[str, Dict[str, np.ndarray]]
     ) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -583,14 +432,6 @@ class TwoStageOpAmp:
             mirror_current(devs["M7"], "M7"),
             design.i_bias,
         )
-
-    @staticmethod
-    def _batched_gm(dev: Dict[str, np.ndarray], current: np.ndarray) -> np.ndarray:
-        return np.sqrt(2.0 * dev["beta"] * current)
-
-    @staticmethod
-    def _batched_vov(dev: Dict[str, np.ndarray], current: np.ndarray) -> np.ndarray:
-        return np.sqrt(2.0 * current / dev["beta"])
 
     def _simulate_batch_vectorized(
         self,
@@ -721,22 +562,6 @@ class TwoStageOpAmp:
         slope = (p_hi - p_lo) / (log_f[idx + 1] - log_f[idx])
         phase_u = p_lo + slope * (x - log_f[idx])
         return 180.0 + np.degrees(phase_u)
-
-    @staticmethod
-    def _log_crossing_batch(
-        f_lo: np.ndarray,
-        f_hi: np.ndarray,
-        m_lo: np.ndarray,
-        m_hi: np.ndarray,
-        target: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized mirror of :meth:`_log_crossing`."""
-        l_lo, l_hi = np.log10(f_lo), np.log10(f_hi)
-        g_lo, g_hi = np.log10(m_lo), np.log10(m_hi)
-        span = g_hi - g_lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (np.log10(target) - g_lo) / span
-        return np.where(span == 0.0, f_lo, 10.0 ** (l_lo + frac * (l_hi - l_lo)))
 
     # ------------------------------------------------------------------
     def _gain_and_bandwidth(self, h: np.ndarray) -> Tuple[float, float]:

@@ -15,19 +15,24 @@ Implementation mirrors :mod:`repro.circuits.opamp`: square-law devices,
 exact mirror bias physics, an MNA solve of the single-pole macromodel with
 a parasitic pole at the cascode node, and a post-layout variant carrying
 parasitics plus the same two nominal-vs-population bias mechanisms
-(proximity quadratic, extraction derate).
+(proximity quadratic, extraction derate).  Banks run through the shared
+stamp-plan engine of :mod:`repro.circuits.batch`; the per-die
+:meth:`FoldedCascodeOTA.simulate` stays as its reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.circuits.batch import StampPlanSimulator
 from repro.circuits.devices import Mosfet, MosfetGeometry, MosfetProcess
 from repro.circuits.mna import ACAnalysis
+from repro.circuits.montecarlo import PairedDataset
 from repro.circuits.netlist import Netlist
 from repro.circuits.process import ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
@@ -115,10 +120,12 @@ class _OTAParasitics:
     extraction_derate: float = 0.0
 
 
-class FoldedCascodeOTA:
+class FoldedCascodeOTA(StampPlanSimulator):
     """Simulator for one design stage of the folded-cascode OTA."""
 
     _FREQ_GRID = np.logspace(1, 11, 321)
+
+    _VARIABLE = ("Ggm1", "Rfold", "Cfold", "Gcasc", "Rout", "Cout")
 
     def __init__(
         self,
@@ -151,11 +158,6 @@ class FoldedCascodeOTA:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def devices(self) -> List[Mosfet]:
-        """Nominal device instances (for process-model sampling)."""
-        return [dev for dev, _pol in self._devices]
-
     def process_model(self) -> ProcessVariationModel:
         """Default variation model (same technology class as the op-amp)."""
         return ProcessVariationModel(
@@ -165,16 +167,11 @@ class FoldedCascodeOTA:
         )
 
     # ------------------------------------------------------------------
-    def _varied_devices(self, sample: ProcessSample) -> Dict[str, Mosfet]:
-        out: Dict[str, Mosfet] = {}
-        par = self.parasitics
-        for dev, pol in self._devices:
-            varied = sample.apply(dev, pol)
-            dvth, dkp = varied.dvth, varied.dkp_rel
-            if par.proximity_quad != 0.0:
-                dvth = dvth + par.proximity_quad * dvth * dvth / 0.012
-            out[dev.name] = dev.with_variation(dvth, dkp)
-        return out
+    def _shape_variation(self, dvth, dkp):
+        quad = self.parasitics.proximity_quad
+        if quad != 0.0:
+            dvth = dvth + quad * dvth * dvth / 0.012
+        return dvth, dkp
 
     def _bias_currents(self, devs: Dict[str, Mosfet]) -> Tuple[float, float]:
         """Tail and branch currents from square-law mirror physics.
@@ -241,6 +238,11 @@ class FoldedCascodeOTA:
         net.resistor("Rout", "out", "0", r_out)
         net.capacitor("Cout", "out", "0", c_out)
         return net
+
+    def _netlist(self, sample: ProcessSample) -> Netlist:
+        devs = self._varied_devices(sample)
+        i_tail, i_branch = self._bias_currents(devs)
+        return self._macromodel(devs, i_tail, i_branch, self._cap_variation(sample))
 
     def _offset(self, devs: Dict[str, Mosfet], i_tail: float) -> float:
         i_half = i_tail / 2.0
@@ -338,10 +340,7 @@ class FoldedCascodeOTA:
         """
         from repro.circuits.transient import TransientAnalysis, step
 
-        devs = self._varied_devices(sample)
-        i_tail, i_branch = self._bias_currents(devs)
-        cap_scale = self._cap_variation(sample)
-        net = self._macromodel(devs, i_tail, i_branch, cap_scale)
+        net = self._netlist(sample)
         # Time scale from the dominant pole: gain / GBW.
         metrics = self.simulate(sample)
         tau = metrics.gain / (2.0 * np.pi * metrics.gbw)
@@ -352,15 +351,6 @@ class FoldedCascodeOTA:
             result.overshoot("out"),
         )
 
-    def simulate_batch(self, samples: List[ProcessSample]) -> np.ndarray:
-        """Metrics matrix ``(len(samples), 5)`` in metric-name order."""
-        sample_list = list(samples)
-        if not sample_list:
-            raise SimulationError(
-                "simulate_batch requires at least one process sample"
-            )
-        return np.array([self.simulate(s).as_array() for s in sample_list])
-
     @staticmethod
     def _log_crossing(f_lo: float, f_hi: float, m_lo: float, m_hi: float) -> float:
         l_lo, l_hi = math.log10(f_lo), math.log10(f_hi)
@@ -370,23 +360,127 @@ class FoldedCascodeOTA:
         frac = (0.0 - g_lo) / (g_hi - g_lo)
         return 10.0 ** (l_lo + frac * (l_hi - l_lo))
 
+    # ------------------------------------------------------------------
+    # vectorized engine
+    # ------------------------------------------------------------------
+    def _batched_bias_currents(
+        self, devs: Dict[str, Dict[str, np.ndarray]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized mirror of :meth:`_bias_currents`."""
+        m10 = devs["M10"]
+        vov10 = np.sqrt(2.0 * self.design.i_bias / m10["beta"])
+        vgs = m10["vth"] + vov10
+
+        m9 = devs["M9"]
+        vov9 = vgs - m9["vth"]
+        if np.any(vov9 <= 0.0):
+            bad = int(np.argmax(vov9 <= 0.0))
+            raise SimulationError(
+                f"M9: tail device cut off (Vov={float(vov9[bad]):.3f} at sample {bad})"
+            )
+        i_tail = 0.5 * m9["beta"] * vov9 * vov9
+        return i_tail, i_tail / 2.0
+
+    def _simulate_batch_vectorized(
+        self,
+        samples: List[ProcessSample],
+        memory_budget_mb: float,
+        mna_backend: Optional[str] = None,
+    ) -> np.ndarray:
+        design = self.design
+        par = self.parasitics
+        devs = self._batched_device_arrays(samples)
+        i_tail, i_branch = self._batched_bias_currents(devs)
+        i_half = i_tail / 2.0
+        cap_scale = np.array([self._cap_variation(s) for s in samples])
+
+        def gds(name: str, current: np.ndarray) -> np.ndarray:
+            return devs[name]["lambda_"] * current
+
+        gm1 = self._batched_gm(devs["M1"], i_half)
+        gm3 = self._batched_gm(devs["M3"], i_branch)
+        gm5 = self._batched_gm(devs["M5"], i_branch)
+        r_down = (gm3 / gds("M3", i_branch)) * (1.0 / gds("M7", i_branch))
+        r_up = (gm5 / gds("M5", i_branch)) * (1.0 / gds("M6", i_branch))
+        cgg = {name: dev["cgg"] for name, dev in devs.items()}
+        values = {
+            "Ggm1": gm1,
+            "Rfold": 1.0 / gm3,
+            "Cfold": (
+                cgg["M1"] * 0.4 + cgg["M3"] + cgg["M7"] * 0.5 + par.c_fold
+            )
+            * cap_scale,
+            "Gcasc": gm3,
+            "Rout": 1.0 / (1.0 / r_down + 1.0 / r_up),
+            "Cout": (design.c_load + cgg["M3"] * 0.3 + par.c_out) * cap_scale,
+        }
+        solution = self._stamp_plan().solve_batched(
+            values,
+            self._FREQ_GRID,
+            memory_budget_mb=memory_budget_mb,
+            outputs=["out"],
+            backend=mna_backend,
+        )
+        mag = np.abs(solution.transfer("out", "in"))
+
+        gain = mag[:, 0]
+        if np.any(gain <= 1.0):
+            raise SimulationError("OTA gain collapsed below unity in batch")
+        below = mag < 1.0
+        if not np.all(below.any(axis=1)):
+            raise SimulationError("unity-gain frequency beyond grid in batch")
+        j = below.argmax(axis=1)
+        rows = np.arange(mag.shape[0])
+        gbw = self._log_crossing_batch(
+            self._FREQ_GRID[j - 1],
+            self._FREQ_GRID[j],
+            mag[rows, j - 1],
+            mag[rows, j],
+            np.ones(mag.shape[0]),
+        )
+
+        slew = i_tail / ((design.c_load + par.c_out) * cap_scale)
+        nominal_budget = 8.0 * design.i_bias
+        power = design.vdd * (
+            i_tail
+            + 2.0 * i_branch
+            + design.i_bias
+            + par.power_overhead_rel * nominal_budget
+        )
+        gm7 = self._batched_gm(devs["M7"], i_half)
+        vov1 = self._batched_vov(devs["M1"], i_half)
+        offset = (
+            (devs["M1"]["dvth"] - devs["M2"]["dvth"])
+            + (gm7 / gm1) * (devs["M7"]["dvth"] - devs["M8"]["dvth"])
+            + (vov1 / 2.0) * (devs["M1"]["dkp"] - devs["M2"]["dkp"])
+            + par.offset_systematic
+        )
+        return np.column_stack([gain, gbw, power, offset, slew])
+
 
 def generate_ota_dataset(
     n_samples: int = 2000,
     seed: int = 2015,
     design: Optional[FoldedCascodeDesign] = None,
-):
-    """Paired early/late OTA banks (same contract as the op-amp generator)."""
-    from repro.circuits.montecarlo import PairedDataset
+    cache_dir: Optional[Union[str, Path]] = None,
+    use_cache: bool = True,
+) -> PairedDataset:
+    """Paired early/late OTA banks (same contract as the op-amp generator).
 
-    early_sim = FoldedCascodeOTA.schematic(design)
-    late_sim = FoldedCascodeOTA.post_layout(design)
-    rng = np.random.default_rng(seed)
-    samples = early_sim.process_model().sample(early_sim.devices, n_samples, rng)
-    return PairedDataset(
-        early=early_sim.simulate_batch(samples),
-        late=late_sim.simulate_batch(samples),
-        early_nominal=early_sim.simulate_nominal().as_array(),
-        late_nominal=late_sim.simulate_nominal().as_array(),
-        metric_names=OTA_METRIC_NAMES,
+    A thin wrapper over ``registry.generate_dataset("ota", ...)``: both
+    stages replay one process-sample list, and identical configurations
+    are served from the disk cache (see
+    :func:`repro.circuits.montecarlo.dataset_cache_path`); pass
+    ``use_cache=False`` to force a fresh simulation.
+    """
+    # Lazy import: the registry imports this module.
+    from repro.circuits.registry import generate_dataset
+
+    return generate_dataset(
+        "ota",
+        n_samples=n_samples,
+        seed=seed,
+        design=design,
+        cache_dir=cache_dir,
+        use_cache=use_cache,
     )

@@ -294,6 +294,7 @@ _register(
         metric_names=OTA_METRIC_NAMES,
         default_samples=2000,
         builder=_process_builder(FoldedCascodeOTA, OTA_METRIC_NAMES),
+        supports_mna_backend=True,
     )
 )
 _register(

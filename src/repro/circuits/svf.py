@@ -37,8 +37,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.circuits.batch import StampPlanSimulator
 from repro.circuits.devices import Mosfet, MosfetGeometry, MosfetProcess
-from repro.circuits.mna import ACAnalysis, StampPlan
+from repro.circuits.mna import ACAnalysis
 from repro.circuits.netlist import Netlist
 from repro.circuits.process import ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
@@ -134,7 +135,7 @@ class _SvfParasitics:
     extraction_derate: float = 0.0   # signoff-extraction parasitic shortfall
 
 
-class GmCStateVariableFilter:
+class GmCStateVariableFilter(StampPlanSimulator):
     """Simulator for one design stage (schematic or post-layout).
 
     Same seam as :class:`repro.circuits.opamp.TwoStageOpAmp`: build the
@@ -146,7 +147,6 @@ class GmCStateVariableFilter:
     #: -3 dB edges across corners, mismatch inflation and divergence.
     _FREQ_GRID = np.logspace(4, 10, 481)
 
-    #: Component names whose stamp values vary per process draw.
     _VARIABLE = ("Gin", "Rq", "Cbp", "Gfb", "Gint", "Clp", "Rop1", "Rop2")
 
     def __init__(
@@ -155,7 +155,6 @@ class GmCStateVariableFilter:
         self.design = design
         self.parasitics = parasitics if parasitics is not None else _SvfParasitics()
         self._devices = design.devices()
-        self._plan: Optional[StampPlan] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -179,11 +178,6 @@ class GmCStateVariableFilter:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def devices(self) -> List[Mosfet]:
-        """Nominal device instances (for process-model sampling)."""
-        return [dev for dev, _pol in self._devices]
-
     def process_model(self) -> ProcessVariationModel:
         """The default variation model used in the paper reproduction."""
         return ProcessVariationModel(
@@ -193,9 +187,6 @@ class GmCStateVariableFilter:
         )
 
     # ------------------------------------------------------------------
-    def _varied_devices(self, sample: ProcessSample) -> Dict[str, Mosfet]:
-        return {dev.name: sample.apply(dev, pol) for dev, pol in self._devices}
-
     def _bias_currents(self, devs: Dict[str, Mosfet]) -> Dict[str, float]:
         """Tail currents from the cross-polarity square-law bias chain.
 
@@ -265,6 +256,10 @@ class GmCStateVariableFilter:
         net.resistor("Rop1", "bp", "0", 1.0 / g_bp)
         net.resistor("Rop2", "lp", "0", 1.0 / g_lp)
         return net
+
+    def _netlist(self, sample: ProcessSample) -> Netlist:
+        devs = self._varied_devices(sample)
+        return self._macromodel(devs, self._bias_currents(devs))
 
     # ------------------------------------------------------------------
     # band-pass feature extraction (shared by both engines, row-wise)
@@ -377,117 +372,9 @@ class GmCStateVariableFilter:
         nominal = model.nominal_sample(sim.devices)
         return sim.simulate(nominal)
 
-    def simulate_batch(
-        self,
-        samples: List[ProcessSample],
-        engine: str = "vectorized",
-        memory_budget_mb: float = 512.0,
-        n_jobs: Optional[int] = None,
-        mna_backend: Optional[str] = None,
-    ) -> np.ndarray:
-        """Metrics matrix ``(len(samples), 5)`` in metric-name order.
-
-        Same contract as :meth:`TwoStageOpAmp.simulate_batch`: the
-        vectorized engine stamps one symbolic plan and solves the whole
-        bank in memory-bounded chunks; ``"loop"`` is the per-die reference
-        path; ``n_jobs`` shards across forked workers order-preservingly;
-        ``mna_backend`` is forwarded to the batched MNA solve.
-        """
-        sample_list = list(samples)
-        if not sample_list:
-            raise SimulationError("simulate_batch requires at least one process sample")
-        if engine == "loop":
-            return np.array([self.simulate(s).as_array() for s in sample_list])
-        if engine != "vectorized":
-            raise SimulationError(
-                f"unknown engine {engine!r}; expected 'vectorized' or 'loop'"
-            )
-        from repro.experiments.parallel import fork_available, replicate, resolve_n_jobs
-
-        jobs = min(resolve_n_jobs(n_jobs), len(sample_list))
-        if jobs > 1 and fork_available():
-            self._stamp_plan()  # build once; workers inherit it through fork
-            shards = [
-                s for s in np.array_split(np.arange(len(sample_list)), jobs) if s.size
-            ]
-            parts = replicate(
-                lambda idx: self._simulate_chunked(
-                    [sample_list[i] for i in idx], memory_budget_mb, mna_backend
-                ),
-                shards,
-                n_jobs=jobs,
-            )
-            return np.vstack(parts)
-        return self._simulate_chunked(sample_list, memory_budget_mb, mna_backend)
-
     # ------------------------------------------------------------------
     # vectorized engine
     # ------------------------------------------------------------------
-    #: Samples per pipeline pass (see TwoStageOpAmp._PIPELINE_CHUNK).
-    _PIPELINE_CHUNK = 512
-
-    def _simulate_chunked(
-        self,
-        samples: List[ProcessSample],
-        memory_budget_mb: float,
-        mna_backend: Optional[str] = None,
-    ) -> np.ndarray:
-        """Run the vectorized engine in cache-sized sample chunks."""
-        budget_rows = int(
-            memory_budget_mb * 2**20 // (self._FREQ_GRID.size * 8 * 32)
-        )
-        chunk = max(1, min(self._PIPELINE_CHUNK, budget_rows))
-        if len(samples) <= chunk:
-            return self._simulate_batch_vectorized(samples, memory_budget_mb, mna_backend)
-        return np.vstack(
-            [
-                self._simulate_batch_vectorized(
-                    samples[i : i + chunk], memory_budget_mb, mna_backend
-                )
-                for i in range(0, len(samples), chunk)
-            ]
-        )
-
-    def _stamp_plan(self) -> StampPlan:
-        """The macromodel's symbolic scatter plan (topology-only, cached)."""
-        if self._plan is None:
-            model = ProcessVariationModel(0.0, 0.0, 0.0, 0.0, 0.0)
-            devs = self._varied_devices(model.nominal_sample(self.devices))
-            template = self._macromodel(devs, self._bias_currents(devs))
-            self._plan = StampPlan(template, variable=self._VARIABLE)
-        return self._plan
-
-    def _batched_device_arrays(
-        self, samples: List[ProcessSample]
-    ) -> Dict[str, Dict[str, np.ndarray]]:
-        """Per-device variation arrays, mirroring :meth:`_varied_devices`."""
-        n = len(samples)
-        dvth_g = {
-            "n": np.array([s.global_variation.dvth_n for s in samples]),
-            "p": np.array([s.global_variation.dvth_p for s in samples]),
-        }
-        dkp_g = {
-            "n": np.array([s.global_variation.dkp_rel_n for s in samples]),
-            "p": np.array([s.global_variation.dkp_rel_p for s in samples]),
-        }
-        out: Dict[str, Dict[str, np.ndarray]] = {}
-        for dev, pol in self._devices:
-            local = np.array(
-                [s.local.get(dev.name, (0.0, 0.0)) for s in samples]
-            ).reshape(n, 2)
-            dvth = dvth_g[pol] + local[:, 0]
-            dkp = dkp_g[pol] + local[:, 1]
-            kp_eff = dev.process.kp * (1.0 + dkp)
-            if np.any(kp_eff <= 0.0):
-                raise SimulationError(
-                    f"{dev.name}: kp variation drives kp non-positive in batch"
-                )
-            out[dev.name] = {
-                "vth": dev.process.vth + dvth,
-                "beta": kp_eff * dev.geometry.ratio,
-            }
-        return out
-
     def _batched_bias_currents(
         self, devs: Dict[str, Dict[str, np.ndarray]]
     ) -> Dict[str, np.ndarray]:

@@ -10,7 +10,7 @@ seam and lives next to the dataset builders in
 :mod:`repro.circuits.registry`:
 
 * **corner** — named deterministic global process shift.  Process-sample
-  circuits (op-amp, gm-C filter) re-centre their draws with
+  circuits (op-amp, OTA, gm-C filter) re-centre their draws with
   :meth:`repro.circuits.corners.CornerSpec.apply`; die-seed circuits
   (flash ADC, R-2R DAC, SAR ADC) shift their design nominals (bias
   currents, sheet resistance, noise) deterministically.

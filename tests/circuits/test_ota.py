@@ -118,16 +118,16 @@ class TestStepResponse:
 
 
 class TestDatasetAndFusion:
-    def test_generate_dataset(self):
-        ds = generate_ota_dataset(60, seed=5)
+    def test_generate_dataset(self, tmp_path):
+        ds = generate_ota_dataset(60, seed=5, cache_dir=tmp_path)
         assert ds.n_samples == 60
         assert ds.metric_names == OTA_METRIC_NAMES
 
-    def test_bmf_works_on_ota(self):
+    def test_bmf_works_on_ota(self, tmp_path):
         """The full pipeline generalises beyond the paper's two circuits."""
         from repro.core.pipeline import BMFPipeline
 
-        ds = generate_ota_dataset(250, seed=6)
+        ds = generate_ota_dataset(250, seed=6, cache_dir=tmp_path)
         rng = np.random.default_rng(7)
         pipeline = BMFPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
         late_iso = pipeline.transform.transform(ds.late, "late")

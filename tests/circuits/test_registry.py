@@ -11,6 +11,7 @@ from repro.circuits.montecarlo import (
     generate_opamp_dataset,
 )
 from repro.circuits.opamp import OpAmpDesign
+from repro.circuits.ota import generate_ota_dataset
 from repro.circuits.registry import circuit_names, generate_dataset, get_circuit
 from repro.circuits.variants import CircuitVariant
 from repro.exceptions import ConfigError
@@ -31,6 +32,9 @@ class TestRegistryContents:
         assert entry.default_samples == 5000
         assert entry.supports_mna_backend
         assert not get_circuit("adc").supports_mna_backend
+        # Every StampPlan circuit threads the backend; die-seed ones do not.
+        supported = [n for n in circuit_names() if get_circuit(n).supports_mna_backend]
+        assert supported == ["opamp", "ota", "svf"]
 
 
 class TestLegacyCachePaths:
@@ -96,6 +100,18 @@ class TestWrapperEquivalence:
         assert np.array_equal(via_wrapper.early, via_registry.early)
         assert np.array_equal(via_wrapper.late, via_registry.late)
 
+    def test_ota_wrapper_matches_registry(self, tmp_path):
+        via_wrapper = generate_ota_dataset(
+            n_samples=12, seed=3, cache_dir=tmp_path, use_cache=False
+        )
+        via_registry = generate_dataset(
+            "ota", n_samples=12, seed=3, cache_dir=tmp_path, use_cache=False
+        )
+        assert np.array_equal(via_wrapper.early, via_registry.early)
+        assert np.array_equal(via_wrapper.late, via_registry.late)
+        assert np.array_equal(via_wrapper.early_nominal, via_registry.early_nominal)
+        assert np.array_equal(via_wrapper.late_nominal, via_registry.late_nominal)
+
     def test_wrapper_and_registry_share_cache_entry(self, tmp_path):
         generate_adc_dataset(n_samples=10, seed=5, cache_dir=tmp_path)
         entries = list(tmp_path.glob("*.npz"))
@@ -111,7 +127,7 @@ class TestDispatchValidation:
 
     def test_mna_backend_rejected_without_support(self):
         with pytest.raises(ConfigError, match="does not support mna_backend"):
-            generate_dataset("ota", n_samples=8, mna_backend="dense")
+            generate_dataset("r2r_dac", n_samples=8, mna_backend="dense")
 
     def test_variant_changes_cache_path_and_data(self, tmp_path):
         base = generate_dataset("adc", n_samples=16, seed=7, cache_dir=tmp_path)
