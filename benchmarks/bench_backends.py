@@ -1,13 +1,12 @@
-"""Solver-backend benchmarks: MNA dense vs sparse crossover, kernel parity.
+"""Solver-backend benchmarks: MNA dense vs sparse crossover.
 
 Pytest twin of ``scripts/bench_backends.py`` sized for CI: it checks the
 *shape* of the performance story — sparse overtakes dense beyond the
 ``auto`` crossover, and only sparse can solve a system whose stacked
 dense form exceeds the default memory budget — with floors relaxed at
 ``REPRO_BENCH_SCALE=smoke`` where shared-runner noise makes exact ratios
-meaningless.  The compiled kernel backend is exercised when the optional
-numba package is importable and reported as skipped when it is not, so
-an optional-dependency CI job and the base job both run this file.
+meaningless.  Both tests skip when scipy is not importable, so the
+optional-backends CI job and the base job both run this file.
 """
 
 import time
@@ -19,15 +18,9 @@ from _bench_util import emit
 from repro.circuits.mna import StampPlan
 from repro.circuits.netlist import Netlist
 from repro.exceptions import SimulationError
-from repro.linalg import (
-    available_backends,
-    cholesky_batched,
-    mahalanobis_sq_batched,
-    use_kernel_backend,
-)
+from repro.linalg.backends import sparse_mna
 
-sparse_available = "sparse" in available_backends("mna")
-numba_available = "numba" in available_backends("kernels")
+sparse_available = sparse_mna.is_available()
 
 
 def _ladder(n_nodes: int):
@@ -94,35 +87,3 @@ def test_sparse_solves_where_dense_cannot():
     v = solution.voltage(out)
     assert v.shape == (8, freqs.size)
     assert np.all(np.isfinite(v))
-
-
-@pytest.mark.skipif(not numba_available, reason="numba not importable")
-def test_numba_kernels_speed_and_parity(scale):
-    """Compiled kernels: 1e-12 agreement always; >=2x at non-smoke scale."""
-    rng = np.random.default_rng(0)
-    batch, dim = 4096, 5
-    a = rng.standard_normal((batch, dim, dim))
-    sigma = a @ np.swapaxes(a, -1, -2) + dim * np.eye(dim)
-    mu = rng.standard_normal((batch, dim))
-    x = rng.standard_normal((8, dim))
-
-    def run():
-        chol, ok = cholesky_batched(sigma)
-        assert ok.all()
-        return mahalanobis_sq_batched(chol, mu, x)
-
-    with use_kernel_backend("numpy"):
-        numpy_s, numpy_maha = _time(run)
-    with use_kernel_backend("numba"):
-        run()  # JIT warm-up
-        numba_s, numba_maha = _time(run)
-
-    diff = float(np.max(np.abs(numba_maha - numpy_maha)))
-    speedup = numpy_s / numba_s
-    emit(
-        f"backends kernels ({scale.label}): numpy {numpy_s * 1e3:.2f} ms | "
-        f"numba {numba_s * 1e3:.2f} ms ({speedup:.1f}x) | max diff {diff:.2e}"
-    )
-    assert diff <= 1e-12 * max(1.0, float(np.abs(numpy_maha).max()))
-    if scale.label != "smoke":
-        assert speedup >= 2.0, f"numba kernels {speedup:.1f}x < 2x"

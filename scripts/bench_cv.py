@@ -10,11 +10,9 @@ Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/bench_cv.py [--dim 5] [--grid 12]
         [--n-samples 32] [--n-folds 4] [--repeats 5] [--out BENCH_cv.json]
-        [--linalg-backend {auto,numpy,numba}]
 
 Times are best-of-``--repeats`` wall clock, which filters scheduler noise
-on shared machines.  ``--linalg-backend`` runs the batched scorer through
-a specific kernel backend (``numba`` needs the optional numba package).
+on shared machines.
 
 ``BENCH_cv.json`` is an append-only trajectory (see
 :mod:`repro.bench.trajectory`): every run adds a timestamped entry to the
@@ -33,7 +31,6 @@ from repro.bench import append_entry
 from repro.core.crossval import TwoDimensionalCV
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
-from repro.linalg import use_kernel_backend
 from repro.stats.multivariate_gaussian import MultivariateGaussian
 
 
@@ -64,12 +61,6 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--linalg-backend",
-        choices=("auto", "numpy", "numba"),
-        default=None,
-        help="kernel backend for the batched scorer (default: ambient)",
-    )
-    parser.add_argument(
         "--out",
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_cv.json",
@@ -85,9 +76,8 @@ def main() -> None:
         cv = TwoDimensionalCV(prior, grid, n_folds=args.n_folds, scoring=scoring)
         return cv.select(data, rng=np.random.default_rng(1))
 
-    with use_kernel_backend(args.linalg_backend) as kernel_backend:
-        loop_s, loop_result = best_of(lambda: run("loop"), args.repeats)
-        batched_s, batched_result = best_of(lambda: run("batched"), args.repeats)
+    loop_s, loop_result = best_of(lambda: run("loop"), args.repeats)
+    batched_s, batched_result = best_of(lambda: run("batched"), args.repeats)
 
     max_abs_diff = float(np.max(np.abs(batched_result.scores - loop_result.scores)))
     if batched_result.kappa0 != loop_result.kappa0 or (
@@ -111,7 +101,6 @@ def main() -> None:
             "n_folds": args.n_folds,
             "repeats": args.repeats,
             "seed": args.seed,
-            "linalg_backend": kernel_backend,
         },
         results={
             "loop_s": round(loop_s, 6),
@@ -126,8 +115,7 @@ def main() -> None:
     )
     print(
         f"loop {loop_s * 1e3:.1f} ms | batched {batched_s * 1e3:.1f} ms | "
-        f"speedup {speedup}x | max |score diff| {max_abs_diff:.2e} | "
-        f"kernels {kernel_backend}"
+        f"speedup {speedup}x | max |score diff| {max_abs_diff:.2e}"
     )
     print(f"wrote {args.out}")
 

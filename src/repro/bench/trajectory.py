@@ -64,10 +64,10 @@ def utc_timestamp() -> str:
 def environment_info() -> Dict[str, Any]:
     """The environment fingerprint recorded with every trajectory entry.
 
-    Optional accelerator packages (scipy, numba) are recorded as their
-    version string when importable and ``None`` when absent, so a speedup
-    regression can be traced to a dependency change rather than a code
-    change.
+    The optional scipy package (the sparse MNA backend) is recorded as
+    its version string when importable and ``None`` when absent, so a
+    speedup regression can be traced to a dependency change rather than a
+    code change.
     """
     import numpy
 
@@ -76,12 +76,12 @@ def environment_info() -> Dict[str, Any]:
         "numpy": numpy.__version__,
         "machine": platform.machine(),
     }
-    for optional in ("scipy", "numba"):
-        try:
-            module = __import__(optional)
-            info[optional] = str(module.__version__)
-        except ImportError:
-            info[optional] = None
+    try:
+        import scipy
+
+        info["scipy"] = str(scipy.__version__)
+    except ImportError:
+        info["scipy"] = None
     return info
 
 

@@ -48,15 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(DAC 2015 reproduction)"
         ),
     )
-    parser.add_argument(
-        "--linalg-backend",
-        choices=["auto", "numpy", "numba"],
-        default=None,
-        help=(
-            "kernel backend for batched SPD math (numba needs the optional "
-            "numba package; auto picks the best available); default: ambient"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     # The circuit list and its help text come from the registry, so a
@@ -1107,10 +1098,6 @@ def _cmd_scenarios(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.linalg_backend is not None:
-        from repro.linalg import set_default_kernel_backend
-
-        set_default_kernel_backend(args.linalg_backend)
     handlers = {
         "generate": _cmd_generate,
         "fuse": _cmd_fuse,
@@ -1126,7 +1113,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "query": _cmd_query,
         "scenarios": _cmd_scenarios,
     }
-    return handlers[args.command](args)
+    from repro.exceptions import BackendUnavailableError
+
+    try:
+        return handlers[args.command](args)
+    except BackendUnavailableError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

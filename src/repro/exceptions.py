@@ -42,10 +42,10 @@ class SimulationError(ReproError, RuntimeError):
 class BackendUnavailableError(ReproError, RuntimeError):
     """Raised when a requested solver backend's dependency is missing.
 
-    The optional backends (``sparse`` needs scipy, ``numba`` needs numba)
-    are never hard dependencies; asking for one explicitly when its import
-    fails raises this instead of an opaque :class:`ImportError`, and the
-    ``auto`` resolvers fall back silently rather than raise.
+    The sparse MNA backend needs scipy, which is never a hard
+    dependency; asking for it explicitly when scipy is absent raises this
+    instead of an opaque :class:`ImportError`, and ``auto`` falls back
+    to dense silently rather than raise.
     """
 
 

@@ -1,17 +1,10 @@
 """Linear-algebra substrate: SPD validation/repair, norms, shrinkage, batching.
 
-Kernel-backend selection (numpy vs optional numba) is re-exported from
-:mod:`repro.linalg.backends`; the batched primitives dispatch through it.
+The dense/sparse MNA solver choice (:func:`resolve_mna_backend`) is
+re-exported from :mod:`repro.linalg.backends`.
 """
 
-from repro.linalg.backends import (
-    active_kernel_backend,
-    available_backends,
-    resolve_kernel_backend,
-    resolve_mna_backend,
-    set_default_kernel_backend,
-    use_kernel_backend,
-)
+from repro.linalg.backends import resolve_mna_backend
 from repro.linalg.batched import (
     as_spd_stack,
     cholesky_batched,
@@ -56,12 +49,7 @@ from repro.linalg.validation import (
 )
 
 __all__ = [
-    "active_kernel_backend",
-    "available_backends",
-    "resolve_kernel_backend",
     "resolve_mna_backend",
-    "set_default_kernel_backend",
-    "use_kernel_backend",
     "as_matrix",
     "as_samples",
     "as_spd_stack",

@@ -22,18 +22,15 @@ Failures are reported through boolean masks rather than exceptions: a
 stack is allowed to contain irreparable (indefinite or non-finite)
 members, which callers score as ``-inf``.
 
-Backend dispatch
-----------------
-The three hot primitives (:func:`cholesky_batched`,
-:func:`solve_triangular_batched`, :func:`mahalanobis_sq_batched`)
-dispatch to the active *kernel backend*
-(:mod:`repro.linalg.backends`): ``"numpy"`` (the default — the exact
-code that always lived here, bit-identical) or ``"numba"`` (optional
-fused compiled loops, 1e-12 documented agreement).  Validation, shape
-promotion and the repair ladder stay in this module so every backend
-sees identical pre-conditions; this file is the seam reprolint RPL002
-enforces, which is why swapping backends requires no call-site changes
-anywhere in ``core``/``serving``.
+Failure isolation
+-----------------
+``np.linalg.cholesky`` raises for the whole stack when any member is
+indefinite.  :func:`cholesky_batched` finds the failing members by
+bisection, so every member that factors is still factored by the same
+LAPACK call a scalar path would make.  Triangular solves run a Python
+loop over the ``d`` rows only, vectorised over the batch and the
+right-hand sides.  reprolint RPL002 keeps code outside ``repro.linalg``
+on these wrappers instead of raw ``np.linalg`` calls.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.exceptions import DimensionError, SingularMatrixError
-from repro.linalg.backends import kernels as _kernels
 from repro.linalg.validation import EIG_FLOOR
 
 __all__ = [
@@ -91,12 +87,39 @@ def cholesky_batched(stack: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(L, ok)`` where ``L[i]`` satisfies
     ``stack[i] = L[i] @ L[i].T`` wherever ``ok[i]`` is True.  Members that
     are indefinite or contain non-finite entries get ``ok[i] = False`` and
-    an all-zero factor; no exception is raised for them.  The
-    factorisation runs on the active kernel backend
-    (:func:`repro.linalg.backends.active_kernel_backend`).
+    an all-zero factor; no exception is raised for them.
     """
     arr = as_spd_stack(stack)
-    return _kernels().cholesky(arr)
+    out = np.zeros_like(arr)
+    ok = np.zeros(arr.shape[0], dtype=bool)
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    _cholesky_into(arr, np.flatnonzero(finite), out, ok)
+    return out, ok
+
+
+def _cholesky_into(
+    arr: np.ndarray, idx: np.ndarray, out: np.ndarray, ok: np.ndarray
+) -> None:
+    """Factor ``arr[idx]`` into ``out``, isolating failures by bisection.
+
+    ``np.linalg.cholesky`` raises for the whole batch when any member is
+    indefinite, without saying which; recursively splitting the failing
+    range finds the stragglers in ``O(log B)`` gufunc calls when failures
+    are rare (the common case) while every *successful* member is still
+    factored by the exact same LAPACK routine a scalar call would use.
+    """
+    if idx.size == 0:
+        return
+    try:
+        out[idx] = np.linalg.cholesky(arr[idx])
+        ok[idx] = True
+        return
+    except np.linalg.LinAlgError:
+        if idx.size == 1:
+            return
+    mid = idx.size // 2
+    _cholesky_into(arr, idx[:mid], out, ok)
+    _cholesky_into(arr, idx[mid:], out, ok)
 
 
 def jitter_spd_batched(stack: ArrayLike, rel: float = 1e-10) -> np.ndarray:
@@ -212,9 +235,8 @@ def solve_triangular_batched(chol: ArrayLike, rhs: ArrayLike, lower: bool = True
     """Solve ``L[i] x[i] = rhs[i]`` for a stack of triangular systems.
 
     ``chol`` is ``(B, d, d)``; ``rhs`` is ``(B, d)`` or ``(B, d, k)``.
-    Forward (``lower=True``) or backward substitution on the active
-    kernel backend — the reference implementation vectorises over the
-    batch with a Python loop over the ``d`` rows only, so the cost is
+    Forward (``lower=True``) or backward substitution, vectorised over
+    the batch with a Python loop over the ``d`` rows only, so the cost is
     ``O(d)`` interpreter steps regardless of ``B`` and ``k``.
     """
     factors = as_spd_stack(chol, "chol")
@@ -226,8 +248,26 @@ def solve_triangular_batched(chol: ArrayLike, rhs: ArrayLike, lower: bool = True
         raise DimensionError(
             f"rhs shape {np.asarray(rhs).shape} incompatible with chol {factors.shape}"
         )
-    x = _kernels().solve_triangular(factors, b, lower)
+    x = _solve_triangular(factors, b, lower)
     return x[:, :, 0] if squeeze else x
+
+
+def _solve_triangular(factors: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """Row-recurrence substitution over validated ``(B, d, d)``/``(B, d, k)`` stacks."""
+    d = factors.shape[1]
+    x = np.empty_like(b)
+    rows = range(d) if lower else range(d - 1, -1, -1)
+    for i in rows:
+        if lower:
+            acc = np.einsum("bj,bjk->bk", factors[:, i, :i], x[:, :i, :]) if i else 0.0
+        else:
+            acc = (
+                np.einsum("bj,bjk->bk", factors[:, i, i + 1 :], x[:, i + 1 :, :])
+                if i < d - 1
+                else 0.0
+            )
+        x[:, i, :] = (b[:, i, :] - acc) / factors[:, i, i, None]
+    return x
 
 
 def logdet_batched(chol: ArrayLike) -> np.ndarray:
@@ -258,4 +298,5 @@ def mahalanobis_sq_batched(chol: ArrayLike, means: ArrayLike, x: ArrayLike) -> n
             f"x has {pts.shape[-1] if pts.ndim else 0} columns, expected {factors.shape[1]}"
         )
     diff = np.swapaxes(pts[None, :, :] - mu[:, None, :], -1, -2)  # (B, d, n)
-    return _kernels().mahalanobis_sq(factors, diff)
+    z = _solve_triangular(factors, diff, True)
+    return np.sum(z * z, axis=1)

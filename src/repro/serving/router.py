@@ -185,8 +185,6 @@ class ShardedMomentService:
         Thread fan-out for cross-shard operations (spread-mode collection
         and per-shard checkpointing), normalised by
         :func:`~repro.experiments.parallel.resolve_n_jobs`.
-    linalg_backend:
-        Kernel backend for all scoring math.
     """
 
     def __init__(
@@ -203,7 +201,6 @@ class ShardedMomentService:
         wal_delta_rows: Optional[int] = None,
         virtual_nodes: int = 64,
         n_jobs: Optional[int] = 1,
-        linalg_backend: Optional[str] = None,
     ) -> None:
         if placement not in PLACEMENTS:
             raise ConfigError(
@@ -225,7 +222,6 @@ class ShardedMomentService:
             wal_version, wal_flush_records, wal_flush_bytes
         )
         self._n_jobs = n_jobs
-        self._linalg_backend = linalg_backend
         self.workers: List[ShardWorker] = []
         for shard in range(self.ring.n_shards):
             wal: Optional[WriteAheadLog] = None
@@ -246,11 +242,10 @@ class ShardedMomentService:
                     ttl_ops=ttl_ops,
                     wal=wal,
                     wal_delta_rows=wal_delta_rows,
-                    linalg_backend=linalg_backend,
-                )
+            )
             )
         self.counters = ServiceCounters()
-        self.scorer = BatchScorer(self.counters, linalg_backend=linalg_backend)
+        self.scorer = BatchScorer(self.counters)
         # Ingest-side shared state below is mutated by whichever thread
         # calls ingest/flush/drop (protocol loops, load generators, tests
         # with client pools), so every mutation holds this lock — worker
@@ -650,7 +645,6 @@ class ShardedMomentService:
         wal_flush_bytes: Optional[int] = None,
         wal_delta_rows: Optional[int] = None,
         n_jobs: Optional[int] = 1,
-        linalg_backend: Optional[str] = None,
     ) -> "ShardedMomentService":
         """Rebuild a sharded service from a manifest directory.
 
@@ -682,7 +676,6 @@ class ShardedMomentService:
             wal_dir=None,
             virtual_nodes=int(manifest["virtual_nodes"]),
             n_jobs=n_jobs,
-            linalg_backend=linalg_backend,
         )
         for shard, entry in enumerate(manifest["shards"]):
             wal: Optional[WriteAheadLog] = None
@@ -699,7 +692,6 @@ class ShardedMomentService:
                 shard_id=shard,
                 wal=wal,
                 wal_delta_rows=wal_delta_rows,
-                linalg_backend=linalg_backend,
             )
         # WAL tails may have advanced the workers past the manifest's
         # counters; reconcile rather than loading the stale snapshot.
@@ -719,7 +711,6 @@ class ShardedMomentService:
         wal_delta_rows: Optional[int] = None,
         virtual_nodes: int = 64,
         n_jobs: Optional[int] = 1,
-        linalg_backend: Optional[str] = None,
     ) -> "ShardedMomentService":
         """Rebuild a sharded service from its WALs alone (no checkpoint).
 
@@ -745,7 +736,6 @@ class ShardedMomentService:
             wal_dir=None,
             virtual_nodes=virtual_nodes,
             n_jobs=n_jobs,
-            linalg_backend=linalg_backend,
         )
         for shard, path in enumerate(wal_paths):
             wal = WriteAheadLog.open(
@@ -759,7 +749,6 @@ class ShardedMomentService:
                 ttl_ops=ttl_ops,
                 wal=wal,
                 wal_delta_rows=wal_delta_rows,
-                linalg_backend=linalg_backend,
             )
             worker.replay(wal)
             service.workers[shard] = worker

@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.bmf import map_moments_stack
 from repro.core.estimators import MomentEstimate
 from repro.exceptions import DimensionError, ReproError, SpecificationError
-from repro.linalg.backends import use_kernel_backend
 from repro.linalg.batched import (
     cholesky_batched_safe,
     logdet_batched,
@@ -69,25 +68,10 @@ class BatchScorer:
     counters:
         Error/latency sink (request-rate accounting stays with the caller,
         which knows whether a request was freshly accepted or replayed).
-    linalg_backend:
-        Kernel backend for the stacked SPD math (``None`` keeps the
-        ambient process selection; see
-        :func:`repro.linalg.backends.use_kernel_backend`).
     """
 
-    def __init__(
-        self,
-        counters: ServiceCounters,
-        linalg_backend: "str | None" = None,
-    ) -> None:
+    def __init__(self, counters: ServiceCounters) -> None:
         self.counters = counters
-        self.linalg_backend = linalg_backend
-
-    # ------------------------------------------------------------------
-    def score(self, requests: List[Request], snapshot_one: SnapshotFn) -> None:
-        """Answer every request, grouping work into stacked-kernel calls."""
-        with use_kernel_backend(self.linalg_backend):
-            self._score_impl(requests, snapshot_one)
 
     # ------------------------------------------------------------------
     def _finish(self, request: Request, result: Any) -> None:
@@ -102,7 +86,8 @@ class BatchScorer:
             request.future.set_exception(exc)
 
     # ------------------------------------------------------------------
-    def _score_impl(self, requests: List[Request], snapshot_one: SnapshotFn) -> None:
+    def score(self, requests: List[Request], snapshot_one: SnapshotFn) -> None:
+        """Answer every request, grouping work into stacked-kernel calls."""
         # 1. snapshot each distinct session once (consistent view per batch)
         sessions: Dict[str, Session] = {}
         live: List[Request] = []

@@ -88,9 +88,6 @@ class ShardWorker:
         logging, not merely close.  ``None`` (default) always logs raw
         samples; 1-D single-sample ingests always log raw (the Welford
         path stays shape-faithful).
-    linalg_backend:
-        Kernel backend for the stacked scoring math (``None`` keeps the
-        ambient process selection).
     """
 
     #: Version tag stored inside checkpoint state.
@@ -103,7 +100,6 @@ class ShardWorker:
         ttl_ops: Optional[int] = None,
         wal: Optional[WriteAheadLog] = None,
         wal_delta_rows: Optional[int] = None,
-        linalg_backend: Optional[str] = None,
     ) -> None:
         if wal_delta_rows is not None and int(wal_delta_rows) < 1:
             raise ConfigError(
@@ -116,7 +112,7 @@ class ShardWorker:
         self.wal_delta_rows = None if wal_delta_rows is None else int(wal_delta_rows)
         if wal is not None and wal.observer is None:
             wal.observer = self.counters
-        self.scorer = BatchScorer(self.counters, linalg_backend=linalg_backend)
+        self.scorer = BatchScorer(self.counters)
 
     # ------------------------------------------------------------------
     # session lifecycle + ingest (log-then-apply)
@@ -403,7 +399,6 @@ class ShardWorker:
         shard_id: int = 0,
         wal: Optional[WriteAheadLog] = None,
         wal_delta_rows: Optional[int] = None,
-        linalg_backend: Optional[str] = None,
     ) -> "ShardWorker":
         """Rebuild a shard from a checkpoint, replaying only the WAL tail.
 
@@ -419,18 +414,12 @@ class ShardWorker:
                 f"checkpoint state_version {version!r} is not supported "
                 f"(expected {cls.STATE_VERSION})"
             )
-        worker = cls(
-            shard_id=shard_id,
-            wal=wal,
-            wal_delta_rows=wal_delta_rows,
-            linalg_backend=linalg_backend,
-        )
+        worker = cls(shard_id=shard_id, wal=wal, wal_delta_rows=wal_delta_rows)
         try:
             worker.store = SessionStore.from_dict(state["store"])
             worker.counters.load_state_dict(state["counters"])
         except KeyError as exc:
             raise ConfigError(f"checkpoint state missing field {exc}") from exc
-        worker.scorer = BatchScorer(worker.counters, linalg_backend=linalg_backend)
         if wal is not None:
             covered = int(state.get("wal", {}).get("seq", wal.base_seq))
             worker.replay(list(wal.records(after=covered)))

@@ -7,15 +7,15 @@ from repro.circuits.mna import StampPlan
 from repro.circuits.netlist import Netlist
 from repro.circuits.opamp import TwoStageOpAmp
 from repro.exceptions import ConfigError, SimulationError
-from repro.linalg.backends import available_backends
+from repro.linalg.backends import sparse_mna
 
-sparse_available = "sparse" in available_backends("mna")
+sparse_available = sparse_mna.is_available()
 
 pytestmark = pytest.mark.skipif(
     not sparse_available, reason="scipy not importable"
 )
 
-#: The documented dense/sparse agreement gate (registry metadata).
+#: The documented dense/sparse agreement gate (docs/PERFORMANCE.md).
 REL_TOL = 1e-9
 
 FREQS = np.logspace(2, 8, 7)

@@ -1,92 +1,22 @@
-"""Solver backend registry, selection API, and kernel equivalence."""
+"""MNA backend selection, and the batched SPD primitives against LAPACK."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import BackendUnavailableError, ConfigError
-from repro.linalg import (
-    cholesky_batched,
-    cholesky_batched_safe,
-    logdet_batched,
-    mahalanobis_sq_batched,
-    solve_triangular_batched,
-)
+from repro.linalg import cholesky_batched, mahalanobis_sq_batched
 from repro.linalg.backends import (
     DENSE_AUTO_MAX_REDUCED_SIZE,
-    KIND_KERNELS,
-    KIND_MNA,
-    active_kernel_backend,
-    available_backends,
-    get_backend_spec,
-    kernels,
-    registered_backends,
-    resolve_kernel_backend,
     resolve_mna_backend,
-    set_default_kernel_backend,
-    use_kernel_backend,
+    sparse_mna,
 )
 
-numba_available = "numba" in available_backends(KIND_KERNELS)
-scipy_available = "sparse" in available_backends(KIND_MNA)
+scipy_available = sparse_mna.is_available()
 
 
 def spd_stack(rng, b=16, d=5):
     a = rng.standard_normal((b, d, d))
     return a @ np.swapaxes(a, -1, -2) + d * np.eye(d)
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert registered_backends(KIND_KERNELS) == ["numba", "numpy"]
-        assert registered_backends(KIND_MNA) == ["dense", "sparse"]
-
-    def test_numpy_and_dense_always_available(self):
-        assert "numpy" in available_backends(KIND_KERNELS)
-        assert "dense" in available_backends(KIND_MNA)
-
-    def test_unknown_name_raises_with_known_names(self):
-        with pytest.raises(ConfigError, match="numpy"):
-            get_backend_spec(KIND_KERNELS, "cupy")
-
-    def test_spec_carries_description(self):
-        spec = get_backend_spec(KIND_MNA, "sparse")
-        assert "splu" in spec.description
-
-
-class TestKernelSelection:
-    def test_default_is_numpy(self):
-        assert active_kernel_backend() == "numpy"
-
-    def test_use_kernel_backend_scopes(self):
-        with use_kernel_backend("numpy") as name:
-            assert name == "numpy"
-            assert active_kernel_backend() == "numpy"
-        assert active_kernel_backend() == "numpy"
-
-    def test_use_none_keeps_ambient(self):
-        with use_kernel_backend(None) as name:
-            assert name == active_kernel_backend()
-
-    def test_auto_resolves_to_available(self):
-        resolved = resolve_kernel_backend("auto")
-        assert resolved == ("numba" if numba_available else "numpy")
-
-    @pytest.mark.skipif(numba_available, reason="numba installed")
-    def test_explicit_missing_backend_raises(self):
-        with pytest.raises(BackendUnavailableError):
-            resolve_kernel_backend("numba")
-        with pytest.raises(BackendUnavailableError):
-            with use_kernel_backend("numba"):
-                pass  # pragma: no cover - raise happens on entry
-
-    def test_set_default_round_trips(self):
-        assert set_default_kernel_backend("numpy") == "numpy"
-        concrete = set_default_kernel_backend("auto")
-        assert concrete in ("numpy", "numba")
-        set_default_kernel_backend("numpy")
-
-    def test_kernels_loader_caches(self):
-        assert kernels("numpy") is kernels("numpy")
 
 
 class TestMnaSelection:
@@ -103,20 +33,23 @@ class TestMnaSelection:
             resolve_mna_backend("auto", DENSE_AUTO_MAX_REDUCED_SIZE + 1) == "sparse"
         )
 
-    @pytest.mark.skipif(scipy_available, reason="scipy installed")
-    def test_auto_without_scipy_falls_back_dense(self):
+    def test_unknown_name_raises_with_known_names(self):
+        with pytest.raises(ConfigError, match="dense, sparse"):
+            resolve_mna_backend("umfpack", 10)
+
+    def test_auto_without_scipy_falls_back_dense(self, monkeypatch):
+        monkeypatch.setattr(sparse_mna, "is_available", lambda: False)
         assert resolve_mna_backend("auto", 10_000) == "dense"
-        with pytest.raises(BackendUnavailableError):
+        with pytest.raises(BackendUnavailableError, match="scipy"):
             resolve_mna_backend("sparse", 100)
 
 
 class TestNumpyBackendIsDefaultPath:
-    """Dispatch through the numpy backend is the pre-backend code verbatim."""
+    """The batched primitives are plain LAPACK/NumPy arithmetic."""
 
     def test_cholesky_bit_identical_to_direct_lapack(self, rng):
         stack = spd_stack(rng)
-        with use_kernel_backend("numpy"):
-            chol, ok = cholesky_batched(stack)
+        chol, ok = cholesky_batched(stack)
         assert ok.all()
         assert np.array_equal(chol, np.linalg.cholesky(stack))
 
@@ -124,75 +57,8 @@ class TestNumpyBackendIsDefaultPath:
         stack = spd_stack(rng)
         mu = rng.standard_normal((stack.shape[0], 5))
         x = rng.standard_normal((9, 5))
-        with use_kernel_backend("numpy"):
-            chol, _ = cholesky_batched(stack)
-            maha = mahalanobis_sq_batched(chol, mu, x)
+        chol, _ = cholesky_batched(stack)
+        maha = mahalanobis_sq_batched(chol, mu, x)
         diff = np.swapaxes(x[None, :, :] - mu[:, None, :], -1, -2)
         z = np.linalg.solve(chol, diff)
         assert np.allclose(maha, np.sum(z**2, axis=1), rtol=0, atol=1e-10)
-
-
-@pytest.mark.skipif(not numba_available, reason="numba not importable")
-class TestNumbaKernelEquivalence:
-    """Compiled kernels agree with numpy to the registered 1e-12 tolerance."""
-
-    TOL = 1e-12
-
-    def _both(self, fn):
-        with use_kernel_backend("numpy"):
-            ref = fn()
-        with use_kernel_backend("numba"):
-            got = fn()
-        return ref, got
-
-    def test_cholesky(self, rng):
-        stack = spd_stack(rng, b=32, d=6)
-        (ref, ref_ok), (got, got_ok) = self._both(lambda: cholesky_batched(stack))
-        assert np.array_equal(ref_ok, got_ok)
-        assert np.allclose(got, ref, rtol=0, atol=self.TOL * np.abs(ref).max())
-
-    def test_cholesky_flags_indefinite(self, rng):
-        stack = spd_stack(rng, b=8, d=4)
-        stack[3] = -np.eye(4)
-        (_, ref_ok), (_, got_ok) = self._both(lambda: cholesky_batched(stack))
-        assert np.array_equal(ref_ok, got_ok)
-        assert not got_ok[3]
-
-    def test_safe_ladder_jitter_and_eig_floor(self, rng):
-        """The jitter -> eigenvalue-floor repair ladder works on both."""
-        stack = spd_stack(rng, b=6, d=4)
-        stack[1] = np.eye(4) * 1e-18  # near-singular: jitter territory
-        stack[4] = np.diag([1.0, 1.0, 1.0, -1e-6])  # indefinite: eig floor
-        (ref_l, ref_ok), (got_l, got_ok) = self._both(
-            lambda: cholesky_batched_safe(stack, clip_floor_rel=1e-12)
-        )
-        assert np.array_equal(ref_ok, got_ok)
-        assert got_ok.all()
-        assert np.allclose(got_l, ref_l, rtol=0, atol=1e-10)
-
-    def test_solve_triangular(self, rng):
-        stack = spd_stack(rng, b=16, d=5)
-        rhs = rng.standard_normal((16, 5, 3))
-        def run():
-            chol, _ = cholesky_batched(stack)
-            return solve_triangular_batched(chol, rhs, lower=True)
-        ref, got = self._both(run)
-        assert np.allclose(got, ref, rtol=0, atol=self.TOL * np.abs(ref).max())
-
-    def test_logdet(self, rng):
-        stack = spd_stack(rng, b=16, d=5)
-        def run():
-            chol, _ = cholesky_batched(stack)
-            return logdet_batched(chol)
-        ref, got = self._both(run)
-        assert np.allclose(got, ref, rtol=0, atol=self.TOL * np.abs(ref).max())
-
-    def test_mahalanobis(self, rng):
-        stack = spd_stack(rng, b=16, d=5)
-        mu = rng.standard_normal((16, 5))
-        x = rng.standard_normal((11, 5))
-        def run():
-            chol, _ = cholesky_batched(stack)
-            return mahalanobis_sq_batched(chol, mu, x)
-        ref, got = self._both(run)
-        assert np.allclose(got, ref, rtol=0, atol=self.TOL * np.abs(ref).max())

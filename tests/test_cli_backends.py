@@ -1,41 +1,30 @@
 """CLI backend-selection flags: parsing and end-to-end threading."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.io import load_dataset
-from repro.linalg.backends import available_backends, set_default_kernel_backend
+from repro.linalg.backends import sparse_mna
+from repro.scenarios import LIBRARY_VERSION
+from repro.schemas import SCENARIO_SCHEMA
 
-sparse_available = "sparse" in available_backends("mna")
-
-
-@pytest.fixture(autouse=True)
-def reset_kernel_default():
-    """`--linalg-backend` mutates process state; restore it per test."""
-    yield
-    set_default_kernel_backend("numpy")
+sparse_available = sparse_mna.is_available()
 
 
 class TestParsing:
-    def test_linalg_backend_is_global(self):
-        args = build_parser().parse_args(
-            ["--linalg-backend", "numpy", "generate", "adc", "out.npz"]
-        )
-        assert args.linalg_backend == "numpy"
-        assert args.mna_backend is None
-
     def test_mna_backend_on_generate(self):
         args = build_parser().parse_args(
             ["generate", "opamp", "out.npz", "--mna-backend", "sparse"]
         )
         assert args.mna_backend == "sparse"
-        assert args.linalg_backend is None
 
     def test_rejects_unknown_backend_names(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["--linalg-backend", "cupy", "generate", "adc", "out.npz"]
+                ["--linalg-backend", "numpy", "list-estimators"]
             )
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -44,14 +33,28 @@ class TestParsing:
 
 
 class TestEndToEnd:
-    def test_linalg_backend_numpy_accepted(self, tmp_path, capsys):
-        path = tmp_path / "bank.npz"
-        code = main(
-            ["--linalg-backend", "numpy", "generate", "adc", str(path),
-             "--samples", "10", "--seed", "5"]
-        )
-        assert code == 0
-        assert path.exists()
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "opamp", "out.npz", "--samples", "8"],
+            ["scenarios", "compile", "doc.json", "--no-cache"],
+        ],
+        ids=["generate", "scenarios-compile"],
+    )
+    def test_sparse_without_scipy_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        doc = {
+            "schema": SCENARIO_SCHEMA,
+            "library": LIBRARY_VERSION,
+            "scenarios": [{"name": "one", "circuit": "ota", "knobs": {"samples": 8}}],
+        }
+        (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setattr(sparse_mna, "is_available", lambda: False)
+        monkeypatch.setenv("REPRO_DATASET_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--mna-backend", "sparse"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "scipy" in err
 
     @pytest.mark.skipif(not sparse_available, reason="scipy not importable")
     def test_generate_opamp_sparse_matches_default(self, tmp_path, monkeypatch):
