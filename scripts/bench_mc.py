@@ -8,11 +8,23 @@ vectorized metrics agree with the scalar reference to tight relative
 error, and writes the timing summary to ``BENCH_mc.json`` at the
 repository root so regressions are visible in review diffs.
 
+The ``r2r_dac`` and ``sar_adc`` sections time ``simulate_batch`` on
+``--die-seed-dies``-die banks at 8, 10 and 12 bits (both stages) and
+report each kernel's worst deviation from the brute-force oracles in
+``tests/circuits/die_seed_oracles.py`` (the per-code ladder solve and the
+bit-by-bit SAR search).
+
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/bench_mc.py [--opamp-samples 5000]
-        [--adc-samples 1000] [--ota-samples 2000] [--repeats 3]
-        [--out BENCH_mc.json]
+        [--adc-samples 1000] [--ota-samples 2000] [--die-seed-dies 128]
+        [--repeats 3] [--baseline FILE] [--out BENCH_mc.json]
+
+    # time another source tree's die-seed circuits (no oracle, no write)
+    PYTHONPATH=/path/to/other/src python scripts/bench_mc.py --timings-only > FILE
+
+``--baseline FILE`` stores such timings (e.g. of the parent commit) in
+the entry as ``results["baseline"]``, next to this tree's.
 
 Times are best-of-``--repeats`` wall clock; the headline ``loop_s`` /
 ``batched_s`` / ``speedup`` fields refer to the 5000-sample op-amp bank
@@ -27,6 +39,8 @@ performance trend across commits stays visible.
 from __future__ import annotations
 
 import argparse
+import json
+import sys
 import time
 from pathlib import Path
 
@@ -36,6 +50,13 @@ from repro.bench import append_entry
 from repro.circuits.adc import FlashADC
 from repro.circuits.opamp import TwoStageOpAmp
 from repro.circuits.ota import FoldedCascodeOTA
+from repro.circuits.r2r_dac import R2RDACDesign, R2RLadderDAC
+from repro.circuits.sar_adc import SarADC, SarADCDesign
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Resolutions of the die-seed sections.
+DIE_SEED_BITS = (8, 10, 12)
 
 
 def best_of(fn, repeats: int) -> tuple[float, object]:
@@ -103,19 +124,72 @@ def bench_adc(n_samples: int, seed: int, repeats: int) -> dict:
     }
 
 
+def bench_die_seed(
+    sim_cls, design_cls, n_dies: int, seed: int, repeats: int, oracle: bool = True
+) -> dict:
+    """``simulate_batch`` of both stages per resolution, vs the oracle.
+
+    The first call fills the shared draw bank, so the timed calls measure
+    the kernels, as the second stage of a paired dataset does.
+    """
+    die_seeds = np.arange(n_dies, dtype=np.int64) + np.int64(seed) * 1_000_003
+    section = {"n_dies": n_dies}
+    for n_bits in DIE_SEED_BITS:
+        design = design_cls(n_bits=n_bits)
+        stages = (sim_cls.schematic(design), sim_cls.post_layout(design))
+
+        def run():
+            return np.vstack([stage.simulate_batch(die_seeds) for stage in stages])
+
+        run()
+        row = {"batched_s": round(best_of(run, repeats)[0], 6)}
+        if oracle:
+            if str(REPO_ROOT) not in sys.path:
+                sys.path.insert(0, str(REPO_ROOT))
+            from tests.circuits.die_seed_oracles import oracle_deviation
+
+            row["max_oracle_dev"] = max(
+                oracle_deviation(stage, die_seeds) for stage in stages
+            )
+        section[f"{n_bits}bit"] = row
+    return section
+
+
+def die_seed_sections(args, oracle: bool = True) -> dict:
+    return {
+        "r2r_dac": bench_die_seed(
+            R2RLadderDAC, R2RDACDesign, args.die_seed_dies, args.seed, args.repeats, oracle
+        ),
+        "sar_adc": bench_die_seed(
+            SarADC, SarADCDesign, args.die_seed_dies, args.seed, args.repeats, oracle
+        ),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--opamp-samples", type=int, default=5000)
     parser.add_argument("--adc-samples", type=int, default=1000)
     parser.add_argument("--ota-samples", type=int, default=2000)
+    parser.add_argument("--die-seed-dies", type=int, default=128)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=2015)
     parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_mc.json",
+        "--timings-only",
+        action="store_true",
+        help="print the r2r_dac/sar_adc timings as JSON; no oracle, no write",
     )
+    parser.add_argument(
+        "--baseline",
+        type=Path,
+        help="--timings-only output of another tree, stored as results['baseline']",
+    )
+    parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_mc.json")
     args = parser.parse_args()
+
+    if args.timings_only:
+        print(json.dumps(die_seed_sections(args, oracle=False)))
+        return
 
     opamp = bench_process_circuit(
         TwoStageOpAmp, args.opamp_samples, args.seed, args.repeats
@@ -125,7 +199,17 @@ def main() -> None:
         FoldedCascodeOTA, args.ota_samples, args.seed, args.repeats
     )
 
-    worst = max(section["max_rel_metric_diff"] for section in (opamp, adc, ota))
+    die_seed = die_seed_sections(args)
+
+    worst = max(
+        [section["max_rel_metric_diff"] for section in (opamp, adc, ota)]
+        + [
+            row["max_oracle_dev"]
+            for section in die_seed.values()
+            for key, row in section.items()
+            if key != "n_dies"
+        ]
+    )
     if worst > 1e-10:
         raise SystemExit(
             f"engines diverge (max rel metric diff = {worst:g}) -- refusing to report"
@@ -138,6 +222,7 @@ def main() -> None:
             "opamp_samples": args.opamp_samples,
             "adc_samples": args.adc_samples,
             "ota_samples": args.ota_samples,
+            "die_seed_dies": args.die_seed_dies,
             "repeats": args.repeats,
             "seed": args.seed,
         },
@@ -149,6 +234,12 @@ def main() -> None:
             "opamp": opamp,
             "adc": adc,
             "ota": ota,
+            **die_seed,
+            **(
+                {"baseline": json.loads(args.baseline.read_text())}
+                if args.baseline
+                else {}
+            ),
         },
     )
     for name, section in (("opamp", opamp), ("adc", adc), ("ota", ota)):
@@ -157,6 +248,14 @@ def main() -> None:
             f"{section['batched_s']:.3f} s | speedup {section['speedup']}x | "
             f"max rel metric diff {section['max_rel_metric_diff']:.2e}"
         )
+    for name, section in die_seed.items():
+        for n_bits in DIE_SEED_BITS:
+            row = section[f"{n_bits}bit"]
+            print(
+                f"{name} {n_bits}-bit ({section['n_dies']} dies, both stages): "
+                f"{row['batched_s'] * 1e3:.1f} ms | "
+                f"max oracle dev {row['max_oracle_dev']:.2e}"
+            )
     print(f"wrote {args.out}")
 
 

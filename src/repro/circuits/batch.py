@@ -1,4 +1,18 @@
-"""Shared batch engine for the process-sample circuits solved on a StampPlan.
+"""Shared batch engines of the six Monte-Carlo circuits.
+
+Two bases, one per way a circuit names its dies:
+
+* :class:`StampPlanSimulator` — the process-sample circuits solved on a
+  :class:`repro.circuits.mna.StampPlan`;
+* :class:`DieSeedSimulator` — the die-seed circuits (flash ADC, R-2R DAC,
+  SAR ADC), which draw each die's mismatch from its integer seed.
+
+Both own the same scaffolding — validation, the ``engine="loop"``
+reference path, the forked ``n_jobs`` fan-out and memory-bounded
+chunking — so a circuit supplies only its physics.
+
+Process-sample circuits
+-----------------------
 
 :class:`repro.circuits.opamp.TwoStageOpAmp`,
 :class:`repro.circuits.ota.FoldedCascodeOTA` and
@@ -18,27 +32,85 @@ at nominal as the plan's template), :meth:`simulate` and
 the ``engine="loop"`` reference path, the forked ``n_jobs`` fan-out and
 the memory-bounded chunking — is the same for all three.
 
-Cache note: moving a circuit onto this engine does not bump
-``repro.circuits.montecarlo._DATASET_CACHE_VERSION``.  Banks cached by the
-per-die path stay valid, because the batched rows agree with them to
-~1e-15 relative (solver round-off from a closed-form vs. an LU solve of
-the same system) — the same reason ``mna_backend`` is not part of the
-dataset cache key.
+Die-seed circuits
+-----------------
+A die is an integer seed; :func:`repro.circuits.dies.die_draw_bank` turns
+a seed vector into one row of standard normals per die, and a subclass
+supplies ``_stride`` (the row length), :meth:`DieSeedSimulator._bytes_per_die`
+(its working set, which sizes the chunks) and
+:meth:`DieSeedSimulator._metrics_from_rows` (the metrics of a block of
+rows).  The per-die :meth:`DieSeedSimulator.simulate` runs the same
+kernel on one freshly drawn row unless a circuit keeps its own scalar
+reference (the flash ADC does).
+
+Cache notes: neither engine bumps
+``repro.circuits.montecarlo._DATASET_CACHE_VERSION``, because cached
+banks stay valid to round-off.
+
+* Moving a process-sample circuit onto the stamp plan moves its rows by
+  ~1e-15 relative (a closed-form vs. an LU solve of the same system) —
+  the same reason ``mna_backend`` is not part of the dataset cache key.
+* The R-2R ladder's superposition solve (unit-bit right-hand sides
+  instead of one per code, and a closed-form code average of the
+  reference current) moves its rows by round-off of the same linear
+  system: <=1e-10 relative, the gain error taken against full scale.
+* The SAR ADC's staircase lookup returns the bit-by-bit search's codes
+  exactly, so its rows — and the flash ADC's, whose kernel is unchanged —
+  are bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.circuits.devices import Mosfet
+from repro.circuits.dies import die_draw_bank, die_seed_array
 from repro.circuits.mna import StampPlan
 from repro.circuits.netlist import Netlist
 from repro.circuits.process import ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
 
-__all__ = ["StampPlanSimulator"]
+__all__ = ["DieSeedSimulator", "StampPlanSimulator", "code_levels"]
+
+
+def code_levels(weights: np.ndarray) -> np.ndarray:
+    """Every code's summed bit weights: ``(n, 2^b)`` from ``(n, b)``.
+
+    ``weights[:, i]`` belongs to bit ``i`` (LSB first); column ``c`` holds
+    the sum of the weights of ``c``'s set bits, added MSB first — the
+    order a successive-approximation search accumulates them, so the sums
+    are bit-identical to its trial levels.  Built by doubling: one add per
+    code.
+    """
+    n, b = weights.shape
+    levels = np.empty((n, 1 << b))
+    levels[:, 0] = 0.0
+    for k in range(b):
+        i = b - 1 - k
+        # Codes as (prefix of the k bits above i, bit i, the i bits below):
+        # the prefixes with bit i set and nothing below add weight i.
+        view = levels.reshape(n, 1 << k, 2, 1 << i)
+        np.add(view[:, :, 0, 0], weights[:, i, None], out=view[:, :, 1, 0])
+    return levels
+
+
+def _fan_out(
+    run: Callable[[np.ndarray], np.ndarray], n_items: int, n_jobs: Optional[int]
+) -> np.ndarray:
+    """``run(indices)`` over the whole bank, or over forked index shards.
+
+    Shards are contiguous and reassembled in order, so the result is
+    bit-identical to the single-process call for every worker count.
+    """
+    from repro.experiments.parallel import fork_available, replicate, resolve_n_jobs
+
+    jobs = min(resolve_n_jobs(n_jobs), n_items)
+    if jobs > 1 and fork_available():
+        shards = [s for s in np.array_split(np.arange(n_items), jobs) if s.size]
+        return np.vstack(replicate(run, shards, n_jobs=jobs))
+    return run(np.arange(n_items))
 
 
 class StampPlanSimulator:
@@ -142,23 +214,14 @@ class StampPlanSimulator:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected 'vectorized' or 'loop'"
             )
-        from repro.experiments.parallel import fork_available, replicate, resolve_n_jobs
-
-        jobs = min(resolve_n_jobs(n_jobs), len(sample_list))
-        if jobs > 1 and fork_available():
-            self._stamp_plan()  # build once; workers inherit it through fork
-            shards = [
-                s for s in np.array_split(np.arange(len(sample_list)), jobs) if s.size
-            ]
-            parts = replicate(
-                lambda idx: self._simulate_chunked(
-                    [sample_list[i] for i in idx], memory_budget_mb, mna_backend
-                ),
-                shards,
-                n_jobs=jobs,
-            )
-            return np.vstack(parts)
-        return self._simulate_chunked(sample_list, memory_budget_mb, mna_backend)
+        self._stamp_plan()  # build once; forked workers inherit it
+        return _fan_out(
+            lambda idx: self._simulate_chunked(
+                [sample_list[i] for i in idx], memory_budget_mb, mna_backend
+            ),
+            len(sample_list),
+            n_jobs,
+        )
 
     def _simulate_chunked(
         self,
@@ -255,3 +318,120 @@ class StampPlanSimulator:
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = (np.log10(target) - g_lo) / span
         return np.where(span == 0.0, f_lo, 10.0 ** (l_lo + frac * (l_hi - l_lo)))
+
+
+class DieSeedSimulator:
+    """Base of the die-seed simulators: a die is an integer seed.
+
+    Build stage pairs with ``schematic()`` / ``post_layout()`` and feed both
+    the *same die seeds*, so each die replays the same raw draws through
+    both stages and its early/late metrics stay physically correlated.
+    """
+
+    #: Dataclass of one die's metrics (``*row`` constructs it).
+    _METRICS: type
+
+    #: Most dies per vectorized sweep; the memory budget can only shrink it.
+    _PIPELINE_CHUNK = 64
+
+    @property
+    def _stride(self) -> int:
+        """Standard normals one die consumes (its draw-row length)."""
+        raise NotImplementedError
+
+    def _bytes_per_die(self) -> int:
+        """Peak working set of one die in :meth:`_metrics_from_rows`."""
+        raise NotImplementedError
+
+    def _metrics_from_rows(self, z: np.ndarray) -> np.ndarray:
+        """Metrics matrix ``(n, d)`` for a block of draw rows ``(n, stride)``."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    def _die_row(self, die_seed: int) -> np.ndarray:
+        """Draw row ``(1, stride)`` of one die, freshly drawn (not cached)."""
+        (seed,) = die_seed_array([die_seed])
+        die_rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+        return die_rng.standard_normal(self._stride)[None, :]
+
+    def _metrics(self, row: np.ndarray):
+        return self._METRICS(*[float(x) for x in row])
+
+    def simulate(self, die_seed: int):
+        """Measure die ``die_seed`` (the per-die reference path).
+
+        The seed identifies the *die*: calling the schematic and
+        post-layout simulators with the same seed replays the same
+        mismatch draws through both stages.
+        """
+        return self._metrics(self._metrics_from_rows(self._die_row(die_seed))[0])
+
+    def simulate_nominal(self):
+        """Variation-free run (``P_NOM`` for the Sec. 4.1 shift).
+
+        Zeroed mismatch and noise, but the deterministic layout effects
+        stay — mirroring a nominal post-layout SPICE run.
+        """
+        return self._metrics(self._metrics_from_rows(np.zeros((1, self._stride)))[0])
+
+    def simulate_batch(
+        self,
+        die_seeds,
+        engine: str = "vectorized",
+        memory_budget_mb: float = 512.0,
+        n_jobs: Optional[int] = None,
+    ) -> np.ndarray:
+        """Metrics matrix ``(len(die_seeds), d)`` in metric-name order.
+
+        Parameters
+        ----------
+        die_seeds:
+            Non-negative integer seeds, one per die (a 1-D array; a scalar
+            is one die).  Negative, non-integral or multi-dimensional
+            seeds raise :class:`~repro.exceptions.SimulationError`.
+        engine:
+            ``"vectorized"`` (default) runs whole die chunks through
+            :meth:`_metrics_from_rows` on the shared draw bank;
+            ``"loop"`` calls :meth:`simulate` die by die.
+        memory_budget_mb:
+            Peak working-set bound; chunks shrink so ``chunk *
+            _bytes_per_die()`` stays under it.  Results are bit-identical
+            for every budget.
+        n_jobs:
+            Optional forked sharding of the vectorized engine (``-1`` = all
+            CPUs); bit-identical to the single-process engine.
+        """
+        seeds = die_seed_array(die_seeds)
+        if engine == "loop":
+            return np.array([self.simulate(int(s)).as_array() for s in seeds])
+        if engine != "vectorized":
+            raise SimulationError(
+                f"unknown simulate_batch engine {engine!r} (use 'vectorized' or 'loop')"
+            )
+        if memory_budget_mb <= 0.0:
+            raise SimulationError(
+                f"memory_budget_mb must be positive, got {memory_budget_mb}"
+            )
+        return _fan_out(
+            lambda idx: self._simulate_chunked(seeds[idx], memory_budget_mb),
+            seeds.size,
+            n_jobs,
+        )
+
+    def _simulate_chunked(
+        self, seeds: np.ndarray, memory_budget_mb: float
+    ) -> np.ndarray:
+        """Run :meth:`_metrics_from_rows` in memory-bounded die chunks.
+
+        Every metric is row-independent, so the chunk size cannot change
+        the result.
+        """
+        budget_rows = int(memory_budget_mb * 2**20 // self._bytes_per_die())
+        chunk = max(1, min(self._PIPELINE_CHUNK, budget_rows))
+        bank = die_draw_bank(seeds, self._stride)
+        return np.vstack(
+            [
+                self._metrics_from_rows(bank[start : start + chunk])
+                for start in range(0, seeds.size, chunk)
+            ]
+        )

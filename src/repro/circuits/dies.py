@@ -17,8 +17,10 @@ path obtains from the same generator — keyed by a content hash of the
 seeds plus the stride, LRU-bounded so sweeps over many banks cannot grow
 without limit.
 
-(:mod:`repro.circuits.adc` predates this module and keeps its private
-bank with the same semantics; new die-seed circuits should use this one.)
+:func:`die_seed_array` is the one check every die-seed entry point runs:
+a seed must be a non-negative integer, so a non-integral, negative or
+multi-dimensional seed raises :class:`~repro.exceptions.SimulationError`
+instead of being truncated or escaping as a raw NumPy error.
 """
 
 from __future__ import annotations
@@ -32,11 +34,33 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 
-__all__ = ["die_draw_bank"]
+__all__ = ["die_draw_bank", "die_seed_array"]
 
 _BANK_CACHE: "OrderedDict[Tuple[str, int], np.ndarray]" = OrderedDict()
 _BANK_CACHE_MAX_ROWS = 4096
 _BANK_LOCK = threading.Lock()
+
+
+def die_seed_array(die_seeds) -> np.ndarray:
+    """Validated die seeds as a non-empty 1-D ``int64`` array.
+
+    A scalar is one die.  Integral floats (``2.0``) are accepted; a
+    negative, non-integral, non-numeric or multi-dimensional seed array
+    raises :class:`~repro.exceptions.SimulationError`.
+    """
+    raw = np.atleast_1d(np.asarray(die_seeds))
+    if raw.ndim != 1 or raw.size == 0:
+        raise SimulationError(
+            f"die seeds must be a non-empty 1-D array, got shape {raw.shape}"
+        )
+    if raw.dtype.kind not in "iuf":
+        raise SimulationError(f"die seeds must be integers, got dtype {raw.dtype}")
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
+        raise SimulationError("die seeds must be integers, got non-integral values")
+    limit = 2.0**63 if raw.dtype.kind == "f" else 2**63
+    if np.any(raw < 0) or np.any(raw >= limit):
+        raise SimulationError("die seeds must lie in [0, 2**63)")
+    return raw.astype(np.int64)
 
 
 def die_draw_bank(seeds: np.ndarray, stride: int) -> np.ndarray:
@@ -48,9 +72,7 @@ def die_draw_bank(seeds: np.ndarray, stride: int) -> np.ndarray:
     calls (and across simulator stages) under a content hash of the seed
     array plus the stride.
     """
-    seeds = np.ascontiguousarray(seeds, dtype=np.int64)
-    if seeds.ndim != 1 or seeds.size == 0:
-        raise SimulationError("die_draw_bank requires a non-empty 1-D seed array")
+    seeds = np.ascontiguousarray(die_seed_array(seeds))
     if stride < 1:
         raise SimulationError(f"stride must be >= 1, got {stride}")
     key = (hashlib.sha256(seeds.tobytes()).hexdigest(), int(stride))

@@ -10,9 +10,10 @@ idealised away:
   shared die-seed stream (:mod:`repro.circuits.dies`), so schematic and
   post-layout runs of the same die are physically correlated;
 * the transfer curve comes from an exact nodal solve of the mismatched
-  ladder — a batched Thomas (tridiagonal) factorisation per die with all
-  ``2^b`` input codes as stacked right-hand sides — so DNL/INL and
-  non-monotonicity *emerge* from the resistor network;
+  ladder — a batched Thomas (tridiagonal) factorisation per die, solved
+  for the ``b`` unit-bit right-hand sides; the node voltages are linear
+  in the code bits, so every code's level follows by superposition — and
+  DNL/INL and non-monotonicity *emerge* from the resistor network;
 * the post-layout variant adds a systematic resistor gradient along the
   ladder (metal/poly sheet-resistance drift), higher switch resistance
   (contact/via stacks), a mismatch inflation, an output-wiring offset and
@@ -31,7 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.circuits.dies import die_draw_bank
+from repro.circuits.batch import DieSeedSimulator, code_levels
 from repro.circuits.linearity import LinearityResult, inl_dnl_from_dac_levels
 from repro.exceptions import SimulationError
 
@@ -106,12 +107,10 @@ class R2RDACMetrics:
         )
 
 
-class R2RLadderDAC:
-    """Simulator for one design stage of the R-2R converter.
+class R2RLadderDAC(DieSeedSimulator):
+    """Simulator for one design stage of the R-2R converter."""
 
-    Build stage pairs with :meth:`schematic` / :meth:`post_layout` and feed
-    both the *same die seeds* so early/late samples are correlated.
-    """
+    _METRICS = R2RDACMetrics
 
     def __init__(
         self, design: R2RDACDesign, layout: Optional[_R2RLayoutEffects] = None
@@ -189,31 +188,30 @@ class R2RLadderDAC:
         term_r = np.maximum(term_r, 0.05 * r2)
         return 1.0 / branch_total, 1.0 / rung_r, 1.0 / term_r
 
-    def _code_bits(self) -> np.ndarray:
-        """``(n_codes, b)`` bit matrix, LSB first (bit i drives node i)."""
-        design = self.design
-        codes = np.arange(design.n_codes)
-        bits = (codes[:, None] >> np.arange(design.n_bits)[None, :]) & 1
-        return bits.astype(float)
-
     def _ladder_levels(
-        self,
-        g_branch: np.ndarray,
-        g_rung: np.ndarray,
-        g_term: np.ndarray,
-        bits: np.ndarray,
+        self, g_branch: np.ndarray, g_rung: np.ndarray, g_term: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Solve the ladder for every (die, code) pair.
+        """Output voltage of every (die, code) pair, by superposition.
 
-        One Thomas factorisation per die (the conductance matrix does not
-        depend on the code), then all codes as stacked right-hand sides.
+        The conductance matrix is tridiagonal and does not depend on the
+        code, and the right-hand side is ``bit_i * g_branch_i * vref``, so
+        the node voltages are linear in the bits.  One Thomas
+        factorisation per die, solved for the ``b`` unit-bit right-hand
+        sides, gives ``H[d, j, k]``: node ``k``'s voltage with only bit
+        ``j`` high.  Every level is then ``bits @ H[d, :, b-1]``, summed by
+        :func:`repro.circuits.batch.code_levels`.
+
+        The reference-rail current of a code, ``sum_i bit_i g_i (vref -
+        v_i)``, is quadratic in the bits; averaged over all codes
+        (``E[bit_i] = 1/2``, ``E[bit_i bit_j] = 1/4`` for ``i != j``) it is
+        ``sum_i g_i (vref/2 - H_ii/4 - sum_j H_ji/4)``.
+
         Returns ``(levels, i_ref)``: output voltages ``(n, n_codes)`` and
-        the mean reference-rail current per die ``(n,)``.
+        the code-averaged reference-rail current per die ``(n,)``.
         """
         design = self.design
         b = design.n_bits
         n = g_branch.shape[0]
-        n_codes = bits.shape[0]
 
         # Tridiagonal coefficients per die: diag d_i, off-diagonal -g_rung.
         diag = g_branch.copy()
@@ -230,45 +228,52 @@ class R2RLadderDAC:
             w[:, i] = -g_rung[:, i - 1] / denom[:, i - 1]
             denom[:, i] = diag[:, i] + w[:, i] * g_rung[:, i - 1]
 
-        # Right-hand sides for all codes: rhs[d, c, i] = bit_ci * gb_di * vref.
-        rhs = bits[None, :, :] * g_branch[:, None, :] * design.vref
+        # Unit-bit right-hand sides: rhs[d, j, i] = [i == j] * gb_dj * vref.
+        rhs = np.zeros((n, b, b))
+        rhs[:, np.arange(b), np.arange(b)] = g_branch * design.vref
 
-        # Forward elimination / back substitution, vectorized over (die, code).
-        y = np.empty((n, n_codes, b))
+        # Forward elimination / back substitution over (die, bit) pairs.
+        y = np.empty((n, b, b))
         y[:, :, 0] = rhs[:, :, 0]
         for i in range(1, b):
             y[:, :, i] = rhs[:, :, i] - w[:, i, None] * y[:, :, i - 1]
-        v = np.empty((n, n_codes, b))
-        v[:, :, b - 1] = y[:, :, b - 1] / denom[:, b - 1, None]
+        h = np.empty((n, b, b))
+        h[:, :, b - 1] = y[:, :, b - 1] / denom[:, b - 1, None]
         for i in range(b - 2, -1, -1):
-            v[:, :, i] = (y[:, :, i] + g_rung[:, i, None] * v[:, :, i + 1]) / denom[
+            h[:, :, i] = (y[:, :, i] + g_rung[:, i, None] * h[:, :, i + 1]) / denom[
                 :, i, None
             ]
 
-        levels = v[:, :, b - 1]
-        # Current drawn from the reference rail: through every branch whose
-        # bit is high, (vref - v_node) * g_branch; averaged over codes.
-        i_codes = np.sum(
-            bits[None, :, :] * g_branch[:, None, :] * (design.vref - v), axis=2
+        levels = code_levels(h[:, :, b - 1])
+        i_ref = np.sum(
+            g_branch
+            * (
+                0.5 * design.vref
+                - 0.25 * np.diagonal(h, axis1=1, axis2=2)
+                - 0.25 * np.sum(h, axis=1)
+            ),
+            axis=1,
         )
-        return levels, np.mean(i_codes, axis=1)
+        return levels, i_ref
 
     # ------------------------------------------------------------------
+    def _output_levels(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Buffered output per code ``(n, n_codes)`` and ``i_ref`` ``(n,)``."""
+        levels, i_ref = self._ladder_levels(*self._conductances(z))
+        offset = (
+            self.design.sigma_offset
+            * self.layout.mismatch_inflation
+            * z[:, 3 * self.design.n_bits + 1]
+            + self.layout.offset_v
+        )
+        return levels + offset[:, None], i_ref
+
     def _metrics_from_rows(self, z: np.ndarray) -> np.ndarray:
         """Metrics matrix for a bank of draw rows ``(n, stride)``."""
         design = self.design
         layout = self.layout
         b = design.n_bits
-
-        g_branch, g_rung, g_term = self._conductances(z)
-        bits = self._code_bits()
-        levels, i_ref = self._ladder_levels(g_branch, g_rung, g_term, bits)
-
-        offset = (
-            design.sigma_offset * layout.mismatch_inflation * z[:, 3 * b + 1]
-            + layout.offset_v
-        )
-        levels = levels + offset[:, None]
+        levels, i_ref = self._output_levels(z)
 
         # End-point linearity on the code-ordered curve (vectorized mirror
         # of inl_dnl_from_dac_levels; no sorting — see that function).
@@ -294,112 +299,16 @@ class R2RLadderDAC:
         )
         return np.column_stack([dnl_max, inl_max, gain_error, out_offset, power])
 
+    def _bytes_per_die(self) -> int:
+        """Working set: the ``(b, b)`` solve planes plus ~6 code rows."""
+        design = self.design
+        return (4 * design.n_bits**2 + 6 * design.n_codes) * 8
+
     # ------------------------------------------------------------------
-    def simulate(self, die_seed: int) -> R2RDACMetrics:
-        """Measure the five metrics of die ``die_seed``.
-
-        The seed identifies the *die*: calling the schematic and
-        post-layout simulators with the same seed replays the same
-        mismatch draws through both stages.
-        """
-        die_rng = np.random.default_rng(np.random.SeedSequence(int(die_seed)))
-        z = die_rng.standard_normal(self._stride)
-        row = self._metrics_from_rows(z[None, :])[0]
-        return R2RDACMetrics(*[float(x) for x in row])
-
-    def simulate_nominal(self) -> R2RDACMetrics:
-        """Variation-free run (``P_NOM`` for the Sec. 4.1 shift).
-
-        Zeroed mismatch, but the deterministic layout effects (gradient,
-        switch derate, wiring offset, overhead) stay — mirroring a nominal
-        post-layout SPICE run.
-        """
-        row = self._metrics_from_rows(np.zeros((1, self._stride)))[0]
-        return R2RDACMetrics(*[float(x) for x in row])
-
     def transfer_levels(self, die_seed: int) -> np.ndarray:
         """Output voltage per input code for one die (``(2^b,)``)."""
-        die_rng = np.random.default_rng(np.random.SeedSequence(int(die_seed)))
-        z = die_rng.standard_normal(self._stride)[None, :]
-        g_branch, g_rung, g_term = self._conductances(z)
-        levels, _ = self._ladder_levels(g_branch, g_rung, g_term, self._code_bits())
-        offset = (
-            self.design.sigma_offset
-            * self.layout.mismatch_inflation
-            * z[0, 3 * self.design.n_bits + 1]
-            + self.layout.offset_v
-        )
-        return levels[0] + offset
+        return self._output_levels(self._die_row(die_seed))[0][0]
 
     def measure_linearity(self, die_seed: int) -> LinearityResult:
         """Static INL/DNL of one die's code-ordered transfer curve."""
         return inl_dnl_from_dac_levels(self.transfer_levels(die_seed))
-
-    # ------------------------------------------------------------------
-    #: Dies per vectorized sweep; the (dies, codes, bits) solve planes for
-    #: a 12-bit ladder stay well under typical cache budgets at this size.
-    _PIPELINE_CHUNK = 64
-
-    def simulate_batch(
-        self,
-        die_seeds,
-        engine: str = "vectorized",
-        memory_budget_mb: float = 512.0,
-        n_jobs: Optional[int] = None,
-    ) -> np.ndarray:
-        """Metrics matrix ``(len(die_seeds), 5)`` in metric-name order.
-
-        Same seam as the flash ADC: ``engine="vectorized"`` (default)
-        factorises and solves whole die chunks at once, ``engine="loop"``
-        is the per-die reference path; ``n_jobs`` shards the bank across
-        forked workers with order-preserving reassembly.
-        """
-        seeds = np.atleast_1d(np.asarray(die_seeds, dtype=np.int64))
-        if seeds.size == 0:
-            raise SimulationError("simulate_batch requires at least one die seed")
-        if engine == "loop":
-            return np.array([self.simulate(int(s)).as_array() for s in seeds])
-        if engine != "vectorized":
-            raise SimulationError(
-                f"unknown simulate_batch engine {engine!r} (use 'vectorized' or 'loop')"
-            )
-        from repro.experiments.parallel import (
-            fork_available,
-            replicate,
-            resolve_n_jobs,
-        )
-
-        jobs = min(resolve_n_jobs(n_jobs), seeds.size)
-        if jobs > 1 and fork_available():
-            shards = [s for s in np.array_split(seeds, jobs) if s.size]
-            parts = replicate(
-                lambda shard: self._simulate_chunked(shard, memory_budget_mb),
-                shards,
-                n_jobs=jobs,
-            )
-            return np.vstack(parts)
-        return self._simulate_chunked(seeds, memory_budget_mb)
-
-    def _simulate_chunked(
-        self, seeds: np.ndarray, memory_budget_mb: float
-    ) -> np.ndarray:
-        """Run the vectorized engine in memory-bounded die chunks."""
-        if memory_budget_mb <= 0.0:
-            raise SimulationError(
-                f"memory_budget_mb must be positive, got {memory_budget_mb}"
-            )
-        design = self.design
-        # Per-die working set: the (codes, bits) rhs/forward/back planes
-        # plus levels/INL/DNL rows, in float64.
-        per_die = design.n_codes * (3 * design.n_bits + 6) * 8
-        budget_rows = int(memory_budget_mb * 2**20 // per_die)
-        chunk = max(1, min(self._PIPELINE_CHUNK, budget_rows))
-        bank = die_draw_bank(seeds, self._stride)
-        if seeds.size <= chunk:
-            return self._metrics_from_rows(bank)
-        return np.vstack(
-            [
-                self._metrics_from_rows(bank[start : start + chunk])
-                for start in range(0, seeds.size, chunk)
-            ]
-        )

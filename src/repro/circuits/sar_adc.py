@@ -3,10 +3,12 @@
 A ``b``-bit successive-approximation converter with a binary-weighted
 capacitor DAC: unit-cap mismatch (Pelgrom ``1/sqrt(C)`` scaling), a
 termination cap, comparator input offset and thermal noise, converting a
-coherent near-full-scale sine.  The SAR bit trials run against the *real*
+coherent near-full-scale sine.  The SAR search runs against the *real*
 mismatched capacitor weights, so DNL discontinuities at major carries,
 missing codes and their SNDR/SFDR signatures all emerge from the search —
-nothing is injected at the metric level.
+nothing is injected at the metric level.  The search is read from each
+die's level staircase (see :meth:`SarADC._convert`), which returns the
+bit-by-bit search's codes exactly.
 
 The post-layout stage adds top-plate parasitic capacitance (attenuating
 the DAC reference steps), inflated cap mismatch, a comparator offset
@@ -27,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.circuits.dies import die_draw_bank
+from repro.circuits.batch import DieSeedSimulator, code_levels
 from repro.circuits.testbench import SpectralAnalyzer, sine_record
 from repro.exceptions import SimulationError
 
@@ -97,13 +99,10 @@ class SarADCMetrics:
         return np.array([self.snr, self.sinad, self.sfdr, self.thd, self.power])
 
 
-class SarADC:
-    """Simulator for one design stage of the SAR converter.
+class SarADC(DieSeedSimulator):
+    """Simulator for one design stage of the SAR converter."""
 
-    Same die-seed seam as the flash ADC and R-2R DAC: build stage pairs
-    with :meth:`schematic` / :meth:`post_layout` and feed both the same
-    die seeds.
-    """
+    _METRICS = SarADCMetrics
 
     def __init__(
         self, design: SarADCDesign, layout: Optional[_SarLayoutEffects] = None
@@ -180,24 +179,42 @@ class SarADC:
         return vin
 
     def _convert(self, weights: np.ndarray, vcmp: np.ndarray) -> np.ndarray:
-        """SAR binary search of every (die, conversion) pair.
+        """SAR search of every (die, conversion) pair, read from a staircase.
 
         ``weights`` is ``(n, b)``; ``vcmp`` is ``(n, n_samples)`` — the
         noisy, offset-shifted comparator input.  Returns float codes.
-        The trial loop keeps bit ``i`` when the accumulated DAC level
-        would still sit below the input, which with ideal weights reduces
-        to ``floor(vin * 2^b / vref)`` exactly.
+
+        The search keeps bit ``i`` when ``vcmp >= (acc + w_i) * vref``, so
+        it is monotone in its input.  With non-negative weights — even when
+        the DAC is non-monotone or has missing codes — ``code(v) >= c``
+        exactly when ``v >= theta_c = min_{c' >= c} level(c') * vref``,
+        where ``level`` is the die's DAC output accumulated MSB first as
+        the search accumulates it (:func:`~repro.circuits.batch.code_levels`).
+        So the codes are those of the bit-by-bit search, bit for bit; with
+        ideal weights they reduce to ``floor(vin * 2^b / vref)``.
         """
-        design = self.design
-        b = design.n_bits
-        acc = np.zeros_like(vcmp)
-        code = np.zeros_like(vcmp)
-        for i in range(b - 1, -1, -1):
-            trial = acc + weights[:, i][:, None]
-            bit = vcmp >= trial * design.vref
-            acc = np.where(bit, trial, acc)
-            code = code + bit * float(1 << i)
-        return code
+        if np.any(weights < 0.0):
+            raise SimulationError(
+                "SAR CDAC has a negative bit weight; the staircase lookup "
+                "needs non-negative weights"
+            )
+        n = weights.shape[0]
+        m = self.design.n_codes
+        # theta[:, c] for c in [1, m); NaN pads (every comparison false)
+        # keep codes 0 and m - 1 from stepping out of range.
+        theta = np.full((n, m + 1), np.nan)
+        trips = code_levels(weights) * self.design.vref
+        np.minimum.accumulate(trips[:, :0:-1], axis=1, out=theta[:, m - 1 : 0 : -1])
+        # First guess: the straight line through the die's outer transitions.
+        span = theta[:, m - 1] - theta[:, 1]
+        lsb = np.where(span > 0.0, span / (m - 2), self.design.vref / m)
+        guess = vcmp - theta[:, 1:2]
+        guess /= lsb[:, None]
+        guess += 1.0
+        np.floor(guess, out=guess)
+        np.fmax(guess, 0.0, out=guess)  # fmax/fmin map a NaN input to code 0
+        np.fmin(guess, m - 1.0, out=guess)
+        return _read_staircase(theta, vcmp, guess.astype(np.int64)).astype(float)
 
     def _metrics_from_rows(self, z: np.ndarray) -> np.ndarray:
         """Metrics matrix for a bank of draw rows ``(n, stride)``."""
@@ -226,32 +243,20 @@ class SarADC:
             [spectral.snr, spectral.sinad, spectral.sfdr, spectral.thd, power]
         )
 
+    def _bytes_per_die(self) -> int:
+        """Working set: two level-table rows plus ~7 record-length planes
+        (comparator input, guess, indices, codes, the record's FFT)."""
+        design = self.design
+        return (2 * design.n_codes + 7 * design.n_samples) * 8
+
     # ------------------------------------------------------------------
-    def simulate(self, die_seed: int) -> SarADCMetrics:
-        """Convert a coherent sine on die ``die_seed`` and measure metrics."""
-        die_rng = np.random.default_rng(np.random.SeedSequence(int(die_seed)))
-        z = die_rng.standard_normal(self._stride)
-        row = self._metrics_from_rows(z[None, :])[0]
-        return SarADCMetrics(*[float(x) for x in row])
-
-    def simulate_nominal(self) -> SarADCMetrics:
-        """Variation- and noise-free conversion (``P_NOM`` for Sec. 4.1).
-
-        Zeroed mismatch and noise; the deterministic layout effects
-        (parasitic attenuation, offset shift, settling compression,
-        overhead) stay, mirroring a nominal post-layout SPICE run.
-        """
-        row = self._metrics_from_rows(np.zeros((1, self._stride)))[0]
-        return SarADCMetrics(*[float(x) for x in row])
-
     def convert_record(self, die_seed: int, vin) -> np.ndarray:
         """Noise-free conversion of an arbitrary input record on one die.
 
         Exposes the die's real mismatched transfer function (comparator
         offset included) for code-transition and linearity tests.
         """
-        die_rng = np.random.default_rng(np.random.SeedSequence(int(die_seed)))
-        z = die_rng.standard_normal(self._stride)[None, :]
+        z = self._die_row(die_seed)
         b = self.design.n_bits
         weights = self._dac_weights(z[:, : b + 1])
         offset = (
@@ -260,71 +265,48 @@ class SarADC:
         vcmp = np.asarray(vin, dtype=float).ravel()[None, :] + offset
         return self._convert(weights, vcmp)[0].astype(int)
 
-    # ------------------------------------------------------------------
-    #: Dies per vectorized sweep; the (dies, conversions) SAR planes stay
-    #: cache-friendly at this size.
-    _PIPELINE_CHUNK = 64
 
-    def simulate_batch(
-        self,
-        die_seeds,
-        engine: str = "vectorized",
-        memory_budget_mb: float = 512.0,
-        n_jobs: Optional[int] = None,
-    ) -> np.ndarray:
-        """Metrics matrix ``(len(die_seeds), 5)`` in metric-name order.
+#: Stepping passes before the still-inconsistent entries are bisected.
+_MAX_STEPS = 3
 
-        Same seam as the flash ADC: ``engine="vectorized"`` (default)
-        runs whole die chunks through the SAR search at once,
-        ``engine="loop"`` is the per-die reference path; ``n_jobs``
-        shards the bank across forked workers order-preservingly.
-        """
-        seeds = np.atleast_1d(np.asarray(die_seeds, dtype=np.int64))
-        if seeds.size == 0:
-            raise SimulationError("simulate_batch requires at least one die seed")
-        if engine == "loop":
-            return np.array([self.simulate(int(s)).as_array() for s in seeds])
-        if engine != "vectorized":
-            raise SimulationError(
-                f"unknown simulate_batch engine {engine!r} (use 'vectorized' or 'loop')"
-            )
-        from repro.experiments.parallel import (
-            fork_available,
-            replicate,
-            resolve_n_jobs,
-        )
 
-        jobs = min(resolve_n_jobs(n_jobs), seeds.size)
-        if jobs > 1 and fork_available():
-            shards = [s for s in np.array_split(seeds, jobs) if s.size]
-            parts = replicate(
-                lambda shard: self._simulate_chunked(shard, memory_budget_mb),
-                shards,
-                n_jobs=jobs,
-            )
-            return np.vstack(parts)
-        return self._simulate_chunked(seeds, memory_budget_mb)
+def _read_staircase(theta: np.ndarray, v: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """Codes ``c`` with ``theta[d, c] <= v[d, k] < theta[d, c + 1]``.
 
-    def _simulate_chunked(
-        self, seeds: np.ndarray, memory_budget_mb: float
-    ) -> np.ndarray:
-        """Run the vectorized engine in memory-bounded die chunks."""
-        if memory_budget_mb <= 0.0:
-            raise SimulationError(
-                f"memory_budget_mb must be positive, got {memory_budget_mb}"
-            )
-        design = self.design
-        # Per-die working set: the (n_samples,) SAR planes (vcmp, acc,
-        # trial, bit, code) plus the FFT of the record, in float64.
-        per_die = design.n_samples * 8 * 8
-        budget_rows = int(memory_budget_mb * 2**20 // per_die)
-        chunk = max(1, min(self._PIPELINE_CHUNK, budget_rows))
-        bank = die_draw_bank(seeds, self._stride)
-        if seeds.size <= chunk:
-            return self._metrics_from_rows(bank)
-        return np.vstack(
-            [
-                self._metrics_from_rows(bank[start : start + chunk])
-                for start in range(0, seeds.size, chunk)
-            ]
-        )
+    ``theta`` is ``(n, m + 1)``, non-decreasing along each row between its
+    NaN pads; ``guess`` is an integer first guess per entry.  Each pass
+    steps the inconsistent entries one code toward consistency (a step
+    never reverses, because ``theta`` is non-decreasing) and revisits only
+    those, so a good guess costs one full pass.  Entries still off after
+    :data:`_MAX_STEPS` passes (a die with missing codes can leave the
+    guess far off) are bisected over their whole row instead.
+    """
+    n, width = theta.shape
+    flat = theta.ravel()
+    row_start = (np.arange(n) * width)[:, None]
+    idx = (guess + row_start).ravel()
+    vf = v.ravel()
+    step = (vf >= flat[idx + 1]).view(np.int8) - (vf < flat[idx]).view(np.int8)
+    active = np.flatnonzero(step)
+    for _ in range(_MAX_STEPS):
+        if not active.size:
+            break
+        idx[active] += step[active]
+        at, va = idx[active], vf[active]
+        moved = (va >= flat[at + 1]).view(np.int8) - (va < flat[at]).view(np.int8)
+        keep = moved != 0
+        active = active[keep]
+        step[active] = moved[keep]
+    if active.size:
+        # Largest c in [0, m) with v >= theta[c] (theta[0] is a NaN pad).
+        va = vf[active]
+        lo = np.zeros(active.size, dtype=np.int64)
+        hi = np.full(active.size, width - 2)
+        first = np.repeat(row_start.ravel(), v.shape[1])[active]
+        while np.any(lo < hi):
+            mid = (lo + hi + 1) // 2
+            above = va >= flat[first + mid]
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid - 1)
+        idx[active] = first + lo
+    return idx.reshape(v.shape) - row_start

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.circuits.dies import die_draw_bank
 from repro.circuits.r2r_dac import (
     R2R_DAC_METRIC_NAMES,
     R2RDACDesign,
     R2RLadderDAC,
 )
+from repro.circuits.variants import scale_divergence
+
+from .die_seed_oracles import max_rel_diff, oracle_deviation, r2r_levels_all_codes
 
 #: Mismatch-free, switchless design: the solved ladder must collapse to
 #: the textbook binary divider exactly (up to float round-off).
@@ -97,3 +101,35 @@ class TestBatchEquivalence:
         dac = R2RLadderDAC.schematic(R2RDACDesign(n_bits=8))
         row = dac.simulate_batch([7], engine="vectorized")[0]
         assert np.allclose(row, dac.simulate(7).as_array(), rtol=1e-12, atol=0.0)
+
+
+def _severe(n_bits):
+    """Post-layout stage at the fleet's ``severe`` divergence (1.5x)."""
+    late = R2RLadderDAC.post_layout(R2RDACDesign(n_bits=n_bits))
+    return R2RLadderDAC(
+        late.design,
+        scale_divergence(late.layout, 1.5, pivot_one=("mismatch_inflation",)),
+    )
+
+
+class TestOracle:
+    """The superposition solve against the per-code Thomas solve."""
+
+    @pytest.mark.parametrize("n_bits", range(4, 13))
+    @pytest.mark.parametrize("stage", ["schematic", "post_layout", "severe"])
+    def test_metrics_match_per_code_solve(self, n_bits, stage):
+        if stage == "severe":
+            dac = _severe(n_bits)
+        else:
+            dac = getattr(R2RLadderDAC, stage)(R2RDACDesign(n_bits=n_bits))
+        assert oracle_deviation(dac, np.arange(48) + 1000 * n_bits) <= 1e-10
+
+    @pytest.mark.parametrize("n_bits", [4, 8, 12])
+    def test_levels_and_reference_current_match(self, n_bits):
+        dac = _severe(n_bits)
+        z = die_draw_bank(np.arange(8), dac._stride)
+        conductances = dac._conductances(z)
+        levels, i_ref = dac._ladder_levels(*conductances)
+        ref_levels, ref_i = r2r_levels_all_codes(*conductances, dac.design.vref)
+        assert np.max(np.abs(levels - ref_levels)) <= 1e-12 * dac.design.vref
+        assert max_rel_diff(i_ref, ref_i) <= 1e-12

@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.circuits.sar_adc import SAR_ADC_METRIC_NAMES, SarADC, SarADCDesign
+from repro.circuits.batch import code_levels
+from repro.circuits.sar_adc import (
+    SAR_ADC_METRIC_NAMES,
+    SarADC,
+    SarADCDesign,
+    _read_staircase,
+)
+from repro.exceptions import SimulationError
+
+from .die_seed_oracles import oracle_deviation, sar_trial_codes
 
 #: Mismatch- and noise-free converter: successive approximation against
 #: an ideal binary CDAC must quantise exactly like floor(vin / LSB).
@@ -76,3 +86,87 @@ class TestBatchEquivalence:
         adc = SarADC.schematic(SarADCDesign(n_bits=8, n_samples=256, n_cycles=17))
         row = adc.simulate_batch([11], engine="vectorized")[0]
         assert np.allclose(row, adc.simulate(11).as_array(), rtol=1e-12, atol=0.0)
+
+
+def _random_weights(rng, n_dies, n_bits, sigma):
+    """Binary weights with heavy mismatch: non-monotone DACs, and zeroed
+    bits (missing codes) on some dies."""
+    weights = np.exp2(np.arange(n_bits)) * (
+        1.0 + sigma * rng.standard_normal((n_dies, n_bits))
+    )
+    weights[rng.random((n_dies, n_bits)) < 0.1] = 0.0
+    weights = np.maximum(weights, 0.0)
+    return weights / (np.exp2(n_bits) * rng.uniform(0.9, 1.1, (n_dies, 1)))
+
+
+class TestStaircaseOracle:
+    """The staircase lookup against the bit-by-bit trial loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_bits=st.integers(min_value=4, max_value=14),
+        sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_codes_match_trial_loop(self, n_bits, sigma, seed):
+        rng = np.random.default_rng(seed)
+        adc = SarADC.schematic(SarADCDesign(n_bits=n_bits))
+        vref = adc.design.vref
+        weights = _random_weights(rng, 3, n_bits, sigma)
+        # Random inputs, plus every code's exact trip level and its float
+        # neighbours, where an off-by-one comparison would show.
+        trips = code_levels(weights) * vref
+        vcmp = np.hstack(
+            [
+                rng.uniform(-0.1 * vref, 1.1 * vref, (3, 200)),
+                trips,
+                np.nextafter(trips, -np.inf),
+                np.nextafter(trips, np.inf),
+                np.full((3, 2), [-np.inf, np.inf]),
+            ]
+        )
+        codes = adc._convert(weights, vcmp)
+        assert np.array_equal(codes, sar_trial_codes(weights, vcmp, vref))
+
+    @pytest.mark.parametrize("n_bits", [4, 8, 10, 12, 14])
+    @pytest.mark.parametrize("stage", ["schematic", "post_layout"])
+    def test_metrics_bit_identical_to_trial_loop(self, n_bits, stage):
+        adc = getattr(SarADC, stage)(
+            SarADCDesign(n_bits=n_bits, n_samples=512, n_cycles=37)
+        )
+        assert oracle_deviation(adc, np.arange(40) + n_bits) == 0.0
+
+    def test_negative_weight_raises(self):
+        adc = SarADC.schematic(SarADCDesign(n_bits=6))
+        weights = np.full((2, 6), 0.01)
+        weights[1, 2] = -1e-3
+        with pytest.raises(SimulationError, match="negative bit weight"):
+            adc._convert(weights, np.zeros((2, 4)))
+
+    def test_negative_weight_die_raises_in_batch(self):
+        # Unit-cap sigma of 3 drives some die's LSB capacitor negative.
+        adc = SarADC.schematic(
+            SarADCDesign(n_bits=6, sigma_cap_unit_rel=3.0, n_samples=64, n_cycles=7)
+        )
+        with pytest.raises(SimulationError, match="negative bit weight"):
+            adc.simulate_batch(np.arange(16))
+
+    @pytest.mark.parametrize("guess", ["exact", "near", "random"])
+    def test_read_staircase_matches_searchsorted(self, guess):
+        """Stepping (near guesses) and bisection (far ones) read the same
+        codes, across a long flat run (a missing-code span)."""
+        rng = np.random.default_rng(7)
+        n_codes = 256
+        theta = np.full((4, n_codes + 1), np.nan)
+        theta[:, 1:n_codes] = np.sort(rng.uniform(0.0, 1.0, (4, n_codes - 1)), axis=1)
+        theta[:, 1:40] = theta[:, 1:2]
+        v = rng.uniform(-0.1, 1.1, (4, 500))
+        expected = np.array(
+            [np.searchsorted(theta[d, 1:n_codes], v[d], side="right") for d in range(4)]
+        )
+        start = {
+            "exact": expected,
+            "near": np.clip(expected + rng.integers(-2, 3, v.shape), 0, n_codes - 1),
+            "random": rng.integers(0, n_codes, v.shape),
+        }[guess]
+        assert np.array_equal(_read_staircase(theta, v, start), expected)
