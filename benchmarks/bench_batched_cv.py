@@ -1,69 +1,74 @@
-"""Batched vs loop CV kernel: the speedup that motivated repro.linalg.batched.
+"""CV hyper-parameter search scored from fold sufficient statistics.
 
-Times the full two-dimensional hyper-parameter search (d=5, the paper's
-12x12 default grid, Q=4 folds) through both scorers on identical folds and
-asserts they return the same winner and the same score surface.  The
-speedup table is also written by ``scripts/bench_cv.py`` to ``BENCH_cv.json``
-for tracking across revisions.
+Times the full two-dimensional search (d=5, the paper's 12x12 default
+grid, Q=4 folds) and asserts, at every benchmarked n, that it returns the
+same winner and score surface (``1e-10``) as the per-candidate loop
+oracle in ``tests/core/cv_oracles.py``.  ``scripts/bench_cv.py`` writes
+the per-n time table to ``BENCH_cv.json`` for tracking across revisions.
 """
+
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _bench_util import emit
 from repro.core.crossval import TwoDimensionalCV
+from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
 from repro.stats.multivariate_gaussian import MultivariateGaussian
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.core.cv_oracles import cv_loop_select, max_rel_deviation  # noqa: E402
+
 D = 5
-N_SAMPLES = 32
 N_FOLDS = 4
 
 
-@pytest.fixture(scope="module")
-def problem():
+def _problem(n_samples):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((D, D))
     sigma = a @ a.T + D * np.eye(D)
     truth = MultivariateGaussian(rng.standard_normal(D), sigma)
     prior = PriorKnowledge(truth.mean + 0.05, sigma * 1.1)
-    return prior, truth.sample(N_SAMPLES, rng)
+    return prior, truth.sample(n_samples, rng)
 
 
-def _select(prior, data, scoring):
-    cv = TwoDimensionalCV(prior, n_folds=N_FOLDS, scoring=scoring)
+def _select(prior, data):
+    cv = TwoDimensionalCV(prior, n_folds=N_FOLDS)
     return cv.select(data, rng=np.random.default_rng(1))
 
 
-def test_cv_batched_speed(benchmark, problem):
-    prior, data = problem
-    result = benchmark(_select, prior, data, "batched")
+def test_cv_select_speed(benchmark):
+    prior, data = _problem(32)
+    result = benchmark(_select, prior, data)
     assert result.scores.shape == (12, 12)
 
 
-def test_cv_loop_speed(benchmark, problem):
-    prior, data = problem
-    result = benchmark(_select, prior, data, "loop")
-    assert result.scores.shape == (12, 12)
+@pytest.fixture(scope="module")
+def sizes(scale):
+    return (16, 32) if scale.label == "smoke" else (32, 256, 1024)
 
 
-def test_cv_scorers_equivalent(problem):
-    """The two paths must agree before any timing is meaningful."""
-    import time
+def test_cv_scorer_matches_oracle(sizes):
+    """The scorer must agree with the oracle before any timing is meaningful."""
+    grid = HyperParameterGrid.paper_default(D)
+    for n in sizes:
+        prior, data = _problem(n)
+        t0 = time.perf_counter()
+        got = _select(prior, data)
+        t1 = time.perf_counter()
+        want = cv_loop_select(prior, grid, data, N_FOLDS, rng=np.random.default_rng(1))
+        t2 = time.perf_counter()
 
-    prior, data = problem
-    t0 = time.perf_counter()
-    batched = _select(prior, data, "batched")
-    t1 = time.perf_counter()
-    loop = _select(prior, data, "loop")
-    t2 = time.perf_counter()
-
-    assert batched.kappa0 == loop.kappa0 and batched.v0 == loop.v0
-    np.testing.assert_allclose(batched.scores, loop.scores, rtol=1e-10, atol=1e-10)
-
-    speedup = (t2 - t1) / max(t1 - t0, 1e-12)
-    emit(
-        "CV search (d=%d, 12x12 grid, Q=%d): loop %.1f ms, batched %.1f ms "
-        "-> %.1fx (single run; see scripts/bench_cv.py for best-of-N)"
-        % (D, N_FOLDS, (t2 - t1) * 1e3, (t1 - t0) * 1e3, speedup)
-    )
+        assert (got.kappa0, got.v0) == (want.kappa0, want.v0)
+        dev = max_rel_deviation(got.scores, want.scores)
+        assert dev <= 1e-10
+        emit(
+            "CV search (n=%d, d=%d, 12x12 grid, Q=%d): select %.2f ms, "
+            "loop oracle %.1f ms, max rel dev %.1e (single run; see "
+            "scripts/bench_cv.py for best-of-N)"
+            % (n, D, N_FOLDS, (t1 - t0) * 1e3, (t2 - t1) * 1e3, dev)
+        )

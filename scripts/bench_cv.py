@@ -1,20 +1,26 @@
 #!/usr/bin/env python
-"""Microbenchmark the CV hyper-parameter search: loop vs batched kernel.
+"""Benchmark the CV hyper-parameter search against its per-candidate oracle.
 
-Runs the full two-dimensional search (Sec. 4.2) through both scorers on the
-same problem and folds, verifies they agree, and writes the timing summary
-to ``BENCH_cv.json`` at the repository root so regressions are visible in
-review diffs.
+Times ``TwoDimensionalCV.select`` (Sec. 4.2: d = 5, 12x12 grid, Q = 4) at
+n = 32, 256 and 1024 late-stage samples.  At every n the score surface
+and the winner are checked against the per-candidate loop oracle in
+``tests/core/cv_oracles.py`` before any time is reported, and the timing
+summary is appended to ``BENCH_cv.json`` at the repository root.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/bench_cv.py [--dim 5] [--grid 12]
-        [--n-samples 32] [--n-folds 4] [--repeats 5] [--out BENCH_cv.json]
+        [--n-samples 32 256 1024] [--n-folds 4] [--repeats 5]
+        [--baseline FILE] [--out BENCH_cv.json]
+
+    # time another source tree's select (no oracle, no write)
+    PYTHONPATH=/path/to/other/src python scripts/bench_cv.py --timings-only > FILE
+
+``--baseline FILE`` stores such timings (e.g. of the parent commit) in
+the entry as ``results["baseline"]``, next to this tree's.
 
 Times are best-of-``--repeats`` wall clock, which filters scheduler noise
-on shared machines.
-
-``BENCH_cv.json`` is an append-only trajectory (see
+on shared machines.  ``BENCH_cv.json`` is an append-only trajectory (see
 :mod:`repro.bench.trajectory`): every run adds a timestamped entry to the
 ``history`` array instead of overwriting the previous numbers.
 """
@@ -22,6 +28,8 @@ on shared machines.
 from __future__ import annotations
 
 import argparse
+import json
+import sys
 import time
 from pathlib import Path
 
@@ -32,6 +40,11 @@ from repro.core.crossval import TwoDimensionalCV
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
 from repro.stats.multivariate_gaussian import MultivariateGaussian
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Largest relative score deviation from the oracle that may be reported.
+ORACLE_RTOL = 1e-10
 
 
 def build_problem(dim: int, n_samples: int, seed: int = 0):
@@ -52,45 +65,71 @@ def best_of(fn, repeats: int) -> tuple[float, object]:
     return best, result
 
 
+def time_select(args, oracle: bool = True) -> dict:
+    """Best-of time of ``select`` at every ``--n-samples``, keyed by n."""
+    if oracle:
+        if str(REPO_ROOT) not in sys.path:
+            sys.path.insert(0, str(REPO_ROOT))
+        from tests.core.cv_oracles import cv_loop_select, max_rel_deviation
+
+    grid = HyperParameterGrid.paper_default(args.dim, n_kappa=args.grid, n_v=args.grid)
+    rows = {}
+    for n in args.n_samples:
+        prior, data = build_problem(args.dim, n, args.seed)
+        cv = TwoDimensionalCV(prior, grid, n_folds=args.n_folds)
+        seconds, result = best_of(
+            lambda: cv.select(data, rng=np.random.default_rng(1)), args.repeats
+        )
+        row = {"select_s": round(seconds, 6)}
+        if oracle:
+            want = cv_loop_select(
+                prior, grid, data, args.n_folds, rng=np.random.default_rng(1)
+            )
+            row["max_oracle_dev"] = max_rel_deviation(result.scores, want.scores)
+            row["winner_matches"] = (result.kappa0, result.v0) == (want.kappa0, want.v0)
+            row["selected"] = {"kappa0": result.kappa0, "v0": result.v0}
+        rows[str(n)] = row
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dim", type=int, default=5)
     parser.add_argument("--grid", type=int, default=12, help="grid points per axis")
-    parser.add_argument("--n-samples", type=int, default=32)
+    parser.add_argument("--n-samples", type=int, nargs="+", default=[32, 256, 1024])
     parser.add_argument("--n-folds", type=int, default=4)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_cv.json",
+        "--timings-only",
+        action="store_true",
+        help="print the per-n select times as JSON; no oracle, no write",
     )
+    parser.add_argument(
+        "--baseline",
+        type=Path,
+        help="--timings-only output of another tree, stored as results['baseline']",
+    )
+    parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_cv.json")
     args = parser.parse_args()
 
-    prior, data = build_problem(args.dim, args.n_samples, args.seed)
-    grid = HyperParameterGrid.paper_default(
-        args.dim, n_kappa=args.grid, n_v=args.grid
-    )
+    if args.timings_only:
+        print(json.dumps(time_select(args, oracle=False)))
+        return
 
-    def run(scoring):
-        cv = TwoDimensionalCV(prior, grid, n_folds=args.n_folds, scoring=scoring)
-        return cv.select(data, rng=np.random.default_rng(1))
+    rows = time_select(args)
+    for n, row in rows.items():
+        if not row["winner_matches"]:
+            raise SystemExit(
+                f"n={n}: scorer and oracle disagree on the winner -- refusing to report"
+            )
+        if row["max_oracle_dev"] > ORACLE_RTOL:
+            raise SystemExit(
+                f"n={n}: score surface diverges from the oracle "
+                f"(max rel dev = {row['max_oracle_dev']:g}) -- refusing to report"
+            )
 
-    loop_s, loop_result = best_of(lambda: run("loop"), args.repeats)
-    batched_s, batched_result = best_of(lambda: run("batched"), args.repeats)
-
-    max_abs_diff = float(np.max(np.abs(batched_result.scores - loop_result.scores)))
-    if batched_result.kappa0 != loop_result.kappa0 or (
-        batched_result.v0 != loop_result.v0
-    ):
-        raise SystemExit("scorers disagree on the winner -- refusing to report")
-    if max_abs_diff > 1e-9 * max(1.0, float(np.abs(loop_result.scores).max())):
-        raise SystemExit(
-            f"score surfaces diverge (max |diff| = {max_abs_diff:g}) -- "
-            "refusing to report"
-        )
-
-    speedup = round(loop_s / batched_s, 2)
+    baseline = json.loads(args.baseline.read_text()) if args.baseline else None
     append_entry(
         args.out,
         "cv",
@@ -102,21 +141,16 @@ def main() -> None:
             "repeats": args.repeats,
             "seed": args.seed,
         },
-        results={
-            "loop_s": round(loop_s, 6),
-            "batched_s": round(batched_s, 6),
-            "speedup": speedup,
-            "max_abs_score_diff": max_abs_diff,
-            "selected": {
-                "kappa0": batched_result.kappa0,
-                "v0": batched_result.v0,
-            },
-        },
+        results={"select": rows, **({"baseline": baseline} if baseline else {})},
     )
-    print(
-        f"loop {loop_s * 1e3:.1f} ms | batched {batched_s * 1e3:.1f} ms | "
-        f"speedup {speedup}x | max |score diff| {max_abs_diff:.2e}"
-    )
+    for n, row in rows.items():
+        before = ""
+        if baseline and n in baseline:
+            before = f" (baseline {baseline[n]['select_s'] * 1e3:.2f} ms)"
+        print(
+            f"n={n}: select {row['select_s'] * 1e3:.2f} ms{before} | "
+            f"max oracle dev {row['max_oracle_dev']:.1e}"
+        )
     print(f"wrote {args.out}")
 
 

@@ -9,17 +9,27 @@ likelihood function value indicates more accurate estimation" (Sec. 4.2).
 
 Implementation notes
 --------------------
-The fold statistics (mean, scatter) are computed once per fold and reused
-across all grid candidates.  The default ``"batched"`` scorer then exploits
-that Eq. (31)–(32) are *affine* in those statistics: the MAP covariances of
-every grid candidate and fold are assembled as one ``(Q * |grid|, d, d)``
-stack by broadcasting, factorised by a single batched Cholesky (with a
-vectorised jitter/eigenvalue-clip repair ladder for the non-SPD
-stragglers), and every held-out fold is scored with batched triangular
-solves — no Python-level per-candidate work at all.  The ``"loop"`` scorer
-keeps the original one-``MultivariateGaussian``-per-candidate formulation
-as the reference implementation; the equivalence suite pins the two to
-``1e-10`` agreement.
+The search runs on per-fold sufficient statistics, so the cost of scoring
+does not grow with ``n``:
+
+* Eq. (31)–(32) are affine in the training statistics ``(n, Xbar, S)``,
+  so the MAP moments of every fold and grid candidate are one
+  ``(Q, K, V, d, d)`` broadcast, factorised by a single batched Cholesky
+  (with a jitter/eigenvalue-clip repair ladder for non-SPD stragglers).
+* Eq. (9) summed over a held-out fold needs only ``(n_t, xbar_t, S_t)``.
+  With ``Sigma = L L^T`` and ``R^T R = S_t``,
+  ``sum_i ||L^-1 (x_i - mu)||^2 = ||L^-1 R^T||_F^2 + n_t ||L^-1 (xbar_t - mu)||^2``.
+  ``R`` comes from a QR of the fold's centred rows, which also covers
+  ``n_t <= d``, and has at most ``d`` rows.  One triangular solve over
+  at most ``d + 1`` right-hand sides then scores every candidate of
+  every fold.
+
+A candidate whose covariance is irreparable in any fold scores ``-inf``;
+when every candidate does, :meth:`TwoDimensionalCV.select` raises
+:class:`~repro.exceptions.HyperParameterError` instead of returning an
+arbitrary grid corner.  The per-candidate ``MultivariateGaussian``
+formulation lives on in the test suite as the oracle this scorer is
+pinned to (``1e-10``).
 
 Determinism contract
 --------------------
@@ -35,25 +45,39 @@ generator all the way through (``ErrorSweep`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import HyperParameterError, InsufficientDataError, NotSPDError
+from repro.exceptions import HyperParameterError, InsufficientDataError
 from repro.linalg.batched import (
     cholesky_batched_safe,
     logdet_batched,
     solve_triangular_batched,
 )
-from repro.linalg.validation import as_samples, clip_eigenvalues
-from repro.stats.multivariate_gaussian import _LOG_2PI, MultivariateGaussian
+from repro.linalg.validation import as_samples
+from repro.stats.multivariate_gaussian import _LOG_2PI
 
 __all__ = ["CrossValidationResult", "TwoDimensionalCV", "make_folds"]
 
-#: Per-fold sufficient statistics: ``(n_train, xbar, scatter, test_rows)``.
-FoldStats = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
+
+class FoldStats(NamedTuple):
+    """Sufficient statistics of the ``Q`` train/held-out splits, stacked.
+
+    ``n_train`` and ``n_test`` are ``(Q,)``; ``xbar`` and ``xbar_test``
+    are ``(Q, d)``; ``scatter`` is the ``(Q, d, d)`` training scatter
+    ``S``; ``root`` is ``(Q, k, d)`` with ``root[q]^T root[q]`` the
+    scatter of held-out fold ``q`` (``k = min(max n_t, d)``).
+    """
+
+    n_train: np.ndarray
+    xbar: np.ndarray
+    scatter: np.ndarray
+    n_test: np.ndarray
+    xbar_test: np.ndarray
+    root: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,11 +157,6 @@ class TwoDimensionalCV:
     n_folds:
         Requested ``Q``; automatically reduced to ``n`` when fewer samples
         than folds are supplied (leave-one-out at the extreme).
-    scoring:
-        ``"batched"`` (default) scores the whole grid with one batched
-        Cholesky over the ``(Q * |grid|, d, d)`` candidate stack;
-        ``"loop"`` is the original per-candidate reference implementation.
-        The two agree to ``1e-10``.
     """
 
     def __init__(
@@ -145,7 +164,6 @@ class TwoDimensionalCV:
         prior: PriorKnowledge,
         grid: Optional[HyperParameterGrid] = None,
         n_folds: int = 4,
-        scoring: str = "batched",
     ) -> None:
         self.prior = prior
         self.grid = grid if grid is not None else HyperParameterGrid.paper_default(prior.dim)
@@ -156,15 +174,16 @@ class TwoDimensionalCV:
         if n_folds < 2:
             raise ValueError(f"n_folds must be >= 2, got {n_folds}")
         self.n_folds = int(n_folds)
-        if scoring not in ("batched", "loop"):
-            raise ValueError(f"scoring must be 'batched' or 'loop', got {scoring!r}")
-        self.scoring = scoring
 
     # ------------------------------------------------------------------
     def select(
         self, samples, rng: Optional[np.random.Generator] = None
     ) -> CrossValidationResult:
-        """Run the full two-dimensional search and return the winner."""
+        """Run the full two-dimensional search and return the winner.
+
+        Raises :class:`~repro.exceptions.HyperParameterError` when no grid
+        candidate has a usable covariance in every fold.
+        """
         data = as_samples(samples)
         n, d = data.shape
         if d != self.prior.dim:
@@ -174,23 +193,11 @@ class TwoDimensionalCV:
         if n < 2:
             raise InsufficientDataError("cross validation needs at least 2 samples")
         q = min(self.n_folds, n)
-        folds = make_folds(n, q, rng)
-        fold_stats = [self._train_test_stats(data, fold) for fold in folds]
+        scores = self._score_grid(_fold_stats(data, make_folds(n, q, rng)))
 
         kappas = self.grid.kappa0_values
         vs = self.grid.v0_values
-        if self.scoring == "batched":
-            scores = self._score_grid_batched(fold_stats)
-        else:
-            scores = np.full((kappas.size, vs.size), -np.inf)
-            for i, kappa0 in enumerate(kappas):
-                for j, v0 in enumerate(vs):
-                    scores[i, j] = self._score_candidate(
-                        fold_stats, float(kappa0), float(v0)
-                    )
-
-        best_flat = int(np.argmax(scores))
-        bi, bj = np.unravel_index(best_flat, scores.shape)
+        bi, bj = np.unravel_index(int(np.argmax(scores)), scores.shape)
         return CrossValidationResult(
             kappa0=float(kappas[bi]),
             v0=float(vs[bj]),
@@ -202,140 +209,108 @@ class TwoDimensionalCV:
         )
 
     # ------------------------------------------------------------------
-    def _train_test_stats(
-        self, data: np.ndarray, test_idx: np.ndarray
-    ) -> FoldStats:
-        """Per-fold sufficient statistics reused by every grid candidate.
+    def _map_moments(self, stats: FoldStats) -> Tuple[np.ndarray, np.ndarray]:
+        """MAP moments (Eq. 31–32) of every fold and grid candidate.
 
-        Returns ``(n_train, xbar_train, scatter_train, test_rows)``.
+        ``numerator[q, k, v] = (v0[v] - d) Sigma_E + S_q + c[q, k] *
+        outer_q`` with ``c = kappa0 n / (kappa0 + n)``.  Returns
+        ``(mu, sigma)`` of shapes ``(Q, K, d)`` and ``(Q, K, V, d, d)``.
+        Overflow is not an error here: a non-finite member fails the
+        Cholesky and its candidate scores ``-inf``.
         """
-        n = data.shape[0]
-        mask = np.ones(n, dtype=bool)
-        mask[test_idx] = False
-        train = data[mask]
-        test = data[~mask]
-        n_train = train.shape[0]
-        if n_train == 0:
-            raise InsufficientDataError("a training fold is empty; reduce n_folds")
-        xbar = train.mean(axis=0)
-        centered = train - xbar
-        scatter = centered.T @ centered
-        scatter = (scatter + scatter.T) / 2.0
-        return n_train, xbar, scatter, test
-
-    # ------------------------------------------------------------------
-    # batched scorer (the default)
-    # ------------------------------------------------------------------
-    def _assemble_fold_stack(
-        self, stats: FoldStats
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """MAP moments of *every* grid candidate for one fold, by broadcast.
-
-        Eq. (31)–(32) are affine in the fold statistics, so the full
-        ``(K, V)`` candidate block is a rank-one broadcast:
-        ``numerator[k, v] = (v0[v] - d) Sigma_E + S + c[k] * outer`` with
-        ``c[k] = kappa0[k] n / (kappa0[k] + n)``.  Returns
-        ``(mu_stack, sigma_stack)`` flattened to ``(K * V, d)`` and
-        ``(K * V, d, d)`` in C order (v0 fastest), matching the loop
-        scorer's iteration order.
-        """
-        n_train, xbar, scatter, _test = stats
         d = self.prior.dim
         mu_e = self.prior.mean
-        sigma_e = self.prior.covariance
         kappas = self.grid.kappa0_values
         vs = self.grid.v0_values
+        n_train = stats.n_train[:, None]  # (Q, 1)
 
-        diff = mu_e - xbar
-        outer = np.outer(diff, diff)
-        c = kappas * n_train / (kappas + n_train)  # (K,)
-        base = (vs[:, None, None] - d) * sigma_e + scatter  # (V, d, d)
-        numerator = base[None, :, :, :] + c[:, None, None, None] * outer
-        sigma = numerator / (vs[None, :, None, None] + n_train - d)
-        sigma = (sigma + np.swapaxes(sigma, -1, -2)) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = mu_e - stats.xbar
+            outer = diff[:, :, None] * diff[:, None, :]  # (Q, d, d)
+            c = kappas * n_train / (kappas + n_train)  # (Q, K)
+            base = (vs[:, None, None] - d) * self.prior.covariance  # (V, d, d)
+            base = base[None] + stats.scatter[:, None]  # (Q, V, d, d)
+            numerator = base[:, None] + c[:, :, None, None, None] * outer[:, None, None]
+            sigma = numerator / (vs + n_train - d)[:, None, :, None, None]
+            sigma = (sigma + np.swapaxes(sigma, -1, -2)) / 2.0
+            mu = (kappas[:, None] * mu_e + n_train[:, :, None] * stats.xbar[:, None]) / (
+                kappas + n_train
+            )[:, :, None]
+        return mu, sigma
 
-        mu = (kappas[:, None] * mu_e + n_train * xbar) / (kappas + n_train)[:, None]
-        mu_stack = np.broadcast_to(
-            mu[:, None, :], (kappas.size, vs.size, d)
-        ).reshape(-1, d)
-        return mu_stack, sigma.reshape(-1, d, d)
+    def _score_grid(self, stats: FoldStats) -> np.ndarray:
+        """Average held-out log-likelihood of every ``(K, V)`` candidate.
 
-    def _score_grid_batched(self, fold_stats: Sequence[FoldStats]) -> np.ndarray:
-        """Score the whole ``(K, V)`` grid with one batched Cholesky.
-
-        The candidate covariances of all folds are stacked into a single
-        ``(Q * K * V, d, d)`` array and factorised together (with the
-        vectorised repair ladder); each held-out fold is then scored
-        against its slice with batched triangular solves.  Candidates whose
-        covariance is irreparable in *any* fold score ``-inf``, exactly as
-        the loop scorer short-circuits.
+        One batched Cholesky over the ``(Q, K, V)`` covariance stack and
+        one triangular solve against ``[R^T, xbar_t - mu]`` score every
+        fold at once.  Irreparable factors are swapped for the identity
+        (and their right-hand sides zeroed) so no division touches them;
+        their candidates score ``-inf``.
         """
         d = self.prior.dim
-        kappas = self.grid.kappa0_values
-        vs = self.grid.v0_values
-        block = kappas.size * vs.size
-
-        mus, sigmas = zip(*(self._assemble_fold_stack(s) for s in fold_stats))
+        mu, sigma = self._map_moments(stats)
+        q, nk, nv = sigma.shape[:3]
         chol, ok = cholesky_batched_safe(
-            np.concatenate(sigmas, axis=0), jitter_rel=1e-10, clip_floor_rel=1e-10
+            sigma.reshape(-1, d, d), jitter_rel=1e-10, clip_floor_rel=1e-10
         )
-        log_det = logdet_batched(chol)
-
-        total = np.zeros(block)
-        usable = np.ones(block, dtype=bool)
-        for q, stats in enumerate(fold_stats):
-            test = stats[3]
-            sel = slice(q * block, (q + 1) * block)
-            usable &= ok[sel]
-            diff = np.swapaxes(
-                test[None, :, :] - mus[q][:, None, :], -1, -2
-            )  # (block, d, n_test)
-            z = solve_triangular_batched(chol[sel], diff, lower=True)
-            maha = np.sum(z * z, axis=1)  # (block, n_test)
-            logpdf = -0.5 * (d * _LOG_2PI + log_det[sel][:, None] + maha)
-            # Average per-sample log-likelihood keeps folds of slightly
-            # different sizes comparable (same normalisation as the loop).
-            total += logpdf.sum(axis=1) / test.shape[0]
-        total /= len(fold_stats)
-        total[~usable] = -np.inf
-        return total.reshape(kappas.size, vs.size)
-
-    # ------------------------------------------------------------------
-    # loop scorer (reference implementation)
-    # ------------------------------------------------------------------
-    def _score_candidate(
-        self,
-        fold_stats: Sequence[FoldStats],
-        kappa0: float,
-        v0: float,
-    ) -> float:
-        """Average held-out log-likelihood of one ``(kappa0, v0)`` pair."""
-        d = self.prior.dim
-        mu_e = self.prior.mean
-        sigma_e = self.prior.covariance
-        total = 0.0
-        for n_train, xbar, scatter, test in fold_stats:
-            diff = mu_e - xbar
-            mu_map = (kappa0 * mu_e + n_train * xbar) / (kappa0 + n_train)
-            numerator = (
-                (v0 - d) * sigma_e
-                + scatter
-                + (kappa0 * n_train / (kappa0 + n_train)) * np.outer(diff, diff)
+        ok = ok.reshape(q, nk, nv)
+        usable = ok.all(axis=0)
+        if not usable.any():
+            raise HyperParameterError(
+                "every (kappa0, v0) candidate scores -inf: its MAP covariance "
+                "is non-finite or stays indefinite after jitter and eigenvalue "
+                "clipping in at least one fold"
             )
-            sigma_map = numerator / (v0 + n_train - d)
-            sigma_map = (sigma_map + sigma_map.T) / 2.0
-            try:
-                gaussian = MultivariateGaussian(mu_map, sigma_map)
-            except NotSPDError:
-                # Degenerate candidate (v0 -> d with a rank-deficient
-                # scatter): repair once, and if still singular score it out.
-                try:
-                    gaussian = MultivariateGaussian(
-                        mu_map, clip_eigenvalues(sigma_map, 1e-10)
-                    )
-                except NotSPDError:
-                    return -np.inf
-            # Average per-sample log-likelihood keeps folds of slightly
-            # different sizes comparable.
-            total += gaussian.loglik(test) / test.shape[0]
-        return total / len(fold_stats)
+        chol[~ok.ravel()] = np.eye(d)
+        log_det = logdet_batched(chol).reshape(q, nk, nv)
+
+        k = stats.root.shape[1]
+        rhs = np.empty((q, nk, nv, d, k + 1))
+        rhs[..., :k] = np.swapaxes(stats.root, -1, -2)[:, None, None]
+        rhs[..., k] = (stats.xbar_test[:, None, :] - mu)[:, :, None, :]
+        rhs[~ok] = 0.0
+        z = solve_triangular_batched(chol, rhs.reshape(-1, d, k + 1))
+        z = (z * z).reshape(q, nk, nv, d, k + 1)
+        n_test = stats.n_test[:, None, None]
+        maha = z[..., :k].sum(axis=(-2, -1)) + n_test * z[..., k].sum(axis=-1)
+        # Average per-sample log-likelihood keeps folds of slightly
+        # different sizes comparable.
+        fold_ll = -0.5 * (d * _LOG_2PI + log_det + maha / n_test)
+        scores = fold_ll.sum(axis=0) / q
+        scores[~usable] = -np.inf
+        return scores
+
+
+def _fold_stats(data: np.ndarray, folds: Sequence[np.ndarray]) -> FoldStats:
+    """Train and held-out statistics of every fold, reused by all candidates.
+
+    Raises :class:`~repro.exceptions.HyperParameterError` when they
+    overflow float64: every candidate would then score ``-inf``.
+    """
+    n, d = data.shape
+    n_test = np.array([fold.size for fold in folds], dtype=float)
+    xbar = np.empty((len(folds), d))
+    scatter = np.empty((len(folds), d, d))
+    xbar_test = np.empty((len(folds), d))
+    # Zero rows pad the folds to a common length without changing R^T R.
+    centred = np.zeros((len(folds), int(n_test.max()), d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, fold in enumerate(folds):
+            mask = np.ones(n, dtype=bool)
+            mask[fold] = False
+            train = data[mask]
+            xbar[i] = train.mean(axis=0)
+            dev = train - xbar[i]
+            s = dev.T @ dev
+            scatter[i] = (s + s.T) / 2.0
+            test = data[fold]
+            xbar_test[i] = test.mean(axis=0)
+            centred[i, : fold.size] = test - xbar_test[i]
+    if not (np.isfinite(scatter).all() and np.isfinite(centred).all()):
+        raise HyperParameterError(
+            "every (kappa0, v0) candidate scores -inf: the fold scatter "
+            f"overflows float64 (largest |sample| {np.abs(data).max():.3g}); "
+            "rescale the samples first"
+        )
+    root = np.linalg.qr(centred, mode="r")
+    return FoldStats(n - n_test, xbar, scatter, n_test, xbar_test, root)

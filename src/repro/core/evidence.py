@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import InsufficientDataError, NotSPDError
+from repro.exceptions import HyperParameterError, InsufficientDataError
 from repro.linalg.batched import cholesky_batched, logdet_batched
 from repro.linalg.validation import as_samples, cholesky_safe
 from repro.stats.multigamma import multigammaln
@@ -71,7 +71,8 @@ def log_evidence_grid(
       ``(|grid|, d, d)`` stack.
 
     Candidates whose ``T_n^{-1}`` is numerically indefinite (``v0 -> d``
-    with a rank-deficient scatter) score ``-inf`` instead of raising.
+    with a rank-deficient scatter) or overflows float64 score ``-inf``
+    instead of raising.
     Agrees with looping :func:`log_evidence` over the grid to floating
     point accuracy; returns a ``(|kappa0|, |v0|)`` array.
     """
@@ -84,22 +85,25 @@ def log_evidence_grid(
     kappas = grid.kappa0_values
     vs = grid.v0_values
 
-    xbar = data.mean(axis=0)
-    centered = data - xbar
-    scatter = centered.T @ centered
-    scatter = (scatter + scatter.T) / 2.0
-    diff = prior.mean - xbar
-    outer = np.outer(diff, diff)
-
     log_det_sigma_e = 2.0 * float(
         np.sum(np.log(np.diag(cholesky_safe(prior.covariance, "prior covariance"))))
     )
-    c = kappas * n / (kappas + n)  # (K,)
-    t_n_inv = (
-        ((vs[:, None, None] - d) * prior.covariance + scatter)[None]
-        + c[:, None, None, None] * outer
-    )  # (K, V, d, d)
+    # Overflow is not an error here: a non-finite T_n^{-1} fails the
+    # Cholesky and its candidate scores -inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = data.mean(axis=0)
+        centered = data - xbar
+        scatter = centered.T @ centered
+        scatter = (scatter + scatter.T) / 2.0
+        diff = prior.mean - xbar
+        outer = np.outer(diff, diff)
+        c = kappas * n / (kappas + n)  # (K,)
+        t_n_inv = (
+            ((vs[:, None, None] - d) * prior.covariance + scatter)[None]
+            + c[:, None, None, None] * outer
+        )  # (K, V, d, d)
     chol, ok = cholesky_batched(t_n_inv.reshape(-1, d, d))
+    chol[~ok] = np.eye(d)  # keeps log() off the all-zero failed factors
     log_det_t_n = -logdet_batched(chol).reshape(kappas.size, vs.size)
 
     log_det_t0 = -log_det_sigma_e - d * np.log(vs - d)  # (V,)
@@ -139,18 +143,14 @@ class EvidenceSelector:
     Drop-in alternative to
     :class:`~repro.core.crossval.TwoDimensionalCV`: same grid, same
     ``select`` signature (the ``rng`` argument is accepted but unused —
-    the evidence is deterministic).
-
-    ``scoring="batched"`` (default) evaluates the whole grid through
-    :func:`log_evidence_grid`; ``scoring="loop"`` keeps the original
-    one-posterior-per-candidate reference path.
+    the evidence is deterministic).  The whole grid is evaluated through
+    :func:`log_evidence_grid`.
     """
 
     def __init__(
         self,
         prior: PriorKnowledge,
         grid: Optional[HyperParameterGrid] = None,
-        scoring: str = "batched",
     ) -> None:
         self.prior = prior
         self.grid = grid if grid is not None else HyperParameterGrid.paper_default(prior.dim)
@@ -158,31 +158,28 @@ class EvidenceSelector:
             raise InsufficientDataError(
                 f"grid dim {self.grid.dim} does not match prior dim {prior.dim}"
             )
-        if scoring not in ("batched", "loop"):
-            raise ValueError(f"scoring must be 'batched' or 'loop', got {scoring!r}")
-        self.scoring = scoring
 
     def select(
         self, samples, rng: Optional[np.random.Generator] = None
     ) -> EvidenceResult:
-        """Score every grid candidate and return the evidence maximiser."""
+        """Score every grid candidate and return the evidence maximiser.
+
+        Raises :class:`~repro.exceptions.HyperParameterError` when every
+        candidate's log evidence is ``-inf``.
+        """
         data = as_samples(samples)
         if data.shape[0] < 2:
             raise InsufficientDataError("evidence selection needs at least 2 samples")
         kappas = self.grid.kappa0_values
         vs = self.grid.v0_values
-        if self.scoring == "batched":
-            scores = log_evidence_grid(self.prior, data, self.grid)
-        else:
-            scores = np.full((kappas.size, vs.size), -np.inf)
-            for i, kappa0 in enumerate(kappas):
-                for j, v0 in enumerate(vs):
-                    try:
-                        scores[i, j] = log_evidence(
-                            self.prior, data, float(kappa0), float(v0)
-                        )
-                    except NotSPDError:
-                        scores[i, j] = -np.inf
+        scores = log_evidence_grid(self.prior, data, self.grid)
+        if not np.isfinite(scores).any():
+            raise HyperParameterError(
+                "every (kappa0, v0) candidate has log evidence -inf: the "
+                "posterior scale matrix is non-finite or indefinite for all "
+                f"of them (largest |sample| {np.abs(data).max():.3g}); "
+                "rescale the samples first"
+            )
         bi, bj = np.unravel_index(int(np.argmax(scores)), scores.shape)
         return EvidenceResult(
             kappa0=float(kappas[bi]),

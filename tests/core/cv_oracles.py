@@ -1,0 +1,171 @@
+"""Per-candidate reference scorers for the (kappa0, v0) hyper-parameter search.
+
+:class:`~repro.core.crossval.TwoDimensionalCV` scores the whole grid from
+fold sufficient statistics in one batched factorisation, and
+:class:`~repro.core.evidence.EvidenceSelector` evaluates the evidence of
+the whole grid in one batched pass.  These are the formulations they
+replaced, kept as oracles:
+
+* :func:`cv_loop_select` builds one ``MultivariateGaussian`` per
+  candidate and fold and scores the held-out rows one by one (with the
+  same repair order: plain Cholesky with one jitter retry, then an
+  eigenvalue clip, else ``-inf``);
+* :func:`evidence_loop_select` calls :func:`repro.core.evidence.log_evidence`
+  once per candidate.
+
+Both return the same result types as the production selectors.  Unlike
+them, they return a ``-inf`` grid instead of raising when no candidate is
+usable.  ``scripts/bench_cv.py`` imports this module to check the
+production scorer before it reports a time.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.crossval import CrossValidationResult, make_folds
+from repro.core.evidence import EvidenceResult, log_evidence
+from repro.core.hypergrid import HyperParameterGrid
+from repro.core.prior import PriorKnowledge
+from repro.exceptions import NotSPDError
+from repro.linalg.validation import as_samples, clip_eigenvalues
+from repro.stats.multivariate_gaussian import MultivariateGaussian
+
+#: Per-fold statistics: ``(n_train, xbar, scatter, test_rows)``.
+FoldStats = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
+
+
+def train_test_stats(data: np.ndarray, test_idx: np.ndarray) -> FoldStats:
+    """Training statistics and held-out rows of one fold."""
+    n = data.shape[0]
+    mask = np.ones(n, dtype=bool)
+    mask[test_idx] = False
+    train = data[mask]
+    test = data[~mask]
+    n_train = train.shape[0]
+    xbar = train.mean(axis=0)
+    centered = train - xbar
+    scatter = centered.T @ centered
+    scatter = (scatter + scatter.T) / 2.0
+    return n_train, xbar, scatter, test
+
+
+def map_moments(
+    prior: PriorKnowledge, stats: FoldStats, kappa0: float, v0: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """MAP mean and covariance (Eq. 31–32) of one candidate on one fold."""
+    n_train, xbar, scatter, _test = stats
+    d = prior.dim
+    mu_e = prior.mean
+    diff = mu_e - xbar
+    mu_map = (kappa0 * mu_e + n_train * xbar) / (kappa0 + n_train)
+    numerator = (
+        (v0 - d) * prior.covariance
+        + scatter
+        + (kappa0 * n_train / (kappa0 + n_train)) * np.outer(diff, diff)
+    )
+    sigma_map = numerator / (v0 + n_train - d)
+    return mu_map, (sigma_map + sigma_map.T) / 2.0
+
+
+def score_candidate(
+    prior: PriorKnowledge, fold_stats: Sequence[FoldStats], kappa0: float, v0: float
+) -> float:
+    """Average held-out log-likelihood of one ``(kappa0, v0)`` pair."""
+    total = 0.0
+    for stats in fold_stats:
+        mu_map, sigma_map = map_moments(prior, stats, kappa0, v0)
+        test = stats[3]
+        try:
+            gaussian = MultivariateGaussian(mu_map, sigma_map)
+        except NotSPDError:
+            # Degenerate candidate (v0 -> d with a rank-deficient
+            # scatter): repair once, and if still singular score it out.
+            try:
+                gaussian = MultivariateGaussian(
+                    mu_map, clip_eigenvalues(sigma_map, 1e-10)
+                )
+            except NotSPDError:
+                return -np.inf
+        # Average per-sample log-likelihood keeps folds of slightly
+        # different sizes comparable.
+        total += gaussian.loglik(test) / test.shape[0]
+    return total / len(fold_stats)
+
+
+def cv_fold_stats(
+    samples, n_folds: int, rng: Optional[np.random.Generator]
+) -> List[FoldStats]:
+    """The folds :meth:`TwoDimensionalCV.select` draws from the same ``rng``."""
+    data = as_samples(samples)
+    n = data.shape[0]
+    folds = make_folds(n, min(n_folds, n), rng)
+    return [train_test_stats(data, fold) for fold in folds]
+
+
+def cv_loop_select(
+    prior: PriorKnowledge,
+    grid: HyperParameterGrid,
+    samples,
+    n_folds: int = 4,
+    rng: Optional[np.random.Generator] = None,
+) -> CrossValidationResult:
+    """Two-dimensional CV, one ``MultivariateGaussian`` per candidate."""
+    fold_stats = cv_fold_stats(samples, n_folds, rng)
+    kappas = grid.kappa0_values
+    vs = grid.v0_values
+    scores = np.full((kappas.size, vs.size), -np.inf)
+    for i, kappa0 in enumerate(kappas):
+        for j, v0 in enumerate(vs):
+            scores[i, j] = score_candidate(prior, fold_stats, float(kappa0), float(v0))
+    bi, bj = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    return CrossValidationResult(
+        kappa0=float(kappas[bi]),
+        v0=float(vs[bj]),
+        best_score=float(scores[bi, bj]),
+        kappa0_values=kappas.copy(),
+        v0_values=vs.copy(),
+        scores=scores,
+        n_folds=len(fold_stats),
+    )
+
+
+def evidence_loop_select(
+    prior: PriorKnowledge, grid: HyperParameterGrid, samples
+) -> EvidenceResult:
+    """Evidence maximisation, one :func:`log_evidence` per candidate."""
+    data = as_samples(samples)
+    kappas = grid.kappa0_values
+    vs = grid.v0_values
+    scores = np.full((kappas.size, vs.size), -np.inf)
+    for i, kappa0 in enumerate(kappas):
+        for j, v0 in enumerate(vs):
+            try:
+                scores[i, j] = log_evidence(prior, data, float(kappa0), float(v0))
+            except NotSPDError:
+                scores[i, j] = -np.inf
+    bi, bj = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    return EvidenceResult(
+        kappa0=float(kappas[bi]),
+        v0=float(vs[bj]),
+        best_log_evidence=float(scores[bi, bj]),
+        kappa0_values=kappas.copy(),
+        v0_values=vs.copy(),
+        scores=scores,
+    )
+
+
+def max_rel_deviation(scores: np.ndarray, reference: np.ndarray) -> float:
+    """Largest ``|a - b| / max(1, |b|)`` over the finite reference scores.
+
+    Returns ``inf`` when the ``-inf`` patterns of the two grids differ.
+    """
+    finite = np.isfinite(reference)
+    if not np.array_equal(np.isfinite(scores), finite):
+        return float("inf")
+    if not finite.any():
+        return 0.0
+    ref = reference[finite]
+    return float(np.max(np.abs(scores[finite] - ref) / np.maximum(1.0, np.abs(ref))))

@@ -1,19 +1,25 @@
-"""Batched-vs-loop CV scorer equivalence and the score_at grid contract.
+"""Sufficient-statistics CV scorer vs the per-candidate oracle, and score_at.
 
-The batched scorer is only allowed to exist because it is *numerically
-indistinguishable* from the loop reference: same scores to ``1e-10``, same
-``-inf`` pattern, same winner — including candidates that travel the
-jitter/eigenvalue-clip repair ladder.
+The production scorer is only allowed to exist because it is
+*numerically indistinguishable* from the per-candidate loop kept in
+``cv_oracles``: same scores to ``1e-10``, same ``-inf`` pattern, same
+winner — including candidates that travel the jitter/eigenvalue-clip
+repair ladder.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.crossval import TwoDimensionalCV, make_folds
+from repro.core.bmf import BMFEstimator
+from repro.core.crossval import TwoDimensionalCV
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import HyperParameterError
 from repro.linalg.batched import cholesky_batched
+
+from .cv_oracles import cv_fold_stats, cv_loop_select, map_moments
 
 
 def random_prior(rng, d):
@@ -22,10 +28,9 @@ def random_prior(rng, d):
 
 
 def assert_equivalent(prior, samples, grid, n_folds, seed):
-    batched = TwoDimensionalCV(prior, grid, n_folds=n_folds, scoring="batched")
-    loop = TwoDimensionalCV(prior, grid, n_folds=n_folds, scoring="loop")
-    rb = batched.select(samples, rng=np.random.default_rng(seed))
-    rl = loop.select(samples, rng=np.random.default_rng(seed))
+    cv = TwoDimensionalCV(prior, grid, n_folds=n_folds)
+    rb = cv.select(samples, rng=np.random.default_rng(seed))
+    rl = cv_loop_select(prior, grid, samples, n_folds, rng=np.random.default_rng(seed))
     finite_b = np.isfinite(rb.scores)
     finite_l = np.isfinite(rl.scores)
     np.testing.assert_array_equal(finite_b, finite_l)
@@ -51,7 +56,7 @@ class TestBatchedLoopEquivalence:
         # All-identical samples zero out every fold's scatter; with
         # v0 - d = 1e-13 the candidate covariance is numerically singular,
         # so plain Cholesky fails and the repair ladder must engage —
-        # identically on both paths.
+        # identically in the scorer and the oracle.
         d = 4
         rng = np.random.default_rng(3)
         prior = random_prior(rng, d)
@@ -62,11 +67,9 @@ class TestBatchedLoopEquivalence:
             v0_values=np.array([d + 1e-13]),
             dim=d,
         )
-        cv = TwoDimensionalCV(prior, grid, n_folds=2, scoring="batched")
-        folds = make_folds(8, 2, np.random.default_rng(0))
-        stats = [cv._train_test_stats(samples, f) for f in folds]
-        _, sigmas = cv._assemble_fold_stack(stats[0])
-        _, plain_ok = cholesky_batched(sigmas)
+        stats = cv_fold_stats(samples, 2, np.random.default_rng(0))
+        _, sigma = map_moments(prior, stats[0], 1e4, d + 1e-13)
+        _, plain_ok = cholesky_batched(sigma)
         assert not plain_ok.all(), "candidate must actually need repair"
         assert_equivalent(prior, samples, grid, n_folds=2, seed=0)
 
@@ -91,13 +94,62 @@ class TestBatchedLoopEquivalence:
             assert_equivalent(synthetic_prior, samples, grid, n_folds=4, seed=seed)
 
 
-class TestScoringOption:
-    def test_rejects_unknown_scoring(self, synthetic_prior):
-        with pytest.raises(ValueError, match="scoring"):
-            TwoDimensionalCV(synthetic_prior, scoring="vectorised")
+class TestNoUsableCandidate:
+    """A grid on which every candidate scores -inf has no winner."""
 
-    def test_default_is_batched(self, synthetic_prior):
-        assert TwoDimensionalCV(synthetic_prior).scoring == "batched"
+    @pytest.fixture
+    def huge(self):
+        # Fold scatters of rows this large overflow float64.
+        return np.random.default_rng(0).standard_normal((16, 3)) * 1e160
+
+    @pytest.fixture
+    def prior3(self):
+        return PriorKnowledge(np.zeros(3), np.eye(3))
+
+    def test_select_raises_without_warnings(self, prior3, huge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HyperParameterError, match="overflows float64"):
+                TwoDimensionalCV(prior3).select(huge, rng=np.random.default_rng(1))
+
+    def test_bmf_estimate_names_the_cause(self, prior3, huge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HyperParameterError, match="scores -inf"):
+                BMFEstimator(prior3).estimate(huge, rng=np.random.default_rng(1))
+
+    def test_every_candidate_indefinite_raises(self, prior3):
+        # Finite fold statistics, but a prior mean so far from the data
+        # that every candidate's Eq. 32 rank-one term overflows.
+        prior = PriorKnowledge(np.full(3, 1e160), np.eye(3))
+        samples = np.random.default_rng(2).standard_normal((12, 3))
+        grid = HyperParameterGrid(
+            kappa0_values=np.array([1.0, 10.0]), v0_values=np.array([4.0, 8.0]), dim=3
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HyperParameterError, match="non-finite or stays indefinite"):
+                TwoDimensionalCV(prior, grid).select(samples, rng=np.random.default_rng(0))
+
+    def test_partially_unusable_grid_scores_minus_inf_quietly(self):
+        # Rows near 1e154 (identical in float64) keep the fold statistics
+        # finite, but the rank-one prior-distance term overflows unless
+        # kappa0 is tiny: the large-kappa0 candidate must score -inf
+        # without a division warning while the other keeps its score.
+        d = 3
+        prior = PriorKnowledge(np.zeros(d), np.eye(d))
+        samples = np.random.default_rng(4).standard_normal((12, d)) + 1e154
+        grid = HyperParameterGrid(
+            kappa0_values=np.array([1e-300, 1e300]), v0_values=np.array([d + 1.0]), dim=d
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = TwoDimensionalCV(prior, grid).select(
+                samples, rng=np.random.default_rng(0)
+            )
+        assert np.isneginf(result.scores[1, 0])
+        assert np.isfinite(result.scores[0, 0])
+        assert result.kappa0 == 1e-300
 
 
 class TestScoreAt:

@@ -1,5 +1,7 @@
 """Tests for evidence-based (marginal-likelihood) hyper-parameter selection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import HyperParameterError, InsufficientDataError
 from repro.stats.multivariate_gaussian import MultivariateGaussian
+
+from .cv_oracles import evidence_loop_select
 
 
 class TestLogEvidence:
@@ -121,12 +125,21 @@ class TestLogEvidenceGrid:
 
     def test_selector_scoring_modes_agree(self, synthetic_prior, gaussian5, rng):
         data = gaussian5.sample(16, rng)
-        batched = EvidenceSelector(synthetic_prior, scoring="batched").select(data)
-        loop = EvidenceSelector(synthetic_prior, scoring="loop").select(data)
+        selector = EvidenceSelector(synthetic_prior)
+        batched = selector.select(data)
+        loop = evidence_loop_select(synthetic_prior, selector.grid, data)
         assert batched.kappa0 == loop.kappa0
         assert batched.v0 == loop.v0
         np.testing.assert_allclose(batched.scores, loop.scores, rtol=1e-10)
 
-    def test_rejects_unknown_scoring(self, synthetic_prior):
-        with pytest.raises(ValueError):
-            EvidenceSelector(synthetic_prior, scoring="fast")
+    def test_no_finite_candidate_raises(self):
+        # The scatter of rows this large overflows float64, so every
+        # candidate's log evidence is -inf: no winner, and no warning.
+        prior = PriorKnowledge(np.zeros(3), np.eye(3))
+        huge = np.random.default_rng(0).standard_normal((16, 3)) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HyperParameterError, match="log evidence -inf"):
+                EvidenceSelector(prior).select(huge)
+            with pytest.raises(HyperParameterError, match="log evidence -inf"):
+                BMFEstimator(prior, selector="evidence").estimate(huge)
