@@ -262,11 +262,16 @@ def test_sharded_zipf_throughput(scale):
     )
 
 
+#: ``no_wal`` runs last, so first-pass warm-up costs land on the logged
+#: passes and the floor below errs strict.
 WAL_CONFIGS = (
-    ("v1", {"wal_format": "v1"}),
-    ("v2", {"wal_format": "v2"}),
-    ("v2_delta", {"wal_format": "v2", "wal_delta_rows": 32}),
+    ("v2", {}),
+    ("v2_delta", {"wal_delta_rows": 32}),
+    ("no_wal", None),
 )
+
+#: v2 durable ingest must keep at least this share of the no-WAL rows/s.
+WAL_THROUGHPUT_FLOOR = 0.25
 
 
 def _wal_sizing(scale):
@@ -278,14 +283,15 @@ def _wal_sizing(scale):
 
 
 def _run_wal_ingest(wal_dir, n_sessions, n_ops, rows_per_op, **wal_kwargs):
-    """One durable Zipf ingest pass; returns (rows_per_s, wal_bytes_per_row).
+    """One Zipf ingest pass; returns (rows_per_s, wal_bytes_per_row).
 
     Single-shard passthrough (``flush_rows=1``) so every accepted block
     hits the worker — and therefore the WAL — immediately: the timing
-    isolates the log encode/flush cost the WAL v2 work targets, not the
-    router's coalescing.  The clock stops after a final ``sync()`` so
-    group-committed records are actually on their way to disk, and WAL
-    bytes are measured on the file past the session-create prefix.
+    isolates the log encode/flush cost, not the router's coalescing.
+    ``wal_dir=None`` runs the same stream with no log (the baseline).
+    The clock stops after a final ``sync()`` so group-committed records
+    are actually on their way to disk, and WAL bytes are measured on the
+    file past the session-create prefix.
     """
     rng = np.random.default_rng(0)
     ranks = np.arange(1, n_sessions + 1, dtype=float)
@@ -307,36 +313,39 @@ def _run_wal_ingest(wal_dir, n_sessions, n_ops, rows_per_op, **wal_kwargs):
     for key in keys:
         service.create_session(key, prior, kappa0=2.0, v0=D + 3.0)
     wal = service.workers[0].wal
-    wal.sync()
-    base_bytes = wal.path.stat().st_size
+    if wal is not None:
+        wal.sync()
+        base_bytes = wal.path.stat().st_size
 
     t0 = time.perf_counter()
     for i in range(n_ops):
         service.ingest(keys[key_draws[i]], blocks[i])
-    wal.sync()
+    if wal is not None:
+        wal.sync()
     elapsed = time.perf_counter() - t0
 
     total_rows = n_ops * rows_per_op
-    wal_bytes = wal.path.stat().st_size - base_bytes
+    wal_bytes = 0 if wal is None else wal.path.stat().st_size - base_bytes
     service.close()
     return total_rows / elapsed, wal_bytes / total_rows
 
 
-def test_wal_ingest_formats(scale, tmp_path):
-    """Durable ingest: WAL v2 + group commit must beat the v1 JSON log >= 3x.
+def test_wal_ingest_overhead(scale, tmp_path):
+    """Durable ingest: the v2 group-commit WAL keeps >= 0.25x no-WAL rows/s.
 
-    Three configurations over the same Zipf block stream: v1 JSON lines
-    (flush per record, the PR 7 baseline), v2 binary frames with 64-record
-    group commit, and v2 with suffstats-delta logging (blocks logged as
-    O(d^2) statistics).  The acceptance floor is 3x rows/s for v2 over v1
-    (1.5x on CI smoke boxes, where the reduced op count leaves less
-    per-record encode work to amortise).
+    Three configurations over the same Zipf block stream: no WAL (the
+    baseline, measured in the same test), v2 binary frames with
+    64-record group commit, and v2 with suffstats-delta logging (blocks
+    logged as O(d^2) statistics).  A log that paid a per-float text
+    encoding again (the retired JSON-lines format ran at 0.07-0.17x of
+    no-WAL) fails the floor.
     """
     sizing = _wal_sizing(scale)
     results = {}
     for name, wal_kwargs in WAL_CONFIGS:
+        wal_dir = None if wal_kwargs is None else tmp_path / name
         rows_per_s, bytes_per_row = _run_wal_ingest(
-            tmp_path / name, **sizing, **wal_kwargs
+            wal_dir, **sizing, **(wal_kwargs or {})
         )
         results[name] = {
             "rows_per_s": round(rows_per_s),
@@ -346,11 +355,11 @@ def test_wal_ingest_formats(scale, tmp_path):
             f"serving wal ingest ({scale.label}): {name} -> "
             f"{rows_per_s:,.0f} rows/s, {bytes_per_row:.1f} WAL bytes/row"
         )
-    speedup = results["v2"]["rows_per_s"] / results["v1"]["rows_per_s"]
-    delta_speedup = results["v2_delta"]["rows_per_s"] / results["v1"]["rows_per_s"]
+    ratio = results["v2"]["rows_per_s"] / results["no_wal"]["rows_per_s"]
+    delta_ratio = results["v2_delta"]["rows_per_s"] / results["no_wal"]["rows_per_s"]
     emit(
-        f"serving wal ingest ({scale.label}): v2+group-commit {speedup:.2f}x "
-        f"over v1, suffstats-delta {delta_speedup:.2f}x"
+        f"serving wal ingest ({scale.label}): v2+group-commit at {ratio:.2f}x "
+        f"of no-WAL rows/s, suffstats-delta {delta_ratio:.2f}x"
     )
     out = _REPO_ROOT / "BENCH_serving.json"
     append_entry(
@@ -364,15 +373,15 @@ def test_wal_ingest_formats(scale, tmp_path):
             **sizing,
         },
         results={
-            "per_format": results,
-            "v2_speedup": round(speedup, 2),
-            "v2_delta_speedup": round(delta_speedup, 2),
+            "per_config": results,
+            "v2_vs_no_wal": round(ratio, 2),
+            "v2_delta_vs_no_wal": round(delta_ratio, 2),
         },
     )
     emit(f"appended to {out}")
-    floor = 1.5 if scale.label == "smoke" else 3.0
-    assert speedup >= floor, (
-        f"WAL v2 + group-commit ingest speedup {speedup:.2f}x < {floor}x floor"
+    assert ratio >= WAL_THROUGHPUT_FLOOR, (
+        f"WAL v2 + group-commit ingest at {ratio:.2f}x of no-WAL rows/s "
+        f"< {WAL_THROUGHPUT_FLOOR}x floor"
     )
 
 

@@ -21,14 +21,14 @@ Usage (from the repository root)::
     PYTHONPATH=src python scripts/bench_serving.py [--sessions 10000]
         [--ops 100000] [--dim 5] [--alpha 1.6] [--query-every 5000]
         [--shards 1 2 4 8] [--seed 0] [--out BENCH_serving.json] [--smoke]
-        [--wal none|v1|v2|v2-delta] [--wire direct|list|b64f64]
+        [--wal none|v2|v2-delta] [--wire direct|list|b64f64]
 
 ``--smoke`` shrinks the workload for CI wall-clock budgets and is the
 configuration the CI floor check runs (4 shards >= 2x single shard).
 
-``--wal`` turns on write-ahead durability for the run: ``v1`` is the
-JSON-lines log, ``v2`` the binary group-commit log, ``v2-delta`` adds
-sufficient-statistics delta logging (the logs live in a temporary
+``--wal`` turns on write-ahead durability for the run: ``v2`` is the
+binary group-commit log, ``v2-delta`` adds sufficient-statistics delta
+logging (the logs live in a temporary
 directory that is deleted afterwards — this measures logging cost, not
 recovery).  ``--wire`` routes every op through the JSON-lines protocol
 layer instead of direct method calls, with arrays as nested lists
@@ -56,9 +56,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: --wal choices mapped to ShardedMomentService keyword arguments.
 WAL_MODES = {
     "none": None,
-    "v1": {"wal_format": "v1"},
-    "v2": {"wal_format": "v2"},
-    "v2-delta": {"wal_format": "v2", "wal_delta_rows": 32},
+    "v2": {},
+    "v2-delta": {"wal_delta_rows": 32},
 }
 
 

@@ -187,19 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 1 for one shard, 64 otherwise)",
     )
     serve.add_argument(
-        "--wal-format",
-        choices=["v1", "v2"],
-        default="v2",
-        help="on-disk format for NEW write-ahead logs: v2 binary frames "
-        "(raw float64 buffers, the ingest fast path) or v1 JSON lines; "
-        "existing logs auto-detect (default: v2)",
-    )
-    serve.add_argument(
         "--wal-flush-records",
         type=int,
         default=None,
         help="group-commit record bound: flush the WAL buffer after this "
-        "many appends (default: 1 for v1, 64 for v2)",
+        "many appends (default: 64)",
     )
     serve.add_argument(
         "--wal-flush-bytes",
@@ -716,7 +708,6 @@ def _cmd_serve(args) -> int:
                 placement=args.placement,
                 flush_rows=args.flush_rows,
                 wal_dir=args.wal_dir,
-                wal_format=args.wal_format,
                 wal_flush_records=args.wal_flush_records,
                 wal_flush_bytes=args.wal_flush_bytes,
                 wal_delta_rows=args.wal_delta_rows,
@@ -1113,11 +1104,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "query": _cmd_query,
         "scenarios": _cmd_scenarios,
     }
-    from repro.exceptions import BackendUnavailableError
+    from repro.exceptions import BackendUnavailableError, WalCorruptionError
 
     try:
         return handlers[args.command](args)
-    except BackendUnavailableError as exc:
+    except (BackendUnavailableError, WalCorruptionError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
 

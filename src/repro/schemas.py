@@ -58,7 +58,8 @@ RESULT_SCHEMA = "repro.pipeline-result.v1"
 #: Serving checkpoints (:mod:`repro.serving.checkpoint`).
 CHECKPOINT_SCHEMA = "repro.serving-checkpoint.v1"
 
-#: Write-ahead log, v1 JSON-lines format (:mod:`repro.serving.wal`).
+#: Write-ahead log, retired v1 JSON-lines format: no longer written or read;
+#: :mod:`repro.serving.wal` names it when it refuses such a log.
 WAL_SCHEMA_V1 = "repro.serving-wal.v1"
 
 #: Write-ahead log, v2 binary-frame format (:mod:`repro.serving.wal`).

@@ -12,8 +12,8 @@ re-touching raw samples.  The stack is layered bottom-up:
 * :mod:`repro.serving.counters` — thread-safe request/ingest/latency
   counters shared by every layer above.
 * :mod:`repro.serving.wal` — per-shard append-only, sha256-chained
-  write-ahead log (JSON-lines v1 and binary-frame v2 formats) with
-  group-commit buffering, torn-tail recovery, and atomic compaction.
+  write-ahead log of binary frames with group-commit buffering,
+  torn-tail recovery, and atomic compaction.
 * :mod:`repro.serving.sessions` — keyed session store with LRU capacity
   and logical-clock TTL eviction.
 * :mod:`repro.serving.queue` — the query :class:`Request` and its
@@ -51,7 +51,7 @@ from repro.serving.queue import QUERY_KINDS, Request
 from repro.serving.router import MANIFEST_SCHEMA, HashRing, ShardedMomentService
 from repro.serving.scoring import BatchScorer
 from repro.serving.sessions import Session, SessionStore
-from repro.serving.wal import WAL_SCHEMA, WAL_SCHEMA_V2, WriteAheadLog
+from repro.serving.wal import WAL_SCHEMA_V2, WriteAheadLog
 from repro.serving.worker import ShardWorker
 from repro.stats.suffstats import SufficientStats, merge_all
 
@@ -69,7 +69,6 @@ __all__ = [
     "ShardWorker",
     "ShardedMomentService",
     "SufficientStats",
-    "WAL_SCHEMA",
     "WAL_SCHEMA_V2",
     "WIRE_B64F64",
     "WriteAheadLog",

@@ -60,7 +60,7 @@ from repro.serving.counters import ServiceCounters
 from repro.serving.queue import QUERY_KINDS, build_requests
 from repro.serving.scoring import BatchScorer
 from repro.serving.sessions import Session
-from repro.serving.wal import DEFAULT_FLUSH_BYTES, WriteAheadLog
+from repro.serving.wal import WriteAheadLog
 from repro.serving.worker import ShardWorker
 from repro.stats.suffstats import SufficientStats, merge_all
 
@@ -75,32 +75,12 @@ MANIFEST_SCHEMA_VERSION = 1
 #: Placement policies the router understands.
 PLACEMENTS = ("hash", "spread")
 
-#: WAL on-disk formats the router can create (existing logs auto-detect).
-WAL_FORMATS = ("v1", "v2")
-
 PathLike = Union[str, Path]
 
 
 def _stable_hash(text: str) -> int:
     """First 64 bits of sha256 — stable everywhere, unlike ``hash()``."""
     return int(hashlib.sha256(text.encode("utf-8")).hexdigest()[:16], 16)
-
-
-def _resolve_wal_flush(
-    wal_version: int,
-    flush_records: Optional[int],
-    flush_bytes: Optional[int],
-) -> Tuple[int, int]:
-    """Group-commit bounds: v1 defaults to flush-per-record, v2 to 64."""
-    if flush_records is None:
-        flush_records = 1 if wal_version == 1 else 64
-    if flush_bytes is None:
-        flush_bytes = DEFAULT_FLUSH_BYTES
-    if int(flush_records) < 1:
-        raise ConfigError(f"wal_flush_records must be >= 1, got {flush_records}")
-    if int(flush_bytes) < 1:
-        raise ConfigError(f"wal_flush_bytes must be >= 1, got {flush_bytes}")
-    return int(flush_records), int(flush_bytes)
 
 
 class HashRing:
@@ -161,19 +141,13 @@ class ShardedMomentService:
     wal_dir:
         Directory for per-shard write-ahead logs (``shard-NNN.wal``).
         ``None`` disables logging.  Fresh logs only — recovering existing
-        logs goes through :meth:`restore`.
-    wal_format:
-        On-disk format of *new* logs: ``"v2"`` (default — binary frames,
-        raw float64 buffers, the ingest fast path) or ``"v1"`` (JSON
-        lines, greppable).  Existing logs auto-detect on open.
+        logs goes through :meth:`restore` or :meth:`recover`.
     wal_flush_records, wal_flush_bytes:
         Group-commit bounds per shard log (see
-        :class:`~repro.serving.wal.WriteAheadLog`).  ``None`` resolves
-        ``wal_flush_records`` to ``1`` for v1 (the original
-        flush-per-record durability) and ``64`` for v2, and
-        ``wal_flush_bytes`` to 256 KiB.  Checkpoints always barrier
-        (``sync``) first, so coalesced flushing never weakens what a
-        checkpoint claims to cover.
+        :class:`~repro.serving.wal.WriteAheadLog`, which owns the
+        defaults — 64 records, 256 KiB — and rejects bounds below 1).
+        Checkpoints always barrier (``sync``) first, so coalesced
+        flushing never weakens what a checkpoint claims to cover.
     wal_delta_rows:
         Suffstats-delta threshold forwarded to every worker: 2-D ingest
         blocks with at least this many rows are logged as ``O(d^2)``
@@ -195,7 +169,6 @@ class ShardedMomentService:
         placement: str = "hash",
         flush_rows: Optional[int] = None,
         wal_dir: Optional[PathLike] = None,
-        wal_format: str = "v2",
         wal_flush_records: Optional[int] = None,
         wal_flush_bytes: Optional[int] = None,
         wal_delta_rows: Optional[int] = None,
@@ -206,10 +179,6 @@ class ShardedMomentService:
             raise ConfigError(
                 f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
             )
-        if wal_format not in WAL_FORMATS:
-            raise ConfigError(
-                f"unknown wal_format {wal_format!r}; expected one of {WAL_FORMATS}"
-            )
         self.ring = HashRing(n_shards, virtual_nodes=virtual_nodes)
         self.placement = placement
         if flush_rows is None:
@@ -217,10 +186,6 @@ class ShardedMomentService:
         if int(flush_rows) < 1:
             raise ConfigError(f"flush_rows must be >= 1, got {flush_rows}")
         self.flush_rows = int(flush_rows)
-        wal_version = 2 if wal_format == "v2" else 1
-        flush_records, flush_bytes = _resolve_wal_flush(
-            wal_version, wal_flush_records, wal_flush_bytes
-        )
         self._n_jobs = n_jobs
         self.workers: List[ShardWorker] = []
         for shard in range(self.ring.n_shards):
@@ -231,9 +196,8 @@ class ShardedMomentService:
                 wal = WriteAheadLog.create(
                     directory / f"shard-{shard:03d}.wal",
                     shard_id=shard,
-                    version=wal_version,
-                    flush_records=flush_records,
-                    flush_bytes=flush_bytes,
+                    flush_records=wal_flush_records,
+                    flush_bytes=wal_flush_bytes,
                 )
             self.workers.append(
                 ShardWorker(
@@ -650,11 +614,10 @@ class ShardedMomentService:
 
         Each shard restores from its (self-verifying) checkpoint; when
         ``wal_dir`` is given, each shard's log is recovered
-        (torn tails dropped, chains verified, on-disk format
-        auto-detected) and only the records past the checkpoint's covered
-        offset are replayed — the tail, not the whole history.  Group
-        commit resumes with the recovered log's format defaults unless
-        ``wal_flush_records``/``wal_flush_bytes`` override them.
+        (torn tails dropped, chains verified) and only the records past
+        the checkpoint's covered offset are replayed — the tail, not the
+        whole history.  Group commit resumes with the log's defaults
+        unless ``wal_flush_records``/``wal_flush_bytes`` override them.
         """
         target = Path(directory)
         try:

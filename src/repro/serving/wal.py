@@ -2,67 +2,59 @@
 
 Every state mutation a shard worker performs (session create/drop, sample
 ingest, statistics merge, and the logical-clock ticks queries cause) is
-appended here *before* it is applied.  Two on-disk formats share one hash
-chain discipline and one recovery contract; :meth:`WriteAheadLog.open`
-auto-detects which one a file uses:
+appended here *before* it is applied.  A log file (``repro.serving-wal.v2``)
+starts with the magic line ``#repro.serving-wal.v2\\n`` followed by
+length-prefixed binary frames::
 
-* **v1 — JSON lines** (``repro.serving-wal.v1``).  One JSON object per
-  line: ``{"prev": <sha of previous line>, "record": {"seq", "op",
-  "payload"}, "sha256": sha256(canonical({"prev", "record"}))}``, rooted
-  at a header line.  Array payloads are nested lists (``float.__repr__``
-  round-trips doubles bit-for-bit, so replay is still exact), which makes
-  the format greppable but expensive: every float is formatted and
-  re-parsed, and the sha runs over the formatted text.
-* **v2 — binary frames** (``repro.serving-wal.v2``).  The file starts
-  with the magic line ``#repro.serving-wal.v2\\n`` followed by
-  length-prefixed frames::
+    frame  := u32le(len(body) + 32) | body | sha256_digest(32 bytes)
+    body   := u32le(len(meta)) | meta | array bytes
+    meta   := canonical JSON {"op", "payload", "seq"}
 
-      frame  := u32le(len(body) + 32) | body | sha256_digest(32 bytes)
-      body   := u32le(len(meta)) | meta | array bytes
-      meta   := canonical JSON {"op", "payload", "seq"}
+``float64`` arrays inside the payload (sample blocks, prior moments,
+``SufficientStats`` buffers) are replaced in ``meta`` by shape-prefixed
+descriptors ``{"__f64nd__": {"shape": [...], "offset": N}}`` and their raw
+little-endian bytes appended to the body — no ``tolist`` / ``repr`` /
+re-parse on either side of the hot path.  The first frame is the header
+(its digest seeds the chain); every record's digest is
+``sha256(prev_digest + body)``.  Replaying a verified log reproduces the
+shard's state **bit-identically**, and any silent mid-file edit breaks the
+chain.
 
-  ``float64`` arrays inside the payload (sample blocks, prior moments,
-  ``SufficientStats`` buffers) are replaced in ``meta`` by shape-prefixed
-  descriptors ``{"__f64nd__": {"shape": [...], "offset": N}}`` and their
-  raw little-endian bytes appended to the body — no ``tolist`` /
-  ``repr`` / re-parse on either side of the hot path.  The first frame
-  is the header (its digest seeds the chain); every record's digest is
-  ``sha256(prev_digest + body)``, so the chain property of v1 carries
-  over byte-for-byte semantics included: replaying a verified log
-  reproduces the shard's state **bit-identically**, and any silent
-  mid-file edit breaks the chain.
+The retired JSON-lines format (``repro.serving-wal.v1``) is refused on
+:meth:`WriteAheadLog.open` with a migration hint: recover such a log with a
+build at or before commit 3d05b70 (``repro replay <wal> --out shard.ckpt``)
+and restart from the checkpoint.
 
-**Group commit.**  Appends land in a bounded in-memory write buffer and
-are written + flushed to the OS page cache as one block once
-``flush_records`` records or ``flush_bytes`` bytes accumulate (the v1
-default of ``flush_records=1`` preserves the original flush-per-record
-behaviour).  :meth:`flush` drains the buffer explicitly; :meth:`sync`
-drains it *and* fsyncs — the durability barrier
-:meth:`~repro.serving.worker.ShardWorker.checkpoint` takes before
+**Group commit.**  Appends land in a bounded in-memory write buffer and are
+written + flushed to the OS page cache as one block once ``flush_records``
+records (default :data:`DEFAULT_FLUSH_RECORDS`) or ``flush_bytes`` bytes
+(default :data:`DEFAULT_FLUSH_BYTES`) accumulate.  :meth:`flush` drains the
+buffer explicitly; :meth:`sync` drains it *and* fsyncs — the durability
+barrier :meth:`~repro.serving.worker.ShardWorker.checkpoint` takes before
 claiming a covered offset.  Reads (:meth:`records`, :meth:`verify`,
-compaction) drain the buffer first, so a log never disagrees with
-itself.  A SIGKILL can lose the still-buffered suffix of a group — those
-records were never group-acknowledged — but recovery keeps every record
-of the *flushed* prefix plus any complete frames of a torn group write.
+compaction) drain the buffer first, so a log never disagrees with itself.
+A SIGKILL can lose the still-buffered suffix of a group — those records
+were never group-acknowledged — but recovery keeps every record of the
+*flushed* prefix plus any complete frames of a torn group write.
 
 Crash semantics distinguish two failure shapes:
 
-* **Torn tail** — the process died mid-``write`` and the file ends with
-  an incomplete line/frame or one whose hash fails.  That is the
-  expected crash artefact; recovery silently drops the tail and
-  truncates the file back to the verified prefix.  (For v2, structural
-  damage to a length prefix is indistinguishable from a torn tail;
-  recovery conservatively truncates, and the hash chain still guarantees
-  the kept prefix is exactly what was written.)
-* **Mid-chain corruption** — a verifiable-boundary record *before* the
-  last fails its hash, or parseable records follow a broken line.  No
-  crash produces that; it means the file was edited or the disk lied,
-  and :class:`~repro.exceptions.WalCorruptionError` is raised rather
-  than guessing.
+* **Torn tail** — the process died mid-``write`` and the file ends with an
+  incomplete frame or one whose hash fails.  That is the expected crash
+  artefact; recovery silently drops the tail and truncates the file back
+  to the verified prefix.  (Structural damage to a length prefix is
+  indistinguishable from a torn tail; recovery conservatively truncates,
+  and the hash chain still guarantees the kept prefix is exactly what was
+  written.)
+* **Mid-chain corruption** — a frame *before* the last fails its hash or
+  sequence check, or an open log ends before its last acknowledged
+  record.  No crash produces that; it means the file was edited or the
+  disk lied, and :class:`~repro.exceptions.WalCorruptionError` is raised
+  rather than guessing.
 
 Rotation (:meth:`truncate_through`) is atomic and durable via the tmp +
 fsync + ``os.replace`` + directory-fsync pattern shared with
-:mod:`repro.serving.checkpoint`, for both formats.
+:mod:`repro.serving.checkpoint`.
 """
 
 from __future__ import annotations
@@ -77,30 +69,19 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import WalCorruptionError
+from repro.exceptions import ConfigError, WalCorruptionError
 from repro.io import canonical_json, fsync_dir
 from repro.schemas import WAL2_MAGIC, WAL_SCHEMA_V1, WAL_SCHEMA_V2
 
 __all__ = [
-    "WAL_SCHEMA",
     "WAL_SCHEMA_V2",
-    "WAL_SCHEMA_VERSION",
-    "WAL_VERSIONS",
     "WAL_OPS",
     "WAL2_MAGIC",
+    "DEFAULT_FLUSH_RECORDS",
+    "DEFAULT_FLUSH_BYTES",
     "WalRecord",
     "WriteAheadLog",
 ]
-
-#: Format marker written into every v1 log header (from :mod:`repro.schemas`,
-#: the version-string source of truth; ``WAL_SCHEMA`` is the historical name).
-WAL_SCHEMA = WAL_SCHEMA_V1
-
-#: Structural version of the v1 record layout; bump on breaking change.
-WAL_SCHEMA_VERSION = 1
-
-#: On-disk format versions this module writes and reads.
-WAL_VERSIONS = (1, 2)
 
 #: The closed set of replayable operations.
 WAL_OPS = ("create", "ingest", "ingest_stats", "drop", "touch")
@@ -108,7 +89,10 @@ WAL_OPS = ("create", "ingest", "ingest_stats", "drop", "touch")
 #: One verified log entry: ``(seq, op, payload)``.
 WalRecord = Tuple[int, str, Dict[str, Any]]
 
-#: Default byte bound of the group-commit buffer (records bound is separate).
+#: Default record bound of the group-commit buffer.
+DEFAULT_FLUSH_RECORDS = 64
+
+#: Default byte bound of the group-commit buffer.
 DEFAULT_FLUSH_BYTES = 1 << 18
 
 PathLike = Union[str, Path]
@@ -118,31 +102,11 @@ _U32 = struct.Struct("<I")
 _ND_KEY = "__f64nd__"
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 # ---------------------------------------------------------------------------
-# payload codecs
+# payload codec
 # ---------------------------------------------------------------------------
-def _payload_jsonify(value: Any) -> Any:
-    """v1 encoding of a payload: ndarrays become nested lists.
-
-    ``float.__repr__`` is shortest-round-trip, so the listification is
-    lossless; it is also what the v1 format always stored, keeping v1
-    hash chains byte-identical whether callers pass arrays or lists.
-    """
-    if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=float).tolist()
-    if isinstance(value, dict):
-        return {key: _payload_jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_payload_jsonify(item) for item in value]
-    return value
-
-
 def _strip_arrays(value: Any, buffers: List[bytes], state: Dict[str, int]) -> Any:
-    """v2 encoding: replace ndarrays with shape+offset descriptors.
+    """Encode a payload: replace ndarrays with shape+offset descriptors.
 
     The raw little-endian float64 bytes are appended to ``buffers`` in
     traversal order; offsets are explicit so decode order is free.
@@ -167,7 +131,7 @@ def _strip_arrays(value: Any, buffers: List[bytes], state: Dict[str, int]) -> An
 
 
 def _bind_arrays(value: Any, region: bytes) -> Any:
-    """v2 decoding: materialise array descriptors from the byte region."""
+    """Decode a payload: materialise array descriptors from the byte region."""
     if isinstance(value, dict):
         if set(value) == {_ND_KEY}:
             descriptor = value[_ND_KEY]
@@ -192,75 +156,29 @@ def _bind_arrays(value: Any, region: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# v1 line codec
-# ---------------------------------------------------------------------------
-def _header_obj(shard_id: int, base_seq: int) -> Dict[str, Any]:
-    header = {
-        "schema": WAL_SCHEMA,
-        "schema_version": WAL_SCHEMA_VERSION,
-        "shard": int(shard_id),
-        "base_seq": int(base_seq),
-    }
-    return {"header": header, "sha256": _sha(canonical_json({"header": header}))}
-
-
-def _record_obj(prev_sha: str, seq: int, op: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-    record = {"seq": int(seq), "op": op, "payload": payload}
-    body = {"prev": prev_sha, "record": record}
-    return {"prev": prev_sha, "record": record, "sha256": _sha(canonical_json(body))}
-
-
-def _verify_line(obj: Any, prev_sha: str, expect_seq: int) -> WalRecord:
-    """Check one parsed record line against the chain; raise ``ValueError``.
-
-    Callers decide whether a failure is a droppable torn tail or hard
-    corruption — this helper only states *that* the line does not verify.
-    """
-    if not isinstance(obj, dict) or set(obj) != {"prev", "record", "sha256"}:
-        raise ValueError("not a WAL record object")
-    record = obj["record"]
-    if not isinstance(record, dict) or set(record) != {"seq", "op", "payload"}:
-        raise ValueError("malformed WAL record body")
-    if obj["prev"] != prev_sha:
-        raise ValueError(
-            f"chain break: record {record.get('seq')} links prev={obj['prev']!r}, "
-            f"expected {prev_sha!r}"
-        )
-    expected = _sha(canonical_json({"prev": obj["prev"], "record": record}))
-    if obj["sha256"] != expected:
-        raise ValueError(f"sha mismatch on record {record.get('seq')}")
-    seq = record["seq"]
-    if not isinstance(seq, int) or seq != expect_seq:
-        raise ValueError(f"sequence gap: got seq {seq!r}, expected {expect_seq}")
-    op = record["op"]
-    if op not in WAL_OPS:
-        raise ValueError(f"unknown WAL op {op!r}")
-    payload = record["payload"]
-    if not isinstance(payload, dict):
-        raise ValueError("WAL payload must be an object")
-    return int(seq), str(op), payload
-
-
-# ---------------------------------------------------------------------------
-# v2 frame codec
+# frame codec
 # ---------------------------------------------------------------------------
 class _TornTail(Exception):
     """Internal: the byte stream ends with a structurally incomplete frame."""
 
 
-def _header_frame_v2(shard_id: int, base_seq: int) -> Tuple[bytes, bytes]:
+def _seal(prev_digest: bytes, body: bytes) -> Tuple[bytes, bytes]:
+    """Frame ``body`` onto the chain; returns ``(frame, digest)``."""
+    digest = hashlib.sha256(prev_digest + body).digest()
+    return _U32.pack(len(body) + _DIGEST_SIZE) + body + digest, digest
+
+
+def _header_frame(shard_id: int, base_seq: int) -> Tuple[bytes, bytes]:
     header = {
         "base_seq": int(base_seq),
         "schema": WAL_SCHEMA_V2,
         "schema_version": 2,
         "shard": int(shard_id),
     }
-    body = canonical_json(header).encode("utf-8")
-    digest = hashlib.sha256(body).digest()
-    return _U32.pack(len(body) + _DIGEST_SIZE) + body + digest, digest
+    return _seal(b"", canonical_json(header).encode("utf-8"))
 
 
-def _record_frame_v2(
+def _record_frame(
     prev_digest: bytes, seq: int, op: str, payload: Dict[str, Any]
 ) -> Tuple[bytes, bytes]:
     buffers: List[bytes] = []
@@ -269,12 +187,10 @@ def _record_frame_v2(
     meta = canonical_json(
         {"op": op, "payload": meta_payload, "seq": int(seq)}
     ).encode("utf-8")
-    body = _U32.pack(len(meta)) + meta + b"".join(buffers)
-    digest = hashlib.sha256(prev_digest + body).digest()
-    return _U32.pack(len(body) + _DIGEST_SIZE) + body + digest, digest
+    return _seal(prev_digest, _U32.pack(len(meta)) + meta + b"".join(buffers))
 
 
-def _iter_raw_frames_v2(
+def _iter_raw_frames(
     data: bytes, start: int
 ) -> Iterator[Tuple[int, bytes, bytes, int]]:
     """Yield ``(frame_start, body, digest, frame_end)`` per complete frame.
@@ -297,10 +213,10 @@ def _iter_raw_frames_v2(
         pos = end
 
 
-def _verify_frame_v2(
+def _verify_frame(
     body: bytes, digest: bytes, prev_digest: bytes, expect_seq: int
 ) -> WalRecord:
-    """Check one structurally complete v2 frame; raise ``ValueError``."""
+    """Check one structurally complete frame; raise ``ValueError``."""
     if hashlib.sha256(prev_digest + body).digest() != digest:
         raise ValueError(f"sha mismatch on record {expect_seq}")
     if len(body) < _U32.size:
@@ -326,15 +242,29 @@ def _verify_frame_v2(
     return int(seq), str(op), payload
 
 
-def _parse_header_v2(target: Path, raw: bytes) -> Tuple[int, int, bytes, int]:
-    """Verify the v2 magic + header frame; returns (shard, base_seq, digest, end)."""
-    frames = _iter_raw_frames_v2(raw, len(WAL2_MAGIC))
+def _parse_header(target: Path, raw: bytes) -> Tuple[int, int, bytes, int]:
+    """Verify the magic + header frame; returns (shard, base_seq, digest, end)."""
+    if not raw.startswith(WAL2_MAGIC):
+        if not raw:
+            raise WalCorruptionError(f"WAL file is empty: {target}")
+        if WAL_SCHEMA_V1.encode("ascii") in raw.split(b"\n", 1)[0]:
+            raise WalCorruptionError(
+                f"WAL {target} uses the retired {WAL_SCHEMA_V1!r} JSON-lines "
+                f"format; this build reads only {WAL_SCHEMA_V2!r}.  Recover it "
+                "with a build at or before commit 3d05b70 (e.g. "
+                "`repro replay <wal> --out shard.ckpt`) and restart from the "
+                "checkpoint"
+            )
+        raise WalCorruptionError(
+            f"WAL {target} does not start with the {WAL_SCHEMA_V2!r} magic"
+        )
+    frames = _iter_raw_frames(raw, len(WAL2_MAGIC))
     try:
         _, body, digest, end = next(frames)
     except (_TornTail, StopIteration):
         # create() fsyncs magic + header before returning, so an
         # incomplete header is not a crash artefact
-        raise WalCorruptionError(f"WAL {target} has an incomplete v2 header") from None
+        raise WalCorruptionError(f"WAL {target} has an incomplete header") from None
     if hashlib.sha256(body).digest() != digest:
         raise WalCorruptionError(f"WAL {target} header fails hash check")
     try:
@@ -360,24 +290,35 @@ def _parse_header_v2(target: Path, raw: bytes) -> Tuple[int, int, bytes, int]:
         ) from exc
 
 
+def _flush_bounds(
+    flush_records: Optional[int], flush_bytes: Optional[int]
+) -> Tuple[int, int]:
+    """Resolve ``None`` to the group-commit defaults; refuse bounds below 1."""
+    records = DEFAULT_FLUSH_RECORDS if flush_records is None else int(flush_records)
+    n_bytes = DEFAULT_FLUSH_BYTES if flush_bytes is None else int(flush_bytes)
+    if records < 1:
+        raise ConfigError(f"wal_flush_records must be >= 1, got {flush_records}")
+    if n_bytes < 1:
+        raise ConfigError(f"wal_flush_bytes must be >= 1, got {flush_bytes}")
+    return records, n_bytes
+
+
 class WriteAheadLog:
     """An append-only, hash-chained, per-shard operation log.
 
     Use :meth:`create` for a fresh log and :meth:`open` to recover an
-    existing one (the on-disk format is auto-detected); the constructor
-    is internal.  All methods are thread-safe (one writer lock), matching
-    the shard worker's one-writer-many-readers discipline.
+    existing one; the constructor is internal.  All methods are
+    thread-safe (one writer lock), matching the shard worker's
+    one-writer-many-readers discipline.
 
     Parameters (``create``/``open``)
     --------------------------------
-    version:
-        On-disk format for *new* logs: ``1`` (JSON lines) or ``2``
-        (binary frames with raw float64 array buffers — the ingest fast
-        path).
     flush_records, flush_bytes:
         Group-commit bounds: buffered appends are written + flushed to
-        the page cache once either is reached.  ``flush_records=1``
-        (the default) flushes per record, the v1-era behaviour.
+        the page cache once either is reached.  ``None`` means
+        :data:`DEFAULT_FLUSH_RECORDS` / :data:`DEFAULT_FLUSH_BYTES`;
+        ``flush_records=1`` flushes per record.  Bounds below 1 raise
+        :class:`~repro.exceptions.ConfigError`.
     observer:
         Optional counters sink (duck-typed
         :class:`~repro.serving.counters.ServiceCounters`): gets
@@ -391,20 +332,18 @@ class WriteAheadLog:
         shard_id: int,
         base_seq: int,
         last_seq: int,
-        last_sha: Union[str, bytes],
-        version: int = 1,
-        flush_records: int = 1,
-        flush_bytes: int = DEFAULT_FLUSH_BYTES,
+        last_digest: bytes,
+        flush_records: int,
+        flush_bytes: int,
         observer: Optional[Any] = None,
     ) -> None:
         self._path = path
         self._shard_id = int(shard_id)
         self._base_seq = int(base_seq)
         self._last_seq = int(last_seq)
-        self._last_sha = last_sha
-        self._version = int(version)
-        self._flush_records = max(1, int(flush_records))
-        self._flush_bytes = max(1, int(flush_bytes))
+        self._last_digest = last_digest
+        self._flush_records = flush_records
+        self._flush_bytes = flush_bytes
         self.observer = observer
         self._pending = bytearray()
         self._pending_records = 0
@@ -426,9 +365,8 @@ class WriteAheadLog:
         path: PathLike,
         shard_id: int,
         base_seq: int = 0,
-        version: int = 1,
-        flush_records: int = 1,
-        flush_bytes: int = DEFAULT_FLUSH_BYTES,
+        flush_records: Optional[int] = None,
+        flush_bytes: Optional[int] = None,
         observer: Optional[Any] = None,
     ) -> "WriteAheadLog":
         """Start a new log at ``path`` (must not already exist).
@@ -436,26 +374,15 @@ class WriteAheadLog:
         The header is fsync'd immediately — a log file either has a
         durable, verifiable root or it does not exist.
         """
-        if version not in WAL_VERSIONS:
-            raise WalCorruptionError(
-                f"unknown WAL version {version!r}; expected one of {WAL_VERSIONS}"
-            )
+        flush_records, flush_bytes = _flush_bounds(flush_records, flush_bytes)
         target = Path(path)
         if target.exists():
             raise WalCorruptionError(
                 f"refusing to create WAL over existing file: {target}"
             )
-        last_sha: Union[str, bytes]
-        if version == 2:
-            frame, digest = _header_frame_v2(shard_id, base_seq)
-            root = WAL2_MAGIC + frame
-            last_sha = digest
-        else:
-            header = _header_obj(shard_id, base_seq)
-            root = (canonical_json(header) + "\n").encode("utf-8")
-            last_sha = str(header["sha256"])
+        frame, digest = _header_frame(shard_id, base_seq)
         with open(target, "wb") as handle:
-            handle.write(root)
+            handle.write(WAL2_MAGIC + frame)
             handle.flush()
             os.fsync(handle.fileno())
         return cls(
@@ -463,8 +390,7 @@ class WriteAheadLog:
             shard_id=shard_id,
             base_seq=base_seq,
             last_seq=base_seq,
-            last_sha=last_sha,
-            version=version,
+            last_digest=digest,
             flush_records=flush_records,
             flush_bytes=flush_bytes,
             observer=observer,
@@ -480,184 +406,48 @@ class WriteAheadLog:
     ) -> "WriteAheadLog":
         """Recover an existing log: verify the chain, drop a torn tail.
 
-        The on-disk format (v1 JSON lines / v2 binary frames) is detected
-        from the first bytes.  ``flush_records``/``flush_bytes`` of
-        ``None`` resume the format's group-commit defaults
-        (flush-per-record for v1, 64-record groups for v2).  Raises
-        :class:`~repro.exceptions.WalCorruptionError` on anything a crash
-        cannot produce — a broken header, a mid-chain hash/sequence
-        failure, or records following a broken line.
+        Raises :class:`~repro.exceptions.WalCorruptionError` on anything a
+        crash cannot produce — a missing magic (an empty file or a
+        retired v1 log), a broken header, or a mid-chain hash/sequence
+        failure.
         """
+        flush_records, flush_bytes = _flush_bounds(flush_records, flush_bytes)
         target = Path(path)
         raw = target.read_bytes()
-        if raw.startswith(WAL2_MAGIC):
-            return cls._open_v2(
-                target,
-                raw,
-                flush_records=flush_records,
-                flush_bytes=flush_bytes,
-                observer=observer,
-            )
-        return cls._open_v1(
-            target,
-            raw,
-            flush_records=flush_records,
-            flush_bytes=flush_bytes,
-            observer=observer,
-        )
-
-    @classmethod
-    def _open_v1(
-        cls,
-        target: Path,
-        raw: bytes,
-        flush_records: Optional[int],
-        flush_bytes: Optional[int],
-        observer: Optional[Any],
-    ) -> "WriteAheadLog":
-        flush_records = 1 if flush_records is None else flush_records
-        flush_bytes = DEFAULT_FLUSH_BYTES if flush_bytes is None else flush_bytes
-        lines = raw.split(b"\n")
-        # a well-formed file ends with "\n", so the final split element is ""
-        trailing_ok = bool(lines) and lines[-1] == b""
-        if trailing_ok:
-            lines = lines[:-1]
-        if not lines:
-            raise WalCorruptionError(f"WAL file is empty: {target}")
-
-        shard_id, base_seq, header_sha = cls._parse_header(target, lines[0])
-        if len(lines) == 1 and not trailing_ok:
-            # create() fsyncs header + newline before returning, so a
-            # header without its newline is not a crash artefact
-            raise WalCorruptionError(f"WAL {target} header missing newline")
-
-        prev_sha = header_sha
+        shard_id, base_seq, prev_digest, good_bytes = _parse_header(target, raw)
         seq = base_seq
-        good_bytes = len(lines[0]) + 1
-        n_lines = len(lines)
-        for i in range(1, n_lines):
-            line = lines[i]
-            is_last = i == n_lines - 1
-            try:
-                obj = json.loads(line.decode("utf-8"))
-                rec_seq, _op, _payload = _verify_line(obj, prev_sha, seq + 1)
-            except (ValueError, UnicodeDecodeError) as exc:
-                if is_last:
-                    # torn tail: unacknowledged final write — drop it
-                    break
-                raise WalCorruptionError(
-                    f"WAL {target} corrupt at line {i + 1}: {exc}"
-                ) from exc
-            if is_last and not trailing_ok:
-                # parses and verifies but the newline never landed: still a
-                # torn write (the acknowledgement flush includes the newline)
-                break
-            seq = rec_seq
-            prev_sha = obj["sha256"]
-            good_bytes += len(line) + 1
-
-        cls._truncate_to(target, good_bytes, len(raw))
-        return cls(
-            target,
-            shard_id=shard_id,
-            base_seq=base_seq,
-            last_seq=seq,
-            last_sha=prev_sha,
-            version=1,
-            flush_records=flush_records,
-            flush_bytes=flush_bytes,
-            observer=observer,
-        )
-
-    #: Group-commit record bound v2 logs resume with when none is given.
-    DEFAULT_V2_FLUSH_RECORDS = 64
-
-    @classmethod
-    def _open_v2(
-        cls,
-        target: Path,
-        raw: bytes,
-        flush_records: Optional[int],
-        flush_bytes: Optional[int],
-        observer: Optional[Any],
-    ) -> "WriteAheadLog":
-        if flush_records is None:
-            flush_records = cls.DEFAULT_V2_FLUSH_RECORDS
-        flush_bytes = DEFAULT_FLUSH_BYTES if flush_bytes is None else flush_bytes
-        shard_id, base_seq, prev_digest, good_bytes = _parse_header_v2(target, raw)
-        seq = base_seq
-        frames = _iter_raw_frames_v2(raw, good_bytes)
+        frames = _iter_raw_frames(raw, good_bytes)
         while True:
             try:
                 pos, body, digest, end = next(frames)
-            except _TornTail:
-                # incomplete frame at the tail: the torn suffix of a
-                # group write — drop it
-                break
-            except StopIteration:
+            except (_TornTail, StopIteration):
+                # end of file, or the torn suffix of a group write — drop it
                 break
             try:
-                rec_seq, _op, _payload = _verify_frame_v2(
-                    body, digest, prev_digest, seq + 1
-                )
+                seq, _op, _payload = _verify_frame(body, digest, prev_digest, seq + 1)
             except ValueError as exc:
                 if end >= len(raw):
                     break  # torn final frame: unacknowledged — drop it
                 raise WalCorruptionError(
                     f"WAL {target} corrupt at offset {pos}: {exc}"
                 ) from exc
-            seq = rec_seq
             prev_digest = digest
             good_bytes = end
-        cls._truncate_to(target, good_bytes, len(raw))
+        if good_bytes < len(raw):
+            with open(target, "r+b") as handle:
+                handle.truncate(good_bytes)
+                handle.flush()
+                os.fsync(handle.fileno())
         return cls(
             target,
             shard_id=shard_id,
             base_seq=base_seq,
             last_seq=seq,
-            last_sha=prev_digest,
-            version=2,
+            last_digest=prev_digest,
             flush_records=flush_records,
             flush_bytes=flush_bytes,
             observer=observer,
         )
-
-    @staticmethod
-    def _truncate_to(target: Path, good_bytes: int, total_bytes: int) -> None:
-        if good_bytes < total_bytes:
-            with open(target, "r+b") as handle:
-                handle.truncate(good_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
-
-    @staticmethod
-    def _parse_header(target: Path, line: bytes) -> Tuple[int, int, str]:
-        try:
-            obj = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise WalCorruptionError(f"WAL {target} has unreadable header") from exc
-        if not isinstance(obj, dict) or set(obj) != {"header", "sha256"}:
-            raise WalCorruptionError(f"WAL {target} has malformed header")
-        header = obj["header"]
-        if obj["sha256"] != _sha(canonical_json({"header": header})):
-            raise WalCorruptionError(f"WAL {target} header fails hash check")
-        if header.get("schema") != WAL_SCHEMA:
-            raise WalCorruptionError(
-                f"WAL {target} declares schema {header.get('schema')!r} "
-                f"(expected {WAL_SCHEMA!r})"
-            )
-        if header.get("schema_version") != WAL_SCHEMA_VERSION:
-            raise WalCorruptionError(
-                f"WAL {target} declares schema_version "
-                f"{header.get('schema_version')!r} "
-                f"(this reader supports {WAL_SCHEMA_VERSION})"
-            )
-        try:
-            return int(header["shard"]), int(header["base_seq"]), str(obj["sha256"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WalCorruptionError(
-                f"WAL {target} header missing shard/base_seq fields"
-            ) from exc
 
     # ------------------------------------------------------------------
     # properties
@@ -669,11 +459,6 @@ class WriteAheadLog:
     @property
     def shard_id(self) -> int:
         return self._shard_id
-
-    @property
-    def version(self) -> int:
-        """On-disk format version (1 = JSON lines, 2 = binary frames)."""
-        return self._version
 
     @property
     def base_seq(self) -> int:
@@ -697,27 +482,19 @@ class WriteAheadLog:
     def append(self, op: str, payload: Dict[str, Any]) -> int:
         """Append one operation; returns its sequence number.
 
-        ``payload`` values may be (nested) ``float64`` ndarrays — v2 logs
-        them as raw buffers, v1 listifies them.  The encoded record
-        enters the group-commit buffer; it reaches the OS page cache at
-        the next bound crossing, :meth:`flush`, :meth:`sync`, read, or
-        close.  With ``flush_records=1`` every append flushes, so a
-        SIGKILL after ``append`` leaves the record replayable; at worst
-        the final line/frame is torn, which recovery drops.
+        ``payload`` values may be (nested) ``float64`` ndarrays, logged as
+        raw buffers.  The encoded record enters the group-commit buffer;
+        it reaches the OS page cache at the next bound crossing,
+        :meth:`flush`, :meth:`sync`, read, or close.  With
+        ``flush_records=1`` every append flushes, so a SIGKILL after
+        ``append`` leaves the record replayable; at worst the final frame
+        is torn, which recovery drops.
         """
         if op not in WAL_OPS:
             raise WalCorruptionError(f"unknown WAL op {op!r}")
         with self._lock:
             seq = self._last_seq + 1
-            if self._version == 2:
-                assert isinstance(self._last_sha, bytes)
-                frame, digest = _record_frame_v2(self._last_sha, seq, op, payload)
-                self._last_sha = digest
-            else:
-                assert isinstance(self._last_sha, str)
-                obj = _record_obj(self._last_sha, seq, op, _payload_jsonify(payload))
-                frame = (canonical_json(obj) + "\n").encode("utf-8")
-                self._last_sha = str(obj["sha256"])
+            frame, self._last_digest = _record_frame(self._last_digest, seq, op, payload)
             self._pending += frame
             self._pending_records += 1
             self._last_seq = seq
@@ -777,60 +554,49 @@ class WriteAheadLog:
         ``after`` defaults to ``base_seq`` (everything in the log).  The
         group-commit buffer is drained first, then the file is re-read
         and re-verified from disk — the same code path a cold recovery
-        uses, so tests exercise it constantly.  v2 payload arrays come
-        back as ``float64`` ndarrays; v1 payloads as nested lists — the
-        replay layer accepts both.
+        uses, so tests exercise it constantly.  Payload arrays come back
+        as ``float64`` ndarrays.  A file that ends before the last
+        appended record raises :class:`~repro.exceptions.WalCorruptionError`.
         """
         floor = self._base_seq if after is None else int(after)
         with self._lock:
             self._flush_locked()
             last_seq = self._last_seq
-        if self._version == 2:
-            yield from self._records_v2(floor, last_seq)
-            return
-        text = self._path.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        prev_sha = self._parse_header(self._path, lines[0].encode("utf-8"))[2]
-        seq = self._base_seq
-        for line in lines[1:]:
-            if seq >= last_seq:
-                break  # ignore records appended since the snapshot above
-            try:
-                obj = json.loads(line)
-                seq, op, payload = _verify_line(obj, prev_sha, seq + 1)
-            except ValueError as exc:
-                raise WalCorruptionError(
-                    f"WAL {self._path} corrupt during replay: {exc}"
-                ) from exc
-            prev_sha = obj["sha256"]
-            if seq > floor:
-                yield seq, op, payload
+        for record, _body in self._read_verified(last_seq):
+            if record[0] > floor:
+                yield record
 
-    def _records_v2(self, floor: int, last_seq: int) -> Iterator[WalRecord]:
+    def _read_verified(self, last_seq: int) -> Iterator[Tuple[WalRecord, bytes]]:
+        """Yield every record through ``last_seq``, re-read from disk, with its body.
+
+        Takes no lock: callers drain the buffer first (``records`` then
+        reads the snapshot it took; ``truncate_through`` holds the lock
+        across read and rewrite).
+        """
         raw = self._path.read_bytes()
-        shard_id, base_seq, prev_digest, end = _parse_header_v2(self._path, raw)
-        del shard_id
-        seq = base_seq
-        frames = _iter_raw_frames_v2(raw, end)
+        _shard, seq, prev_digest, start = _parse_header(self._path, raw)
+        frames = _iter_raw_frames(raw, start)
         while seq < last_seq:
             try:
                 pos, body, digest, _end = next(frames)
+                record = _verify_frame(body, digest, prev_digest, seq + 1)
             except StopIteration:
-                break
+                raise WalCorruptionError(
+                    f"WAL {self._path} ends at seq {seq}, before the last "
+                    f"acknowledged seq {last_seq}"
+                ) from None
             except _TornTail as exc:
                 raise WalCorruptionError(
                     f"WAL {self._path} corrupt during replay: "
                     f"incomplete frame at offset {exc.args[0]}"
                 ) from exc
-            try:
-                seq, op, payload = _verify_frame_v2(body, digest, prev_digest, seq + 1)
             except ValueError as exc:
                 raise WalCorruptionError(
                     f"WAL {self._path} corrupt during replay at offset {pos}: {exc}"
                 ) from exc
+            seq = record[0]
             prev_digest = digest
-            if seq > floor:
-                yield seq, op, payload
+            yield record, body
 
     def verify(self) -> int:
         """Re-verify the whole chain from disk; returns the record count."""
@@ -846,43 +612,29 @@ class WriteAheadLog:
         is re-chained onto a fresh header whose ``base_seq`` is ``seq``,
         written atomically (tmp + fsync + ``os.replace``), so a crash
         during compaction leaves either the old or the new log — both
-        verifiable.  The rewritten log keeps its on-disk format.  Returns
-        the number of records dropped.
+        verifiable.  Read and rewrite happen under the writer lock, so an
+        append racing the compaction lands in the new file.  Returns the
+        number of records dropped.
         """
         target = int(seq)
-        if target < self._base_seq or target > self._last_seq:
-            raise WalCorruptionError(
-                f"cannot truncate through seq {target}: log covers "
-                f"({self._base_seq}, {self._last_seq}]"
-            )
-        tail: List[WalRecord] = [rec for rec in self.records(after=target)]
         with self._lock:
-            out: List[bytes]
-            last_sha: Union[str, bytes]
-            if self._version == 2:
-                header_frame, prev_digest = _header_frame_v2(self._shard_id, target)
-                out = [WAL2_MAGIC, header_frame]
-                for rec_seq, op, payload in tail:
-                    frame, prev_digest = _record_frame_v2(
-                        prev_digest, rec_seq, op, payload
-                    )
+            if target < self._base_seq or target > self._last_seq:
+                raise WalCorruptionError(
+                    f"cannot truncate through seq {target}: log covers "
+                    f"({self._base_seq}, {self._last_seq}]"
+                )
+            self._flush_locked()
+            header, prev_digest = _header_frame(self._shard_id, target)
+            out = [WAL2_MAGIC, header]
+            for (rec_seq, _op, _payload), body in self._read_verified(self._last_seq):
+                if rec_seq > target:
+                    frame, prev_digest = _seal(prev_digest, body)
                     out.append(frame)
-                last_sha = prev_digest
-            else:
-                header = _header_obj(self._shard_id, target)
-                prev_sha = str(header["sha256"])
-                out = [(canonical_json(header) + "\n").encode("utf-8")]
-                for rec_seq, op, payload in tail:
-                    obj = _record_obj(prev_sha, rec_seq, op, payload)
-                    out.append((canonical_json(obj) + "\n").encode("utf-8"))
-                    prev_sha = str(obj["sha256"])
-                last_sha = prev_sha
             tmp = self._path.with_name(self._path.name + ".tmp")
             with open(tmp, "wb") as handle:
                 handle.write(b"".join(out))
                 handle.flush()
                 os.fsync(handle.fileno())
-            self._handle.flush()
             self._handle.close()
             os.replace(tmp, self._path)
             # compaction deletes replayed records on the strength of the
@@ -891,6 +643,6 @@ class WriteAheadLog:
             fsync_dir(self._path.parent)
             dropped = target - self._base_seq
             self._base_seq = target
-            self._last_sha = last_sha
+            self._last_digest = prev_digest
             self._handle = open(self._path, "ab")
             return dropped

@@ -352,7 +352,6 @@ class ShardWorker:
         if self.wal is not None:
             out["wal"] = {
                 "path": str(self.wal.path),
-                "version": self.wal.version,
                 "base_seq": self.wal.base_seq,
                 "last_seq": self.wal.last_seq,
                 "records_appended": self.wal.records_appended,

@@ -215,7 +215,7 @@ class TestCountersAndStats:
     def test_context_manager(self, prior, samples, tmp_path):
         """Leaving the block closes the WAL, flushing its group-commit buffer."""
         path = tmp_path / "w.wal"
-        wal = WriteAheadLog.create(path, shard_id=0, version=2, flush_records=64)
+        wal = WriteAheadLog.create(path, shard_id=0, flush_records=64)
         with ShardWorker(wal=wal) as worker:
             _feed(worker, prior, samples[:3])
         reopened = WriteAheadLog.open(path)

@@ -267,7 +267,7 @@ class TestWalV2AndDelta:
     """Binary-format logging, group commit, and suffstats-delta records."""
 
     def test_v2_replay_reproduces_state_sha(self, prior, rng, tmp_path):
-        wal = WriteAheadLog.create(tmp_path / "s.wal", shard_id=0, version=2)
+        wal = WriteAheadLog.create(tmp_path / "s.wal", shard_id=0)
         live = ShardWorker(shard_id=0, wal=wal)
         _drive(live, prior, rng)
         replayed = ShardWorker(shard_id=0)
@@ -280,9 +280,7 @@ class TestWalV2AndDelta:
     def test_kill_mid_ingest_recovers_v2(self, prior, rng, tmp_path):
         """The v1 kill test, on the binary format: torn frame bytes at the
         tail recover to the last acknowledged state."""
-        wal = WriteAheadLog.create(
-            tmp_path / "s.wal", shard_id=0, version=2, flush_records=1
-        )
+        wal = WriteAheadLog.create(tmp_path / "s.wal", shard_id=0, flush_records=1)
         live = ShardWorker(shard_id=0, wal=wal)
         live.create_session("k", prior)
         for _ in range(8):
@@ -302,9 +300,7 @@ class TestWalV2AndDelta:
     def test_kill_mid_ingest_recovers_group_commit(self, prior, rng, tmp_path):
         """With group commit, the flushed prefix (+ the checkpoint barrier)
         defines exactly what recovery reproduces."""
-        wal = WriteAheadLog.create(
-            tmp_path / "s.wal", shard_id=0, version=2, flush_records=4
-        )
+        wal = WriteAheadLog.create(tmp_path / "s.wal", shard_id=0, flush_records=4)
         live = ShardWorker(shard_id=0, wal=wal)
         live.create_session("k", prior)
         for _ in range(6):
@@ -328,11 +324,9 @@ class TestWalV2AndDelta:
         """Qualifying blocks logged as suffstats leave the *same* worker
         state as raw-sample logging — same bits, not just 1e-10."""
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        raw_wal = WriteAheadLog.create(tmp_path / "raw.wal", shard_id=0, version=2)
+        raw_wal = WriteAheadLog.create(tmp_path / "raw.wal", shard_id=0)
         raw = ShardWorker(shard_id=0, wal=raw_wal)
-        delta_wal = WriteAheadLog.create(
-            tmp_path / "delta.wal", shard_id=0, version=2
-        )
+        delta_wal = WriteAheadLog.create(tmp_path / "delta.wal", shard_id=0)
         delta = ShardWorker(shard_id=0, wal=delta_wal, wal_delta_rows=4)
         for worker, rng in ((raw, rng_a), (delta, rng_b)):
             worker.create_session("k", prior, kappa0=2.0, v0=D + 2.0)
@@ -348,7 +342,7 @@ class TestWalV2AndDelta:
         delta_wal.close()
 
     def test_delta_records_replay_bit_identically(self, prior, rng, tmp_path):
-        wal = WriteAheadLog.create(tmp_path / "s.wal", shard_id=0, version=2)
+        wal = WriteAheadLog.create(tmp_path / "s.wal", shard_id=0)
         live = ShardWorker(shard_id=0, wal=wal, wal_delta_rows=4)
         live.create_session("k", prior)
         for rows in (8, 2, 16, 1):
@@ -365,11 +359,9 @@ class TestWalV2AndDelta:
         wal.close()
 
     def test_delta_wal_is_smaller_than_raw(self, prior, rng, tmp_path):
-        raw_wal = WriteAheadLog.create(tmp_path / "raw.wal", shard_id=0, version=2)
+        raw_wal = WriteAheadLog.create(tmp_path / "raw.wal", shard_id=0)
         raw = ShardWorker(shard_id=0, wal=raw_wal)
-        delta_wal = WriteAheadLog.create(
-            tmp_path / "delta.wal", shard_id=0, version=2
-        )
+        delta_wal = WriteAheadLog.create(tmp_path / "delta.wal", shard_id=0)
         delta = ShardWorker(shard_id=0, wal=delta_wal, wal_delta_rows=16)
         block = rng.standard_normal((512, D))
         for worker in (raw, delta):
@@ -381,14 +373,11 @@ class TestWalV2AndDelta:
         delta_wal.close()
 
     def test_stats_exposes_wal_gauges(self, prior, rng, tmp_path):
-        wal = WriteAheadLog.create(
-            tmp_path / "s.wal", shard_id=0, version=2, flush_records=2
-        )
+        wal = WriteAheadLog.create(tmp_path / "s.wal", shard_id=0, flush_records=2)
         worker = ShardWorker(shard_id=0, wal=wal)
         worker.create_session("k", prior)
         worker.ingest("k", rng.standard_normal((3, D)))
         out = worker.stats()
-        assert out["wal"]["version"] == 2
         assert out["wal"]["records_appended"] == 2
         assert out["wal"]["flush_count"] == 1
         assert out["wal"]["pending_records"] == 0

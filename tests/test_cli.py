@@ -584,8 +584,6 @@ class TestWireEmitAndWalFlags:
                 "2",
                 "--wal-dir",
                 "/tmp/wal",
-                "--wal-format",
-                "v1",
                 "--wal-flush-records",
                 "8",
                 "--wal-flush-bytes",
@@ -594,14 +592,12 @@ class TestWireEmitAndWalFlags:
                 "16",
             ]
         )
-        assert args.wal_format == "v1"
         assert args.wal_flush_records == 8
         assert args.wal_flush_bytes == 4096
         assert args.wal_delta_rows == 16
 
-    def test_serve_wal_format_defaults_to_v2(self):
+    def test_serve_wal_knobs_default_to_none(self):
         args = build_parser().parse_args(["serve"])
-        assert args.wal_format == "v2"
         assert args.wal_flush_records is None and args.wal_delta_rows is None
 
     def test_emit_wire_b64f64_lines_decode(self, bank_path, tmp_path, capsys):
@@ -710,32 +706,20 @@ class TestWireEmitAndWalFlags:
         ingest_resp = [r for r in responses if r["op"] == "ingest"]
         assert ingest_resp and ingest_resp[0]["n"] == 10
 
-    def test_serve_wal_format_v1_writes_v1_header(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import io as io_module
+    def test_serve_refuses_v1_wal_with_migration_hint(self, tmp_path, capsys):
         import json
 
+        from repro.schemas import WAL_SCHEMA_V1
+
         wal_dir = tmp_path / "wal"
-        reqs = [
-            {
-                "op": "create",
-                "key": "dut",
-                "prior_mean": [0.0, 0.0],
-                "prior_covariance": [[1.0, 0.0], [0.0, 1.0]],
-            },
-            {"op": "shutdown"},
-        ]
-        stream = "\n".join(json.dumps(r) for r in reqs) + "\n"
-        monkeypatch.setattr("sys.stdin", io_module.StringIO(stream))
-        code = main(
-            ["serve", "--wal-dir", str(wal_dir), "--wal-format", "v1"]
-        )
-        assert code == 0
-        raw = (wal_dir / "shard-000.wal").read_bytes()
-        assert not raw.startswith(b"#repro.serving-wal.v2\n")
-        header = json.loads(raw.splitlines()[0])
-        assert header["header"]["schema"] == "repro.serving-wal.v1"
+        wal_dir.mkdir()
+        header = {"base_seq": 0, "schema": WAL_SCHEMA_V1, "schema_version": 1, "shard": 0}
+        line = json.dumps({"header": header, "sha256": "0" * 64})
+        (wal_dir / "shard-000.wal").write_text(line + "\n")
+        code = main(["serve", "--wal-dir", str(wal_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert WAL_SCHEMA_V1 in err and "repro replay" in err
 
     def test_serve_default_wal_is_v2_binary(self, tmp_path, capsys, monkeypatch):
         import io as io_module
