@@ -1,26 +1,20 @@
-"""WAL v2 binary format: framing, group commit, recovery, compaction.
+"""WAL binary frames at the byte level: refused appends, header and
+mid-chain corruption, torn-tail repair, and compaction bounds.
 
-The v1 suite (``test_wal.py``) pins the JSON-lines format byte-for-byte;
-this file covers what v2 adds — raw float64 array frames, the binary
-hash chain, group-commit buffering — and the properties the two formats
-must share: torn-tail recovery, mid-chain corruption detection, atomic
-compaction, and format auto-detection on ``open``.
+``test_wal.py`` covers the log end to end; these cases flip or append
+raw bytes in a written file and check what ``open`` makes of it.
 """
 
 import numpy as np
 import pytest
 
 from repro.exceptions import WalCorruptionError
-from repro.serving.wal import (
-    WAL2_MAGIC,
-    WAL_SCHEMA_V2,
-    WriteAheadLog,
-)
+from repro.serving.wal import WAL2_MAGIC, WriteAheadLog
 
 
 @pytest.fixture
 def wal(tmp_path):
-    log = WriteAheadLog.create(tmp_path / "shard-000.wal", shard_id=0, version=2)
+    log = WriteAheadLog.create(tmp_path / "shard-000.wal", shard_id=0)
     yield log
     log.close()
 
@@ -36,202 +30,19 @@ def _sample_records(log, rng, n=6):
 
 
 class TestFraming:
-    def test_create_writes_magic_and_header(self, tmp_path):
-        path = tmp_path / "s.wal"
-        log = WriteAheadLog.create(path, shard_id=7, base_seq=3, version=2)
-        log.close()
-        raw = path.read_bytes()
-        assert raw.startswith(WAL2_MAGIC)
-        assert WAL_SCHEMA_V2.encode() in raw
-        reopened = WriteAheadLog.open(path)
-        assert reopened.version == 2
-        assert reopened.shard_id == 7
-        assert reopened.base_seq == 3
-        assert reopened.last_seq == 3
-        reopened.close()
-
-    def test_arrays_round_trip_bit_exactly(self, wal, rng):
-        block = rng.standard_normal((16, 5)) * 1e6 + np.pi
-        vector = rng.standard_normal(5)
-        wal.append("ingest", {"key": "a", "samples": block})
-        wal.append("ingest", {"key": "a", "samples": vector})
-        records = list(wal.records())
-        assert [op for _, op, _ in records] == ["ingest", "ingest"]
-        out_block = records[0][2]["samples"]
-        out_vector = records[1][2]["samples"]
-        assert out_block.shape == block.shape  # 2-D stays 2-D (Chan path)
-        assert out_vector.shape == vector.shape  # 1-D stays 1-D (Welford path)
-        assert np.array_equal(out_block, block)
-        assert np.array_equal(out_vector, vector)
-        assert out_block.dtype == np.float64
-
-    def test_nested_and_scalar_payloads_round_trip(self, wal, rng):
-        scatter = rng.standard_normal((3, 3))
-        payload = {
-            "key": "a",
-            "stats": {"n": 12, "mean": rng.standard_normal(3), "scatter": scatter},
-        }
-        wal.append("ingest_stats", payload)
-        wal.append("touch", {"keys": ["a", "b", "a"], "kinds": {"estimate": 2}})
-        records = list(wal.records())
-        stats = records[0][2]["stats"]
-        assert stats["n"] == 12
-        assert np.array_equal(stats["scatter"], scatter)
-        assert records[1][2] == {"keys": ["a", "b", "a"], "kinds": {"estimate": 2}}
-
     def test_unknown_op_refused(self, wal):
         with pytest.raises(WalCorruptionError, match="unknown WAL op"):
             wal.append("evict", {})
 
-    def test_create_refuses_existing_file(self, tmp_path, wal):
+    def test_create_refuses_existing_file(self, wal):
         with pytest.raises(WalCorruptionError, match="existing"):
-            WriteAheadLog.create(wal.path, shard_id=0, version=2)
-
-    def test_create_refuses_unknown_version(self, tmp_path):
-        with pytest.raises(WalCorruptionError, match="version"):
-            WriteAheadLog.create(tmp_path / "x.wal", shard_id=0, version=3)
-
-
-class TestAutoDetection:
-    def test_open_detects_each_format(self, tmp_path, rng):
-        for version in (1, 2):
-            path = tmp_path / f"v{version}.wal"
-            log = WriteAheadLog.create(path, shard_id=0, version=version)
-            log.append("ingest", {"key": "a", "samples": rng.standard_normal((3, 2))})
-            log.close()
-            reopened = WriteAheadLog.open(path)
-            assert reopened.version == version
-            assert reopened.verify() == 1
-            reopened.close()
-
-    def test_formats_replay_identically(self, tmp_path, rng):
-        """Same ops through v1 and v2 logs -> same replayed records."""
-        blocks = [rng.standard_normal((5, 3)) for _ in range(4)]
-        logs = {}
-        for version in (1, 2):
-            log = WriteAheadLog.create(
-                tmp_path / f"fmt{version}.wal", shard_id=0, version=version
-            )
-            for i, block in enumerate(blocks):
-                log.append("ingest", {"key": f"k{i % 2}", "samples": block})
-            logs[version] = list(log.records())
-            log.close()
-        assert len(logs[1]) == len(logs[2]) == len(blocks)
-        for (seq1, op1, p1), (seq2, op2, p2) in zip(logs[1], logs[2]):
-            assert (seq1, op1) == (seq2, op2)
-            assert p1["key"] == p2["key"]
-            # v1 yields nested lists, v2 ndarrays — identical values
-            assert np.array_equal(np.asarray(p1["samples"]), p2["samples"])
-
-
-class TestGroupCommit:
-    def test_buffer_flushes_at_record_bound(self, tmp_path, rng):
-        log = WriteAheadLog.create(
-            tmp_path / "s.wal", shard_id=0, version=2, flush_records=4
-        )
-        for _ in range(3):
-            log.append("touch", {"keys": [], "kinds": {}})
-        assert log.pending_records == 3
-        assert log.flush_count == 0
-        log.append("touch", {"keys": [], "kinds": {}})
-        assert log.pending_records == 0
-        assert log.flush_count == 1
-        assert log.records_appended == 4
-        log.close()
-
-    def test_buffer_flushes_at_byte_bound(self, tmp_path, rng):
-        log = WriteAheadLog.create(
-            tmp_path / "s.wal",
-            shard_id=0,
-            version=2,
-            flush_records=10_000,
-            flush_bytes=4096,
-        )
-        log.append("ingest", {"key": "a", "samples": rng.standard_normal((128, 8))})
-        assert log.pending_records == 0  # 8 KiB frame crossed the 4 KiB bound
-        assert log.flush_count == 1
-        log.close()
-
-    def test_reads_drain_the_buffer(self, tmp_path, rng):
-        log = WriteAheadLog.create(
-            tmp_path / "s.wal", shard_id=0, version=2, flush_records=100
-        )
-        log.append("ingest", {"key": "a", "samples": rng.standard_normal((2, 2))})
-        assert log.pending_records == 1
-        assert log.verify() == 1  # records() flushed first
-        assert log.pending_records == 0
-        log.close()
-
-    def test_sync_and_close_drain_the_buffer(self, tmp_path):
-        path = tmp_path / "s.wal"
-        log = WriteAheadLog.create(path, shard_id=0, version=2, flush_records=100)
-        log.append("drop", {"key": "a"})
-        size_before = path.stat().st_size
-        log.sync()
-        assert path.stat().st_size > size_before
-        log.append("drop", {"key": "b"})
-        log.close()
-        reopened = WriteAheadLog.open(path)
-        assert reopened.last_seq == 2
-        reopened.close()
-
-    def test_observer_sees_appends_and_flushes(self, tmp_path):
-        class Probe:
-            appends = 0
-            append_bytes = 0
-            flushes = 0
-
-            def record_wal_append(self, n_bytes):
-                self.appends += 1
-                self.append_bytes += n_bytes
-
-            def record_wal_flush(self, n_bytes):
-                self.flushes += 1
-
-        probe = Probe()
-        log = WriteAheadLog.create(
-            tmp_path / "s.wal",
-            shard_id=0,
-            version=2,
-            flush_records=2,
-            observer=probe,
-        )
-        for _ in range(4):
-            log.append("touch", {"keys": [], "kinds": {}})
-        assert probe.appends == 4
-        assert probe.flushes == 2
-        assert probe.append_bytes == log.bytes_written
-        log.close()
-
-    def test_open_resumes_format_default_bounds(self, tmp_path):
-        for version, expected in ((1, 1), (2, WriteAheadLog.DEFAULT_V2_FLUSH_RECORDS)):
-            path = tmp_path / f"d{version}.wal"
-            WriteAheadLog.create(path, shard_id=0, version=version).close()
-            log = WriteAheadLog.open(path)
-            assert log._flush_records == expected
-            log.close()
+            WriteAheadLog.create(wal.path, shard_id=0)
 
 
 class TestRecovery:
-    def test_torn_tail_dropped_at_every_cut(self, tmp_path, rng):
-        """Truncating anywhere inside the final frame loses only that frame."""
-        path = tmp_path / "s.wal"
-        log = WriteAheadLog.create(path, shard_id=0, version=2)
-        _sample_records(log, rng, n=3)
-        log.close()
-        intact = path.read_bytes()
-        for cut in (1, 7, 33):
-            path.write_bytes(intact[:-cut])
-            recovered = WriteAheadLog.open(path)
-            assert recovered.last_seq == 2  # frame 3 torn, frames 1-2 intact
-            assert recovered.verify() == 2
-            recovered.close()
-            path.unlink()
-            path.write_bytes(intact)
-
     def test_recovery_truncates_file_to_verified_prefix(self, tmp_path, rng):
         path = tmp_path / "s.wal"
-        log = WriteAheadLog.create(path, shard_id=0, version=2)
+        log = WriteAheadLog.create(path, shard_id=0)
         _sample_records(log, rng, n=2)
         log.close()
         good = path.stat().st_size
@@ -243,23 +54,13 @@ class TestRecovery:
         # appends continue on the repaired chain
         recovered.append("drop", {"key": "k0"})
         recovered.close()
-        assert WriteAheadLog.open(path).verify() == 3
-
-    def test_corrupt_final_frame_digest_is_dropped(self, tmp_path, rng):
-        path = tmp_path / "s.wal"
-        log = WriteAheadLog.create(path, shard_id=0, version=2)
-        _sample_records(log, rng, n=2)
-        log.close()
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF  # flip a digest byte of the final frame
-        path.write_bytes(bytes(raw))
-        recovered = WriteAheadLog.open(path)
-        assert recovered.last_seq == 1
-        recovered.close()
+        reopened = WriteAheadLog.open(path)
+        assert reopened.verify() == 3
+        reopened.close()
 
     def test_mid_chain_corruption_raises(self, tmp_path, rng):
         path = tmp_path / "s.wal"
-        log = WriteAheadLog.create(path, shard_id=0, version=2)
+        log = WriteAheadLog.create(path, shard_id=0)
         payloads = _sample_records(log, rng, n=3)
         log.close()
         raw = bytearray(path.read_bytes())
@@ -275,78 +76,16 @@ class TestRecovery:
 
     def test_header_corruption_raises(self, tmp_path):
         path = tmp_path / "s.wal"
-        WriteAheadLog.create(path, shard_id=0, version=2).close()
+        WriteAheadLog.create(path, shard_id=0).close()
         raw = bytearray(path.read_bytes())
         raw[len(WAL2_MAGIC) + 10] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(WalCorruptionError):
             WriteAheadLog.open(path)
 
-    def test_pending_buffer_is_lost_on_kill_flushed_prefix_survives(
-        self, tmp_path, rng
-    ):
-        """Documented group-commit semantics: unflushed suffix may vanish."""
-        path = tmp_path / "s.wal"
-        log = WriteAheadLog.create(path, shard_id=0, version=2, flush_records=3)
-        for i in range(7):  # 2 full groups flushed, 1 record pending
-            log.append("touch", {"keys": [f"k{i}"], "kinds": {}})
-        assert log.pending_records == 1
-        # simulate SIGKILL: read the file as-is, no flush/close
-        survivor = WriteAheadLog.open(path)
-        assert survivor.last_seq == 6
-        survivor.close()
-        log.close()
-
 
 class TestCompaction:
-    def test_truncate_through_keeps_tail_and_format(self, tmp_path, rng):
-        path = tmp_path / "s.wal"
-        log = WriteAheadLog.create(path, shard_id=0, version=2)
-        payloads = _sample_records(log, rng, n=5)
-        dropped = log.truncate_through(3)
-        assert dropped == 3
-        assert log.base_seq == 3
-        assert log.last_seq == 5
-        records = list(log.records())
-        assert [seq for seq, _, _ in records] == [4, 5]
-        assert np.array_equal(records[0][2]["samples"], payloads[3]["samples"])
-        # appends continue, and a cold reopen agrees
-        log.append("drop", {"key": "k0"})
-        log.close()
-        reopened = WriteAheadLog.open(path)
-        assert reopened.version == 2
-        assert reopened.base_seq == 3
-        assert reopened.last_seq == 6
-        assert reopened.verify() == 3
-        reopened.close()
-
     def test_truncate_bounds_checked(self, wal, rng):
         _sample_records(wal, rng, n=2)
         with pytest.raises(WalCorruptionError, match="cannot truncate"):
             wal.truncate_through(3)
-
-    def test_truncate_flushes_pending_first(self, tmp_path, rng):
-        path = tmp_path / "s.wal"
-        log = WriteAheadLog.create(path, shard_id=0, version=2, flush_records=100)
-        _sample_records(log, rng, n=4)
-        assert log.pending_records == 4
-        log.truncate_through(2)
-        assert log.verify() == 2
-        log.close()
-
-
-class TestV1PayloadCompat:
-    def test_v1_append_bytes_identical_for_arrays_and_lists(self, tmp_path, rng):
-        """Workers now pass ndarrays; v1 files must not change a single byte."""
-        block = rng.standard_normal((4, 3))
-        paths = {}
-        for name, payload in (
-            ("arr", {"key": "a", "samples": block}),
-            ("list", {"key": "a", "samples": block.tolist()}),
-        ):
-            path = tmp_path / f"{name}.wal"
-            log = WriteAheadLog.create(path, shard_id=0, version=1)
-            log.append("ingest", payload)
-            log.close()
-            paths[name] = path.read_bytes()
-        assert paths["arr"] == paths["list"]
