@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -47,10 +48,7 @@ def set_capture_manager(capman) -> None:
 
 def emit(text: str) -> None:
     """Print around pytest's capture so benchmark tables always show."""
-    if _CAPTURE_MANAGER is not None:
-        with _CAPTURE_MANAGER.global_and_fixture_disabled():
-            sys.stdout.write("\n" + text + "\n")
-            sys.stdout.flush()
-    else:
+    capman = _CAPTURE_MANAGER
+    with capman.global_and_fixture_disabled() if capman else contextlib.nullcontext():
         sys.stdout.write("\n" + text + "\n")
         sys.stdout.flush()

@@ -9,11 +9,21 @@ Every figure benchmark *prints the series the paper plots* (error vs
 late-stage sample count per method) through ``_bench_util.emit``, which
 bypasses pytest's capture so the tables appear in
 ``pytest benchmarks/ --benchmark-only`` output and in a tee'd log.
+
+The micro-benchmarks import their bodies from ``scripts/`` and their
+oracles from ``tests/``, so the repository root goes on ``sys.path``.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from _bench_util import BenchScale, current_scale, set_capture_manager
+
+REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 
 def pytest_configure(config):

@@ -17,17 +17,18 @@ Usage (from the repository root)::
         [--mc-samples 64] [--out BENCH_backends.json] [--smoke]
 
 ``--smoke`` shrinks sizes for CI wall-clock budgets.
+``benchmarks/bench_backends.py`` runs the same functions under pytest.
 """
 
 from __future__ import annotations
 
 import argparse
-import time
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from repro.bench import append_entry
+from repro.bench import append_entry, best_of
 from repro.circuits.mna import StampPlan
 from repro.circuits.netlist import Netlist
 from repro.exceptions import SimulationError
@@ -37,32 +38,33 @@ from repro.linalg.backends import sparse_mna
 #: tolerance; see docs/PERFORMANCE.md).
 MNA_REL_TOL = 1e-9
 
-
-def best_of(fn, repeats: int) -> tuple[float, object]:
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+#: Ladder size past the ``auto`` crossover (64 unknowns) at which sparse
+#: must beat dense; ``benchmarks/bench_backends.py`` asserts it outside
+#: smoke scale.
+CROSSOVER_NODES = 128
 
 
-def ladder_plan(n_nodes: int) -> StampPlan:
-    """An ``n_nodes``-node RC ladder with every series resistor variable."""
+def ladder(n_nodes: int, n_samples: int, seed: int = 0):
+    """An ``n_nodes``-node RC ladder with every series resistor variable,
+    and ``n_samples`` log-normal draws of those resistors."""
     net = Netlist()
     net.voltage_source("Vin", "n0", "0", 1.0)
     for i in range(n_nodes):
         net.resistor(f"R{i}", f"n{i}", f"n{i + 1}", 1000.0)
         net.capacitor(f"C{i}", f"n{i + 1}", "0", 1e-9)
-    return StampPlan(net, variable=tuple(f"R{i}" for i in range(n_nodes)))
-
-
-def ladder_values(n_nodes: int, n_samples: int, seed: int = 0) -> dict:
+    plan = StampPlan(net, variable=tuple(f"R{i}" for i in range(n_nodes)))
     rng = np.random.default_rng(seed)
-    return {
+    values = {
         f"R{i}": 1000.0 * np.exp(0.1 * rng.standard_normal(n_samples))
         for i in range(n_nodes)
     }
+    return plan, values
+
+
+def solve_ladder(plan: StampPlan, values: dict, freqs: np.ndarray, backend: str):
+    """The last ladder node's voltage over ``freqs``."""
+    out = f"n{len(values)}"
+    return plan.solve_batched(values, freqs, outputs=[out], backend=backend).voltage(out)
 
 
 def bench_mna(sizes, n_samples: int, n_freqs: int, repeats: int) -> list:
@@ -70,23 +72,17 @@ def bench_mna(sizes, n_samples: int, n_freqs: int, repeats: int) -> list:
     rows = []
     sparse_ok = sparse_mna.is_available()
     for n_nodes in sizes:
-        plan = ladder_plan(n_nodes)
-        values = ladder_values(n_nodes, n_samples)
-        out = f"n{n_nodes}"
+        plan, values = ladder(n_nodes, n_samples)
         row = {
             "n_nodes": n_nodes,
             "reduced_size": plan.reduced_size,
             "n_samples": n_samples,
             "n_freqs": n_freqs,
         }
-
-        def solve(backend):
-            return plan.solve_batched(
-                values, freqs, outputs=[out], backend=backend
-            ).voltage(out)
-
         try:
-            dense_s, dense_v = best_of(lambda: solve("dense"), repeats)
+            dense_s, dense_v = best_of(
+                lambda: solve_ladder(plan, values, freqs, "dense"), repeats
+            )
             row["dense_s"] = round(dense_s, 6)
         except SimulationError as exc:
             dense_v = None
@@ -94,21 +90,17 @@ def bench_mna(sizes, n_samples: int, n_freqs: int, repeats: int) -> list:
             row["dense_infeasible"] = str(exc)
 
         if sparse_ok:
-            sparse_s, sparse_v = best_of(lambda: solve("sparse"), repeats)
+            sparse_s, sparse_v = best_of(
+                lambda: solve_ladder(plan, values, freqs, "sparse"), repeats
+            )
             row["sparse_s"] = round(sparse_s, 6)
             if dense_v is not None:
-                rel = float(
+                row["max_rel_diff"] = float(
                     np.max(
                         np.abs(sparse_v - dense_v)
                         / np.maximum(np.abs(dense_v), 1e-300)
                     )
                 )
-                if rel > MNA_REL_TOL:
-                    raise SystemExit(
-                        f"dense/sparse diverge at {n_nodes} nodes "
-                        f"(max rel diff {rel:g}) -- refusing to report"
-                    )
-                row["max_rel_diff"] = rel
                 row["speedup_sparse_over_dense"] = round(dense_s / sparse_s, 2)
         else:
             row["sparse_s"] = None
@@ -122,7 +114,17 @@ def bench_mna(sizes, n_samples: int, n_freqs: int, repeats: int) -> list:
     return rows
 
 
-def main() -> None:
+def gate_failures(rows: list) -> list:
+    """Every ladder size where the backends disagree beyond ``MNA_REL_TOL``."""
+    return [
+        f"dense/sparse diverge at {row['n_nodes']} nodes "
+        f"(max rel diff {row['max_rel_diff']:g})"
+        for row in rows
+        if row.get("max_rel_diff", 0.0) > MNA_REL_TOL
+    ]
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--mc-samples", type=int, default=64)
@@ -134,7 +136,7 @@ def main() -> None:
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_backends.json",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.smoke:
         sizes, n_samples, n_freqs = (16, 80), 8, 11
@@ -145,6 +147,10 @@ def main() -> None:
         sizes, n_samples, n_freqs = (16, 64, 128, 200, 500), args.mc_samples, 50
 
     mna_rows = bench_mna(sizes, n_samples, n_freqs, args.repeats)
+    failures = gate_failures(mna_rows)
+    if failures:
+        print("refusing to report:", *failures, sep="\n  ", file=sys.stderr)
+        return 1
 
     append_entry(
         args.out,
@@ -155,11 +161,13 @@ def main() -> None:
             "n_freqs": n_freqs,
             "repeats": args.repeats,
             "smoke": args.smoke,
+            "gates": {"max_rel_diff": MNA_REL_TOL, "crossover_nodes": CROSSOVER_NODES},
         },
         results={"mna_ladder": mna_rows},
     )
     print(f"appended to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -13,14 +13,15 @@ Usage (from the repository root)::
         [--n-samples 32 256 1024] [--n-folds 4] [--repeats 5]
         [--baseline FILE] [--out BENCH_cv.json]
 
-    # time another source tree's select (no oracle, no write)
-    PYTHONPATH=/path/to/other/src python scripts/bench_cv.py --timings-only > FILE
+    # time another checkout with its own script (no oracle, no write)
+    cd /path/to/other && PYTHONPATH=src python scripts/bench_cv.py --timings-only > FILE
 
 ``--baseline FILE`` stores such timings (e.g. of the parent commit) in
 the entry as ``results["baseline"]``, next to this tree's.
 
 Times are best-of-``--repeats`` wall clock, which filters scheduler noise
-on shared machines.  ``BENCH_cv.json`` is an append-only trajectory (see
+on shared machines.  ``benchmarks/bench_batched_cv.py`` runs the same
+functions under pytest.  ``BENCH_cv.json`` is an append-only trajectory (see
 :mod:`repro.bench.trajectory`): every run adds a timestamped entry to the
 ``history`` array instead of overwriting the previous numbers.
 """
@@ -30,12 +31,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.bench import append_entry
+from repro.bench import append_entry, best_of
 from repro.core.crossval import TwoDimensionalCV
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
@@ -43,7 +43,8 @@ from repro.stats.multivariate_gaussian import MultivariateGaussian
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Largest relative score deviation from the oracle that may be reported.
+#: Largest relative score deviation from the oracle that may be reported
+#: (the winner must match exactly).
 ORACLE_RTOL = 1e-10
 
 
@@ -56,34 +57,38 @@ def build_problem(dim: int, n_samples: int, seed: int = 0):
     return prior, truth.sample(n_samples, rng)
 
 
-def best_of(fn, repeats: int) -> tuple[float, object]:
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+def time_select(
+    n_samples,
+    dim: int = 5,
+    grid: int = 12,
+    n_folds: int = 4,
+    repeats: int = 5,
+    seed: int = 0,
+    oracle: bool = True,
+) -> dict:
+    """Best-of time of ``select`` at every n in ``n_samples``, keyed by n.
 
-
-def time_select(args, oracle: bool = True) -> dict:
-    """Best-of time of ``select`` at every ``--n-samples``, keyed by n."""
+    With ``oracle``, each row also holds the score surface's worst
+    relative deviation from the per-candidate loop oracle and whether
+    the winners match.
+    """
     if oracle:
         if str(REPO_ROOT) not in sys.path:
             sys.path.insert(0, str(REPO_ROOT))
         from tests.core.cv_oracles import cv_loop_select, max_rel_deviation
 
-    grid = HyperParameterGrid.paper_default(args.dim, n_kappa=args.grid, n_v=args.grid)
+    hyper_grid = HyperParameterGrid.paper_default(dim, n_kappa=grid, n_v=grid)
     rows = {}
-    for n in args.n_samples:
-        prior, data = build_problem(args.dim, n, args.seed)
-        cv = TwoDimensionalCV(prior, grid, n_folds=args.n_folds)
+    for n in n_samples:
+        prior, data = build_problem(dim, n, seed)
+        cv = TwoDimensionalCV(prior, hyper_grid, n_folds=n_folds)
         seconds, result = best_of(
-            lambda: cv.select(data, rng=np.random.default_rng(1)), args.repeats
+            lambda: cv.select(data, rng=np.random.default_rng(1)), repeats
         )
         row = {"select_s": round(seconds, 6)}
         if oracle:
             want = cv_loop_select(
-                prior, grid, data, args.n_folds, rng=np.random.default_rng(1)
+                prior, hyper_grid, data, n_folds, rng=np.random.default_rng(1)
             )
             row["max_oracle_dev"] = max_rel_deviation(result.scores, want.scores)
             row["winner_matches"] = (result.kappa0, result.v0) == (want.kappa0, want.v0)
@@ -92,7 +97,21 @@ def time_select(args, oracle: bool = True) -> dict:
     return rows
 
 
-def main() -> None:
+def gate_failures(rows: dict) -> list:
+    """Every n whose winner or score surface disagrees with the oracle."""
+    failures = []
+    for n, row in rows.items():
+        if not row["winner_matches"]:
+            failures.append(f"n={n}: scorer and oracle disagree on the winner")
+        if row["max_oracle_dev"] > ORACLE_RTOL:
+            failures.append(
+                f"n={n}: score surface diverges from the oracle "
+                f"(max rel dev = {row['max_oracle_dev']:g})"
+            )
+    return failures
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dim", type=int, default=5)
     parser.add_argument("--grid", type=int, default=12, help="grid points per axis")
@@ -111,23 +130,24 @@ def main() -> None:
         help="--timings-only output of another tree, stored as results['baseline']",
     )
     parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_cv.json")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
+    sizing = dict(
+        dim=args.dim,
+        grid=args.grid,
+        n_folds=args.n_folds,
+        repeats=args.repeats,
+        seed=args.seed,
+    )
     if args.timings_only:
-        print(json.dumps(time_select(args, oracle=False)))
-        return
+        print(json.dumps(time_select(args.n_samples, oracle=False, **sizing)))
+        return 0
 
-    rows = time_select(args)
-    for n, row in rows.items():
-        if not row["winner_matches"]:
-            raise SystemExit(
-                f"n={n}: scorer and oracle disagree on the winner -- refusing to report"
-            )
-        if row["max_oracle_dev"] > ORACLE_RTOL:
-            raise SystemExit(
-                f"n={n}: score surface diverges from the oracle "
-                f"(max rel dev = {row['max_oracle_dev']:g}) -- refusing to report"
-            )
+    rows = time_select(args.n_samples, **sizing)
+    failures = gate_failures(rows)
+    if failures:
+        print("refusing to report:", *failures, sep="\n  ", file=sys.stderr)
+        return 1
 
     baseline = json.loads(args.baseline.read_text()) if args.baseline else None
     append_entry(
@@ -140,6 +160,7 @@ def main() -> None:
             "n_folds": args.n_folds,
             "repeats": args.repeats,
             "seed": args.seed,
+            "gates": {"max_oracle_dev": ORACLE_RTOL, "winner_matches": True},
         },
         results={"select": rows, **({"baseline": baseline} if baseline else {})},
     )
@@ -152,7 +173,8 @@ def main() -> None:
             f"max oracle dev {row['max_oracle_dev']:.1e}"
         )
     print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

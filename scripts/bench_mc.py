@@ -1,18 +1,20 @@
 #!/usr/bin/env python
-"""Benchmark the Monte-Carlo engines: per-die loop vs vectorized batch.
+"""Benchmark the Monte-Carlo banks: per-die loop vs ``simulate_batch``.
 
 Generates the paper's op-amp and flash-ADC sample banks, plus the
-folded-cascode OTA's default 2000-die bank, through both ``simulate_batch``
-engines (schematic and post-layout stages of the same dies), verifies the
-vectorized metrics agree with the scalar reference to tight relative
-error, and writes the timing summary to ``BENCH_mc.json`` at the
+folded-cascode OTA's default 2000-die bank, through ``simulate_batch``
+and through the per-die reference (``loop_bank`` in
+``tests/circuits/loop_oracle.py``: each circuit's ``simulate``, die by
+die), schematic and post-layout stages of the same dies.  The batched
+metrics must agree with the reference to ``RTOL`` before any time is
+reported, and the timing summary is appended to ``BENCH_mc.json`` at the
 repository root so regressions are visible in review diffs.
 
 The ``r2r_dac`` and ``sar_adc`` sections time ``simulate_batch`` on
 ``--die-seed-dies``-die banks at 8, 10 and 12 bits (both stages) and
 report each kernel's worst deviation from the brute-force oracles in
 ``tests/circuits/die_seed_oracles.py`` (the per-code ladder solve and the
-bit-by-bit SAR search).
+bit-by-bit SAR search): R-2R within ``RTOL``, SAR codes bit-identical.
 
 Usage (from the repository root)::
 
@@ -20,8 +22,8 @@ Usage (from the repository root)::
         [--adc-samples 1000] [--ota-samples 2000] [--die-seed-dies 128]
         [--repeats 3] [--baseline FILE] [--out BENCH_mc.json]
 
-    # time another source tree's die-seed circuits (no oracle, no write)
-    PYTHONPATH=/path/to/other/src python scripts/bench_mc.py --timings-only > FILE
+    # time another checkout with its own script (no oracle, no write)
+    cd /path/to/other && PYTHONPATH=src python scripts/bench_mc.py --timings-only > FILE
 
 ``--baseline FILE`` stores such timings (e.g. of the parent commit) in
 the entry as ``results["baseline"]``, next to this tree's.
@@ -29,6 +31,7 @@ the entry as ``results["baseline"]``, next to this tree's.
 Times are best-of-``--repeats`` wall clock; the headline ``loop_s`` /
 ``batched_s`` / ``speedup`` fields refer to the 5000-sample op-amp bank
 (the paper's Sec. 5.1 workload), with per-circuit breakdowns alongside.
+``benchmarks/bench_mc.py`` runs the same functions under pytest.
 
 ``BENCH_mc.json`` is an append-only trajectory (see
 :mod:`repro.bench.trajectory`): every run adds a timestamped entry to the
@@ -41,132 +44,137 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.bench import append_entry
+from repro.bench import append_entry, best_of
 from repro.circuits.adc import FlashADC
+from repro.circuits.batch import DieSeedSimulator
 from repro.circuits.opamp import TwoStageOpAmp
 from repro.circuits.ota import FoldedCascodeOTA
 from repro.circuits.r2r_dac import R2RDACDesign, R2RLadderDAC
 from repro.circuits.sar_adc import SarADC, SarADCDesign
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))  # the oracles live under tests/
+from tests.circuits.die_seed_oracles import oracle_deviation  # noqa: E402
+from tests.circuits.loop_oracle import loop_bank, max_rel_diff  # noqa: E402
 
-#: Resolutions of the die-seed sections.
+#: Worst relative deviation of ``simulate_batch`` from the per-die loop.
+RTOL = 1e-10
+
+#: Worst deviation of each die-seed kernel from its oracle.  The SAR
+#: staircase returns the bit-by-bit search's codes exactly.
+ORACLE_TOL = {"r2r_dac": RTOL, "sar_adc": 0.0}
+
+#: OTA bank speedup over the per-die loop.  ``benchmarks/bench_mc.py``
+#: asserts it outside smoke scale (smoke runners are too noisy to gate a
+#: ratio).
+OTA_MIN_SPEEDUP = 10.0
+
+#: Every gate and floor, as recorded in each entry's ``config``.
+GATES = {
+    "max_rel_metric_diff": RTOL,
+    "max_oracle_dev": ORACLE_TOL,
+    "ota_min_speedup": OTA_MIN_SPEEDUP,
+}
+
+#: The loop-vs-batch banks.
+BANKS = {"opamp": TwoStageOpAmp, "adc": FlashADC, "ota": FoldedCascodeOTA}
+
+#: The die-seed sections and their resolutions.
+DIE_SEED_CIRCUITS = {
+    "r2r_dac": (R2RLadderDAC, R2RDACDesign),
+    "sar_adc": (SarADC, SarADCDesign),
+}
 DIE_SEED_BITS = (8, 10, 12)
 
 
-def best_of(fn, repeats: int) -> tuple[float, object]:
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+def die_seeds(n_dies: int, seed: int) -> np.ndarray:
+    return np.arange(n_dies, dtype=np.int64) + np.int64(seed) * 1_000_003
 
 
-def max_rel_diff(batched: np.ndarray, loop: np.ndarray) -> float:
-    """Worst relative disagreement across every die and metric."""
-    scale = np.maximum(np.abs(loop), 1e-300)
-    return float(np.max(np.abs(batched - loop) / scale))
-
-
-def bench_process_circuit(sim_cls, n_samples: int, seed: int, repeats: int) -> dict:
-    """Both engines on one process-sample circuit (op-amp, OTA)."""
-    early = sim_cls.schematic()
-    late = sim_cls.post_layout()
+def bank_inputs(sim, n_samples: int, seed: int):
+    """The dies of a bank: seeds for a die-seed circuit, else process draws."""
+    if isinstance(sim, DieSeedSimulator):
+        return die_seeds(n_samples, seed)
     rng = np.random.default_rng(seed)
-    samples = early.process_model().sample(early.devices, n_samples, rng)
+    return sim.process_model().sample(sim.devices, n_samples, rng)
 
-    def run(engine):
-        return np.vstack(
-            [
-                early.simulate_batch(samples, engine=engine),
-                late.simulate_batch(samples, engine=engine),
-            ]
-        )
 
-    loop_s, loop_bank = best_of(lambda: run("loop"), max(1, repeats - 1))
-    batched_s, batched_bank = best_of(lambda: run("vectorized"), repeats)
+def bench_bank(sim_cls, n_samples: int, seed: int, repeats: int) -> dict:
+    """Per-die loop vs ``simulate_batch`` on both stages of one bank."""
+    stages = (sim_cls.schematic(), sim_cls.post_layout())
+    inputs = bank_inputs(stages[0], n_samples, seed)
+    loop_s, loop = best_of(
+        lambda: np.vstack([loop_bank(stage, inputs) for stage in stages]),
+        repeats - 1,
+    )
+    batched_s, batched = best_of(
+        lambda: np.vstack([stage.simulate_batch(inputs) for stage in stages]),
+        repeats,
+    )
     return {
         "n_samples": n_samples,
         "loop_s": round(loop_s, 6),
         "batched_s": round(batched_s, 6),
         "speedup": round(loop_s / batched_s, 2),
-        "max_rel_metric_diff": max_rel_diff(batched_bank, loop_bank),
-    }
-
-
-def bench_adc(n_samples: int, seed: int, repeats: int) -> dict:
-    early = FlashADC.schematic()
-    late = FlashADC.post_layout()
-    die_seeds = np.arange(n_samples, dtype=np.int64) + np.int64(seed) * 1_000_003
-
-    def run(engine):
-        return np.vstack(
-            [
-                early.simulate_batch(die_seeds, engine=engine),
-                late.simulate_batch(die_seeds, engine=engine),
-            ]
-        )
-
-    loop_s, loop_bank = best_of(lambda: run("loop"), max(1, repeats - 1))
-    batched_s, batched_bank = best_of(lambda: run("vectorized"), repeats)
-    return {
-        "n_samples": n_samples,
-        "loop_s": round(loop_s, 6),
-        "batched_s": round(batched_s, 6),
-        "speedup": round(loop_s / batched_s, 2),
-        "max_rel_metric_diff": max_rel_diff(batched_bank, loop_bank),
+        "max_rel_metric_diff": max_rel_diff(batched, loop),
     }
 
 
 def bench_die_seed(
-    sim_cls, design_cls, n_dies: int, seed: int, repeats: int, oracle: bool = True
+    name: str, n_dies: int, seed: int, repeats: int, oracle: bool = True, bits=DIE_SEED_BITS
 ) -> dict:
     """``simulate_batch`` of both stages per resolution, vs the oracle.
 
     The first call fills the shared draw bank, so the timed calls measure
     the kernels, as the second stage of a paired dataset does.
     """
-    die_seeds = np.arange(n_dies, dtype=np.int64) + np.int64(seed) * 1_000_003
+    sim_cls, design_cls = DIE_SEED_CIRCUITS[name]
+    inputs = die_seeds(n_dies, seed)
     section = {"n_dies": n_dies}
-    for n_bits in DIE_SEED_BITS:
+    for n_bits in bits:
         design = design_cls(n_bits=n_bits)
         stages = (sim_cls.schematic(design), sim_cls.post_layout(design))
 
         def run():
-            return np.vstack([stage.simulate_batch(die_seeds) for stage in stages])
+            return np.vstack([stage.simulate_batch(inputs) for stage in stages])
 
         run()
         row = {"batched_s": round(best_of(run, repeats)[0], 6)}
         if oracle:
-            if str(REPO_ROOT) not in sys.path:
-                sys.path.insert(0, str(REPO_ROOT))
-            from tests.circuits.die_seed_oracles import oracle_deviation
-
-            row["max_oracle_dev"] = max(
-                oracle_deviation(stage, die_seeds) for stage in stages
-            )
+            row["max_oracle_dev"] = max(oracle_deviation(stage, inputs) for stage in stages)
         section[f"{n_bits}bit"] = row
     return section
 
 
-def die_seed_sections(args, oracle: bool = True) -> dict:
+def die_seed_sections(n_dies: int, seed: int, repeats: int, oracle: bool = True) -> dict:
     return {
-        "r2r_dac": bench_die_seed(
-            R2RLadderDAC, R2RDACDesign, args.die_seed_dies, args.seed, args.repeats, oracle
-        ),
-        "sar_adc": bench_die_seed(
-            SarADC, SarADCDesign, args.die_seed_dies, args.seed, args.repeats, oracle
-        ),
+        name: bench_die_seed(name, n_dies, seed, repeats, oracle)
+        for name in DIE_SEED_CIRCUITS
     }
 
 
-def main() -> None:
+def gate_failures(results: dict) -> list:
+    """Every deviation in ``results`` above its tolerance, as messages."""
+    failures = [
+        f"{name}: max rel metric diff {results[name]['max_rel_metric_diff']:g}"
+        for name in BANKS
+        if results[name]["max_rel_metric_diff"] > RTOL
+    ]
+    for name, tol in ORACLE_TOL.items():
+        for key, row in results[name].items():
+            if key != "n_dies" and row["max_oracle_dev"] > tol:
+                failures.append(
+                    f"{name} {key}: max oracle dev {row['max_oracle_dev']:g} > {tol:g}"
+                )
+    return failures
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--opamp-samples", type=int, default=5000)
     parser.add_argument("--adc-samples", type=int, default=1000)
@@ -185,36 +193,32 @@ def main() -> None:
         help="--timings-only output of another tree, stored as results['baseline']",
     )
     parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_mc.json")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.timings_only:
-        print(json.dumps(die_seed_sections(args, oracle=False)))
-        return
-
-    opamp = bench_process_circuit(
-        TwoStageOpAmp, args.opamp_samples, args.seed, args.repeats
-    )
-    adc = bench_adc(args.adc_samples, args.seed, args.repeats)
-    ota = bench_process_circuit(
-        FoldedCascodeOTA, args.ota_samples, args.seed, args.repeats
-    )
-
-    die_seed = die_seed_sections(args)
-
-    worst = max(
-        [section["max_rel_metric_diff"] for section in (opamp, adc, ota)]
-        + [
-            row["max_oracle_dev"]
-            for section in die_seed.values()
-            for key, row in section.items()
-            if key != "n_dies"
-        ]
-    )
-    if worst > 1e-10:
-        raise SystemExit(
-            f"engines diverge (max rel metric diff = {worst:g}) -- refusing to report"
+        print(
+            json.dumps(
+                die_seed_sections(args.die_seed_dies, args.seed, args.repeats, oracle=False)
+            )
         )
+        return 0
 
+    sizes = {
+        "opamp": args.opamp_samples,
+        "adc": args.adc_samples,
+        "ota": args.ota_samples,
+    }
+    banks = {
+        name: bench_bank(BANKS[name], n, args.seed, args.repeats)
+        for name, n in sizes.items()
+    }
+    die_seed = die_seed_sections(args.die_seed_dies, args.seed, args.repeats)
+    failures = gate_failures({**banks, **die_seed})
+    if failures:
+        print("engines diverge -- refusing to report:", *failures, sep="\n  ", file=sys.stderr)
+        return 1
+
+    opamp = banks["opamp"]
     append_entry(
         args.out,
         "mc",
@@ -225,15 +229,14 @@ def main() -> None:
             "die_seed_dies": args.die_seed_dies,
             "repeats": args.repeats,
             "seed": args.seed,
+            "gates": GATES,
         },
         results={
             "loop_s": opamp["loop_s"],
             "batched_s": opamp["batched_s"],
             "speedup": opamp["speedup"],
             "max_rel_metric_diff": opamp["max_rel_metric_diff"],
-            "opamp": opamp,
-            "adc": adc,
-            "ota": ota,
+            **banks,
             **die_seed,
             **(
                 {"baseline": json.loads(args.baseline.read_text())}
@@ -242,7 +245,7 @@ def main() -> None:
             ),
         },
     )
-    for name, section in (("opamp", opamp), ("adc", adc), ("ota", ota)):
+    for name, section in banks.items():
         print(
             f"{name}: loop {section['loop_s']:.3f} s | batched "
             f"{section['batched_s']:.3f} s | speedup {section['speedup']}x | "
@@ -257,7 +260,8 @@ def main() -> None:
                 f"max oracle dev {row['max_oracle_dev']:.2e}"
             )
     print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

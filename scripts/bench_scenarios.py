@@ -29,7 +29,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.bench import append_entry
+from repro.bench import append_entry, best_of
 from repro.scenarios import (
     builtin_document_path,
     compile_all,
@@ -38,15 +38,6 @@ from repro.scenarios import (
 )
 
 DOCUMENT = "builtin:ams_fleet"
-
-
-def best_of(fn, repeats: int) -> tuple[float, object]:
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
 
 
 def main() -> None:

@@ -5,6 +5,7 @@ benchmark script — whatever layer it exercises — can record its numbers
 without creating an import cycle.
 """
 
+from repro.bench.timing import best_of
 from repro.bench.trajectory import (
     TRAJECTORY_SCHEMA,
     append_entry,
@@ -16,6 +17,7 @@ from repro.bench.trajectory import (
 __all__ = [
     "TRAJECTORY_SCHEMA",
     "append_entry",
+    "best_of",
     "environment_info",
     "load_trajectory",
     "utc_timestamp",

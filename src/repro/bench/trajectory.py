@@ -16,9 +16,8 @@ diff the file against git history.  A *trajectory* keeps every run::
 
 ``history`` is append-only and chronologically ordered (oldest first), so
 ``history[-1]`` is always the latest run and the file itself shows the
-performance trajectory across commits.  Pre-trajectory snapshot files are
-upgraded in place on the first append: the old document becomes a
-one-element history whose entry is flagged ``"legacy": true``.
+performance trajectory across commits.  A file that declares no
+``schema`` is refused, like one that declares an unknown schema.
 
 Writes are atomic (temp file + ``os.replace``) so a crashed benchmark run
 can never leave a torn file behind.
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import datetime
 import json
-import os
 import platform
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -85,36 +83,14 @@ def environment_info() -> Dict[str, Any]:
     return info
 
 
-def _upgrade_legacy(document: Dict[str, Any], benchmark: str) -> Dict[str, Any]:
-    """Wrap a pre-trajectory snapshot as a one-element history.
-
-    The old writers stored ``config`` / ``environment`` top-level keys with
-    the measurements alongside; those two keys map onto the entry fields
-    and everything else becomes the ``results`` payload.
-    """
-    legacy = dict(document)
-    entry: Dict[str, Any] = {
-        "timestamp": None,
-        "config": legacy.pop("config", {}),
-        "environment": legacy.pop("environment", {}),
-        "results": legacy,
-        "legacy": True,
-    }
-    return {
-        "schema": TRAJECTORY_SCHEMA,
-        "benchmark": benchmark,
-        "history": [entry],
-    }
-
-
 def load_trajectory(
     path: Union[str, Path], benchmark: str
 ) -> Dict[str, Any]:
-    """Load (and if necessary upgrade) the trajectory document at ``path``.
+    """Load the trajectory document at ``path``.
 
-    A missing file yields an empty trajectory; a pre-trajectory snapshot
-    (no ``"schema"`` key) is upgraded to a one-element legacy history; a
-    document declaring an unknown schema raises
+    A missing file yields an empty trajectory.  A document with no
+    ``"schema"`` key raises :class:`~repro.exceptions.ConfigError`; one
+    declaring an unknown schema raises
     :class:`~repro.exceptions.SchemaVersionError` rather than guessing.
     """
     path = Path(path)
@@ -128,7 +104,9 @@ def load_trajectory(
         raise ConfigError(f"benchmark file {path} is not a JSON object")
     schema = document.get("schema")
     if schema is None:
-        return _upgrade_legacy(document, benchmark)
+        raise ConfigError(
+            f"benchmark file {path} declares no schema; expected {TRAJECTORY_SCHEMA!r}"
+        )
     if schema != TRAJECTORY_SCHEMA:
         raise SchemaVersionError(
             f"benchmark file {path} declares schema {schema!r}; this reader "

@@ -7,9 +7,11 @@ Two bases, one per way a circuit names its dies:
 * :class:`DieSeedSimulator` — the die-seed circuits (flash ADC, R-2R DAC,
   SAR ADC), which draw each die's mismatch from its integer seed.
 
-Both own the same scaffolding — validation, the ``engine="loop"``
-reference path, the forked ``n_jobs`` fan-out and memory-bounded
-chunking — so a circuit supplies only its physics.
+Both own the same scaffolding — validation, the forked ``n_jobs``
+fan-out and memory-bounded chunking — so a circuit supplies only its
+physics.  ``simulate_batch`` has one engine; the per-die :meth:`simulate`
+of each circuit is its reference, and the tests compare the two through
+``loop_bank`` in ``tests/circuits/loop_oracle.py``.
 
 Process-sample circuits
 -----------------------
@@ -28,9 +30,7 @@ extraction — and agrees with the reference to <=1e-10 relative error
 A subclass supplies the circuit: ``_FREQ_GRID``, the ``_VARIABLE``
 component names, :meth:`_netlist` (the macromodel of one die, used once
 at nominal as the plan's template), :meth:`simulate` and
-:meth:`_simulate_batch_vectorized`.  The scaffolding here — validation,
-the ``engine="loop"`` reference path, the forked ``n_jobs`` fan-out and
-the memory-bounded chunking — is the same for all three.
+:meth:`_simulate_batch_vectorized`.
 
 Die-seed circuits
 -----------------
@@ -43,7 +43,7 @@ rows).  The per-die :meth:`DieSeedSimulator.simulate` runs the same
 kernel on one freshly drawn row unless a circuit keeps its own scalar
 reference (the flash ADC does).
 
-Cache notes: neither engine bumps
+Cache notes: neither base bumps
 ``repro.circuits.montecarlo._DATASET_CACHE_VERSION``, because cached
 banks stay valid to round-off.
 
@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.circuits.devices import Mosfet
 from repro.circuits.dies import die_draw_bank, die_seed_array
-from repro.circuits.mna import StampPlan
+from repro.circuits.mna import StampPlan, check_memory_budget
 from repro.circuits.netlist import Netlist
 from repro.circuits.process import ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
@@ -175,29 +175,29 @@ class StampPlanSimulator:
     def simulate_batch(
         self,
         samples: List[ProcessSample],
-        engine: str = "vectorized",
         memory_budget_mb: float = 512.0,
         n_jobs: Optional[int] = None,
         mna_backend: Optional[str] = None,
     ) -> np.ndarray:
         """Metrics matrix ``(len(samples), d)`` in metric-name order.
 
+        One symbolic MNA assembly, stacked chunked solves and vectorized
+        metric extraction; agrees with the per-die :meth:`simulate` to
+        better than 1e-10 relative error.
+
         Parameters
         ----------
         samples:
             Process draws; must be non-empty.
-        engine:
-            ``"vectorized"`` (default) runs the batched stamp-plan engine —
-            one symbolic MNA assembly, stacked chunked solves, vectorized
-            metric extraction.  ``"loop"`` is the per-die reference path;
-            the two agree to better than 1e-10 relative error.
         memory_budget_mb:
             Peak-memory bound for the stacked complex systems; the solve
             is chunked so ``n_samples * n_freq * m^2`` never exceeds it.
+            Non-finite or non-positive budgets raise
+            :class:`~repro.exceptions.SimulationError`.
         n_jobs:
-            Optional process-based sharding of the vectorized engine
-            (``-1`` = all CPUs).  Results are bit-identical to the
-            single-process engine for every worker count.
+            Optional process-based sharding (``-1`` = all CPUs).  Results
+            are bit-identical to the single-process run for every worker
+            count.
         mna_backend:
             System-solve strategy forwarded to
             :meth:`repro.circuits.mna.StampPlan.solve_batched`:
@@ -208,12 +208,7 @@ class StampPlanSimulator:
         sample_list = list(samples)
         if not sample_list:
             raise SimulationError("simulate_batch requires at least one process sample")
-        if engine == "loop":
-            return np.array([self.simulate(s).as_array() for s in sample_list])
-        if engine != "vectorized":
-            raise SimulationError(
-                f"unknown engine {engine!r}; expected 'vectorized' or 'loop'"
-            )
+        check_memory_budget(memory_budget_mb)
         self._stamp_plan()  # build once; forked workers inherit it
         return _fan_out(
             lambda idx: self._simulate_chunked(
@@ -377,11 +372,13 @@ class DieSeedSimulator:
     def simulate_batch(
         self,
         die_seeds,
-        engine: str = "vectorized",
         memory_budget_mb: float = 512.0,
         n_jobs: Optional[int] = None,
     ) -> np.ndarray:
         """Metrics matrix ``(len(die_seeds), d)`` in metric-name order.
+
+        Whole die chunks run through :meth:`_metrics_from_rows` on the
+        shared draw bank.
 
         Parameters
         ----------
@@ -389,29 +386,17 @@ class DieSeedSimulator:
             Non-negative integer seeds, one per die (a 1-D array; a scalar
             is one die).  Negative, non-integral or multi-dimensional
             seeds raise :class:`~repro.exceptions.SimulationError`.
-        engine:
-            ``"vectorized"`` (default) runs whole die chunks through
-            :meth:`_metrics_from_rows` on the shared draw bank;
-            ``"loop"`` calls :meth:`simulate` die by die.
         memory_budget_mb:
             Peak working-set bound; chunks shrink so ``chunk *
             _bytes_per_die()`` stays under it.  Results are bit-identical
-            for every budget.
+            for every budget.  Non-finite or non-positive budgets raise
+            :class:`~repro.exceptions.SimulationError`.
         n_jobs:
-            Optional forked sharding of the vectorized engine (``-1`` = all
-            CPUs); bit-identical to the single-process engine.
+            Optional forked sharding (``-1`` = all CPUs); bit-identical to
+            the single-process run.
         """
         seeds = die_seed_array(die_seeds)
-        if engine == "loop":
-            return np.array([self.simulate(int(s)).as_array() for s in seeds])
-        if engine != "vectorized":
-            raise SimulationError(
-                f"unknown simulate_batch engine {engine!r} (use 'vectorized' or 'loop')"
-            )
-        if memory_budget_mb <= 0.0:
-            raise SimulationError(
-                f"memory_budget_mb must be positive, got {memory_budget_mb}"
-            )
+        check_memory_budget(memory_budget_mb)
         return _fan_out(
             lambda idx: self._simulate_chunked(seeds[idx], memory_budget_mb),
             seeds.size,

@@ -49,6 +49,7 @@ __all__ = [
     "ACAnalysis",
     "StampPlan",
     "BatchedACSolution",
+    "check_memory_budget",
 ]
 
 #: Matrix identifiers used by the shared stamp generator.
@@ -148,6 +149,14 @@ def _branch_map(net: Netlist) -> Dict[str, int]:
         for comp in net.components
         if comp.needs_branch_current
     }
+
+
+def check_memory_budget(memory_budget_mb: float) -> None:
+    """Refuse a working-set budget that is non-finite or not positive."""
+    if not np.isfinite(memory_budget_mb) or memory_budget_mb <= 0.0:
+        raise SimulationError(
+            f"memory_budget_mb must be finite and positive, got {memory_budget_mb}"
+        )
 
 
 def _validate_freqs(freqs) -> np.ndarray:
@@ -632,10 +641,6 @@ class StampPlan:
         self, n: int, n_freq: int, memory_budget_mb: float, poly: bool = False
     ) -> int:
         """Largest sample chunk whose working set fits the budget."""
-        if memory_budget_mb <= 0.0:
-            raise SimulationError(
-                f"memory budget must be positive, got {memory_budget_mb}"
-            )
         m = max(self.reduced_size, 1)
         if poly:
             # Polynomial path: a handful of real (chunk, n_freq) planes
@@ -694,6 +699,7 @@ class StampPlan:
         cores, sparse — when scipy is importable — beyond
         :data:`repro.linalg.backends.DENSE_AUTO_MAX_REDUCED_SIZE`).
         """
+        check_memory_budget(memory_budget_mb)
         f = _validate_freqs(freqs)
         m = self._keep.size
         if m == 0:
@@ -889,10 +895,6 @@ class StampPlan:
         solution: np.ndarray,
     ) -> None:
         """Sparse-backend solve: per-chunk CSC data assembly + splu loop."""
-        if memory_budget_mb <= 0.0:
-            raise SimulationError(
-                f"memory budget must be positive, got {memory_budget_mb}"
-            )
         sp = self._sparse_plan()
         pattern = sp.pattern
         n = stamped.shape[0]

@@ -1,4 +1,4 @@
-"""Append-only benchmark trajectory files: schema, upgrade, atomicity."""
+"""Append-only benchmark trajectory files: schema, refusal, atomicity."""
 
 import json
 
@@ -19,23 +19,11 @@ class TestLoad:
         doc = load_trajectory(tmp_path / "BENCH_x.json", "x")
         assert doc == {"schema": TRAJECTORY_SCHEMA, "benchmark": "x", "history": []}
 
-    def test_legacy_snapshot_upgrades_to_one_entry(self, tmp_path):
+    def test_schemaless_file_raises_config_error(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
-        legacy = {
-            "config": {"n": 5},
-            "environment": {"numpy": "1.0"},
-            "speedup": 12.5,
-            "nested": {"a": 1},
-        }
-        path.write_text(json.dumps(legacy))
-        doc = load_trajectory(path, "x")
-        assert doc["schema"] == TRAJECTORY_SCHEMA
-        (entry,) = doc["history"]
-        assert entry["legacy"] is True
-        assert entry["timestamp"] is None
-        assert entry["config"] == {"n": 5}
-        assert entry["environment"] == {"numpy": "1.0"}
-        assert entry["results"] == {"speedup": 12.5, "nested": {"a": 1}}
+        path.write_text(json.dumps({"config": {"n": 5}, "speedup": 12.5}))
+        with pytest.raises(ConfigError, match="no schema"):
+            load_trajectory(path, "x")
 
     def test_unknown_schema_raises_schema_version_error(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
@@ -67,14 +55,13 @@ class TestAppend:
         # what append returned is exactly what landed on disk
         assert json.loads(path.read_text()) == doc
 
-    def test_append_upgrades_legacy_in_place(self, tmp_path):
+    def test_append_refuses_schemaless_file(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"config": {}, "speedup": 3.0}))
-        doc = append_entry(path, "x", config={}, results={"speedup": 4.0})
-        assert len(doc["history"]) == 2
-        assert doc["history"][0]["legacy"] is True
-        assert doc["history"][0]["results"] == {"speedup": 3.0}
-        assert "legacy" not in doc["history"][1]
+        snapshot = json.dumps({"config": {}, "speedup": 3.0})
+        path.write_text(snapshot)
+        with pytest.raises(ConfigError):
+            append_entry(path, "x", config={}, results={"speedup": 4.0})
+        assert path.read_text() == snapshot
 
     def test_append_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "BENCH_x.json"

@@ -2,9 +2,10 @@
 
 The production kernels are exact reformulations — the R-2R ladder solved
 by superposition of unit-bit solves, the SAR search read from a level
-staircase — so a test that compares ``engine="vectorized"`` with
-``engine="loop"`` cannot catch a kernel change: both engines call the
-same kernel.  These are the kernels they replaced, kept as oracles:
+staircase — so comparing ``simulate_batch`` with the per-die
+``loop_bank`` of ``loop_oracle.py`` cannot catch a kernel change: the
+per-die ``simulate`` calls the same kernel.  These are the kernels they
+replaced, kept as oracles:
 
 * :func:`r2r_levels_all_codes` solves the ladder once per input code
   (``2^b`` stacked right-hand sides) and averages the reference current
@@ -24,6 +25,8 @@ import numpy as np
 
 from repro.circuits.r2r_dac import R2R_DAC_METRIC_NAMES, R2RLadderDAC
 from repro.circuits.sar_adc import SarADC
+
+from .loop_oracle import max_rel_diff
 
 
 def r2r_levels_all_codes(
@@ -102,12 +105,6 @@ def oracle_twin(sim):
         if isinstance(sim, base):
             return twin(sim.design, sim.layout)
     raise TypeError(f"no oracle for {type(sim).__name__}")
-
-
-def max_rel_diff(value: np.ndarray, reference: np.ndarray) -> float:
-    """Worst relative disagreement across every die and metric."""
-    scale = np.maximum(np.abs(reference), 1e-300)
-    return float(np.max(np.abs(value - reference) / scale))
 
 
 def oracle_deviation(sim, die_seeds) -> float:

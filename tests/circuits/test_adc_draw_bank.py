@@ -5,6 +5,8 @@ import numpy as np
 from repro.circuits.adc import FlashADC
 from repro.circuits.dies import _BANK_CACHE, _BANK_CACHE_MAX_ROWS, die_draw_bank
 
+from .loop_oracle import loop_bank
+
 
 def seeds(n, base=77):
     return np.arange(n, dtype=np.int64) + np.int64(base) * 1_000_003
@@ -52,11 +54,11 @@ class TestDrawBank:
 
     def test_vectorized_engine_bit_identical_to_loop(self):
         """End-to-end: the cached-bank fast path reproduces the per-die
-        loop engine exactly (same metrics, both stages)."""
+        per-die loop exactly (same metrics, both stages)."""
         die_seeds = seeds(40)
         for sim in (FlashADC.schematic(), FlashADC.post_layout()):
-            loop = sim.simulate_batch(die_seeds, engine="loop")
-            fast = sim.simulate_batch(die_seeds, engine="vectorized")
+            loop = loop_bank(sim, die_seeds)
+            fast = sim.simulate_batch(die_seeds)
             np.testing.assert_allclose(fast, loop, rtol=0, atol=1e-12)
 
     def test_flash_engine_reads_the_shared_bank(self):

@@ -12,6 +12,8 @@ from repro.circuits.r2r_dac import R2RDACDesign, R2RLadderDAC
 from repro.circuits.sar_adc import SarADC, SarADCDesign
 from repro.exceptions import ReproError, SimulationError
 
+from .loop_oracle import loop_bank
+
 CIRCUITS = {
     "flash": lambda: FlashADC.post_layout(FlashADCDesign(n_samples=256, n_cycles=17)),
     "r2r": lambda: R2RLadderDAC.post_layout(R2RDACDesign(n_bits=8)),
@@ -31,9 +33,11 @@ class TestSeedValidation:
         ids=["negative", "non-integral", "2-D", "empty", "string", "nan", "too-big"],
     )
     def test_bad_seeds_raise_simulation_error(self, sim, seeds):
-        for engine in ("vectorized", "loop"):
+        with pytest.raises(SimulationError, match="die seeds"):
+            sim.simulate_batch(seeds)
+        if seeds:  # an empty bank has no die for the per-die path to refuse
             with pytest.raises(SimulationError, match="die seeds"):
-                sim.simulate_batch(seeds, engine=engine)
+                loop_bank(sim, seeds)
 
     def test_bad_seed_is_a_repro_error(self, sim):
         """Callers that catch ReproError (the fleet, the compiler) see it."""
@@ -73,10 +77,11 @@ class TestEngine:
         )
 
     def test_bad_engine_and_budget_raise(self, sim):
-        with pytest.raises(SimulationError, match="engine"):
-            sim.simulate_batch([1], engine="spice")
-        with pytest.raises(SimulationError, match="memory_budget_mb"):
-            sim.simulate_batch([1], memory_budget_mb=0.0)
+        with pytest.raises(TypeError, match="engine"):
+            sim.simulate_batch([1], engine="loop")
+        for budget in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(SimulationError, match="memory_budget_mb"):
+                sim.simulate_batch([1], memory_budget_mb=budget)
 
 
 class TestMemoryEstimate:

@@ -11,7 +11,8 @@ from repro.circuits.r2r_dac import (
 )
 from repro.circuits.variants import scale_divergence
 
-from .die_seed_oracles import max_rel_diff, oracle_deviation, r2r_levels_all_codes
+from .die_seed_oracles import oracle_deviation, r2r_levels_all_codes
+from .loop_oracle import loop_bank, max_rel_diff
 
 #: Mismatch-free, switchless design: the solved ladder must collapse to
 #: the textbook binary divider exactly (up to float round-off).
@@ -92,14 +93,13 @@ class TestBatchEquivalence:
     def test_vectorized_matches_loop(self, stage):
         dac = getattr(R2RLadderDAC, stage)(R2RDACDesign(n_bits=8))
         seeds = np.arange(16)
-        fast = dac.simulate_batch(seeds, engine="vectorized")
-        slow = dac.simulate_batch(seeds, engine="loop")
+        fast = dac.simulate_batch(seeds)
         assert fast.shape == (16, len(R2R_DAC_METRIC_NAMES))
-        assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300)) < 1e-10
+        assert max_rel_diff(fast, loop_bank(dac, seeds)) < 1e-10
 
     def test_batch_row_matches_simulate(self):
         dac = R2RLadderDAC.schematic(R2RDACDesign(n_bits=8))
-        row = dac.simulate_batch([7], engine="vectorized")[0]
+        row = dac.simulate_batch([7])[0]
         assert np.allclose(row, dac.simulate(7).as_array(), rtol=1e-12, atol=0.0)
 
 

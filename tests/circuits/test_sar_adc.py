@@ -14,6 +14,7 @@ from repro.circuits.sar_adc import (
 from repro.exceptions import SimulationError
 
 from .die_seed_oracles import oracle_deviation, sar_trial_codes
+from .loop_oracle import loop_bank, max_rel_diff
 
 #: Mismatch- and noise-free converter: successive approximation against
 #: an ideal binary CDAC must quantise exactly like floor(vin / LSB).
@@ -77,14 +78,13 @@ class TestBatchEquivalence:
     def test_vectorized_matches_loop(self, stage):
         adc = getattr(SarADC, stage)(SarADCDesign(n_bits=8, n_samples=256, n_cycles=17))
         seeds = np.arange(12)
-        fast = adc.simulate_batch(seeds, engine="vectorized")
-        slow = adc.simulate_batch(seeds, engine="loop")
+        fast = adc.simulate_batch(seeds)
         assert fast.shape == (12, len(SAR_ADC_METRIC_NAMES))
-        assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300)) < 1e-10
+        assert max_rel_diff(fast, loop_bank(adc, seeds)) < 1e-10
 
     def test_batch_row_matches_simulate(self):
         adc = SarADC.schematic(SarADCDesign(n_bits=8, n_samples=256, n_cycles=17))
-        row = adc.simulate_batch([11], engine="vectorized")[0]
+        row = adc.simulate_batch([11])[0]
         assert np.allclose(row, adc.simulate(11).as_array(), rtol=1e-12, atol=0.0)
 
 

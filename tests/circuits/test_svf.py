@@ -11,6 +11,8 @@ from repro.circuits.svf import (
     GmCStateVariableFilter,
 )
 
+from .loop_oracle import loop_bank, max_rel_diff
+
 
 def _analytic(design):
     """Lossless two-integrator-loop predictions from the square-law bias.
@@ -119,7 +121,6 @@ class TestBatchEquivalence:
         model = sim.process_model()
         rng = np.random.default_rng(99)
         samples = model.sample(sim.devices, 12, rng)
-        fast = sim.simulate_batch(samples, engine="vectorized")
-        slow = sim.simulate_batch(samples, engine="loop")
+        fast = sim.simulate_batch(samples)
         assert fast.shape == (12, len(SVF_METRIC_NAMES))
-        assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300)) < 1e-10
+        assert max_rel_diff(fast, loop_bank(sim, samples)) < 1e-10

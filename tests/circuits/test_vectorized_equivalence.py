@@ -1,4 +1,4 @@
-"""Scalar-vs-vectorized engine equivalence for three batched engines.
+"""Per-die vs batched equivalence for three batched circuits.
 
 The vectorized Monte-Carlo engines of the two-stage op-amp, the
 folded-cascode OTA and the flash ADC must reproduce the per-die scalar
@@ -22,11 +22,9 @@ from repro.circuits.variants import CircuitVariant
 from repro.exceptions import SimulationError
 from repro.scenarios.library import DIVERGENCE_LEVELS, MISMATCH_LEVELS
 
+from .loop_oracle import loop_bank, max_rel_diff
+
 N_DIES = 24
-
-
-def _max_rel(batched, loop):
-    return np.max(np.abs(batched - loop) / np.maximum(np.abs(loop), 1e-300))
 
 
 def _opamp_samples(sim, n, model=None, seed=99):
@@ -54,9 +52,9 @@ class TestOpAmpEquivalence:
     )
     def test_matches_scalar(self, label, sim, model):
         samples = _opamp_samples(sim, N_DIES, model)
-        loop = sim.simulate_batch(samples, engine="loop")
+        loop = loop_bank(sim, samples)
         batched = sim.simulate_batch(samples)
-        assert _max_rel(batched, loop) <= 1e-10
+        assert max_rel_diff(batched, loop) <= 1e-10
 
     def test_sharded_engine_bit_identical(self):
         sim = TwoStageOpAmp.post_layout()
@@ -76,11 +74,19 @@ class TestOpAmpEquivalence:
         with pytest.raises(SimulationError):
             TwoStageOpAmp.schematic().simulate_batch([])
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_memory_budget_raises(self, budget):
+        sim = TwoStageOpAmp.schematic()
+        samples = _opamp_samples(sim, 2)
+        with pytest.raises(SimulationError, match="memory_budget_mb"):
+            sim.simulate_batch(samples, memory_budget_mb=budget)
+
     def test_unknown_engine_raises(self):
+        """``engine=`` is gone: the batched engine is the only one."""
         sim = TwoStageOpAmp.schematic()
         samples = _opamp_samples(sim, 1)
-        with pytest.raises(SimulationError):
-            sim.simulate_batch(samples, engine="spice")
+        with pytest.raises(TypeError, match="engine"):
+            sim.simulate_batch(samples, engine="loop")
 
 
 #: Every corner, mismatch and divergence level of the scenario library.
@@ -116,9 +122,9 @@ class TestOTAEquivalence:
     )
     def test_matches_scalar(self, label, sim, model):
         samples = _opamp_samples(sim, N_DIES, model)
-        loop = np.array([sim.simulate(s).as_array() for s in samples])
+        loop = loop_bank(sim, samples)
         batched = sim.simulate_batch(samples)
-        assert _max_rel(batched, loop) <= 1e-10
+        assert max_rel_diff(batched, loop) <= 1e-10
 
     @pytest.mark.parametrize("variant", _OTA_VARIANTS)
     def test_fleet_variants_match_scalar(self, variant, monkeypatch):
@@ -128,15 +134,13 @@ class TestOTAEquivalence:
         monkeypatch.setattr(
             FoldedCascodeOTA,
             "simulate_batch",
-            lambda self, samples, **_: np.array(
-                [self.simulate(s).as_array() for s in samples]
-            ),
+            lambda self, samples, **_: loop_bank(self, samples),
         )
         loop = generate_dataset(
             "ota", n_samples=N_DIES, seed=31, variant=variant, use_cache=False
         )
-        assert _max_rel(batched.early, loop.early) <= 1e-10
-        assert _max_rel(batched.late, loop.late) <= 1e-10
+        assert max_rel_diff(batched.early, loop.early) <= 1e-10
+        assert max_rel_diff(batched.late, loop.late) <= 1e-10
 
     def test_sharded_engine_bit_identical(self):
         sim = FoldedCascodeOTA.post_layout()
@@ -183,9 +187,9 @@ class TestADCEquivalence:
     )
     def test_matches_scalar(self, label, sim):
         seeds = np.arange(N_DIES, dtype=np.int64) + 4242
-        loop = sim.simulate_batch(seeds, engine="loop")
+        loop = loop_bank(sim, seeds)
         batched = sim.simulate_batch(seeds)
-        assert _max_rel(batched, loop) <= 1e-10
+        assert max_rel_diff(batched, loop) <= 1e-10
 
     def test_sharded_engine_bit_identical(self):
         sim = FlashADC.post_layout()
@@ -206,8 +210,9 @@ class TestADCEquivalence:
             FlashADC.schematic().simulate_batch([])
 
     def test_unknown_engine_raises(self):
-        with pytest.raises(SimulationError):
-            FlashADC.schematic().simulate_batch([1, 2], engine="spice")
+        """``engine=`` is gone: the batched engine is the only one."""
+        with pytest.raises(TypeError, match="engine"):
+            FlashADC.schematic().simulate_batch([1, 2], engine="loop")
 
     def test_nominal_unchanged_by_refactor(self):
         """The shared input-record helper must not move nominal metrics."""
