@@ -1,4 +1,5 @@
-"""Serving layer: ingest throughput, micro-batched scoring, sharding, WAL.
+"""Serving layer: ingest throughput, micro-batched scoring, sharding, WAL
+logging and WAL recovery.
 
 Runs the bodies in ``scripts/bench_serving.py`` at the active scale,
 appends each section to the ``BENCH_serving.json`` trajectory at the repo
@@ -20,6 +21,7 @@ from scripts.bench_serving import (
     ratio,
     sharded_load,
     wal_ingest,
+    wal_recover,
 )
 
 D = 5
@@ -130,3 +132,20 @@ def test_wal_ingest_overhead(scale, tmp_path):
         results,
     )
     assert speedup >= WAL_THROUGHPUT_FLOOR
+
+
+def test_wal_recover(scale, tmp_path):
+    """One-pass recovery of the ``wal_ingest`` log: the recovered sessions
+    must equal the live ones bit for bit.  Rows/s and the ratio to the
+    two-pass oracle are recorded, not gated (CI boxes are too noisy)."""
+    sizing = SIZING[scale.label][2]
+    results = wal_recover(
+        tmp_path, dim=D, alpha=ZIPF_ALPHA, repeats=2 if scale.label == "smoke" else 3, **sizing
+    )
+    emit(f"serving wal recover ({scale.label}): {results}")
+    _append(
+        scale,
+        {"section": "wal_recover", "zipf_alpha": ZIPF_ALPHA, **sizing},
+        results,
+    )
+    assert results["recovered_equals_live"], results

@@ -29,18 +29,20 @@ needs ``--shards`` to include 1 and 4 and exits 2 otherwise.
 
 ``--wal`` turns on write-ahead durability for the run: ``v2`` is the
 binary group-commit log, ``v2-delta`` adds sufficient-statistics delta
-logging (the logs live in a temporary
-directory that is deleted afterwards — this measures logging cost, not
-recovery).  ``--wire`` routes every op through the JSON-lines protocol
-layer instead of direct method calls, with arrays as nested lists
+logging (the logs live in a temporary directory that is deleted
+afterwards, so ``--wal`` measures logging cost; :func:`wal_recover`
+measures recovery).  ``--wire`` routes every op through the JSON-lines
+protocol layer instead of direct method calls, with arrays as nested lists
 (``list``) or zero-copy base64 float64 envelopes (``b64f64``), so the
 serialization tax of each encoding shows up in the reported rows/s.
 
 ``benchmarks/bench_serving.py`` runs this module's functions under
 pytest: :func:`sharded_load`, plus the sections only it records —
-:func:`wal_ingest` (durable-ingest overhead), :func:`ingest_throughput`
-and :func:`query_latency` (micro-batched vs per-request scoring).  Every
-floor is a constant here.
+:func:`wal_ingest` (durable-ingest overhead), :func:`wal_recover`
+(one-pass recovery of that log, gated on recovered == live and timed
+against the two-pass oracle in ``tests/serving/recovery_oracle.py``),
+:func:`ingest_throughput` and :func:`query_latency` (micro-batched vs
+per-request scoring).  Every floor is a constant here.
 """
 
 from __future__ import annotations
@@ -216,8 +218,8 @@ def sharded_load(shard_counts, **load) -> dict:
     return {"per_shard": per_shard, "speedup_at_4_shards": speedup}
 
 
-def run_wal_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal_kwargs):
-    """One Zipf block-ingest pass; returns ``(rows_per_s, wal_bytes_per_row)``.
+def zipf_block_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal_kwargs):
+    """One Zipf block-ingest pass; returns ``(service, seconds, wal_bytes)``.
 
     Single-shard passthrough, so every accepted block hits the worker —
     and therefore the WAL — immediately: the timing isolates the log
@@ -225,7 +227,7 @@ def run_wal_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal_kw
     runs the same stream with no log (the baseline).  The clock stops
     after a final ``sync()`` so group-committed records are actually on
     their way to disk, and WAL bytes are measured on the file past the
-    session-create prefix.
+    session-create prefix.  The service is returned open.
     """
     key_draws, blocks, _ = zipf_stream(
         n_sessions, n_ops, dim, alpha, seed=0, rows_per_op=rows_per_op
@@ -245,9 +247,17 @@ def run_wal_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal_kw
         wal.sync()
     elapsed = time.perf_counter() - t0
 
-    total_rows = n_ops * rows_per_op
     wal_bytes = 0 if wal is None else wal.path.stat().st_size - base_bytes
+    return service, elapsed, wal_bytes
+
+
+def run_wal_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal_kwargs):
+    """:func:`zipf_block_ingest`; returns ``(rows_per_s, wal_bytes_per_row)``."""
+    service, elapsed, wal_bytes = zipf_block_ingest(
+        wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal_kwargs
+    )
     service.close()
+    total_rows = n_ops * rows_per_op
     return total_rows / elapsed, wal_bytes / total_rows
 
 
@@ -272,6 +282,63 @@ def wal_ingest(work_dir: Path, dim: int, alpha: float, **sizing) -> dict:
         "per_config": per_config,
         "v2_vs_no_wal": round(ratio(per_config, "v2", "no_wal"), 2),
         "v2_delta_vs_no_wal": round(ratio(per_config, "v2_delta", "no_wal"), 2),
+    }
+
+
+def same_sessions(a, b) -> bool:
+    """Whether two session stores hold the same keys, in the same LRU order,
+    with bit-identical (``array_equal``) statistics."""
+    left, right = a.to_dict()["sessions"], b.to_dict()["sessions"]
+    return len(left) == len(right) and all(
+        x["key"] == y["key"]
+        and x["stats"]["n"] == y["stats"]["n"]
+        and np.array_equal(x["stats"]["mean"], y["stats"]["mean"])
+        and np.array_equal(x["stats"]["scatter"], y["stats"]["scatter"])
+        for x, y in zip(left, right)
+    )
+
+
+def wal_recover(work_dir: Path, dim: int, alpha: float, repeats: int = 3, **sizing) -> dict:
+    """Rows/s of :meth:`ShardedMomentService.recover` over the ``v2``
+    ``wal_ingest`` log, best of ``repeats``.
+
+    The log is the one :func:`wal_ingest` times (same Zipf block stream,
+    one shard), written to ``work_dir/recover``.  ``recovered_equals_live``
+    is the gate: every recovered session's statistics ``array_equal`` the
+    live service's, and so do the oracle's.  The two-pass oracle
+    (``open``, then ``replay`` re-reading the file) is timed on the same
+    log in the same run; ``speedup_vs_two_pass`` is its time over ours.
+    """
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from tests.serving.recovery_oracle import two_pass_recover
+
+    wal_dir = Path(work_dir) / "recover"
+    live, _, _ = zipf_block_ingest(wal_dir, dim=dim, alpha=alpha, **sizing)
+    live.close()
+    max_sessions = sizing["n_sessions"] + 1  # as zipf_sessions sized it
+
+    def one_pass():
+        service = ShardedMomentService.recover(wal_dir, max_sessions_per_shard=max_sessions)
+        service.close()
+        return service.workers[0].store
+
+    def two_pass():
+        (worker,) = two_pass_recover(wal_dir, max_sessions_per_shard=max_sessions)
+        worker.close()
+        return worker.store
+
+    two_pass_s, oracle = best_of(two_pass, repeats)
+    one_pass_s, recovered = best_of(one_pass, repeats)
+    live_store = live.workers[0].store
+    total_rows = sizing["n_ops"] * sizing["rows_per_op"]
+    return {
+        "rows_per_s": round(total_rows / one_pass_s),
+        "recover_s": round(one_pass_s, 4),
+        "two_pass_rows_per_s": round(total_rows / two_pass_s),
+        "speedup_vs_two_pass": round(two_pass_s / one_pass_s, 2),
+        "recovered_equals_live": same_sessions(recovered, live_store)
+        and same_sessions(oracle, live_store),
     }
 
 

@@ -733,28 +733,27 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from repro.serving import ShardWorker, WriteAheadLog
+    from repro.serving import ShardWorker
 
-    wal = WriteAheadLog.open(args.wal)
-    n_records = wal.verify()
+    # one pass: every record is verified, decoded and applied once
+    worker = ShardWorker._recover(
+        args.wal,
+        args.checkpoint,
+        max_sessions=args.max_sessions,
+        ttl_ops=args.ttl_ops,
+    )
+    wal = worker.wal
+    worker.shard_id = wal.shard_id
     print(
         f"verified {args.wal}: shard {wal.shard_id}, "
-        f"{n_records} record(s) covering seq ({wal.base_seq}, {wal.last_seq}]"
+        f"{wal.recovered_records} record(s) covering seq ({wal.base_seq}, "
+        f"{wal.last_seq}], {wal.dropped_bytes} torn-tail byte(s) dropped"
     )
     if args.checkpoint:
-        worker = ShardWorker.restore(args.checkpoint, shard_id=wal.shard_id, wal=wal)
         print(
             f"restored base checkpoint {args.checkpoint} and replayed the "
             "tail past its covered offset"
         )
-    else:
-        worker = ShardWorker(
-            shard_id=wal.shard_id,
-            max_sessions=args.max_sessions,
-            ttl_ops=args.ttl_ops,
-            wal=wal,
-        )
-        worker.replay(wal)
     print(
         f"recovered shard state: {len(worker.store)} live session(s), "
         f"clock {worker.store.clock}, "

@@ -41,11 +41,12 @@ eviction order, and checkpoint bytes (the equivalence suite compares
 from __future__ import annotations
 
 import bisect
+import contextlib
 import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -81,6 +82,17 @@ PathLike = Union[str, Path]
 def _stable_hash(text: str) -> int:
     """First 64 bits of sha256 — stable everywhere, unlike ``hash()``."""
     return int(hashlib.sha256(text.encode("utf-8")).hexdigest()[:16], 16)
+
+
+@contextlib.contextmanager
+def _closing_on_error(service: "ShardedMomentService") -> Iterator[None]:
+    """Close ``service`` if the block raises: a failed recovery returns no
+    service and leaves no recovered log handle open behind it."""
+    try:
+        yield
+    except BaseException:
+        service.close()
+        raise
 
 
 class HashRing:
@@ -613,9 +625,9 @@ class ShardedMomentService:
         """Rebuild a sharded service from a manifest directory.
 
         Each shard restores from its (self-verifying) checkpoint; when
-        ``wal_dir`` is given, each shard's log is recovered
-        (torn tails dropped, chains verified) and only the records past
-        the checkpoint's covered offset are replayed — the tail, not the
+        ``wal_dir`` is given, each shard's log is recovered in one pass
+        (torn tails dropped, chains verified) that applies only the
+        records past the checkpoint's covered offset — the tail, not the
         whole history.  Group commit resumes with the log's defaults
         unless ``wal_flush_records``/``wal_flush_bytes`` override them.
         """
@@ -640,22 +652,26 @@ class ShardedMomentService:
             virtual_nodes=int(manifest["virtual_nodes"]),
             n_jobs=n_jobs,
         )
-        for shard, entry in enumerate(manifest["shards"]):
-            wal: Optional[WriteAheadLog] = None
-            if wal_dir is not None and entry.get("wal") is not None:
-                wal_path = Path(wal_dir) / str(entry["wal"]["file"])
-                if wal_path.exists():
-                    wal = WriteAheadLog.open(
+        with _closing_on_error(service):
+            for shard, entry in enumerate(manifest["shards"]):
+                checkpoint = target / str(entry["file"])
+                wal_path = None
+                if wal_dir is not None and entry.get("wal") is not None:
+                    wal_path = Path(wal_dir) / str(entry["wal"]["file"])
+                if wal_path is not None and wal_path.exists():
+                    worker = ShardWorker._recover(
                         wal_path,
+                        checkpoint,
+                        shard_id=shard,
+                        wal_delta_rows=wal_delta_rows,
                         flush_records=wal_flush_records,
                         flush_bytes=wal_flush_bytes,
                     )
-            service.workers[shard] = ShardWorker.restore(
-                target / str(entry["file"]),
-                shard_id=shard,
-                wal=wal,
-                wal_delta_rows=wal_delta_rows,
-            )
+                else:
+                    worker = ShardWorker.restore(
+                        checkpoint, shard_id=shard, wal_delta_rows=wal_delta_rows
+                    )
+                service.workers[shard] = worker
         # WAL tails may have advanced the workers past the manifest's
         # counters; reconcile rather than loading the stale snapshot.
         service._reconcile_counters(base=manifest["counters"])
@@ -679,7 +695,10 @@ class ShardedMomentService:
 
         The crash-before-first-checkpoint path: every ``shard-NNN.wal``
         in the directory is recovered (torn tail dropped, chain
-        verified) and replayed from the beginning.  Store bounds
+        verified) and replayed from the beginning, each record applied as
+        it is verified.  A mid-chain corruption raises
+        :class:`~repro.exceptions.WalCorruptionError` and returns no
+        service.  Store bounds
         (``max_sessions_per_shard``, ``ttl_ops``) are runtime
         configuration the WAL does not carry — supply the values the
         original service ran with, or eviction decisions will diverge.
@@ -700,21 +719,17 @@ class ShardedMomentService:
             virtual_nodes=virtual_nodes,
             n_jobs=n_jobs,
         )
-        for shard, path in enumerate(wal_paths):
-            wal = WriteAheadLog.open(
-                path,
-                flush_records=wal_flush_records,
-                flush_bytes=wal_flush_bytes,
-            )
-            worker = ShardWorker(
-                shard_id=shard,
-                max_sessions=max_sessions_per_shard,
-                ttl_ops=ttl_ops,
-                wal=wal,
-                wal_delta_rows=wal_delta_rows,
-            )
-            worker.replay(wal)
-            service.workers[shard] = worker
+        with _closing_on_error(service):
+            for shard, path in enumerate(wal_paths):
+                service.workers[shard] = ShardWorker._recover(
+                    path,
+                    shard_id=shard,
+                    max_sessions=max_sessions_per_shard,
+                    ttl_ops=ttl_ops,
+                    wal_delta_rows=wal_delta_rows,
+                    flush_records=wal_flush_records,
+                    flush_bytes=wal_flush_bytes,
+                )
         # Router counters are not logged anywhere; the shard sums are the
         # best WAL-only reconstruction (exact in single-shard mode, which
         # routes requests through the worker; multi-shard request kinds

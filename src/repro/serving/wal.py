@@ -41,11 +41,12 @@ Crash semantics distinguish two failure shapes:
 
 * **Torn tail** — the process died mid-``write`` and the file ends with an
   incomplete frame or one whose hash fails.  That is the expected crash
-  artefact; recovery silently drops the tail and truncates the file back
-  to the verified prefix.  (Structural damage to a length prefix is
-  indistinguishable from a torn tail; recovery conservatively truncates,
-  and the hash chain still guarantees the kept prefix is exactly what was
-  written.)
+  artefact; recovery drops the tail, truncates the file back to the
+  verified prefix, and counts the bytes it dropped
+  (:attr:`WriteAheadLog.dropped_bytes`).  (Structural damage to a length
+  prefix is indistinguishable from a torn tail; recovery conservatively
+  truncates, and the hash chain still guarantees the kept prefix is
+  exactly what was written.)
 * **Mid-chain corruption** — a frame *before* the last fails its hash or
   sequence check, or an open log ends before its last acknowledged
   record.  No crash produces that; it means the file was edited or the
@@ -65,7 +66,7 @@ import os
 import struct
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -158,10 +159,6 @@ def _bind_arrays(value: Any, region: bytes) -> Any:
 # ---------------------------------------------------------------------------
 # frame codec
 # ---------------------------------------------------------------------------
-class _TornTail(Exception):
-    """Internal: the byte stream ends with a structurally incomplete frame."""
-
-
 def _seal(prev_digest: bytes, body: bytes) -> Tuple[bytes, bytes]:
     """Frame ``body`` onto the chain; returns ``(frame, digest)``."""
     digest = hashlib.sha256(prev_digest + body).digest()
@@ -190,27 +187,20 @@ def _record_frame(
     return _seal(prev_digest, _U32.pack(len(meta)) + meta + b"".join(buffers))
 
 
-def _iter_raw_frames(
-    data: bytes, start: int
-) -> Iterator[Tuple[int, bytes, bytes, int]]:
-    """Yield ``(frame_start, body, digest, frame_end)`` per complete frame.
+def _frame_at(data: bytes, pos: int) -> Optional[Tuple[bytes, bytes, int]]:
+    """``(body, digest, frame_end)`` of the frame starting at ``pos``.
 
-    Raises :class:`_TornTail` when the stream ends inside a frame — the
-    shape a killed group write leaves behind.
+    ``None`` when the stream ends inside the frame — the shape a killed
+    group write leaves behind.
     """
-    pos = start
     total = len(data)
-    while pos < total:
-        if total - pos < _U32.size:
-            raise _TornTail(pos)
-        (length,) = _U32.unpack_from(data, pos)
-        end = pos + _U32.size + length
-        if length < _DIGEST_SIZE or end > total:
-            raise _TornTail(pos)
-        body = data[pos + _U32.size : end - _DIGEST_SIZE]
-        digest = data[end - _DIGEST_SIZE : end]
-        yield pos, body, digest, end
-        pos = end
+    if total - pos < _U32.size:
+        return None
+    (length,) = _U32.unpack_from(data, pos)
+    end = pos + _U32.size + length
+    if length < _DIGEST_SIZE or end > total:
+        return None
+    return data[pos + _U32.size : end - _DIGEST_SIZE], data[end - _DIGEST_SIZE : end], end
 
 
 def _verify_frame(
@@ -258,13 +248,12 @@ def _parse_header(target: Path, raw: bytes) -> Tuple[int, int, bytes, int]:
         raise WalCorruptionError(
             f"WAL {target} does not start with the {WAL_SCHEMA_V2!r} magic"
         )
-    frames = _iter_raw_frames(raw, len(WAL2_MAGIC))
-    try:
-        _, body, digest, end = next(frames)
-    except (_TornTail, StopIteration):
+    frame = _frame_at(raw, len(WAL2_MAGIC))
+    if frame is None:
         # create() fsyncs magic + header before returning, so an
         # incomplete header is not a crash artefact
-        raise WalCorruptionError(f"WAL {target} has an incomplete header") from None
+        raise WalCorruptionError(f"WAL {target} has an incomplete header")
+    body, digest, end = frame
     if hashlib.sha256(body).digest() != digest:
         raise WalCorruptionError(f"WAL {target} header fails hash check")
     try:
@@ -288,6 +277,56 @@ def _parse_header(target: Path, raw: bytes) -> Tuple[int, int, bytes, int]:
         raise WalCorruptionError(
             f"WAL {target} header missing shard/base_seq fields"
         ) from exc
+
+
+class _ChainScan:
+    """One verifying pass over a log file, in file order.
+
+    :meth:`records` yields each verified ``(record, body)`` exactly once;
+    afterwards ``last_seq`` / ``last_digest`` / ``good_bytes`` describe
+    the verified prefix and :attr:`dropped_bytes` the torn tail behind it.
+    This is the one place the crash policy lives: the scan *stops* at a
+    torn tail (a structurally incomplete frame, or a final frame that
+    fails verification) and *raises*
+    :class:`~repro.exceptions.WalCorruptionError` for a frame that fails
+    before the last one.
+    """
+
+    def __init__(self, target: Path) -> None:
+        self.target = target
+        self.raw = target.read_bytes()
+        (
+            self.shard_id,
+            self.base_seq,
+            self.last_digest,
+            self.good_bytes,
+        ) = _parse_header(target, self.raw)
+        self.last_seq = self.base_seq
+
+    @property
+    def dropped_bytes(self) -> int:
+        """Bytes past the verified prefix (the torn tail, if any)."""
+        return len(self.raw) - self.good_bytes
+
+    def records(self, through: Optional[int] = None) -> Iterator[Tuple[WalRecord, bytes]]:
+        """Verify and yield frames until the tail, or until seq ``through``."""
+        raw = self.raw
+        while through is None or self.last_seq < through:
+            pos = self.good_bytes
+            frame = _frame_at(raw, pos)
+            if frame is None:
+                return  # end of file, or the torn suffix of a group write
+            body, digest, end = frame
+            try:
+                record = _verify_frame(body, digest, self.last_digest, self.last_seq + 1)
+            except ValueError as exc:
+                if end >= len(raw):
+                    return  # torn final frame: unacknowledged
+                raise WalCorruptionError(
+                    f"WAL {self.target} corrupt at offset {pos}: {exc}"
+                ) from exc
+            self.last_seq, self.last_digest, self.good_bytes = record[0], digest, end
+            yield record, body
 
 
 def _flush_bounds(
@@ -353,6 +392,10 @@ class WriteAheadLog:
         self.bytes_written = 0
         #: Physical flushes issued by this handle (process lifetime).
         self.flush_count = 0
+        #: Records the recovering :meth:`open` verified (0 for a new log).
+        self.recovered_records = 0
+        #: Torn-tail bytes the recovering :meth:`open` truncated away.
+        self.dropped_bytes = 0
         self._lock = threading.Lock()
         self._handle = open(path, "ab")
 
@@ -403,51 +446,52 @@ class WriteAheadLog:
         flush_records: Optional[int] = None,
         flush_bytes: Optional[int] = None,
         observer: Optional[Any] = None,
+        *,
+        _on_record: Optional[Callable[[WalRecord], None]] = None,
     ) -> "WriteAheadLog":
         """Recover an existing log: verify the chain, drop a torn tail.
+
+        One pass: each frame is hashed, decoded and checked once.  The
+        handle records what that pass saw in :attr:`recovered_records`
+        and :attr:`dropped_bytes`.
 
         Raises :class:`~repro.exceptions.WalCorruptionError` on anything a
         crash cannot produce — a missing magic (an empty file or a
         retired v1 log), a broken header, or a mid-chain hash/sequence
         failure.
+
+        ``_on_record`` is internal: like ``observer``, it is a hook for
+        the serving stack, not a user option.  Shard recovery
+        (:class:`~repro.serving.worker.ShardWorker`) passes its apply
+        step, which gets every ``(seq, op, payload)`` in file order as
+        soon as it is verified, so replay needs no second read.  A
+        mid-chain failure still raises after earlier records went to the
+        hook; the caller must discard what it built.
         """
         flush_records, flush_bytes = _flush_bounds(flush_records, flush_bytes)
         target = Path(path)
-        raw = target.read_bytes()
-        shard_id, base_seq, prev_digest, good_bytes = _parse_header(target, raw)
-        seq = base_seq
-        frames = _iter_raw_frames(raw, good_bytes)
-        while True:
-            try:
-                pos, body, digest, end = next(frames)
-            except (_TornTail, StopIteration):
-                # end of file, or the torn suffix of a group write — drop it
-                break
-            try:
-                seq, _op, _payload = _verify_frame(body, digest, prev_digest, seq + 1)
-            except ValueError as exc:
-                if end >= len(raw):
-                    break  # torn final frame: unacknowledged — drop it
-                raise WalCorruptionError(
-                    f"WAL {target} corrupt at offset {pos}: {exc}"
-                ) from exc
-            prev_digest = digest
-            good_bytes = end
-        if good_bytes < len(raw):
+        scan = _ChainScan(target)
+        for record, _body in scan.records():
+            if _on_record is not None:
+                _on_record(record)
+        if scan.dropped_bytes:
             with open(target, "r+b") as handle:
-                handle.truncate(good_bytes)
+                handle.truncate(scan.good_bytes)
                 handle.flush()
                 os.fsync(handle.fileno())
-        return cls(
+        wal = cls(
             target,
-            shard_id=shard_id,
-            base_seq=base_seq,
-            last_seq=seq,
-            last_digest=prev_digest,
+            shard_id=scan.shard_id,
+            base_seq=scan.base_seq,
+            last_seq=scan.last_seq,
+            last_digest=scan.last_digest,
             flush_records=flush_records,
             flush_bytes=flush_bytes,
             observer=observer,
         )
+        wal.recovered_records = scan.last_seq - scan.base_seq
+        wal.dropped_bytes = scan.dropped_bytes
+        return wal
 
     # ------------------------------------------------------------------
     # properties
@@ -571,32 +615,17 @@ class WriteAheadLog:
 
         Takes no lock: callers drain the buffer first (``records`` then
         reads the snapshot it took; ``truncate_through`` holds the lock
-        across read and rewrite).
+        across read and rewrite).  Unlike recovery, a live handle has
+        acknowledged ``last_seq``, so a file that stops short of it —
+        torn or cut — raises.
         """
-        raw = self._path.read_bytes()
-        _shard, seq, prev_digest, start = _parse_header(self._path, raw)
-        frames = _iter_raw_frames(raw, start)
-        while seq < last_seq:
-            try:
-                pos, body, digest, _end = next(frames)
-                record = _verify_frame(body, digest, prev_digest, seq + 1)
-            except StopIteration:
-                raise WalCorruptionError(
-                    f"WAL {self._path} ends at seq {seq}, before the last "
-                    f"acknowledged seq {last_seq}"
-                ) from None
-            except _TornTail as exc:
-                raise WalCorruptionError(
-                    f"WAL {self._path} corrupt during replay: "
-                    f"incomplete frame at offset {exc.args[0]}"
-                ) from exc
-            except ValueError as exc:
-                raise WalCorruptionError(
-                    f"WAL {self._path} corrupt during replay at offset {pos}: {exc}"
-                ) from exc
-            seq = record[0]
-            prev_digest = digest
-            yield record, body
+        scan = _ChainScan(self._path)
+        yield from scan.records(through=last_seq)
+        if scan.last_seq < last_seq:
+            raise WalCorruptionError(
+                f"WAL {self._path} ends at seq {scan.last_seq}, before the last "
+                f"acknowledged seq {last_seq}"
+            )
 
     def verify(self) -> int:
         """Re-verify the whole chain from disk; returns the record count."""

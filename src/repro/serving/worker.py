@@ -36,12 +36,13 @@ records the log sequence number it covers; :meth:`restore` replays only
 records *after* that offset, and :meth:`compact` truncates the replayed
 prefix once a checkpoint covers it (crash between checkpoint and
 truncation just replays a little more — replay is idempotent from a
-covered checkpoint).
+covered checkpoint).  Cold recovery from a log file is one pass: each
+record is applied as :meth:`WriteAheadLog.open` verifies it, never re-read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -108,11 +109,16 @@ class ShardWorker:
         self.shard_id = int(shard_id)
         self.store = SessionStore(max_sessions=max_sessions, ttl_ops=ttl_ops)
         self.counters = ServiceCounters()
-        self.wal = wal
+        self.wal: Optional[WriteAheadLog] = None
         self.wal_delta_rows = None if wal_delta_rows is None else int(wal_delta_rows)
-        if wal is not None and wal.observer is None:
-            wal.observer = self.counters
+        if wal is not None:
+            self._attach_wal(wal)
         self.scorer = BatchScorer(self.counters)
+
+    def _attach_wal(self, wal: WriteAheadLog) -> None:
+        self.wal = wal
+        if wal.observer is None:
+            wal.observer = self.counters
 
     # ------------------------------------------------------------------
     # session lifecycle + ingest (log-then-apply)
@@ -318,24 +324,29 @@ class ShardWorker:
         else:
             raise ConfigError(f"unknown WAL op {op!r}")
 
-    def replay(self, records: "Union[WriteAheadLog, Sequence[WalRecord]]") -> int:
+    def _apply_replayed(self, record: WalRecord) -> None:
+        """Apply one logged record; its :class:`ReproError` is the replay."""
+        try:
+            self.apply_record(record[1], record[2])
+        except ReproError:
+            pass
+
+    def replay(self, records: "Union[WriteAheadLog, Iterable[WalRecord]]") -> int:
         """Re-apply a record stream; returns the number of records applied.
 
         Accepts a :class:`WriteAheadLog` (replays everything after its
-        ``base_seq``) or an explicit ``(seq, op, payload)`` sequence (the
-        restore path hands in only the tail past a checkpoint's covered
-        offset).  :class:`~repro.exceptions.ReproError` raised by an
+        ``base_seq``, re-read from disk) or any ``(seq, op, payload)``
+        iterable.  :class:`~repro.exceptions.ReproError` raised by an
         individual record is swallowed — the original operation failed
         the same way after mutating the clock, so the failure *is* the
-        correct replay.
+        correct replay.  Cold recovery does not come through here: it
+        applies each record while :meth:`WriteAheadLog.open` verifies it
+        (see :meth:`_recover`).
         """
         stream = records.records() if isinstance(records, WriteAheadLog) else records
         applied = 0
-        for _seq, op, payload in stream:
-            try:
-                self.apply_record(op, payload)
-            except ReproError:
-                pass
+        for record in stream:
+            self._apply_replayed(record)
             applied += 1
         return applied
 
@@ -358,6 +369,8 @@ class ShardWorker:
                 "bytes_written": self.wal.bytes_written,
                 "flush_count": self.wal.flush_count,
                 "pending_records": self.wal.pending_records,
+                "recovered_records": self.wal.recovered_records,
+                "dropped_bytes": self.wal.dropped_bytes,
             }
         return out
 
@@ -392,6 +405,28 @@ class ShardWorker:
         return save_checkpoint(self.state_dict(), path)
 
     @classmethod
+    def _from_checkpoint(
+        cls, path: Any, shard_id: int, wal_delta_rows: Optional[int]
+    ) -> Tuple["ShardWorker", Optional[int]]:
+        """A log-less worker loaded from a checkpoint, and the WAL seq the
+        checkpoint covers (``None`` when it was taken without a log)."""
+        state = load_checkpoint(path)
+        version = state.get("state_version")
+        if version != cls.STATE_VERSION:
+            raise ConfigError(
+                f"checkpoint state_version {version!r} is not supported "
+                f"(expected {cls.STATE_VERSION})"
+            )
+        worker = cls(shard_id=shard_id, wal_delta_rows=wal_delta_rows)
+        try:
+            worker.store = SessionStore.from_dict(state["store"])
+            worker.counters.load_state_dict(state["counters"])
+        except KeyError as exc:
+            raise ConfigError(f"checkpoint state missing field {exc}") from exc
+        covered = state.get("wal", {}).get("seq")
+        return worker, None if covered is None else int(covered)
+
+    @classmethod
     def restore(
         cls,
         path: Any,
@@ -401,27 +436,61 @@ class ShardWorker:
     ) -> "ShardWorker":
         """Rebuild a shard from a checkpoint, replaying only the WAL tail.
 
-        The checkpoint restores bit-identically on its own; when a WAL is
-        supplied, records with ``seq`` beyond the checkpoint's covered
-        offset are replayed on top, recovering everything acknowledged
-        after the snapshot.
+        The checkpoint restores bit-identically on its own; when an open
+        WAL is supplied, records with ``seq`` beyond the checkpoint's
+        covered offset are streamed from it and replayed on top,
+        recovering everything acknowledged after the snapshot.  (The
+        router and ``repro replay`` restore from a log *path* instead,
+        through :meth:`_recover`, which verifies the log only once.)
         """
-        state = load_checkpoint(path)
-        version = state.get("state_version")
-        if version != cls.STATE_VERSION:
-            raise ConfigError(
-                f"checkpoint state_version {version!r} is not supported "
-                f"(expected {cls.STATE_VERSION})"
-            )
-        worker = cls(shard_id=shard_id, wal=wal, wal_delta_rows=wal_delta_rows)
-        try:
-            worker.store = SessionStore.from_dict(state["store"])
-            worker.counters.load_state_dict(state["counters"])
-        except KeyError as exc:
-            raise ConfigError(f"checkpoint state missing field {exc}") from exc
+        worker, covered = cls._from_checkpoint(path, shard_id, wal_delta_rows)
         if wal is not None:
-            covered = int(state.get("wal", {}).get("seq", wal.base_seq))
-            worker.replay(list(wal.records(after=covered)))
+            worker._attach_wal(wal)
+            worker.replay(wal.records(after=covered))
+        return worker
+
+    @classmethod
+    def _recover(
+        cls,
+        wal_path: Any,
+        checkpoint: Optional[Any] = None,
+        shard_id: int = 0,
+        max_sessions: int = 1024,
+        ttl_ops: Optional[int] = None,
+        wal_delta_rows: Optional[int] = None,
+        flush_records: Optional[int] = None,
+        flush_bytes: Optional[int] = None,
+    ) -> "ShardWorker":
+        """One-pass recovery of a shard from its log (and a checkpoint).
+
+        Internal to the serving stack and ``repro replay``.  The log at
+        ``wal_path`` is opened with this worker's apply step as its record
+        hook, so every record is verified, decoded and applied once, in
+        file order, with nothing re-read or listed.  With a
+        ``checkpoint``, the covered prefix is verified but only records
+        past it are applied, and the store bounds come from the
+        checkpoint (``max_sessions``/``ttl_ops`` are ignored).  Mid-chain
+        corruption raises :class:`~repro.exceptions.WalCorruptionError`
+        from ``open`` and the half-built worker is dropped.
+        """
+        if checkpoint is None:
+            worker = cls(shard_id, max_sessions, ttl_ops, wal_delta_rows=wal_delta_rows)
+            covered = None
+        else:
+            worker, covered = cls._from_checkpoint(checkpoint, shard_id, wal_delta_rows)
+
+        def apply(record: WalRecord) -> None:
+            if covered is None or record[0] > covered:
+                worker._apply_replayed(record)
+
+        worker._attach_wal(
+            WriteAheadLog.open(
+                wal_path,
+                flush_records=flush_records,
+                flush_bytes=flush_bytes,
+                _on_record=apply,
+            )
+        )
         return worker
 
     def compact(self, path: Any) -> str:

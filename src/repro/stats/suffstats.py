@@ -29,16 +29,28 @@ from typing import Any, Dict, List, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.exceptions import DimensionError
-from repro.linalg.validation import as_samples, symmetrize
+from repro.exceptions import DimensionError, NotSPDError
+from repro.linalg.validation import as_samples
 from repro.schemas import SUFFSTATS_WIRE_SCHEMA, canonical_json
-from repro.stats.moments import sample_mean, scatter_matrix
 
 __all__ = ["SufficientStats", "merge_all", "WIRE_SCHEMA"]
 
 #: Format marker of the stable wire encoding (:meth:`SufficientStats.to_wire`);
 #: defined in :mod:`repro.schemas`, the version-string source of truth.
 WIRE_SCHEMA = SUFFSTATS_WIRE_SCHEMA
+
+
+def _symmetric_part(scatter: np.ndarray) -> np.ndarray:
+    """``(S + S^T) / 2`` of a square float scatter, checked once.
+
+    The arithmetic of :func:`repro.linalg.validation.symmetrize` without
+    its shape re-validation (every caller builds a ``(d, d)`` float
+    matrix); an overflowed (non-finite) scatter raises
+    :class:`~repro.exceptions.NotSPDError` exactly as ``symmetrize`` does.
+    """
+    if not np.isfinite(scatter).all():
+        raise NotSPDError("matrix contains non-finite entries")
+    return (scatter + scatter.T) / 2.0
 
 
 class SufficientStats:
@@ -80,16 +92,19 @@ class SufficientStats:
     def from_samples(cls, samples: ArrayLike) -> "SufficientStats":
         """One-shot statistics of an ``(n, d)`` sample matrix.
 
-        Uses the exact batch formulas of :mod:`repro.stats.moments`, so the
-        result is bit-identical to what :func:`sample_mean` /
-        :func:`scatter_matrix` return on the same array — this is the
-        reference the incremental paths are tested against.
+        Runs the numpy ops of :func:`~repro.stats.moments.sample_mean` /
+        :func:`~repro.stats.moments.scatter_matrix` in the same order, so
+        the result is bit-identical to theirs on the same array — this is
+        the reference the incremental paths are tested against — but
+        validates the block and computes its mean once.
         """
         data = as_samples(samples)
         stats = cls(data.shape[1])
+        mean = data.mean(axis=0)
+        centered = data - mean
         stats.n = data.shape[0]
-        stats.mean = sample_mean(data)
-        stats.scatter = scatter_matrix(data)
+        stats.mean = mean
+        stats.scatter = _symmetric_part(centered.T @ centered)
         return stats
 
     # ------------------------------------------------------------------
@@ -128,7 +143,9 @@ class SufficientStats:
         self.n += 1
         delta = row - self.mean
         self.mean = self.mean + delta / self.n
-        self.scatter = symmetrize(self.scatter + np.outer(delta, row - self.mean))
+        self.scatter = _symmetric_part(
+            self.scatter + np.outer(delta, row - self.mean)
+        )
         return self
 
     def push_batch(self, samples: ArrayLike) -> "SufficientStats":
@@ -166,7 +183,7 @@ class SufficientStats:
         delta = other.mean - self.mean
         self.mean = self.mean + delta * (other.n / n_total)
         cross = np.outer(delta, delta) * (self.n * other.n / n_total)
-        self.scatter = symmetrize(self.scatter + other.scatter + cross)
+        self.scatter = _symmetric_part(self.scatter + other.scatter + cross)
         self.n = n_total
         return self
 

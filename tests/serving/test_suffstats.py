@@ -9,10 +9,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bmf import BMFEstimator, map_moments, map_moments_from_stats
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import DimensionError, HyperParameterError
+from repro.exceptions import DimensionError, HyperParameterError, NotSPDError
 from repro.serving.suffstats import map_moments_stack
 from repro.stats.moments import sample_mean, scatter_matrix
 from repro.stats.suffstats import SufficientStats, merge_all
@@ -116,6 +117,64 @@ class TestAccumulator:
             SufficientStats.empty(0)
         with pytest.raises(DimensionError):
             SufficientStats.from_dict({"n": 1, "mean": [0.0]})
+
+
+@st.composite
+def _sample_blocks(draw):
+    """``(n, d)`` blocks including n = 1, d = 1 and |mean| >> spread."""
+    n = draw(st.integers(min_value=1, max_value=70))
+    d = draw(st.integers(min_value=1, max_value=6))
+    offset = draw(st.sampled_from([0.0, 1.0, -3.0e3, 1.0e8, -6.0e12]))
+    spread = draw(st.sampled_from([1.0, 1e-3, 1e-6]))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    return offset + spread * rng.standard_normal((n, d))
+
+
+class TestFusedFold:
+    """``from_samples`` validates once and computes the mean once; its
+    numbers and its errors must stay those of the batch formulas."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(block=_sample_blocks())
+    def test_bit_identical_to_batch_formulas(self, block):
+        stats = SufficientStats.from_samples(block)
+        assert stats.n == block.shape[0]
+        assert np.array_equal(stats.mean, sample_mean(block))
+        assert np.array_equal(stats.scatter, scatter_matrix(block))
+        # a single-block push_batch is the same fold
+        assert SufficientStats.empty(block.shape[1]).push_batch(block) == stats
+
+    def test_non_finite_row_is_a_dimension_error(self):
+        block = np.ones((4, 3))
+        block[2, 1] = np.nan
+        with pytest.raises(DimensionError):
+            SufficientStats.from_samples(block)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_scatter_is_not_spd(self):
+        with pytest.raises(NotSPDError):
+            SufficientStats.from_samples([[1e200, 0.0], [-1e200, 0.0]])
+
+    def test_zero_columns_is_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            SufficientStats.from_samples(np.empty((3, 0)))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_merge_is_not_spd(self):
+        left = SufficientStats.from_samples([[1e200], [1e200]])
+        right = SufficientStats.from_samples([[-1e200], [-1e200]])
+        with pytest.raises(NotSPDError):
+            left.merge(right)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_push_is_not_spd(self):
+        stats = SufficientStats.empty(1).push([1e200])
+        with pytest.raises(NotSPDError):
+            stats.push([-1e200])
 
 
 class TestMergeAllAtScale:
