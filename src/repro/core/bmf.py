@@ -21,10 +21,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.crossval import CrossValidationResult, TwoDimensionalCV
 from repro.core.estimators import MomentEstimate, MomentEstimator
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
+from repro.core.registry import available_selectors, make_selector
 from repro.exceptions import DimensionError, HyperParameterError, InsufficientDataError
 from repro.linalg.batched import clip_eigenvalues_batched, symmetrize_batched
 from repro.linalg.validation import as_samples, clip_eigenvalues
@@ -211,9 +211,11 @@ class BMFEstimator(MomentEstimator):
         Number of cross-validation folds ``Q`` (Sec. 4.2).  Clamped to the
         sample count when ``n < Q``.
     selector:
-        ``"cv"`` (the paper's two-dimensional Q-fold cross validation,
-        default) or ``"evidence"`` (fold-free marginal-likelihood
-        maximisation, see :mod:`repro.core.evidence`).
+        Name of a registered search selector (see
+        :func:`repro.core.registry.register_selector`): ``"cv"`` (the
+        paper's two-dimensional Q-fold cross validation, default),
+        ``"evidence"`` (fold-free marginal-likelihood maximisation, see
+        :mod:`repro.core.evidence`), or any custom registration.
     """
 
     name = "bmf"
@@ -245,9 +247,10 @@ class BMFEstimator(MomentEstimator):
         if n_folds < 2:
             raise ValueError(f"n_folds must be >= 2, got {n_folds}")
         self.n_folds = int(n_folds)
-        if selector not in ("cv", "evidence"):
+        if selector not in available_selectors():
             raise HyperParameterError(
-                f"selector must be 'cv' or 'evidence', got {selector!r}"
+                f"unknown selector {selector!r}; available: "
+                f"{', '.join(available_selectors())}"
             )
         self.selector = selector
         #: Result of the last hyper-parameter search (None in pinned mode).
@@ -337,10 +340,6 @@ class BMFEstimator(MomentEstimator):
         return self.prior.to_normal_wishart(kappa0, v0).posterior(data)
 
     def _select(self, data, rng):
-        """Run the configured hyper-parameter search."""
-        if self.selector == "evidence":
-            from repro.core.evidence import EvidenceSelector
-
-            return EvidenceSelector(self.prior, self.grid).select(data, rng=rng)
-        cv = TwoDimensionalCV(self.prior, self.grid, n_folds=self.n_folds)
-        return cv.select(data, rng=rng)
+        """Run the configured hyper-parameter search (the pipeline's dispatch)."""
+        selector = make_selector(self.selector, self.prior, self.grid, self.n_folds)
+        return selector.select(data, rng=rng)

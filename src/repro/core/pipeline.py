@@ -1,4 +1,4 @@
-"""End-to-end fusion pipeline: Algorithm 1 as composable stages.
+"""End-to-end fusion pipeline: Algorithm 1 as one straight-line flow.
 
 The one-call public API a circuit team would use:
 
@@ -7,18 +7,19 @@ The one-call public API a circuit team would use:
 >>> result = pipeline.estimate(late_samples)          # doctest: +SKIP
 >>> result.mean, result.covariance                    # physical units
 
-Internally the run is a fixed sequence of pluggable stages:
+:meth:`FusionPipeline.fit` is the one place the Sec. 4.1 shift/scale
+transform and the early-stage prior are fitted.  :meth:`FusionPipeline.estimate`
+then runs the paper's fixed four steps in order:
 
-1. :class:`TransformStage` — map late samples into the isotropic space of
-   the fitted Sec. 4.1 shift/scale transform (identity when disabled);
-2. :class:`SelectionStage` — resolve ``(kappa0, v0)`` for hyper-parameter
-   -aware estimators: the paper's two-dimensional CV, the fold-free
-   evidence search, pinned values (``"fixed"``), or any selector
-   registered via :func:`repro.core.registry.register_selector`;
-3. :class:`EstimationStage` — build the configured estimator through the
-   registry (*any* registered name, not just BMF) and run it;
-4. :class:`InverseTransformStage` — map the fused moments back to
-   physical units.
+1. map the late samples into the isotropic space of the fitted transform
+   (identity when disabled);
+2. resolve ``(kappa0, v0)`` for hyper-parameter-aware estimators: pinned
+   spec params, ``"none"``, ``"fixed"``, or any search selector registered
+   via :func:`repro.core.registry.register_selector` (the paper's
+   two-dimensional CV and the fold-free evidence search are two of them);
+3. build the configured estimator through the registry (*any* registered
+   name, not just BMF) and run it — Eq. 31–32 for BMF;
+4. map the fused moments back to physical units.
 
 Which estimator runs, how hyper-parameters are selected, the grid, the
 seed — all of it is declarative data in a
@@ -34,9 +35,8 @@ signature as a thin shim over the config-driven machinery.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,18 +51,12 @@ from repro.core.registry import (
     default_registry,
     make_selector,
 )
-from repro.exceptions import ConfigError, DimensionError, HyperParameterError
+from repro.exceptions import ConfigError, DimensionError
 from repro.linalg.validation import as_samples
 
 __all__ = [
     "FusionProvenance",
     "PipelineResult",
-    "PipelineContext",
-    "PipelineStage",
-    "TransformStage",
-    "SelectionStage",
-    "EstimationStage",
-    "InverseTransformStage",
     "FusionPipeline",
     "BMFPipeline",
 ]
@@ -93,7 +87,8 @@ class FusionProvenance:
     n_samples:
         Late-stage sample count consumed.
     diagnostics:
-        Estimator/stage extras (selection scores, rejected-row counts...).
+        Estimator and selection extras (selection scores, rejected-row
+        counts...).
     """
 
     estimator: str
@@ -157,155 +152,6 @@ class PipelineResult:
 
 
 # ---------------------------------------------------------------------------
-# stages
-# ---------------------------------------------------------------------------
-@dataclass
-class PipelineContext:
-    """Mutable state threaded through the stages of one estimate call."""
-
-    config: FusionConfig
-    registry: EstimatorRegistry
-    samples: np.ndarray
-    rng: Optional[np.random.Generator] = None
-    transform: Optional[ShiftScaleTransform] = None
-    prior: Optional[PriorKnowledge] = None
-    grid: Optional[HyperParameterGrid] = None
-    late_iso: Optional[np.ndarray] = None
-    kappa0: Optional[float] = None
-    v0: Optional[float] = None
-    selector_used: Optional[str] = None
-    estimator_name: Optional[str] = None
-    iso_estimate: Optional[MomentEstimate] = None
-    mean: Optional[np.ndarray] = None
-    covariance: Optional[np.ndarray] = None
-    diagnostics: EstimateInfo = field(default_factory=dict)
-
-
-class PipelineStage(abc.ABC):
-    """One step of the fusion flow; stages mutate the shared context."""
-
-    name: str = "stage"
-
-    @abc.abstractmethod
-    def run(self, ctx: PipelineContext) -> None:
-        """Advance the context; raise on unmet preconditions."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}()"
-
-
-class TransformStage(PipelineStage):
-    """Map physical late-stage samples into the isotropic space."""
-
-    name = "transform"
-
-    def run(self, ctx: PipelineContext) -> None:
-        data = as_samples(ctx.samples)
-        if ctx.transform is not None:
-            ctx.late_iso = ctx.transform.transform(data, stage="late")
-        else:
-            ctx.late_iso = np.array(data, dtype=float, copy=True)
-
-
-class SelectionStage(PipelineStage):
-    """Resolve ``(kappa0, v0)`` per the config's selection policy.
-
-    Runs only for estimators whose registry entry advertises
-    ``accepts_hyperparams``; explicit values in the estimator spec's params
-    short-circuit every policy (they *are* the selection).
-    """
-
-    name = "selection"
-
-    def run(self, ctx: PipelineContext) -> None:
-        entry = ctx.registry.entry(ctx.config.estimator.name)
-        if not entry.accepts_hyperparams:
-            return
-        params = ctx.config.estimator.params
-        if params.get("kappa0") is not None and params.get("v0") is not None:
-            ctx.kappa0 = float(params["kappa0"])
-            ctx.v0 = float(params["v0"])
-            ctx.selector_used = "fixed"
-            return
-        policy = ctx.config.selector
-        if policy == "none":
-            return
-        if policy == "fixed":
-            if ctx.config.kappa0 is None or ctx.config.v0 is None:
-                raise HyperParameterError(
-                    "selector 'fixed' requires kappa0 and v0 in the config"
-                )
-            ctx.kappa0 = float(ctx.config.kappa0)
-            ctx.v0 = float(ctx.config.v0)
-            ctx.selector_used = "fixed"
-            return
-        if ctx.prior is None:
-            raise ConfigError("hyper-parameter selection requires a fitted prior")
-        grid = ctx.grid
-        if grid is None:
-            grid = HyperParameterGrid.paper_default(ctx.prior.dim)
-        selector = make_selector(policy, ctx.prior, grid, ctx.config.n_folds)
-        result = selector.select(ctx.late_iso, rng=ctx.rng)
-        ctx.kappa0 = float(result.kappa0)
-        ctx.v0 = float(result.v0)
-        ctx.selector_used = policy
-        best = getattr(result, "best_score", getattr(result, "best_log_evidence", None))
-        if best is not None:
-            ctx.diagnostics["selection_score"] = float(best)
-
-
-class EstimationStage(PipelineStage):
-    """Build the configured estimator through the registry and run it."""
-
-    name = "estimation"
-
-    def run(self, ctx: PipelineContext) -> None:
-        estimator = ctx.registry.build(
-            ctx.config.estimator,
-            prior=ctx.prior,
-            kappa0=ctx.kappa0,
-            v0=ctx.v0,
-        )
-        ctx.iso_estimate = estimator.estimate(ctx.late_iso, rng=ctx.rng)
-        ctx.estimator_name = ctx.config.estimator.name
-        info = ctx.iso_estimate.info
-        # An estimator that self-selected (selector "none") still reports
-        # what it used; fold that back into the provenance.
-        if ctx.kappa0 is None and "kappa0" in info:
-            ctx.kappa0 = float(info["kappa0"])
-            ctx.selector_used = ctx.selector_used or "estimator"
-        if ctx.v0 is None and "v0" in info:
-            ctx.v0 = float(info["v0"])
-
-
-class InverseTransformStage(PipelineStage):
-    """Pull the fused isotropic moments back into physical units."""
-
-    name = "inverse-transform"
-
-    def run(self, ctx: PipelineContext) -> None:
-        estimate = ctx.iso_estimate
-        if estimate is None:
-            raise ConfigError("estimation stage must run before inverse transform")
-        if ctx.transform is not None:
-            ctx.mean, ctx.covariance = ctx.transform.inverse_transform_moments(
-                estimate.mean, estimate.covariance, stage="late"
-            )
-        else:
-            ctx.mean = np.array(estimate.mean, copy=True)
-            ctx.covariance = np.array(estimate.covariance, copy=True)
-
-
-#: The canonical stage order of Algorithm 1 + Sec. 4.1.
-DEFAULT_STAGES = (
-    TransformStage,
-    SelectionStage,
-    EstimationStage,
-    InverseTransformStage,
-)
-
-
-# ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
 class FusionPipeline:
@@ -326,7 +172,6 @@ class FusionPipeline:
         config: Optional[FusionConfig] = None,
         registry: Optional[EstimatorRegistry] = None,
         grid: Optional[HyperParameterGrid] = None,
-        stages: Optional[Sequence[PipelineStage]] = None,
     ) -> None:
         if transform is not None and transform.dim != prior.dim:
             raise DimensionError(
@@ -342,9 +187,6 @@ class FusionPipeline:
             self.grid = self.config.grid.materialize(prior.dim)
         else:
             self.grid = None
-        self.stages: List[PipelineStage] = (
-            list(stages) if stages is not None else [cls() for cls in DEFAULT_STAGES]
-        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -392,11 +234,12 @@ class FusionPipeline:
         rng: Optional[np.random.Generator] = None,
         config: Optional[FusionConfig] = None,
     ) -> PipelineResult:
-        """Run the staged fusion flow on one late-stage batch.
+        """Run Algorithm 1 on one late-stage batch.
 
-        ``rng`` seeds stochastic stages (CV fold splits); when omitted and
-        the config carries a ``seed``, a generator is derived from it so
-        the whole run is reproducible from the config alone.
+        ``rng`` seeds the hyper-parameter search (CV fold splits) and the
+        estimator; when omitted and the config carries a ``seed``, a
+        generator is derived from it so the whole run is reproducible
+        from the config alone.
         """
         cfg = config if config is not None else self.config
         seed_used: Optional[int] = None
@@ -406,36 +249,92 @@ class FusionPipeline:
         grid = self.grid
         if config is not None and config.grid is not None and config is not self.config:
             grid = config.grid.materialize(self.prior.dim)
-        ctx = PipelineContext(
-            config=cfg,
-            registry=self.registry,
-            samples=late_samples,
-            rng=rng,
-            transform=self.transform,
-            prior=self.prior,
-            grid=grid,
+
+        data = as_samples(late_samples)
+        if self.transform is not None:
+            late_iso = self.transform.transform(data, stage="late")
+        else:
+            late_iso = np.array(data, dtype=float, copy=True)
+
+        kappa0, v0, selector, score = self._resolve_hyperparams(cfg, grid, late_iso, rng)
+        estimator = self.registry.build(
+            cfg.estimator, prior=self.prior, kappa0=kappa0, v0=v0
         )
-        for stage in self.stages:
-            stage.run(ctx)
-        assert ctx.iso_estimate is not None  # EstimationStage ran
-        diagnostics: EstimateInfo = dict(ctx.iso_estimate.info)
-        diagnostics.update(ctx.diagnostics)
+        iso_estimate = estimator.estimate(late_iso, rng=rng)
+        diagnostics: EstimateInfo = dict(iso_estimate.info)
+        # An estimator that self-selected (selector "none") still reports
+        # what it used; fold that back into the provenance.
+        if kappa0 is None and "kappa0" in diagnostics:
+            kappa0 = float(diagnostics["kappa0"])
+            selector = selector or "estimator"
+        if v0 is None and "v0" in diagnostics:
+            v0 = float(diagnostics["v0"])
+        if score is not None:
+            diagnostics["selection_score"] = score
+
+        if self.transform is not None:
+            mean, covariance = self.transform.inverse_transform_moments(
+                iso_estimate.mean, iso_estimate.covariance, stage="late"
+            )
+        else:
+            mean = np.array(iso_estimate.mean, copy=True)
+            covariance = np.array(iso_estimate.covariance, copy=True)
+
         provenance = FusionProvenance(
-            estimator=ctx.estimator_name or cfg.estimator.name,
-            selector=ctx.selector_used,
-            kappa0=ctx.kappa0,
-            v0=ctx.v0,
+            estimator=cfg.estimator.name,
+            selector=selector,
+            kappa0=kappa0,
+            v0=v0,
             seed=seed_used,
             config_hash=cfg.config_hash(),
-            n_samples=ctx.iso_estimate.n_samples,
+            n_samples=iso_estimate.n_samples,
             diagnostics=diagnostics,
         )
         return PipelineResult(
-            mean=ctx.mean,
-            covariance=ctx.covariance,
-            isotropic=ctx.iso_estimate,
+            mean=mean,
+            covariance=covariance,
+            isotropic=iso_estimate,
             provenance=provenance,
             transform=self.transform,
+        )
+
+    def _resolve_hyperparams(
+        self,
+        cfg: FusionConfig,
+        grid: Optional[HyperParameterGrid],
+        late_iso: np.ndarray,
+        rng: Optional[np.random.Generator],
+    ) -> Tuple[Optional[float], Optional[float], Optional[str], Optional[float]]:
+        """``(kappa0, v0, selector, selection score)`` per the config's policy.
+
+        Only estimators whose registry entry advertises
+        ``accepts_hyperparams`` take part.  Precedence: explicit values in
+        the estimator spec's params (they *are* the selection), then
+        ``"none"`` (the estimator selects for itself), then ``"fixed"``,
+        then a registered search selector run on the isotropic samples.
+        """
+        if not self.registry.entry(cfg.estimator.name).accepts_hyperparams:
+            return None, None, None, None
+        params = cfg.estimator.params
+        if params.get("kappa0") is not None and params.get("v0") is not None:
+            return float(params["kappa0"]), float(params["v0"]), "fixed", None
+        if cfg.selector == "none":
+            return None, None, None, None
+        if cfg.selector == "fixed":
+            # FusionConfig refuses "fixed" without both values.
+            return float(cfg.kappa0), float(cfg.v0), "fixed", None
+        if self.prior is None:
+            raise ConfigError("hyper-parameter selection requires a fitted prior")
+        if grid is None:
+            grid = HyperParameterGrid.paper_default(self.prior.dim)
+        selector = make_selector(cfg.selector, self.prior, grid, cfg.n_folds)
+        result = selector.select(late_iso, rng=rng)
+        best = getattr(result, "best_score", getattr(result, "best_log_evidence", None))
+        return (
+            float(result.kappa0),
+            float(result.v0),
+            cfg.selector,
+            None if best is None else float(best),
         )
 
     # ------------------------------------------------------------------
@@ -462,7 +361,7 @@ class FusionPipeline:
 
 
 class BMFPipeline(FusionPipeline):
-    """The original BMF-only facade over the staged pipeline.
+    """The original BMF-only facade over :class:`FusionPipeline`.
 
     Kept for source compatibility: the constructor and :meth:`fit` take the
     historical ``(grid, n_folds, kappa0, v0)`` arguments and translate them
@@ -503,12 +402,10 @@ class BMFPipeline(FusionPipeline):
         ``kappa0``/``v0`` pin the hyper-parameters (ablation mode) and
         otherwise cross validation selects them per late-stage dataset.
         """
-        transform = ShiftScaleTransform.fit(early_samples, early_nominal, late_nominal)
-        early_iso = transform.transform(early_samples, stage="early")
-        prior = PriorKnowledge.from_samples(early_iso)
+        fitted = FusionPipeline.fit(early_samples, early_nominal, late_nominal)
         return cls(
-            transform=transform,
-            prior=prior,
+            transform=fitted.transform,
+            prior=fitted.prior,
             grid=grid,
             n_folds=n_folds,
             kappa0=kappa0,

@@ -306,7 +306,7 @@ class EstimatorEntry:
     """Registered estimator: factory plus typed capability metadata.
 
     ``accepts_hyperparams`` marks the normal-Wishart family whose
-    ``(kappa0, v0)`` the pipeline's selection stage can resolve;
+    ``(kappa0, v0)`` the pipeline can resolve;
     ``data_kind`` records the sample layout the estimator consumes
     (``"multivariate"`` (n, d) rows, ``"univariate"`` scalar metric,
     ``"binary"`` pass/fail indicators).
@@ -396,7 +396,7 @@ class EstimatorRegistry:
         """Construct a fresh estimator from a spec (or bare name).
 
         ``kappa0``/``v0`` are *defaults* injected for hyper-parameter-aware
-        estimators (the pipeline's selection stage uses this); explicit
+        estimators (the pipeline passes its resolved values); explicit
         spec params always win.
         """
         if isinstance(spec, str):
@@ -574,7 +574,8 @@ _DEFAULT_REGISTRY.register(
 
 
 # ---------------------------------------------------------------------------
-# hyper-parameter selector registry (the pipeline's pluggable stage 3)
+# hyper-parameter selector registry (Algorithm 1's (kappa0, v0) search; the
+# pipeline and BMFEstimator both dispatch through make_selector)
 # ---------------------------------------------------------------------------
 #: Selector factory: ``(prior, grid, n_folds) -> object with .select(data, rng)``
 #: returning a result exposing ``.kappa0`` and ``.v0``.

@@ -32,6 +32,7 @@ from repro.circuits.montecarlo import PairedDataset
 from repro.core.baselines import ShrinkageEstimator
 from repro.linalg.validation import cholesky_safe
 from repro.core.errors import covariance_error, mean_error
+from repro.core.pipeline import FusionPipeline
 from repro.core.prior import PriorKnowledge
 from repro.core.registry import EstimatorSpec, make_estimator
 from repro.experiments.parallel import replicate
@@ -144,14 +145,11 @@ def ablate_prior_quality(
     so level-to-level differences isolate the prior bias.  ``n_jobs``
     parallelises the repetitions (bit-identical to serial).
     """
-    from repro.core.preprocessing import ShiftScaleTransform
-
-    transform = ShiftScaleTransform.fit(
+    fitted = FusionPipeline.fit(
         dataset.early, dataset.early_nominal, dataset.late_nominal
     )
-    early_iso = transform.transform(dataset.early, "early")
-    late_iso = transform.transform(dataset.late, "late")
-    base_prior = PriorKnowledge.from_samples(early_iso)
+    late_iso = fitted.transform.transform(dataset.late, "late")
+    base_prior = fitted.prior
     exact_mean = late_iso.mean(axis=0)
     centered = late_iso - exact_mean
     exact_cov = centered.T @ centered / late_iso.shape[0]

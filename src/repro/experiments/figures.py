@@ -14,14 +14,14 @@ the paper-versus-measured comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.circuits.montecarlo import PairedDataset
 from repro.core.crossval import CrossValidationResult, TwoDimensionalCV
+from repro.core.pipeline import FusionPipeline
 from repro.core.preprocessing import ShiftScaleTransform
-from repro.core.prior import PriorKnowledge
 from repro.experiments import datasets
 from repro.experiments.sweep import ErrorSweep, SweepConfig, SweepResult
 
@@ -133,10 +133,8 @@ def figure2_cv_surface(
     draw and returns the full score grid.
     """
     ds = datasets.opamp_dataset(n_bank)
-    transform = ShiftScaleTransform.fit(ds.early, ds.early_nominal, ds.late_nominal)
-    early_iso = transform.transform(ds.early, "early")
-    late_iso = transform.transform(ds.late, "late")
-    prior = PriorKnowledge.from_samples(early_iso)
+    pipeline = FusionPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
+    late_iso = pipeline.transform.transform(ds.late, "late")
     rng = np.random.default_rng(seed)
     idx = rng.choice(late_iso.shape[0], size=n_late, replace=False)
-    return TwoDimensionalCV(prior).select(late_iso[idx], rng=rng)
+    return TwoDimensionalCV(pipeline.prior).select(late_iso[idx], rng=rng)

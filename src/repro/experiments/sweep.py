@@ -19,9 +19,9 @@ import numpy as np
 from repro.circuits.montecarlo import PairedDataset
 from repro.core.errors import covariance_error, mean_error
 from repro.core.estimators import MomentEstimator
-from repro.core.preprocessing import ShiftScaleTransform
+from repro.core.pipeline import FusionPipeline
 from repro.core.prior import PriorKnowledge
-from repro.core.registry import EstimatorSpec
+from repro.core.registry import EstimatorSpec, FusionConfig
 from repro.exceptions import DimensionError
 from repro.experiments.parallel import replicate, resolve_n_jobs
 from repro.stats.moments import mle_covariance, sample_mean
@@ -197,17 +197,18 @@ class ErrorSweep:
     # ------------------------------------------------------------------
     def _prepare(self) -> None:
         ds = self.dataset
-        if self.shift_scale:
-            self._transform = ShiftScaleTransform.fit(
-                ds.early, ds.early_nominal, ds.late_nominal
-            )
-            self._early = self._transform.transform(ds.early, "early")
+        fitted = FusionPipeline.fit(
+            ds.early,
+            ds.early_nominal,
+            ds.late_nominal,
+            config=FusionConfig(shift_scale=self.shift_scale),
+        )
+        self._transform = fitted.transform
+        self.prior = fitted.prior
+        if self._transform is not None:
             self._late = self._transform.transform(ds.late, "late")
         else:
-            self._transform = None
-            self._early = ds.early.copy()
             self._late = ds.late.copy()
-        self.prior = PriorKnowledge.from_samples(self._early)
         # Ground truth: moments of the full late-stage bank (the paper's
         # mu_EXACT / Sigma_EXACT measured from all 5000/1000 samples).
         self.exact_mean = sample_mean(self._late)

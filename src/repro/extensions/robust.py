@@ -56,8 +56,8 @@ class RobustBMFEstimator(MomentEstimator):
     """BMF with a prior-based outlier gate in front (ablation/extension).
 
     Parameters mirror :class:`~repro.core.bmf.BMFEstimator` — including
-    optional pinned ``(kappa0, v0)``, which the pipeline's selection stage
-    uses — plus extra knobs controlling the gate.  ``min_kept`` guards
+    optional pinned ``(kappa0, v0)``, which the pipeline passes after
+    resolving them — plus extra knobs controlling the gate.  ``min_kept`` guards
     against the gate eating so many samples that the fusion becomes
     prior-only — if fewer survive, the gate is bypassed entirely and a
     plain BMF estimate is returned.

@@ -191,8 +191,8 @@ class SequentialBMFEstimator(MomentEstimator):
 
     ``kappa0``/``v0`` default to the weakly-informative corner
     ``(1, d + 1)`` when not supplied (streaming mode cannot re-run CV per
-    die; the pipeline's selection stage pins better values when used
-    through a config).
+    die; the pipeline resolves and pins better values when used through a
+    config).
     """
 
     name = "sequential_bmf"

@@ -1,18 +1,26 @@
 """Tests for the end-to-end BMF pipeline (Algorithm 1 + Sec. 4.1)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core.bmf import map_moments
+import repro.core.registry as registry_module
+from repro.core.hypergrid import HyperParameterGrid
 from repro.core.pipeline import (
-    DEFAULT_STAGES,
     BMFPipeline,
     FusionPipeline,
     FusionProvenance,
 )
 from repro.core.preprocessing import ShiftScaleTransform
 from repro.core.prior import PriorKnowledge
-from repro.core.registry import EstimatorSpec, FusionConfig
+from repro.core.registry import (
+    EstimatorSpec,
+    FusionConfig,
+    default_registry,
+    make_selector,
+    register_selector,
+)
 from repro.exceptions import ConfigError, DimensionError
 from repro.linalg.validation import is_spd
 from repro.stats.multivariate_gaussian import MultivariateGaussian
@@ -28,6 +36,25 @@ def stage_pair(gaussian5, rng):
     early_nom = gaussian5.mean
     late_nom = gaussian5.mean + shift
     return early, late, early_nom, late_nom, late_truth
+
+
+#: Selection policy -> (pipeline config, estimator run through
+#: ``estimate_with`` or None, search selector the hand-built flow runs or
+#: None, provenance selector).  Pinned cases use (kappa0, v0) = (2, 15).
+_POLICIES = {
+    "cv": (FusionConfig(selector="cv"), None, "cv", "cv"),
+    "evidence": (FusionConfig(selector="evidence"), None, "evidence", "evidence"),
+    "fixed": (FusionConfig(selector="fixed", kappa0=2.0, v0=15.0), None, None, "fixed"),
+    # "none" leaves selection to the estimator, whose default search is CV.
+    "none": (FusionConfig(selector="none"), None, "cv", "estimator"),
+    "spec-pinned": (
+        FusionConfig(estimator=EstimatorSpec("bmf", {"kappa0": 2.0, "v0": 15.0})),
+        None,
+        None,
+        "fixed",
+    ),
+    "estimate_with-mle": (FusionConfig(), "mle", None, None),
+}
 
 
 class TestFit:
@@ -66,23 +93,57 @@ class TestEstimate:
         result = pipeline.estimate(late[:16], rng=rng)
         assert result.info == {"kappa0": 3.0, "v0": 20.0}
 
-    def test_pinned_matches_manual_flow(self, stage_pair, rng):
-        """Pipeline == transform -> map_moments -> inverse transform."""
+    def test_pinned_matches_manual_flow(self, stage_pair):
+        """Pipeline == transform -> select -> build -> estimate -> inverse,
+        bit for bit, under every selection policy."""
         early, late, e_nom, l_nom, _truth = stage_pair
         subset = late[:12]
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom, kappa0=2.0, v0=15.0)
-        result = pipeline.estimate(subset)
-
         transform = ShiftScaleTransform.fit(early, e_nom, l_nom)
         prior = PriorKnowledge.from_samples(transform.transform(early, "early"))
-        mu_iso, cov_iso = map_moments(
-            prior, transform.transform(subset, "late"), 2.0, 15.0
-        )
-        mean_phys, cov_phys = transform.inverse_transform_moments(
-            mu_iso, cov_iso, "late"
-        )
-        assert np.allclose(result.mean, mean_phys)
-        assert np.allclose(result.covariance, cov_phys, rtol=1e-8)
+        late_iso = transform.transform(subset, "late")
+        for policy, (config, swap_to, search, prov_selector) in _POLICIES.items():
+            pipeline = FusionPipeline.fit(early, e_nom, l_nom, config=config)
+            if swap_to is None:
+                result = pipeline.estimate(subset, rng=np.random.default_rng(4))
+            else:
+                result = pipeline.estimate_with(
+                    swap_to, subset, rng=np.random.default_rng(4)
+                )
+                config = config.replace(estimator=EstimatorSpec(swap_to))
+
+            rng = np.random.default_rng(4)
+            kappa0 = v0 = score = None
+            if search is not None:
+                grid = HyperParameterGrid.paper_default(prior.dim)
+                picked = make_selector(search, prior, grid, 4).select(late_iso, rng=rng)
+                kappa0, v0 = float(picked.kappa0), float(picked.v0)
+                score = getattr(
+                    picked, "best_score", getattr(picked, "best_log_evidence", None)
+                )
+            elif prov_selector == "fixed":
+                kappa0, v0 = 2.0, 15.0
+            estimator = default_registry().build(
+                config.estimator, prior=prior, kappa0=kappa0, v0=v0
+            )
+            iso = estimator.estimate(late_iso, rng=rng)
+            mean_phys, cov_phys = transform.inverse_transform_moments(
+                iso.mean, iso.covariance, "late"
+            )
+            diagnostics = dict(iso.info)
+            if score is not None and policy != "none":
+                diagnostics["selection_score"] = float(score)
+            expected = FusionProvenance(
+                estimator=config.estimator.name,
+                selector=prov_selector,
+                kappa0=kappa0,
+                v0=v0,
+                config_hash=config.config_hash(),
+                n_samples=12,
+                diagnostics=diagnostics,
+            )
+            np.testing.assert_array_equal(result.mean, mean_phys, err_msg=policy)
+            np.testing.assert_array_equal(result.covariance, cov_phys, err_msg=policy)
+            assert result.provenance.to_dict() == expected.to_dict(), policy
 
     def test_mle_baseline_through_same_preprocessing(self, stage_pair):
         early, late, e_nom, l_nom, _truth = stage_pair
@@ -164,13 +225,9 @@ class TestFusionPipeline:
 
     def test_shift_scale_true_needs_nominals(self, stage_pair):
         early, _late, _e_nom, _l_nom, _truth = stage_pair
-        with pytest.raises(ConfigError, match="nominal"):
-            FusionPipeline.fit(early)
-
-    def test_default_stage_order(self, stage_pair):
-        early, _late, e_nom, l_nom, _truth = stage_pair
-        pipeline = FusionPipeline.fit(early, e_nom, l_nom)
-        assert [type(s) for s in pipeline.stages] == list(DEFAULT_STAGES)
+        for pipeline_cls in (FusionPipeline, BMFPipeline):
+            with pytest.raises(ConfigError, match="early_nominal and late_nominal"):
+                pipeline_cls.fit(early)
 
     def test_matches_legacy_bmf_pipeline_bitwise(self, stage_pair):
         """The staged flow reproduces the pre-refactor path exactly."""
@@ -193,3 +250,47 @@ class TestFusionPipeline:
         result = pipeline.estimate(late[:12], rng=rng)
         assert result.provenance.selector == "evidence"
         assert "selection_score" in result.provenance.diagnostics
+
+    def test_registered_selector_reaches_config_and_bmf_spec(
+        self, stage_pair, monkeypatch
+    ):
+        """One dispatch: a registered selector serves the pipeline's config
+        and a ``bmf`` spec's ``selector`` param (the way ``ErrorSweep`` runs
+        it) alike, with the same (kappa0, v0) from the same generator."""
+        early, late, e_nom, l_nom, _truth = stage_pair
+        # Register into a private copy so the process-wide table is restored.
+        monkeypatch.setattr(
+            registry_module, "_SELECTORS", dict(registry_module._SELECTORS)
+        )
+
+        class RandomCorner:
+            """Draws a grid point from ``rng``: no built-in selector does."""
+
+            def __init__(self, prior, grid, n_folds):
+                self.grid = grid
+
+            def select(self, data, rng=None):
+                i = rng.integers(self.grid.kappa0_values.size)
+                j = rng.integers(self.grid.v0_values.size)
+                return SimpleNamespace(
+                    kappa0=self.grid.kappa0_values[i], v0=self.grid.v0_values[j]
+                )
+
+        register_selector("random-corner", RandomCorner)
+        config = FusionConfig(selector="random-corner")
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom, config=config)
+        via_config = pipeline.estimate(late[:12], rng=np.random.default_rng(9))
+
+        spec = EstimatorSpec("bmf", {"selector": "random-corner"})
+        late_iso = pipeline.transform.transform(late[:12], "late")
+        via_spec = spec(pipeline.prior).estimate(late_iso, rng=np.random.default_rng(9))
+
+        assert via_config.provenance.selector == "random-corner"
+        assert (via_config.provenance.kappa0, via_config.provenance.v0) == (
+            via_spec.info["kappa0"],
+            via_spec.info["v0"],
+        )
+        np.testing.assert_array_equal(via_config.isotropic.mean, via_spec.mean)
+        np.testing.assert_array_equal(
+            via_config.isotropic.covariance, via_spec.covariance
+        )
