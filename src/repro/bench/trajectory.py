@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import platform
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -65,7 +66,9 @@ def environment_info() -> Dict[str, Any]:
     The optional scipy package (the sparse MNA backend) is recorded as
     its version string when importable and ``None`` when absent, so a
     speedup regression can be traced to a dependency change rather than a
-    code change.
+    code change.  ``cpu_count`` is the machine's CPU count and
+    ``affinity_cpus`` the CPUs this process may run on (``None`` where the
+    platform cannot say).
     """
     import numpy
 
@@ -73,6 +76,10 @@ def environment_info() -> Dict[str, Any]:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "affinity_cpus": (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+        ),
     }
     try:
         import scipy

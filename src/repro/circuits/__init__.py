@@ -81,17 +81,6 @@ from repro.circuits.variants import (
     scale_divergence,
     scaled_process_model,
 )
-from repro.circuits.sensitivity import (
-    SensitivityResult,
-    metric_sensitivities,
-    variance_budget,
-)
-from repro.circuits.spice_io import (
-    format_value,
-    parse_netlist,
-    parse_value,
-    write_netlist,
-)
 from repro.circuits.process import GlobalVariation, ProcessSample, ProcessVariationModel
 from repro.circuits.noise import BOLTZMANN, NoiseAnalysis, NoiseResult
 from repro.circuits.transient import (
@@ -158,7 +147,6 @@ __all__ = [
     "SarADC",
     "SarADCDesign",
     "SarADCMetrics",
-    "SensitivityResult",
     "SmallSignal",
     "SpectralAnalyzer",
     "SpectralMetrics",
@@ -174,7 +162,6 @@ __all__ = [
     "corner_spec",
     "dataset_cache_path",
     "die_draw_bank",
-    "format_value",
     "generate_adc_dataset",
     "generate_corner_datasets",
     "generate_dataset",
@@ -184,14 +171,9 @@ __all__ = [
     "inl_dnl_from_dac_levels",
     "inl_dnl_from_histogram",
     "inl_dnl_from_levels",
-    "metric_sensitivities",
     "scale_divergence",
     "scaled_process_model",
-    "parse_netlist",
-    "parse_value",
     "sine",
     "sine_record",
     "step",
-    "variance_budget",
-    "write_netlist",
 ]

@@ -743,7 +743,6 @@ def _cmd_replay(args) -> int:
         ttl_ops=args.ttl_ops,
     )
     wal = worker.wal
-    worker.shard_id = wal.shard_id
     print(
         f"verified {args.wal}: shard {wal.shard_id}, "
         f"{wal.recovered_records} record(s) covering seq ({wal.base_seq}, "

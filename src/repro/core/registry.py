@@ -36,6 +36,7 @@ from repro.core.estimators import MomentEstimator
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import ConfigError, HyperParameterError, UnknownEstimatorError
+from repro.schemas import canonical_json
 
 __all__ = [
     "EstimatorSpec",
@@ -285,8 +286,8 @@ class FusionConfig:
 
     def config_hash(self) -> str:
         """Stable 12-hex-digit content hash for provenance records."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        encoded = canonical_json(self.to_dict()).encode("utf-8")
+        return hashlib.sha256(encoded).hexdigest()[:12]
 
     def replace(self, **changes: Any) -> "FusionConfig":
         """A copy with the given fields replaced (dataclass semantics)."""

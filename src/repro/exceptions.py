@@ -31,10 +31,6 @@ class SingularMatrixError(ReproError, ValueError):
     """Raised when a linear system or inversion encounters a singular matrix."""
 
 
-class ConvergenceError(ReproError, RuntimeError):
-    """Raised when an iterative routine fails to converge."""
-
-
 class SimulationError(ReproError, RuntimeError):
     """Raised when a circuit simulation cannot be completed."""
 

@@ -1,11 +1,5 @@
-"""Extensions beyond the paper: non-Gaussian moments, streaming, robustness."""
+"""Extensions beyond the paper: streaming and robust fusion."""
 
-from repro.extensions.higher_moments import (
-    FusedHigherMoments,
-    HigherMomentFusion,
-    standardized_fourth_moment,
-    standardized_third_moment,
-)
 from repro.extensions.robust import RobustBMFEstimator, mahalanobis_gate
 from repro.extensions.sequential import (
     SequentialBMF,
@@ -14,13 +8,9 @@ from repro.extensions.sequential import (
 )
 
 __all__ = [
-    "FusedHigherMoments",
-    "HigherMomentFusion",
     "RobustBMFEstimator",
     "SequentialBMF",
     "SequentialBMFEstimator",
     "SequentialState",
     "mahalanobis_gate",
-    "standardized_fourth_moment",
-    "standardized_third_moment",
 ]

@@ -165,8 +165,9 @@ def load_estimate(path: PathLike) -> MomentEstimate:
 # fusion configs
 # ---------------------------------------------------------------------------
 def save_config(config, path: PathLike) -> None:
-    """Write a :class:`~repro.core.registry.FusionConfig` to a JSON file."""
-    Path(path).write_text(config.to_json() + "\n")
+    """Write a :class:`~repro.core.registry.FusionConfig` to a JSON file
+    (atomic + durable)."""
+    write_json_atomic(config.to_dict(), path, canonical=False)
 
 
 def load_config(path: PathLike):

@@ -10,7 +10,6 @@ from repro.linalg.batched import (
     cholesky_batched,
     cholesky_batched_safe,
     clip_eigenvalues_batched,
-    inv_spd_batched,
     jitter_spd_batched,
     logdet_batched,
     mahalanobis_sq_batched,
@@ -63,7 +62,6 @@ __all__ = [
     "diagonal_shrinkage",
     "frobenius_norm",
     "inv_spd",
-    "inv_spd_batched",
     "is_spd",
     "is_symmetric",
     "jitter_spd",

@@ -47,7 +47,6 @@ __all__ = [
     "as_spd_stack",
     "cholesky_batched",
     "cholesky_batched_safe",
-    "inv_spd_batched",
     "solve_batched",
     "solve_triangular_batched",
     "logdet_batched",
@@ -194,23 +193,6 @@ def cholesky_batched_safe(
             chol[bad[retry_ok]] = retry[retry_ok]
             ok[bad[retry_ok]] = True
     return chol, ok
-
-
-def inv_spd_batched(stack: ArrayLike, name: str = "stack") -> np.ndarray:
-    """Symmetrised inverses of a ``(B, d, d)`` stack of SPD matrices.
-
-    One batched LAPACK call (``np.linalg.inv`` gufunc) followed by a
-    re-symmetrisation — the stack analogue of
-    :func:`repro.linalg.validation.inv_spd`.  Raises
-    :class:`~repro.exceptions.SingularMatrixError` when any member is
-    singular.
-    """
-    arr = as_spd_stack(stack, name)
-    try:
-        inv = np.linalg.inv(arr)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{name} contains a singular member") from exc
-    return (inv + np.swapaxes(inv, -1, -2)) / 2.0
 
 
 def solve_batched(systems: np.ndarray, rhs: np.ndarray, name: str = "systems") -> np.ndarray:

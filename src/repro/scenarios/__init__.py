@@ -1,4 +1,4 @@
-"""Scenario compiler: declarative circuit/scenario library with fan-out.
+"""Scenario compiler: declarative circuit/scenario library.
 
 A scenario document (YAML or JSON, schema ``repro.scenario.v1``) names
 circuits from :mod:`repro.circuits.registry` and describes what to vary
@@ -8,7 +8,6 @@ early/late divergence, sample budget.  The pipeline is::
     load_scenario_doc(path)          # parse + schema/library validation
       -> expand(doc)                 # sweep cross products, deterministic order
       -> compile_all(instances)      # paired MC datasets via the dataset cache
-      -> scenario_streams(...)       # optional: serving-facing fan-out
 
 Every expanded instance carries a content hash of its full generation
 config, and compilation routes through the existing sha256-keyed dataset
@@ -24,7 +23,6 @@ from repro.scenarios.compiler import (
     compile_instance,
     expand,
 )
-from repro.scenarios.fanout import ScenarioStream, scenario_streams, wire_requests
 from repro.scenarios.library import (
     DIVERGENCE_LEVELS,
     LIBRARY_VERSION,
@@ -52,7 +50,6 @@ __all__ = [
     "ScenarioDoc",
     "ScenarioInstance",
     "ScenarioSpec",
-    "ScenarioStream",
     "builtin_documents",
     "builtin_document_path",
     "compile_all",
@@ -61,9 +58,7 @@ __all__ = [
     "load_scenario_doc",
     "parse_scenario_doc",
     "resolve_knobs",
-    "scenario_streams",
     "topology_knobs",
-    "wire_requests",
 ]
 
 _BUILTIN_DIR = Path(__file__).resolve().parent / "builtin"

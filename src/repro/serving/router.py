@@ -53,7 +53,7 @@ from numpy.typing import ArrayLike
 
 from repro.core.estimators import MomentEstimate
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import ConfigError, SessionNotFoundError
+from repro.exceptions import ConfigError, SessionNotFoundError, WalCorruptionError
 from repro.experiments.parallel import thread_map
 from repro.io import check_schema_version, write_json_atomic
 from repro.schemas import MANIFEST_SCHEMA
@@ -696,7 +696,10 @@ class ShardedMomentService:
         The crash-before-first-checkpoint path: every ``shard-NNN.wal``
         in the directory is recovered (torn tail dropped, chain
         verified) and replayed from the beginning, each record applied as
-        it is verified.  A mid-chain corruption raises
+        it is verified.  The logs must be exactly ``shard-000.wal`` …
+        ``shard-(N-1).wal``, each with its own shard id in its header: a
+        missing log, a stray one, a mid-chain corruption or a log of
+        another shard raises
         :class:`~repro.exceptions.WalCorruptionError` and returns no
         service.  Store bounds
         (``max_sessions_per_shard``, ``ttl_ops``) are runtime
@@ -706,11 +709,19 @@ class ShardedMomentService:
         where the dead process stopped.
         """
         directory = Path(wal_dir)
-        wal_paths = sorted(directory.glob("shard-*.wal"))
-        if not wal_paths:
+        names = {path.name for path in directory.glob("shard-*.wal")}
+        if not names:
             raise ConfigError(f"no shard-*.wal files to recover in {directory}")
+        expected = [f"shard-{shard:03d}.wal" for shard in range(len(names))]
+        stray = sorted(names.difference(expected))
+        if stray:
+            missing = ", ".join(sorted(set(expected).difference(names)))
+            raise WalCorruptionError(
+                f"{directory / stray[0]} does not fit the shard-000.wal … "
+                f"{expected[-1]} sequence of {len(names)} logs (missing {missing})"
+            )
         service = cls(
-            n_shards=len(wal_paths),
+            n_shards=len(names),
             max_sessions_per_shard=max_sessions_per_shard,
             ttl_ops=ttl_ops,
             placement=placement,
@@ -720,9 +731,9 @@ class ShardedMomentService:
             n_jobs=n_jobs,
         )
         with _closing_on_error(service):
-            for shard, path in enumerate(wal_paths):
+            for shard, name in enumerate(expected):
                 service.workers[shard] = ShardWorker._recover(
-                    path,
+                    directory / name,
                     shard_id=shard,
                     max_sessions=max_sessions_per_shard,
                     ttl_ops=ttl_ops,

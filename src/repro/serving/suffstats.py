@@ -1,3 +1,4 @@
+# reprolint: disable=RPL010 -- caller is benchmarks/e2e/e2e_trace.py, which names it as a string entry point (ROADMAP item 5)
 """Serving-side names for the sufficient-statistics substrate.
 
 The accumulator lives in :mod:`repro.stats.suffstats` and the stacked MAP

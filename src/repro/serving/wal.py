@@ -414,20 +414,23 @@ class WriteAheadLog:
     ) -> "WriteAheadLog":
         """Start a new log at ``path`` (must not already exist).
 
-        The header is fsync'd immediately — a log file either has a
-        durable, verifiable root or it does not exist.
+        The header and then the directory entry are fsync'd immediately —
+        a log file either has a durable, verifiable root or it does not
+        exist.
         """
         flush_records, flush_bytes = _flush_bounds(flush_records, flush_bytes)
         target = Path(path)
-        if target.exists():
+        frame, digest = _header_frame(shard_id, base_seq)
+        try:
+            with open(target, "xb") as handle:
+                handle.write(WAL2_MAGIC + frame)
+                handle.flush()
+                os.fsync(handle.fileno())
+        except FileExistsError as exc:
             raise WalCorruptionError(
                 f"refusing to create WAL over existing file: {target}"
-            )
-        frame, digest = _header_frame(shard_id, base_seq)
-        with open(target, "wb") as handle:
-            handle.write(WAL2_MAGIC + frame)
-            handle.flush()
-            os.fsync(handle.fileno())
+            ) from exc
+        fsync_dir(target.parent)
         return cls(
             target,
             shard_id=shard_id,

@@ -48,7 +48,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import ConfigError, ReproError, SessionNotFoundError
+from repro.exceptions import ConfigError, ReproError, SessionNotFoundError, WalCorruptionError
 from repro.serving.checkpoint import load_checkpoint, save_checkpoint
 from repro.serving.counters import ServiceCounters
 from repro.serving.queue import Request, build_requests
@@ -454,7 +454,7 @@ class ShardWorker:
         cls,
         wal_path: Any,
         checkpoint: Optional[Any] = None,
-        shard_id: int = 0,
+        shard_id: Optional[int] = None,
         max_sessions: int = 1024,
         ttl_ops: Optional[int] = None,
         wal_delta_rows: Optional[int] = None,
@@ -471,26 +471,33 @@ class ShardWorker:
         past it are applied, and the store bounds come from the
         checkpoint (``max_sessions``/``ttl_ops`` are ignored).  Mid-chain
         corruption raises :class:`~repro.exceptions.WalCorruptionError`
-        from ``open`` and the half-built worker is dropped.
+        from ``open`` and the half-built worker is dropped; so does a log
+        whose header names another shard than ``shard_id`` (``None``
+        takes the shard id from the header).
         """
         if checkpoint is None:
-            worker = cls(shard_id, max_sessions, ttl_ops, wal_delta_rows=wal_delta_rows)
+            worker = cls(0, max_sessions, ttl_ops, wal_delta_rows=wal_delta_rows)
             covered = None
         else:
-            worker, covered = cls._from_checkpoint(checkpoint, shard_id, wal_delta_rows)
+            worker, covered = cls._from_checkpoint(checkpoint, 0, wal_delta_rows)
 
         def apply(record: WalRecord) -> None:
             if covered is None or record[0] > covered:
                 worker._apply_replayed(record)
 
-        worker._attach_wal(
-            WriteAheadLog.open(
-                wal_path,
-                flush_records=flush_records,
-                flush_bytes=flush_bytes,
-                _on_record=apply,
-            )
+        wal = WriteAheadLog.open(
+            wal_path,
+            flush_records=flush_records,
+            flush_bytes=flush_bytes,
+            _on_record=apply,
         )
+        if shard_id is not None and wal.shard_id != shard_id:
+            wal.close()
+            raise WalCorruptionError(
+                f"WAL {wal_path} belongs to shard {wal.shard_id}, not shard {shard_id}"
+            )
+        worker.shard_id = wal.shard_id
+        worker._attach_wal(wal)
         return worker
 
     def compact(self, path: Any) -> str:

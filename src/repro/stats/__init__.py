@@ -31,7 +31,6 @@ from repro.stats.multivariate_gaussian import (
     gaussian_loglik_batch,
 )
 from repro.stats.normal_wishart import MapEstimate, NormalWishart
-from repro.stats.student_t import MultivariateT
 from repro.stats.suffstats import SufficientStats, merge_all
 from repro.stats.wishart import InverseWishart, Wishart
 
@@ -41,7 +40,6 @@ __all__ = [
     "MapEstimate",
     "MomentSummary",
     "MultivariateGaussian",
-    "MultivariateT",
     "NormalWishart",
     "SufficientStats",
     "Wishart",

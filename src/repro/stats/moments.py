@@ -6,8 +6,8 @@ These implement the building blocks of the paper's equations:
 * Eq. (11): MLE covariance ``S / n``.
 * Eq. (26): scatter matrix ``S = sum (X_i - Xbar)(X_i - Xbar)^T``.
 
-plus standardized higher-order moments used by the non-Gaussian extension
-(:mod:`repro.extensions.higher_moments`).
+plus sample standardization and the :class:`MomentSummary` marginal
+skewness/kurtosis diagnostics.
 """
 
 from __future__ import annotations

@@ -225,9 +225,7 @@ class NormalWishart:
 
         The predictive of a normal-Wishart is a multivariate Student-t with
         ``v0 - d + 1`` degrees of freedom; its covariance exists only when
-        ``v0 - d + 1 > 2``.  Exposed for the yield-estimation module, which
-        can integrate specs under the predictive instead of the plug-in MAP
-        Gaussian.
+        ``v0 - d + 1 > 2``.
         """
         dof = self.v0 - self.dim + 1.0
         scale = inv_spd(self.T0, "T0") * (self.kappa0 + 1.0) / (self.kappa0 * dof)

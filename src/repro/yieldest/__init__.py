@@ -5,20 +5,12 @@ from repro.yieldest.parametric import (
     YieldReport,
     gaussian_box_probability,
 )
-from repro.yieldest.predictive import (
-    PredictiveYield,
-    predictive_yield,
-    yield_posterior,
-)
 from repro.yieldest.specs import Specification, SpecificationSet
 
 __all__ = [
-    "PredictiveYield",
     "Specification",
     "SpecificationSet",
     "YieldEstimator",
     "YieldReport",
     "gaussian_box_probability",
-    "predictive_yield",
-    "yield_posterior",
 ]

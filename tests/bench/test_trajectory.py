@@ -1,6 +1,7 @@
 """Append-only benchmark trajectory files: schema, refusal, atomicity."""
 
 import json
+import os
 
 import pytest
 
@@ -93,3 +94,8 @@ class TestHelpers:
         assert "python" in info and "numpy" in info
         # key always present; value is a version string or None
         assert "scipy" in info and "numba" not in info
+        # the machine it ran on: counts, or None where the platform cannot say
+        for key in ("cpu_count", "affinity_cpus"):
+            assert info[key] is None or (isinstance(info[key], int) and info[key] >= 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert info["affinity_cpus"] == len(os.sched_getaffinity(0))

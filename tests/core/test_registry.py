@@ -148,6 +148,34 @@ class TestFusionConfig:
         assert restored == config
         assert restored.config_hash() == config.config_hash()
 
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (FusionConfig(), "537c10957ded"),
+            (
+                FusionConfig(
+                    estimator=EstimatorSpec("bmf", {"n_folds": 4}),
+                    selector="evidence",
+                    n_folds=5,
+                    grid=GridSpec(n_kappa=6, n_v=8, upper=100.0),
+                    shift_scale=False,
+                    seed=7,
+                ),
+                "d3176290e7bf",
+            ),
+            (FusionConfig(selector="fixed", kappa0=2.5, v0=9.0), "0adb6ebb4084"),
+        ],
+    )
+    def test_saved_config_keeps_its_hash(self, config, digest, tmp_path):
+        from repro.io import load_config, save_config
+
+        assert config.config_hash() == digest  # pinned: provenance records cite it
+        save_config(config, tmp_path / "cfg.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]  # no temp left
+        reloaded = load_config(tmp_path / "cfg.json")
+        assert reloaded == config
+        assert reloaded.config_hash() == digest
+
     def test_hash_changes_with_content(self):
         base = FusionConfig()
         assert base.config_hash() != base.replace(n_folds=6).config_hash()

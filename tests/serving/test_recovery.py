@@ -8,6 +8,7 @@ is sha-identical to the one the two-pass sequence in
 """
 
 import hashlib
+import json
 import shutil
 import struct
 from types import SimpleNamespace
@@ -362,3 +363,49 @@ class TestRecoveryCounters:
         assert "8 torn-tail byte(s) dropped" in out
         recovered = ShardWorker.restore(tmp_path / "r.ckpt")
         assert _sha(recovered.store.to_dict()) == _sha(live.store.to_dict())
+
+
+class TestShardLogIdentity:
+    """A log is recovered only into the shard its header names."""
+
+    def _service(self, prior, rng, wal_dir):
+        live = ShardedMomentService(n_shards=3, wal_dir=wal_dir, flush_rows=1)
+        for i in range(12):
+            live.create_session(f"pop/{i}", prior)
+            live.ingest(f"pop/{i}", rng.standard_normal((2, D)))
+        return live
+
+    def test_recover_refuses_a_missing_shard_log(self, prior, rng, tmp_path):
+        wal_dir = tmp_path / "wal"
+        self._service(prior, rng, wal_dir).close()
+        (wal_dir / "shard-001.wal").unlink()
+        with pytest.raises(WalCorruptionError, match=r"shard-002\.wal.*missing shard-001\.wal"):
+            ShardedMomentService.recover(wal_dir)
+
+    def test_recover_refuses_swapped_logs(self, prior, rng, tmp_path):
+        wal_dir = tmp_path / "wal"
+        self._service(prior, rng, wal_dir).close()
+        first, second = wal_dir / "shard-000.wal", wal_dir / "shard-001.wal"
+        first.rename(tmp_path / "swap.wal")
+        second.rename(first)
+        (tmp_path / "swap.wal").rename(second)
+        with pytest.raises(WalCorruptionError, match=r"shard-000\.wal belongs to shard 1"):
+            ShardedMomentService.recover(wal_dir)
+
+    def test_restore_refuses_a_manifest_naming_another_shards_log(self, prior, rng, tmp_path):
+        wal_dir, ckpt = tmp_path / "wal", tmp_path / "ckpt"
+        live = self._service(prior, rng, wal_dir)
+        live.checkpoint(ckpt)
+        live.close()
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["shards"][2]["wal"]["file"] = "shard-000.wal"
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(WalCorruptionError, match=r"shard-000\.wal belongs to shard 0, not shard 2"):
+            ShardedMomentService.restore(ckpt, wal_dir=wal_dir)
+
+    def test_replay_verb_takes_the_shard_from_the_header(self, prior, rng, tmp_path, capsys):
+        wal_dir = tmp_path / "wal"
+        self._service(prior, rng, wal_dir).close()
+        out = tmp_path / "r.ckpt"
+        assert main(["replay", str(wal_dir / "shard-002.wal"), "--out", str(out)]) == 0
+        assert "shard 2," in capsys.readouterr().out

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.serving.wal as wal_module
 from repro.exceptions import ConfigError, WalCorruptionError
 from repro.io import canonical_json
 from repro.schemas import WAL_SCHEMA_V1
@@ -142,6 +143,12 @@ class TestAppendAndReplay:
         WriteAheadLog.create(wal_path, shard_id=0).close()
         with pytest.raises(WalCorruptionError, match="existing"):
             WriteAheadLog.create(wal_path, shard_id=0)
+
+    def test_create_fsyncs_the_directory_entry(self, wal_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(wal_module, "fsync_dir", synced.append)
+        WriteAheadLog.create(wal_path, shard_id=0).close()
+        assert synced == [wal_path.parent]
 
     def test_verify_counts_records(self, wal_path):
         with WriteAheadLog.create(wal_path, shard_id=0) as wal:

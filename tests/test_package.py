@@ -4,7 +4,6 @@ import pytest
 
 import repro
 from repro.exceptions import (
-    ConvergenceError,
     DimensionError,
     HyperParameterError,
     InsufficientDataError,
@@ -74,7 +73,6 @@ class TestTopLevelExports:
 class TestExceptionHierarchy:
     def test_all_derive_from_repro_error(self):
         for exc_type in (
-            ConvergenceError,
             DimensionError,
             HyperParameterError,
             InsufficientDataError,
@@ -101,7 +99,7 @@ class TestExceptionHierarchy:
             assert issubclass(exc_type, ValueError)
 
     def test_runtime_error_compatibility(self):
-        for exc_type in (ConvergenceError, NotFittedError, SimulationError):
+        for exc_type in (NotFittedError, SimulationError):
             assert issubclass(exc_type, RuntimeError)
 
     def test_catch_base_class(self, synthetic_prior):

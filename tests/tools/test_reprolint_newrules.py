@@ -1,4 +1,4 @@
-"""RPL007/RPL008/RPL009 rule tests against the on-disk fixture packages.
+"""RPL007–RPL010 rule tests against the on-disk fixture packages.
 
 Each fixture under ``tests/tools/fixtures/<rule>/`` is a miniature project
 with seeded violations; these tests pin exactly which sites each rule must
@@ -227,3 +227,59 @@ class TestSchemaStringDrift:
             rule_options={"RPL009": {"dumps-scope": ["repro.io"]}},
         )
         assert result.diagnostics == []
+
+
+# ---------------------------------------------------------------------------
+# RPL010 — unreferenced module
+# ---------------------------------------------------------------------------
+class TestUnreferencedModule:
+    def test_fixture_flags_the_test_only_module(self, lint_fixture_dir):
+        result = lint_fixture_dir("rpl010", codes=["RPL010"])
+        diags = by_code(result, "RPL010")
+        # reexported.py is reached from scripts/ through pkg/__init__.py;
+        # only_tested.py only from tests/ and that same re-export.
+        assert [(rel(d), d.line) for d in diags] == [("src/repro/pkg/only_tested.py", 1)]
+        assert "repro.pkg.only_tested" in diags[0].message
+        assert result.suppressed == 1  # suppressed.py names its string caller
+
+    def test_direct_and_chained_imports_count(self, lint_project):
+        files = {
+            "src/repro/__init__.py": "from repro.core import fuse\n",
+            "src/repro/core/__init__.py": "from repro.core.fusion import fuse\n",
+            "src/repro/core/fusion.py": "def fuse():\n    return 0\n",
+            "src/repro/core/plain.py": "X = 1\n",
+            "src/repro/core/sibling.py": "from . import plain\n",
+            "scripts/a.py": "import repro.core.sibling\nfrom repro import fuse\n",
+        }
+        result = lint_project(files, codes=["RPL010"])
+        assert result.diagnostics == []
+
+    def test_main_and_private_modules_are_not_checked(self, lint_project):
+        files = {
+            "src/repro/__init__.py": "",
+            "src/repro/__main__.py": "",
+            "src/repro/_version.py": "V = 1\n",
+            "src/repro/orphan.py": "Y = 2\n",
+            "tests/test_orphan.py": (
+                "import repro.__main__\nfrom repro._version import V\nfrom repro.orphan import Y\n"
+            ),
+        }
+        result = lint_project(files, codes=["RPL010"])
+        assert [d.path.rsplit("/", 1)[1] for d in result.diagnostics] == ["orphan.py"]
+
+    def test_module_nothing_imports_is_left_alone(self, lint_project):
+        # A single-file run looks like this: the callers are out of scope.
+        result = lint_project({"src/repro/mod.py": "Z = 3\n"}, codes=["RPL010"])
+        assert result.diagnostics == []
+
+    def test_from_imports_survive_the_cache(self, lint_project):
+        files = {
+            "src/repro/__init__.py": "",
+            "src/repro/pkg/__init__.py": "from repro.pkg.mod import f\n",
+            "src/repro/pkg/mod.py": "def f():\n    return 0\n",
+            "scripts/a.py": "from repro.pkg import f\n",
+        }
+        first = lint_project(files, codes=["RPL010"], use_cache=True)
+        second = lint_project({}, codes=["RPL010"], use_cache=True)
+        assert second.cached_files == len(files)
+        assert first.diagnostics == second.diagnostics == []

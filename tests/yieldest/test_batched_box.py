@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError
-from repro.stats.normal_wishart import NormalWishart
 from repro.yieldest.parametric import (
     gaussian_box_probabilities,
     gaussian_box_probability,
 )
-from repro.yieldest.predictive import yield_posterior
-from repro.yieldest.specs import Specification, SpecificationSet
 
 
 @pytest.fixture
@@ -56,24 +53,3 @@ class TestBatchedBoxProbabilities:
         with pytest.raises(DimensionError):
             gaussian_box_probabilities(means, covs, 1.0, -1.0)
 
-
-class TestYieldPosteriorBatched:
-    def test_summary_consistent(self, rng):
-        d = 3
-        a = rng.standard_normal((d, d))
-        sigma = a @ a.T / d + np.eye(d) * 0.5
-        nw = NormalWishart.from_early_stage(
-            np.zeros(d), sigma, kappa0=5.0, v0=20.0
-        )
-        chol = np.linalg.cholesky(sigma)
-        posterior = nw.posterior((rng.standard_normal((24, d)) @ chol.T) * 0.8)
-        specs = SpecificationSet(
-            tuple(Specification.window(f"m{j}", -2.0, 2.0) for j in range(d))
-        )
-        result = yield_posterior(
-            posterior, specs, n_parameter_draws=50, rng=np.random.default_rng(0)
-        )
-        lo, hi = result.interval
-        assert 0.0 <= lo <= hi <= 1.0
-        assert 0.0 <= result.plug_in <= 1.0
-        assert 0.0 <= result.predictive <= 1.0

@@ -32,6 +32,8 @@ RPL007    lock-guarded attribute mutated without the lock (project-wide)
 RPL008    ``os.replace`` without flush+fsync before / dir fsync after
 RPL009    schema version literal outside ``repro.schemas``; raw
           ``json.dumps`` of protocol payloads (project-wide)
+RPL010    module imported from ``tests/`` but by no other linted file
+          (project-wide)
 ========  ==============================================================
 
 Since v2 the engine is two-pass: pass 1 parses every file (in parallel

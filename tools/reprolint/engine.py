@@ -36,7 +36,7 @@ from reprolint.suppressions import collect_suppressions, is_suppressed
 PARSE_ERROR_CODE = "RPL900"
 
 #: Bump when the cache record layout (or anything it captures) changes.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 #: Default cache file name, relative to the config root.
 CACHE_FILENAME = ".reprolint-cache.json"

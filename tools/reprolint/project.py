@@ -6,7 +6,7 @@ and instance-attribute write sites (with the ``with self._lock`` context
 each write happened under).  Summaries are plain JSON-serialisable data so
 they live in the on-disk diagnostics cache keyed by content hash; pass 2
 assembles them into a :class:`ProjectContext` that project rules
-(``RPL007``–``RPL009``) query for cross-module facts:
+(``RPL007``–``RPL010``) query for cross-module facts:
 
 * qualified-name resolution (``repro.serving.wal.WriteAheadLog`` → the file
   and class that define it),
@@ -145,6 +145,10 @@ class FileSummary:
     #: Modules this file imports (absolute dotted names, project-internal
     #: and external alike; the graph filters to project members).
     imports: List[str] = field(default_factory=list)
+    #: ``(module, name)`` for every ``from module import name`` (relative
+    #: bases resolved; ``*`` skipped) — what RPL010 follows through package
+    #: ``__init__`` re-exports.
+    from_imports: List[Tuple[str, str]] = field(default_factory=list)
     #: Names defined at module top level (functions, classes, assignments).
     defs: List[str] = field(default_factory=list)
     classes: List[ClassSummary] = field(default_factory=list)
@@ -154,6 +158,7 @@ class FileSummary:
             "rel_path": self.rel_path,
             "module_name": self.module_name,
             "imports": list(self.imports),
+            "from_imports": [list(pair) for pair in self.from_imports],
             "defs": list(self.defs),
             "classes": [cls.to_dict() for cls in self.classes],
         }
@@ -165,6 +170,7 @@ class FileSummary:
             rel_path=str(data["rel_path"]),
             module_name=str(module) if module is not None else None,
             imports=[str(m) for m in data["imports"]],
+            from_imports=[(str(m), str(n)) for m, n in data["from_imports"]],
             defs=[str(d) for d in data["defs"]],
             classes=[ClassSummary.from_dict(c) for c in data["classes"]],
         )
@@ -179,7 +185,7 @@ def summarize_file(
     """Reduce a parsed module to its :class:`FileSummary`."""
     aliases = import_aliases(tree, module_name)
     summary = FileSummary(rel_path=rel_path, module_name=module_name)
-    summary.imports = _imported_modules(tree, module_name)
+    summary.imports, summary.from_imports = _imported_modules(tree, module_name)
     prefix = module_name if module_name else rel_path
     for node in tree.body:
         for name in _defined_names(node):
@@ -192,10 +198,14 @@ def summarize_file(
     return summary
 
 
-def _imported_modules(tree: ast.Module, module_name: Optional[str]) -> List[str]:
+def _imported_modules(
+    tree: ast.Module, module_name: Optional[str]
+) -> Tuple[List[str], List[Tuple[str, str]]]:
+    """Imported modules, and the ``(module, name)`` pairs of from-imports."""
     from reprolint.qualnames import _resolve_from_base
 
     modules: List[str] = []
+    pairs: List[Tuple[str, str]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -203,9 +213,14 @@ def _imported_modules(tree: ast.Module, module_name: Optional[str]) -> List[str]
                     modules.append(alias.name)
         elif isinstance(node, ast.ImportFrom):
             base = _resolve_from_base(node, module_name)
-            if base and base not in modules:
+            if not base:
+                continue
+            if base not in modules:
                 modules.append(base)
-    return modules
+            for alias in node.names:
+                if alias.name != "*" and (base, alias.name) not in pairs:
+                    pairs.append((base, alias.name))
+    return modules, pairs
 
 
 def _defined_names(node: ast.stmt) -> List[str]:

@@ -10,4 +10,5 @@ from reprolint.rules import (  # noqa: F401  (imported for registration side eff
     rpl007_lockdiscipline,
     rpl008_durability,
     rpl009_schema_drift,
+    rpl010_unreferenced,
 )
