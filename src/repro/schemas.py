@@ -91,15 +91,23 @@ ALL_SCHEMAS = (
 )
 
 
+#: The one encoder behind :func:`canonical_json`.  ``json.dumps`` with
+#: non-default arguments builds a new encoder per call; ``encode`` keeps no
+#: state on the instance between calls, so one shared instance is safe
+#: across threads and writes the same bytes.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
     """The one canonical JSON encoding used for every hashed artefact.
 
     Sorted keys, no whitespace — so a sha256 over the encoding is a
     well-defined function of the *value*, not of dict insertion order or
     formatting.  Floats go through ``float.__repr__`` (shortest round
-    trip), which preserves IEEE-754 doubles bit-for-bit.
+    trip), which preserves IEEE-754 doubles bit-for-bit.  The bytes equal
+    ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 def fsync_dir(path: PathLike) -> None:

@@ -279,6 +279,31 @@ _HANDLERS: Dict[str, Callable[[ServingService, Dict[str, Any]], Dict[str, Any]]]
 }
 
 
+#: One decoder for every request line (``json.loads`` with default
+#: arguments uses an equivalent shared instance, but only behind a
+#: whitespace scan and an end-of-input check per call).
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_request(line: Union[str, bytes]) -> Any:
+    """``json.loads(line)``: the same value, or the same error text.
+
+    The common line is exactly one JSON value, which one ``raw_decode``
+    parses.  Anything else — bytes, leading or trailing whitespace, extra
+    data, malformed input — goes to ``json.loads``, which raises (or
+    returns) exactly what it always did.
+    """
+    if isinstance(line, str):
+        try:
+            value, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            pass
+        else:
+            if end == len(line):
+                return value
+    return json.loads(line)
+
+
 def handle_request(service: ServingService, line: str) -> Dict[str, Any]:
     """Decode one request line, execute it, and return the response dict.
 
@@ -289,7 +314,7 @@ def handle_request(service: ServingService, line: str) -> Dict[str, Any]:
     """
     op: Optional[str] = None
     try:
-        request = json.loads(line)
+        request = _parse_request(line)
         if not isinstance(request, dict):
             raise ConfigError("request must be a JSON object")
         op = str(request.get("op"))

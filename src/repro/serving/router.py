@@ -13,14 +13,16 @@
   the configuration that exercises genuine multi-shard merges on every
   query.
 * **Ingest coalescing** — accepted sample blocks are buffered per key
-  and flushed to the owning worker as one stacked block once
-  ``flush_rows`` rows accumulate, or at a read barrier.  The barrier is
-  per key: a query flushes only the keys it reads, so every other buffer
-  keeps coalescing.  Checkpoints, listings, ``stats`` and ``close`` are
-  global barriers that flush every key.  This turns per-row Welford
-  updates into block Chan merges, which is where the multi-shard
-  throughput win comes from on a single-core box; the rounding
-  difference is covered by the documented 1e-10 equivalence bound.
+  (one :class:`_KeyRecord` each, which also carries the key's
+  acknowledged row count) and flushed to the owning worker as one
+  stacked block once ``flush_rows`` rows accumulate, or at a read
+  barrier.  The barrier is per key: a query flushes only the keys it
+  reads, so every other buffer keeps coalescing.  Checkpoints, listings,
+  ``stats`` and ``close`` are global barriers that flush every key.  This
+  turns per-row Welford updates into block Chan merges, which is where
+  the multi-shard throughput win comes from on a single-core box; the
+  rounding difference is covered by the documented 1e-10 equivalence
+  bound.
 * **Merge-on-read queries** — the router snapshots the key's
   per-shard :class:`~repro.stats.suffstats.SufficientStats`, Chan-merges
   them in shard-index order (:func:`~repro.stats.suffstats.merge_all`),
@@ -53,7 +55,7 @@ from numpy.typing import ArrayLike
 
 from repro.core.estimators import MomentEstimate
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import ConfigError, SessionNotFoundError, WalCorruptionError
+from repro.exceptions import ConfigError, ReproError, SessionNotFoundError, WalCorruptionError
 from repro.experiments.parallel import thread_map
 from repro.io import check_schema_version, write_json_atomic
 from repro.schemas import MANIFEST_SCHEMA
@@ -93,6 +95,23 @@ def _closing_on_error(service: "ShardedMomentService") -> Iterator[None]:
     except BaseException:
         service.close()
         raise
+
+
+class _KeyRecord:
+    """Router-side ingest state of one session key.
+
+    ``blocks`` are the accepted but not yet flushed ``(n, d)`` blocks and
+    ``pending`` their row count; ``acked`` is the session's row count as
+    acknowledged to clients, buffered rows included.  One record per key
+    keeps the per-row bookkeeping to one dict lookup.
+    """
+
+    __slots__ = ("blocks", "pending", "acked")
+
+    def __init__(self) -> None:
+        self.blocks: List[np.ndarray] = []
+        self.pending = 0
+        self.acked = 0
 
 
 class HashRing:
@@ -229,13 +248,11 @@ class ShardedMomentService:
         # but keeps drain + apply atomic per key (reprolint RPL007 pins
         # the discipline).
         self._ingest_lock = threading.Lock()
-        # per-key ingest buffers: list of (n, d) blocks + pending row count
-        self._buffers: Dict[str, List[np.ndarray]] = {}
-        self._buffered_rows: Dict[str, int] = {}
+        # per-key buffered blocks and acknowledged row count (coalescing
+        # mode; the passthrough acknowledges the worker's own total)
+        self._records: Dict[str, _KeyRecord] = {}
         # per-key round-robin cursor (spread placement)
         self._rotation: Dict[str, int] = {}
-        # per-key rows routed through this router (monotone; survives flushes)
-        self._routed_rows: Dict[str, int] = {}
         # coalescing gauges: blocks and rows handed to workers, and how many
         # of those blocks a barrier forced out before the row threshold
         self._flushed_blocks = 0
@@ -254,6 +271,10 @@ class ShardedMomentService:
     def _home(self, key: str) -> ShardWorker:
         return self.workers[self.ring.shard_for(str(key))]
 
+    def _owners(self, key: str) -> List[ShardWorker]:
+        """The workers ``key``'s session lives on (every shard for spread)."""
+        return self.workers if self.placement == "spread" else [self._home(key)]
+
     @property
     def _passthrough(self) -> bool:
         """Single-shard + no coalescing: the bit-identical compat mode."""
@@ -270,33 +291,40 @@ class ShardedMomentService:
         v0: Optional[float] = None,
         exist_ok: bool = False,
     ) -> Session:
-        """Register a population on its home shard (all shards for spread)."""
+        """Register a population on its home shard (all shards for spread).
+
+        The key's acknowledged row count restarts at the session's rows
+        plus any still buffered: zero for a fresh session, unchanged for
+        an ``exist_ok`` hit.
+        """
         key = str(key)
-        if self.placement == "spread":
+        with self._ingest_lock:
             sessions = [
                 worker.create_session(
                     key, prior, kappa0=kappa0, v0=v0, exist_ok=exist_ok
                 )
-                for worker in self.workers
+                for worker in self._owners(key)
             ]
-            return sessions[0]
-        return self._home(key).create_session(
-            key, prior, kappa0=kappa0, v0=v0, exist_ok=exist_ok
-        )
+            rows = sum(session.n_ingested for session in sessions)
+            record = self._records.get(key)
+            if record is not None:
+                record.acked = record.pending + rows
+            elif rows and not self._passthrough:
+                self._record_locked(key).acked = rows
+        return sessions[0]
 
     def drop_session(self, key: str) -> bool:
         """Remove a session everywhere it lives; returns whether it existed.
 
         Pending buffered rows for the key are flushed first — a drop
-        covers everything accepted before it, in order.
+        covers everything accepted before it, in order — and its
+        acknowledged row count restarts from zero.
         """
         key = str(key)
         with self._ingest_lock:
             self._flush_key_locked(key, barrier=True)
-        if self.placement == "spread":
-            dropped = [worker.drop_session(key) for worker in self.workers]
-            return any(dropped)
-        return self._home(key).drop_session(key)
+            self._records.pop(key, None)
+            return any([worker.drop_session(key) for worker in self._owners(key)])
 
     def session_keys(self) -> List[str]:
         """Sorted union of live keys across shards (buffers flushed first)."""
@@ -310,15 +338,16 @@ class ShardedMomentService:
     # ingest (coalesced)
     # ------------------------------------------------------------------
     def ingest(self, key: str, samples: ArrayLike) -> int:
-        """Accept a sample block for a session; returns the total number of
-        rows routed to that key through this router.
+        """Accept a sample block for a session; returns the session's row
+        count after it, rows still buffered included — what a bare
+        :class:`~repro.serving.worker.ShardWorker` returns for the same
+        request stream.
 
         With ``flush_rows > 1`` the rows are buffered and folded into the
         owning worker as one stacked block later (next threshold crossing
         or read barrier) — numerically a Chan block merge instead of
-        per-row Welford updates, within the 1e-10 serving bound.  The
-        return value counts *accepted* rows; the worker's own session
-        total advances at flush time.
+        per-row Welford updates, within the 1e-10 serving bound.  Rows are
+        validated when their buffer flushes, not here.
         """
         key = str(key)
         arr = np.asarray(samples, dtype=float)
@@ -326,17 +355,14 @@ class ShardedMomentService:
         self.counters.record_ingest(rows)
         with self._ingest_lock:
             if self._passthrough:
-                self.workers[0].ingest(key, arr)
-                self._routed_rows[key] = self._routed_rows.get(key, 0) + rows
-                return self._routed_rows[key]
-            block = arr[None, :] if arr.ndim == 1 else arr
-            self._buffers.setdefault(key, []).append(block)
-            pending = self._buffered_rows.get(key, 0) + int(block.shape[0])
-            self._buffered_rows[key] = pending
-            self._routed_rows[key] = self._routed_rows.get(key, 0) + rows
-            if pending >= self.flush_rows:
+                return self.workers[0].ingest(key, arr)
+            record = self._record_locked(key)
+            record.blocks.append(arr[None, :] if arr.ndim == 1 else arr)
+            record.pending += rows
+            record.acked += rows
+            if record.pending >= self.flush_rows:
                 self._flush_key_locked(key, barrier=False)
-            return self._routed_rows[key]
+            return record.acked
 
     def ingest_stats(self, key: str, stats: SufficientStats) -> int:
         """Merge pre-accumulated statistics into the owning worker.
@@ -348,8 +374,33 @@ class ShardedMomentService:
         self.counters.record_ingest(stats.n)
         with self._ingest_lock:
             self._flush_key_locked(key, barrier=True)
-            self._routed_rows[key] = self._routed_rows.get(key, 0) + stats.n
-            return self._ingest_worker_locked(key).ingest_stats(key, stats)
+            total = self._ingest_worker_locked(key).ingest_stats(key, stats)
+            if self._passthrough:
+                return total
+            record = self._record_locked(key)
+            record.acked += stats.n
+            return record.acked
+
+    def _record_locked(self, key: str) -> _KeyRecord:
+        """``key``'s ingest record, created empty on first use (lock held)."""
+        record = self._records.get(key)
+        if record is None:
+            record = self._records[key] = _KeyRecord()
+        return record
+
+    def _seed_records(self) -> None:
+        """Start each key's acknowledged count at its recovered rows.
+
+        Reads the stores without ticking their clocks, so recovery leaves
+        eviction order and checkpoint bytes exactly as replay made them.
+        """
+        if self._passthrough:
+            return
+        with self._ingest_lock:
+            for worker in self.workers:
+                for key, rows in worker.store.row_counts().items():
+                    if rows:
+                        self._record_locked(key).acked += rows
 
     def _ingest_worker_locked(self, key: str) -> ShardWorker:
         """The worker the *next* block for ``key`` goes to (lock held)."""
@@ -363,22 +414,30 @@ class ShardedMomentService:
         """Fold ``key``'s buffered blocks into its worker (lock held).
 
         ``barrier`` marks a flush forced before the row threshold (a read
-        or ordering barrier), which the coalescing gauges count apart.
+        or ordering barrier), which the coalescing gauges count apart.  A
+        block the worker refuses is dropped, and its rows leave the
+        acknowledged count again.
         """
-        blocks = self._buffers.pop(key, [])
-        rows = self._buffered_rows.pop(key, 0)
-        if not blocks:
+        record = self._records.get(key)
+        if record is None or not record.blocks:
             return
+        blocks, rows = record.blocks, record.pending
+        record.blocks, record.pending = [], 0
         self._flushed_blocks += 1
         self._flushed_rows += rows
         self._barrier_blocks += int(barrier)
-        stacked = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-        self._ingest_worker_locked(key).ingest(key, stacked)
+        try:
+            stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            self._ingest_worker_locked(key).ingest(key, stacked)
+        except (ReproError, ValueError):
+            record.acked -= rows
+            raise
 
     def flush(self) -> None:
         """Flush every ingest buffer (deterministic key order)."""
         with self._ingest_lock:
-            for key in sorted(self._buffers):
+            pending = [key for key, record in self._records.items() if record.blocks]
+            for key in sorted(pending):
                 self._flush_key_locked(key, barrier=True)
 
     def flush_keys(self, keys: Iterable[str]) -> None:
@@ -471,8 +530,9 @@ class ShardedMomentService:
         blocks a barrier forced out before ``flush_rows`` accumulated.
         """
         with self._ingest_lock:
-            pending_keys = len(self._buffered_rows)
-            pending_rows = sum(self._buffered_rows.values())
+            pending = [record.pending for record in self._records.values() if record.blocks]
+            pending_keys = len(pending)
+            pending_rows = sum(pending)
         self.flush()
         with self._ingest_lock:
             coalescing = {
@@ -675,6 +735,7 @@ class ShardedMomentService:
         # WAL tails may have advanced the workers past the manifest's
         # counters; reconcile rather than loading the stale snapshot.
         service._reconcile_counters(base=manifest["counters"])
+        service._seed_records()
         return service
 
     @classmethod
@@ -746,6 +807,7 @@ class ShardedMomentService:
         # routes requests through the worker; multi-shard request kinds
         # are router-only state and restart from the replayed touches).
         service._reconcile_counters()
+        service._seed_records()
         return service
 
     # ------------------------------------------------------------------

@@ -257,6 +257,11 @@ class SessionStore:
         with self._lock:
             return sorted(self._sessions)
 
+    def row_counts(self) -> Dict[str, int]:
+        """Rows folded into each live session, without ticking the clock."""
+        with self._lock:
+            return {key: session.n_ingested for key, session in self._sessions.items()}
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._sessions)

@@ -1,6 +1,8 @@
 """ShardedMomentService: hashing, merge-on-read equivalence, manifests."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from repro.serving import (
     HashRing,
     ShardedMomentService,
     ShardWorker,
+    WriteAheadLog,
+    handle_request,
 )
 
 D = 3
@@ -415,3 +419,175 @@ class TestWalIntegration:
         restored = ShardedMomentService.restore(tmp_path / "ckpt", wal_dir=wal_dir)
         np.testing.assert_array_equal(restored.estimate(KEYS[0]).mean, expected)
         restored.close()
+
+
+def _call(service, **request):
+    return handle_request(service, json.dumps(request))
+
+
+class _WorkerFront:
+    """Drives a bare WAL-backed ``ShardWorker`` through recover and restore."""
+
+    def __init__(self, tmp_path):
+        self.tmp_path = tmp_path
+        self.service = ShardWorker(wal=WriteAheadLog.create(tmp_path / "w.wal", shard_id=0))
+
+    def recover(self):
+        self.service.close()
+        self.service = ShardWorker._recover(self.tmp_path / "w.wal")
+
+    def restore(self):
+        self.service.checkpoint(self.tmp_path / "w.ckpt")
+        self.service.close()
+        self.service = ShardWorker.restore(self.tmp_path / "w.ckpt")
+
+
+class _RouterFront:
+    """The same for ``ShardedMomentService`` (default coalescing)."""
+
+    def __init__(self, tmp_path, n_shards, placement):
+        self.tmp_path = tmp_path
+        self.placement = placement
+        self.service = ShardedMomentService(
+            n_shards=n_shards, placement=placement, wal_dir=tmp_path / "wal"
+        )
+
+    def recover(self):
+        self.service.close()
+        self.service = ShardedMomentService.recover(
+            self.tmp_path / "wal", placement=self.placement
+        )
+
+    def restore(self):
+        self.service.checkpoint(self.tmp_path / "ckpt")
+        self.service.close()
+        self.service = ShardedMomentService.restore(self.tmp_path / "ckpt")
+
+
+class TestIngestAck:
+    """An ingest ack's ``n`` is the session's row count after that ingest,
+    buffered rows included, whichever service fronts the protocol."""
+
+    EXPECTED = [1, 2, 3, 1, 5, 5, 6, 7, 6, 2, 8, 3]
+
+    @staticmethod
+    def _script(prior, rng):
+        create = {
+            "op": "create",
+            "prior_mean": prior.mean.tolist(),
+            "prior_covariance": prior.covariance.tolist(),
+            "kappa0": KAPPA0,
+            "v0": V0,
+        }
+
+        def row():
+            return {"op": "ingest", "samples": rng.standard_normal(D).tolist()}
+
+        def block(n):
+            return {"op": "ingest", "samples": rng.standard_normal((n, D)).tolist()}
+
+        stats = {"n": 4, "mean": [0.5] * D, "scatter": np.eye(D).tolist()}
+        return [
+            ("a", create), ("a", row()), ("a", row()), ("a", row()),
+            ("a", {"op": "drop"}), ("a", create), ("a", row()),
+            ("b", create), ("b", block(5)),
+            ("a", {"op": "ingest", "stats": stats}),
+            ("a", dict(create, exist_ok=True)), ("a", row()),
+            "recover",
+            ("a", row()), ("b", row()),
+            ("b", {"op": "drop"}), ("b", create), ("b", block(2)),
+            "restore",
+            ("a", row()), ("b", row()),
+        ]
+
+    def _acks(self, front, script):
+        acks = []
+        for step in script:
+            if isinstance(step, str):
+                getattr(front, step)()
+                continue
+            key, request = step
+            response = _call(front.service, key=key, **request)
+            assert response["ok"], response
+            if request["op"] == "ingest":
+                acks.append(response["n"])
+        front.service.close()
+        return acks
+
+    @pytest.mark.parametrize(
+        "n_shards, placement", [(1, "hash"), (4, "hash"), (4, "spread")]
+    )
+    def test_router_acks_match_worker(self, n_shards, placement, prior, tmp_path):
+        script = self._script(prior, np.random.default_rng(7))
+        (tmp_path / "worker").mkdir()
+        (tmp_path / "router").mkdir()
+        worker = self._acks(_WorkerFront(tmp_path / "worker"), script)
+        router = self._acks(_RouterFront(tmp_path / "router", n_shards, placement), script)
+        assert worker == self.EXPECTED
+        assert router == worker
+
+    def test_concurrent_acks_count_every_row_once(self, prior, rng):
+        """Clients on more threads than cores: every ack is a distinct
+        count, and they add up to the session's rows."""
+        n_clients, n_rows = 4, 200
+        rows = rng.standard_normal((n_clients, n_rows, D))
+        acks = [[] for _ in range(n_clients)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardedMomentService(n_shards=4, flush_rows=8) as svc:
+                svc.create_session("k", prior, kappa0=KAPPA0, v0=V0)
+
+                def client(i):
+                    for row in rows[i]:
+                        acks[i].append(svc.ingest("k", row))
+
+                threads = [threading.Thread(target=client, args=(i,)) for i in range(n_clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                total = n_clients * n_rows
+                assert sorted(ack for per in acks for ack in per) == list(range(1, total + 1))
+                assert svc.estimate("k").n_samples == total
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_refused_flush_leaves_the_count(self):
+        """Rows a flush could not apply stop counting: the next ack is the
+        session's real row count again."""
+        with ShardedMomentService(n_shards=4) as svc:
+            _call(svc, op="create", key="k", prior_mean=[0.0, 0.0],
+                  prior_covariance=[[1.0, 0.0], [0.0, 1.0]])
+            assert _call(svc, op="ingest", key="k", samples=[1.0, np.nan])["n"] == 1
+            assert _call(svc, op="ingest", key="k", samples=[1.0, 2.0])["n"] == 2
+            assert _call(svc, op="estimate", key="k")["error"] == "DimensionError"
+            assert _call(svc, op="ingest", key="k", samples=[1.0, 2.0])["n"] == 1
+            assert svc.estimate("k").n_samples == 1
+
+
+class TestCoalescingLoss:
+    """Known defect, pinned: coalesced rows are validated when their buffer
+    flushes, not when they are acknowledged, so one bad row loses the
+    acknowledged good rows flushed with it (docs/SERVING.md, "Ingest
+    coalescing")."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a refused flush drops every row buffered with the bad one",
+    )
+    @pytest.mark.parametrize(
+        "bad_row", [[1.0, np.nan], [1.0, 2.0, 3.0]], ids=["nan", "wrong_width"]
+    )
+    def test_bad_row_keeps_acknowledged_rows(self, bad_row, tmp_path):
+        wal_dir = tmp_path / "wal"
+        with ShardedMomentService(n_shards=4, wal_dir=wal_dir) as svc:
+            _call(svc, op="create", key="k", prior_mean=[0.0, 0.0],
+                  prior_covariance=[[1.0, 0.0], [0.0, 1.0]])
+            _call(svc, op="ingest", key="k", samples=bad_row)  # acked or refused
+            assert _call(svc, op="ingest", key="k", samples=[1.0, 2.0])["ok"]
+            estimate = _call(svc, op="estimate", key="k")
+            assert estimate["ok"] and estimate["n"] == 1
+        with ShardedMomentService.recover(wal_dir) as recovered:
+            assert recovered.estimate("k").n_samples == 1
