@@ -32,7 +32,7 @@ def test_cv_select_speed(benchmark):
 
 @pytest.fixture(scope="module")
 def sizes(scale):
-    return (16, 32) if scale.label == "smoke" else (32, 256, 1024)
+    return (8, 16, 32) if scale.label == "smoke" else (8, 32, 256, 1024)
 
 
 def test_cv_scorer_matches_oracle(sizes):

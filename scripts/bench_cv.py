@@ -2,15 +2,18 @@
 """Benchmark the CV hyper-parameter search against its per-candidate oracle.
 
 Times ``TwoDimensionalCV.select`` (Sec. 4.2: d = 5, 12x12 grid, Q = 4) at
-n = 32, 256 and 1024 late-stage samples.  At every n the score surface
+n = 8, 32, 256 and 1024 late-stage samples.  At every n the score surface
 and the winner are checked against the per-candidate loop oracle in
 ``tests/core/cv_oracles.py`` before any time is reported, and the timing
-summary is appended to ``BENCH_cv.json`` at the repository root.
+summary is appended to ``BENCH_cv.json`` at the repository root.  Each
+row also records ``fallback_share``: the share of (fold, candidate)
+members whose conditioning bound sends them from the closed-form scorer
+to the Cholesky path (n = 8, the paper's smallest size, flags the most).
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/bench_cv.py [--dim 5] [--grid 12]
-        [--n-samples 32 256 1024] [--n-folds 4] [--repeats 5]
+        [--n-samples 8 32 256 1024] [--n-folds 4] [--repeats 5]
         [--baseline FILE] [--out BENCH_cv.json]
 
     # time another checkout with its own script (no oracle, no write)
@@ -36,7 +39,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench import append_entry, best_of
-from repro.core.crossval import TwoDimensionalCV
+from repro.core.crossval import (
+    TwoDimensionalCV,
+    _closed_form_fold_ll,
+    _fold_stats,
+    make_folds,
+)
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
 from repro.stats.multivariate_gaussian import MultivariateGaussian
@@ -69,8 +77,8 @@ def time_select(
     """Best-of time of ``select`` at every n in ``n_samples``, keyed by n.
 
     With ``oracle``, each row also holds the score surface's worst
-    relative deviation from the per-candidate loop oracle and whether
-    the winners match.
+    relative deviation from the per-candidate loop oracle, whether the
+    winners match, and the fallback share of the timed split.
     """
     if oracle:
         if str(REPO_ROOT) not in sys.path:
@@ -93,8 +101,18 @@ def time_select(
             row["max_oracle_dev"] = max_rel_deviation(result.scores, want.scores)
             row["winner_matches"] = (result.kappa0, result.v0) == (want.kappa0, want.v0)
             row["selected"] = {"kappa0": result.kappa0, "v0": result.v0}
+            row["fallback_share"] = fallback_share(cv, data, np.random.default_rng(1))
         rows[str(n)] = row
     return rows
+
+
+def fallback_share(cv: TwoDimensionalCV, data: np.ndarray, rng) -> float:
+    """Share of the (fold, candidate) members ``cv.select(data, rng)`` re-scores
+    on the Cholesky path instead of in closed form."""
+    n = data.shape[0]
+    stats = _fold_stats(data, make_folds(n, min(cv.n_folds, n), rng))
+    _, flagged = _closed_form_fold_ll(cv.prior, cv.grid, stats)
+    return float(flagged.mean())
 
 
 def gate_failures(rows: dict) -> list:
@@ -115,7 +133,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dim", type=int, default=5)
     parser.add_argument("--grid", type=int, default=12, help="grid points per axis")
-    parser.add_argument("--n-samples", type=int, nargs="+", default=[32, 256, 1024])
+    parser.add_argument("--n-samples", type=int, nargs="+", default=[8, 32, 256, 1024])
     parser.add_argument("--n-folds", type=int, default=4)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
@@ -170,7 +188,8 @@ def main(argv=None) -> int:
             before = f" (baseline {baseline[n]['select_s'] * 1e3:.2f} ms)"
         print(
             f"n={n}: select {row['select_s'] * 1e3:.2f} ms{before} | "
-            f"max oracle dev {row['max_oracle_dev']:.1e}"
+            f"max oracle dev {row['max_oracle_dev']:.1e} | "
+            f"fallback share {row['fallback_share']:.3f}"
         )
     print(f"wrote {args.out}")
     return 0

@@ -17,6 +17,7 @@ pin them for ablation studies.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -111,6 +112,14 @@ def map_moments_stack(
     return mu_map, sigma_map
 
 
+def _check_hyperparams(kappa0: float, v0: float, d: int) -> None:
+    """Raise :class:`HyperParameterError` unless ``0 < kappa0`` and ``d < v0``, both finite."""
+    if not (math.isfinite(kappa0) and kappa0 > 0.0):
+        raise HyperParameterError(f"kappa0 must be finite and > 0, got {kappa0}")
+    if not (math.isfinite(v0) and v0 > d):
+        raise HyperParameterError(f"v0 must be finite and exceed d = {d}, got {v0}")
+
+
 def map_moments_from_stats(
     prior: PriorKnowledge,
     stats: SufficientStats,
@@ -136,10 +145,7 @@ def map_moments_from_stats(
         raise InsufficientDataError(
             f"late-stage statistics have {stats.dim} metrics but prior has {d}"
         )
-    if kappa0 <= 0.0:
-        raise HyperParameterError(f"kappa0 must be > 0, got {kappa0}")
-    if v0 <= d:
-        raise HyperParameterError(f"v0 must exceed d = {d}, got {v0}")
+    _check_hyperparams(kappa0, v0, d)
 
     mu_map, sigma_map = map_moments_stack(
         prior.mean[None],
@@ -237,12 +243,7 @@ class BMFEstimator(MomentEstimator):
         self.kappa0 = None if kappa0 is None else float(kappa0)
         self.v0 = None if v0 is None else float(v0)
         if self.kappa0 is not None:
-            if self.kappa0 <= 0.0:
-                raise HyperParameterError(f"kappa0 must be > 0, got {kappa0}")
-            if self.v0 <= prior.dim:
-                raise HyperParameterError(
-                    f"v0 must exceed d = {prior.dim}, got {v0}"
-                )
+            _check_hyperparams(self.kappa0, self.v0, prior.dim)
         self.grid = grid if grid is not None else HyperParameterGrid.paper_default(prior.dim)
         if n_folds < 2:
             raise ValueError(f"n_folds must be >= 2, got {n_folds}")

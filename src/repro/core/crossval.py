@@ -10,26 +10,36 @@ likelihood function value indicates more accurate estimation" (Sec. 4.2).
 Implementation notes
 --------------------
 The search runs on per-fold sufficient statistics, so the cost of scoring
-does not grow with ``n``:
+does not grow with ``n``, and no ``(Q, K, V, d, d)`` covariance stack is
+built:
 
-* Eq. (31)–(32) are affine in the training statistics ``(n, Xbar, S)``,
-  so the MAP moments of every fold and grid candidate are one
-  ``(Q, K, V, d, d)`` broadcast, factorised by a single batched Cholesky
-  (with a jitter/eigenvalue-clip repair ladder for non-SPD stragglers).
-* Eq. (9) summed over a held-out fold needs only ``(n_t, xbar_t, S_t)``.
-  With ``Sigma = L L^T`` and ``R^T R = S_t``,
-  ``sum_i ||L^-1 (x_i - mu)||^2 = ||L^-1 R^T||_F^2 + n_t ||L^-1 (xbar_t - mu)||^2``.
-  ``R`` comes from a QR of the fold's centred rows, which also covers
-  ``n_t <= d``, and has at most ``d`` rows.  One triangular solve over
-  at most ``d + 1`` right-hand sides then scores every candidate of
-  every fold.
+* Eq. (9) summed over a held-out fold needs only ``(n_t, xbar_t, S_t)``:
+  ``sum_i (x_i - mu)^T Sigma^-1 (x_i - mu) = tr(Sigma^-1 S_t) + n_t
+  (xbar_t - mu)^T Sigma^-1 (xbar_t - mu)``, with ``R^T R = S_t`` from a
+  QR of the fold's centred rows (at most ``d`` rows, ``n_t <= d``
+  included).
+* Eq. (32)'s numerator is ``W(v0) + c u u^T`` with ``W(v0) = (v0 - d)
+  Sigma_E + S_q``, ``u = mu_E - xbar`` and ``c = kappa0 n / (kappa0 +
+  n)``; Eq. (31) moves the mean along the same ``u``.  Whitening by the
+  Cholesky factor of ``Sigma_E`` and one eigendecomposition per fold
+  (``P Sigma_E P^T = I``, ``P S_q P^T = diag(lam)``) make ``W(v0)^-1``
+  and ``log |W(v0)|`` diagonal for every ``v0``; Sherman–Morrison and the
+  matrix determinant lemma add the rank-one ``kappa0`` term.  The whole
+  ``(Q, K, V)`` surface is then ``(Q, V, d)`` and ``(Q, K, V)``
+  broadcasts.
+* A member whose bound ``spread(W) * (1 + c u^T W^-1 u) *
+  cond(Sigma_E)`` exceeds :data:`CLOSED_FORM_BOUND`, or whose
+  closed-form score is not finite, is re-scored the direct way: its MAP
+  covariance is factorised by a batched Cholesky with the
+  jitter/eigenvalue-clip repair ladder and the held-out fold is scored
+  by one triangular solve against ``[R^T, xbar_t - mu]``.
 
 A candidate whose covariance is irreparable in any fold scores ``-inf``;
 when every candidate does, :meth:`TwoDimensionalCV.select` raises
 :class:`~repro.exceptions.HyperParameterError` instead of returning an
 arbitrary grid corner.  The per-candidate ``MultivariateGaussian``
-formulation lives on in the test suite as the oracle this scorer is
-pinned to (``1e-10``).
+formulation and the stacked Cholesky scorer live on in the test suite as
+the oracles this scorer is pinned to (``1e-10``).
 
 Determinism contract
 --------------------
@@ -56,11 +66,23 @@ from repro.linalg.batched import (
     cholesky_batched_safe,
     logdet_batched,
     solve_triangular_batched,
+    whitened_eigh_batched,
 )
 from repro.linalg.validation import as_samples
 from repro.stats.multivariate_gaussian import _LOG_2PI
 
 __all__ = ["CrossValidationResult", "TwoDimensionalCV", "make_folds"]
+
+#: Largest conditioning bound ``spread(W) * (1 + c gamma) * cond(Sigma_E)``
+#: a (fold, candidate) member may have and still be scored in closed form;
+#: members above it are re-scored on the Cholesky path.  ``spread(W)`` is
+#: the ratio of the extreme eigenvalues of ``W(v0)`` in the whitened
+#: basis, ``1 + c gamma`` is the Sherman–Morrison denominator and
+#: ``cond(Sigma_E)`` covers the whitening.  On a random stress corpus
+#: (d 1–8, cond(Sigma_E) up to 1e9, v0 - d down to 1e-12) the first
+#: member more than 1e-10 off the Cholesky scorer had a bound near 1e6;
+#: see docs/PERFORMANCE.md.
+CLOSED_FORM_BOUND = 1e5
 
 
 class FoldStats(NamedTuple):
@@ -209,51 +231,20 @@ class TwoDimensionalCV:
         )
 
     # ------------------------------------------------------------------
-    def _map_moments(self, stats: FoldStats) -> Tuple[np.ndarray, np.ndarray]:
-        """MAP moments (Eq. 31–32) of every fold and grid candidate.
-
-        ``numerator[q, k, v] = (v0[v] - d) Sigma_E + S_q + c[q, k] *
-        outer_q`` with ``c = kappa0 n / (kappa0 + n)``.  Returns
-        ``(mu, sigma)`` of shapes ``(Q, K, d)`` and ``(Q, K, V, d, d)``.
-        Overflow is not an error here: a non-finite member fails the
-        Cholesky and its candidate scores ``-inf``.
-        """
-        d = self.prior.dim
-        mu_e = self.prior.mean
-        kappas = self.grid.kappa0_values
-        vs = self.grid.v0_values
-        n_train = stats.n_train[:, None]  # (Q, 1)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = mu_e - stats.xbar
-            outer = diff[:, :, None] * diff[:, None, :]  # (Q, d, d)
-            c = kappas * n_train / (kappas + n_train)  # (Q, K)
-            base = (vs[:, None, None] - d) * self.prior.covariance  # (V, d, d)
-            base = base[None] + stats.scatter[:, None]  # (Q, V, d, d)
-            numerator = base[:, None] + c[:, :, None, None, None] * outer[:, None, None]
-            sigma = numerator / (vs + n_train - d)[:, None, :, None, None]
-            sigma = (sigma + np.swapaxes(sigma, -1, -2)) / 2.0
-            mu = (kappas[:, None] * mu_e + n_train[:, :, None] * stats.xbar[:, None]) / (
-                kappas + n_train
-            )[:, :, None]
-        return mu, sigma
-
     def _score_grid(self, stats: FoldStats) -> np.ndarray:
         """Average held-out log-likelihood of every ``(K, V)`` candidate.
 
-        One batched Cholesky over the ``(Q, K, V)`` covariance stack and
-        one triangular solve against ``[R^T, xbar_t - mu]`` score every
-        fold at once.  Irreparable factors are swapped for the identity
-        (and their right-hand sides zeroed) so no division touches them;
-        their candidates score ``-inf``.
+        Every ``(fold, candidate)`` member is scored in closed form
+        (:func:`_closed_form_fold_ll`); the members whose conditioning
+        bound exceeds :data:`CLOSED_FORM_BOUND`, or whose closed form is
+        not finite, are re-scored by :meth:`_score_members`.  A candidate
+        that is irreparable in any fold scores ``-inf``.
         """
-        d = self.prior.dim
-        mu, sigma = self._map_moments(stats)
-        q, nk, nv = sigma.shape[:3]
-        chol, ok = cholesky_batched_safe(
-            sigma.reshape(-1, d, d), jitter_rel=1e-10, clip_floor_rel=1e-10
-        )
-        ok = ok.reshape(q, nk, nv)
+        fold_ll, flagged = _closed_form_fold_ll(self.prior, self.grid, stats)
+        ok = np.ones(fold_ll.shape, dtype=bool)
+        if flagged.any():
+            members = np.nonzero(flagged)
+            fold_ll[members], ok[members] = self._score_members(stats, members)
         usable = ok.all(axis=0)
         if not usable.any():
             raise HyperParameterError(
@@ -261,24 +252,108 @@ class TwoDimensionalCV:
                 "is non-finite or stays indefinite after jitter and eigenvalue "
                 "clipping in at least one fold"
             )
-        chol[~ok.ravel()] = np.eye(d)
-        log_det = logdet_batched(chol).reshape(q, nk, nv)
-
-        k = stats.root.shape[1]
-        rhs = np.empty((q, nk, nv, d, k + 1))
-        rhs[..., :k] = np.swapaxes(stats.root, -1, -2)[:, None, None]
-        rhs[..., k] = (stats.xbar_test[:, None, :] - mu)[:, :, None, :]
-        rhs[~ok] = 0.0
-        z = solve_triangular_batched(chol, rhs.reshape(-1, d, k + 1))
-        z = (z * z).reshape(q, nk, nv, d, k + 1)
-        n_test = stats.n_test[:, None, None]
-        maha = z[..., :k].sum(axis=(-2, -1)) + n_test * z[..., k].sum(axis=-1)
-        # Average per-sample log-likelihood keeps folds of slightly
-        # different sizes comparable.
-        fold_ll = -0.5 * (d * _LOG_2PI + log_det + maha / n_test)
-        scores = fold_ll.sum(axis=0) / q
+        scores = fold_ll.sum(axis=0) / fold_ll.shape[0]
         scores[~usable] = -np.inf
         return scores
+
+    def _score_members(
+        self, stats: FoldStats, members: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Held-out log-likelihood of the ``(fold, kappa0, v0)`` index triples.
+
+        Builds each member's MAP moments (Eq. 31–32), factors them with
+        the jitter/eigenvalue-clip repair ladder and scores the held-out
+        fold by one triangular solve against ``[R^T, xbar_t - mu]``.
+        Returns ``(fold_ll, ok)``; an irreparable member (``ok`` False)
+        gets the identity factor and zero right-hand sides, so no division
+        touches it.
+        """
+        d = self.prior.dim
+        qi, ki, vi = members
+        mu_e = self.prior.mean
+        kappa = self.grid.kappa0_values[ki]
+        v0 = self.grid.v0_values[vi]
+        n_train = stats.n_train[qi]
+        xbar = stats.xbar[qi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = mu_e - xbar
+            outer = diff[:, :, None] * diff[:, None, :]
+            c = kappa * n_train / (kappa + n_train)
+            base = (v0[:, None, None] - d) * self.prior.covariance + stats.scatter[qi]
+            numerator = base + c[:, None, None] * outer
+            sigma = numerator / (v0 + n_train - d)[:, None, None]
+            sigma = (sigma + np.swapaxes(sigma, -1, -2)) / 2.0
+            mu = (kappa[:, None] * mu_e + n_train[:, None] * xbar) / (kappa + n_train)[:, None]
+        chol, ok = cholesky_batched_safe(sigma, jitter_rel=1e-10, clip_floor_rel=1e-10)
+        chol[~ok] = np.eye(d)
+        log_det = logdet_batched(chol)
+
+        k = stats.root.shape[1]
+        rhs = np.empty((qi.size, d, k + 1))
+        rhs[..., :k] = np.swapaxes(stats.root[qi], -1, -2)
+        rhs[..., k] = stats.xbar_test[qi] - mu
+        rhs[~ok] = 0.0
+        z = solve_triangular_batched(chol, rhs)
+        z = z * z
+        n_test = stats.n_test[qi]
+        maha = z[..., :k].sum(axis=(-2, -1)) + n_test * z[..., k].sum(axis=-1)
+        return -0.5 * (d * _LOG_2PI + log_det + maha / n_test), ok
+
+
+def _closed_form_fold_ll(
+    prior: PriorKnowledge, grid: HyperParameterGrid, stats: FoldStats
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Held-out log-likelihood of every ``(Q, K, V)`` member, in closed form.
+
+    With ``W(v) = (v - d) Sigma_E + S_q`` and ``u = mu_E - xbar``, the
+    MAP covariance is ``(W + c u u^T) / m`` with ``c = kappa0 n / (kappa0
+    + n)`` and ``m = v0 + n - d``, and the MAP mean is ``xbar + a u`` with
+    ``a = kappa0 / (kappa0 + n)``.  One generalised eigendecomposition
+    ``P Sigma_E P^T = I``, ``P S_q P^T = diag(lam)`` makes ``W(v)^-1``
+    diagonal for every ``v0``; Sherman–Morrison and the matrix determinant
+    lemma add the rank-one ``kappa0`` term.  Returns ``(fold_ll,
+    flagged)``, both ``(Q, K, V)``: ``flagged`` marks the members whose
+    bound ``spread(W) * (1 + c gamma) * cond(Sigma_E)`` exceeds
+    :data:`CLOSED_FORM_BOUND` or whose score is not finite.
+    """
+    d = prior.dim
+    kappas = grid.kappa0_values
+    vs = grid.v0_values
+    n_train = stats.n_train[:, None]  # (Q, 1)
+    spec = whitened_eigh_batched(stats.scatter, prior.covariance)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        proj_t = np.swapaxes(spec.proj, -1, -2)
+        u = ((prior.mean - stats.xbar)[:, None, :] @ proj_t)[:, 0]  # (Q, d)
+        t = ((stats.xbar_test - stats.xbar)[:, None, :] @ proj_t)[:, 0]  # (Q, d)
+        root = stats.root @ proj_t  # (Q, k, d)
+        eig = (vs - d)[None, :, None] + spec.values[:, None, :]  # (Q, V, d)
+        inv = 1.0 / eig
+        inv_u = inv * u[:, None, :]
+        gamma = (inv_u * u[:, None, :]).sum(axis=-1)  # (Q, V)
+        beta = (inv_u * t[:, None, :]).sum(axis=-1)
+        tau = (inv * (t * t)[:, None, :]).sum(axis=-1)
+        trace = inv @ (root * root).sum(axis=1)[:, :, None]  # (Q, V, 1)
+        rho = ((inv_u @ np.swapaxes(root, -1, -2)) ** 2).sum(axis=-1)  # (Q, V)
+        logdet_w = spec.base_logdet + np.log(eig).sum(axis=-1)
+        low = eig.min(axis=-1)
+        spread = np.where(low > 0.0, eig.max(axis=-1) / low, np.inf)
+
+        # (Q, K, V) from here on.
+        c = (kappas * n_train / (kappas + n_train))[:, :, None]
+        a = (kappas / (kappas + n_train))[:, :, None]
+        gamma, beta, tau, rho = (x[:, None, :] for x in (gamma, beta, tau, rho))
+        g = 1.0 + c * gamma
+        m = (vs + n_train - d)[:, None, :]
+        n_test = stats.n_test[:, None, None]
+        cross = beta - a * gamma
+        quad = tau - 2.0 * a * beta + a * a * gamma - c * cross * cross / g
+        trace_n = trace[:, None, :, 0] - c * rho / g
+        log_det = logdet_w[:, None, :] + np.log(g) - d * np.log(m)
+        maha = m * (trace_n + n_test * quad)
+        fold_ll = -0.5 * (d * _LOG_2PI + log_det + maha / n_test)
+        bound = spread[:, None, :] * g * spec.base_cond
+    flagged = ~((bound <= CLOSED_FORM_BOUND) & np.isfinite(fold_ll))
+    return fold_ll, flagged
 
 
 def _fold_stats(data: np.ndarray, folds: Sequence[np.ndarray]) -> FoldStats:

@@ -48,6 +48,8 @@ class PriorKnowledge:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         if mean.ndim != 1:
             raise DimensionError("prior mean must be 1-D")
+        if not np.isfinite(mean).all():
+            raise DimensionError("prior mean contains non-finite entries")
         cov = assert_spd(self.covariance, "prior covariance")
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise DimensionError(

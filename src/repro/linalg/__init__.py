@@ -16,6 +16,7 @@ from repro.linalg.batched import (
     solve_batched,
     solve_triangular_batched,
     symmetrize_batched,
+    whitened_eigh_batched,
 )
 from repro.linalg.norms import (
     condition_number,
@@ -81,5 +82,6 @@ __all__ = [
     "spectral_norm",
     "symmetrize",
     "symmetrize_batched",
+    "whitened_eigh_batched",
     "vector_2norm",
 ]

@@ -35,12 +35,12 @@ on these wrappers instead of raw ``np.linalg`` calls.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.exceptions import DimensionError, SingularMatrixError
+from repro.exceptions import DimensionError, NotSPDError, SingularMatrixError
 from repro.linalg.validation import EIG_FLOOR
 
 __all__ = [
@@ -54,6 +54,8 @@ __all__ = [
     "clip_eigenvalues_batched",
     "jitter_spd_batched",
     "symmetrize_batched",
+    "whitened_eigh_batched",
+    "WhitenedSpectrum",
 ]
 
 
@@ -193,6 +195,50 @@ def cholesky_batched_safe(
             chol[bad[retry_ok]] = retry[retry_ok]
             ok[bad[retry_ok]] = True
     return chol, ok
+
+
+class WhitenedSpectrum(NamedTuple):
+    """Result of :func:`whitened_eigh_batched`.
+
+    ``values`` is ``(B, d)`` (ascending) and ``proj`` is ``(B, d, d)``,
+    with ``proj[i] @ base @ proj[i].T = I`` and ``proj[i] @ stack[i] @
+    proj[i].T = diag(values[i])``.  ``base_logdet`` is ``log |base|`` and
+    ``base_cond`` is ``cond_2(base)``: the rounding of every whitened
+    quantity grows with it.
+    """
+
+    values: np.ndarray
+    proj: np.ndarray
+    base_logdet: float
+    base_cond: float
+
+
+def whitened_eigh_batched(stack: ArrayLike, base: ArrayLike) -> WhitenedSpectrum:
+    """Generalised eigenproblems ``stack[i] x = lam base x`` against one SPD ``base``.
+
+    Whitens by the lower Cholesky factor ``L`` of ``base`` and
+    eigendecomposes every symmetrised ``L^-1 stack[i] L^-T`` in one
+    ``eigh`` call.  ``stack`` members must be finite; ``base`` must be
+    SPD (:class:`~repro.exceptions.NotSPDError` otherwise).
+    """
+    arr = symmetrize_batched(stack)
+    b = np.asarray(base, dtype=float)
+    if b.shape != arr.shape[1:]:
+        raise DimensionError(f"base {b.shape} does not match stack {arr.shape}")
+    try:
+        chol = np.linalg.cholesky((b + b.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPDError("base of the whitened eigenproblem is not SPD") from exc
+    linv = np.linalg.inv(chol)
+    white = linv @ arr @ linv.T
+    values, vecs = np.linalg.eigh((white + np.swapaxes(white, -1, -2)) / 2.0)
+    base_eig = np.linalg.eigvalsh(b)
+    return WhitenedSpectrum(
+        values,
+        np.swapaxes(vecs, -1, -2) @ linv,
+        float(2.0 * np.sum(np.log(np.diagonal(chol)))),
+        float(base_eig[-1] / base_eig[0]),
+    )
 
 
 def solve_batched(systems: np.ndarray, rhs: np.ndarray, name: str = "systems") -> np.ndarray:

@@ -62,7 +62,7 @@ from repro.schemas import MANIFEST_SCHEMA
 from repro.serving.counters import ServiceCounters
 from repro.serving.queue import QUERY_KINDS, build_requests
 from repro.serving.scoring import BatchScorer
-from repro.serving.sessions import Session
+from repro.serving.sessions import Session, block_rows
 from repro.serving.wal import WriteAheadLog
 from repro.serving.worker import ShardWorker
 from repro.stats.suffstats import SufficientStats, merge_all
@@ -346,12 +346,14 @@ class ShardedMomentService:
         With ``flush_rows > 1`` the rows are buffered and folded into the
         owning worker as one stacked block later (next threshold crossing
         or read barrier) — numerically a Chan block merge instead of
-        per-row Welford updates, within the 1e-10 serving bound.  Rows are
-        validated when their buffer flushes, not here.
+        per-row Welford updates, within the 1e-10 serving bound.  A block
+        that is neither a vector nor a matrix raises
+        :class:`~repro.exceptions.DimensionError` here; row values are
+        validated when their buffer flushes.
         """
         key = str(key)
         arr = np.asarray(samples, dtype=float)
-        rows = 1 if arr.ndim == 1 else arr.shape[0]
+        rows = block_rows(arr)
         self.counters.record_ingest(rows)
         with self._ingest_lock:
             if self._passthrough:

@@ -26,6 +26,7 @@ is short and O(d^2) at worst).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
@@ -38,7 +39,23 @@ from repro.core.prior import PriorKnowledge
 from repro.exceptions import ConfigError, DimensionError, SessionNotFoundError
 from repro.stats.suffstats import SufficientStats
 
-__all__ = ["Session", "SessionStore"]
+__all__ = ["Session", "SessionStore", "block_rows"]
+
+
+def block_rows(arr: np.ndarray) -> int:
+    """Rows in an ingest block: 1 for a ``d``-vector, ``n`` for ``(n, d)``.
+
+    Any other dimensionality raises
+    :class:`~repro.exceptions.DimensionError`, so a malformed request is
+    refused before it is logged or buffered.
+    """
+    if arr.ndim == 1:
+        return 1
+    if arr.ndim == 2:
+        return arr.shape[0]
+    raise DimensionError(
+        f"samples must be a d-vector or an (n, d) block, got shape {arr.shape}"
+    )
 
 
 class Session:
@@ -54,10 +71,10 @@ class Session:
         v0: float,
         created_op: int = 0,
     ) -> None:
-        if kappa0 <= 0.0:
-            raise ConfigError(f"kappa0 must be > 0, got {kappa0}")
-        if v0 <= prior.dim:
-            raise ConfigError(f"v0 must exceed d = {prior.dim}, got {v0}")
+        if not (math.isfinite(kappa0) and kappa0 > 0.0):
+            raise ConfigError(f"kappa0 must be finite and > 0, got {kappa0}")
+        if not (math.isfinite(v0) and v0 > prior.dim):
+            raise ConfigError(f"v0 must be finite and exceed d = {prior.dim}, got {v0}")
         self.key = str(key)
         self.prior = prior
         self.kappa0 = float(kappa0)

@@ -53,7 +53,7 @@ from repro.serving.checkpoint import load_checkpoint, save_checkpoint
 from repro.serving.counters import ServiceCounters
 from repro.serving.queue import Request, build_requests
 from repro.serving.scoring import BatchScorer
-from repro.serving.sessions import Session, SessionStore
+from repro.serving.sessions import Session, SessionStore, block_rows
 from repro.serving.wal import WalRecord, WriteAheadLog
 from repro.stats.suffstats import SufficientStats
 
@@ -168,6 +168,7 @@ class ShardWorker:
         bits.
         """
         arr = np.asarray(samples, dtype=float)
+        count = block_rows(arr)
         if (
             self.wal is not None
             and self.wal_delta_rows is not None
@@ -178,7 +179,6 @@ class ShardWorker:
             # leave neither a record nor a clock tick behind
             stats = SufficientStats.from_samples(arr)
             return self.ingest_stats(key, stats)
-        count = 1 if arr.ndim == 1 else arr.shape[0]
         if self.wal is not None:
             self.wal.append("ingest", {"key": str(key), "samples": arr})
         total = self.store.ingest(key, arr)

@@ -10,6 +10,9 @@ replaced, kept as oracles:
   candidate and fold and scores the held-out rows one by one (with the
   same repair order: plain Cholesky with one jitter retry, then an
   eigenvalue clip, else ``-inf``);
+* :func:`stacked_fold_ll` is the scorer that preceded the closed form:
+  it builds the whole ``(Q, K, V, d, d)`` MAP stack, factors all of it
+  with the repair ladder and scores every member by one triangular solve;
 * :func:`evidence_loop_select` calls :func:`repro.core.evidence.log_evidence`
   once per candidate.
 
@@ -30,8 +33,13 @@ from repro.core.evidence import EvidenceResult, log_evidence
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import NotSPDError
+from repro.linalg.batched import (
+    cholesky_batched_safe,
+    logdet_batched,
+    solve_triangular_batched,
+)
 from repro.linalg.validation import as_samples, clip_eigenvalues
-from repro.stats.multivariate_gaussian import MultivariateGaussian
+from repro.stats.multivariate_gaussian import _LOG_2PI, MultivariateGaussian
 
 #: Per-fold statistics: ``(n_train, xbar, scatter, test_rows)``.
 FoldStats = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
@@ -130,6 +138,51 @@ def cv_loop_select(
         scores=scores,
         n_folds=len(fold_stats),
     )
+
+
+def stacked_fold_ll(
+    prior: PriorKnowledge, grid: HyperParameterGrid, stats
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-member held-out log-likelihood through one ``(Q, K, V)`` Cholesky stack.
+
+    ``stats`` is the :class:`repro.core.crossval.FoldStats` of a split.
+    Returns ``(fold_ll, ok)``, both ``(Q, K, V)``; members with ``ok``
+    False are irreparable and their ``fold_ll`` is meaningless.
+    """
+    d = prior.dim
+    mu_e = prior.mean
+    kappas = grid.kappa0_values
+    vs = grid.v0_values
+    n_train = stats.n_train[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = mu_e - stats.xbar
+        outer = diff[:, :, None] * diff[:, None, :]
+        c = kappas * n_train / (kappas + n_train)
+        base = (vs[:, None, None] - d) * prior.covariance
+        base = base[None] + stats.scatter[:, None]
+        numerator = base[:, None] + c[:, :, None, None, None] * outer[:, None, None]
+        sigma = numerator / (vs + n_train - d)[:, None, :, None, None]
+        sigma = (sigma + np.swapaxes(sigma, -1, -2)) / 2.0
+        mu = (kappas[:, None] * mu_e + n_train[:, :, None] * stats.xbar[:, None]) / (
+            kappas + n_train
+        )[:, :, None]
+    q, nk, nv = sigma.shape[:3]
+    chol, ok = cholesky_batched_safe(
+        sigma.reshape(-1, d, d), jitter_rel=1e-10, clip_floor_rel=1e-10
+    )
+    ok = ok.reshape(q, nk, nv)
+    chol[~ok.ravel()] = np.eye(d)
+    log_det = logdet_batched(chol).reshape(q, nk, nv)
+    k = stats.root.shape[1]
+    rhs = np.empty((q, nk, nv, d, k + 1))
+    rhs[..., :k] = np.swapaxes(stats.root, -1, -2)[:, None, None]
+    rhs[..., k] = (stats.xbar_test[:, None, :] - mu)[:, :, None, :]
+    rhs[~ok] = 0.0
+    z = solve_triangular_batched(chol, rhs.reshape(-1, d, k + 1))
+    z = (z * z).reshape(q, nk, nv, d, k + 1)
+    n_test = stats.n_test[:, None, None]
+    maha = z[..., :k].sum(axis=(-2, -1)) + n_test * z[..., k].sum(axis=-1)
+    return -0.5 * (d * _LOG_2PI + log_det + maha / n_test), ok
 
 
 def evidence_loop_select(

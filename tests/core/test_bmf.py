@@ -119,6 +119,19 @@ class TestMapMoments:
             np.testing.assert_array_equal(sigma_i, sigma[i])
 
 
+class TestHyperParamValidation:
+    @pytest.mark.parametrize(
+        "kappa0, v0",
+        [(np.nan, 8.0), (np.inf, 8.0), (0.0, 8.0), (1.0, np.nan), (1.0, np.inf), (1.0, 5.0)],
+    )
+    def test_rejects_non_finite_or_out_of_range(self, synthetic_prior, kappa0, v0):
+        stats = SufficientStats.from_samples(np.ones((3, 5)))
+        with pytest.raises(HyperParameterError, match="kappa0|v0"):
+            map_moments_from_stats(synthetic_prior, stats, kappa0, v0)
+        with pytest.raises(HyperParameterError, match="kappa0|v0"):
+            BMFEstimator(synthetic_prior, kappa0=kappa0, v0=v0)
+
+
 class TestBMFEstimator:
     def test_pinned_mode_matches_map_moments(self, synthetic_prior, gaussian5, rng):
         data = gaussian5.sample(10, rng)

@@ -17,6 +17,13 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             PriorKnowledge(np.zeros(3), spd5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mean(self, spd5, bad):
+        mean = np.zeros(5)
+        mean[2] = bad
+        with pytest.raises(DimensionError, match="non-finite"):
+            PriorKnowledge(mean, spd5)
+
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(Exception):
             PriorKnowledge(np.zeros(2), np.diag([1.0, -1.0]))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionError
+from repro.exceptions import DimensionError, NotSPDError
 from repro.linalg.batched import (
     as_spd_stack,
     cholesky_batched,
@@ -14,6 +14,7 @@ from repro.linalg.batched import (
     mahalanobis_sq_batched,
     solve_triangular_batched,
     symmetrize_batched,
+    whitened_eigh_batched,
 )
 from repro.linalg.validation import clip_eigenvalues, jitter_spd
 
@@ -164,6 +165,32 @@ class TestLogdetBatched:
             sign, expected = np.linalg.slogdet(stack[i])
             assert sign == 1.0
             np.testing.assert_allclose(got[i], expected, rtol=1e-12)
+
+
+class TestWhitenedEighBatched:
+    def test_diagonalises_stack_against_base(self, rng, spd5):
+        stack = random_spd_stack(rng, d=5)
+        stack[0] = 0.0  # a zero scatter has an all-zero spectrum
+        spec = whitened_eigh_batched(stack, spd5)
+        eye = np.broadcast_to(np.eye(5), stack.shape)
+        np.testing.assert_allclose(
+            spec.proj @ spd5 @ np.swapaxes(spec.proj, -1, -2), eye, atol=1e-12
+        )
+        diag = spec.values[:, :, None] * np.eye(5)
+        np.testing.assert_allclose(
+            spec.proj @ stack @ np.swapaxes(spec.proj, -1, -2), diag, atol=1e-10
+        )
+        assert (np.diff(spec.values, axis=1) >= 0.0).all()
+        np.testing.assert_allclose(spec.base_logdet, np.linalg.slogdet(spd5)[1], rtol=1e-12)
+        np.testing.assert_allclose(spec.base_cond, np.linalg.cond(spd5), rtol=1e-10)
+
+    def test_rejects_indefinite_base(self, rng):
+        with pytest.raises(NotSPDError):
+            whitened_eigh_batched(random_spd_stack(rng, d=2), np.diag([1.0, -1.0]))
+
+    def test_rejects_mismatched_base(self, rng, spd5):
+        with pytest.raises(DimensionError):
+            whitened_eigh_batched(random_spd_stack(rng, d=4), spd5)
 
 
 class TestMahalanobisSqBatched:

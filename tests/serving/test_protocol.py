@@ -145,6 +145,33 @@ class TestErrorContainment:
         assert not response["ok"] and response["error"] == "ConfigError"
 
 
+    @pytest.mark.parametrize("samples", [5, [[[1.0, 2.0, 3.0]]]])
+    def test_ingest_shape_error_keeps_the_loop_serving(
+        self, service, prior_fields, samples
+    ):
+        lines = [
+            json.dumps({"op": "create", "key": "dut", **prior_fields}),
+            json.dumps({"op": "ingest", "key": "dut", "samples": samples}),
+            json.dumps({"op": "ingest", "key": "dut", "samples": [0.5, 1.0, 1.5]}),
+            json.dumps({"op": "shutdown"}),
+        ]
+        out = io.StringIO()
+        handled = serve_loop(service, lines=[line + "\n" for line in lines], out=out)
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert handled == 4
+        assert [r["ok"] for r in responses] == [True, False, True, True]
+        assert responses[1]["error"] == "DimensionError"
+        assert responses[2]["n"] == 1
+
+    @pytest.mark.parametrize("field", ["kappa0", "v0"])
+    def test_non_finite_create_hyperparam_reported(self, service, prior_fields, field):
+        response = call(
+            service, op="create", key="dut", **{field: float("nan")}, **prior_fields
+        )
+        assert not response["ok"] and response["error"] == "ConfigError"
+        assert call(service, op="estimate", key="dut")["error"] == "SessionNotFoundError"
+
+
 class TestServeLoop:
     def test_loop_until_shutdown(self, service, prior_fields):
         lines = [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import ConfigError, SessionNotFoundError
+from repro.exceptions import ConfigError, DimensionError, SessionNotFoundError
 from repro.serving import (
     MANIFEST_SCHEMA,
     HashRing,
@@ -165,6 +165,16 @@ class TestLifecycle:
             assert stats["placement"] == "hash"
             assert len(stats["shards"]) == 2
             assert stats["sessions_live"] == len(KEYS)
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize("samples", [5.0, np.ones((2, 2, D))])
+    def test_ingest_rejects_scalar_and_3d_blocks(self, prior, rng, n_shards, samples):
+        with ShardedMomentService(n_shards=n_shards, flush_rows=8) as svc:
+            svc.create_session("k", prior)
+            with pytest.raises(DimensionError):
+                svc.ingest("k", samples)
+            assert svc.ingest("k", rng.standard_normal(D)) == 1
+            assert svc.estimate("k").n_samples == 1
 
     def test_invalid_placement_rejected(self):
         with pytest.raises(ConfigError):

@@ -41,6 +41,14 @@ class TestSession:
         with pytest.raises(ConfigError):
             Session("k", prior, 1.0, 4.0)  # v0 must exceed d = 4
 
+    @pytest.mark.parametrize(
+        "kappa0, v0",
+        [(np.nan, 7.0), (np.inf, 7.0), (1.0, np.nan), (1.0, np.inf)],
+    )
+    def test_rejects_non_finite_hyperparams(self, prior, kappa0, v0):
+        with pytest.raises(ConfigError, match="finite"):
+            Session("k", prior, kappa0, v0)
+
     def test_dict_round_trip_exact(self, prior, rng):
         session = Session("k", prior, 2.0, 7.0, created_op=5)
         session.ingest(rng.standard_normal((9, 4)))

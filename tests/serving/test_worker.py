@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import SessionNotFoundError
+from repro.exceptions import DimensionError, SessionNotFoundError
 from repro.io import canonical_json
 from repro.serving import ShardWorker, WriteAheadLog
 from repro.stats.suffstats import SufficientStats
@@ -46,6 +46,21 @@ def _drive(target, prior, rng, queries=True):
                 ("estimate", "die/0", None),
             ]
         )
+
+
+class TestIngestShape:
+    @pytest.mark.parametrize("samples", [5.0, np.ones((2, 2, D))])
+    def test_scalar_and_3d_blocks_are_refused_before_logging(
+        self, prior, rng, tmp_path, samples
+    ):
+        wal = WriteAheadLog.create(tmp_path / "s.wal", shard_id=0)
+        with ShardWorker(shard_id=0, wal=wal) as worker:
+            worker.create_session("k", prior)
+            seq = wal.last_seq
+            with pytest.raises(DimensionError):
+                worker.ingest("k", samples)
+            assert wal.last_seq == seq
+            assert worker.ingest("k", rng.standard_normal(D)) == 1
 
 
 class TestReplayBitIdentity:
