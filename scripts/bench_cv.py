@@ -6,9 +6,12 @@ n = 8, 32, 256 and 1024 late-stage samples.  At every n the score surface
 and the winner are checked against the per-candidate loop oracle in
 ``tests/core/cv_oracles.py`` before any time is reported, and the timing
 summary is appended to ``BENCH_cv.json`` at the repository root.  Each
-row also records ``fallback_share``: the share of (fold, candidate)
-members whose conditioning bound sends them from the closed-form scorer
-to the Cholesky path (n = 8, the paper's smallest size, flags the most).
+row also records ``fold_stats_s``, the best-of time of the fold
+statistics (``_fold_stats``) alone, and ``fallback_share``: the share of
+(fold, candidate) members whose conditioning bound sends them from the
+closed-form scorer to the Cholesky path (n = 8, the paper's smallest
+size, flags the most).  A size that ``--n-folds`` does not divide (e.g.
+n = 10) runs the padded, unequal-fold path.
 
 Usage (from the repository root)::
 
@@ -20,7 +23,10 @@ Usage (from the repository root)::
     cd /path/to/other && PYTHONPATH=src python scripts/bench_cv.py --timings-only > FILE
 
 ``--baseline FILE`` stores such timings (e.g. of the parent commit) in
-the entry as ``results["baseline"]``, next to this tree's.
+the entry as ``results["baseline"]``, next to this tree's.  While
+``_fold_stats`` and ``make_folds`` keep their signatures, this script can
+also time another tree's sources directly
+(``PYTHONPATH=/path/to/other/src python scripts/bench_cv.py --timings-only``).
 
 Times are best-of-``--repeats`` wall clock, which filters scheduler noise
 on shared machines.  ``benchmarks/bench_batched_cv.py`` runs the same
@@ -74,7 +80,8 @@ def time_select(
     seed: int = 0,
     oracle: bool = True,
 ) -> dict:
-    """Best-of time of ``select`` at every n in ``n_samples``, keyed by n.
+    """Best-of times of ``select`` and of its fold statistics at every n in
+    ``n_samples``, keyed by n.
 
     With ``oracle``, each row also holds the score surface's worst
     relative deviation from the per-candidate loop oracle, whether the
@@ -93,7 +100,9 @@ def time_select(
         seconds, result = best_of(
             lambda: cv.select(data, rng=np.random.default_rng(1)), repeats
         )
-        row = {"select_s": round(seconds, 6)}
+        folds = make_folds(n, min(n_folds, n), np.random.default_rng(1))
+        fold_seconds, _ = best_of(lambda: _fold_stats(data, folds), repeats)
+        row = {"select_s": round(seconds, 6), "fold_stats_s": round(fold_seconds, 6)}
         if oracle:
             want = cv_loop_select(
                 prior, hyper_grid, data, n_folds, rng=np.random.default_rng(1)
@@ -188,6 +197,7 @@ def main(argv=None) -> int:
             before = f" (baseline {baseline[n]['select_s'] * 1e3:.2f} ms)"
         print(
             f"n={n}: select {row['select_s'] * 1e3:.2f} ms{before} | "
+            f"fold stats {row['fold_stats_s'] * 1e6:.0f} us | "
             f"max oracle dev {row['max_oracle_dev']:.1e} | "
             f"fallback share {row['fallback_share']:.3f}"
         )

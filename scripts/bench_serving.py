@@ -24,8 +24,9 @@ Usage (from the repository root)::
         [--wal none|v2|v2-delta] [--wire direct|list|b64f64]
 
 ``--smoke`` shrinks the workload for CI wall-clock budgets and is the
-configuration the CI floor check runs (4 shards >= 2x single shard); it
-needs ``--shards`` to include 1 and 4 and exits 2 otherwise.
+configuration the CI floor check runs (4 shards >= 2x single shard, on
+the fastest of ``SMOKE_PASSES`` passes per shard count); it needs
+``--shards`` to include 1 and 4 and exits 2 otherwise.
 
 ``--wal`` turns on write-ahead durability for the run: ``v2`` is the
 binary group-commit log, ``v2-delta`` adds sufficient-statistics delta
@@ -85,6 +86,10 @@ WAL_CONFIGS = {
 
 #: 4-shard coalesced ingest over single-shard rows/s, at every scale.
 SHARD_SPEEDUP_FLOOR = 2.0
+#: Passes per shard count under ``--smoke``, the fastest of which is
+#: gated: one smoke pass times a ~10 ms window, which a single scheduler
+#: stall on a shared machine can halve.
+SMOKE_PASSES = 3
 #: v2 durable ingest over the no-WAL rows/s of the same stream.
 WAL_THROUGHPUT_FLOOR = 0.25
 #: Micro-batched over per-request scoring of 64 sessions; asserted
@@ -208,10 +213,12 @@ def run_load(
     }
 
 
-def sharded_load(shard_counts, **load) -> dict:
-    """:func:`run_load` per shard count; the 4-shard speedup over one
-    shard is ``None`` unless both ran."""
-    per_shard = {str(n): run_load(n, **load) for n in shard_counts}
+def sharded_load(shard_counts, passes: int = 1, **load) -> dict:
+    """:func:`run_load` per shard count, the fastest of ``passes`` passes
+    each; the 4-shard speedup over one shard is ``None`` unless both ran."""
+    per_shard = {
+        str(n): best_of(lambda: run_load(n, **load), passes)[1] for n in shard_counts
+    }
     speedup = None
     if "1" in per_shard and "4" in per_shard:
         speedup = round(ratio(per_shard, "4", "1"), 2)
@@ -464,8 +471,10 @@ def main(argv=None) -> int:
         f"d={args.dim}, zipf alpha={args.alpha}, "
         f"query every {args.query_every}, wal={args.wal}, wire={args.wire}"
     )
+    passes = SMOKE_PASSES if args.smoke else 1
     results = sharded_load(
         args.shards,
+        passes=passes,
         n_sessions=args.sessions,
         n_ops=args.ops,
         dim=args.dim,
@@ -498,6 +507,7 @@ def main(argv=None) -> int:
             "zipf_alpha": args.alpha,
             "query_every": args.query_every,
             "shard_counts": list(args.shards),
+            "passes": passes,
             "seed": args.seed,
             "speedup_floor_at_4_shards": SHARD_SPEEDUP_FLOOR if args.smoke else None,
         },

@@ -12,13 +12,17 @@ T = TypeVar("T")
 
 def best_of(fn: Callable[[], T], repeats: int) -> Tuple[float, T]:
     """Call ``fn`` ``repeats`` times (at least once); return the fastest
-    wall time in seconds and the last call's result.
+    wall time in seconds and that call's result.
 
-    The minimum filters scheduler noise on shared machines.
+    The minimum filters scheduler noise on shared machines.  A result
+    that carries its own timings (a load-generator row) thus comes from
+    the fastest pass.
     """
-    best = float("inf")
+    best, best_result = float("inf"), None
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        elapsed = time.perf_counter() - t0
+        if elapsed < best:
+            best, best_result = elapsed, result
+    return best, best_result

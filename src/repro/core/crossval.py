@@ -11,7 +11,8 @@ Implementation notes
 --------------------
 The search runs on per-fold sufficient statistics, so the cost of scoring
 does not grow with ``n``, and no ``(Q, K, V, d, d)`` covariance stack is
-built:
+built.  The statistics of all ``Q`` folds come from one stacked gather,
+not a loop over folds:
 
 * Eq. (9) summed over a held-out fold needs only ``(n_t, xbar_t, S_t)``:
   ``sum_i (x_i - mu)^T Sigma^-1 (x_i - mu) = tr(Sigma^-1 S_t) + n_t
@@ -21,7 +22,9 @@ built:
 * Eq. (32)'s numerator is ``W(v0) + c u u^T`` with ``W(v0) = (v0 - d)
   Sigma_E + S_q``, ``u = mu_E - xbar`` and ``c = kappa0 n / (kappa0 +
   n)``; Eq. (31) moves the mean along the same ``u``.  Whitening by the
-  Cholesky factor of ``Sigma_E`` and one eigendecomposition per fold
+  Cholesky factor of ``Sigma_E`` (factored once per prior,
+  :attr:`~repro.core.prior.PriorKnowledge.whitening`) and one
+  eigendecomposition per fold
   (``P Sigma_E P^T = I``, ``P S_q P^T = diag(lam)``) make ``W(v0)^-1``
   and ``log |W(v0)|`` diagonal for every ``v0``; Sherman–Morrison and the
   matrix determinant lemma add the rank-one ``kappa0`` term.  The whole
@@ -39,7 +42,8 @@ when every candidate does, :meth:`TwoDimensionalCV.select` raises
 :class:`~repro.exceptions.HyperParameterError` instead of returning an
 arbitrary grid corner.  The per-candidate ``MultivariateGaussian``
 formulation and the stacked Cholesky scorer live on in the test suite as
-the oracles this scorer is pinned to (``1e-10``).
+the oracles this scorer is pinned to (``1e-10``), and the per-fold loop
+as the bitwise oracle of the fold statistics on equal folds.
 
 Determinism contract
 --------------------
@@ -66,7 +70,6 @@ from repro.linalg.batched import (
     cholesky_batched_safe,
     logdet_batched,
     solve_triangular_batched,
-    whitened_eigh_batched,
 )
 from repro.linalg.validation import as_samples
 from repro.stats.multivariate_gaussian import _LOG_2PI
@@ -164,6 +167,9 @@ def make_folds(
         )
     gen = rng if rng is not None else np.random.default_rng()
     perm = gen.permutation(n)
+    if n % n_folds == 0:
+        # Same partition as ``np.array_split``, without its per-fold slicing.
+        return list(np.sort(perm.reshape(n_folds, -1), axis=1))
     return [np.sort(part) for part in np.array_split(perm, n_folds)]
 
 
@@ -320,7 +326,7 @@ def _closed_form_fold_ll(
     kappas = grid.kappa0_values
     vs = grid.v0_values
     n_train = stats.n_train[:, None]  # (Q, 1)
-    spec = whitened_eigh_batched(stats.scatter, prior.covariance)
+    spec = prior.whitening.whitened_eigh(stats.scatter)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         proj_t = np.swapaxes(spec.proj, -1, -2)
         u = ((prior.mean - stats.xbar)[:, None, :] @ proj_t)[:, 0]  # (Q, d)
@@ -359,28 +365,39 @@ def _closed_form_fold_ll(
 def _fold_stats(data: np.ndarray, folds: Sequence[np.ndarray]) -> FoldStats:
     """Train and held-out statistics of every fold, reused by all candidates.
 
+    One gather builds the ``(Q, n_train, d)`` train and ``(Q, n_t, d)``
+    held-out blocks, each fold's rows in ascending order.  A fold smaller
+    than the widest is padded with index ``n``, which gathers an appended
+    zero row: pads add nothing to the sums and are zeroed again after
+    centring, so they change neither ``S`` nor ``R^T R``.
+
     Raises :class:`~repro.exceptions.HyperParameterError` when they
     overflow float64: every candidate would then score ``-inf``.
     """
     n, d = data.shape
-    n_test = np.array([fold.size for fold in folds], dtype=float)
-    xbar = np.empty((len(folds), d))
-    scatter = np.empty((len(folds), d, d))
-    xbar_test = np.empty((len(folds), d))
-    # Zero rows pad the folds to a common length without changing R^T R.
-    centred = np.zeros((len(folds), int(n_test.max()), d))
+    sizes = np.fromiter(map(len, folds), dtype=np.intp, count=len(folds))
+    q = sizes.size
+    held = np.zeros((q, n), dtype=bool)
+    held[np.repeat(np.arange(q), sizes), np.concatenate(folds)] = True
+    cols = np.arange(n)
+    # Sorting puts each fold's own indices first, ascending; the pad
+    # index n sorts last.
+    test_idx = np.sort(np.where(held, cols, n), axis=1)[:, : sizes.max()]
+    train_idx = np.sort(np.where(held, n, cols), axis=1)[:, : n - sizes.min()]
+    rows = np.concatenate([data, np.zeros((1, d))])
+    n_test = sizes.astype(float)
+    n_train = n - n_test
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, fold in enumerate(folds):
-            mask = np.ones(n, dtype=bool)
-            mask[fold] = False
-            train = data[mask]
-            xbar[i] = train.mean(axis=0)
-            dev = train - xbar[i]
-            s = dev.T @ dev
-            scatter[i] = (s + s.T) / 2.0
-            test = data[fold]
-            xbar_test[i] = test.mean(axis=0)
-            centred[i, : fold.size] = test - xbar_test[i]
+        dev = np.take(rows, train_idx, axis=0)
+        xbar = dev.sum(axis=1) / n_train[:, None]
+        dev -= xbar[:, None]
+        dev[train_idx == n] = 0.0
+        s = np.swapaxes(dev, -1, -2) @ dev
+        scatter = (s + np.swapaxes(s, -1, -2)) / 2.0
+        centred = np.take(rows, test_idx, axis=0)
+        xbar_test = centred.sum(axis=1) / n_test[:, None]
+        centred -= xbar_test[:, None]
+        centred[test_idx == n] = 0.0
     if not (np.isfinite(scatter).all() and np.isfinite(centred).all()):
         raise HyperParameterError(
             "every (kappa0, v0) candidate scores -inf: the fold scatter "
@@ -388,4 +405,4 @@ def _fold_stats(data: np.ndarray, folds: Sequence[np.ndarray]) -> FoldStats:
             "rescale the samples first"
         )
     root = np.linalg.qr(centred, mode="r")
-    return FoldStats(n - n_test, xbar, scatter, n_test, xbar_test, root)
+    return FoldStats(n_train, xbar, scatter, n_test, xbar_test, root)

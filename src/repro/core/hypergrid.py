@@ -12,6 +12,7 @@ Eq. (20).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -24,6 +25,9 @@ __all__ = ["HyperParameterGrid"]
 @dataclass(frozen=True)
 class HyperParameterGrid:
     """Cartesian grid of candidate ``(kappa0, v0)`` pairs.
+
+    The axes are sorted, de-duplicated and read-only, so one grid can be
+    shared by every search that uses it.
 
     Attributes
     ----------
@@ -51,8 +55,11 @@ class HyperParameterGrid:
             raise HyperParameterError(
                 f"all v0 candidates must exceed d = {self.dim}"
             )
-        object.__setattr__(self, "kappa0_values", np.unique(k))
-        object.__setattr__(self, "v0_values", np.unique(v))
+        k, v = np.unique(k), np.unique(v)
+        k.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(self, "kappa0_values", k)
+        object.__setattr__(self, "v0_values", v)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -67,14 +74,11 @@ class HyperParameterGrid:
         ``(d, d + upper]`` on a log scale of offsets, covering both the
         "ignore prior covariance" (``v0 -> d``, Eq. 36) and "trust prior
         covariance" (``v0`` large, Eq. 35) extremes.
+
+        Memoised: equal arguments return the same (immutable) grid, for
+        the 64 most recently used argument sets.
         """
-        if dim < 1:
-            raise HyperParameterError(f"dim must be >= 1, got {dim}")
-        if upper <= 1.0:
-            raise HyperParameterError(f"upper must exceed 1, got {upper}")
-        kappa = np.logspace(-2.0, np.log10(upper), n_kappa)
-        v_offsets = np.logspace(-2.0, np.log10(upper), n_v)
-        return cls(kappa0_values=kappa, v0_values=dim + v_offsets, dim=dim)
+        return _paper_default(cls, dim, n_kappa, n_v, upper)
 
     @classmethod
     def linear(
@@ -119,3 +123,17 @@ class HyperParameterGrid:
             n_points,
         )
         return HyperParameterGrid(kappa0_values=kappa, v0_values=v, dim=self.dim)
+
+
+@lru_cache(maxsize=64)
+def _paper_default(
+    cls: type, dim: int, n_kappa: int, n_v: int, upper: float
+) -> HyperParameterGrid:
+    """The body of :meth:`HyperParameterGrid.paper_default`, one grid per argument set."""
+    if dim < 1:
+        raise HyperParameterError(f"dim must be >= 1, got {dim}")
+    if upper <= 1.0:
+        raise HyperParameterError(f"upper must exceed 1, got {upper}")
+    kappa = np.logspace(-2.0, np.log10(upper), n_kappa)
+    v_offsets = np.logspace(-2.0, np.log10(upper), n_v)
+    return cls(kappa0_values=kappa, v0_values=dim + v_offsets, dim=dim)

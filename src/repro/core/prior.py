@@ -12,11 +12,12 @@ later by cross validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
 from repro.exceptions import DimensionError, InsufficientDataError
+from repro.linalg.batched import SPDFactor, spd_factor
 from repro.linalg.validation import as_samples, assert_spd, inv_spd
 from repro.stats.moments import mle_covariance, sample_mean
 from repro.stats.normal_wishart import NormalWishart
@@ -55,8 +56,15 @@ class PriorKnowledge:
             raise DimensionError(
                 f"prior covariance shape {cov.shape} does not match mean dim {mean.shape[0]}"
             )
+        # Read-only, so the cached ``whitening`` factor cannot go stale.
+        cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+
+    def __setstate__(self, state) -> None:
+        # Unpickled arrays come back writeable; keep the covariance frozen.
+        self.__dict__.update(state)
+        self.covariance.flags.writeable = False
 
     # ------------------------------------------------------------------
     @classmethod
@@ -89,6 +97,15 @@ class PriorKnowledge:
     def precision(self) -> np.ndarray:
         """Early-stage precision matrix ``Lambda_E = Sigma_E^{-1}`` (Eq. 18)."""
         return inv_spd(self.covariance, "covariance")
+
+    @cached_property
+    def whitening(self) -> SPDFactor:
+        """Cholesky factorisation of ``Sigma_E``, computed once per prior.
+
+        Every cross-validated estimate whitens its fold scatters against
+        it (:meth:`~repro.linalg.batched.SPDFactor.whitened_eigh`).
+        """
+        return spd_factor(self.covariance)
 
     def to_normal_wishart(self, kappa0: float, v0: float) -> NormalWishart:
         """Normal-Wishart prior of Eq. (21) for hyper-parameters ``(kappa0, v0)``.

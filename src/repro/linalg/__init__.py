@@ -15,6 +15,7 @@ from repro.linalg.batched import (
     mahalanobis_sq_batched,
     solve_batched,
     solve_triangular_batched,
+    spd_factor,
     symmetrize_batched,
     whitened_eigh_batched,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "solve_batched",
     "solve_spd",
     "solve_triangular_batched",
+    "spd_factor",
     "spectral_norm",
     "symmetrize",
     "symmetrize_batched",

@@ -54,7 +54,9 @@ __all__ = [
     "clip_eigenvalues_batched",
     "jitter_spd_batched",
     "symmetrize_batched",
+    "spd_factor",
     "whitened_eigh_batched",
+    "SPDFactor",
     "WhitenedSpectrum",
 ]
 
@@ -213,32 +215,59 @@ class WhitenedSpectrum(NamedTuple):
     base_cond: float
 
 
+class SPDFactor(NamedTuple):
+    """Factorisation of one SPD ``base`` matrix, from :func:`spd_factor`.
+
+    ``linv`` is the inverse of the lower Cholesky factor ``L`` of
+    ``base`` (``linv @ base @ linv.T = I``); ``logdet`` is ``log |base|``
+    and ``cond`` is ``cond_2(base)``.  A caller that whitens many stacks
+    against one base factors it once and calls :meth:`whitened_eigh`.
+    """
+
+    linv: np.ndarray
+    logdet: float
+    cond: float
+
+    def whitened_eigh(self, stack: ArrayLike) -> WhitenedSpectrum:
+        """:func:`whitened_eigh_batched` of ``stack`` against the factored base."""
+        arr = symmetrize_batched(stack)
+        if self.linv.shape != arr.shape[1:]:
+            raise DimensionError(f"base {self.linv.shape} does not match stack {arr.shape}")
+        white = self.linv @ arr @ self.linv.T
+        values, vecs = np.linalg.eigh((white + np.swapaxes(white, -1, -2)) / 2.0)
+        return WhitenedSpectrum(
+            values, np.swapaxes(vecs, -1, -2) @ self.linv, self.logdet, self.cond
+        )
+
+
+def spd_factor(base: ArrayLike) -> SPDFactor:
+    """Cholesky factorisation of the symmetrised SPD ``base``.
+
+    Raises :class:`~repro.exceptions.NotSPDError` unless ``base`` is SPD.
+    """
+    b = np.asarray(base, dtype=float)
+    try:
+        chol = np.linalg.cholesky((b + b.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPDError("base of the whitened eigenproblem is not SPD") from exc
+    base_eig = np.linalg.eigvalsh(b)
+    return SPDFactor(
+        np.linalg.inv(chol),
+        float(2.0 * np.sum(np.log(np.diagonal(chol)))),
+        float(base_eig[-1] / base_eig[0]),
+    )
+
+
 def whitened_eigh_batched(stack: ArrayLike, base: ArrayLike) -> WhitenedSpectrum:
     """Generalised eigenproblems ``stack[i] x = lam base x`` against one SPD ``base``.
 
     Whitens by the lower Cholesky factor ``L`` of ``base`` and
     eigendecomposes every symmetrised ``L^-1 stack[i] L^-T`` in one
-    ``eigh`` call.  ``stack`` members must be finite; ``base`` must be
-    SPD (:class:`~repro.exceptions.NotSPDError` otherwise).
+    ``eigh`` call: ``spd_factor(base).whitened_eigh(stack)``.  ``stack``
+    members must be finite; ``base`` must be SPD
+    (:class:`~repro.exceptions.NotSPDError` otherwise).
     """
-    arr = symmetrize_batched(stack)
-    b = np.asarray(base, dtype=float)
-    if b.shape != arr.shape[1:]:
-        raise DimensionError(f"base {b.shape} does not match stack {arr.shape}")
-    try:
-        chol = np.linalg.cholesky((b + b.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError("base of the whitened eigenproblem is not SPD") from exc
-    linv = np.linalg.inv(chol)
-    white = linv @ arr @ linv.T
-    values, vecs = np.linalg.eigh((white + np.swapaxes(white, -1, -2)) / 2.0)
-    base_eig = np.linalg.eigvalsh(b)
-    return WhitenedSpectrum(
-        values,
-        np.swapaxes(vecs, -1, -2) @ linv,
-        float(2.0 * np.sum(np.log(np.diagonal(chol)))),
-        float(base_eig[-1] / base_eig[0]),
-    )
+    return spd_factor(base).whitened_eigh(stack)
 
 
 def solve_batched(systems: np.ndarray, rhs: np.ndarray, name: str = "systems") -> np.ndarray:

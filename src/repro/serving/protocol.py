@@ -194,7 +194,7 @@ def _op_create(service: ServingService, request: Dict[str, Any]) -> Dict[str, An
         "dim": session.dim,
         "kappa0": session.kappa0,
         "v0": session.v0,
-        "n": session.n_ingested,
+        "n": service.row_count(key),
     }
 
 

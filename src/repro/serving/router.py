@@ -326,6 +326,16 @@ class ShardedMomentService:
             self._records.pop(key, None)
             return any([worker.drop_session(key) for worker in self._owners(key)])
 
+    def row_count(self, key: str) -> int:
+        """``key``'s row count as an ingest ack states it: rows in every
+        owning shard plus rows still buffered (no flush, no clock tick)."""
+        key = str(key)
+        with self._ingest_lock:
+            if self._passthrough:
+                return self.workers[0].row_count(key)
+            record = self._records.get(key)
+            return 0 if record is None else record.acked
+
     def session_keys(self) -> List[str]:
         """Sorted union of live keys across shards (buffers flushed first)."""
         self.flush()

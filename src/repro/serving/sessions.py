@@ -274,6 +274,12 @@ class SessionStore:
         with self._lock:
             return sorted(self._sessions)
 
+    def row_count(self, key: str) -> int:
+        """Rows folded into ``key``'s session (0 if absent), without ticking the clock."""
+        with self._lock:
+            session = self._sessions.get(key)
+            return 0 if session is None else session.n_ingested
+
     def row_counts(self) -> Dict[str, int]:
         """Rows folded into each live session, without ticking the clock."""
         with self._lock:

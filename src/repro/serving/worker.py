@@ -205,6 +205,10 @@ class ShardWorker:
         """Live session keys, sorted (no clock tick; read-only listing)."""
         return self.store.keys()
 
+    def row_count(self, key: str) -> int:
+        """``key``'s row count as an ingest ack states it (no clock tick)."""
+        return self.store.row_count(str(key))
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

@@ -10,6 +10,8 @@ replaced, kept as oracles:
   candidate and fold and scores the held-out rows one by one (with the
   same repair order: plain Cholesky with one jitter retry, then an
   eigenvalue clip, else ``-inf``);
+* :func:`loop_fold_stats` is the per-fold loop that built the stacked
+  :class:`~repro.core.crossval.FoldStats` before one gather did;
 * :func:`stacked_fold_ll` is the scorer that preceded the closed form:
   it builds the whole ``(Q, K, V, d, d)`` MAP stack, factors all of it
   with the repair ladder and scores every member by one triangular solve;
@@ -28,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import crossval
 from repro.core.crossval import CrossValidationResult, make_folds
 from repro.core.evidence import EvidenceResult, log_evidence
 from repro.core.hypergrid import HyperParameterGrid
@@ -58,6 +61,32 @@ def train_test_stats(data: np.ndarray, test_idx: np.ndarray) -> FoldStats:
     scatter = centered.T @ centered
     scatter = (scatter + scatter.T) / 2.0
     return n_train, xbar, scatter, test
+
+
+def loop_fold_stats(data: np.ndarray, folds: Sequence[np.ndarray]) -> crossval.FoldStats:
+    """:func:`repro.core.crossval._fold_stats`, one fold per loop iteration.
+
+    The bitwise oracle of the stacked gather on equal folds (``Q | n``).
+    """
+    n, d = data.shape
+    n_test = np.array([fold.size for fold in folds], dtype=float)
+    xbar = np.empty((len(folds), d))
+    scatter = np.empty((len(folds), d, d))
+    xbar_test = np.empty((len(folds), d))
+    centred = np.zeros((len(folds), int(n_test.max()), d))
+    for i, fold in enumerate(folds):
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        train = data[mask]
+        xbar[i] = train.mean(axis=0)
+        dev = train - xbar[i]
+        s = dev.T @ dev
+        scatter[i] = (s + s.T) / 2.0
+        test = data[fold]
+        xbar_test[i] = test.mean(axis=0)
+        centred[i, : fold.size] = test - xbar_test[i]
+    root = np.linalg.qr(centred, mode="r")
+    return crossval.FoldStats(n - n_test, xbar, scatter, n_test, xbar_test, root)
 
 
 def map_moments(

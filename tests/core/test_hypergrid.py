@@ -35,6 +35,19 @@ class TestPaperDefault:
         with pytest.raises(HyperParameterError):
             HyperParameterGrid.paper_default(0)
 
+    def test_equal_arguments_share_one_grid(self):
+        grid = HyperParameterGrid.paper_default(5)
+        assert HyperParameterGrid.paper_default(5, 12, 12, 1000.0) is grid
+        assert HyperParameterGrid.paper_default(5, n_kappa=6) is not grid
+
+    @pytest.mark.parametrize("axis", ["kappa0_values", "v0_values"])
+    def test_axes_refuse_in_place_writes(self, axis):
+        values = getattr(HyperParameterGrid.paper_default(5), axis)
+        with pytest.raises(ValueError):
+            values[0] = 1e6
+        with pytest.raises(ValueError):
+            values *= 2.0
+
 
 class TestLinear:
     def test_within_range(self):

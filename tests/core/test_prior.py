@@ -1,10 +1,13 @@
 """Tests for the early-stage prior container (Eq. 17-21)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import DimensionError, HyperParameterError, InsufficientDataError
+from repro.linalg.batched import whitened_eigh_batched
 
 
 class TestConstruction:
@@ -64,3 +67,28 @@ class TestDerived:
     def test_frozen(self, synthetic_prior):
         with pytest.raises(Exception):
             synthetic_prior.dim = 3
+
+
+class TestWhitening:
+    def test_is_computed_once(self, synthetic_prior):
+        assert synthetic_prior.whitening is synthetic_prior.whitening
+
+    def test_covariance_is_read_only(self, synthetic_prior):
+        with pytest.raises(ValueError):
+            synthetic_prior.covariance[0, 0] = 1.0
+
+    def test_covariance_stays_read_only_through_pickle(self, synthetic_prior):
+        factor = synthetic_prior.whitening
+        clone = pickle.loads(pickle.dumps(synthetic_prior))
+        with pytest.raises(ValueError):
+            clone.covariance[0, 0] = 1.0
+        np.testing.assert_array_equal(clone.whitening.linv, factor.linv)
+
+    def test_bit_identical_to_whitening_the_covariance(self, synthetic_prior, rng):
+        a = rng.standard_normal((4, 5, 5))
+        stack = a @ np.swapaxes(a, -1, -2)
+        got = synthetic_prior.whitening.whitened_eigh(stack)
+        want = whitened_eigh_batched(stack, synthetic_prior.covariance)
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.proj, want.proj)
+        assert (got.base_logdet, got.base_cond) == (want.base_logdet, want.base_cond)

@@ -564,6 +564,42 @@ class TestIngestAck:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize(
+        "n_shards, placement, flush_rows",
+        [(1, "hash", 1), (1, "hash", 8), (4, "hash", 8), (4, "spread", 8)],
+    )
+    def test_exist_ok_create_acks_buffered_rows(
+        self, n_shards, placement, flush_rows, prior, rng
+    ):
+        """An ``exist_ok`` create answers the ingest ack's ``n``: rows on
+        every owning shard plus rows the router still buffers (19 rows
+        at ``flush_rows=8`` leave 3 buffered, and spread placement puts
+        the two flushed blocks on different shards)."""
+        create = {
+            "op": "create",
+            "key": "k",
+            "prior_mean": prior.mean.tolist(),
+            "prior_covariance": prior.covariance.tolist(),
+            "kappa0": KAPPA0,
+            "v0": V0,
+        }
+        rows = rng.standard_normal((19, D))
+        router = ShardedMomentService(
+            n_shards=n_shards, placement=placement, flush_rows=flush_rows
+        )
+        with ShardWorker() as worker, router:
+            for svc in (worker, router):
+                assert _call(svc, **create)["n"] == 0
+                acks = [
+                    _call(svc, op="ingest", key="k", samples=row.tolist())["n"] for row in rows
+                ]
+                assert acks == list(range(1, 20))
+                assert _call(svc, **create, exist_ok=True)["n"] == 19
+                assert _call(svc, op="ingest", key="k", samples=rows[0].tolist())["n"] == 20
+                assert _call(svc, **create, exist_ok=True)["n"] == 20
+                assert _call(svc, op="drop", key="k")["dropped"]
+                assert _call(svc, **create)["n"] == 0
+
     def test_refused_flush_leaves_the_count(self):
         """Rows a flush could not apply stop counting: the next ack is the
         session's real row count again."""
