@@ -63,10 +63,9 @@ def utc_timestamp() -> str:
 def environment_info() -> Dict[str, Any]:
     """The environment fingerprint recorded with every trajectory entry.
 
-    The optional scipy package (the sparse MNA backend) is recorded as
-    its version string when importable and ``None`` when absent, so a
-    speedup regression can be traced to a dependency change rather than a
-    code change.  ``cpu_count`` is the machine's CPU count and
+    The numpy and scipy versions are recorded (scipy as ``None`` when it
+    cannot be imported), so a speedup regression can be traced to a
+    dependency change rather than a code change.  ``cpu_count`` is the machine's CPU count and
     ``affinity_cpus`` the CPUs this process may run on (``None`` where the
     platform cannot say).
     """

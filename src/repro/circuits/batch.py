@@ -48,8 +48,7 @@ Cache notes: neither base bumps
 banks stay valid to round-off.
 
 * Moving a process-sample circuit onto the stamp plan moves its rows by
-  ~1e-15 relative (a closed-form vs. an LU solve of the same system) —
-  the same reason ``mna_backend`` is not part of the dataset cache key.
+  ~1e-15 relative (a closed-form vs. an LU solve of the same system).
 * The R-2R ladder's superposition solve (unit-bit right-hand sides
   instead of one per code, and a closed-form code average of the
   reference current) moves its rows by round-off of the same linear
@@ -167,7 +166,6 @@ class StampPlanSimulator:
         self,
         samples: List[ProcessSample],
         memory_budget_mb: float,
-        mna_backend: Optional[str] = None,
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -177,7 +175,6 @@ class StampPlanSimulator:
         samples: List[ProcessSample],
         memory_budget_mb: float = 512.0,
         n_jobs: Optional[int] = None,
-        mna_backend: Optional[str] = None,
     ) -> np.ndarray:
         """Metrics matrix ``(len(samples), d)`` in metric-name order.
 
@@ -198,12 +195,6 @@ class StampPlanSimulator:
             Optional process-based sharding (``-1`` = all CPUs).  Results
             are bit-identical to the single-process run for every worker
             count.
-        mna_backend:
-            System-solve strategy forwarded to
-            :meth:`repro.circuits.mna.StampPlan.solve_batched`:
-            ``"dense"``, ``"sparse"``, or ``None``/``"auto"`` (size
-            heuristic — the macromodels' tiny reduced cores always
-            resolve dense).
         """
         sample_list = list(samples)
         if not sample_list:
@@ -212,7 +203,7 @@ class StampPlanSimulator:
         self._stamp_plan()  # build once; forked workers inherit it
         return _fan_out(
             lambda idx: self._simulate_chunked(
-                [sample_list[i] for i in idx], memory_budget_mb, mna_backend
+                [sample_list[i] for i in idx], memory_budget_mb
             ),
             len(sample_list),
             n_jobs,
@@ -222,7 +213,6 @@ class StampPlanSimulator:
         self,
         samples: List[ProcessSample],
         memory_budget_mb: float,
-        mna_backend: Optional[str] = None,
     ) -> np.ndarray:
         """Run the vectorized engine in cache-sized sample chunks.
 
@@ -235,11 +225,11 @@ class StampPlanSimulator:
         )
         chunk = max(1, min(self._PIPELINE_CHUNK, budget_rows))
         if len(samples) <= chunk:
-            return self._simulate_batch_vectorized(samples, memory_budget_mb, mna_backend)
+            return self._simulate_batch_vectorized(samples, memory_budget_mb)
         return np.vstack(
             [
                 self._simulate_batch_vectorized(
-                    samples[i : i + chunk], memory_budget_mb, mna_backend
+                    samples[i : i + chunk], memory_budget_mb
                 )
                 for i in range(0, len(samples), chunk)
             ]

@@ -39,8 +39,6 @@ from repro.circuits.components import (
 )
 from repro.circuits.netlist import Netlist
 from repro.exceptions import SimulationError, SingularMatrixError
-from repro.linalg.backends import resolve_mna_backend
-from repro.linalg.backends import sparse_mna as _sparse_mna
 from repro.linalg.batched import solve_batched
 
 __all__ = [
@@ -391,30 +389,6 @@ class BatchedACSolution:
         return self.voltage(out_node) / vin_arr
 
 
-@dataclass(frozen=True)
-class _SparsePlanData:
-    """Sparse lowering of a :class:`StampPlan` (cached symbolic analysis).
-
-    ``base_data_*`` hold the constant stamps pre-scattered into the shared
-    CSC ``pattern``; ``var_*`` map variable-component contributions into
-    it as ``(slots, proj_cols)`` pairs (data slot per entry, column into
-    the dense scatter projection).  ``rhs_*`` are ``(proj_cols, rows,
-    kv_idx)`` triples for variable entries whose column was eliminated as
-    known — they fold into the RHS exactly like the dense path's
-    ``[keep, known]`` slice products.
-    """
-
-    pattern: _sparse_mna.SparsePattern
-    base_data_g: np.ndarray
-    base_data_c: np.ndarray
-    var_g: Optional[Tuple[np.ndarray, np.ndarray]]
-    var_c: Optional[Tuple[np.ndarray, np.ndarray]]
-    rhs_g: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    rhs_c: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    rhs0_base: np.ndarray
-    rhs1_base: np.ndarray
-
-
 class StampPlan:
     """Symbolic scatter plan: netlist topology assembled once, values later.
 
@@ -445,17 +419,10 @@ class StampPlan:
        in closed form for ``m' <= 3`` or with one stacked
        ``np.linalg.solve`` otherwise.
 
-    Large reduced systems can instead run on the **sparse backend**
-    (``solve_batched(..., backend="sparse")``): the COO scatter plan is
-    lowered once to a shared CSC pattern (symbolic analysis, done a
-    single time per topology) and every ``(sample, frequency)`` system is
-    factorised by ``scipy.sparse.linalg.splu`` — ``O(nnz)`` memory per
-    system instead of ``O(m'^2)``, so node counts can grow 10-100x past
-    where the dense stacks exhaust ``memory_budget_mb``.  ``"auto"``
-    (the default) picks dense for small cores and sparse beyond
-    :data:`repro.linalg.backends.DENSE_AUTO_MAX_REDUCED_SIZE` nodes.
-    Dense and sparse agree to ~1e-9 relative (different factorisation
-    algorithms on the same systems), which the equivalence suite gates.
+    Every shipped circuit reduces to ``m' <= 3``.  Larger systems still
+    solve, but the stacked dense systems cost ``O(m'^2)`` memory per
+    ``(sample, frequency)``: a reduced core whose single sample does not
+    fit ``memory_budget_mb`` is refused with :class:`SimulationError`.
     """
 
     def __init__(self, netlist: Netlist, variable: Sequence[str] = ()) -> None:
@@ -557,9 +524,6 @@ class StampPlan:
             for name, idx in self._branch_map.items()
             if idx in keep_pos
         }
-        # Lazily-built sparse lowering of the plan (symbolic analysis is
-        # done once per topology, on first sparse solve).
-        self._sparse_data: Optional[_SparsePlanData] = None
 
     # ------------------------------------------------------------------
     @property
@@ -651,14 +615,12 @@ class StampPlan:
             per_sample = n_freq * (m * m + 2 * m) * 16 * 3
         chunk = int(memory_budget_mb * 2**20 / per_sample)
         if chunk < 1:
-            # The dense stacks cannot hold even one sample: fail loudly
-            # instead of silently blowing past the budget.  The sparse
-            # backend needs O(nnz) per system and has no such wall.
+            # The stacked systems cannot hold even one sample: fail loudly
+            # instead of silently blowing past the budget.
             raise SimulationError(
-                f"dense MNA backend: one sample needs ~{per_sample / 2**20:.1f} MiB "
+                f"MNA solve: one sample needs ~{per_sample / 2**20:.1f} MiB "
                 f"(reduced size {m}, {n_freq} frequencies), which exceeds "
-                f"memory_budget_mb={memory_budget_mb:g}; raise the budget or "
-                "solve with backend='sparse'"
+                f"memory_budget_mb={memory_budget_mb:g}; raise memory_budget_mb"
             )
         return min(n, chunk)
 
@@ -684,7 +646,6 @@ class StampPlan:
         freqs,
         memory_budget_mb: float = 512.0,
         outputs: Optional[Sequence[Hashable]] = None,
-        backend: Optional[str] = None,
     ) -> BatchedACSolution:
         """Solve all samples over the grid with chunked stacked solves.
 
@@ -694,17 +655,12 @@ class StampPlan:
         order.  Peak memory is bounded by ``memory_budget_mb``.  When
         ``outputs`` names the only nodes/branches the caller will read,
         the solve skips the Cramer numerators of every other unknown.
-        ``backend`` selects the system-solve strategy: ``"dense"``,
-        ``"sparse"``, or ``None``/``"auto"`` (dense for small reduced
-        cores, sparse — when scipy is importable — beyond
-        :data:`repro.linalg.backends.DENSE_AUTO_MAX_REDUCED_SIZE`).
         """
         check_memory_budget(memory_budget_mb)
         f = _validate_freqs(freqs)
         m = self._keep.size
         if m == 0:
             raise SimulationError("every unknown was eliminated; nothing to solve")
-        backend_name = resolve_mna_backend(backend, m)
         omega = 2.0 * np.pi * f
         want = self._output_columns(outputs)
         slot_of = {red: slot for slot, red in enumerate(want)}
@@ -718,17 +674,6 @@ class StampPlan:
             for name, red in self._branch_column_of.items()
             if red in slot_of
         }
-
-        if backend_name == "sparse":
-            stamped = self._slot_values(values)
-            n = stamped.shape[0]
-            solution = np.empty((len(want), n, f.size), dtype=complex)
-            self._solve_sparse(stamped, omega, want, memory_budget_mb, solution)
-            if not np.all(np.isfinite(solution)):
-                raise SimulationError("non-finite AC solution in batch")
-            return BatchedACSolution(
-                f, solution, column_of, dict(self._known), branch_column_of
-            )
 
         g_stack, c_stack, b = self.assemble_batched(values)
         n = g_stack.shape[0]
@@ -784,166 +729,6 @@ class StampPlan:
         return BatchedACSolution(
             f, solution, column_of, dict(self._known), branch_column_of
         )
-
-    # ------------------------------------------------------------------
-    # sparse backend
-    # ------------------------------------------------------------------
-    def _sparse_plan(self) -> "_SparsePlanData":
-        """Lower the scatter plan to a reduced CSC pattern (built once).
-
-        Symbolic analysis: the union sparsity structure of the reduced
-        ``G``/``C`` pair — constant stamps plus every variable-component
-        position — is shared by all Monte-Carlo samples and frequencies,
-        so it is computed here a single time and cached on the plan.
-        Variable entries whose column was eliminated as known contribute
-        to the RHS instead (same elimination the dense path performs via
-        its ``[keep, known]`` slices).
-        """
-        if self._sparse_data is not None:
-            return self._sparse_data
-        keep = self._keep
-        m = keep.size
-        size = self._size
-        full_to_red = np.full(size, -1, dtype=np.int64)
-        full_to_red[keep] = np.arange(m, dtype=np.int64)
-        known_pos = np.full(size, -1, dtype=np.int64)
-        if self._known_cols.size:
-            known_pos[self._known_cols] = np.arange(self._known_cols.size, dtype=np.int64)
-
-        rows_parts: List[np.ndarray] = []
-        cols_parts: List[np.ndarray] = []
-        base_entries = []
-        var_entries = []
-        rhs_entries = []
-        red_ix = np.ix_(keep, keep)
-        for base in (self._base_g, self._base_c):
-            red = base[red_ix]
-            rb, cb = np.nonzero(red)
-            base_entries.append((rb, cb, red[rb, cb]))
-            rows_parts.append(rb.astype(np.int64))
-            cols_parts.append(cb.astype(np.int64))
-        for scatter in self._scatter:
-            if scatter is None:
-                var_entries.append(None)
-                rhs_entries.append(None)
-                continue
-            uniq, _projection = scatter
-            r_full = uniq // size
-            c_full = uniq % size
-            r_red = full_to_red[r_full]
-            c_red = full_to_red[c_full]
-            in_mat = (r_red >= 0) & (c_red >= 0)
-            var_entries.append((np.flatnonzero(in_mat), r_red[in_mat], c_red[in_mat]))
-            rows_parts.append(r_red[in_mat])
-            cols_parts.append(c_red[in_mat])
-            to_rhs = (r_red >= 0) & (known_pos[c_full] >= 0)
-            rhs_entries.append(
-                (np.flatnonzero(to_rhs), r_red[to_rhs], known_pos[c_full[to_rhs]])
-            )
-        rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, np.int64)
-        if rows.size == 0:
-            raise SimulationError("reduced system has no matrix entries; nothing to solve")
-        cols = np.concatenate(cols_parts)
-        pattern, slot = _sparse_mna.build_pattern(rows, cols, m)
-
-        # Split the slot array back into the segments appended above.  A
-        # matrix without variable entries contributed no segment, so the
-        # variable segments are consumed positionally, not zipped.
-        offsets = np.cumsum([part.size for part in rows_parts])
-        seg = list(np.split(slot, offsets[:-1]))
-        base_data = []
-        for (rb, _cb, vals), slots in zip(base_entries, seg[:2]):
-            data = np.zeros(pattern.nnz)
-            np.add.at(data, slots, vals)
-            base_data.append(data)
-        var_maps: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-        var_seg = iter(seg[2:])
-        for entry in var_entries:
-            if entry is None:
-                var_maps.append(None)
-            else:
-                proj_cols, _r, _c = entry
-                var_maps.append((next(var_seg), proj_cols))
-
-        rhs0_base = self._base_b[keep].astype(complex)
-        rhs1_base = np.zeros(m, dtype=complex)
-        if self._known_cols.size:
-            kc = self._known_cols
-            kv = self._known_values
-            rhs0_base = rhs0_base - self._base_g[np.ix_(keep, kc)] @ kv
-            rhs1_base = -(self._base_c[np.ix_(keep, kc)] @ kv)
-
-        self._sparse_data = _SparsePlanData(
-            pattern=pattern,
-            base_data_g=base_data[0],
-            base_data_c=base_data[1],
-            var_g=var_maps[0],
-            var_c=var_maps[1],
-            rhs_g=rhs_entries[0],
-            rhs_c=rhs_entries[1],
-            rhs0_base=rhs0_base,
-            rhs1_base=rhs1_base,
-        )
-        return self._sparse_data
-
-    def _solve_sparse(
-        self,
-        stamped: np.ndarray,
-        omega: np.ndarray,
-        want: Sequence[int],
-        memory_budget_mb: float,
-        solution: np.ndarray,
-    ) -> None:
-        """Sparse-backend solve: per-chunk CSC data assembly + splu loop."""
-        sp = self._sparse_plan()
-        pattern = sp.pattern
-        n = stamped.shape[0]
-        m = self._keep.size
-        kv = self._known_values
-        # Per-sample working set: two real CSC data rows, two complex RHS
-        # rows, factorisation headroom.  O(nnz), never O(m^2).
-        per_sample = pattern.nnz * 8 * 2 + m * 16 * 4 + pattern.nnz * 32
-        chunk = max(1, min(n, int(memory_budget_mb * 2**20 / per_sample)))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            sub = stamped[start:stop]
-            k = stop - start
-            data_g = np.broadcast_to(sp.base_data_g, (k, pattern.nnz)).copy()
-            data_c = np.broadcast_to(sp.base_data_c, (k, pattern.nnz)).copy()
-            for mat, data, var in (
-                (_MAT_G, data_g, sp.var_g),
-                (_MAT_C, data_c, sp.var_c),
-            ):
-                scatter = self._scatter[mat]
-                if var is None or var[0].size == 0 or scatter is None:
-                    continue
-                slots, proj_cols = var
-                data[:, slots] += sub @ scatter[1][:, proj_cols]
-            rhs0 = np.broadcast_to(sp.rhs0_base, (k, m)).copy()
-            rhs1 = np.broadcast_to(sp.rhs1_base, (k, m)).copy()
-            for mat, rhs, entry in (
-                (_MAT_G, rhs0, sp.rhs_g),
-                (_MAT_C, rhs1, sp.rhs_c),
-            ):
-                scatter = self._scatter[mat]
-                if entry is None or entry[0].size == 0 or scatter is None:
-                    continue
-                proj_cols, rows_red, kv_idx = entry
-                contrib = (sub @ scatter[1][:, proj_cols]) * kv[kv_idx]
-                np.add.at(
-                    rhs,
-                    (np.arange(k)[:, None], rows_red[None, :]),
-                    -contrib,
-                )
-            try:
-                _sparse_mna.solve_patterned(
-                    pattern, data_g, data_c, rhs0, rhs1, omega, want,
-                    solution[:, start:stop],
-                )
-            except SingularMatrixError as exc:
-                raise SimulationError(
-                    "singular MNA system in batch; check for floating nodes"
-                ) from exc
 
     @staticmethod
     def _solve_stacked(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -232,7 +232,6 @@ def generate_opamp_dataset(
     design: Optional[OpAmpDesign] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     use_cache: bool = True,
-    mna_backend: Optional[str] = None,
 ) -> PairedDataset:
     """Generate the paper's op-amp sample bank (Sec. 5.1).
 
@@ -241,13 +240,6 @@ def generate_opamp_dataset(
     Identical configurations are served from the disk cache (see
     :func:`dataset_cache_path`); pass ``use_cache=False`` to force a
     fresh simulation.
-
-    ``mna_backend`` picks the MNA solve strategy (``"dense"``,
-    ``"sparse"``, ``None``/``"auto"``).  It is deliberately *not* part of
-    the cache key: the backend-equivalence suite gates dense and sparse
-    to <=1e-9 relative agreement on every solve, so both produce the same
-    dataset up to solver round-off and a bank cached under one backend is
-    valid for the other — a performance knob, not a config change.
     """
     # Lazy upward import: the registry aggregates every circuit module
     # (this one included), so dispatching through it at module scope
@@ -261,7 +253,6 @@ def generate_opamp_dataset(
         design=design,
         cache_dir=cache_dir,
         use_cache=use_cache,
-        mna_backend=mna_backend,
     )
 
 

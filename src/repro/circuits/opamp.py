@@ -437,7 +437,6 @@ class TwoStageOpAmp(StampPlanSimulator):
         self,
         samples: List[ProcessSample],
         memory_budget_mb: float,
-        mna_backend: Optional[str] = None,
     ) -> np.ndarray:
         n = len(samples)
         design = self.design
@@ -471,7 +470,6 @@ class TwoStageOpAmp(StampPlanSimulator):
             self._FREQ_GRID,
             memory_budget_mb=memory_budget_mb,
             outputs=[out_node],
-            backend=mna_backend,
         )
         h = solution.transfer(out_node, "in")
 

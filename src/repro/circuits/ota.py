@@ -385,7 +385,6 @@ class FoldedCascodeOTA(StampPlanSimulator):
         self,
         samples: List[ProcessSample],
         memory_budget_mb: float,
-        mna_backend: Optional[str] = None,
     ) -> np.ndarray:
         design = self.design
         par = self.parasitics
@@ -419,7 +418,6 @@ class FoldedCascodeOTA(StampPlanSimulator):
             self._FREQ_GRID,
             memory_budget_mb=memory_budget_mb,
             outputs=["out"],
-            backend=mna_backend,
         )
         mag = np.abs(solution.transfer("out", "in"))
 

@@ -31,8 +31,7 @@ Cache discipline: :func:`generate_dataset` keys the disk cache on the
 *original* design plus the variant's config mapping — never on the
 variant-mutated design — and omits the variant entirely when it is the
 identity, so every pre-registry cache path is preserved byte-for-byte
-(regression-tested).  ``mna_backend`` stays out of the key (see
-:func:`repro.circuits.montecarlo.generate_opamp_dataset`).
+(regression-tested).
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ __all__ = [
     "generate_dataset",
 ]
 
-#: Builder signature: (n_samples, seed, design, variant, mna_backend).
-_Builder = Callable[[int, int, object, CircuitVariant, Optional[str]], PairedDataset]
+#: Builder signature: (n_samples, seed, design, variant).
+_Builder = Callable[[int, int, object, CircuitVariant], PairedDataset]
 
 _IDENTITY = CircuitVariant()
 
@@ -90,9 +89,6 @@ class CircuitEntry:
         Monte-Carlo bank size when the caller does not specify one.
     builder:
         Stage-pair dataset builder honouring the circuit variant.
-    supports_mna_backend:
-        Whether the simulator threads an ``mna_backend`` through its
-        batched solves (StampPlan-based circuits only).
     """
 
     name: str
@@ -101,7 +97,6 @@ class CircuitEntry:
     metric_names: Tuple[str, ...]
     default_samples: int
     builder: _Builder
-    supports_mna_backend: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +118,6 @@ def _process_builder(sim_cls: type, metric_names: Tuple[str, ...]) -> _Builder:
         seed: int,
         design,
         variant: CircuitVariant,
-        mna_backend: Optional[str],
     ) -> PairedDataset:
         early = sim_cls.schematic(design)
         late = sim_cls.post_layout(design)
@@ -135,7 +129,6 @@ def _process_builder(sim_cls: type, metric_names: Tuple[str, ...]) -> _Builder:
         model = scaled_process_model(base_model, variant.mismatch_scale)
         rng = np.random.default_rng(seed)
         samples = model.sample(early.devices, n_samples, rng)
-        kwargs = {} if mna_backend is None else {"mna_backend": mna_backend}
         if variant.corner != _IDENTITY.corner:
             spec = variant.spec
             samples = _corner_samples(spec, samples, base_model)
@@ -150,8 +143,8 @@ def _process_builder(sim_cls: type, metric_names: Tuple[str, ...]) -> _Builder:
             early_nominal = early.simulate_nominal().as_array()
             late_nominal = late.simulate_nominal().as_array()
         return PairedDataset(
-            early=early.simulate_batch(samples, **kwargs),
-            late=late.simulate_batch(samples, **kwargs),
+            early=early.simulate_batch(samples),
+            late=late.simulate_batch(samples),
             early_nominal=early_nominal,
             late_nominal=late_nominal,
             metric_names=metric_names,
@@ -177,7 +170,6 @@ def _die_builder(
         seed: int,
         design,
         variant: CircuitVariant,
-        mna_backend: Optional[str],
     ) -> PairedDataset:
         resolved = design
         if variant.corner != _IDENTITY.corner:
@@ -267,7 +259,6 @@ _register(
         metric_names=OPAMP_METRIC_NAMES,
         default_samples=5000,
         builder=_process_builder(TwoStageOpAmp, OPAMP_METRIC_NAMES),
-        supports_mna_backend=True,
     )
 )
 _register(
@@ -294,7 +285,6 @@ _register(
         metric_names=OTA_METRIC_NAMES,
         default_samples=2000,
         builder=_process_builder(FoldedCascodeOTA, OTA_METRIC_NAMES),
-        supports_mna_backend=True,
     )
 )
 _register(
@@ -326,7 +316,6 @@ _register(
         metric_names=SVF_METRIC_NAMES,
         default_samples=2000,
         builder=_process_builder(GmCStateVariableFilter, SVF_METRIC_NAMES),
-        supports_mna_backend=True,
     )
 )
 _register(
@@ -371,7 +360,6 @@ def generate_dataset(
     variant: Optional[CircuitVariant] = None,
     cache_dir=None,
     use_cache: bool = True,
-    mna_backend: Optional[str] = None,
 ) -> PairedDataset:
     """Generate (or cache-serve) one circuit's paired early/late bank.
 
@@ -392,10 +380,6 @@ def generate_dataset(
     cache_dir, use_cache:
         Disk-cache controls (see
         :func:`repro.circuits.montecarlo.dataset_cache_path`).
-    mna_backend:
-        MNA solve strategy for StampPlan circuits; rejected for circuits
-        that do not thread one (their solves are not MNA-shaped).  Not
-        part of the cache key (backend equivalence is gated by tests).
     """
     entry = get_circuit(circuit)
     resolved = design if design is not None else entry.design_cls()
@@ -406,14 +390,10 @@ def generate_dataset(
         )
     n = entry.default_samples if n_samples is None else int(n_samples)
     v = variant if variant is not None else _IDENTITY
-    if mna_backend is not None and not entry.supports_mna_backend:
-        raise ConfigError(
-            f"{circuit} does not support mna_backend (no batched MNA solve)"
-        )
     extra = None if v.is_default else v.as_config()
 
     def build() -> PairedDataset:
-        return entry.builder(n, seed, resolved, v, mna_backend)
+        return entry.builder(n, seed, resolved, v)
 
     return _cached_dataset(
         circuit, n, seed, resolved, build, cache_dir, use_cache, extra=extra

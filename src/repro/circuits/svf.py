@@ -412,7 +412,6 @@ class GmCStateVariableFilter(StampPlanSimulator):
         self,
         samples: List[ProcessSample],
         memory_budget_mb: float,
-        mna_backend: Optional[str] = None,
     ) -> np.ndarray:
         n = len(samples)
         design = self.design
@@ -450,7 +449,6 @@ class GmCStateVariableFilter(StampPlanSimulator):
             self._FREQ_GRID,
             memory_budget_mb=memory_budget_mb,
             outputs=["bp", "lp"],
-            backend=mna_backend,
         )
         mag_bp = np.abs(solution.transfer("bp", "in"))
         mag_lp = np.abs(solution.transfer("lp", "in"))

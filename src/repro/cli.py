@@ -81,15 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of a bare circuit: a .yaml/.json path or builtin:<name>, "
         "'#', then the scenario or instance name",
     )
-    gen.add_argument(
-        "--mna-backend",
-        choices=["auto", "dense", "sparse"],
-        default=None,
-        help=(
-            "MNA solve strategy for circuit simulation (sparse needs scipy; "
-            "auto switches on system size); default: auto"
-        ),
-    )
 
     fuse = sub.add_parser("fuse", help="fuse early knowledge with n late samples")
     fuse.add_argument("dataset", help=".npz bank from 'generate'")
@@ -359,12 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the dataset disk cache (always re-simulate)",
     )
     s_compile.add_argument(
-        "--mna-backend",
-        choices=["auto", "dense", "sparse"],
-        default=None,
-        help="MNA solve strategy for circuits that thread one",
-    )
-    s_compile.add_argument(
         "--json", action="store_true", help="one canonical-JSON report per instance"
     )
 
@@ -446,7 +431,7 @@ def _cmd_generate(args) -> int:
             import dataclasses
 
             inst = dataclasses.replace(inst, n_samples=args.samples)
-        dataset, _ = compile_instance(inst, mna_backend=args.mna_backend)
+        dataset, _ = compile_instance(inst)
         label = f"{inst.circuit} ({inst.name})"
     elif args.circuit is None or args.output is None:
         print(
@@ -456,12 +441,7 @@ def _cmd_generate(args) -> int:
         )
         return 2
     else:
-        dataset = generate_dataset(
-            args.circuit,
-            n_samples=args.samples,
-            seed=args.seed,
-            mna_backend=args.mna_backend,
-        )
+        dataset = generate_dataset(args.circuit, n_samples=args.samples, seed=args.seed)
         label = args.circuit
     save_dataset(dataset, args.output)
     print(
@@ -1054,7 +1034,6 @@ def _cmd_scenarios_compile(args) -> int:
         n_jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        mna_backend=args.mna_backend,
     )
     hits = sum(1 for r in reports if r["cache_hit"])
     if args.json:
@@ -1102,11 +1081,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "query": _cmd_query,
         "scenarios": _cmd_scenarios,
     }
-    from repro.exceptions import BackendUnavailableError, WalCorruptionError
+    from repro.exceptions import WalCorruptionError
 
     try:
         return handlers[args.command](args)
-    except (BackendUnavailableError, WalCorruptionError) as exc:
+    except WalCorruptionError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
 

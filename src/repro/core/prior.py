@@ -46,7 +46,8 @@ class PriorKnowledge:
     n_samples: int = 0
 
     def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        # A private copy: a caller reusing its buffer must not move the prior.
+        mean = np.array(self.mean, dtype=float, ndmin=1)
         if mean.ndim != 1:
             raise DimensionError("prior mean must be 1-D")
         if not np.isfinite(mean).all():
@@ -57,13 +58,15 @@ class PriorKnowledge:
                 f"prior covariance shape {cov.shape} does not match mean dim {mean.shape[0]}"
             )
         # Read-only, so the cached ``whitening`` factor cannot go stale.
+        mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
     def __setstate__(self, state) -> None:
-        # Unpickled arrays come back writeable; keep the covariance frozen.
+        # Unpickled arrays come back writeable; keep both moments frozen.
         self.__dict__.update(state)
+        self.mean.flags.writeable = False
         self.covariance.flags.writeable = False
 
     # ------------------------------------------------------------------

@@ -35,16 +35,6 @@ class SimulationError(ReproError, RuntimeError):
     """Raised when a circuit simulation cannot be completed."""
 
 
-class BackendUnavailableError(ReproError, RuntimeError):
-    """Raised when a requested solver backend's dependency is missing.
-
-    The sparse MNA backend needs scipy, which is never a hard
-    dependency; asking for it explicitly when scipy is absent raises this
-    instead of an opaque :class:`ImportError`, and ``auto`` falls back
-    to dense silently rather than raise.
-    """
-
-
 class NetlistError(ReproError, ValueError):
     """Raised when a circuit netlist is malformed (dangling node, bad value...)."""
 

@@ -161,16 +161,13 @@ def compile_instance(
     inst: ScenarioInstance,
     cache_dir: Optional[Union[str, Path]] = None,
     use_cache: bool = True,
-    mna_backend: Optional[str] = None,
 ) -> Tuple[PairedDataset, Dict[str, Any]]:
     """Compile one instance to its paired dataset (cache-routed).
 
     Returns the dataset plus a JSON-safe report: instance name, circuit,
     config hash, cache path, whether the compile was served from cache,
-    and the dataset shape.  ``mna_backend`` is forwarded only to circuits
-    whose engines thread one.
+    and the dataset shape.
     """
-    entry = get_circuit(inst.circuit)
     extra = None if inst.variant.is_default else inst.variant.as_config()
     path = dataset_cache_path(
         inst.circuit, inst.n_samples, inst.seed, inst.design, cache_dir, extra
@@ -184,7 +181,6 @@ def compile_instance(
         variant=inst.variant,
         cache_dir=cache_dir,
         use_cache=use_cache,
-        mna_backend=mna_backend if entry.supports_mna_backend else None,
     )
     return dataset, _instance_report(inst, dataset, cache_hit, path)
 
@@ -194,7 +190,6 @@ def compile_all(
     n_jobs: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     use_cache: bool = True,
-    mna_backend: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Compile every instance; reports come back in expansion order.
 
@@ -209,9 +204,7 @@ def compile_all(
 
     def compile_shard(shard: List[ScenarioInstance]) -> List[Dict[str, Any]]:
         return [
-            compile_instance(
-                inst, cache_dir=cache_dir, use_cache=use_cache, mna_backend=mna_backend
-            )[1]
+            compile_instance(inst, cache_dir=cache_dir, use_cache=use_cache)[1]
             for inst in shard
         ]
 

@@ -22,7 +22,6 @@ SMALL = {
         "--die-seed-dies", "16", "--repeats", "1",
     ],
     "cv": ["--n-samples", "16", "32", "--repeats", "1"],
-    "backends": ["--smoke", "--repeats", "1"],
     "serving": ["--smoke", "--shards", "1", "4"],
 }
 

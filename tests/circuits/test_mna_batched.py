@@ -138,3 +138,97 @@ class TestStampPlanValidation:
     def test_source_cannot_be_variable(self):
         with pytest.raises(SimulationError):
             StampPlan(rc_netlist(), variable=("Vin",))
+
+
+# ---------------------------------------------------------------------------
+# R-C ladders: reduced cores past the closed form (m > 3) take the stacked
+# LAPACK branch
+# ---------------------------------------------------------------------------
+#: Agreement gate for the batched solve against per-sample ACAnalysis.
+LADDER_REL_TOL = 1e-9
+
+LADDER_FREQS = np.logspace(2, 8, 7)
+
+
+def ladder_netlist(n_nodes, values=None, vccs_gm=None):
+    """R-C ladder ``n0 -> n{n_nodes}`` driven at ``n0``.
+
+    ``values`` overrides component values by name (one sample's draw).
+    With ``vccs_gm``, ``n0`` also drives a VCCS into ``n1``: a variable
+    entry in the eliminated (known) column that folds into the RHS.
+    """
+    values = values or {}
+    net = Netlist()
+    net.voltage_source("Vin", "n0", "0", 1.0)
+    if vccs_gm is not None:
+        net.vccs("Ggm", "0", "n1", "n0", "0", values.get("Ggm", vccs_gm))
+    for i in range(n_nodes):
+        net.resistor(f"R{i}", f"n{i}", f"n{i + 1}", values.get(f"R{i}", 1000.0))
+        net.capacitor(f"C{i}", f"n{i + 1}", "0", values.get(f"C{i}", 1e-9))
+    return net
+
+
+def ladder_values(names, n_samples, seed=0):
+    rng = np.random.default_rng(seed)
+    nominal = {"R": 1000.0, "C": 1e-9, "G": 1e-3}
+    return {
+        name: nominal[name[0]] * np.exp(0.1 * rng.standard_normal(n_samples))
+        for name in names
+    }
+
+
+def assert_matches_per_sample(plan, values, out, n_nodes, vccs_gm=None):
+    sol = plan.solve_batched(values, LADDER_FREQS, outputs=[out])
+    batched = sol.voltage(out)
+    n_samples = len(next(iter(values.values())))
+    assert batched.shape == (n_samples, LADDER_FREQS.size)
+    for i in range(n_samples):
+        draw = {name: float(v[i]) for name, v in values.items()}
+        ref = ACAnalysis(ladder_netlist(n_nodes, draw, vccs_gm)).solve(LADDER_FREQS)
+        expected = ref.voltage(out)
+        rel = np.abs(batched[i] - expected) / np.maximum(np.abs(expected), 1e-300)
+        assert rel.max() <= LADDER_REL_TOL
+
+
+class TestLadders:
+    @pytest.mark.parametrize("n_nodes", [3, 8, 32, 64, 128, 200])
+    def test_ladder_matches_per_sample(self, n_nodes):
+        names = [f"R{i}" for i in range(n_nodes)]
+        plan = StampPlan(ladder_netlist(n_nodes), variable=names)
+        assert plan.reduced_size == n_nodes
+        values = ladder_values(names, 5)
+        assert_matches_per_sample(plan, values, f"n{n_nodes}", n_nodes)
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 17])
+    def test_batch_sizes(self, n_samples):
+        names = [f"R{i}" for i in range(12)]
+        plan = StampPlan(ladder_netlist(12), variable=names)
+        values = ladder_values(names, n_samples)
+        assert_matches_per_sample(plan, values, "n12", 12)
+
+    def test_variable_capacitors_hit_the_c_scatter(self):
+        names = [f"{kind}{i}" for i in range(16) for kind in "RC"]
+        plan = StampPlan(ladder_netlist(16), variable=names)
+        values = ladder_values(names, 4)
+        assert_matches_per_sample(plan, values, "n16", 16)
+
+    @pytest.mark.parametrize("n_nodes", [2, 8])
+    def test_vccs_from_driven_node_folds_into_rhs(self, n_nodes):
+        """A VCCS controlled by the known node is a variable entry in an
+        eliminated column; it must land in the RHS (closed form at 2
+        unknowns, stacked LAPACK at 8)."""
+        names = ["Ggm", "R1"]
+        plan = StampPlan(ladder_netlist(n_nodes, vccs_gm=1e-3), variable=names)
+        values = ladder_values(names, 6, seed=1)
+        assert_matches_per_sample(plan, values, f"n{n_nodes}", n_nodes, vccs_gm=1e-3)
+
+    def test_500_nodes_refused_past_memory_budget(self):
+        """One sample of a 500-unknown core over 50 frequencies does not
+        fit the default budget, so the solve is refused."""
+        names = [f"R{i}" for i in range(500)]
+        plan = StampPlan(ladder_netlist(500), variable=names)
+        values = ladder_values(names, 64)
+        freqs = np.logspace(2, 8, 50)
+        with pytest.raises(SimulationError) as info:
+            plan.solve_batched(values, freqs, outputs=["n500"])
+        assert str(info.value).endswith("raise memory_budget_mb")

@@ -30,11 +30,6 @@ class TestRegistryContents:
     def test_entry_metadata(self):
         entry = get_circuit("opamp")
         assert entry.default_samples == 5000
-        assert entry.supports_mna_backend
-        assert not get_circuit("adc").supports_mna_backend
-        # Every StampPlan circuit threads the backend; die-seed ones do not.
-        supported = [n for n in circuit_names() if get_circuit(n).supports_mna_backend]
-        assert supported == ["opamp", "ota", "svf"]
 
 
 class TestLegacyCachePaths:
@@ -124,10 +119,6 @@ class TestDispatchValidation:
     def test_unknown_circuit_raises(self):
         with pytest.raises(ConfigError, match="unknown circuit"):
             generate_dataset("flash9000", n_samples=8)
-
-    def test_mna_backend_rejected_without_support(self):
-        with pytest.raises(ConfigError, match="does not support mna_backend"):
-            generate_dataset("r2r_dac", n_samples=8, mna_backend="dense")
 
     def test_variant_changes_cache_path_and_data(self, tmp_path):
         base = generate_dataset("adc", n_samples=16, seed=7, cache_dir=tmp_path)

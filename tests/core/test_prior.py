@@ -43,6 +43,26 @@ class TestConstruction:
             PriorKnowledge.from_samples(gaussian5.sample(5, rng))
 
 
+class TestFrozenMoments:
+    def test_reusing_the_callers_buffers_does_not_move_the_prior(self, spd5):
+        mean, cov = np.zeros(5), spd5.copy()
+        prior = PriorKnowledge(mean, cov)
+        mean[0] = 5.0
+        cov[0, 0] = 1e6
+        assert prior.mean[0] == 0.0
+        assert prior.covariance[0, 0] == spd5[0, 0]
+
+    def test_mean_is_read_only(self, synthetic_prior):
+        with pytest.raises(ValueError):
+            synthetic_prior.mean[0] = 1.0
+
+    def test_mean_stays_read_only_through_pickle(self, synthetic_prior):
+        clone = pickle.loads(pickle.dumps(synthetic_prior))
+        np.testing.assert_array_equal(clone.mean, synthetic_prior.mean)
+        with pytest.raises(ValueError):
+            clone.mean[0] = 1.0
+
+
 class TestDerived:
     def test_precision_is_inverse(self, synthetic_prior):
         assert np.allclose(

@@ -52,6 +52,12 @@ class TestCholeskyBatched:
         for i in range(stack.shape[0]):
             np.testing.assert_array_equal(chol[i], np.linalg.cholesky(stack[i]))
 
+    def test_bit_identical_to_stacked_lapack(self, rng):
+        stack = random_spd_stack(rng, b=16, d=5, cond=5.0)
+        chol, ok = cholesky_batched(stack)
+        assert ok.all()
+        assert np.array_equal(chol, np.linalg.cholesky(stack))
+
     def test_isolates_indefinite_members(self, rng):
         stack = random_spd_stack(rng, b=9)
         bad = [1, 4, 8]
@@ -208,6 +214,16 @@ class TestMahalanobisSqBatched:
                 np.testing.assert_allclose(
                     got[i, j], diff @ inv @ diff, rtol=1e-10, atol=1e-12
                 )
+
+    def test_matches_explicit_triangular_solve(self, rng):
+        stack = random_spd_stack(rng, b=16, d=5, cond=5.0)
+        means = rng.standard_normal((16, 5))
+        x = rng.standard_normal((9, 5))
+        chol, _ = cholesky_batched(stack)
+        got = mahalanobis_sq_batched(chol, means, x)
+        diff = np.swapaxes(x[None, :, :] - means[:, None, :], -1, -2)
+        z = np.linalg.solve(chol, diff)
+        np.testing.assert_allclose(got, np.sum(z**2, axis=1), rtol=0, atol=1e-10)
 
     def test_rejects_mean_shape_mismatch(self, rng):
         stack = random_spd_stack(rng, b=2, d=3)

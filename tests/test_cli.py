@@ -32,6 +32,21 @@ class TestParser:
         with pytest.raises(ConfigError, match="unknown circuit"):
             main(["generate", "dac", "out.npz"])
 
+    @pytest.mark.parametrize("layer", ["linalg", "mna"])
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ([], ["list-estimators"]),
+            (["generate", "opamp", "out.npz"], []),
+            (["scenarios", "compile", "doc.yaml"], []),
+        ],
+        ids=["global", "generate", "scenarios-compile"],
+    )
+    def test_rejects_unknown_backend_names(self, before, after, layer):
+        # One solver path per job: no layer takes a backend flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*before, f"--{layer}-backend", "dense", *after])
+
 
 class TestGenerate:
     def test_bank_contents(self, bank_path):
