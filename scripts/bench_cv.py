@@ -28,9 +28,12 @@ the entry as ``results["baseline"]``, next to this tree's.  While
 also time another tree's sources directly
 (``PYTHONPATH=/path/to/other/src python scripts/bench_cv.py --timings-only``).
 
-Times are best-of-``--repeats`` wall clock, which filters scheduler noise
-on shared machines.  ``benchmarks/bench_batched_cv.py`` runs the same
-functions under pytest.  ``BENCH_cv.json`` is an append-only trajectory (see
+Each time is per call: the fastest of ``--repeats`` batches, each batch
+``k`` back-to-back calls with ``k`` chosen so one batch lasts at least
+``SAMPLE_WINDOW_S`` (recorded in the entry's ``config``).  A lone
+sub-millisecond call is mostly scheduler and timer jitter on shared
+machines; the batch and the minimum filter it.
+``benchmarks/bench_batched_cv.py`` runs the same functions under pytest.  ``BENCH_cv.json`` is an append-only trajectory (see
 :mod:`repro.bench.trajectory`): every run adds a timestamped entry to the
 ``history`` array instead of overwriting the previous numbers.
 """
@@ -44,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bench import append_entry, best_of
+from repro.bench import append_entry, best_of_batched
 from repro.core.crossval import (
     TwoDimensionalCV,
     _closed_form_fold_ll,
@@ -60,6 +63,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Largest relative score deviation from the oracle that may be reported
 #: (the winner must match exactly).
 ORACLE_RTOL = 1e-10
+#: Shortest wall time of one timed batch of calls, in seconds.
+SAMPLE_WINDOW_S = 0.05
 
 
 def build_problem(dim: int, n_samples: int, seed: int = 0):
@@ -80,8 +85,8 @@ def time_select(
     seed: int = 0,
     oracle: bool = True,
 ) -> dict:
-    """Best-of times of ``select`` and of its fold statistics at every n in
-    ``n_samples``, keyed by n.
+    """Per-call batch times of ``select`` and of its fold statistics at
+    every n in ``n_samples``, keyed by n.
 
     With ``oracle``, each row also holds the score surface's worst
     relative deviation from the per-candidate loop oracle, whether the
@@ -97,11 +102,15 @@ def time_select(
     for n in n_samples:
         prior, data = build_problem(dim, n, seed)
         cv = TwoDimensionalCV(prior, hyper_grid, n_folds=n_folds)
-        seconds, result = best_of(
-            lambda: cv.select(data, rng=np.random.default_rng(1)), repeats
+        seconds, result = best_of_batched(
+            lambda: cv.select(data, rng=np.random.default_rng(1)),
+            repeats,
+            SAMPLE_WINDOW_S,
         )
         folds = make_folds(n, min(n_folds, n), np.random.default_rng(1))
-        fold_seconds, _ = best_of(lambda: _fold_stats(data, folds), repeats)
+        fold_seconds, _ = best_of_batched(
+            lambda: _fold_stats(data, folds), repeats, SAMPLE_WINDOW_S
+        )
         row = {"select_s": round(seconds, 6), "fold_stats_s": round(fold_seconds, 6)}
         if oracle:
             want = cv_loop_select(
@@ -187,6 +196,7 @@ def main(argv=None) -> int:
             "n_folds": args.n_folds,
             "repeats": args.repeats,
             "seed": args.seed,
+            "sample_window_s": SAMPLE_WINDOW_S,
             "gates": {"max_oracle_dev": ORACLE_RTOL, "winner_matches": True},
         },
         results={"select": rows, **({"baseline": baseline} if baseline else {})},

@@ -10,12 +10,18 @@ all six registry circuits) and times three phases:
 
 The warm pass is also a correctness gate: any instance that re-simulates
 (``cache_hit`` false) or any hash drift between the passes aborts the
-report, because it means scenario identity is broken, not slow.
+report, because it means scenario identity is broken, not slow.  The
+flag is the cache layer's own answer (the bank was read back from its
+entry), so a corrupt entry that is rebuilt counts as a miss.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/bench_scenarios.py [--jobs -1]
-        [--repeats 3] [--out BENCH_scenarios.json]
+        [--repeats 3] [--baseline FILE] [--out BENCH_scenarios.json]
+
+``--baseline FILE`` reads a trajectory another tree's copy of this script
+wrote (``--out FILE``, e.g. the parent commit on the same host) and stores
+its last entry's ``cold_s``/``warm_s`` as ``results["baseline"]``.
 
 Times are best-of-``--repeats`` wall clock.  ``BENCH_scenarios.json`` is
 an append-only trajectory (see :mod:`repro.bench.trajectory`).
@@ -24,6 +30,7 @@ an append-only trajectory (see :mod:`repro.bench.trajectory`).
 from __future__ import annotations
 
 import argparse
+import json
 import shutil
 import tempfile
 import time
@@ -44,6 +51,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--baseline",
+        type=Path,
+        help="trajectory written by another tree's copy of this script",
+    )
     parser.add_argument(
         "--out",
         type=Path,
@@ -89,6 +101,9 @@ def main() -> None:
         "warm_speedup": round(cold_s / warm_s, 2) if warm_s > 0 else None,
         "per_instance_cold_ms": round(1e3 * cold_s / len(instances), 3),
     }
+    if args.baseline:
+        before = json.loads(args.baseline.read_text())["history"][-1]["results"]
+        results["baseline"] = {key: before[key] for key in ("cold_s", "warm_s")}
     append_entry(
         args.out,
         "scenarios",

@@ -5,7 +5,7 @@ benchmark script — whatever layer it exercises — can record its numbers
 without creating an import cycle.
 """
 
-from repro.bench.timing import best_of
+from repro.bench.timing import best_of, best_of_batched
 from repro.bench.trajectory import (
     TRAJECTORY_SCHEMA,
     append_entry,
@@ -18,6 +18,7 @@ __all__ = [
     "TRAJECTORY_SCHEMA",
     "append_entry",
     "best_of",
+    "best_of_batched",
     "environment_info",
     "load_trajectory",
     "utc_timestamp",

@@ -661,6 +661,9 @@ class StampPlan:
         m = self._keep.size
         if m == 0:
             raise SimulationError("every unknown was eliminated; nothing to solve")
+        # Refuse a solve whose single sample cannot fit the budget before
+        # the (n, size, size) stacks below are assembled.
+        self._chunk_samples(1, f.size, memory_budget_mb, poly=m <= 3)
         omega = 2.0 * np.pi * f
         want = self._output_columns(outputs)
         slot_of = {red: slot for slot, red in enumerate(want)}

@@ -18,9 +18,11 @@ import hashlib
 import json
 import os
 import zipfile
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -180,6 +182,38 @@ def dataset_cache_path(
     return _resolve_cache_dir(cache_dir) / f"{circuit}-{key[:20]}.npz"
 
 
+class CacheLookup(NamedTuple):
+    """Where one build's cache entry lives, and whether the bank was read
+    back from it (``False`` when it was built, also when a torn or
+    corrupt entry was rebuilt)."""
+
+    path: Path
+    hit: bool
+
+
+_LOOKUPS: ContextVar[Optional[List[CacheLookup]]] = ContextVar(
+    "dataset_cache_lookups", default=None
+)
+
+
+@contextmanager
+def recorded_cache_lookups() -> Iterator[List[CacheLookup]]:
+    """Collect a :class:`CacheLookup` for every cache-routed build run in
+    the ``with`` block (in this thread or task), in call order."""
+    lookups: List[CacheLookup] = []
+    token = _LOOKUPS.set(lookups)
+    try:
+        yield lookups
+    finally:
+        _LOOKUPS.reset(token)
+
+
+def _record_lookup(path: Path, hit: bool) -> None:
+    lookups = _LOOKUPS.get()
+    if lookups is not None:
+        lookups.append(CacheLookup(path, hit))
+
+
 def _cached_dataset(
     circuit: str,
     n_samples: int,
@@ -195,25 +229,32 @@ def _cached_dataset(
     Cache entries are keyed by a hash of the full generation config
     (circuit, design parameters, ``n_samples``, ``seed`` and the engine
     version), so any config change lands on a different file and a stale
-    entry is never served.  Writes are atomic (temp file + ``os.replace``)
-    so concurrent sweep workers cannot observe a torn ``.npz``.
+    entry is never served.  The key is hashed once per call, and the
+    outcome goes to :func:`recorded_cache_lookups` when one is active.
+    Writes are atomic (temp file + ``os.replace``) so concurrent sweep
+    workers cannot observe a torn ``.npz``.
     """
-    if not use_cache:
-        return builder()
     path = dataset_cache_path(circuit, n_samples, seed, design, cache_dir, extra)
-    if path.exists():
+    if use_cache and path.exists():
         # Lazy upward import: repro.io owns (de)serialisation and already
         # depends on circuits for PairedDataset, so the cache round-trip
         # has to call up a layer at function scope to avoid an import cycle.
         from repro.io import load_dataset  # reprolint: disable=RPL003 -- lazy cache IO, see above
 
         try:
-            return load_dataset(path)
+            dataset = load_dataset(path)
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, ReproError):
-            # Torn/corrupt/stale cache entry (np.load raises any of these);
+            # Torn/corrupt/stale cache entry (np.load raises any of these;
+            # a flipped byte in a stored member fails its CRC-32 check);
             # fall through and regenerate it.  Everything else propagates.
             pass
+        else:
+            _record_lookup(path, True)
+            return dataset
+    _record_lookup(path, False)
     dataset = builder()
+    if not use_cache:
+        return dataset
     from repro.io import save_dataset  # reprolint: disable=RPL003 -- lazy cache IO, see above
 
     try:

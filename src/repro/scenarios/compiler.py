@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.circuits.registry import get_circuit, generate_dataset
-from repro.circuits.montecarlo import PairedDataset, dataset_cache_path
+from repro.circuits.montecarlo import CacheLookup, PairedDataset, recorded_cache_lookups
 from repro.circuits.variants import CircuitVariant
 from repro.exceptions import ConfigError
 from repro.scenarios.library import LIBRARY_VERSION, resolve_knobs
@@ -143,15 +143,14 @@ def expand(doc: ScenarioDoc) -> List[ScenarioInstance]:
 def _instance_report(
     inst: ScenarioInstance,
     dataset: PairedDataset,
-    cache_hit: bool,
-    cache_path: Path,
+    lookup: CacheLookup,
 ) -> Dict[str, Any]:
     return {
         "name": inst.name,
         "circuit": inst.circuit,
         "config_hash": inst.config_hash,
-        "cache_path": str(cache_path),
-        "cache_hit": bool(cache_hit),
+        "cache_path": str(lookup.path),
+        "cache_hit": lookup.hit,
         "n_samples": dataset.n_samples,
         "dim": dataset.dim,
     }
@@ -165,24 +164,22 @@ def compile_instance(
     """Compile one instance to its paired dataset (cache-routed).
 
     Returns the dataset plus a JSON-safe report: instance name, circuit,
-    config hash, cache path, whether the compile was served from cache,
-    and the dataset shape.
+    config hash, cache path, whether the bank was read back from that
+    cache entry (``False`` when it was built, also when a corrupt entry
+    was rebuilt), and the dataset shape.
     """
-    extra = None if inst.variant.is_default else inst.variant.as_config()
-    path = dataset_cache_path(
-        inst.circuit, inst.n_samples, inst.seed, inst.design, cache_dir, extra
-    )
-    cache_hit = use_cache and path.exists()
-    dataset = generate_dataset(
-        inst.circuit,
-        n_samples=inst.n_samples,
-        seed=inst.seed,
-        design=inst.design,
-        variant=inst.variant,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-    )
-    return dataset, _instance_report(inst, dataset, cache_hit, path)
+    with recorded_cache_lookups() as lookups:
+        dataset = generate_dataset(
+            inst.circuit,
+            n_samples=inst.n_samples,
+            seed=inst.seed,
+            design=inst.design,
+            variant=inst.variant,
+            cache_dir=cache_dir,
+            use_cache=use_cache,
+        )
+    (lookup,) = lookups  # one cache-routed build per instance
+    return dataset, _instance_report(inst, dataset, lookup)
 
 
 def compile_all(

@@ -1,5 +1,8 @@
 """Disk cache round-trips for the paired-dataset generators."""
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.circuits.montecarlo import (
     generate_adc_dataset,
     generate_opamp_dataset,
 )
+from repro.io import save_dataset
 
 N = 12
 
@@ -95,3 +99,76 @@ class TestCacheEnvironment:
         monkeypatch.setenv(montecarlo.DATASET_CACHE_ENV, str(tmp_path))
         generate_adc_dataset(n_samples=N)
         assert any(p.suffix == ".npz" for p in tmp_path.iterdir())
+
+
+def assert_bit_identical(a, b):
+    for name in ("early", "late", "early_nominal", "late_nominal"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), name
+    assert a.metric_names == b.metric_names
+
+
+def member_data_span(path, member):
+    """Byte range of ``member``'s (stored) data inside the zip at ``path``."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    raw = path.read_bytes()
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    return start, start + info.compress_size
+
+
+class TestStoredLayout:
+    """Banks are written uncompressed; older deflated entries still load."""
+
+    def test_every_member_is_stored(self, tmp_path):
+        bank = generate_adc_dataset(n_samples=N, use_cache=False)
+        path = tmp_path / "bank.npz"
+        save_dataset(bank, path)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert sorted(i.filename for i in infos) == sorted(
+            f"{name}.npy"
+            for name in ("early", "late", "early_nominal", "late_nominal", "metric_names")
+        )
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+
+    def test_deflated_entry_from_older_writer_is_a_hit(
+        self, tmp_path, counting_adc_builds
+    ):
+        fresh = generate_adc_dataset(n_samples=N, use_cache=False)
+        counting_adc_builds["n"] = 0
+        path = dataset_cache_path("adc", N, 2015, FlashADCDesign(), tmp_path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.savez_compressed(
+            path,
+            early=fresh.early,
+            late=fresh.late,
+            early_nominal=fresh.early_nominal,
+            late_nominal=fresh.late_nominal,
+            metric_names=np.array(fresh.metric_names, dtype=np.str_),
+        )
+        with zipfile.ZipFile(path) as archive:
+            assert archive.getinfo("early.npy").compress_type == zipfile.ZIP_DEFLATED
+        served = generate_adc_dataset(n_samples=N, cache_dir=tmp_path)
+        assert counting_adc_builds["n"] == 0
+        assert_bit_identical(served, fresh)
+
+    @pytest.mark.parametrize("member", ["early.npy", "late.npy"])
+    def test_flipped_byte_in_a_stored_member_is_rebuilt(
+        self, tmp_path, counting_adc_builds, member
+    ):
+        first = generate_adc_dataset(n_samples=N, cache_dir=tmp_path)
+        assert counting_adc_builds["n"] == 2
+        path = dataset_cache_path("adc", N, 2015, FlashADCDesign(), tmp_path)
+        start, stop = member_data_span(path, member)
+        raw = bytearray(path.read_bytes())
+        raw[stop - 3] ^= 0x01  # one mantissa bit of the last float64
+        path.write_bytes(bytes(raw))
+        rebuilt = generate_adc_dataset(n_samples=N, cache_dir=tmp_path)
+        assert counting_adc_builds["n"] == 4  # CRC-32 mismatch -> rebuilt
+        assert_bit_identical(rebuilt, first)
+        served = generate_adc_dataset(n_samples=N, cache_dir=tmp_path)
+        assert counting_adc_builds["n"] == 4  # the rebuild was written back
+        assert_bit_identical(served, first)

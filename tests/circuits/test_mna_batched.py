@@ -1,5 +1,7 @@
 """Batched StampPlan solves against the scalar ACAnalysis reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,19 @@ class TestLadders:
         with pytest.raises(SimulationError) as info:
             plan.solve_batched(values, freqs, outputs=["n500"])
         assert str(info.value).endswith("raise memory_budget_mb")
+
+    def test_refused_solve_allocates_far_below_the_budget(self):
+        """The wall is checked before the (n, size, size) stacks are
+        assembled, so the refusal itself stays well under the budget."""
+        names = [f"R{i}" for i in range(500)]
+        plan = StampPlan(ladder_netlist(500), variable=names)
+        values = ladder_values(names, 64)
+        freqs = np.logspace(2, 8, 50)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationError, match="raise memory_budget_mb"):
+                plan.solve_batched(values, freqs, outputs=["n500"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # budget: 512 MiB

@@ -1,6 +1,7 @@
 """Tests for sweep expansion and cache-routed scenario compilation."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +126,22 @@ class TestCompilation:
         warm = compile_all(instances, cache_dir=tmp_path)
         assert [r["cache_hit"] for r in warm] == [True] * len(instances)
         assert [r["cache_path"] for r in warm] == [r["cache_path"] for r in cold]
+
+    @pytest.mark.parametrize("index", [0, 3])  # identity and SS/high variant
+    def test_corrupt_entry_reports_a_miss_and_rebuilds(self, instances, tmp_path, index):
+        inst = instances[index]
+        _, cold = compile_instance(inst, cache_dir=tmp_path)
+        path = Path(cold["cache_path"])
+        path.write_bytes(b"garbage")
+        rebuilt, report = compile_instance(inst, cache_dir=tmp_path)
+        assert report["cache_hit"] is False
+        assert report["cache_path"] == cold["cache_path"]
+        fresh, _ = compile_instance(inst, cache_dir=tmp_path / "unused", use_cache=False)
+        for name in ("early", "late", "early_nominal", "late_nominal"):
+            assert getattr(rebuilt, name).tobytes() == getattr(fresh, name).tobytes()
+        served, warm = compile_instance(inst, cache_dir=tmp_path)
+        assert warm["cache_hit"] is True
+        assert served.late.tobytes() == fresh.late.tobytes()
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_worker_count_does_not_change_reports(self, instances, tmp_path, jobs):
