@@ -88,10 +88,10 @@ def test_batched_vs_per_request_query_latency(scale):
 def test_sharded_zipf_throughput(scale):
     """Skewed-key load: 4-shard coalesced ingest must beat 1 shard >= 2x.
 
-    Single-shard mode is the bit-identical passthrough (every row hits the
-    store immediately); multi-shard mode buffers per key and flushes
-    64-row blocks, so the hot Zipf keys amortise store and accumulator
-    overhead.  The floor holds at every scale including CI smoke: the win
+    One shard runs at ``flush_rows=1``, bit-identical to a bare worker
+    (every row reaches the store immediately); multi-shard mode buffers
+    per key and flushes 64-row blocks, so the hot Zipf keys amortise store
+    and accumulator overhead.  The floor holds at every scale including CI smoke: the win
     is structural (fewer store operations), not parallelism.
     """
     sizing = SIZING[scale.label][1]

@@ -8,29 +8,29 @@ and records throughput (rows/s) and p99 query latency per shard count
 into the ``BENCH_serving.json`` trajectory at the repository root (see
 :mod:`repro.bench.trajectory`).
 
-Single-shard mode is the bit-identical passthrough (every row hits the
-store immediately); multi-shard mode buffers rows per key and flushes
-64-row blocks, so hot keys amortise store and accumulator overhead.  The
-interleaved queries are part of the measurement on purpose: each one is a
-merge-on-read barrier that flushes the queried key's ingest buffer, and
-the final flush of every buffer is inside the timed window, so the
-reported throughput includes the cost coalescing has to pay back.
+One shard runs at ``flush_rows=1``, bit-identical to a bare worker
+(every row reaches the store immediately); multi-shard mode buffers rows
+per key and flushes 64-row blocks, so hot keys amortise store and
+accumulator overhead.  The interleaved queries are part of the
+measurement on purpose: each one is a merge-on-read barrier that flushes
+the queried key's ingest buffer, and the final flush of every buffer is
+inside the timed window, so the reported throughput includes the cost
+coalescing has to pay back.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/bench_serving.py [--sessions 10000]
         [--ops 100000] [--dim 5] [--alpha 1.6] [--query-every 5000]
         [--shards 1 2 4 8] [--seed 0] [--out BENCH_serving.json] [--smoke]
-        [--wal none|v2|v2-delta] [--wire direct|list|b64f64]
+        [--wal none|v2] [--wire direct|list|b64f64]
 
 ``--smoke`` shrinks the workload for CI wall-clock budgets and is the
 configuration the CI floor check runs (4 shards >= 2x single shard, on
 the fastest of ``SMOKE_PASSES`` passes per shard count); it needs
 ``--shards`` to include 1 and 4 and exits 2 otherwise.
 
-``--wal`` turns on write-ahead durability for the run: ``v2`` is the
-binary group-commit log, ``v2-delta`` adds sufficient-statistics delta
-logging (the logs live in a temporary directory that is deleted
+``--wal v2`` turns on write-ahead durability for the run: the binary
+group-commit log (the logs live in a temporary directory that is deleted
 afterwards, so ``--wal`` measures logging cost; :func:`wal_recover`
 measures recovery).  ``--wire`` routes every op through the JSON-lines
 protocol layer instead of direct method calls, with arrays as nested lists
@@ -68,21 +68,10 @@ from repro.serving import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: --wal choices mapped to ShardedMomentService keyword arguments.
-WAL_MODES = {
-    "none": None,
-    "v2": {},
-    "v2-delta": {"wal_delta_rows": 32},
-}
-
 #: The ``wal_ingest`` configurations by results key.  ``no_wal`` runs
-#: last, so first-pass warm-up costs land on the logged passes and the
+#: last, so first-pass warm-up costs land on the logged pass and the
 #: floor below errs strict.
-WAL_CONFIGS = {
-    "v2": WAL_MODES["v2"],
-    "v2_delta": WAL_MODES["v2-delta"],
-    "no_wal": WAL_MODES["none"],
-}
+WAL_CONFIGS = ("v2", "no_wal")
 
 #: 4-shard coalesced ingest over single-shard rows/s, at every scale.
 SHARD_SPEEDUP_FLOOR = 2.0
@@ -164,12 +153,11 @@ def run_load(
     key_draws, rows, query_draws = zipf_stream(
         n_sessions, n_ops, dim, alpha, seed, n_queries=n_ops // query_every + 1
     )
-    wal_kwargs = WAL_MODES[wal]
     wal_tmp = None
     service_kwargs = {"n_shards": n_shards}
-    if wal_kwargs is not None:
+    if wal != "none":
         wal_tmp = tempfile.TemporaryDirectory(prefix="bench-serving-wal-")
-        service_kwargs.update(wal_dir=wal_tmp.name, **wal_kwargs)
+        service_kwargs["wal_dir"] = wal_tmp.name
     service, keys, create_s = zipf_sessions(n_sessions, dim, **service_kwargs)
 
     def request(op: str, key: str, **fields) -> None:
@@ -225,12 +213,12 @@ def sharded_load(shard_counts, passes: int = 1, **load) -> dict:
     return {"per_shard": per_shard, "speedup_at_4_shards": speedup}
 
 
-def zipf_block_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal_kwargs):
+def zipf_block_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha):
     """One Zipf block-ingest pass; returns ``(service, seconds, wal_bytes)``.
 
-    Single-shard passthrough, so every accepted block hits the worker —
-    and therefore the WAL — immediately: the timing isolates the log
-    encode/flush cost, not the router's coalescing.  ``wal_dir=None``
+    One shard at ``flush_rows=1``, so every accepted block reaches the
+    worker — and therefore the WAL — immediately: the timing isolates the
+    log encode/flush cost, not the router's coalescing.  ``wal_dir=None``
     runs the same stream with no log (the baseline).  The clock stops
     after a final ``sync()`` so group-committed records are actually on
     their way to disk, and WAL bytes are measured on the file past the
@@ -239,9 +227,7 @@ def zipf_block_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal
     key_draws, blocks, _ = zipf_stream(
         n_sessions, n_ops, dim, alpha, seed=0, rows_per_op=rows_per_op
     )
-    service, keys, _ = zipf_sessions(
-        n_sessions, dim, n_shards=1, wal_dir=wal_dir, **wal_kwargs
-    )
+    service, keys, _ = zipf_sessions(n_sessions, dim, n_shards=1, wal_dir=wal_dir)
     wal = service.workers[0].wal
     if wal is not None:
         wal.sync()
@@ -258,10 +244,10 @@ def zipf_block_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal
     return service, elapsed, wal_bytes
 
 
-def run_wal_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal_kwargs):
+def run_wal_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha):
     """:func:`zipf_block_ingest`; returns ``(rows_per_s, wal_bytes_per_row)``."""
     service, elapsed, wal_bytes = zipf_block_ingest(
-        wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal_kwargs
+        wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha
     )
     service.close()
     total_rows = n_ops * rows_per_op
@@ -271,16 +257,14 @@ def run_wal_ingest(wal_dir, n_sessions, n_ops, rows_per_op, dim, alpha, **wal_kw
 def wal_ingest(work_dir: Path, dim: int, alpha: float, **sizing) -> dict:
     """Every :data:`WAL_CONFIGS` pass over the same Zipf block stream.
 
-    ``v2`` is binary frames with 64-record group commit, ``v2_delta``
-    logs blocks as O(d^2) sufficient-statistics deltas.  The logs go to
-    subdirectories of ``work_dir``.
+    ``v2`` is binary frames with 64-record group commit; ``no_wal`` is
+    the same stream unlogged.  The logs go to subdirectories of
+    ``work_dir``.
     """
     per_config = {}
-    for name, wal_kwargs in WAL_CONFIGS.items():
-        wal_dir = None if wal_kwargs is None else Path(work_dir) / name
-        rows_per_s, bytes_per_row = run_wal_ingest(
-            wal_dir, dim=dim, alpha=alpha, **sizing, **(wal_kwargs or {})
-        )
+    for name in WAL_CONFIGS:
+        wal_dir = None if name == "no_wal" else Path(work_dir) / name
+        rows_per_s, bytes_per_row = run_wal_ingest(wal_dir, dim=dim, alpha=alpha, **sizing)
         per_config[name] = {
             "rows_per_s": round(rows_per_s),
             "wal_bytes_per_row": round(bytes_per_row, 2),
@@ -288,7 +272,6 @@ def wal_ingest(work_dir: Path, dim: int, alpha: float, **sizing) -> dict:
     return {
         "per_config": per_config,
         "v2_vs_no_wal": round(ratio(per_config, "v2", "no_wal"), 2),
-        "v2_delta_vs_no_wal": round(ratio(per_config, "v2_delta", "no_wal"), 2),
     }
 
 
@@ -447,7 +430,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--wal",
-        choices=sorted(WAL_MODES),
+        choices=["none", "v2"],
         default="none",
         help="write-ahead log mode for the run (logs go to a temp dir)",
     )

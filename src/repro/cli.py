@@ -191,14 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="group-commit byte bound for the WAL buffer (default: 256 KiB)",
     )
     serve.add_argument(
-        "--wal-delta-rows",
-        type=int,
-        default=None,
-        help="log 2-D ingest blocks with at least this many rows as "
-        "O(d^2) sufficient statistics instead of raw samples "
-        "(default: off — always log raw samples)",
-    )
-    serve.add_argument(
         "--placement",
         choices=["hash", "spread"],
         default="hash",
@@ -633,7 +625,6 @@ def _cmd_serve(args) -> int:
                 flush_rows=args.flush_rows,
                 wal_flush_records=args.wal_flush_records,
                 wal_flush_bytes=args.wal_flush_bytes,
-                wal_delta_rows=args.wal_delta_rows,
             )
         except ConfigError as exc:
             print(f"cannot restore {args.checkpoint}: {exc}", file=sys.stderr)
@@ -665,7 +656,6 @@ def _cmd_serve(args) -> int:
                 flush_rows=args.flush_rows,
                 wal_flush_records=args.wal_flush_records,
                 wal_flush_bytes=args.wal_flush_bytes,
-                wal_delta_rows=args.wal_delta_rows,
             )
             print(
                 f"recovered {service.n_shards} shard(s) by replaying "
@@ -690,7 +680,6 @@ def _cmd_serve(args) -> int:
                 wal_dir=args.wal_dir,
                 wal_flush_records=args.wal_flush_records,
                 wal_flush_bytes=args.wal_flush_bytes,
-                wal_delta_rows=args.wal_delta_rows,
             )
     else:
         service = ShardWorker(max_sessions=args.max_sessions, ttl_ops=args.ttl_ops)

@@ -32,12 +32,14 @@
   paper's additivity property — sharding falls out of the statistics,
   not of new math.
 
-Single-shard mode is the compatibility gate: ``n_shards=1`` with
-``flush_rows=1`` and no WAL routes every call straight through to the
-one worker, reproducing a bare WAL-less
-:class:`~repro.serving.worker.ShardWorker` bit-for-bit — counters,
-eviction order, and checkpoint bytes (the equivalence suite compares
-``shard-000.ckpt`` with the worker's checkpoint file byte-wise).
+Single-shard mode is the compatibility gate: ``n_shards=1`` defaults to
+``flush_rows=1``, and a block that alone reaches ``flush_rows`` with
+nothing buffered for its key goes to the worker as sent.  Every ingest
+therefore reaches the one worker at once, a 1-D row down the same Welford
+path, reproducing a bare :class:`~repro.serving.worker.ShardWorker`
+bit-for-bit — counters, eviction order, WAL records and checkpoint bytes
+(the equivalence suite compares ``shard-000.ckpt`` with the worker's
+checkpoint file byte-wise).
 """
 
 from __future__ import annotations
@@ -100,10 +102,11 @@ def _closing_on_error(service: "ShardedMomentService") -> Iterator[None]:
 class _KeyRecord:
     """Router-side ingest state of one session key.
 
-    ``blocks`` are the accepted but not yet flushed ``(n, d)`` blocks and
-    ``pending`` their row count; ``acked`` is the session's row count as
-    acknowledged to clients, buffered rows included.  One record per key
-    keeps the per-row bookkeeping to one dict lookup.
+    ``blocks`` are the accepted but not yet flushed ``(n, d)`` blocks —
+    the record's own copies, never a caller's array — and ``pending``
+    their row count; ``acked`` is the session's row count as acknowledged
+    to clients, buffered rows included.  One record per key keeps the
+    per-row bookkeeping to one dict lookup.
     """
 
     __slots__ = ("blocks", "pending", "acked")
@@ -157,8 +160,8 @@ class ShardedMomentService:
     Parameters
     ----------
     n_shards:
-        Worker count.  ``1`` with the default ``flush_rows`` is the
-        bit-identical compatibility mode.
+        Worker count.  ``1`` with the default ``flush_rows`` behaves
+        bit-identically to a bare worker.
     max_sessions_per_shard, ttl_ops:
         Per-shard store bounds.
     placement:
@@ -179,11 +182,6 @@ class ShardedMomentService:
         defaults — 64 records, 256 KiB — and rejects bounds below 1).
         Checkpoints always barrier (``sync``) first, so coalesced
         flushing never weakens what a checkpoint claims to cover.
-    wal_delta_rows:
-        Suffstats-delta threshold forwarded to every worker: 2-D ingest
-        blocks with at least this many rows are logged as ``O(d^2)``
-        sufficient statistics instead of raw samples.  ``None`` disables
-        delta logging.
     virtual_nodes:
         Ring resolution (see :class:`HashRing`).
     n_jobs:
@@ -202,7 +200,6 @@ class ShardedMomentService:
         wal_dir: Optional[PathLike] = None,
         wal_flush_records: Optional[int] = None,
         wal_flush_bytes: Optional[int] = None,
-        wal_delta_rows: Optional[int] = None,
         virtual_nodes: int = 64,
         n_jobs: Optional[int] = 1,
     ) -> None:
@@ -236,8 +233,7 @@ class ShardedMomentService:
                     max_sessions=max_sessions_per_shard,
                     ttl_ops=ttl_ops,
                     wal=wal,
-                    wal_delta_rows=wal_delta_rows,
-            )
+                )
             )
         self.counters = ServiceCounters()
         self.scorer = BatchScorer(self.counters)
@@ -248,8 +244,7 @@ class ShardedMomentService:
         # but keeps drain + apply atomic per key (reprolint RPL007 pins
         # the discipline).
         self._ingest_lock = threading.Lock()
-        # per-key buffered blocks and acknowledged row count (coalescing
-        # mode; the passthrough acknowledges the worker's own total)
+        # per-key buffered blocks and acknowledged row count
         self._records: Dict[str, _KeyRecord] = {}
         # per-key round-robin cursor (spread placement)
         self._rotation: Dict[str, int] = {}
@@ -274,11 +269,6 @@ class ShardedMomentService:
     def _owners(self, key: str) -> List[ShardWorker]:
         """The workers ``key``'s session lives on (every shard for spread)."""
         return self.workers if self.placement == "spread" else [self._home(key)]
-
-    @property
-    def _passthrough(self) -> bool:
-        """Single-shard + no coalescing: the bit-identical compat mode."""
-        return self.ring.n_shards == 1 and self.flush_rows == 1
 
     # ------------------------------------------------------------------
     # session lifecycle
@@ -309,7 +299,7 @@ class ShardedMomentService:
             record = self._records.get(key)
             if record is not None:
                 record.acked = record.pending + rows
-            elif rows and not self._passthrough:
+            elif rows:
                 self._record_locked(key).acked = rows
         return sessions[0]
 
@@ -328,13 +318,17 @@ class ShardedMomentService:
 
     def row_count(self, key: str) -> int:
         """``key``'s row count as an ingest ack states it: rows in every
-        owning shard plus rows still buffered (no flush, no clock tick)."""
+        owning shard plus rows still buffered (no flush, no clock tick).
+
+        Read from the workers, not from the acknowledged count, so a
+        session evicted since its last ingest counts 0, as on a bare
+        worker.
+        """
         key = str(key)
         with self._ingest_lock:
-            if self._passthrough:
-                return self.workers[0].row_count(key)
             record = self._records.get(key)
-            return 0 if record is None else record.acked
+            pending = 0 if record is None else record.pending
+            return pending + sum(worker.row_count(key) for worker in self._owners(key))
 
     def session_keys(self) -> List[str]:
         """Sorted union of live keys across shards (buffers flushed first)."""
@@ -353,11 +347,14 @@ class ShardedMomentService:
         :class:`~repro.serving.worker.ShardWorker` returns for the same
         request stream.
 
-        With ``flush_rows > 1`` the rows are buffered and folded into the
-        owning worker as one stacked block later (next threshold crossing
-        or read barrier) — numerically a Chan block merge instead of
-        per-row Welford updates, within the 1e-10 serving bound.  A block
-        that is neither a vector nor a matrix raises
+        Rows below ``flush_rows`` are buffered (as a copy, so the caller
+        may reuse its array) and folded into the owning worker as one
+        stacked block later (next threshold crossing or read barrier) —
+        numerically a Chan block merge instead of per-row Welford updates,
+        within the 1e-10 serving bound.  A block that alone reaches
+        ``flush_rows`` with nothing buffered for its key goes to the worker
+        as sent, so at ``flush_rows=1`` a 1-D row keeps the Welford path
+        (and an empty block is refused at once).  A block that is neither a vector nor a matrix raises
         :class:`~repro.exceptions.DimensionError` here; row values are
         validated when their buffer flushes.
         """
@@ -366,13 +363,15 @@ class ShardedMomentService:
         rows = block_rows(arr)
         self.counters.record_ingest(rows)
         with self._ingest_lock:
-            if self._passthrough:
-                return self.workers[0].ingest(key, arr)
             record = self._record_locked(key)
-            record.blocks.append(arr[None, :] if arr.ndim == 1 else arr)
-            record.pending += rows
             record.acked += rows
-            if record.pending >= self.flush_rows:
+            record.pending += rows
+            if 0 < record.pending < self.flush_rows:
+                # buffered past this call: a copy, never the caller's array
+                record.blocks.append(np.array(arr, ndmin=2))
+            else:
+                # a lone block goes to the worker as sent
+                record.blocks.append(arr[None, :] if record.blocks and arr.ndim == 1 else arr)
                 self._flush_key_locked(key, barrier=False)
             return record.acked
 
@@ -386,9 +385,7 @@ class ShardedMomentService:
         self.counters.record_ingest(stats.n)
         with self._ingest_lock:
             self._flush_key_locked(key, barrier=True)
-            total = self._ingest_worker_locked(key).ingest_stats(key, stats)
-            if self._passthrough:
-                return total
+            self._ingest_worker_locked(key).ingest_stats(key, stats)
             record = self._record_locked(key)
             record.acked += stats.n
             return record.acked
@@ -406,8 +403,6 @@ class ShardedMomentService:
         Reads the stores without ticking their clocks, so recovery leaves
         eviction order and checkpoint bytes exactly as replay made them.
         """
-        if self._passthrough:
-            return
         with self._ingest_lock:
             for worker in self.workers:
                 for key, rows in worker.store.row_counts().items():
@@ -427,8 +422,8 @@ class ShardedMomentService:
 
         ``barrier`` marks a flush forced before the row threshold (a read
         or ordering barrier), which the coalescing gauges count apart.  A
-        block the worker refuses is dropped, and its rows leave the
-        acknowledged count again.
+        lone buffered block goes over as it is.  A block the worker refuses
+        is dropped, and its rows leave the acknowledged count again.
         """
         record = self._records.get(key)
         if record is None or not record.blocks:
@@ -691,7 +686,6 @@ class ShardedMomentService:
         flush_rows: Optional[int] = None,
         wal_flush_records: Optional[int] = None,
         wal_flush_bytes: Optional[int] = None,
-        wal_delta_rows: Optional[int] = None,
         n_jobs: Optional[int] = 1,
     ) -> "ShardedMomentService":
         """Rebuild a sharded service from a manifest directory.
@@ -735,14 +729,11 @@ class ShardedMomentService:
                         wal_path,
                         checkpoint,
                         shard_id=shard,
-                        wal_delta_rows=wal_delta_rows,
                         flush_records=wal_flush_records,
                         flush_bytes=wal_flush_bytes,
                     )
                 else:
-                    worker = ShardWorker.restore(
-                        checkpoint, shard_id=shard, wal_delta_rows=wal_delta_rows
-                    )
+                    worker = ShardWorker.restore(checkpoint, shard_id=shard)
                 service.workers[shard] = worker
         # WAL tails may have advanced the workers past the manifest's
         # counters; reconcile rather than loading the stale snapshot.
@@ -760,7 +751,6 @@ class ShardedMomentService:
         flush_rows: Optional[int] = None,
         wal_flush_records: Optional[int] = None,
         wal_flush_bytes: Optional[int] = None,
-        wal_delta_rows: Optional[int] = None,
         virtual_nodes: int = 64,
         n_jobs: Optional[int] = 1,
     ) -> "ShardedMomentService":
@@ -810,7 +800,6 @@ class ShardedMomentService:
                     shard_id=shard,
                     max_sessions=max_sessions_per_shard,
                     ttl_ops=ttl_ops,
-                    wal_delta_rows=wal_delta_rows,
                     flush_records=wal_flush_records,
                     flush_bytes=wal_flush_bytes,
                 )

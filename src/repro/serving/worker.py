@@ -77,18 +77,6 @@ class ShardWorker:
         one-shard router.  An attached log without an observer gets this
         worker's counters as its observer, so WAL append/flush gauges
         surface through :meth:`stats`.
-    wal_delta_rows:
-        Optional suffstats-delta threshold: a 2-D ingest block with at
-        least this many rows is logged as its
-        :class:`~repro.stats.suffstats.SufficientStats` — ``O(d^2)``
-        per record — instead of the raw ``O(n·d)`` samples, and applied
-        through the same statistics merge live and on replay.  Because
-        ``store.ingest`` folds a 2-D block in as exactly one Chan merge
-        of ``SufficientStats.from_samples(block)`` (one clock tick,
-        identical arithmetic), the delta path is **bit-identical** to raw
-        logging, not merely close.  ``None`` (default) always logs raw
-        samples; 1-D single-sample ingests always log raw (the Welford
-        path stays shape-faithful).
     """
 
     #: Version tag stored inside checkpoint state.
@@ -100,17 +88,11 @@ class ShardWorker:
         max_sessions: int = 1024,
         ttl_ops: Optional[int] = None,
         wal: Optional[WriteAheadLog] = None,
-        wal_delta_rows: Optional[int] = None,
     ) -> None:
-        if wal_delta_rows is not None and int(wal_delta_rows) < 1:
-            raise ConfigError(
-                f"wal_delta_rows must be >= 1 when set, got {wal_delta_rows}"
-            )
         self.shard_id = int(shard_id)
         self.store = SessionStore(max_sessions=max_sessions, ttl_ops=ttl_ops)
         self.counters = ServiceCounters()
         self.wal: Optional[WriteAheadLog] = None
-        self.wal_delta_rows = None if wal_delta_rows is None else int(wal_delta_rows)
         if wal is not None:
             self._attach_wal(wal)
         self.scorer = BatchScorer(self.counters)
@@ -160,25 +142,10 @@ class ShardWorker:
         The WAL record preserves the array's dimensionality: a 1-D vector
         replays down the Welford single-sample path and an ``(n, d)``
         block down the Chan block-merge path, which differ in rounding —
-        shape is part of the bit-identity contract.  When
-        ``wal_delta_rows`` is set and the block clears it, the record
-        carries the block's sufficient statistics instead of the samples
-        (``O(d^2)`` vs ``O(n·d)``) and the live apply goes through the
-        identical statistics merge — same tick, same arithmetic, same
-        bits.
+        shape is part of the bit-identity contract.
         """
         arr = np.asarray(samples, dtype=float)
         count = block_rows(arr)
-        if (
-            self.wal is not None
-            and self.wal_delta_rows is not None
-            and arr.ndim == 2
-            and arr.shape[0] >= self.wal_delta_rows
-        ):
-            # validate + summarize *before* logging: a bad block must
-            # leave neither a record nor a clock tick behind
-            stats = SufficientStats.from_samples(arr)
-            return self.ingest_stats(key, stats)
         if self.wal is not None:
             self.wal.append("ingest", {"key": str(key), "samples": arr})
         total = self.store.ingest(key, arr)
@@ -186,7 +153,14 @@ class ShardWorker:
         return total
 
     def ingest_stats(self, key: str, stats: SufficientStats) -> int:
-        """Merge shard-local sufficient statistics (tester-side accumulation)."""
+        """Merge shard-local sufficient statistics (tester-side accumulation).
+
+        Logged as ``O(d^2)`` statistics, not samples.  Merging
+        ``SufficientStats.from_samples(block)`` is the same store
+        transition as ingesting the 2-D ``block`` (one clock tick, one
+        Chan merge of identical statistics), so the two leave
+        bit-identical state.
+        """
         if self.wal is not None:
             self.wal.append(
                 "ingest_stats", {"key": str(key), "stats": stats.to_payload()}
@@ -409,9 +383,7 @@ class ShardWorker:
         return save_checkpoint(self.state_dict(), path)
 
     @classmethod
-    def _from_checkpoint(
-        cls, path: Any, shard_id: int, wal_delta_rows: Optional[int]
-    ) -> Tuple["ShardWorker", Optional[int]]:
+    def _from_checkpoint(cls, path: Any, shard_id: int) -> Tuple["ShardWorker", Optional[int]]:
         """A log-less worker loaded from a checkpoint, and the WAL seq the
         checkpoint covers (``None`` when it was taken without a log)."""
         state = load_checkpoint(path)
@@ -421,7 +393,7 @@ class ShardWorker:
                 f"checkpoint state_version {version!r} is not supported "
                 f"(expected {cls.STATE_VERSION})"
             )
-        worker = cls(shard_id=shard_id, wal_delta_rows=wal_delta_rows)
+        worker = cls(shard_id=shard_id)
         try:
             worker.store = SessionStore.from_dict(state["store"])
             worker.counters.load_state_dict(state["counters"])
@@ -436,7 +408,6 @@ class ShardWorker:
         path: Any,
         shard_id: int = 0,
         wal: Optional[WriteAheadLog] = None,
-        wal_delta_rows: Optional[int] = None,
     ) -> "ShardWorker":
         """Rebuild a shard from a checkpoint, replaying only the WAL tail.
 
@@ -447,7 +418,7 @@ class ShardWorker:
         router and ``repro replay`` restore from a log *path* instead,
         through :meth:`_recover`, which verifies the log only once.)
         """
-        worker, covered = cls._from_checkpoint(path, shard_id, wal_delta_rows)
+        worker, covered = cls._from_checkpoint(path, shard_id)
         if wal is not None:
             worker._attach_wal(wal)
             worker.replay(wal.records(after=covered))
@@ -461,7 +432,6 @@ class ShardWorker:
         shard_id: Optional[int] = None,
         max_sessions: int = 1024,
         ttl_ops: Optional[int] = None,
-        wal_delta_rows: Optional[int] = None,
         flush_records: Optional[int] = None,
         flush_bytes: Optional[int] = None,
     ) -> "ShardWorker":
@@ -480,10 +450,10 @@ class ShardWorker:
         takes the shard id from the header).
         """
         if checkpoint is None:
-            worker = cls(0, max_sessions, ttl_ops, wal_delta_rows=wal_delta_rows)
+            worker = cls(0, max_sessions, ttl_ops)
             covered = None
         else:
-            worker, covered = cls._from_checkpoint(checkpoint, 0, wal_delta_rows)
+            worker, covered = cls._from_checkpoint(checkpoint, 0)
 
         def apply(record: WalRecord) -> None:
             if covered is None or record[0] > covered:

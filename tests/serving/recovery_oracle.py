@@ -30,21 +30,12 @@ def two_pass_worker(
     shard_id: int = 0,
     max_sessions: int = 1024,
     ttl_ops: Optional[int] = None,
-    wal_delta_rows: Optional[int] = None,
 ) -> ShardWorker:
     """Open the log (pass one), then replay it from disk (pass two)."""
     wal = WriteAheadLog.open(wal_path)
     if checkpoint is not None:
-        return ShardWorker.restore(
-            checkpoint, shard_id=shard_id, wal=wal, wal_delta_rows=wal_delta_rows
-        )
-    worker = ShardWorker(
-        shard_id=shard_id,
-        max_sessions=max_sessions,
-        ttl_ops=ttl_ops,
-        wal=wal,
-        wal_delta_rows=wal_delta_rows,
-    )
+        return ShardWorker.restore(checkpoint, shard_id=shard_id, wal=wal)
+    worker = ShardWorker(shard_id=shard_id, max_sessions=max_sessions, ttl_ops=ttl_ops, wal=wal)
     worker.replay(wal)
     return worker
 
@@ -53,7 +44,6 @@ def two_pass_recover(
     wal_dir: Any,
     max_sessions_per_shard: int = 1024,
     ttl_ops: Optional[int] = None,
-    wal_delta_rows: Optional[int] = None,
 ) -> List[ShardWorker]:
     """:func:`two_pass_worker` per ``shard-NNN.wal``, the shards of
     :meth:`~repro.serving.router.ShardedMomentService.recover`."""
@@ -63,7 +53,6 @@ def two_pass_recover(
             shard_id=shard,
             max_sessions=max_sessions_per_shard,
             ttl_ops=ttl_ops,
-            wal_delta_rows=wal_delta_rows,
         )
         for shard, path in enumerate(sorted(Path(wal_dir).glob("shard-*.wal")))
     ]

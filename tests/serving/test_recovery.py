@@ -170,12 +170,15 @@ class TestOnePassEqualsTwoPass:
         assert got.wal.dropped_bytes == cut - ends[before + 1]
 
     def test_delta_logged_blocks(self, prior, rng, tmp_path, recover_both):
-        live = _live(tmp_path, wal_delta_rows=4)
+        live = _live(tmp_path)
         _drive(live, prior, rng)
+        for i in range(3):  # sample blocks merged as their statistics
+            block = rng.standard_normal((6, D))
+            _try(live.ingest_stats, f"die/{i}", SufficientStats.from_samples(block))
         live.close()
         with WriteAheadLog.open(live.wal.path) as log:
             assert any(op == "ingest_stats" for _, op, _ in log.records())
-        got, _ = recover_both(live.wal.path, wal_delta_rows=4)
+        got, _ = recover_both(live.wal.path)
         assert _same_store(got, live)
 
     def test_touches_naming_missing_keys(self, prior, rng, tmp_path, recover_both):

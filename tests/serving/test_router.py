@@ -297,6 +297,64 @@ class TestSingleShardGate:
         sharded.close()
 
 
+class TestOneShardIdentity:
+    """A one-shard router hands its worker every block exactly as the client
+    sent it: 1-D rows stay 1-D (the Welford path), so runs of single rows
+    into a non-empty session leave the bits a bare worker leaves."""
+
+    @staticmethod
+    def _script(svc, prior, rng):
+        for key in KEYS[:4]:
+            svc.create_session(key, prior, kappa0=KAPPA0, v0=V0)
+        for key in KEYS[:4]:
+            for _ in range(3):
+                svc.ingest(key, rng.standard_normal(D))
+            svc.ingest(key, rng.standard_normal((3, D)))
+            svc.ingest(key, rng.standard_normal(D))
+            svc.ingest(key, rng.standard_normal(D))
+            svc.ingest(key, rng.standard_normal((2, D)))
+        svc.query_many([("estimate", key, None) for key in KEYS[:3]])
+        svc.drop_session(KEYS[3])
+        for samples in (rng.standard_normal(D), np.zeros((0, D))):
+            with pytest.raises((SessionNotFoundError, DimensionError)):
+                svc.ingest(KEYS[3], samples)
+        svc.ingest(KEYS[0], rng.standard_normal(D))
+        with pytest.raises(SessionNotFoundError):
+            svc.query_many([("estimate", KEYS[0], None), ("estimate", KEYS[3], None)])
+
+    @staticmethod
+    def _wal_shapes(path):
+        with WriteAheadLog.open(path) as log:
+            return [
+                (op, {name: np.shape(value) for name, value in payload.items()
+                      if isinstance(value, np.ndarray)})
+                for _, op, payload in log.records()
+            ]
+
+    @pytest.mark.parametrize("logged", [False, True], ids=["no_wal", "wal"])
+    def test_matches_bare_worker(self, logged, prior, tmp_path):
+        worker_wal = tmp_path / "worker.wal"
+        worker = ShardWorker(
+            wal=WriteAheadLog.create(worker_wal, shard_id=0) if logged else None
+        )
+        router = ShardedMomentService(
+            n_shards=1, wal_dir=tmp_path / "wal" if logged else None
+        )
+        for svc in (worker, router):
+            self._script(svc, prior, np.random.default_rng(11))
+        worker.checkpoint(tmp_path / "worker.ckpt")
+        router.checkpoint(tmp_path / "router")
+        worker.close()
+        router.close()
+        assert (tmp_path / "router" / "shard-000.ckpt").read_bytes() == (
+            tmp_path / "worker.ckpt"
+        ).read_bytes()
+        if logged:
+            shapes = self._wal_shapes(worker_wal)
+            assert ("ingest", {"samples": (D,)}) in shapes
+            assert self._wal_shapes(tmp_path / "wal" / "shard-000.wal") == shapes
+
+
 class TestManifestCheckpoint:
     def test_manifest_round_trip(self, prior, blocks, tmp_path):
         with ShardedMomentService(n_shards=4, flush_rows=4) as svc:
@@ -611,6 +669,56 @@ class TestIngestAck:
             assert _call(svc, op="estimate", key="k")["error"] == "DimensionError"
             assert _call(svc, op="ingest", key="k", samples=[1.0, 2.0])["n"] == 1
             assert svc.estimate("k").n_samples == 1
+
+
+class TestRowCountAfterEviction:
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_evicted_session_counts_zero(self, n_shards, prior, rng):
+        """A create ack's ``n`` for a session evicted since its last ingest
+        is 0, as on a bare worker, not the rows acknowledged before."""
+        rows = rng.standard_normal((3, D))
+        router = ShardedMomentService(
+            n_shards=n_shards, placement="spread", max_sessions_per_shard=1, flush_rows=3
+        )
+        with ShardWorker(max_sessions=1) as worker, router:
+            for svc in (worker, router):
+                svc.create_session("a", prior, kappa0=KAPPA0, v0=V0)
+                assert [svc.ingest("a", row) for row in rows] == [1, 2, 3]
+                assert svc.row_count("a") == 3
+                svc.create_session("b", prior, kappa0=KAPPA0, v0=V0)
+                assert svc.row_count("a") == 0
+                assert svc.session_keys() == ["b"]
+            assert [w.row_count("a") for w in router.workers] == [0] * n_shards
+
+
+class TestCallerBuffers:
+    """A buffered block is the router's own copy: a client may reuse its
+    array once the ingest is acknowledged."""
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize("shape", [(1, 2), (2,)], ids=["block", "row"])
+    def test_reused_buffer_keeps_acknowledged_rows(self, n_shards, shape, tmp_path):
+        prior = PriorKnowledge(np.zeros(2), np.eye(2), 4)
+        rows = np.array([[1.0, 2.0], [3.0, 5.0], [-2.0, 7.0]])
+        with ShardWorker() as reference:
+            reference.create_session("k", prior, kappa0=1.0, v0=3.0)
+            reference.ingest("k", rows)
+            (want,) = reference.query_many([("estimate", "k", None)])
+        wal_dir = tmp_path / "wal"
+        with ShardedMomentService(n_shards=n_shards, flush_rows=64, wal_dir=wal_dir) as svc:
+            svc.create_session("k", prior, kappa0=1.0, v0=3.0)
+            buf = np.empty(shape)
+            for i, row in enumerate(rows):
+                buf[...] = row.reshape(shape)
+                assert svc.ingest("k", buf) == i + 1
+            buf[...] = 100.0
+            live = svc.estimate("k")
+        with ShardedMomentService.recover(wal_dir) as recovered:
+            replayed = recovered.estimate("k")
+        for got in (live, replayed):
+            assert got.n_samples == 3
+            np.testing.assert_array_equal(got.mean, want.mean)
+            np.testing.assert_array_equal(got.covariance, want.covariance)
 
 
 class TestCoalescingLoss:

@@ -336,18 +336,22 @@ class TestWalV2AndDelta:
         wal.close()
 
     def test_delta_logging_is_bit_identical_to_raw(self, prior, tmp_path):
-        """Qualifying blocks logged as suffstats leave the *same* worker
-        state as raw-sample logging — same bits, not just 1e-10."""
+        """A block merged as its suffstats leaves the *same* worker state
+        as the block ingested raw — same bits, not just 1e-10."""
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
         raw_wal = WriteAheadLog.create(tmp_path / "raw.wal", shard_id=0)
         raw = ShardWorker(shard_id=0, wal=raw_wal)
         delta_wal = WriteAheadLog.create(tmp_path / "delta.wal", shard_id=0)
-        delta = ShardWorker(shard_id=0, wal=delta_wal, wal_delta_rows=4)
+        delta = ShardWorker(shard_id=0, wal=delta_wal)
         for worker, rng in ((raw, rng_a), (delta, rng_b)):
             worker.create_session("k", prior, kappa0=2.0, v0=D + 2.0)
-            worker.ingest("k", rng.standard_normal((8, D)))  # above threshold
-            worker.ingest("k", rng.standard_normal((2, D)))  # below: raw
-            worker.ingest("k", rng.standard_normal(D))  # 1-D: always raw
+            block = rng.standard_normal((8, D))
+            if worker is delta:
+                worker.ingest_stats("k", SufficientStats.from_samples(block))
+            else:
+                worker.ingest("k", block)
+            worker.ingest("k", rng.standard_normal((2, D)))  # raw block
+            worker.ingest("k", rng.standard_normal(D))  # raw 1-D row
         assert _sha(raw.state_dict()) == _sha(delta.state_dict())
         raw_ops = [op for _, op, _ in raw_wal.records()]
         delta_ops = [op for _, op, _ in delta_wal.records()]
@@ -358,10 +362,14 @@ class TestWalV2AndDelta:
 
     def test_delta_records_replay_bit_identically(self, prior, rng, tmp_path):
         wal = WriteAheadLog.create(tmp_path / "s.wal", shard_id=0)
-        live = ShardWorker(shard_id=0, wal=wal, wal_delta_rows=4)
+        live = ShardWorker(shard_id=0, wal=wal)
         live.create_session("k", prior)
         for rows in (8, 2, 16, 1):
-            live.ingest("k", rng.standard_normal((rows, D)))
+            block = rng.standard_normal((rows, D))
+            if rows >= 4:
+                live.ingest_stats("k", SufficientStats.from_samples(block))
+            else:
+                live.ingest("k", block)
         replayed = ShardWorker(shard_id=0)
         replayed.replay(wal)
         a = live.store.get("k").stats
@@ -377,11 +385,13 @@ class TestWalV2AndDelta:
         raw_wal = WriteAheadLog.create(tmp_path / "raw.wal", shard_id=0)
         raw = ShardWorker(shard_id=0, wal=raw_wal)
         delta_wal = WriteAheadLog.create(tmp_path / "delta.wal", shard_id=0)
-        delta = ShardWorker(shard_id=0, wal=delta_wal, wal_delta_rows=16)
+        delta = ShardWorker(shard_id=0, wal=delta_wal)
         block = rng.standard_normal((512, D))
         for worker in (raw, delta):
             worker.create_session("k", prior)
-            worker.ingest("k", block)
+        raw.ingest("k", block)
+        delta.ingest_stats("k", SufficientStats.from_samples(block))
+        for worker in (raw, delta):
             worker.wal.sync()
         assert delta_wal.path.stat().st_size < raw_wal.path.stat().st_size / 10
         raw_wal.close()

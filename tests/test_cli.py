@@ -603,17 +603,14 @@ class TestWireEmitAndWalFlags:
                 "8",
                 "--wal-flush-bytes",
                 "4096",
-                "--wal-delta-rows",
-                "16",
             ]
         )
         assert args.wal_flush_records == 8
         assert args.wal_flush_bytes == 4096
-        assert args.wal_delta_rows == 16
 
     def test_serve_wal_knobs_default_to_none(self):
         args = build_parser().parse_args(["serve"])
-        assert args.wal_flush_records is None and args.wal_delta_rows is None
+        assert args.wal_flush_records is None
 
     def test_emit_wire_b64f64_lines_decode(self, bank_path, tmp_path, capsys):
         import json
@@ -707,8 +704,6 @@ class TestWireEmitAndWalFlags:
                 "2",
                 "--wal-dir",
                 str(wal_dir),
-                "--wal-delta-rows",
-                "4",
             ]
         )
         assert code == 0
