@@ -11,8 +11,10 @@ later by cross validation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -23,6 +25,13 @@ from repro.stats.moments import mle_covariance, sample_mean
 from repro.stats.normal_wishart import NormalWishart
 
 __all__ = ["PriorKnowledge"]
+
+#: Live priors built by :meth:`PriorKnowledge.shared`, keyed by the class
+#: and the float64 bytes, shapes and sample count they were built from.
+#: Weak values: an entry lasts exactly as long as something holds its prior.
+_SHARED: "weakref.WeakValueDictionary[Tuple[Any, ...], PriorKnowledge]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,36 @@ class PriorKnowledge:
             covariance=mle_covariance(samples),
             n_samples=n,
         )
+
+    @classmethod
+    def shared(cls, mean, covariance, n_samples: int = 0) -> "PriorKnowledge":
+        """The one live prior built from these moments, validated once.
+
+        For constructors that receive raw arrays (a wire ``create``, a
+        replayed WAL record, a restored checkpoint): many sessions fuse
+        against few distinct early-stage moments, so equal inputs return
+        the same read-only object instead of re-running every check.  The
+        key is the inputs' ``float64`` bytes and shapes plus
+        ``n_samples``, read at call time, so a caller that later reuses
+        its buffer does not move the prior; a miss runs the normal
+        constructor, so invalid moments raise every time and are never
+        kept.  Entries vanish once no session holds their prior.
+        """
+        mean = np.asarray(mean, dtype=float)
+        covariance = np.asarray(covariance, dtype=float)
+        n_samples = int(n_samples)
+        key = (
+            cls,
+            mean.shape,
+            mean.tobytes(),
+            covariance.shape,
+            covariance.tobytes(),
+            n_samples,
+        )
+        prior = _SHARED.get(key)
+        if prior is None:
+            prior = _SHARED.setdefault(key, cls(mean, covariance, n_samples))
+        return prior
 
     # ------------------------------------------------------------------
     @property

@@ -72,31 +72,39 @@ def symmetrize(a: ArrayLike) -> np.ndarray:
     return (arr + arr.T) / 2.0
 
 
-def is_symmetric(a: ArrayLike, tol: float = SYM_TOL) -> bool:
-    """Check symmetry of ``a`` to relative tolerance ``tol``."""
-    arr = as_matrix(a)
+def _symmetric_within(arr: np.ndarray, tol: float) -> bool:
+    """:func:`is_symmetric` of an array :func:`as_matrix` already checked."""
     scale = max(1.0, float(np.max(np.abs(arr))))
     return bool(np.max(np.abs(arr - arr.T)) <= tol * scale)
+
+
+def is_symmetric(a: ArrayLike, tol: float = SYM_TOL) -> bool:
+    """Check symmetry of ``a`` to relative tolerance ``tol``."""
+    return _symmetric_within(as_matrix(a), tol)
 
 
 def is_spd(a: ArrayLike, tol: float = SYM_TOL) -> bool:
     """Check whether ``a`` is symmetric positive definite via Cholesky."""
     arr = as_matrix(a)
-    if not is_symmetric(arr, tol):
+    if not _symmetric_within(arr, tol):
         return False
     try:
-        np.linalg.cholesky(symmetrize(arr))
+        np.linalg.cholesky((arr + arr.T) / 2.0)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
 def assert_spd(a: ArrayLike, name: str = "matrix", tol: float = SYM_TOL) -> np.ndarray:
-    """Return the symmetrised matrix, raising :class:`NotSPDError` if not SPD."""
+    """Return the symmetrised matrix, raising :class:`NotSPDError` if not SPD.
+
+    ``a`` is converted and checked once; the symmetry test and the
+    symmetrisation both work on that one array.
+    """
     arr = as_matrix(a, name)
-    if not is_symmetric(arr, tol):
+    if not _symmetric_within(arr, tol):
         raise NotSPDError(f"{name} is not symmetric")
-    sym = symmetrize(arr)
+    sym = (arr + arr.T) / 2.0
     try:
         np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:

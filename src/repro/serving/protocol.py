@@ -175,10 +175,10 @@ def _op_ping(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]
 
 def _op_create(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
-    prior = PriorKnowledge(
-        mean=decode_array(_require(request, "prior_mean")),
-        covariance=decode_array(_require(request, "prior_covariance")),
-        n_samples=int(request.get("prior_n_samples", 0)),
+    prior = PriorKnowledge.shared(
+        decode_array(_require(request, "prior_mean")),
+        decode_array(_require(request, "prior_covariance")),
+        int(request.get("prior_n_samples", 0)),
     )
     kappa0 = request.get("kappa0")
     v0 = request.get("v0")

@@ -283,12 +283,19 @@ class ShardedMomentService:
     ) -> Session:
         """Register a population on its home shard (all shards for spread).
 
-        The key's acknowledged row count restarts at the session's rows
-        plus any still buffered: zero for a fresh session, unchanged for
-        an ``exist_ok`` hit.
+        Rows still buffered for the key are flushed first, so they reach
+        the session they were sent to.  If that session was evicted, the
+        worker refuses them and they are dropped, as a bare worker would
+        have refused them on arrival: a new session starts empty.  The
+        key's acknowledged row count restarts at the session's rows: zero
+        for a fresh session, unchanged for an ``exist_ok`` hit.
         """
         key = str(key)
         with self._ingest_lock:
+            try:
+                self._flush_key_locked(key, barrier=True)
+            except SessionNotFoundError:
+                pass  # evicted under its buffer; the refused rows are dropped
             sessions = [
                 worker.create_session(
                     key, prior, kappa0=kappa0, v0=v0, exist_ok=exist_ok
@@ -296,10 +303,7 @@ class ShardedMomentService:
                 for worker in self._owners(key)
             ]
             rows = sum(session.n_ingested for session in sessions)
-            record = self._records.get(key)
-            if record is not None:
-                record.acked = record.pending + rows
-            elif rows:
+            if rows or key in self._records:
                 self._record_locked(key).acked = rows
         return sessions[0]
 

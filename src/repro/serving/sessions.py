@@ -137,10 +137,10 @@ class Session:
     def from_dict(cls, payload: Dict[str, Any]) -> "Session":
         """Inverse of :meth:`to_dict`."""
         try:
-            prior = PriorKnowledge(
-                mean=np.asarray(payload["prior_mean"], dtype=float),
-                covariance=np.asarray(payload["prior_covariance"], dtype=float),
-                n_samples=int(payload["prior_n_samples"]),
+            prior = PriorKnowledge.shared(
+                payload["prior_mean"],
+                payload["prior_covariance"],
+                int(payload["prior_n_samples"]),
             )
             session = cls(
                 key=str(payload["key"]),

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import threading
@@ -101,6 +102,9 @@ PathLike = Union[str, Path]
 _DIGEST_SIZE = 32
 _U32 = struct.Struct("<I")
 _ND_KEY = "__f64nd__"
+_LE_F8 = np.dtype("<f8")
+#: Payload values the encoder walks into; every other value is kept as is.
+_ENCODE_NESTED = (np.ndarray, dict, list, tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +114,9 @@ def _strip_arrays(value: Any, buffers: List[bytes], state: Dict[str, int]) -> An
     """Encode a payload: replace ndarrays with shape+offset descriptors.
 
     The raw little-endian float64 bytes are appended to ``buffers`` in
-    traversal order; offsets are explicit so decode order is free.
+    traversal order; offsets are explicit so decode order is free.  Only
+    arrays and containers are walked: scalars and strings stay in place
+    without a call each.
     """
     if isinstance(value, np.ndarray):
         arr = np.ascontiguousarray(np.asarray(value, dtype="<f8"))
@@ -123,36 +129,51 @@ def _strip_arrays(value: Any, buffers: List[bytes], state: Dict[str, int]) -> An
         return descriptor
     if isinstance(value, dict):
         return {
-            str(key): _strip_arrays(item, buffers, state)
+            str(key): (
+                _strip_arrays(item, buffers, state)
+                if isinstance(item, _ENCODE_NESTED)
+                else item
+            )
             for key, item in value.items()
         }
     if isinstance(value, (list, tuple)):
-        return [_strip_arrays(item, buffers, state) for item in value]
+        return [
+            _strip_arrays(item, buffers, state)
+            if isinstance(item, _ENCODE_NESTED)
+            else item
+            for item in value
+        ]
     return value
 
 
 def _bind_arrays(value: Any, region: bytes) -> Any:
-    """Decode a payload: materialise array descriptors from the byte region."""
+    """Decode a payload: materialise array descriptors from the byte region.
+
+    Decoded JSON nests only in objects and arrays, so only ``dict`` and
+    ``list`` values are walked.
+    """
     if isinstance(value, dict):
-        if set(value) == {_ND_KEY}:
+        if len(value) == 1 and _ND_KEY in value:
             descriptor = value[_ND_KEY]
             if not isinstance(descriptor, dict):
                 raise ValueError("malformed array descriptor")
-            shape = tuple(int(s) for s in descriptor["shape"])
+            shape = tuple(map(int, descriptor["shape"]))
             offset = int(descriptor["offset"])
-            count = 1
-            for extent in shape:
-                if extent < 0:
-                    raise ValueError("negative array extent")
-                count *= extent
-            nbytes = count * 8
-            if offset < 0 or offset + nbytes > len(region):
+            if shape and min(shape) < 0:
+                raise ValueError("negative array extent")
+            if offset < 0 or offset + 8 * math.prod(shape) > len(region):
                 raise ValueError("array descriptor exceeds the payload region")
-            flat = np.frombuffer(region, dtype="<f8", count=count, offset=offset)
-            return flat.reshape(shape).astype(float)
-        return {key: _bind_arrays(item, region) for key, item in value.items()}
+            # a read-only view of the region, then one owned float64 copy
+            return np.ndarray(shape, _LE_F8, region, offset).astype(float)
+        return {
+            key: _bind_arrays(item, region) if isinstance(item, (dict, list)) else item
+            for key, item in value.items()
+        }
     if isinstance(value, list):
-        return [_bind_arrays(item, region) for item in value]
+        return [
+            _bind_arrays(item, region) if isinstance(item, (dict, list)) else item
+            for item in value
+        ]
     return value
 
 

@@ -256,10 +256,10 @@ class ShardWorker:
         not rob the keys after it of their ticks.
         """
         if op == "create":
-            prior = PriorKnowledge(
-                mean=np.asarray(payload["prior_mean"], dtype=float),
-                covariance=np.asarray(payload["prior_covariance"], dtype=float),
-                n_samples=int(payload["prior_n_samples"]),
+            prior = PriorKnowledge.shared(
+                payload["prior_mean"],
+                payload["prior_covariance"],
+                int(payload["prior_n_samples"]),
             )
             self.store.create(
                 str(payload["key"]),

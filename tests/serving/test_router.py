@@ -630,9 +630,9 @@ class TestIngestAck:
         self, n_shards, placement, flush_rows, prior, rng
     ):
         """An ``exist_ok`` create answers the ingest ack's ``n``: rows on
-        every owning shard plus rows the router still buffers (19 rows
-        at ``flush_rows=8`` leave 3 buffered, and spread placement puts
-        the two flushed blocks on different shards)."""
+        every owning shard, after the create flushes the rows the router
+        still buffers (19 rows at ``flush_rows=8`` leave 3 buffered, and
+        spread placement puts the flushed blocks on different shards)."""
         create = {
             "op": "create",
             "key": "k",
@@ -689,6 +689,48 @@ class TestRowCountAfterEviction:
                 assert svc.row_count("a") == 0
                 assert svc.session_keys() == ["b"]
             assert [w.row_count("a") for w in router.workers] == [0] * n_shards
+
+    @pytest.mark.parametrize(
+        "n_shards, placement", [(1, "hash"), (2, "hash"), (2, "spread")]
+    )
+    def test_buffered_rows_die_with_their_session(
+        self, n_shards, placement, prior, rng, tmp_path
+    ):
+        """Rows still buffered when their session is evicted do not reach
+        the next session created under the key: its create ack and its
+        estimate count 0, as on a bare worker, live and after recovery."""
+        create = {
+            "op": "create",
+            "prior_mean": prior.mean.tolist(),
+            "prior_covariance": prior.covariance.tolist(),
+            "kappa0": KAPPA0,
+            "v0": V0,
+        }
+        rows = rng.standard_normal((3, D))
+        wal_dir = tmp_path / "wal"
+        router = ShardedMomentService(
+            n_shards=n_shards,
+            placement=placement,
+            max_sessions_per_shard=1,
+            flush_rows=8,
+            wal_dir=wal_dir,
+        )
+        # a key that shares "a"'s home shard, so creating it evicts "a"
+        other = next(key for key in KEYS if router.shard_for(key) == router.shard_for("a"))
+        with ShardWorker(max_sessions=1) as worker, router:
+            for svc in (worker, router):
+                assert _call(svc, key="a", **create)["n"] == 0
+                assert svc.ingest("a", rows) == 3
+                assert _call(svc, key=other, **create)["n"] == 0
+                assert _call(svc, key="a", **create)["n"] == 0
+                assert _call(svc, op="estimate", key="a")["n"] == 0
+                assert svc.ingest("a", rows[0]) == 1
+        with ShardedMomentService.recover(
+            wal_dir, max_sessions_per_shard=1, placement=placement, flush_rows=8
+        ) as recovered:
+            assert recovered.row_count("a") == 1
+            assert recovered.estimate("a").n_samples == 1
+            assert recovered.session_keys() == ["a"]
 
 
 class TestCallerBuffers:
