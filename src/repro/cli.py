@@ -190,13 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="group-commit byte bound for the WAL buffer (default: 256 KiB)",
     )
-    serve.add_argument(
-        "--placement",
-        choices=["hash", "spread"],
-        default="hash",
-        help="session placement: each key on its consistent-hash home "
-        "shard, or spread over all shards with merge-on-read queries",
-    )
 
     replay = sub.add_parser(
         "replay", help="verify a write-ahead log and rebuild shard state from it"
@@ -609,7 +602,6 @@ def _cmd_serve(args) -> int:
             (f"--shards {args.shards}", args.shards != 1),
             ("--wal-dir", args.wal_dir is not None),
             ("--flush-rows", args.flush_rows is not None),
-            ("--placement spread", args.placement != "hash"),
         )
         if given
     ]
@@ -652,7 +644,6 @@ def _cmd_serve(args) -> int:
                 args.wal_dir,
                 max_sessions_per_shard=args.max_sessions,
                 ttl_ops=args.ttl_ops,
-                placement=args.placement,
                 flush_rows=args.flush_rows,
                 wal_flush_records=args.wal_flush_records,
                 wal_flush_bytes=args.wal_flush_bytes,
@@ -675,7 +666,6 @@ def _cmd_serve(args) -> int:
                 n_shards=args.shards,
                 max_sessions_per_shard=args.max_sessions,
                 ttl_ops=args.ttl_ops,
-                placement=args.placement,
                 flush_rows=args.flush_rows,
                 wal_dir=args.wal_dir,
                 wal_flush_records=args.wal_flush_records,

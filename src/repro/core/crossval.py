@@ -63,6 +63,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.bmf import map_moments_stack
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import HyperParameterError, InsufficientDataError
@@ -267,29 +268,27 @@ class TwoDimensionalCV:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Held-out log-likelihood of the ``(fold, kappa0, v0)`` index triples.
 
-        Builds each member's MAP moments (Eq. 31–32), factors them with
-        the jitter/eigenvalue-clip repair ladder and scores the held-out
-        fold by one triangular solve against ``[R^T, xbar_t - mu]``.
-        Returns ``(fold_ll, ok)``; an irreparable member (``ok`` False)
-        gets the identity factor and zero right-hand sides, so no division
-        touches it.
+        Builds each member's MAP moments (Eq. 31–32) with
+        :func:`~repro.core.bmf.map_moments_stack` (no eigenvalue floor),
+        factors them with the jitter/eigenvalue-clip repair ladder and
+        scores the held-out fold by one triangular solve against
+        ``[R^T, xbar_t - mu]``.  Returns ``(fold_ll, ok)``; an irreparable
+        member (``ok`` False) gets the identity factor and zero right-hand
+        sides, so no division touches it.
         """
         d = self.prior.dim
         qi, ki, vi = members
-        mu_e = self.prior.mean
-        kappa = self.grid.kappa0_values[ki]
-        v0 = self.grid.v0_values[vi]
-        n_train = stats.n_train[qi]
-        xbar = stats.xbar[qi]
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = mu_e - xbar
-            outer = diff[:, :, None] * diff[:, None, :]
-            c = kappa * n_train / (kappa + n_train)
-            base = (v0[:, None, None] - d) * self.prior.covariance + stats.scatter[qi]
-            numerator = base + c[:, None, None] * outer
-            sigma = numerator / (v0 + n_train - d)[:, None, None]
-            sigma = (sigma + np.swapaxes(sigma, -1, -2)) / 2.0
-            mu = (kappa[:, None] * mu_e + n_train[:, None] * xbar) / (kappa + n_train)[:, None]
+            mu, sigma = map_moments_stack(
+                np.broadcast_to(self.prior.mean, (qi.size, d)),
+                np.broadcast_to(self.prior.covariance, (qi.size, d, d)),
+                self.grid.kappa0_values[ki],
+                self.grid.v0_values[vi],
+                stats.n_train[qi],
+                stats.xbar[qi],
+                stats.scatter[qi],
+                eig_floor_rel=0.0,
+            )
         chol, ok = cholesky_batched_safe(sigma, jitter_rel=1e-10, clip_floor_rel=1e-10)
         chol[~ok] = np.eye(d)
         log_det = logdet_batched(chol)

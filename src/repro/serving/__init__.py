@@ -26,8 +26,8 @@ re-touching raw samples.  The stack is layered bottom-up:
   counters + scorer (+ WAL), with bit-identical log replay.  A worker on
   its own is the single-process service; it checkpoints to one file.
 * :mod:`repro.serving.router` — :class:`ShardedMomentService`:
-  consistent-hash placement, coalesced ingest, merge-on-read queries,
-  manifest-directory checkpoints.
+  consistent-hash placement (each key on its home shard), coalesced
+  ingest, home-shard queries, manifest-directory checkpoints.
 * :mod:`repro.serving.protocol` — JSON-lines request handling for the
   ``repro serve`` CLI verb (fronts either entry point).
 """

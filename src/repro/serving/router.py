@@ -1,17 +1,16 @@
-"""Shard router: consistent-hash placement + merge-on-read scoring.
+"""Shard router: consistent-hash placement + home-shard scoring.
 
 :class:`ShardedMomentService` fans the serving workload out over N
 :class:`~repro.serving.worker.ShardWorker` slices:
 
 * **Placement** — a sha256-based consistent-hash ring
-  (:class:`HashRing`) maps each session key to its home shard.  The ring
-  is a pure function of ``(n_shards, virtual_nodes, key)`` — stable
-  across processes, platforms, and ``PYTHONHASHSEED`` — so any router
-  instance (or an offline tool reading a WAL) computes the same
-  placement.  ``placement="spread"`` instead replicates every session on
-  all shards and rotates ingest blocks across them round-robin per key —
-  the configuration that exercises genuine multi-shard merges on every
-  query.
+  (:class:`HashRing`) maps each session key to its home shard, where the
+  whole session lives.  The ring is a pure function of
+  ``(n_shards, virtual_nodes, key)`` — stable across processes,
+  platforms, and ``PYTHONHASHSEED`` — so any router instance (or an
+  offline tool reading a WAL) computes the same placement.  Recovery
+  checks it: a log holding a key its ring does not place on that shard
+  is refused.
 * **Ingest coalescing** — accepted sample blocks are buffered per key
   (one :class:`_KeyRecord` each, which also carries the key's
   acknowledged row count) and flushed to the owning worker as one
@@ -23,14 +22,12 @@
   the multi-shard throughput win comes from on a single-core box; the
   rounding difference is covered by the documented 1e-10 equivalence
   bound.
-* **Merge-on-read queries** — the router snapshots the key's
-  per-shard :class:`~repro.stats.suffstats.SufficientStats`, Chan-merges
-  them in shard-index order (:func:`~repro.stats.suffstats.merge_all`),
-  and scores the merged session through the same
+* **Home-shard queries** — the router snapshots the key's session from
+  its home shard and scores it through the same
   :class:`~repro.serving.scoring.BatchScorer` every other layer uses.
-  Mergeability of the sufficient-statistics triple is exactly the
-  paper's additivity property — sharding falls out of the statistics,
-  not of new math.
+  Additivity of the sufficient-statistics triple is what lets blocks
+  coalesce (and shards fold offline with
+  :func:`~repro.stats.suffstats.merge_all`) without new math.
 
 Single-shard mode is the compatibility gate: ``n_shards=1`` defaults to
 ``flush_rows=1``, and a block that alone reaches ``flush_rows`` with
@@ -64,10 +61,10 @@ from repro.schemas import MANIFEST_SCHEMA
 from repro.serving.counters import ServiceCounters
 from repro.serving.queue import QUERY_KINDS, build_requests
 from repro.serving.scoring import BatchScorer
-from repro.serving.sessions import Session, block_rows
+from repro.serving.sessions import Session, block_rows, stats_rows
 from repro.serving.wal import WriteAheadLog
 from repro.serving.worker import ShardWorker
-from repro.stats.suffstats import SufficientStats, merge_all
+from repro.stats.suffstats import SufficientStats
 
 __all__ = ["HashRing", "ShardedMomentService", "MANIFEST_SCHEMA"]
 
@@ -77,8 +74,8 @@ __all__ = ["HashRing", "ShardedMomentService", "MANIFEST_SCHEMA"]
 #: Structural version of the manifest layout.
 MANIFEST_SCHEMA_VERSION = 1
 
-#: Placement policies the router understands.
-PLACEMENTS = ("hash", "spread")
+#: The one placement: each key on its ring home.  Manifests record it.
+PLACEMENT = "hash"
 
 PathLike = Union[str, Path]
 
@@ -164,11 +161,6 @@ class ShardedMomentService:
         bit-identically to a bare worker.
     max_sessions_per_shard, ttl_ops:
         Per-shard store bounds.
-    placement:
-        ``"hash"`` — each key lives on its ring shard; queries read one
-        shard.  ``"spread"`` — each key lives on *every* shard with
-        ingest rotated round-robin; queries Chan-merge all shards
-        (merge-on-read).
     flush_rows:
         Ingest-coalescing threshold in rows.  ``None`` resolves to ``1``
         (no coalescing) for ``n_shards == 1`` and ``64`` otherwise.
@@ -185,8 +177,7 @@ class ShardedMomentService:
     virtual_nodes:
         Ring resolution (see :class:`HashRing`).
     n_jobs:
-        Thread fan-out for cross-shard operations (spread-mode collection
-        and per-shard checkpointing), normalised by
+        Thread fan-out for per-shard checkpointing, normalised by
         :func:`~repro.experiments.parallel.resolve_n_jobs`.
     """
 
@@ -195,7 +186,6 @@ class ShardedMomentService:
         n_shards: int = 1,
         max_sessions_per_shard: int = 1024,
         ttl_ops: Optional[int] = None,
-        placement: str = "hash",
         flush_rows: Optional[int] = None,
         wal_dir: Optional[PathLike] = None,
         wal_flush_records: Optional[int] = None,
@@ -203,12 +193,7 @@ class ShardedMomentService:
         virtual_nodes: int = 64,
         n_jobs: Optional[int] = 1,
     ) -> None:
-        if placement not in PLACEMENTS:
-            raise ConfigError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
         self.ring = HashRing(n_shards, virtual_nodes=virtual_nodes)
-        self.placement = placement
         if flush_rows is None:
             flush_rows = 1 if n_shards == 1 else 64
         if int(flush_rows) < 1:
@@ -246,8 +231,6 @@ class ShardedMomentService:
         self._ingest_lock = threading.Lock()
         # per-key buffered blocks and acknowledged row count
         self._records: Dict[str, _KeyRecord] = {}
-        # per-key round-robin cursor (spread placement)
-        self._rotation: Dict[str, int] = {}
         # coalescing gauges: blocks and rows handed to workers, and how many
         # of those blocks a barrier forced out before the row threshold
         self._flushed_blocks = 0
@@ -266,10 +249,6 @@ class ShardedMomentService:
     def _home(self, key: str) -> ShardWorker:
         return self.workers[self.ring.shard_for(str(key))]
 
-    def _owners(self, key: str) -> List[ShardWorker]:
-        """The workers ``key``'s session lives on (every shard for spread)."""
-        return self.workers if self.placement == "spread" else [self._home(key)]
-
     # ------------------------------------------------------------------
     # session lifecycle
     # ------------------------------------------------------------------
@@ -281,7 +260,7 @@ class ShardedMomentService:
         v0: Optional[float] = None,
         exist_ok: bool = False,
     ) -> Session:
-        """Register a population on its home shard (all shards for spread).
+        """Register a population on its home shard.
 
         Rows still buffered for the key are flushed first, so they reach
         the session they were sent to.  If that session was evicted, the
@@ -296,19 +275,16 @@ class ShardedMomentService:
                 self._flush_key_locked(key, barrier=True)
             except SessionNotFoundError:
                 pass  # evicted under its buffer; the refused rows are dropped
-            sessions = [
-                worker.create_session(
-                    key, prior, kappa0=kappa0, v0=v0, exist_ok=exist_ok
-                )
-                for worker in self._owners(key)
-            ]
-            rows = sum(session.n_ingested for session in sessions)
+            session = self._home(key).create_session(
+                key, prior, kappa0=kappa0, v0=v0, exist_ok=exist_ok
+            )
+            rows = session.n_ingested
             if rows or key in self._records:
                 self._record_locked(key).acked = rows
-        return sessions[0]
+        return session
 
     def drop_session(self, key: str) -> bool:
-        """Remove a session everywhere it lives; returns whether it existed.
+        """Remove a session from its home shard; returns whether it existed.
 
         Pending buffered rows for the key are flushed first — a drop
         covers everything accepted before it, in order — and its
@@ -318,11 +294,11 @@ class ShardedMomentService:
         with self._ingest_lock:
             self._flush_key_locked(key, barrier=True)
             self._records.pop(key, None)
-            return any([worker.drop_session(key) for worker in self._owners(key)])
+            return self._home(key).drop_session(key)
 
     def row_count(self, key: str) -> int:
-        """``key``'s row count as an ingest ack states it: rows in every
-        owning shard plus rows still buffered (no flush, no clock tick).
+        """``key``'s row count as an ingest ack states it: rows on its
+        home shard plus rows still buffered (no flush, no clock tick).
 
         Read from the workers, not from the acknowledged count, so a
         session evicted since its last ingest counts 0, as on a bare
@@ -332,7 +308,7 @@ class ShardedMomentService:
         with self._ingest_lock:
             record = self._records.get(key)
             pending = 0 if record is None else record.pending
-            return pending + sum(worker.row_count(key) for worker in self._owners(key))
+            return pending + self._home(key).row_count(key)
 
     def session_keys(self) -> List[str]:
         """Sorted union of live keys across shards (buffers flushed first)."""
@@ -384,12 +360,13 @@ class ShardedMomentService:
 
         Statistics merge exactly in any order, so these bypass the row
         buffer (flushing the key first keeps arrival order intact).
+        Non-finite statistics are refused before anything is counted.
         """
         key = str(key)
-        self.counters.record_ingest(stats.n)
+        self.counters.record_ingest(stats_rows(stats))
         with self._ingest_lock:
             self._flush_key_locked(key, barrier=True)
-            self._ingest_worker_locked(key).ingest_stats(key, stats)
+            self._home(key).ingest_stats(key, stats)
             record = self._record_locked(key)
             record.acked += stats.n
             return record.acked
@@ -401,25 +378,31 @@ class ShardedMomentService:
             record = self._records[key] = _KeyRecord()
         return record
 
-    def _seed_records(self) -> None:
-        """Start each key's acknowledged count at its recovered rows.
+    def _seed_records(self, sources: Sequence[Path]) -> None:
+        """Start each key's acknowledged count at its recovered rows, and
+        refuse a recovered key that does not live on its ring home.
 
-        Reads the stores without ticking their clocks, so recovery leaves
-        eviction order and checkpoint bytes exactly as replay made them.
+        ``sources[shard]`` is the file shard ``shard`` was recovered from,
+        named in the refusal.  A key off its home shard (logs written
+        under another ``virtual_nodes``, or by another placement) would
+        be unreachable or read short, so it raises
+        :class:`~repro.exceptions.WalCorruptionError`.  Reads the stores
+        without ticking their clocks, so recovery leaves eviction order
+        and checkpoint bytes exactly as replay made them.
         """
+        check = self.ring.n_shards > 1
         with self._ingest_lock:
-            for worker in self.workers:
+            for shard, worker in enumerate(self.workers):
                 for key, rows in worker.store.row_counts().items():
+                    if check and self.ring.shard_for(key) != shard:
+                        raise WalCorruptionError(
+                            f"{sources[shard]} holds key {key!r} on shard {shard}, "
+                            f"but the ring ({self.ring.n_shards} shards, "
+                            f"virtual_nodes={self.ring.virtual_nodes}) places it "
+                            f"on shard {self.ring.shard_for(key)}"
+                        )
                     if rows:
                         self._record_locked(key).acked += rows
-
-    def _ingest_worker_locked(self, key: str) -> ShardWorker:
-        """The worker the *next* block for ``key`` goes to (lock held)."""
-        if self.placement == "spread":
-            cursor = self._rotation.get(key, 0)
-            self._rotation[key] = cursor + 1
-            return self.workers[cursor % self.ring.n_shards]
-        return self._home(key)
 
     def _flush_key_locked(self, key: str, barrier: bool) -> None:
         """Fold ``key``'s buffered blocks into its worker (lock held).
@@ -439,7 +422,7 @@ class ShardedMomentService:
         self._barrier_blocks += int(barrier)
         try:
             stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            self._ingest_worker_locked(key).ingest(key, stacked)
+            self._home(key).ingest(key, stacked)
         except (ReproError, ValueError):
             record.acked -= rows
             raise
@@ -465,53 +448,27 @@ class ShardedMomentService:
                 self._flush_key_locked(key, barrier=True)
 
     # ------------------------------------------------------------------
-    # queries (merge-on-read)
+    # queries
     # ------------------------------------------------------------------
-    def _merged_snapshot(self, key: str) -> Session:
-        """Session snapshot for scoring: collected and Chan-merged.
-
-        Hash placement reads the home shard only; spread placement
-        collects every shard's partial statistics (thread fan-out) and
-        merges them in shard-index order — deterministic, so repeated
-        queries of an unchanged key bit-agree.
-        """
-        if self.placement != "spread":
-            return self._home(key).collect(key)
-
-        def grab(worker: ShardWorker) -> Optional[Session]:
-            try:
-                return worker.collect(key)
-            except SessionNotFoundError:
-                return None
-
-        views = [
-            view
-            for view in thread_map(grab, self.workers, n_jobs=self._n_jobs)
-            if view is not None
-        ]
-        if not views:
-            raise SessionNotFoundError(
-                f"no session {key!r} on any shard (never created, or evicted)"
-            )
-        merged = views[0]
-        merged.stats = merge_all([view.stats for view in views])
-        return merged
+    def _snapshot(self, key: str) -> Session:
+        """Session snapshot for scoring, collected from the key's home shard."""
+        return self._home(key).collect(key)
 
     def query_many(self, queries: Sequence[Tuple[str, str, Any]]) -> List[Any]:
-        """Score ``(kind, key, payload)`` queries as one merged batch.
+        """Score ``(kind, key, payload)`` queries as one batch.
 
         The buffers of the queried keys are flushed first
         (read-your-writes, :meth:`flush_keys`); other keys keep their
-        buffers.  The router then collects per-shard statistics, merges,
-        and scores through the shared grouped scorer.  Single-shard mode
-        delegates to the worker so counters land exactly where a bare
-        worker puts them.
+        buffers.  The router then collects each key's session from its
+        home shard and scores through the shared grouped scorer.
+        Single-shard mode delegates to the worker so counters land
+        exactly where a bare worker puts them.
         """
         self.flush_keys(key for _, key, _ in queries)
         if self.ring.n_shards == 1:
             return self.workers[0].query_many(queries)
         requests = build_requests(queries, self.counters.record_request)
-        self.scorer.score(requests, self._merged_snapshot)
+        self.scorer.score(requests, self._snapshot)
         return [request.future.result() for request in requests]
 
     def estimate(self, key: str) -> MomentEstimate:
@@ -520,7 +477,7 @@ class ShardedMomentService:
         return result
 
     def loglik(self, key: str, x: ArrayLike) -> float:
-        """Log-likelihood of ``x`` under the session's merged MAP."""
+        """Log-likelihood of ``x`` under the session's MAP."""
         return float(self.query_many([("loglik", key, np.asarray(x, dtype=float))])[0])
 
     def yield_prob(self, key: str, lower: ArrayLike, upper: ArrayLike) -> float:
@@ -556,7 +513,7 @@ class ShardedMomentService:
         out = self.counters.snapshot()
         shards = [worker.stats() for worker in self.workers]
         out["n_shards"] = self.ring.n_shards
-        out["placement"] = self.placement
+        out["placement"] = PLACEMENT
         out["flush_rows"] = self.flush_rows
         out["coalescing"] = coalescing
         out["sessions_live"] = sum(s["sessions_live"] for s in shards)
@@ -637,7 +594,7 @@ class ShardedMomentService:
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "n_shards": self.ring.n_shards,
             "virtual_nodes": self.ring.virtual_nodes,
-            "placement": self.placement,
+            "placement": PLACEMENT,
             "shards": entries,
             "counters": self.counters.state_dict(),
         }
@@ -700,6 +657,9 @@ class ShardedMomentService:
         records past the checkpoint's covered offset — the tail, not the
         whole history.  Group commit resumes with the log's defaults
         unless ``wal_flush_records``/``wal_flush_bytes`` override them.
+        A manifest of any placement but ``"hash"`` raises
+        :class:`~repro.exceptions.ConfigError`; a restored key off its
+        ring home raises :class:`~repro.exceptions.WalCorruptionError`.
         """
         target = Path(directory)
         try:
@@ -714,14 +674,19 @@ class ShardedMomentService:
                 f"(expected schema {MANIFEST_SCHEMA!r})"
             )
         check_schema_version(manifest, MANIFEST_SCHEMA_VERSION, "shard manifest")
+        if manifest.get("placement") != PLACEMENT:
+            raise ConfigError(
+                f"{target} was written with placement "
+                f"{manifest.get('placement')!r}; only {PLACEMENT!r} is supported"
+            )
         service = cls(
             n_shards=int(manifest["n_shards"]),
-            placement=str(manifest["placement"]),
             flush_rows=flush_rows,
             wal_dir=None,
             virtual_nodes=int(manifest["virtual_nodes"]),
             n_jobs=n_jobs,
         )
+        sources: List[Path] = []
         with _closing_on_error(service):
             for shard, entry in enumerate(manifest["shards"]):
                 checkpoint = target / str(entry["file"])
@@ -736,13 +701,15 @@ class ShardedMomentService:
                         flush_records=wal_flush_records,
                         flush_bytes=wal_flush_bytes,
                     )
+                    sources.append(wal_path)
                 else:
                     worker = ShardWorker.restore(checkpoint, shard_id=shard)
+                    sources.append(checkpoint)
                 service.workers[shard] = worker
-        # WAL tails may have advanced the workers past the manifest's
-        # counters; reconcile rather than loading the stale snapshot.
-        service._reconcile_counters(base=manifest["counters"])
-        service._seed_records()
+            # WAL tails may have advanced the workers past the manifest's
+            # counters; reconcile rather than loading the stale snapshot.
+            service._reconcile_counters(base=manifest["counters"])
+            service._seed_records(sources)
         return service
 
     @classmethod
@@ -751,7 +718,6 @@ class ShardedMomentService:
         wal_dir: PathLike,
         max_sessions_per_shard: int = 1024,
         ttl_ops: Optional[int] = None,
-        placement: str = "hash",
         flush_rows: Optional[int] = None,
         wal_flush_records: Optional[int] = None,
         wal_flush_bytes: Optional[int] = None,
@@ -768,7 +734,9 @@ class ShardedMomentService:
         missing log, a stray one, a mid-chain corruption or a log of
         another shard raises
         :class:`~repro.exceptions.WalCorruptionError` and returns no
-        service.  Store bounds
+        service.  So does a log holding a key that the ring built from
+        ``virtual_nodes`` places on another shard: supply the value the
+        logs were written with.  Store bounds
         (``max_sessions_per_shard``, ``ttl_ops``) are runtime
         configuration the WAL does not carry — supply the values the
         original service ran with, or eviction decisions will diverge.
@@ -791,7 +759,6 @@ class ShardedMomentService:
             n_shards=len(names),
             max_sessions_per_shard=max_sessions_per_shard,
             ttl_ops=ttl_ops,
-            placement=placement,
             flush_rows=flush_rows,
             wal_dir=None,
             virtual_nodes=virtual_nodes,
@@ -807,12 +774,13 @@ class ShardedMomentService:
                     flush_records=wal_flush_records,
                     flush_bytes=wal_flush_bytes,
                 )
-        # Router counters are not logged anywhere; the shard sums are the
-        # best WAL-only reconstruction (exact in single-shard mode, which
-        # routes requests through the worker; multi-shard request kinds
-        # are router-only state and restart from the replayed touches).
-        service._reconcile_counters()
-        service._seed_records()
+            # Router counters are not logged anywhere; the shard sums are
+            # the best WAL-only reconstruction (exact in single-shard mode,
+            # which routes requests through the worker; multi-shard request
+            # kinds are router-only state and restart from the replayed
+            # touches).
+            service._reconcile_counters()
+            service._seed_records([directory / name for name in expected])
         return service
 
     # ------------------------------------------------------------------

@@ -18,10 +18,11 @@ stacked-kernel calls:
 The scorer is deliberately ignorant of *where* sessions live: callers
 supply a ``snapshot_one(key) -> Session`` callable.  A shard worker
 hands it a snapshot of its own store slice; the shard router hands it
-sessions whose sufficient statistics were Chan-merged from many workers
-(merge-on-read).  Both therefore answer through literally the same code,
-which is what makes the sharded equivalence guarantees cheap to state: any
-difference is in the statistics handed in, never in the scoring.
+snapshots collected from each key's home shard.  Both therefore answer
+through literally the same code, which is what makes the sharded
+equivalence guarantees cheap to state: any difference is in the
+statistics handed in (coalesced blocks round differently), never in the
+scoring.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from repro.core.prior import PriorKnowledge
 from repro.exceptions import ConfigError, DimensionError, SessionNotFoundError
 from repro.stats.suffstats import SufficientStats
 
-__all__ = ["Session", "SessionStore", "block_rows"]
+__all__ = ["Session", "SessionStore", "block_rows", "stats_rows"]
 
 
 def block_rows(arr: np.ndarray) -> int:
@@ -56,6 +56,18 @@ def block_rows(arr: np.ndarray) -> int:
     raise DimensionError(
         f"samples must be a d-vector or an (n, d) block, got shape {arr.shape}"
     )
+
+
+def stats_rows(stats: SufficientStats) -> int:
+    """Rows a statistics merge adds: ``stats.n``.
+
+    A non-finite ``mean`` or ``scatter`` raises
+    :class:`~repro.exceptions.DimensionError`, as a non-finite row does,
+    so the merge is refused before it is logged, buffered or counted.
+    """
+    if not (np.isfinite(stats.mean).all() and np.isfinite(stats.scatter).all()):
+        raise DimensionError("statistics contain non-finite values")
+    return stats.n
 
 
 class Session:

@@ -53,7 +53,7 @@ from repro.serving.checkpoint import load_checkpoint, save_checkpoint
 from repro.serving.counters import ServiceCounters
 from repro.serving.queue import Request, build_requests
 from repro.serving.scoring import BatchScorer
-from repro.serving.sessions import Session, SessionStore, block_rows
+from repro.serving.sessions import Session, SessionStore, block_rows, stats_rows
 from repro.serving.wal import WalRecord, WriteAheadLog
 from repro.stats.suffstats import SufficientStats
 
@@ -159,14 +159,16 @@ class ShardWorker:
         ``SufficientStats.from_samples(block)`` is the same store
         transition as ingesting the 2-D ``block`` (one clock tick, one
         Chan merge of identical statistics), so the two leave
-        bit-identical state.
+        bit-identical state.  Non-finite statistics are refused before
+        they are logged.
         """
+        count = stats_rows(stats)
         if self.wal is not None:
             self.wal.append(
                 "ingest_stats", {"key": str(key), "stats": stats.to_payload()}
             )
         total = self.store.ingest_stats(key, stats)
-        self.counters.record_ingest(stats.n)
+        self.counters.record_ingest(count)
         return total
 
     def drop_session(self, key: str) -> bool:
@@ -230,12 +232,11 @@ class ShardWorker:
         return [request.future.result() for request in requests]
 
     def collect(self, key: str) -> Session:
-        """Return a detached session snapshot for merge-on-read routing.
+        """Return a detached session snapshot for the router to score.
 
-        The router Chan-merges the returned snapshots across shards and
-        scores the merge itself; this worker only pays one clock tick
-        (logged as a ``touch`` so replay reproduces it) and one O(d^2)
-        copy.  Raises
+        The router reads each key from its home shard and scores the
+        snapshot itself; this worker only pays one clock tick (logged as
+        a ``touch`` so replay reproduces it) and one O(d^2) copy.  Raises
         :class:`~repro.exceptions.SessionNotFoundError` if the key does
         not live here — after ticking, like any store lookup.
         """

@@ -178,8 +178,8 @@ class MultivariateGaussian:
 def gaussian_loglik(mean, covariance, x) -> float:
     """One-shot joint Gaussian log-likelihood (log of Eq. 9).
 
-    Convenience wrapper used by the cross-validation scorer so it does not
-    need to keep :class:`MultivariateGaussian` instances alive.
+    Convenience wrapper for callers that score one Gaussian once and need
+    not keep a :class:`MultivariateGaussian` alive.
     """
     return MultivariateGaussian(mean, covariance).loglik(x)
 

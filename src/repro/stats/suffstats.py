@@ -130,7 +130,8 @@ class SufficientStats:
         ``mean_{n} = mean_{n-1} + delta / n`` and
         ``S_n = S_{n-1} + delta (x - mean_n)^T`` — the rank-one form whose
         error stays bounded even when ``|mean| >> spread``.  Returns
-        ``self`` for chaining.
+        ``self`` for chaining.  A refused row (non-finite, or one whose
+        update overflows the scatter) leaves the accumulator unchanged.
         """
         row = np.atleast_1d(np.asarray(x, dtype=float))
         if row.ndim != 1 or row.shape[0] != self.dim:
@@ -140,12 +141,11 @@ class SufficientStats:
             )
         if not np.all(np.isfinite(row)):
             raise DimensionError("observation contains non-finite values")
-        self.n += 1
+        n = self.n + 1
         delta = row - self.mean
-        self.mean = self.mean + delta / self.n
-        self.scatter = _symmetric_part(
-            self.scatter + np.outer(delta, row - self.mean)
-        )
+        mean = self.mean + delta / n
+        scatter = _symmetric_part(self.scatter + np.outer(delta, row - mean))
+        self.n, self.mean, self.scatter = n, mean, scatter
         return self
 
     def push_batch(self, samples: ArrayLike) -> "SufficientStats":
@@ -162,7 +162,8 @@ class SufficientStats:
 
         Exact in exact arithmetic and associative/commutative up to
         floating-point rounding, so shard-local statistics can be merged
-        in any split order.  Returns ``self``.
+        in any split order.  Returns ``self``; a refused merge (the
+        combined scatter overflows) leaves it unchanged.
         """
         if not isinstance(other, SufficientStats):
             raise DimensionError(
@@ -181,10 +182,10 @@ class SufficientStats:
             return self
         n_total = self.n + other.n
         delta = other.mean - self.mean
-        self.mean = self.mean + delta * (other.n / n_total)
+        mean = self.mean + delta * (other.n / n_total)
         cross = np.outer(delta, delta) * (self.n * other.n / n_total)
-        self.scatter = _symmetric_part(self.scatter + other.scatter + cross)
-        self.n = n_total
+        scatter = _symmetric_part(self.scatter + other.scatter + cross)
+        self.n, self.mean, self.scatter = n_total, mean, scatter
         return self
 
     # ------------------------------------------------------------------

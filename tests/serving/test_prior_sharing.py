@@ -56,10 +56,13 @@ class TestOneObjectPerPrior:
             np.testing.assert_array_equal(a.mean, MEAN)
             assert not a.mean.flags.writeable and not a.covariance.flags.writeable
 
-    def test_spread_shards_hold_one_prior(self):
-        with ShardedMomentService(n_shards=3, placement="spread") as svc:
-            assert _create(svc, "a")["ok"] and _create(svc, "b")["ok"]
-            priors = {id(_prior(w, key)) for w in svc.workers for key in "ab"}
+    def test_shards_hold_one_prior(self):
+        with ShardedMomentService(n_shards=3) as svc:
+            keys = [f"k{i}" for i in range(12)]
+            assert all(_create(svc, key)["ok"] for key in keys)
+            homes = {key: svc.workers[svc.shard_for(key)] for key in keys}
+            assert len({id(worker) for worker in homes.values()}) == 3
+            priors = {id(_prior(worker, key)) for key, worker in homes.items()}
             assert len(priors) == 1
 
     def test_wal_replay_shares_the_prior(self, tmp_path):

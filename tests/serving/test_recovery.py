@@ -412,3 +412,61 @@ class TestShardLogIdentity:
         out = tmp_path / "r.ckpt"
         assert main(["replay", str(wal_dir / "shard-002.wal"), "--out", str(out)]) == 0
         assert "shard 2," in capsys.readouterr().out
+
+
+class TestRingHome:
+    """Recovery refuses a log holding a key its ring places on another
+    shard: the key would be unreachable, or read short."""
+
+    def test_recover_refuses_logs_of_another_ring(self, prior, rng, tmp_path):
+        wal_dir = tmp_path / "wal"
+        keys = [f"s/{i}" for i in range(20)]
+        with ShardedMomentService(n_shards=4, wal_dir=wal_dir, virtual_nodes=8) as live:
+            for key in keys:
+                live.create_session(key, prior)
+                live.ingest(key, rng.standard_normal((2, D)))
+        with pytest.raises(
+            WalCorruptionError,
+            match=r"shard-00\d\.wal holds key 's/\d+' on shard \d, but the ring "
+            r"\(4 shards, virtual_nodes=64\) places it on shard \d",
+        ):
+            ShardedMomentService.recover(wal_dir)
+        with ShardedMomentService.recover(wal_dir, virtual_nodes=8) as recovered:
+            assert recovered.session_keys() == sorted(keys)
+            assert all(recovered.estimate(key).n_samples == 2 for key in keys)
+
+    def test_recover_refuses_a_key_off_its_home_shard(
+        self, prior, rng, tmp_path, monkeypatch, capsys
+    ):
+        import io
+
+        wal_dir = tmp_path / "wal"
+        wal_dir.mkdir()
+        probe = ShardedMomentService(n_shards=2)
+        key = next(k for k in (f"k/{i}" for i in range(50)) if probe.shard_for(k) == 0)
+        for shard in range(2):
+            wal = WriteAheadLog.create(wal_dir / f"shard-{shard:03d}.wal", shard_id=shard)
+            with ShardWorker(shard_id=shard, wal=wal) as worker:
+                worker.create_session(key, prior)
+                worker.ingest(key, rng.standard_normal((4, D)))
+        with pytest.raises(
+            WalCorruptionError,
+            match=r"shard-001\.wal holds key 'k/\d+' on shard 1, .* places it on shard 0",
+        ):
+            ShardedMomentService.recover(wal_dir)
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"op": "shutdown"}\n'))
+        capsys.readouterr()
+        assert main(["serve", "--wal-dir", str(wal_dir)]) == 2
+        assert "holds key" in capsys.readouterr().err
+
+    def test_restore_refuses_a_manifest_of_another_ring(self, prior, rng, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        with ShardedMomentService(n_shards=4) as live:
+            for i in range(20):
+                live.create_session(f"s/{i}", prior)
+            live.checkpoint(ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["virtual_nodes"] = 8
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(WalCorruptionError, match=r"shard-00\d\.ckpt holds key 's/\d+'"):
+            ShardedMomentService.restore(ckpt)

@@ -16,6 +16,7 @@ from repro.serving import (
     ShardWorker,
     WriteAheadLog,
     handle_request,
+    merge_all,
 )
 
 D = 3
@@ -49,6 +50,40 @@ def _populate(service, prior, blocks, order=None):
         service.ingest(key, block[0])  # one Welford row
         if block.shape[0] > 1:
             service.ingest(key, block[1:])  # one Chan block
+
+
+def _spread_estimates(n_shards, prior, blocks):
+    """Each key's blocks rotated over ``n_shards`` bare workers, read by
+    Chan-merging every worker's statistics (:func:`merge_all`): the
+    split-and-merge layout that additivity of ``(n, mean, scatter)``
+    makes equal to one worker."""
+    workers = [ShardWorker(shard_id=i) for i in range(n_shards)]
+    _populate(_Rotating(workers), prior, blocks)
+    out = {}
+    for key in KEYS:
+        views = [worker.collect(key) for worker in workers]
+        merged = views[0]
+        merged.stats = merge_all([view.stats for view in views])
+        mean, cov = merged.map_moments()
+        out[key] = (mean, cov, merged.n_ingested)
+    return out
+
+
+class _Rotating:
+    """Creates a key on every worker; sends its blocks round-robin."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.cursor = {}
+
+    def create_session(self, key, *args, **kwargs):
+        for worker in self.workers:
+            worker.create_session(key, *args, **kwargs)
+
+    def ingest(self, key, block):
+        cursor = self.cursor.get(key, 0)
+        self.cursor[key] = cursor + 1
+        self.workers[cursor % len(self.workers)].ingest(key, block)
 
 
 def _reference(prior, blocks):
@@ -86,26 +121,30 @@ class TestMergeOnReadEquivalence:
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
     @pytest.mark.parametrize("placement", ["hash", "spread"])
     def test_matches_single_process(self, n_shards, placement, prior, blocks):
+        """The router (``hash``: each key on its home shard) and the
+        split-and-merge oracle (``spread``) both match one worker."""
         reference = _reference(prior, blocks)
-        with ShardedMomentService(
-            n_shards=n_shards, placement=placement, flush_rows=4
-        ) as svc:
-            _populate(svc, prior, blocks)
-            for key in KEYS:
-                est = svc.estimate(key)
-                mean, cov, n = reference[key]
-                np.testing.assert_allclose(est.mean, mean, atol=1e-10)
-                np.testing.assert_allclose(est.covariance, cov, atol=1e-10)
-                assert est.n_samples == n
+        if placement == "spread":
+            got = _spread_estimates(n_shards, prior, blocks)
+        else:
+            with ShardedMomentService(n_shards=n_shards, flush_rows=4) as svc:
+                _populate(svc, prior, blocks)
+                got = {}
+                for key in KEYS:
+                    est = svc.estimate(key)
+                    got[key] = (est.mean, est.covariance, est.n_samples)
+        for key in KEYS:
+            mean, cov, n = reference[key]
+            np.testing.assert_allclose(got[key][0], mean, atol=1e-10)
+            np.testing.assert_allclose(got[key][1], cov, atol=1e-10)
+            assert got[key][2] == n
 
     def test_ingest_order_does_not_matter(self, prior, blocks, rng):
         reference = _reference(prior, blocks)
         for seed in (0, 1):
             order = list(KEYS)
             np.random.default_rng(seed).shuffle(order)
-            with ShardedMomentService(
-                n_shards=4, placement="spread", flush_rows=2
-            ) as svc:
+            with ShardedMomentService(n_shards=4, flush_rows=2) as svc:
                 _populate(svc, prior, blocks, order=order)
                 for key in KEYS:
                     est = svc.estimate(key)
@@ -133,11 +172,10 @@ class TestMergeOnReadEquivalence:
             )
 
     def test_missing_key_raises_everywhere(self, prior, blocks):
-        for placement in ("hash", "spread"):
-            with ShardedMomentService(n_shards=4, placement=placement) as svc:
-                _populate(svc, prior, blocks)
-                with pytest.raises(SessionNotFoundError):
-                    svc.estimate("nope")
+        with ShardedMomentService(n_shards=4) as svc:
+            _populate(svc, prior, blocks)
+            with pytest.raises(SessionNotFoundError):
+                svc.estimate("nope")
 
 
 class TestLifecycle:
@@ -149,8 +187,9 @@ class TestLifecycle:
             assert totals[-1] == 20
 
     def test_session_keys_union_and_drop(self, prior, blocks):
-        with ShardedMomentService(n_shards=4, placement="spread") as svc:
+        with ShardedMomentService(n_shards=4) as svc:
             _populate(svc, prior, blocks)
+            assert len({svc.shard_for(key) for key in KEYS}) > 1
             assert svc.session_keys() == sorted(KEYS)
             assert svc.drop_session(KEYS[0]) is True
             assert svc.drop_session(KEYS[0]) is False
@@ -176,9 +215,21 @@ class TestLifecycle:
             assert svc.ingest("k", rng.standard_normal(D)) == 1
             assert svc.estimate("k").n_samples == 1
 
-    def test_invalid_placement_rejected(self):
-        with pytest.raises(ConfigError):
-            ShardedMomentService(n_shards=2, placement="mirror")
+    def test_invalid_placement_rejected(self, prior, tmp_path):
+        """Every key lives on its ring home: there is no placement option,
+        and a manifest naming another placement is not restored."""
+        with pytest.raises(TypeError):
+            ShardedMomentService(n_shards=2, placement="spread")
+        with ShardedMomentService(n_shards=2) as svc:
+            svc.create_session("k", prior)
+            svc.checkpoint(tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["placement"] == "hash"
+        manifest["placement"] = "spread"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="placement 'spread'"):
+            ShardedMomentService.restore(tmp_path / "ckpt")
 
 
 class TestPerKeyReadBarrier:
@@ -232,7 +283,7 @@ class TestPerKeyReadBarrier:
             with pytest.raises(SessionNotFoundError):
                 svc.estimate("ghost")
 
-    @pytest.mark.parametrize("placement", ["hash", "spread"])
+    @pytest.mark.parametrize("placement", ["hash"])
     def test_interleaved_reads_match_single_process(self, placement, prior, rng):
         keys = KEYS[:6]
         stream = [
@@ -240,7 +291,7 @@ class TestPerKeyReadBarrier:
             for _ in range(200)
         ]
         with ShardWorker() as single, ShardedMomentService(
-            n_shards=4, placement=placement, flush_rows=8
+            n_shards=4, flush_rows=8
         ) as svc:
             for service in (single, svc):
                 for key in keys:
@@ -513,18 +564,13 @@ class _WorkerFront:
 class _RouterFront:
     """The same for ``ShardedMomentService`` (default coalescing)."""
 
-    def __init__(self, tmp_path, n_shards, placement):
+    def __init__(self, tmp_path, n_shards):
         self.tmp_path = tmp_path
-        self.placement = placement
-        self.service = ShardedMomentService(
-            n_shards=n_shards, placement=placement, wal_dir=tmp_path / "wal"
-        )
+        self.service = ShardedMomentService(n_shards=n_shards, wal_dir=tmp_path / "wal")
 
     def recover(self):
         self.service.close()
-        self.service = ShardedMomentService.recover(
-            self.tmp_path / "wal", placement=self.placement
-        )
+        self.service = ShardedMomentService.recover(self.tmp_path / "wal")
 
     def restore(self):
         self.service.checkpoint(self.tmp_path / "ckpt")
@@ -582,15 +628,13 @@ class TestIngestAck:
         front.service.close()
         return acks
 
-    @pytest.mark.parametrize(
-        "n_shards, placement", [(1, "hash"), (4, "hash"), (4, "spread")]
-    )
+    @pytest.mark.parametrize("n_shards, placement", [(1, "hash"), (4, "hash")])
     def test_router_acks_match_worker(self, n_shards, placement, prior, tmp_path):
         script = self._script(prior, np.random.default_rng(7))
         (tmp_path / "worker").mkdir()
         (tmp_path / "router").mkdir()
         worker = self._acks(_WorkerFront(tmp_path / "worker"), script)
-        router = self._acks(_RouterFront(tmp_path / "router", n_shards, placement), script)
+        router = self._acks(_RouterFront(tmp_path / "router", n_shards), script)
         assert worker == self.EXPECTED
         assert router == worker
 
@@ -624,15 +668,14 @@ class TestIngestAck:
 
     @pytest.mark.parametrize(
         "n_shards, placement, flush_rows",
-        [(1, "hash", 1), (1, "hash", 8), (4, "hash", 8), (4, "spread", 8)],
+        [(1, "hash", 1), (1, "hash", 8), (4, "hash", 8)],
     )
     def test_exist_ok_create_acks_buffered_rows(
         self, n_shards, placement, flush_rows, prior, rng
     ):
         """An ``exist_ok`` create answers the ingest ack's ``n``: rows on
-        every owning shard, after the create flushes the rows the router
-        still buffers (19 rows at ``flush_rows=8`` leave 3 buffered, and
-        spread placement puts the flushed blocks on different shards)."""
+        the home shard, after the create flushes the rows the router
+        still buffers (19 rows at ``flush_rows=8`` leave 3 buffered)."""
         create = {
             "op": "create",
             "key": "k",
@@ -642,9 +685,7 @@ class TestIngestAck:
             "v0": V0,
         }
         rows = rng.standard_normal((19, D))
-        router = ShardedMomentService(
-            n_shards=n_shards, placement=placement, flush_rows=flush_rows
-        )
+        router = ShardedMomentService(n_shards=n_shards, flush_rows=flush_rows)
         with ShardWorker() as worker, router:
             for svc in (worker, router):
                 assert _call(svc, **create)["n"] == 0
@@ -678,21 +719,21 @@ class TestRowCountAfterEviction:
         is 0, as on a bare worker, not the rows acknowledged before."""
         rows = rng.standard_normal((3, D))
         router = ShardedMomentService(
-            n_shards=n_shards, placement="spread", max_sessions_per_shard=1, flush_rows=3
+            n_shards=n_shards, max_sessions_per_shard=1, flush_rows=3
         )
+        # a key that shares "a"'s home shard, so creating it evicts "a"
+        other = next(key for key in KEYS if router.shard_for(key) == router.shard_for("a"))
         with ShardWorker(max_sessions=1) as worker, router:
             for svc in (worker, router):
                 svc.create_session("a", prior, kappa0=KAPPA0, v0=V0)
                 assert [svc.ingest("a", row) for row in rows] == [1, 2, 3]
                 assert svc.row_count("a") == 3
-                svc.create_session("b", prior, kappa0=KAPPA0, v0=V0)
+                svc.create_session(other, prior, kappa0=KAPPA0, v0=V0)
                 assert svc.row_count("a") == 0
-                assert svc.session_keys() == ["b"]
+                assert svc.session_keys() == [other]
             assert [w.row_count("a") for w in router.workers] == [0] * n_shards
 
-    @pytest.mark.parametrize(
-        "n_shards, placement", [(1, "hash"), (2, "hash"), (2, "spread")]
-    )
+    @pytest.mark.parametrize("n_shards, placement", [(1, "hash"), (2, "hash")])
     def test_buffered_rows_die_with_their_session(
         self, n_shards, placement, prior, rng, tmp_path
     ):
@@ -710,7 +751,6 @@ class TestRowCountAfterEviction:
         wal_dir = tmp_path / "wal"
         router = ShardedMomentService(
             n_shards=n_shards,
-            placement=placement,
             max_sessions_per_shard=1,
             flush_rows=8,
             wal_dir=wal_dir,
@@ -726,7 +766,7 @@ class TestRowCountAfterEviction:
                 assert _call(svc, op="estimate", key="a")["n"] == 0
                 assert svc.ingest("a", rows[0]) == 1
         with ShardedMomentService.recover(
-            wal_dir, max_sessions_per_shard=1, placement=placement, flush_rows=8
+            wal_dir, max_sessions_per_shard=1, flush_rows=8
         ) as recovered:
             assert recovered.row_count("a") == 1
             assert recovered.estimate("a").n_samples == 1

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.bmf import BMFEstimator, map_moments, map_moments_from_stats
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import DimensionError, HyperParameterError, NotSPDError
+from repro.serving import ShardedMomentService, ShardWorker, WriteAheadLog, handle_request
 from repro.serving.suffstats import map_moments_stack
 from repro.stats.moments import sample_mean, scatter_matrix
 from repro.stats.suffstats import SufficientStats, merge_all
@@ -354,3 +355,102 @@ class TestMapMomentsStack:
         with pytest.raises(DimensionError):
             map_moments_stack(mu_e, sig_e, good["kappa0"], good["v0"],
                               np.array([-1.0, 0.0]), good["means"], good["scatters"])
+
+
+#: One refused update per accumulator path, on a d = 2 session holding
+#: the row ``[1, 2]``: each overflows the scatter (``NotSPDError``).
+REFUSED = {
+    "push": ({"samples": [1e200, 2.0]}, lambda s: s.push([1e200, 2.0])),
+    "push_batch": (
+        {"samples": [[1e200, 2.0]]},
+        lambda s: s.push_batch([[1e200, 2.0]]),
+    ),
+    "merge": (
+        {"stats": {"n": 2, "mean": [1e200, 2.0], "scatter": [[0.0, 0.0], [0.0, 0.0]]}},
+        lambda s: s.merge(SufficientStats.from_samples([[1e200, 2.0], [1e200, 2.0]])),
+    ),
+}
+
+
+def _call(service, **request):
+    return handle_request(service, json.dumps(request))
+
+
+def _session_stats(service, key):
+    """The live accumulator of ``key`` (one store clock tick)."""
+    worker = service if isinstance(service, ShardWorker) else service.workers[service.shard_for(key)]
+    return worker.store.snapshot([key])[0].stats
+
+
+def _service(kind, tmp_path):
+    wal_dir = tmp_path / "wal"
+    if kind == "worker":
+        return ShardWorker(wal=WriteAheadLog.create(tmp_path / "w.wal", shard_id=0))
+    return ShardedMomentService(n_shards=4, flush_rows=1, wal_dir=wal_dir)
+
+
+def _wal_records(service):
+    workers = [service] if isinstance(service, ShardWorker) else service.workers
+    return sum(worker.wal.last_seq for worker in workers)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestRefusedUpdates:
+    """A refused update leaves the accumulator, and so the session, exactly
+    as it was before the call."""
+
+    @pytest.mark.parametrize("op", sorted(REFUSED))
+    def test_accumulator_is_unchanged(self, op):
+        stats = SufficientStats.empty(2).push([1.0, 2.0])
+        before = stats.copy()
+        with pytest.raises(NotSPDError):
+            REFUSED[op][1](stats)
+        assert stats == before
+        # and it keeps accepting rows
+        assert stats.push([3.0, 5.0]).n == 2
+
+    @pytest.mark.parametrize("kind", ["worker", "router-4"])
+    @pytest.mark.parametrize("op", sorted(REFUSED))
+    def test_session_is_unchanged(self, op, kind, tmp_path):
+        with _service(kind, tmp_path) as svc:
+            create = _call(svc, op="create", key="a", prior_mean=[0.0, 0.0],
+                           prior_covariance=[[1.0, 0.0], [0.0, 1.0]])
+            assert create["ok"]
+            assert _call(svc, op="ingest", key="a", samples=[1.0, 2.0])["n"] == 1
+            before = _session_stats(svc, "a").copy()
+            refused = _call(svc, op="ingest", key="a", **REFUSED[op][0])
+            assert not refused["ok"] and refused["error"] == "NotSPDError"
+            assert _session_stats(svc, "a") == before
+            estimate = _call(svc, op="estimate", key="a")
+            assert estimate["n"] == 1 and np.isfinite(estimate["mean"]).all()
+            assert _call(svc, op="ingest", key="a", samples=[3.0, 5.0])["n"] == 2
+
+    @pytest.mark.parametrize("kind", ["worker", "router-4"])
+    @pytest.mark.parametrize("bad", ["mean", "scatter"])
+    def test_non_finite_stats_are_refused_before_logging(self, bad, kind, tmp_path):
+        stats = {"n": 3, "mean": [0.0, 0.0], "scatter": [[1.0, 0.0], [0.0, 1.0]]}
+        stats[bad] = [float("nan"), 0.0] if bad == "mean" else [[1.0, 0.0], [0.0, float("inf")]]
+        with _service(kind, tmp_path) as svc:
+            _call(svc, op="create", key="a", prior_mean=[0.0, 0.0],
+                  prior_covariance=[[1.0, 0.0], [0.0, 1.0]])
+            records, counted = _wal_records(svc), svc.stats()["ingested_samples"]
+            refused = _call(svc, op="ingest", key="a", stats=stats)
+            assert not refused["ok"] and refused["error"] == "DimensionError"
+            assert _wal_records(svc) == records
+            assert svc.stats()["ingested_samples"] == counted
+            estimate = _call(svc, op="estimate", key="a")
+            assert estimate["n"] == 0 and np.isfinite(estimate["covariance"]).all()
+
+    def test_logged_non_finite_stats_still_replay(self, tmp_path):
+        """The refusal is at ingest: a log that already holds such a record
+        replays as it always did."""
+        prior = PriorKnowledge(np.zeros(2), np.eye(2), 4)
+        path = tmp_path / "w.wal"
+        with ShardWorker(wal=WriteAheadLog.create(path, shard_id=0)) as worker:
+            worker.create_session("a", prior)
+            worker.wal.append("ingest_stats", {"key": "a", "stats": {
+                "n": 3, "mean": [float("nan"), 0.0], "scatter": [[1.0, 0.0], [0.0, 1.0]]}})
+        with ShardWorker._recover(path) as recovered:
+            stats = _session_stats(recovered, "a")
+            assert stats.n == 3 and np.isnan(stats.mean[0])

@@ -47,6 +47,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([*before, f"--{layer}-backend", "dense", *after])
 
+    @pytest.mark.parametrize("value", ["hash", "spread"])
+    def test_serve_refuses_placement(self, value, capsys):
+        # One placement: every key lives on its consistent-hash home shard.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--placement", value])
+        assert "unrecognized arguments: --placement" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_bank_contents(self, bank_path):
@@ -534,9 +541,8 @@ class TestCheckpointLayout:
             (["--shards", "2"], "--shards 2"),
             (["--wal-dir", "WAL"], "--wal-dir"),
             (["--flush-rows", "4"], "--flush-rows"),
-            (["--placement", "spread"], "--placement spread"),
         ],
-        ids=["shards", "wal-dir", "flush-rows", "placement"],
+        ids=["shards", "wal-dir", "flush-rows"],
     )
     def test_serve_file_checkpoint_conflicts_with_shard_flags(
         self, flags, named, bank_path, tmp_path, capsys, monkeypatch
