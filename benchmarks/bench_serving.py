@@ -15,6 +15,7 @@ from repro.bench import append_entry
 from scripts.bench_serving import (
     BATCHED_SPEEDUP_FLOOR,
     SHARD_SPEEDUP_FLOOR,
+    WAL_BYTES_PER_ROW_CEILING,
     WAL_THROUGHPUT_FLOOR,
     ingest_throughput,
     query_latency,
@@ -112,10 +113,12 @@ def test_sharded_zipf_throughput(scale):
 
 
 def test_wal_ingest_overhead(scale, tmp_path):
-    """Durable ingest: the v2 group-commit WAL keeps >= 0.25x no-WAL rows/s.
+    """Durable ingest: the v2 group-commit WAL keeps >= 0.25x no-WAL rows/s
+    and writes <= 10 bytes per row.
 
     A log that paid a per-float text encoding again (the retired
-    JSON-lines format ran at 0.07-0.17x of no-WAL) fails the floor.
+    JSON-lines format ran at 0.07-0.17x of no-WAL) fails the floor; one
+    that logged sample blocks raw again (~42 B/row) fails the ceiling.
     """
     sizing = SIZING[scale.label][2]
     results = wal_ingest(tmp_path, dim=D, alpha=ZIPF_ALPHA, **sizing)
@@ -127,11 +130,13 @@ def test_wal_ingest_overhead(scale, tmp_path):
             "section": "wal_ingest",
             "zipf_alpha": ZIPF_ALPHA,
             "v2_vs_no_wal_floor": WAL_THROUGHPUT_FLOOR,
+            "wal_bytes_per_row_ceiling": WAL_BYTES_PER_ROW_CEILING,
             **sizing,
         },
         results,
     )
     assert speedup >= WAL_THROUGHPUT_FLOOR
+    assert results["per_config"]["v2"]["wal_bytes_per_row"] <= WAL_BYTES_PER_ROW_CEILING
 
 
 def test_wal_recover(scale, tmp_path):

@@ -81,6 +81,10 @@ SHARD_SPEEDUP_FLOOR = 2.0
 SMOKE_PASSES = 3
 #: v2 durable ingest over the no-WAL rows/s of the same stream.
 WAL_THROUGHPUT_FLOOR = 0.25
+#: Log bytes per ingested row of the ``wal_ingest`` stream (64-row blocks,
+#: d = 5), gated at every scale: bytes are deterministic, unlike rows/s.
+#: A block logged as its statistics costs ~7 B/row; logged raw, ~42.
+WAL_BYTES_PER_ROW_CEILING = 10.0
 #: Micro-batched over per-request scoring of 64 sessions; asserted
 #: outside smoke scale (CI smoke boxes are too noisy to gate on).
 BATCHED_SPEEDUP_FLOOR = 5.0

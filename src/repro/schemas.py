@@ -16,7 +16,8 @@ is built on, placed here (the bottom architectural layer) so every layer
 reach them without a layering back-edge:
 
 * :func:`canonical_json` — the one canonical JSON encoding used for
-  every hashed payload;
+  every hashed payload, and :func:`parse_json`, its fast ``json.loads``
+  twin for request lines and log metadata;
 * :func:`fsync_dir` — the directory-fsync half of the crash-safe
   ``flush -> fsync -> os.replace -> fsync_dir`` write pattern that
   reprolint rule RPL008 enforces;
@@ -28,8 +29,9 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 __all__ = [
     "SUFFSTATS_WIRE_SCHEMA",
@@ -43,6 +45,7 @@ __all__ = [
     "SCENARIO_SCHEMA",
     "ALL_SCHEMAS",
     "canonical_json",
+    "parse_json",
     "fsync_dir",
     "write_json_atomic",
 ]
@@ -98,6 +101,29 @@ ALL_SCHEMAS = (
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+def _canonical_scanner() -> Optional[Callable[[Any, int], Sequence[str]]]:
+    """The C scanner ``_CANONICAL_ENCODER.encode`` builds on every call
+    (CPython 3.9-3.13 share this constructor), built once; ``None`` where
+    the ``_json`` accelerator is missing or takes other arguments.
+
+    It gets no circular-reference table, so a self-containing payload
+    raises ``RecursionError`` rather than ``ValueError``.  It keeps no
+    other state, so one instance is safe across threads.
+    """
+    if c_make_encoder is None:
+        return None
+    try:
+        return c_make_encoder(
+            None, _CANONICAL_ENCODER.default, encode_basestring_ascii, None,
+            ":", ",", True, False, True,
+        )
+    except TypeError:
+        return None
+
+
+_CANONICAL_SCAN = _canonical_scanner()
+
+
 def canonical_json(payload: Any) -> str:
     """The one canonical JSON encoding used for every hashed artefact.
 
@@ -107,7 +133,35 @@ def canonical_json(payload: Any) -> str:
     trip), which preserves IEEE-754 doubles bit-for-bit.  The bytes equal
     ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``.
     """
-    return _CANONICAL_ENCODER.encode(payload)
+    if _CANONICAL_SCAN is None:
+        return _CANONICAL_ENCODER.encode(payload)
+    return "".join(_CANONICAL_SCAN(payload, 0))
+
+
+#: The one decoder behind :func:`parse_json` (``json.loads`` with default
+#: arguments uses an equivalent shared instance, but only behind a
+#: whitespace scan and an end-of-input check per call).
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def parse_json(text: Union[str, bytes]) -> Any:
+    """``json.loads(text)``: the same value, or the same error text.
+
+    The common input is exactly one JSON value (a request line, or the
+    :func:`canonical_json` meta of a log frame), which one ``raw_decode``
+    parses.  Anything else — bytes, leading or trailing whitespace, extra
+    data, malformed input — goes to ``json.loads``, which raises (or
+    returns) exactly what it always did.
+    """
+    if isinstance(text, str):
+        try:
+            value, end = _raw_decode(text)
+        except json.JSONDecodeError:
+            pass
+        else:
+            if end == len(text):
+                return value
+    return json.loads(text)
 
 
 def fsync_dir(path: PathLike) -> None:

@@ -63,7 +63,7 @@ from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Union
 import numpy as np
 
 from repro.exceptions import ConfigError, ReproError
-from repro.schemas import canonical_json
+from repro.schemas import canonical_json, parse_json
 from repro.serving.router import ShardedMomentService
 from repro.serving.worker import ShardWorker
 from repro.core.prior import PriorKnowledge
@@ -279,31 +279,6 @@ _HANDLERS: Dict[str, Callable[[ServingService, Dict[str, Any]], Dict[str, Any]]]
 }
 
 
-#: One decoder for every request line (``json.loads`` with default
-#: arguments uses an equivalent shared instance, but only behind a
-#: whitespace scan and an end-of-input check per call).
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _parse_request(line: Union[str, bytes]) -> Any:
-    """``json.loads(line)``: the same value, or the same error text.
-
-    The common line is exactly one JSON value, which one ``raw_decode``
-    parses.  Anything else — bytes, leading or trailing whitespace, extra
-    data, malformed input — goes to ``json.loads``, which raises (or
-    returns) exactly what it always did.
-    """
-    if isinstance(line, str):
-        try:
-            value, end = _raw_decode(line)
-        except json.JSONDecodeError:
-            pass
-        else:
-            if end == len(line):
-                return value
-    return json.loads(line)
-
-
 def handle_request(service: ServingService, line: str) -> Dict[str, Any]:
     """Decode one request line, execute it, and return the response dict.
 
@@ -314,7 +289,7 @@ def handle_request(service: ServingService, line: str) -> Dict[str, Any]:
     """
     op: Optional[str] = None
     try:
-        request = _parse_request(line)
+        request = parse_json(line)
         if not isinstance(request, dict):
             raise ConfigError("request must be a JSON object")
         op = str(request.get("op"))
@@ -363,17 +338,23 @@ def serve_loop(
     source = sys.stdin if lines is None else lines
     sink = sys.stdout if out is None else out
     handled = 0
-    for raw in source:
-        line = raw.strip()
-        if not line:
-            continue
-        response = handle_request(service, line)
-        try:
-            sink.write(canonical_json(response) + "\n")
-            sink.flush()
-        except BrokenPipeError:
-            break
-        handled += 1
-        if response.get("op") == "shutdown" and response.get("ok"):
-            break
+    # An update whose scatter overflows answers NotSPDError; the overflow
+    # (and the inf - inf an overflowed mean leaves in the scatter) is that
+    # refusal, so NumPy's RuntimeWarning is not printed as well.  One
+    # errstate for the whole loop: entering one per request would cost a
+    # sizeable share of a small ingest.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for raw in source:
+            line = raw.strip()
+            if not line:
+                continue
+            response = handle_request(service, line)
+            try:
+                sink.write(canonical_json(response) + "\n")
+                sink.flush()
+            except BrokenPipeError:
+                break
+            handled += 1
+            if response.get("op") == "shutdown" and response.get("ok"):
+                break
     return handled

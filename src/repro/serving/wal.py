@@ -10,7 +10,7 @@ length-prefixed binary frames::
     body   := u32le(len(meta)) | meta | array bytes
     meta   := canonical JSON {"op", "payload", "seq"}
 
-``float64`` arrays inside the payload (sample blocks, prior moments,
+``float64`` arrays inside the payload (sample rows, prior moments,
 ``SufficientStats`` buffers) are replaced in ``meta`` by shape-prefixed
 descriptors ``{"__f64nd__": {"shape": [...], "offset": N}}`` and their raw
 little-endian bytes appended to the body — no ``tolist`` / ``repr`` /
@@ -67,13 +67,13 @@ import os
 import struct
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigError, WalCorruptionError
 from repro.io import canonical_json, fsync_dir
-from repro.schemas import WAL2_MAGIC, WAL_SCHEMA_V1, WAL_SCHEMA_V2
+from repro.schemas import WAL2_MAGIC, WAL_SCHEMA_V1, WAL_SCHEMA_V2, parse_json
 
 __all__ = [
     "WAL_SCHEMA_V2",
@@ -110,27 +110,23 @@ _ENCODE_NESTED = (np.ndarray, dict, list, tuple)
 # ---------------------------------------------------------------------------
 # payload codec
 # ---------------------------------------------------------------------------
-def _strip_arrays(value: Any, buffers: List[bytes], state: Dict[str, int]) -> Any:
+def _strip_arrays(value: Any, region: bytearray) -> Any:
     """Encode a payload: replace ndarrays with shape+offset descriptors.
 
-    The raw little-endian float64 bytes are appended to ``buffers`` in
+    The raw little-endian float64 bytes are appended to ``region`` in
     traversal order; offsets are explicit so decode order is free.  Only
     arrays and containers are walked: scalars and strings stay in place
     without a call each.
     """
     if isinstance(value, np.ndarray):
-        arr = np.ascontiguousarray(np.asarray(value, dtype="<f8"))
-        raw = arr.tobytes()
-        descriptor = {
-            _ND_KEY: {"offset": state["offset"], "shape": list(arr.shape)}
-        }
-        state["offset"] += len(raw)
-        buffers.append(raw)
+        arr = np.ascontiguousarray(value, dtype=_LE_F8)
+        descriptor = {_ND_KEY: {"offset": len(region), "shape": list(arr.shape)}}
+        region += memoryview(arr)
         return descriptor
     if isinstance(value, dict):
         return {
             str(key): (
-                _strip_arrays(item, buffers, state)
+                _strip_arrays(item, region)
                 if isinstance(item, _ENCODE_NESTED)
                 else item
             )
@@ -138,7 +134,7 @@ def _strip_arrays(value: Any, buffers: List[bytes], state: Dict[str, int]) -> An
         }
     if isinstance(value, (list, tuple)):
         return [
-            _strip_arrays(item, buffers, state)
+            _strip_arrays(item, region)
             if isinstance(item, _ENCODE_NESTED)
             else item
             for item in value
@@ -146,34 +142,46 @@ def _strip_arrays(value: Any, buffers: List[bytes], state: Dict[str, int]) -> An
     return value
 
 
+def _bind_array(descriptor: Any, region: bytes) -> np.ndarray:
+    """The owned ``float64`` array one descriptor points at in ``region``."""
+    if not isinstance(descriptor, dict):
+        raise ValueError("malformed array descriptor")
+    shape = tuple(map(int, descriptor["shape"]))
+    offset = int(descriptor["offset"])
+    if shape and min(shape) < 0:
+        raise ValueError("negative array extent")
+    if offset < 0 or offset + 8 * math.prod(shape) > len(region):
+        raise ValueError("array descriptor exceeds the payload region")
+    # a read-only view of the region, then one owned float64 copy
+    return np.ndarray(shape, _LE_F8, region, offset).astype(float)
+
+
 def _bind_arrays(value: Any, region: bytes) -> Any:
     """Decode a payload: materialise array descriptors from the byte region.
 
-    Decoded JSON nests only in objects and arrays, so only ``dict`` and
-    ``list`` values are walked.
+    The freshly decoded containers are nobody else's, so each descriptor
+    is replaced in place, in its parent, and the containers are returned,
+    not rebuilt; a ``value`` that is itself a descriptor comes back as its
+    array.  Decoded JSON nests only in objects and arrays, so only
+    ``dict`` and ``list`` values are walked.
     """
     if isinstance(value, dict):
         if len(value) == 1 and _ND_KEY in value:
-            descriptor = value[_ND_KEY]
-            if not isinstance(descriptor, dict):
-                raise ValueError("malformed array descriptor")
-            shape = tuple(map(int, descriptor["shape"]))
-            offset = int(descriptor["offset"])
-            if shape and min(shape) < 0:
-                raise ValueError("negative array extent")
-            if offset < 0 or offset + 8 * math.prod(shape) > len(region):
-                raise ValueError("array descriptor exceeds the payload region")
-            # a read-only view of the region, then one owned float64 copy
-            return np.ndarray(shape, _LE_F8, region, offset).astype(float)
-        return {
-            key: _bind_arrays(item, region) if isinstance(item, (dict, list)) else item
-            for key, item in value.items()
-        }
-    if isinstance(value, list):
-        return [
-            _bind_arrays(item, region) if isinstance(item, (dict, list)) else item
-            for item in value
-        ]
+            return _bind_array(value[_ND_KEY], region)
+        items: Any = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return value
+    for key, item in items:
+        if isinstance(item, dict):
+            if len(item) == 1 and _ND_KEY in item:
+                # replaces a value: the dict keeps its size mid-iteration
+                value[key] = _bind_array(item[_ND_KEY], region)
+            else:
+                _bind_arrays(item, region)
+        elif isinstance(item, list):
+            _bind_arrays(item, region)
     return value
 
 
@@ -199,13 +207,12 @@ def _header_frame(shard_id: int, base_seq: int) -> Tuple[bytes, bytes]:
 def _record_frame(
     prev_digest: bytes, seq: int, op: str, payload: Dict[str, Any]
 ) -> Tuple[bytes, bytes]:
-    buffers: List[bytes] = []
-    state = {"offset": 0}
-    meta_payload = _strip_arrays(payload, buffers, state)
+    region = bytearray()
+    meta_payload = _strip_arrays(payload, region)
     meta = canonical_json(
         {"op": op, "payload": meta_payload, "seq": int(seq)}
     ).encode("utf-8")
-    return _seal(prev_digest, _U32.pack(len(meta)) + meta + b"".join(buffers))
+    return _seal(prev_digest, _U32.pack(len(meta)) + meta + region)
 
 
 def _frame_at(data: bytes, pos: int) -> Optional[Tuple[bytes, bytes, int]]:
@@ -236,7 +243,7 @@ def _verify_frame(
     if _U32.size + meta_len > len(body):
         raise ValueError("frame meta length exceeds the body")
     try:
-        meta = json.loads(body[_U32.size : _U32.size + meta_len].decode("utf-8"))
+        meta = parse_json(body[_U32.size : _U32.size + meta_len].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise ValueError(f"unreadable frame meta: {exc}") from exc
     if not isinstance(meta, dict) or set(meta) != {"op", "payload", "seq"}:

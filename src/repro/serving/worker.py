@@ -139,12 +139,21 @@ class ShardWorker:
     def ingest(self, key: str, samples: ArrayLike) -> int:
         """Fold late-stage samples into a session; returns its new total.
 
-        The WAL record preserves the array's dimensionality: a 1-D vector
-        replays down the Welford single-sample path and an ``(n, d)``
-        block down the Chan block-merge path, which differ in rounding —
-        shape is part of the bit-identity contract.
+        ``samples`` is one ``d``-vector or an ``(n, d)`` block with
+        ``n >= 1``; any other shape raises
+        :class:`~repro.exceptions.DimensionError` before anything is
+        logged.  A vector is logged raw and replays down the Welford
+        single-sample path.  A block is reduced to
+        ``SufficientStats.from_samples(block)`` once, logged as that
+        ``ingest_stats`` record (``d + d^2`` floats instead of ``n d``) and
+        merged through :meth:`ingest_stats`'s path — the Chan block merge
+        a raw block takes, so the state is bit-identical.  A block
+        ``from_samples`` refuses (non-finite, an overflowing scatter, no
+        rows) raises before it is logged, ticked or counted.
         """
         arr = np.asarray(samples, dtype=float)
+        if arr.ndim == 2:
+            return self._merge_stats(key, SufficientStats.from_samples(arr))
         count = block_rows(arr)
         if self.wal is not None:
             self.wal.append("ingest", {"key": str(key), "samples": arr})
@@ -159,16 +168,20 @@ class ShardWorker:
         ``SufficientStats.from_samples(block)`` is the same store
         transition as ingesting the 2-D ``block`` (one clock tick, one
         Chan merge of identical statistics), so the two leave
-        bit-identical state.  Non-finite statistics are refused before
-        they are logged.
+        bit-identical state; :meth:`ingest` of a block is this call.
+        Non-finite statistics are refused before they are logged.
         """
-        count = stats_rows(stats)
+        stats_rows(stats)
+        return self._merge_stats(key, stats)
+
+    def _merge_stats(self, key: str, stats: SufficientStats) -> int:
+        """Log ``stats`` as an ``ingest_stats`` record, then merge and count it."""
         if self.wal is not None:
             self.wal.append(
                 "ingest_stats", {"key": str(key), "stats": stats.to_payload()}
             )
         total = self.store.ingest_stats(key, stats)
-        self.counters.record_ingest(count)
+        self.counters.record_ingest(stats.n)
         return total
 
     def drop_session(self, key: str) -> bool:
@@ -324,9 +337,10 @@ class ShardWorker:
         """
         stream = records.records() if isinstance(records, WriteAheadLog) else records
         applied = 0
-        for record in stream:
-            self._apply_replayed(record)
-            applied += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for record in stream:
+                self._apply_replayed(record)
+                applied += 1
         return applied
 
     # ------------------------------------------------------------------
@@ -460,12 +474,15 @@ class ShardWorker:
             if covered is None or record[0] > covered:
                 worker._apply_replayed(record)
 
-        wal = WriteAheadLog.open(
-            wal_path,
-            flush_records=flush_records,
-            flush_bytes=flush_bytes,
-            _on_record=apply,
-        )
+        # a logged update whose scatter overflows is refused again on
+        # replay; its overflow is that refusal, not a warning to print
+        with np.errstate(over="ignore", invalid="ignore"):
+            wal = WriteAheadLog.open(
+                wal_path,
+                flush_records=flush_records,
+                flush_bytes=flush_bytes,
+                _on_record=apply,
+            )
         if shard_id is not None and wal.shard_id != shard_id:
             wal.close()
             raise WalCorruptionError(

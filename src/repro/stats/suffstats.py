@@ -53,6 +53,11 @@ def _symmetric_part(scatter: np.ndarray) -> np.ndarray:
     return (scatter + scatter.T) / 2.0
 
 
+def _check_dim(dim: int) -> None:
+    if int(dim) < 1:
+        raise DimensionError(f"dim must be >= 1, got {dim}")
+
+
 class SufficientStats:
     """Running ``(n, mean, scatter)`` of a stream of ``d``-vectors.
 
@@ -74,11 +79,18 @@ class SufficientStats:
     __slots__ = ("n", "mean", "scatter")
 
     def __init__(self, dim: int) -> None:
-        if int(dim) < 1:
-            raise DimensionError(f"dim must be >= 1, got {dim}")
+        _check_dim(dim)
         self.n: int = 0
         self.mean: np.ndarray = np.zeros(int(dim))
         self.scatter: np.ndarray = np.zeros((int(dim), int(dim)))
+
+    @classmethod
+    def _of(cls, n: int, mean: np.ndarray, scatter: np.ndarray) -> "SufficientStats":
+        """An accumulator holding the given triple as is: no copy, and no
+        zero arrays allocated only to be replaced."""
+        stats = cls.__new__(cls)
+        stats.n, stats.mean, stats.scatter = n, mean, scatter
+        return stats
 
     # ------------------------------------------------------------------
     # construction
@@ -99,13 +111,10 @@ class SufficientStats:
         validates the block and computes its mean once.
         """
         data = as_samples(samples)
-        stats = cls(data.shape[1])
+        _check_dim(data.shape[1])
         mean = data.mean(axis=0)
         centered = data - mean
-        stats.n = data.shape[0]
-        stats.mean = mean
-        stats.scatter = _symmetric_part(centered.T @ centered)
-        return stats
+        return cls._of(data.shape[0], mean, _symmetric_part(centered.T @ centered))
 
     # ------------------------------------------------------------------
     @property
@@ -115,11 +124,7 @@ class SufficientStats:
 
     def copy(self) -> "SufficientStats":
         """Independent deep copy of the accumulator state."""
-        out = SufficientStats(self.dim)
-        out.n = self.n
-        out.mean = self.mean.copy()
-        out.scatter = self.scatter.copy()
-        return out
+        return SufficientStats._of(self.n, self.mean.copy(), self.scatter.copy())
 
     # ------------------------------------------------------------------
     # updates
@@ -169,7 +174,7 @@ class SufficientStats:
             raise DimensionError(
                 f"can only merge SufficientStats, got {type(other).__name__}"
             )
-        if other.dim != self.dim:
+        if other.mean.shape != self.mean.shape:
             raise DimensionError(
                 f"cannot merge dim-{other.dim} stats into dim-{self.dim} stats"
             )
@@ -183,7 +188,8 @@ class SufficientStats:
         n_total = self.n + other.n
         delta = other.mean - self.mean
         mean = self.mean + delta * (other.n / n_total)
-        cross = np.outer(delta, delta) * (self.n * other.n / n_total)
+        # np.outer's own multiply, without its ravel/newaxis wrapping
+        cross = (delta[:, None] * delta) * (self.n * other.n / n_total)
         scatter = _symmetric_part(self.scatter + other.scatter + cross)
         self.n, self.mean, self.scatter = n_total, mean, scatter
         return self
@@ -228,11 +234,8 @@ class SufficientStats:
             )
         if n < 0:
             raise DimensionError(f"suffstats count must be >= 0, got {n}")
-        stats = cls(d)
-        stats.n = n
-        stats.mean = mean
-        stats.scatter = scatter
-        return stats
+        _check_dim(d)
+        return cls._of(n, mean, scatter)
 
     def to_wire(self) -> bytes:
         """Stable wire encoding: canonical JSON (sorted keys, compact,

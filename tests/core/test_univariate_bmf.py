@@ -65,9 +65,10 @@ class TestUnivariateBMF:
         """The d=1 multivariate BMF must be a normal-gamma in disguise.
 
         With the correspondences kappa0 <-> kappa0, v0 <-> 2*alpha0 and
-        Sigma_E <-> var_e, Eq. (32) at d=1 equals the normal-gamma MAP
-        variance up to the differing mode conventions; here we check the
-        posterior *mean locations* agree exactly.
+        Sigma_E <-> var_e, Eq. (31) and (32) at d=1 equal the normal-gamma
+        MAP mean and variance; here we check the posterior *mean
+        locations* agree on one case (both moments, over random cases:
+        ``test_d1_mean_and_variance_match_over_random_cases``).
         """
         data = rng.standard_normal(9) * 1.3 + 0.4
         kappa0 = 2.5
@@ -77,3 +78,24 @@ class TestUnivariateBMF:
         prior_uv = NormalGammaPrior.from_early_stage(0.2, 1.7, kappa0, alpha0=4.0)
         post = prior_uv.posterior(data)
         assert mu_mv[0] == pytest.approx(post.mu0)
+
+    def test_d1_mean_and_variance_match_over_random_cases(self, rng):
+        """``UnivariateBMF(mean_e, var_e, kappa0, alpha0=v0/2)`` is Eq. 31-32
+        at d=1 in variance as well as mean: with beta0 = (alpha0 - 1/2)
+        var_e, the normal-gamma mode beta_n / (alpha_n - 1/2) is
+        [(v0 - 1) var_e + S + kappa0 n / (kappa0 + n) (xbar - mu_E)^2]
+        / (v0 + n - 1), the d=1 case of Eq. 32."""
+        worst = 0.0
+        for _ in range(200):
+            mean_e = 3.0 * rng.standard_normal()
+            var_e = rng.uniform(0.1, 5.0)
+            kappa0 = 10.0 ** rng.uniform(-2.0, 2.0)
+            v0 = rng.uniform(1.2, 30.0)
+            n = int(rng.integers(1, 40))
+            data = mean_e + rng.uniform(0.2, 3.0) * rng.standard_normal(n)
+            prior = PriorKnowledge(np.array([mean_e]), np.array([[var_e]]))
+            mu_mv, sigma_mv = map_moments(prior, data[:, None], kappa0, v0)
+            mean_uv, var_uv = UnivariateBMF(mean_e, var_e, kappa0, alpha0=v0 / 2.0).estimate(data)
+            for a, b in ((mu_mv[0], mean_uv), (sigma_mv[0, 0], var_uv)):
+                worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
+        assert worst <= 1e-12

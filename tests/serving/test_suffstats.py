@@ -5,7 +5,9 @@ one-at-a-time (or shard-by-shard in any split/merge order) must reproduce
 the one-shot :class:`~repro.core.bmf.BMFEstimator` MAP moments to 1e-10.
 """
 
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.bmf import BMFEstimator, map_moments, map_moments_from_stats
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import DimensionError, HyperParameterError, NotSPDError
-from repro.serving import ShardedMomentService, ShardWorker, WriteAheadLog, handle_request
+from repro.serving import (
+    ShardedMomentService,
+    ShardWorker,
+    WriteAheadLog,
+    handle_request,
+    serve_loop,
+)
 from repro.serving.suffstats import map_moments_stack
 from repro.stats.moments import sample_mean, scatter_matrix
 from repro.stats.suffstats import SufficientStats, merge_all
@@ -454,3 +462,42 @@ class TestRefusedUpdates:
         with ShardWorker._recover(path) as recovered:
             stats = _session_stats(recovered, "a")
             assert stats.n == 3 and np.isnan(stats.mean[0])
+
+
+class TestOverflowIsSilent:
+    """An update refused for an overflowing scatter answers
+    ``NotSPDError`` and nothing else: no NumPy ``RuntimeWarning`` reaches
+    stderr, live through ``serve_loop`` or when its log recovers."""
+
+    LINES = [
+        json.dumps(request)
+        for request in (
+            {"op": "create", "key": "a", "prior_mean": [0.0, 0.0],
+             "prior_covariance": [[1.0, 0.0], [0.0, 1.0]]},
+            {"op": "ingest", "key": "a", "samples": [1.0, 2.0]},
+            {"op": "ingest", "key": "a", "samples": [1e200, 2.0]},
+            {"op": "ingest", "key": "a", "samples": [[1e200, 2.0], [1.0, 1.0]]},
+            # the mean overflows, so the scatter holds inf - inf as well
+            {"op": "ingest", "key": "a", "samples": [[1e308, 2.0], [1e308, 1.0]]},
+        )
+    ]
+
+    @pytest.mark.parametrize("kind", ["worker", "router-1"])
+    def test_serve_loop_and_recovery_warn_nothing(self, kind, tmp_path):
+        out = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if kind == "worker":
+                live = ShardWorker(wal=WriteAheadLog.create(tmp_path / "w.wal", shard_id=0))
+            else:
+                live = ShardedMomentService(n_shards=1, wal_dir=tmp_path / "wal")
+            with live:
+                assert serve_loop(live, self.LINES, out=out) == 5
+            if kind == "worker":
+                recovered = ShardWorker._recover(tmp_path / "w.wal")
+            else:
+                recovered = ShardedMomentService.recover(tmp_path / "wal")
+            with recovered:
+                assert _session_stats(recovered, "a").n == 1
+        errors = [json.loads(line).get("error") for line in out.getvalue().splitlines()]
+        assert errors == [None, None] + ["NotSPDError"] * 3

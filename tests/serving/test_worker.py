@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import DimensionError, SessionNotFoundError
+from repro.exceptions import DimensionError, ReproError, SessionNotFoundError
 from repro.io import canonical_json
-from repro.serving import ShardWorker, WriteAheadLog
+from repro.serving import ShardedMomentService, ShardWorker, WriteAheadLog
 from repro.stats.suffstats import SufficientStats
 
 D = 3
@@ -336,27 +336,34 @@ class TestWalV2AndDelta:
         wal.close()
 
     def test_delta_logging_is_bit_identical_to_raw(self, prior, tmp_path):
-        """A block merged as its suffstats leaves the *same* worker state
-        as the block ingested raw — same bits, not just 1e-10."""
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        raw_wal = WriteAheadLog.create(tmp_path / "raw.wal", shard_id=0)
-        raw = ShardWorker(shard_id=0, wal=raw_wal)
+        """A block logged as its suffstats leaves the *same* worker state
+        as the block logged raw and replayed — same bits, not just 1e-10.
+        The raw side is the ``ingest`` record earlier builds wrote for a
+        block, appended by hand."""
+        rng = np.random.default_rng(5)
+        blocks = [rng.standard_normal((8, D)), rng.standard_normal((2, D))]
+        row = rng.standard_normal(D)
         delta_wal = WriteAheadLog.create(tmp_path / "delta.wal", shard_id=0)
         delta = ShardWorker(shard_id=0, wal=delta_wal)
-        for worker, rng in ((raw, rng_a), (delta, rng_b)):
-            worker.create_session("k", prior, kappa0=2.0, v0=D + 2.0)
-            block = rng.standard_normal((8, D))
-            if worker is delta:
-                worker.ingest_stats("k", SufficientStats.from_samples(block))
-            else:
-                worker.ingest("k", block)
-            worker.ingest("k", rng.standard_normal((2, D)))  # raw block
-            worker.ingest("k", rng.standard_normal(D))  # raw 1-D row
-        assert _sha(raw.state_dict()) == _sha(delta.state_dict())
+        delta.create_session("k", prior, kappa0=2.0, v0=D + 2.0)
+        delta.ingest_stats("k", SufficientStats.from_samples(blocks[0]))
+        delta.ingest("k", blocks[1])  # a block: logged as its statistics
+        delta.ingest("k", row)  # a 1-D row: logged raw
+        raw_wal = WriteAheadLog.create(tmp_path / "raw.wal", shard_id=0)
+        ShardWorker(shard_id=0, wal=raw_wal).create_session(
+            "k", prior, kappa0=2.0, v0=D + 2.0
+        )
+        for samples in (*blocks, row):
+            raw_wal.append("ingest", {"key": "k", "samples": samples})
+        raw = ShardWorker(shard_id=0)
+        assert raw.replay(raw_wal) == 4
+        delta_state = delta.state_dict()
+        delta_state.pop("wal")
+        assert _sha(raw.state_dict()) == _sha(delta_state)
         raw_ops = [op for _, op, _ in raw_wal.records()]
         delta_ops = [op for _, op, _ in delta_wal.records()]
         assert raw_ops == ["create", "ingest", "ingest", "ingest"]
-        assert delta_ops == ["create", "ingest_stats", "ingest", "ingest"]
+        assert delta_ops == ["create", "ingest_stats", "ingest_stats", "ingest"]
         raw_wal.close()
         delta_wal.close()
 
@@ -382,6 +389,9 @@ class TestWalV2AndDelta:
         wal.close()
 
     def test_delta_wal_is_smaller_than_raw(self, prior, rng, tmp_path):
+        """A worker logs a block as its statistics: >10x smaller than the
+        raw ``ingest`` record of the same block, which replays to the same
+        state."""
         raw_wal = WriteAheadLog.create(tmp_path / "raw.wal", shard_id=0)
         raw = ShardWorker(shard_id=0, wal=raw_wal)
         delta_wal = WriteAheadLog.create(tmp_path / "delta.wal", shard_id=0)
@@ -389,11 +399,15 @@ class TestWalV2AndDelta:
         block = rng.standard_normal((512, D))
         for worker in (raw, delta):
             worker.create_session("k", prior)
-        raw.ingest("k", block)
-        delta.ingest_stats("k", SufficientStats.from_samples(block))
+        raw_wal.append("ingest", {"key": "k", "samples": block})
+        delta.ingest("k", block)
         for worker in (raw, delta):
             worker.wal.sync()
         assert delta_wal.path.stat().st_size < raw_wal.path.stat().st_size / 10
+        replayed = [ShardWorker(shard_id=0) for _ in range(2)]
+        for worker, wal in zip(replayed, (raw_wal, delta_wal)):
+            worker.replay(wal)
+        assert _sha(replayed[0].state_dict()) == _sha(replayed[1].state_dict())
         raw_wal.close()
         delta_wal.close()
 
@@ -414,3 +428,68 @@ class TestWalV2AndDelta:
         # ...but never in persisted state (checkpoint bytes are pinned)
         assert "wal_records" not in worker.counters.state_dict()
         wal.close()
+
+
+class _RawBlockWorker(ShardWorker):
+    """A worker that logs every block as a raw ``ingest`` record and
+    folds it down the block path, as builds before the statistics record
+    did."""
+
+    def ingest(self, key, samples):
+        arr = np.asarray(samples, dtype=float)
+        self.wal.append("ingest", {"key": str(key), "samples": arr})
+        total = self.store.ingest(key, arr)
+        self.counters.record_ingest(1 if arr.ndim == 1 else arr.shape[0])
+        return total
+
+
+#: Blocks ``SufficientStats.from_samples`` refuses: a non-finite value, a
+#: scatter that overflows, and no rows.
+REFUSED_BLOCKS = {
+    "nan": [[1.0, np.nan, 0.0], [1.0, 1.0, 1.0]],
+    "overflow": [[1e200, 2.0, 0.0], [1.0, 1.0, 1.0]],
+    "empty": np.empty((0, D)),
+}
+
+
+class TestBlockStatisticsRecord:
+    """A block is logged as its ``(n, mean, scatter)``: recovery matches
+    logs of raw blocks, and a block the statistics refuse leaves no
+    trace."""
+
+    def test_raw_block_log_recovers_to_the_same_state(self, prior, tmp_path):
+        paths = {"raw": tmp_path / "raw.wal", "stats": tmp_path / "stats.wal"}
+        for kind, cls in (("raw", _RawBlockWorker), ("stats", ShardWorker)):
+            with cls(shard_id=0, wal=WriteAheadLog.create(paths[kind], shard_id=0)) as live:
+                _drive(live, prior, np.random.default_rng(11))
+                live.ingest("die/0", np.random.default_rng(12).standard_normal((64, D)))
+        ops = {}
+        shas = {}
+        for kind, path in paths.items():
+            with ShardWorker._recover(path) as recovered:
+                shas[kind] = _sha(recovered.state_dict())
+                ops[kind] = [op for _, op, _ in recovered.wal.records()]
+        assert shas["raw"] == shas["stats"]
+        assert ops["raw"].count("ingest_stats") == 1  # the one stats merge
+        assert ops["stats"].count("ingest") == 4  # the four 1-D rows
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("block", sorted(REFUSED_BLOCKS))
+    @pytest.mark.parametrize("kind", ["worker", "router-1"])
+    def test_refused_block_leaves_no_trace(self, prior, rng, tmp_path, kind, block):
+        """``state_dict`` (store, counters, covered WAL seq), the store
+        clock and the log are as they were before the refused block."""
+        if kind == "worker":
+            service = ShardWorker(wal=WriteAheadLog.create(tmp_path / "w.wal", shard_id=0))
+            worker = service
+        else:
+            service = ShardedMomentService(n_shards=1, wal_dir=tmp_path / "wal")
+            (worker,) = service.workers
+        with service:
+            service.create_session("k", prior)
+            service.ingest("k", rng.standard_normal((3, D)))
+            before = (_sha(worker.state_dict()), worker.store.clock, worker.wal.last_seq)
+            with pytest.raises(ReproError):
+                service.ingest("k", np.asarray(REFUSED_BLOCKS[block], dtype=float))
+            after = (_sha(worker.state_dict()), worker.store.clock, worker.wal.last_seq)
+            assert after == before
