@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from repro.circuits.mna import ACAnalysis
 from repro.circuits.netlist import Netlist
@@ -168,6 +167,8 @@ class TransientAnalysis:
         state = np.zeros(size) if x0 is None else np.asarray(x0, dtype=float).copy()
         if state.shape != (size,):
             raise SimulationError(f"x0 must have shape ({size},)")
+
+        from scipy.linalg import lu_factor, lu_solve
 
         lhs = c / dt + g / 2.0
         rhs_mat = c / dt - g / 2.0

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.exceptions import DimensionError, HyperParameterError
 from repro.linalg.validation import inv_spd, solve_spd
@@ -84,6 +83,8 @@ def posterior_credible_summary(
         raise HyperParameterError(
             f"marginal dof v0 - d + 1 = {dof} must be positive"
         )
+    from scipy import stats as sps
+
     s = inv_spd(posterior.T0, "T0")
     s_diag = np.diag(s)
     tail = (1.0 - level) / 2.0
@@ -136,6 +137,8 @@ def mean_credible_region(
         raise HyperParameterError(
             f"marginal dof v0 - d + 1 = {dof} must be positive"
         )
+    from scipy import stats as sps
+
     shape = inv_spd(posterior.T0, "T0") / (posterior.kappa0 * dof)
     radius_sq = d * float(sps.f.ppf(level, d, dof))
     return posterior.mu0.copy(), shape, radius_sq

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.core.bmf import BMFEstimator
 from repro.core.estimators import MomentEstimate, MomentEstimator
@@ -47,6 +46,8 @@ def mahalanobis_gate(
     data = np.atleast_2d(np.asarray(samples, dtype=float))
     gaussian = MultivariateGaussian(prior.mean, prior.covariance * inflate)
     maha = gaussian.mahalanobis_sq(data)
+    from scipy import stats as sps
+
     radius = float(sps.chi2.ppf(quantile, prior.dim))
     keep = maha <= radius
     return data[keep], data[~keep]

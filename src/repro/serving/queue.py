@@ -1,21 +1,19 @@
 """Query requests: the unit every serving scorer answers.
 
 A query is a ``(kind, key, payload)`` triple; :func:`build_requests`
-validates and counts a list of them and wraps each in a
-:class:`Request` whose future the
-:class:`~repro.serving.scoring.BatchScorer` resolves.  The worker and the
-shard router both turn their ``query_many`` input into requests here, so
-kind validation and request accounting exist once.  (``time.perf_counter``
-stamps the latency counters only, which reprolint's determinism rule
-explicitly permits.)
+validates and counts a list of them and wraps each in a :class:`Request`
+that the :class:`~repro.serving.scoring.BatchScorer` answers in place.
+The worker and the shard router both turn their ``query_many`` input
+into requests here, so kind validation and request accounting exist
+once.  (``time.perf_counter`` stamps the latency counters only, which
+reprolint's determinism rule explicitly permits.)
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigError
 
@@ -39,17 +37,26 @@ class Request:
         Kind-specific argument (``None`` for ``estimate``, an ``(n, d)``
         sample block for ``loglik``, a ``(lower, upper)`` bounds pair for
         ``yield``).
-    future:
-        Resolved by the batch scorer with the query result.
     submitted_at:
         ``time.perf_counter()`` stamp for the latency counters.
+    value / error:
+        The answer, or the exception that refused the request; the batch
+        scorer sets one of them.  Every query path is synchronous, so the
+        request carries its own result and :meth:`result` reads it.
     """
 
     kind: str
     key: str
     payload: Any
-    future: "Future[Any]" = field(default_factory=Future)
     submitted_at: float = 0.0
+    value: Any = None
+    error: Optional[BaseException] = None
+
+    def result(self) -> Any:
+        """The query result; raises the query's exception if it failed."""
+        if self.error is not None:
+            raise self.error
+        return self.value
 
 
 def build_requests(

@@ -336,12 +336,13 @@ class ShardedMomentService:
         as sent, so at ``flush_rows=1`` a 1-D row keeps the Welford path
         (and an empty block is refused at once).  A block that is neither a vector nor a matrix raises
         :class:`~repro.exceptions.DimensionError` here; row values are
-        validated when their buffer flushes.
+        validated when their buffer flushes.  The ingest counters count
+        the call once it is accepted: buffered, or returned by the worker
+        it went to.  A refused call counts nowhere, as on a bare worker.
         """
         key = str(key)
         arr = np.asarray(samples, dtype=float)
         rows = block_rows(arr)
-        self.counters.record_ingest(rows)
         with self._ingest_lock:
             record = self._record_locked(key)
             record.acked += rows
@@ -353,6 +354,7 @@ class ShardedMomentService:
                 # a lone block goes to the worker as sent
                 record.blocks.append(arr[None, :] if record.blocks and arr.ndim == 1 else arr)
                 self._flush_key_locked(key, barrier=False)
+            self.counters.record_ingest(rows)
             return record.acked
 
     def ingest_stats(self, key: str, stats: SufficientStats) -> int:
@@ -360,13 +362,15 @@ class ShardedMomentService:
 
         Statistics merge exactly in any order, so these bypass the row
         buffer (flushing the key first keeps arrival order intact).
-        Non-finite statistics are refused before anything is counted.
+        Non-finite statistics are refused before anything is forwarded;
+        the payload is counted once its worker accepts it.
         """
         key = str(key)
-        self.counters.record_ingest(stats_rows(stats))
+        rows = stats_rows(stats)
         with self._ingest_lock:
             self._flush_key_locked(key, barrier=True)
             self._home(key).ingest_stats(key, stats)
+            self.counters.record_ingest(rows)
             record = self._record_locked(key)
             record.acked += stats.n
             return record.acked
@@ -469,7 +473,7 @@ class ShardedMomentService:
             return self.workers[0].query_many(queries)
         requests = build_requests(queries, self.counters.record_request)
         self.scorer.score(requests, self._snapshot)
-        return [request.future.result() for request in requests]
+        return [request.result() for request in requests]
 
     def estimate(self, key: str) -> MomentEstimate:
         """MAP-estimate query for one session (synchronous)."""

@@ -76,15 +76,13 @@ class BatchScorer:
 
     # ------------------------------------------------------------------
     def _finish(self, request: Request, result: Any) -> None:
-        if not request.future.done():
-            request.future.set_result(result)
+        request.value = result
         if request.submitted_at > 0.0:
             self.counters.record_latency(time.perf_counter() - request.submitted_at)
 
     def _fail(self, request: Request, exc: BaseException) -> None:
         self.counters.record_error()
-        if not request.future.done():
-            request.future.set_exception(exc)
+        request.error = exc
 
     # ------------------------------------------------------------------
     def score(self, requests: List[Request], snapshot_one: SnapshotFn) -> None:

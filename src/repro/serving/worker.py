@@ -242,7 +242,7 @@ class ShardWorker:
         """
         requests = build_requests(queries, self.counters.record_request)
         self.score_requests(requests)
-        return [request.future.result() for request in requests]
+        return [request.result() for request in requests]
 
     def collect(self, key: str) -> Session:
         """Return a detached session snapshot for the router to score.

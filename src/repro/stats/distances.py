@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from repro.exceptions import DimensionError
 from repro.linalg.norms import log_det_spd
@@ -90,6 +89,8 @@ def wasserstein2_gaussian(mu0, sigma0, mu1, sigma1) -> float:
 
     ``W2^2 = ||mu0 - mu1||^2 + tr(s0 + s1 - 2 (s1^1/2 s0 s1^1/2)^1/2)``.
     """
+    from scipy.linalg import sqrtm
+
     m0, s0, m1, s1 = _check_pair(mu0, sigma0, mu1, sigma1)
     root1 = np.real(sqrtm(s1))
     cross = np.real(sqrtm(symmetrize(root1 @ s0 @ root1)))

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.exceptions import InsufficientDataError
 from repro.linalg.validation import as_samples, cholesky_safe
@@ -77,6 +76,8 @@ def mardia_skewness(x, alpha: float = 0.05) -> GofResult:
     b1 = float(np.mean(g**3))
     statistic = n * b1 / 6.0
     dof = d * (d + 1) * (d + 2) / 6.0
+    from scipy import stats as sps
+
     p = float(sps.chi2.sf(statistic, dof))
     return GofResult("mardia_skewness", statistic, p, alpha)
 
@@ -94,6 +95,8 @@ def mardia_kurtosis(x, alpha: float = 0.05) -> GofResult:
     expected = d * (d + 2)
     std = math.sqrt(8.0 * d * (d + 2) / n)
     statistic = (b2 - expected) / std
+    from scipy import stats as sps
+
     p = float(2.0 * sps.norm.sf(abs(statistic)))
     return GofResult("mardia_kurtosis", statistic, p, alpha)
 
@@ -139,6 +142,8 @@ def henze_zirkler(x, alpha: float = 0.05) -> GofResult:
     si2 = max(si2, 1e-12)
     pmu = math.log(math.sqrt(mu**4 / (si2 + mu**2)))
     psi = math.sqrt(max(math.log((si2 + mu**2) / mu**2), 1e-12))
+    from scipy import stats as sps
+
     p = float(sps.lognorm.sf(hz, psi, scale=math.exp(pmu)))
     return GofResult("henze_zirkler", float(hz), p, alpha)
 
@@ -153,6 +158,8 @@ def marginal_moment_check(x, alpha: float = 0.05) -> list:
     n, d = samples.shape
     if n < 8:
         raise InsufficientDataError("marginal moment check needs at least 8 samples")
+    from scipy import stats as sps
+
     results = []
     for j in range(d):
         col = samples[:, j]

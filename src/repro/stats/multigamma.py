@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = ["multigammaln", "multigamma", "log_wishart_normalizer"]
 
@@ -27,6 +26,8 @@ def multigammaln(a: float, d: int) -> float:
         raise ValueError(f"dimension d must be >= 1, got {d}")
     if a <= (d - 1) / 2.0:
         raise ValueError(f"multivariate gamma requires a > (d-1)/2 = {(d - 1) / 2}, got {a}")
+    from scipy.special import gammaln
+
     j = np.arange(1, d + 1)
     return float(d * (d - 1) / 4.0 * math.log(math.pi) + np.sum(gammaln(a + (1.0 - j) / 2.0)))
 

@@ -11,7 +11,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.exceptions import DimensionError
 from repro.linalg.batched import (
@@ -69,6 +68,8 @@ class MultivariateGaussian:
         calls.
         """
         if self._precision is None:
+            from scipy.linalg import solve_triangular
+
             identity = np.eye(self.dim)
             y = solve_triangular(self._chol, identity, lower=True)
             prec = symmetrize(y.T @ y)
@@ -94,6 +95,8 @@ class MultivariateGaussian:
     # ------------------------------------------------------------------
     def mahalanobis_sq(self, x) -> np.ndarray:
         """Squared Mahalanobis distance of each row of ``x`` from the mean."""
+        from scipy.linalg import solve_triangular
+
         samples = self._check_samples(x)
         diff = samples - self.mean
         z = solve_triangular(self._chol, diff.T, lower=True)

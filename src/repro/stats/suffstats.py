@@ -109,12 +109,26 @@ class SufficientStats:
         the result is bit-identical to theirs on the same array — this is
         the reference the incremental paths are tested against — but
         validates the block and computes its mean once.
+
+        A block of finite rows whose column sum overflows (two rows of
+        ``[1e308, 2]``) is retried with the mean summed from ``data / n``,
+        so it is accepted as row-by-row :meth:`push` accepts it; a block
+        whose scatter itself overflows is still refused with
+        :class:`~repro.exceptions.NotSPDError`.
         """
         data = as_samples(samples)
         _check_dim(data.shape[1])
+        n = data.shape[0]
         mean = data.mean(axis=0)
         centered = data - mean
-        return cls._of(data.shape[0], mean, _symmetric_part(centered.T @ centered))
+        try:
+            return cls._of(n, mean, _symmetric_part(centered.T @ centered))
+        except NotSPDError:
+            if np.isfinite(mean).all():
+                raise
+        mean = (data / n).sum(axis=0)
+        centered = data - mean
+        return cls._of(n, mean, _symmetric_part(centered.T @ centered))
 
     # ------------------------------------------------------------------
     @property

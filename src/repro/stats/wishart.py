@@ -16,8 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import digamma
 
 from repro.exceptions import DimensionError, HyperParameterError
 from repro.linalg.validation import assert_spd, cholesky_safe, inv_spd, symmetrize
@@ -70,6 +68,8 @@ class Wishart:
     # ------------------------------------------------------------------
     def logpdf(self, lam) -> float:
         """Log density at an SPD matrix ``lam``."""
+        from scipy.linalg import solve_triangular
+
         from repro.linalg.norms import log_det_spd
 
         lam_arr = assert_spd(lam, "lambda")
@@ -87,6 +87,8 @@ class Wishart:
 
     def entropy_expected_logdet(self) -> float:
         """``E[log |Lambda|]`` — used in variational diagnostics."""
+        from scipy.special import digamma
+
         from repro.linalg.norms import log_det_spd
 
         j = np.arange(1, self.dim + 1)

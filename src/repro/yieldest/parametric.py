@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.core.estimators import MomentEstimate
 from repro.exceptions import DimensionError
@@ -62,6 +61,8 @@ def gaussian_box_probability(mean, covariance, lower, upper) -> float:
     lower_arr = (lower_arr - mean_arr) * inv
     upper_arr = (upper_arr - mean_arr) * inv
     mean_arr = np.zeros_like(mean_arr)
+    from scipy import stats as sps
+
     dist = sps.multivariate_normal(mean=mean_arr, cov=cov_std, allow_singular=True)
     if _cdf_supports_lower_limit():
         prob = float(dist.cdf(upper_arr, lower_limit=lower_arr))
@@ -103,6 +104,8 @@ def gaussian_box_probabilities(means, covariances, lower, upper) -> np.ndarray:
     zero_mean = np.zeros(d)
     has_lower_limit = _cdf_supports_lower_limit()
     probs = np.empty(n)
+    from scipy import stats as sps
+
     for k in range(n):
         dist = sps.multivariate_normal(
             mean=zero_mean, cov=cov_std[k], allow_singular=True
@@ -117,6 +120,8 @@ def gaussian_box_probabilities(means, covariances, lower, upper) -> np.ndarray:
 
 def _cdf_supports_lower_limit() -> bool:
     import inspect
+
+    from scipy import stats as sps
 
     try:
         sig = inspect.signature(sps.multivariate_normal.cdf)
@@ -174,6 +179,8 @@ class YieldEstimator:
         total = gaussian_box_probability(
             mean_arr, cov_arr, self.specs.lower_bounds, self.specs.upper_bounds
         )
+        from scipy import stats as sps
+
         marginals: Dict[str, float] = {}
         for j, spec in enumerate(self.specs.specs):
             sigma_j = float(np.sqrt(cov_arr[j, j]))

@@ -712,6 +712,33 @@ class TestIngestAck:
             assert svc.estimate("k").n_samples == 1
 
 
+class TestRefusedIngestCounts:
+    """A refused ingest counts nowhere: the router's ingest counters equal
+    a bare worker's for the same stream."""
+
+    STREAM = [
+        ({"op": "create", "prior_mean": [0.0, 0.0],
+          "prior_covariance": [[1.0, 0.0], [0.0, 1.0]]}, None),
+        ({"op": "ingest", "samples": [1.0, 2.0]}, None),
+        ({"op": "ingest", "samples": [1e200, 2.0]}, "NotSPDError"),
+        ({"op": "ingest", "stats": {"n": 5, "mean": [0.0, 0.0, 0.0],
+                                    "scatter": np.eye(3).tolist()}}, "DimensionError"),
+    ]
+
+    def _counts(self, svc):
+        with svc, np.errstate(over="ignore"):
+            for request, error in self.STREAM:
+                assert _call(svc, key="k", **request).get("error") == error
+            stats = svc.stats()
+        return stats["ingested_samples"], stats["ingest_calls"]
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_router_counts_equal_worker(self, n_shards):
+        worker = self._counts(ShardWorker())
+        assert worker == (1, 1)
+        assert self._counts(ShardedMomentService(n_shards=n_shards, flush_rows=1)) == worker
+
+
 class TestRowCountAfterEviction:
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_evicted_session_counts_zero(self, n_shards, prior, rng):

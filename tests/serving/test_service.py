@@ -140,11 +140,10 @@ class TestErrors:
             worker.counters.record_request,
         )
         worker.score_requests(requests)
-        futures = [request.future for request in requests]
-        assert futures[0].result().dim == D
+        assert requests[0].result().dim == D
         with pytest.raises(SessionNotFoundError):
-            futures[1].result()
-        assert np.isfinite(futures[2].result())
+            requests[1].result()
+        assert np.isfinite(requests[2].result())
 
     def test_unknown_kind_in_query_many(self, service):
         with pytest.raises(ConfigError):

@@ -58,6 +58,35 @@ class TestAccumulator:
         np.testing.assert_allclose(stats.mean, ref.mean, atol=1e-12)
         np.testing.assert_allclose(stats.scatter, ref.scatter, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e308, 2.0], [1e308, 2.0]],
+            [[1e308, 2.0], [1e308, 1.0]],
+            [[1e308, 1.0], [1e308, 3.0], [1e308, 2.0], [1e308, 7.0]],
+        ],
+    )
+    def test_from_samples_accepts_an_overflowing_column_sum(self, rows):
+        """Finite rows whose column sum overflows are accepted, with the
+        statistics row-by-row ``push`` reaches."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = SufficientStats.from_samples(rows)
+        pushed = SufficientStats.empty(2)
+        for row in rows:
+            pushed.push(row)
+        assert stats.n == pushed.n == len(rows)
+        np.testing.assert_allclose(stats.mean, pushed.mean, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(stats.scatter, pushed.scatter, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1e308, 2.0], [-1e308, 2.0]], [[1.5e308, 0.0], [1.0e308, 0.0]]],
+        ids=["finite_mean", "overflowing_mean"],
+    )
+    def test_from_samples_refuses_an_overflowing_scatter(self, rows):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotSPDError):
+            SufficientStats.from_samples(rows)
+
     def test_push_batch_on_empty_is_bit_identical(self, samples):
         stats = SufficientStats.empty(samples.shape[1]).push_batch(samples)
         ref = SufficientStats.from_samples(samples)
