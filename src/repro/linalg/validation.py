@@ -61,7 +61,7 @@ def as_samples(x: ArrayLike, name: str = "samples") -> np.ndarray:
         raise DimensionError(f"{name} must be 1-D or 2-D, got ndim={arr.ndim}")
     if arr.shape[0] == 0:
         raise DimensionError(f"{name} must contain at least one row")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionError(f"{name} contains non-finite entries")
     return arr
 

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
 __all__ = [
-    "SUFFSTATS_WIRE_SCHEMA",
     "RESULT_SCHEMA",
     "CHECKPOINT_SCHEMA",
     "WAL_SCHEMA_V1",
@@ -51,9 +50,6 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
-
-#: Wire envelope of a serialized :class:`repro.stats.suffstats.SufficientStats`.
-SUFFSTATS_WIRE_SCHEMA = "repro.suffstats.v1"
 
 #: Serialized pipeline results (:mod:`repro.io`).
 RESULT_SCHEMA = "repro.pipeline-result.v1"
@@ -83,7 +79,6 @@ SCENARIO_SCHEMA = "repro.scenario.v1"
 
 #: Every known artefact marker, for tooling and exhaustiveness tests.
 ALL_SCHEMAS = (
-    SUFFSTATS_WIRE_SCHEMA,
     RESULT_SCHEMA,
     CHECKPOINT_SCHEMA,
     WAL_SCHEMA_V1,

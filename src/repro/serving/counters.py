@@ -57,8 +57,11 @@ class ServiceCounters:
             self.errors += 1
 
     def record_ingest(self, n_samples: int) -> None:
+        self.record_ingests(1, n_samples)
+
+    def record_ingests(self, calls: int, n_samples: int) -> None:
         with self._lock:
-            self.ingest_calls += 1
+            self.ingest_calls += int(calls)
             self.ingested_samples += int(n_samples)
 
     def record_latency(self, seconds: float) -> None:

@@ -45,7 +45,7 @@ accepts either a nested JSON list or the ``b64f64`` envelope::
 i.e. the array's little-endian float64 buffer, base64-wrapped to stay
 inside JSON-lines framing.  This skips the tolist/parse round-trip (and
 its per-float formatting cost) on the ingest hot path; decoding is one
-``base64`` pass plus ``np.frombuffer``.  A request that carries
+``base64`` pass, read-only over its bytes.  A request that carries
 ``"encoding": "b64f64"`` at the top level gets its array-valued
 *response* fields (``estimate``'s mean/covariance) in the same envelope.
 Both encodings are bit-exact: ``float.__repr__`` round-trips, and raw
@@ -57,8 +57,10 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
+import re
 import sys
-from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, IO, Iterable, Optional, Union
 
 import numpy as np
 
@@ -81,6 +83,8 @@ __all__ = [
 
 #: Marker value of the zero-copy float64 array envelope.
 WIRE_B64F64 = "b64f64"
+_WIRE_F8 = np.dtype("<f8")
+_BASE64 = re.compile("[A-Za-z0-9+/]*={0,2}")
 
 #: Any service the wire protocol can front: a single-file
 #: :class:`ShardWorker` or the sharded router.  Both expose the same
@@ -118,34 +122,49 @@ def decode_array(value: Any) -> np.ndarray:
     """Accept a nested list *or* a ``b64f64`` envelope; return float64.
 
     The permissive side of the wire: clients choose per-field, and both
-    paths produce bit-identical arrays.
+    paths produce bit-identical arrays: a list a new writable one, an
+    envelope a read-only view of its decoded bytes (no copy).  Its ``data``
+    must be the padded standard base64 of ``8 * prod(shape)`` bytes; else
+    :class:`~repro.exceptions.ConfigError` names the first fault.
     """
-    if isinstance(value, dict):
-        encoding = value.get("encoding")
-        if encoding != WIRE_B64F64:
-            raise ConfigError(
-                f"unknown array encoding {encoding!r} (expected {WIRE_B64F64!r})"
-            )
-        try:
-            raw = base64.b64decode(str(value["data"]), validate=True)
-        except (KeyError, binascii.Error) as exc:
-            raise ConfigError(f"undecodable {WIRE_B64F64} data: {exc}") from exc
-        shape_field = value.get("shape")
-        if not isinstance(shape_field, list):
-            raise ConfigError(f"{WIRE_B64F64} envelope requires a shape list")
-        shape: List[int] = [int(extent) for extent in shape_field]
-        count = 1
-        for extent in shape:
-            if extent < 0:
-                raise ConfigError(f"negative extent in {WIRE_B64F64} shape {shape}")
-            count *= extent
-        if len(raw) != count * 8:
-            raise ConfigError(
-                f"{WIRE_B64F64} payload holds {len(raw)} bytes but shape "
-                f"{shape} needs {count * 8}"
-            )
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
-    return np.asarray(value, dtype=float)
+    if not isinstance(value, dict):
+        return np.asarray(value, dtype=float)
+    shape, data = value.get("shape"), value.get("data")
+    try:
+        raw = binascii.a2b_base64(data)
+        array = np.ndarray(shape, _WIRE_F8, raw)
+    except (TypeError, ValueError):
+        array = None
+    # a2b_base64 skips stray characters, so a string of exactly the padded
+    # length that decodes to exactly the array's bytes is pure base64
+    if (
+        array is None
+        or value.get("encoding") != WIRE_B64F64
+        or type(shape) is not list
+        or array.nbytes != len(raw)
+        or len(data) != (len(raw) + 2) // 3 * 4
+    ):
+        raise _envelope_error(value)
+    return array
+
+
+def _envelope_error(value: Dict[str, Any]) -> ConfigError:
+    """The refusal of a malformed ``b64f64`` envelope, naming its first fault."""
+    encoding, shape, data = value.get("encoding"), value.get("shape"), value.get("data")
+    if encoding != WIRE_B64F64:
+        return ConfigError(f"unknown array encoding {encoding!r} (expected {WIRE_B64F64!r})")
+    if not isinstance(data, str):
+        return ConfigError(f"{WIRE_B64F64} envelope requires a data string")
+    if not isinstance(shape, list):
+        return ConfigError(f"{WIRE_B64F64} envelope requires a shape list")
+    if not all(type(extent) is int and extent >= 0 for extent in shape):
+        return ConfigError(f"{WIRE_B64F64} shape {shape} must list non-negative integers")
+    if len(data) % 4 or not _BASE64.fullmatch(data):
+        return ConfigError(f"undecodable {WIRE_B64F64} data: not padded standard base64")
+    return ConfigError(
+        f"{WIRE_B64F64} payload holds {len(binascii.a2b_base64(data))} bytes "
+        f"but shape {shape} needs {8 * math.prod(shape)}"
+    )
 
 
 def _decode_stats(payload: Any) -> SufficientStats:
@@ -300,7 +319,7 @@ def handle_request(service: ServingService, line: str) -> Dict[str, Any]:
             raise ConfigError(
                 f"unknown op {op!r}; expected one of {sorted(PROTOCOL_OPS)}"
             )
-        body = handler(service, request)
+        response = handler(service, request)
     except json.JSONDecodeError as exc:
         return {
             "ok": False,
@@ -315,8 +334,9 @@ def handle_request(service: ServingService, line: str) -> Dict[str, Any]:
             "error": type(exc).__name__,
             "message": str(exc),
         }
-    response: Dict[str, Any] = {"ok": True, "op": op}
-    response.update(body)
+    # each handler returns a fresh body: complete it in place
+    response["ok"] = True
+    response["op"] = op
     return response
 
 

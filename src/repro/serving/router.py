@@ -11,10 +11,10 @@
   offline tool reading a WAL) computes the same placement.  Recovery
   checks it: a log holding a key its ring does not place on that shard
   is refused.
-* **Ingest coalescing** — accepted sample blocks are buffered per key
-  (one :class:`_KeyRecord` each, which also carries the key's
+* **Ingest coalescing** — accepted rows are copied into one buffer per
+  key (one :class:`_KeyRecord` each, which also carries the key's
   acknowledged row count) and flushed to the owning worker as one
-  stacked block once ``flush_rows`` rows accumulate, or at a read
+  block once ``flush_rows`` rows accumulate, or at a read
   barrier.  The barrier is per key: a query flushes only the keys it
   reads, so every other buffer keeps coalescing.  Checkpoints, listings,
   ``stats`` and ``close`` are global barriers that flush every key.  This
@@ -54,7 +54,13 @@ from numpy.typing import ArrayLike
 
 from repro.core.estimators import MomentEstimate
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import ConfigError, ReproError, SessionNotFoundError, WalCorruptionError
+from repro.exceptions import (
+    ConfigError,
+    DimensionError,
+    ReproError,
+    SessionNotFoundError,
+    WalCorruptionError,
+)
 from repro.experiments.parallel import thread_map
 from repro.io import check_schema_version, write_json_atomic
 from repro.schemas import MANIFEST_SCHEMA
@@ -99,19 +105,36 @@ def _closing_on_error(service: "ShardedMomentService") -> Iterator[None]:
 class _KeyRecord:
     """Router-side ingest state of one session key.
 
-    ``blocks`` are the accepted but not yet flushed ``(n, d)`` blocks —
-    the record's own copies, never a caller's array — and ``pending``
-    their row count; ``acked`` is the session's row count as acknowledged
-    to clients, buffered rows included.  One record per key keeps the
-    per-row bookkeeping to one dict lookup.
+    The accepted but not yet flushed rows are the first ``pending`` of
+    ``rows``, the record's own copy (grown by doubling, released at the
+    flush); ``calls``/``call_rows`` are those the counters have not seen
+    yet, and ``acked`` is the session's row count as acknowledged to
+    clients, buffered rows included.
     """
 
-    __slots__ = ("blocks", "pending", "acked")
+    __slots__ = ("rows", "pending", "calls", "call_rows", "acked")
 
     def __init__(self) -> None:
-        self.blocks: List[np.ndarray] = []
+        self.rows: Optional[np.ndarray] = None
         self.pending = 0
+        self.calls = 0
+        self.call_rows = 0
         self.acked = 0
+
+    def hold(self, arr: np.ndarray, count: int, limit: int) -> None:
+        """Copy ``arr``'s ``count`` rows in after the held ones (as wide)."""
+        rows, start, width = self.rows, self.pending, arr.shape[-1]
+        if rows is not None and width != rows.shape[1]:
+            raise DimensionError(
+                f"a row of width {width} cannot join buffered rows of width {rows.shape[1]}"
+            )
+        if rows is None or start + count > len(rows):
+            grown = np.empty((max(start + count, min(max(2 * start, 4), limit)), width))
+            if rows is not None:
+                grown[:start] = rows[:start]
+            rows = grown
+        rows[start : start + count] = arr
+        self.rows, self.pending = rows, start + count
 
 
 class HashRing:
@@ -327,14 +350,15 @@ class ShardedMomentService:
         :class:`~repro.serving.worker.ShardWorker` returns for the same
         request stream.
 
-        Rows below ``flush_rows`` are buffered (as a copy, so the caller
-        may reuse its array) and folded into the owning worker as one
-        stacked block later (next threshold crossing or read barrier) —
-        numerically a Chan block merge instead of per-row Welford updates,
-        within the 1e-10 serving bound.  A block that alone reaches
-        ``flush_rows`` with nothing buffered for its key goes to the worker
-        as sent, so at ``flush_rows=1`` a 1-D row keeps the Welford path
-        (and an empty block is refused at once).  A block that is neither a vector nor a matrix raises
+        Rows below ``flush_rows`` are copied into the key's buffer and
+        folded into the owning worker as one block later (next threshold
+        crossing or read barrier) — numerically a Chan block merge instead
+        of per-row Welford updates, within the 1e-10 serving bound.  A
+        block that alone reaches ``flush_rows`` with nothing buffered for
+        its key goes to the worker as sent, so at ``flush_rows=1`` a 1-D
+        row keeps the Welford path (and an empty block is refused at
+        once).  A block that is neither a vector nor a matrix, or not as
+        wide as the key's buffered rows, raises
         :class:`~repro.exceptions.DimensionError` here; row values are
         validated when their buffer flushes.  The ingest counters count
         the call once it is accepted: buffered, or returned by the worker
@@ -344,15 +368,19 @@ class ShardedMomentService:
         arr = np.asarray(samples, dtype=float)
         rows = block_rows(arr)
         with self._ingest_lock:
-            record = self._record_locked(key)
-            record.acked += rows
-            record.pending += rows
-            if 0 < record.pending < self.flush_rows:
-                # buffered past this call: a copy, never the caller's array
-                record.blocks.append(np.array(arr, ndmin=2))
-            else:
+            record = self._records.get(key) or self._record_locked(key)
+            if not record.pending and not 0 < rows < self.flush_rows:
                 # a lone block goes to the worker as sent
-                record.blocks.append(arr[None, :] if record.blocks and arr.ndim == 1 else arr)
+                record.acked += rows
+                self._fold_locked(key, record, arr, rows, barrier=False)
+            else:
+                record.hold(arr, rows, self.flush_rows)
+                record.acked += rows
+                if record.pending < self.flush_rows:
+                    # counted at its flush: a buffered row takes one lock
+                    record.calls += 1
+                    record.call_rows += rows
+                    return record.acked
                 self._flush_key_locked(key, barrier=False)
             self.counters.record_ingest(rows)
             return record.acked
@@ -377,10 +405,7 @@ class ShardedMomentService:
 
     def _record_locked(self, key: str) -> _KeyRecord:
         """``key``'s ingest record, created empty on first use (lock held)."""
-        record = self._records.get(key)
-        if record is None:
-            record = self._records[key] = _KeyRecord()
-        return record
+        return self._records.get(key) or self._records.setdefault(key, _KeyRecord())
 
     def _seed_records(self, sources: Sequence[Path]) -> None:
         """Start each key's acknowledged count at its recovered rows, and
@@ -409,24 +434,29 @@ class ShardedMomentService:
                         self._record_locked(key).acked += rows
 
     def _flush_key_locked(self, key: str, barrier: bool) -> None:
-        """Fold ``key``'s buffered blocks into its worker (lock held).
-
-        ``barrier`` marks a flush forced before the row threshold (a read
-        or ordering barrier), which the coalescing gauges count apart.  A
-        lone buffered block goes over as it is.  A block the worker refuses
-        is dropped, and its rows leave the acknowledged count again.
-        """
+        """Fold ``key``'s buffered rows into its worker (lock held), after
+        counting their calls.  ``barrier`` marks a flush forced before the
+        row threshold (a read or ordering barrier)."""
         record = self._records.get(key)
-        if record is None or not record.blocks:
+        if record is None or record.rows is None:
             return
-        blocks, rows = record.blocks, record.pending
-        record.blocks, record.pending = [], 0
+        if record.calls:
+            self.counters.record_ingests(record.calls, record.call_rows)
+            record.calls = record.call_rows = 0
+        block, rows = record.rows[: record.pending], record.pending
+        record.rows, record.pending = None, 0
+        self._fold_locked(key, record, block, rows, barrier)
+
+    def _fold_locked(
+        self, key: str, record: _KeyRecord, block: np.ndarray, rows: int, barrier: bool
+    ) -> None:
+        """Hand ``block`` to ``key``'s worker (lock held); a refused block is
+        dropped, and its rows leave the acknowledged count again."""
         self._flushed_blocks += 1
         self._flushed_rows += rows
         self._barrier_blocks += int(barrier)
         try:
-            stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            self._home(key).ingest(key, stacked)
+            self._home(key).ingest(key, block)
         except (ReproError, ValueError):
             record.acked -= rows
             raise
@@ -434,7 +464,7 @@ class ShardedMomentService:
     def flush(self) -> None:
         """Flush every ingest buffer (deterministic key order)."""
         with self._ingest_lock:
-            pending = [key for key, record in self._records.items() if record.blocks]
+            pending = [key for key, record in self._records.items() if record.pending]
             for key in sorted(pending):
                 self._flush_key_locked(key, barrier=True)
 
@@ -502,7 +532,7 @@ class ShardedMomentService:
         blocks a barrier forced out before ``flush_rows`` accumulated.
         """
         with self._ingest_lock:
-            pending = [record.pending for record in self._records.values() if record.blocks]
+            pending = [record.pending for record in self._records.values() if record.pending]
             pending_keys = len(pending)
             pending_rows = sum(pending)
         self.flush()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -317,6 +317,27 @@ class SessionStore:
         """Merge shard-local sufficient statistics into a session."""
         with self._lock:
             return self.get(key).ingest_stats(stats)
+
+    def fold(
+        self, key: str, update: Callable[[SufficientStats], SufficientStats], log: Callable
+    ) -> int:
+        """Refuse, log, then commit ``update`` of ``key``'s statistics.
+
+        ``update`` builds the next accumulator from the live one without
+        changing it; if it raises, nothing is logged, ticked or changed.
+        Otherwise ``log()`` runs, then the key is looked up as :meth:`get`
+        does and the update committed.  A key with no live session is
+        logged and then refused by that lookup, as its replay is.
+        """
+        with self._lock:
+            live = self._sessions.get(key)
+            if live is None:
+                log()
+                return self.get(key).n_ingested  # ticks, then raises
+            stats = update(live.stats)
+            log()
+            self.get(key).stats = stats  # the tick may have expired it
+            return stats.n
 
     def snapshot(self, keys: List[str]) -> List[Session]:
         """Consistent per-key snapshots for batched scoring.

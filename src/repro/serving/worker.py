@@ -12,6 +12,7 @@ owns N of them behind a manifest directory.
 **Log-then-apply.**  Every state mutation — session create/drop, ingest,
 statistics merge, and the logical-clock ticks queries cause ("touch"
 records) — is appended to the WAL *before* it is applied to the store.
+An update the statistics refuse is refused before it is logged.
 Because the store's eviction clock is logical (one tick per store
 operation) and every numerical update is a deterministic function of the
 op sequence, :meth:`ShardWorker.replay` of a verified log reproduces the
@@ -121,19 +122,18 @@ class ShardWorker:
         """
         k0 = 1.0 if kappa0 is None else float(kappa0)
         nu0 = float(prior.dim) + 1.0 if v0 is None else float(v0)
-        if self.wal is not None:
-            self.wal.append(
-                "create",
-                {
-                    "key": str(key),
-                    "prior_mean": prior.mean,
-                    "prior_covariance": prior.covariance,
-                    "prior_n_samples": int(prior.n_samples),
-                    "kappa0": k0,
-                    "v0": nu0,
-                    "exist_ok": bool(exist_ok),
-                },
-            )
+        self._log(
+            "create",
+            {
+                "key": str(key),
+                "prior_mean": prior.mean,
+                "prior_covariance": prior.covariance,
+                "prior_n_samples": int(prior.n_samples),
+                "kappa0": k0,
+                "v0": nu0,
+                "exist_ok": bool(exist_ok),
+            },
+        )
         return self.store.create(key, prior, k0, nu0, exist_ok=exist_ok)
 
     def ingest(self, key: str, samples: ArrayLike) -> int:
@@ -149,15 +149,15 @@ class ShardWorker:
         merged through :meth:`ingest_stats`'s path — the Chan block merge
         a raw block takes, so the state is bit-identical.  A block
         ``from_samples`` refuses (non-finite, an overflowing scatter, no
-        rows) raises before it is logged, ticked or counted.
+        rows) raises before it is logged, ticked or counted, as does an
+        update the session refuses (a wrong width, an overflowing scatter).
         """
         arr = np.asarray(samples, dtype=float)
         if arr.ndim == 2:
             return self._merge_stats(key, SufficientStats.from_samples(arr))
         count = block_rows(arr)
-        if self.wal is not None:
-            self.wal.append("ingest", {"key": str(key), "samples": arr})
-        total = self.store.ingest(key, arr)
+        log = lambda: self._log("ingest", {"key": str(key), "samples": arr})
+        total = self.store.fold(key, lambda live: live.pushed(arr), log)
         self.counters.record_ingest(count)
         return total
 
@@ -175,19 +175,19 @@ class ShardWorker:
         return self._merge_stats(key, stats)
 
     def _merge_stats(self, key: str, stats: SufficientStats) -> int:
-        """Log ``stats`` as an ``ingest_stats`` record, then merge and count it."""
-        if self.wal is not None:
-            self.wal.append(
-                "ingest_stats", {"key": str(key), "stats": stats.to_payload()}
-            )
-        total = self.store.ingest_stats(key, stats)
+        """Merge ``stats`` (logged as an ``ingest_stats`` record) and count it."""
+        log = lambda: self._log("ingest_stats", {"key": str(key), "stats": stats.to_payload()})
+        total = self.store.fold(key, lambda live: live.merged(stats), log)
         self.counters.record_ingest(stats.n)
         return total
 
+    def _log(self, op: str, payload: Dict[str, Any]) -> None:
+        if self.wal is not None:
+            self.wal.append(op, payload)
+
     def drop_session(self, key: str) -> bool:
         """Remove a session explicitly; returns whether it existed."""
-        if self.wal is not None:
-            self.wal.append("drop", {"key": str(key)})
+        self._log("drop", {"key": str(key)})
         return self.store.drop(key)
 
     def session_keys(self) -> List[str]:
@@ -215,8 +215,7 @@ class ShardWorker:
         attempt pattern exactly (see :meth:`apply_record`), which a
         deduplicated key list cannot.
         """
-        if self.wal is not None:
-            self.wal.append("touch", {"keys": list(keys), "kinds": kinds})
+        self._log("touch", {"keys": list(keys), "kinds": kinds})
 
     def score_requests(self, requests: List[Request]) -> None:
         """Score a batch of requests through the grouped scorer.

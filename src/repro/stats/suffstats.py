@@ -23,7 +23,6 @@ computed; the incremental paths agree with it to floating-point rounding
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Sequence
 
 import numpy as np
@@ -31,13 +30,8 @@ from numpy.typing import ArrayLike
 
 from repro.exceptions import DimensionError, NotSPDError
 from repro.linalg.validation import as_samples
-from repro.schemas import SUFFSTATS_WIRE_SCHEMA, canonical_json
 
-__all__ = ["SufficientStats", "merge_all", "WIRE_SCHEMA"]
-
-#: Format marker of the stable wire encoding (:meth:`SufficientStats.to_wire`);
-#: defined in :mod:`repro.schemas`, the version-string source of truth.
-WIRE_SCHEMA = SUFFSTATS_WIRE_SCHEMA
+__all__ = ["SufficientStats", "merge_all"]
 
 
 def _symmetric_part(scatter: np.ndarray) -> np.ndarray:
@@ -111,24 +105,23 @@ class SufficientStats:
         validates the block and computes its mean once.
 
         A block of finite rows whose column sum overflows (two rows of
-        ``[1e308, 2]``) is retried with the mean summed from ``data / n``,
-        so it is accepted as row-by-row :meth:`push` accepts it; a block
+        ``[1e308, 2]``) takes its mean summed from ``data / n`` instead, so
+        it is accepted as row-by-row :meth:`push` accepts it; a block
         whose scatter itself overflows is still refused with
-        :class:`~repro.exceptions.NotSPDError`.
+        :class:`~repro.exceptions.NotSPDError`.  Either way NumPy prints
+        no overflow warning.
         """
         data = as_samples(samples)
         _check_dim(data.shape[1])
         n = data.shape[0]
-        mean = data.mean(axis=0)
-        centered = data - mean
-        try:
+        # an overflow here is handled (or refused) below, never printed
+        with np.errstate(over="ignore", invalid="ignore"):
+            # ``data.mean(axis=0)``'s own reduce and divide, without its wrapper
+            mean = np.add.reduce(data, 0) / n
+            if not np.isfinite(mean).all():
+                mean = np.add.reduce(data / n, 0)
+            centered = data - mean
             return cls._of(n, mean, _symmetric_part(centered.T @ centered))
-        except NotSPDError:
-            if np.isfinite(mean).all():
-                raise
-        mean = (data / n).sum(axis=0)
-        centered = data - mean
-        return cls._of(n, mean, _symmetric_part(centered.T @ centered))
 
     # ------------------------------------------------------------------
     @property
@@ -152,6 +145,10 @@ class SufficientStats:
         ``self`` for chaining.  A refused row (non-finite, or one whose
         update overflows the scatter) leaves the accumulator unchanged.
         """
+        return self._take(self.pushed(x))
+
+    def pushed(self, x: ArrayLike) -> "SufficientStats":
+        """:meth:`push` of ``x`` as a new accumulator; ``self`` is unchanged."""
         row = np.atleast_1d(np.asarray(x, dtype=float))
         if row.ndim != 1 or row.shape[0] != self.dim:
             raise DimensionError(
@@ -163,9 +160,7 @@ class SufficientStats:
         n = self.n + 1
         delta = row - self.mean
         mean = self.mean + delta / n
-        scatter = _symmetric_part(self.scatter + np.outer(delta, row - mean))
-        self.n, self.mean, self.scatter = n, mean, scatter
-        return self
+        return self._of(n, mean, _symmetric_part(self.scatter + np.outer(delta, row - mean)))
 
     def push_batch(self, samples: ArrayLike) -> "SufficientStats":
         """Fold in an ``(n, d)`` block via one Chan merge.
@@ -184,6 +179,10 @@ class SufficientStats:
         in any split order.  Returns ``self``; a refused merge (the
         combined scatter overflows) leaves it unchanged.
         """
+        return self._take(self.merged(other))
+
+    def merged(self, other: "SufficientStats") -> "SufficientStats":
+        """:meth:`merge` of ``other`` as a new accumulator; neither input changes."""
         if not isinstance(other, SufficientStats):
             raise DimensionError(
                 f"can only merge SufficientStats, got {type(other).__name__}"
@@ -193,19 +192,18 @@ class SufficientStats:
                 f"cannot merge dim-{other.dim} stats into dim-{self.dim} stats"
             )
         if other.n == 0:
-            return self
+            return self.copy()
         if self.n == 0:
-            self.n = other.n
-            self.mean = other.mean.copy()
-            self.scatter = other.scatter.copy()
-            return self
+            return other.copy()
         n_total = self.n + other.n
         delta = other.mean - self.mean
         mean = self.mean + delta * (other.n / n_total)
         # np.outer's own multiply, without its ravel/newaxis wrapping
         cross = (delta[:, None] * delta) * (self.n * other.n / n_total)
-        scatter = _symmetric_part(self.scatter + other.scatter + cross)
-        self.n, self.mean, self.scatter = n_total, mean, scatter
+        return self._of(n_total, mean, _symmetric_part(self.scatter + other.scatter + cross))
+
+    def _take(self, other: "SufficientStats") -> "SufficientStats":
+        self.n, self.mean, self.scatter = other.n, other.mean, other.scatter
         return self
 
     # ------------------------------------------------------------------
@@ -250,35 +248,6 @@ class SufficientStats:
             raise DimensionError(f"suffstats count must be >= 0, got {n}")
         _check_dim(d)
         return cls._of(n, mean, scatter)
-
-    def to_wire(self) -> bytes:
-        """Stable wire encoding: canonical JSON (sorted keys, compact,
-        ``repr``-round-tripped floats) inside a versioned envelope.
-
-        This is the *contract* encoding for accumulators that cross a
-        process or machine boundary — shard workers answering a router,
-        tester-side accumulators posted over the JSON-lines protocol, and
-        write-ahead-log records.  Unlike pickle it is schema-checked,
-        inspectable, and identical bytes for identical values regardless
-        of dict insertion order, so it can be sha256-chained.
-        """
-        envelope = {"schema": WIRE_SCHEMA, **self.to_dict()}
-        return canonical_json(envelope).encode("utf-8")
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "SufficientStats":
-        """Decode :meth:`to_wire` bytes (bit-exact inverse); schema-checked."""
-        try:
-            envelope = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DimensionError(f"malformed suffstats wire payload: {exc}") from exc
-        if not isinstance(envelope, dict) or envelope.get("schema") != WIRE_SCHEMA:
-            declared = envelope.get("schema") if isinstance(envelope, dict) else None
-            raise DimensionError(
-                f"suffstats wire payload declares schema {declared!r} "
-                f"(expected {WIRE_SCHEMA!r})"
-            )
-        return cls.from_dict(envelope)
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

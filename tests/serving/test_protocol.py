@@ -5,10 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.exceptions import ConfigError
 from repro.serving import (
     ShardedMomentService,
     ShardWorker,
+    decode_array,
+    encode_array,
     handle_request,
     serve_loop,
 )
@@ -316,6 +320,81 @@ class TestWireEncoding:
         envelope["shape"] = [4, D]  # lies about the payload size
         response = call(service, op="ingest", key="dut", samples=envelope)
         assert not response["ok"]
+
+
+@st.composite
+def _wire_arrays(draw):
+    """``(d,)`` and ``(n, d)`` float64 arrays, zero extents included."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=2)))
+    values = draw(
+        st.lists(
+            st.floats(allow_nan=False, width=64),
+            min_size=int(np.prod(shape)),
+            max_size=int(np.prod(shape)),
+        )
+    )
+    return np.array(values, dtype=float).reshape(shape)
+
+
+#: A 2-vector's valid envelope data, and malformed envelopes with the one
+#: refusal text each gets on every Python version.
+_ROW = encode_array([1.0, 2.0])["data"]
+MALFORMED = {
+    "bad_alphabet": (
+        {"encoding": "b64f64", "shape": [2], "data": _ROW[:5] + "!" + _ROW[6:]},
+        "undecodable b64f64 data: not padded standard base64",
+    ),
+    "unpadded": (
+        {"encoding": "b64f64", "shape": [2], "data": _ROW.rstrip("=")},
+        "undecodable b64f64 data: not padded standard base64",
+    ),
+    "byte_count": (
+        {"encoding": "b64f64", "shape": [3], "data": _ROW},
+        "b64f64 payload holds 16 bytes but shape [3] needs 24",
+    ),
+    "negative_extent": (
+        {"encoding": "b64f64", "shape": [-2, -1], "data": _ROW},
+        "b64f64 shape [-2, -1] must list non-negative integers",
+    ),
+    "non_list_shape": (
+        {"encoding": "b64f64", "shape": 2, "data": _ROW},
+        "b64f64 envelope requires a shape list",
+    ),
+    "missing_data": (
+        {"encoding": "b64f64", "shape": [2]},
+        "b64f64 envelope requires a data string",
+    ),
+    "unknown_encoding": (
+        {"encoding": "zstd", "shape": [2], "data": _ROW},
+        "unknown array encoding 'zstd' (expected 'b64f64')",
+    ),
+}
+
+
+class TestDecodeArray:
+    @settings(max_examples=200, deadline=None)
+    @given(_wire_arrays())
+    def test_b64f64_and_lists_decode_bit_identically(self, arr):
+        """Both encodings give the same float64 bytes.  An envelope keeps
+        every shape and decodes read-only; a list decodes writable, and
+        cannot spell an ``(0, d)`` shape, which it gives as ``(0,)``."""
+        wire = json.loads(json.dumps({"b64": encode_array(arr), "list": arr.tolist()}))
+        packed, listed = decode_array(wire["b64"]), decode_array(wire["list"])
+        assert packed.dtype == listed.dtype == np.float64
+        assert packed.shape == arr.shape
+        assert listed.shape == (arr.shape if arr.shape[0] or arr.ndim == 1 else (0,))
+        assert packed.tobytes() == listed.tobytes() == arr.tobytes()
+        assert not packed.flags.writeable and listed.flags.writeable
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_envelope_names_its_fault(self, service, prior_fields, case):
+        envelope, message = MALFORMED[case]
+        with pytest.raises(ConfigError) as refused:
+            decode_array(envelope)
+        assert str(refused.value) == message
+        call(service, op="create", key="dut", **prior_fields)
+        response = call(service, op="ingest", key="dut", samples=envelope)
+        assert (response["error"], response["message"]) == ("ConfigError", message)
 
 
 class TestBrokenPipe:

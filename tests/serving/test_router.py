@@ -830,6 +830,95 @@ class TestCallerBuffers:
             np.testing.assert_array_equal(got.covariance, want.covariance)
 
 
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    @pytest.mark.parametrize("flush_rows", [3, 64])
+    def test_b64f64_rows_across_flush_boundaries_match_a_worker(
+        self, n_shards, flush_rows, tmp_path
+    ):
+        """Single ``b64f64`` rows, buffered and flushed across ``flush_rows``
+        and per-key read barriers: every ack and row count equals a bare
+        worker's, estimates agree within 1e-10 (bit-identical after
+        recovery), and the log holds one statistics record per flushed
+        block where the worker's holds one record per row."""
+        from repro.serving import encode_array
+
+        rng = np.random.default_rng(5)
+        keys = ["a", "b", "c", "d", "e"]
+        draws = rng.choice(len(keys), size=240, p=[0.5, 0.2, 0.15, 0.1, 0.05])
+        rows = rng.standard_normal((240, 2)) * [1.0, 3.0] + [5.0, -2.0]
+        create = {"op": "create", "prior_mean": [4.0, -1.0],
+                  "prior_covariance": [[2.0, 0.3], [0.3, 5.0]], "kappa0": 2.0, "v0": 6.0}
+        lines = [json.dumps({"key": key, **create}) for key in keys]
+        pending = dict.fromkeys(keys, 0)
+        blocks = 0
+        for i, (k, row) in enumerate(zip(draws, rows)):
+            key = keys[k]
+            lines.append(json.dumps({"op": "ingest", "key": key, "samples": encode_array(row)}))
+            pending[key] += 1
+            if pending[key] == flush_rows:
+                blocks, pending[key] = blocks + 1, 0
+            if i % 50 == 49:  # a per-key read barrier
+                read = keys[(i // 50) % len(keys)]
+                lines.append(json.dumps({"op": "estimate", "key": read}))
+                blocks, pending[read] = blocks + bool(pending[read]), 0
+        blocks += sum(bool(rows) for rows in pending.values())  # flushed at close
+        reads = [json.dumps({"op": "estimate", "key": key}) for key in keys]
+
+        worker = ShardWorker(wal=WriteAheadLog.create(tmp_path / "w.wal", shard_id=0))
+        router = ShardedMomentService(
+            n_shards=n_shards, flush_rows=flush_rows, wal_dir=tmp_path / "wal"
+        )
+        answers = []
+        for svc in (worker, router):
+            with svc:
+                acks = [handle_request(svc, line) for line in lines]
+                counts = [svc.row_count(key) for key in keys]
+                answers.append((acks, counts, [handle_request(svc, line) for line in reads]))
+        (want_acks, want_counts, want), (acks, counts, got) = answers
+        assert counts == want_counts and sum(counts) == len(rows)
+        for answer, expected in zip(acks + got, want_acks + want):
+            if answer["op"] != "estimate":
+                assert answer == expected
+                continue
+            assert answer["n"] == expected["n"]
+            for field in ("mean", "covariance"):
+                np.testing.assert_allclose(answer[field], expected[field], rtol=0.0, atol=1e-10)
+
+        with ShardWorker._recover(tmp_path / "w.wal") as recovered:
+            ops = [op for _, op, _ in recovered.wal.records()]
+            assert ops.count("ingest") == len(rows) and "ingest_stats" not in ops
+        with ShardedMomentService.recover(tmp_path / "wal") as recovered:
+            logged = [
+                payload["stats"]["n"]
+                for shard in recovered.workers
+                for _, op, payload in shard.wal.records()
+                if op == "ingest_stats"
+            ]
+            assert len(logged) == blocks and sum(logged) == len(rows)
+            assert max(logged) <= flush_rows
+            for line, live in zip(reads, got):
+                again = handle_request(recovered, line)
+                assert (again["mean"], again["covariance"]) == (live["mean"], live["covariance"])
+
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    def test_row_of_another_width_is_refused_at_once(self, n_shards):
+        """A row that cannot join its key's buffered rows is refused when
+        it arrives: not acknowledged, not counted, and the buffered rows
+        are kept."""
+        with ShardedMomentService(n_shards=n_shards, flush_rows=64) as svc:
+            _call(svc, op="create", key="k", prior_mean=[0.0, 0.0],
+                  prior_covariance=[[1.0, 0.0], [0.0, 1.0]])
+            assert _call(svc, op="ingest", key="k", samples=[1.0, 2.0])["n"] == 1
+            for bad in ([1.0, 2.0, 3.0], [5.0], [[1.0, 2.0, 3.0]]):
+                refused = _call(svc, op="ingest", key="k", samples=bad)
+                assert refused["error"] == "DimensionError"
+                assert svc.row_count("k") == 1
+            assert _call(svc, op="ingest", key="k", samples=[[3.0, 5.0]])["n"] == 2
+            stats = svc.stats()
+            assert (stats["ingest_calls"], stats["ingested_samples"]) == (2, 2)
+            assert _call(svc, op="estimate", key="k")["n"] == 2
+
+
 class TestCoalescingLoss:
     """Known defect, pinned: coalesced rows are validated when their buffer
     flushes, not when they are acknowledged, so one bad row loses the

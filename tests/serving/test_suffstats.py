@@ -87,6 +87,27 @@ class TestAccumulator:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotSPDError):
             SufficientStats.from_samples(rows)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e308, 2.0], [1e308, 2.0]],
+            [[1e308, 1.0], [1e308, 3.0], [1e308, 2.0], [1e308, 7.0]],
+            [[1e308, 2.0], [-1e308, 2.0]],
+            [[1.5e308, 0.0], [1.0e308, 0.0]],
+        ],
+        ids=["sum_overflows", "sum_overflows_4", "scatter_overflows", "both_overflow"],
+    )
+    def test_from_samples_warns_nothing(self, rows):
+        """An overflowing column sum is handled, and an overflowing scatter
+        refused, without a NumPy warning, outside any caller's errstate."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                stats = SufficientStats.from_samples(rows)
+            except NotSPDError:
+                return
+        assert stats.n == len(rows) and np.isfinite(stats.scatter).all()
+
     def test_push_batch_on_empty_is_bit_identical(self, samples):
         stats = SufficientStats.empty(samples.shape[1]).push_batch(samples)
         ref = SufficientStats.from_samples(samples)

@@ -1,6 +1,7 @@
 """ShardWorker: bit-identical WAL replay, crash recovery."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import DimensionError, ReproError, SessionNotFoundError
 from repro.io import canonical_json
-from repro.serving import ShardedMomentService, ShardWorker, WriteAheadLog
+from repro.serving import ShardedMomentService, ShardWorker, WriteAheadLog, handle_request
 from repro.stats.suffstats import SufficientStats
 
 D = 3
@@ -493,3 +494,59 @@ class TestBlockStatisticsRecord:
                 service.ingest("k", np.asarray(REFUSED_BLOCKS[block], dtype=float))
             after = (_sha(worker.state_dict()), worker.store.clock, worker.wal.last_seq)
             assert after == before
+
+
+#: Updates a d = 2 session holding the row ``[1, 2]`` refuses: each
+#: overflows the scatter once combined with that row.
+REFUSED_UPDATES = {
+    "row": {"samples": [1e200, 2.0]},
+    "stats": {"stats": {"n": 2, "mean": [1e200, 2.0], "scatter": [[0.0, 0.0], [0.0, 0.0]]}},
+}
+
+
+class TestRefusedBeforeLogging:
+    """An update the statistics refuse is refused before it is logged: the
+    log, the clock, the LRU order and the counters stay as they were, live
+    and after recovery."""
+
+    CREATE = {"op": "create", "prior_mean": [0.0, 0.0],
+              "prior_covariance": [[1.0, 0.0], [0.0, 1.0]]}
+
+    @staticmethod
+    def _state(service):
+        """Each shard's ``state_dict`` (store with clock and LRU order,
+        counters, covered WAL seq) and its last logged seq."""
+        workers = [service] if isinstance(service, ShardWorker) else service.workers
+        return [(_sha(worker.state_dict()), worker.wal.last_seq) for worker in workers]
+
+    @pytest.mark.parametrize("update", sorted(REFUSED_UPDATES))
+    @pytest.mark.parametrize("kind", ["worker", "router-1", "router-4"])
+    def test_refused_update_leaves_no_trace(self, tmp_path, kind, update):
+        if kind == "worker":
+            service = ShardWorker(wal=WriteAheadLog.create(tmp_path / "w.wal", shard_id=0))
+        else:
+            n_shards = int(kind.split("-")[1])
+            service = ShardedMomentService(
+                n_shards=n_shards, flush_rows=1, wal_dir=tmp_path / "wal"
+            )
+
+        def call(**request):
+            return handle_request(service, json.dumps(request))
+
+        with service, np.errstate(over="ignore", invalid="ignore"):
+            assert call(key="a", **self.CREATE)["ok"]
+            assert call(op="ingest", key="a", samples=[1.0, 2.0])["n"] == 1
+            assert call(key="b", **self.CREATE)["ok"]  # "a" is now least recent
+            before = self._state(service)
+            counted = service.stats()["ingested_samples"], service.stats()["ingest_calls"]
+            for _ in range(2):
+                refused = call(op="ingest", key="a", **REFUSED_UPDATES[update])
+                assert refused["error"] == "NotSPDError"
+                assert self._state(service) == before
+            assert (service.stats()["ingested_samples"], service.stats()["ingest_calls"]) == counted
+        if kind == "worker":
+            recovered = ShardWorker._recover(tmp_path / "w.wal")
+        else:
+            recovered = ShardedMomentService.recover(tmp_path / "wal")
+        with recovered:
+            assert self._state(recovered) == before
