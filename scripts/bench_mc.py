@@ -31,6 +31,9 @@ the entry as ``results["baseline"]``, next to this tree's.
 Times are best-of-``--repeats`` wall clock; the headline ``loop_s`` /
 ``batched_s`` / ``speedup`` fields refer to the 5000-sample op-amp bank
 (the paper's Sec. 5.1 workload), with per-circuit breakdowns alongside.
+The op-amp and OTA sections also record ``draw_s``, the time to draw
+their :class:`~repro.circuits.process.ProcessBank` (``batched_s`` times
+the simulation of an already-drawn bank).
 ``benchmarks/bench_mc.py`` runs the same functions under pytest.
 
 ``BENCH_mc.json`` is an append-only trajectory (see
@@ -97,17 +100,17 @@ def die_seeds(n_dies: int, seed: int) -> np.ndarray:
 
 
 def bank_inputs(sim, n_samples: int, seed: int):
-    """The dies of a bank: seeds for a die-seed circuit, else process draws."""
+    """The dies of a bank: seeds for a die-seed circuit, else a process bank."""
     if isinstance(sim, DieSeedSimulator):
         return die_seeds(n_samples, seed)
     rng = np.random.default_rng(seed)
-    return sim.process_model().sample(sim.devices, n_samples, rng)
+    return sim.process_model().sample_bank(sim.devices, n_samples, rng)
 
 
 def bench_bank(sim_cls, n_samples: int, seed: int, repeats: int) -> dict:
     """Per-die loop vs ``simulate_batch`` on both stages of one bank."""
     stages = (sim_cls.schematic(), sim_cls.post_layout())
-    inputs = bank_inputs(stages[0], n_samples, seed)
+    draw_s, inputs = best_of(lambda: bank_inputs(stages[0], n_samples, seed), repeats)
     loop_s, loop = best_of(
         lambda: np.vstack([loop_bank(stage, inputs) for stage in stages]),
         repeats - 1,
@@ -116,13 +119,16 @@ def bench_bank(sim_cls, n_samples: int, seed: int, repeats: int) -> dict:
         lambda: np.vstack([stage.simulate_batch(inputs) for stage in stages]),
         repeats,
     )
-    return {
+    row = {
         "n_samples": n_samples,
         "loop_s": round(loop_s, 6),
         "batched_s": round(batched_s, 6),
         "speedup": round(loop_s / batched_s, 2),
         "max_rel_metric_diff": max_rel_diff(batched, loop),
     }
+    if not isinstance(stages[0], DieSeedSimulator):
+        row["draw_s"] = round(draw_s, 6)
+    return row
 
 
 def bench_die_seed(
@@ -246,9 +252,10 @@ def main(argv=None) -> int:
         },
     )
     for name, section in banks.items():
+        draw = f" | draw {section['draw_s'] * 1e3:.1f} ms" if "draw_s" in section else ""
         print(
             f"{name}: loop {section['loop_s']:.3f} s | batched "
-            f"{section['batched_s']:.3f} s | speedup {section['speedup']}x | "
+            f"{section['batched_s']:.3f} s | speedup {section['speedup']}x{draw} | "
             f"max rel metric diff {section['max_rel_metric_diff']:.2e}"
         )
     for name, section in die_seed.items():

@@ -81,7 +81,12 @@ from repro.circuits.variants import (
     scale_divergence,
     scaled_process_model,
 )
-from repro.circuits.process import GlobalVariation, ProcessSample, ProcessVariationModel
+from repro.circuits.process import (
+    GlobalVariation,
+    ProcessBank,
+    ProcessSample,
+    ProcessVariationModel,
+)
 from repro.circuits.noise import BOLTZMANN, NoiseAnalysis, NoiseResult
 from repro.circuits.transient import (
     TransientAnalysis,
@@ -133,6 +138,7 @@ __all__ = [
     "OpAmpDesign",
     "OpAmpMetrics",
     "PairedDataset",
+    "ProcessBank",
     "ProcessSample",
     "ProcessVariationModel",
     "R2RDACDesign",

@@ -25,7 +25,10 @@ reference; :meth:`StampPlanSimulator.simulate_batch` runs the whole bank
 through one cached :class:`repro.circuits.mna.StampPlan` instead — one
 symbolic MNA assembly, stacked chunked solves, vectorized metric
 extraction — and agrees with the reference to <=1e-10 relative error
-(pinned by ``tests/circuits/test_vectorized_equivalence.py``).
+(pinned by ``tests/circuits/test_vectorized_equivalence.py``).  The bank
+is a :class:`repro.circuits.process.ProcessBank`: chunks and forked
+shards are slices of its arrays, and each device's variation is read
+from its columns.
 
 A subclass supplies the circuit: ``_FREQ_GRID``, the ``_VARIABLE``
 component names, :meth:`_netlist` (the macromodel of one die, used once
@@ -47,6 +50,11 @@ Cache notes: neither base bumps
 ``repro.circuits.montecarlo._DATASET_CACHE_VERSION``, because cached
 banks stay valid to round-off.
 
+* Drawing a process-sample bank as arrays (:class:`ProcessBank`) instead
+  of one :class:`ProcessSample` per die consumes the generator in the same
+  stream order and does the same float arithmetic, so banks stay
+  byte-identical and ``_DATASET_CACHE_VERSION`` stays 1.
+
 * Moving a process-sample circuit onto the stamp plan moves its rows by
   ~1e-15 relative (a closed-form vs. an LU solve of the same system).
 * The R-2R ladder's superposition solve (unit-bit right-hand sides
@@ -60,7 +68,7 @@ banks stay valid to round-off.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,7 +76,7 @@ from repro.circuits.devices import Mosfet
 from repro.circuits.dies import die_draw_bank, die_seed_array
 from repro.circuits.mna import StampPlan, check_memory_budget
 from repro.circuits.netlist import Netlist
-from repro.circuits.process import ProcessSample, ProcessVariationModel
+from repro.circuits.process import ProcessBank, ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
 
 __all__ = ["DieSeedSimulator", "StampPlanSimulator", "code_levels"]
@@ -164,7 +172,7 @@ class StampPlanSimulator:
 
     def _simulate_batch_vectorized(
         self,
-        samples: List[ProcessSample],
+        bank: ProcessBank,
         memory_budget_mb: float,
     ) -> np.ndarray:
         raise NotImplementedError
@@ -172,7 +180,7 @@ class StampPlanSimulator:
     # ------------------------------------------------------------------
     def simulate_batch(
         self,
-        samples: List[ProcessSample],
+        samples: Union[ProcessBank, Sequence[ProcessSample]],
         memory_budget_mb: float = 512.0,
         n_jobs: Optional[int] = None,
     ) -> np.ndarray:
@@ -185,7 +193,9 @@ class StampPlanSimulator:
         Parameters
         ----------
         samples:
-            Process draws; must be non-empty.
+            Process draws, a :class:`ProcessBank` or a sequence of
+            :class:`ProcessSample` (stacked into a bank once, here); must
+            be non-empty.
         memory_budget_mb:
             Peak-memory bound for the stacked complex systems; the solve
             is chunked so ``n_samples * n_freq * m^2`` never exceeds it.
@@ -196,22 +206,24 @@ class StampPlanSimulator:
             are bit-identical to the single-process run for every worker
             count.
         """
-        sample_list = list(samples)
-        if not sample_list:
+        bank = (
+            samples
+            if isinstance(samples, ProcessBank)
+            else ProcessBank.from_samples(list(samples), [d.name for d in self.devices])
+        )
+        if not len(bank):
             raise SimulationError("simulate_batch requires at least one process sample")
         check_memory_budget(memory_budget_mb)
         self._stamp_plan()  # build once; forked workers inherit it
         return _fan_out(
-            lambda idx: self._simulate_chunked(
-                [sample_list[i] for i in idx], memory_budget_mb
-            ),
-            len(sample_list),
+            lambda idx: self._simulate_chunked(bank[idx], memory_budget_mb),
+            len(bank),
             n_jobs,
         )
 
     def _simulate_chunked(
         self,
-        samples: List[ProcessSample],
+        bank: ProcessBank,
         memory_budget_mb: float,
     ) -> np.ndarray:
         """Run the vectorized engine in cache-sized sample chunks.
@@ -224,14 +236,12 @@ class StampPlanSimulator:
             memory_budget_mb * 2**20 // (self._FREQ_GRID.size * 8 * 32)
         )
         chunk = max(1, min(self._PIPELINE_CHUNK, budget_rows))
-        if len(samples) <= chunk:
-            return self._simulate_batch_vectorized(samples, memory_budget_mb)
+        if len(bank) <= chunk:
+            return self._simulate_batch_vectorized(bank, memory_budget_mb)
         return np.vstack(
             [
-                self._simulate_batch_vectorized(
-                    samples[i : i + chunk], memory_budget_mb
-                )
-                for i in range(0, len(samples), chunk)
+                self._simulate_batch_vectorized(bank[i : i + chunk], memory_budget_mb)
+                for i in range(0, len(bank), chunk)
             ]
         )
 
@@ -244,23 +254,21 @@ class StampPlanSimulator:
         return self._plan
 
     def _batched_device_arrays(
-        self, samples: List[ProcessSample]
+        self, bank: ProcessBank
     ) -> Dict[str, Dict[str, np.ndarray]]:
-        """Per-device variation arrays, mirroring :meth:`_varied_devices`."""
-        n = len(samples)
-        dvth_g = {
-            "n": np.array([s.global_variation.dvth_n for s in samples]),
-            "p": np.array([s.global_variation.dvth_p for s in samples]),
-        }
-        dkp_g = {
-            "n": np.array([s.global_variation.dkp_rel_n for s in samples]),
-            "p": np.array([s.global_variation.dkp_rel_p for s in samples]),
-        }
+        """Per-device variation arrays, mirroring :meth:`_varied_devices`.
+
+        A device the bank does not list draws zero local deviation, as
+        :meth:`ProcessSample.apply` does.
+        """
+        g = bank.global_draws
+        dvth_g = {"n": g[:, 0], "p": g[:, 1]}
+        dkp_g = {"n": g[:, 2], "p": g[:, 3]}
         out: Dict[str, Dict[str, np.ndarray]] = {}
         for dev, pol in self._devices:
-            local = np.array(
-                [s.local.get(dev.name, (0.0, 0.0)) for s in samples]
-            ).reshape(n, 2)
+            local = bank.local_of(dev.name)
+            if local is None:
+                local = np.zeros((len(bank), 2))
             dvth, dkp = self._shape_variation(
                 dvth_g[pol] + local[:, 0], dkp_g[pol] + local[:, 1]
             )

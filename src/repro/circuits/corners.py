@@ -14,13 +14,13 @@ multiples of the global sigma so they track the process model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.montecarlo import PairedDataset
 from repro.circuits.opamp import OPAMP_METRIC_NAMES, OpAmpDesign, TwoStageOpAmp
-from repro.circuits.process import GlobalVariation, ProcessSample
+from repro.circuits.process import GlobalVariation, ProcessBank, ProcessSample
 from repro.exceptions import SimulationError
 
 __all__ = ["CornerSpec", "STANDARD_CORNERS", "generate_corner_datasets"]
@@ -34,8 +34,22 @@ class CornerSpec:
     nmos_sigma: float  # positive = slow NMOS (higher Vth, lower mobility)
     pmos_sigma: float
 
-    def apply(self, sample: ProcessSample, sigma_vth: float, sigma_kp: float) -> ProcessSample:
-        """Shift a random process sample to this corner."""
+    def apply(
+        self, sample: Union[ProcessSample, ProcessBank], sigma_vth: float, sigma_kp: float
+    ) -> Union[ProcessSample, ProcessBank]:
+        """Shift a random process sample, or every die of a bank, to this corner.
+
+        A bank is re-centred column by column with the per-sample
+        arithmetic, so its dies equal the shifted samples bit for bit; the
+        local draws are shared, not copied.
+        """
+        if isinstance(sample, ProcessBank):
+            shifted = np.array(sample.global_draws)
+            shifted[:, 0] += self.nmos_sigma * sigma_vth
+            shifted[:, 1] += self.pmos_sigma * sigma_vth
+            shifted[:, 2] -= self.nmos_sigma * sigma_kp
+            shifted[:, 3] -= self.pmos_sigma * sigma_kp
+            return ProcessBank(shifted, sample.local_draws, sample.device_names)
         g = sample.global_variation
         return ProcessSample(
             global_variation=GlobalVariation(
@@ -83,14 +97,13 @@ def generate_corner_datasets(
     late_sim = TwoStageOpAmp.post_layout(design)
     model = early_sim.process_model()
     rng = np.random.default_rng(seed)
-    base_samples = model.sample(early_sim.devices, n_samples, rng)
+    base_bank = model.sample_bank(early_sim.devices, n_samples, rng)
 
     out: Dict[str, PairedDataset] = {}
     for corner in corners:
-        shifted = [
-            corner.apply(s, model.sigma_vth_global, model.sigma_kp_rel_global)
-            for s in base_samples
-        ]
+        shifted = corner.apply(
+            base_bank, model.sigma_vth_global, model.sigma_kp_rel_global
+        )
         nominal = corner.apply(
             model.nominal_sample(early_sim.devices),
             model.sigma_vth_global,

@@ -276,7 +276,7 @@ def generate_opamp_dataset(
 ) -> PairedDataset:
     """Generate the paper's op-amp sample bank (Sec. 5.1).
 
-    Draws one process-sample list and replays it through both the
+    Draws one process bank and replays it through both the
     schematic and the post-layout simulator so rows are paired by die.
     Identical configurations are served from the disk cache (see
     :func:`dataset_cache_path`); pass ``use_cache=False`` to force a

@@ -36,7 +36,7 @@ from repro.circuits.batch import StampPlanSimulator
 from repro.circuits.devices import Mosfet, MosfetGeometry, MosfetProcess
 from repro.circuits.mna import ACAnalysis
 from repro.circuits.netlist import Netlist
-from repro.circuits.process import ProcessSample, ProcessVariationModel
+from repro.circuits.process import ProcessBank, ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
 
 __all__ = ["OpAmpDesign", "OpAmpMetrics", "TwoStageOpAmp", "OPAMP_METRIC_NAMES"]
@@ -435,13 +435,13 @@ class TwoStageOpAmp(StampPlanSimulator):
 
     def _simulate_batch_vectorized(
         self,
-        samples: List[ProcessSample],
+        bank: ProcessBank,
         memory_budget_mb: float,
     ) -> np.ndarray:
-        n = len(samples)
+        n = len(bank)
         design = self.design
         par = self.parasitics
-        devs = self._batched_device_arrays(samples)
+        devs = self._batched_device_arrays(bank)
         i_tail, i_stage2, i_bias = self._batched_bias_currents(devs)
         i_half = i_tail / 2.0
 

@@ -34,7 +34,7 @@ from repro.circuits.devices import Mosfet, MosfetGeometry, MosfetProcess
 from repro.circuits.mna import ACAnalysis
 from repro.circuits.montecarlo import PairedDataset
 from repro.circuits.netlist import Netlist
-from repro.circuits.process import ProcessSample, ProcessVariationModel
+from repro.circuits.process import ProcessBank, ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
 
 __all__ = ["FoldedCascodeDesign", "OTAMetrics", "FoldedCascodeOTA", "OTA_METRIC_NAMES"]
@@ -242,7 +242,9 @@ class FoldedCascodeOTA(StampPlanSimulator):
     def _netlist(self, sample: ProcessSample) -> Netlist:
         devs = self._varied_devices(sample)
         i_tail, i_branch = self._bias_currents(devs)
-        return self._macromodel(devs, i_tail, i_branch, self._cap_variation(sample))
+        g = sample.global_variation
+        cap_scale = self._cap_variation(g.dkp_rel_n, g.dkp_rel_p)
+        return self._macromodel(devs, i_tail, i_branch, cap_scale)
 
     def _offset(self, devs: Dict[str, Mosfet], i_tail: float) -> float:
         i_half = i_tail / 2.0
@@ -260,23 +262,25 @@ class FoldedCascodeOTA(StampPlanSimulator):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _cap_variation(sample: ProcessSample) -> float:
+    def _cap_variation(dkp_rel_n, dkp_rel_p):
         """Die-level capacitor variation tied to the oxide/mobility state.
 
         Gate-oxide thickness drives both the mobility factor and the MOS
         capacitances, so the die's capacitors track the average global
         ``kp`` deviation with a partial (0.35) sensitivity.  This is what
         keeps slew rate (``I / C``) from being perfectly collinear with
-        power (``~ I``), as it would be with ideal capacitors.
+        power (``~ I``), as it would be with ideal capacitors.  Called
+        with floats by the per-die path and with ``(n,)`` arrays by the
+        batched one.
         """
-        g = sample.global_variation
-        return 1.0 + 0.35 * 0.5 * (g.dkp_rel_n + g.dkp_rel_p)
+        return 1.0 + 0.35 * 0.5 * (dkp_rel_n + dkp_rel_p)
 
     def simulate(self, sample: ProcessSample) -> OTAMetrics:
         """Measure the five metrics for one process draw."""
         devs = self._varied_devices(sample)
         i_tail, i_branch = self._bias_currents(devs)
-        cap_scale = self._cap_variation(sample)
+        g = sample.global_variation
+        cap_scale = self._cap_variation(g.dkp_rel_n, g.dkp_rel_p)
         net = self._macromodel(devs, i_tail, i_branch, cap_scale)
         solution = ACAnalysis(net).solve(self._FREQ_GRID)
         h = solution.transfer("out", "in")
@@ -383,15 +387,15 @@ class FoldedCascodeOTA(StampPlanSimulator):
 
     def _simulate_batch_vectorized(
         self,
-        samples: List[ProcessSample],
+        bank: ProcessBank,
         memory_budget_mb: float,
     ) -> np.ndarray:
         design = self.design
         par = self.parasitics
-        devs = self._batched_device_arrays(samples)
+        devs = self._batched_device_arrays(bank)
         i_tail, i_branch = self._batched_bias_currents(devs)
         i_half = i_tail / 2.0
-        cap_scale = np.array([self._cap_variation(s) for s in samples])
+        cap_scale = self._cap_variation(bank.global_draws[:, 2], bank.global_draws[:, 3])
 
         def gds(name: str, current: np.ndarray) -> np.ndarray:
             return devs[name]["lambda_"] * current
@@ -466,7 +470,7 @@ def generate_ota_dataset(
     """Paired early/late OTA banks (same contract as the op-amp generator).
 
     A thin wrapper over ``registry.generate_dataset("ota", ...)``: both
-    stages replay one process-sample list, and identical configurations
+    stages replay one process bank, and identical configurations
     are served from the disk cache (see
     :func:`repro.circuits.montecarlo.dataset_cache_path`); pass
     ``use_cache=False`` to force a fresh simulation.

@@ -102,14 +102,6 @@ class CircuitEntry:
 # ---------------------------------------------------------------------------
 # process-sample circuits
 # ---------------------------------------------------------------------------
-def _corner_samples(spec: CornerSpec, samples, base_model):
-    """Re-centre a sample bank at a corner (base-model sigma units)."""
-    return [
-        spec.apply(s, base_model.sigma_vth_global, base_model.sigma_kp_rel_global)
-        for s in samples
-    ]
-
-
 def _process_builder(sim_cls: type, metric_names: Tuple[str, ...]) -> _Builder:
     """Builder for ProcessSample-seam circuits (op-amp-style)."""
 
@@ -128,10 +120,12 @@ def _process_builder(sim_cls: type, metric_names: Tuple[str, ...]) -> _Builder:
         base_model = early.process_model()
         model = scaled_process_model(base_model, variant.mismatch_scale)
         rng = np.random.default_rng(seed)
-        samples = model.sample(early.devices, n_samples, rng)
+        bank = model.sample_bank(early.devices, n_samples, rng)
         if variant.corner != _IDENTITY.corner:
             spec = variant.spec
-            samples = _corner_samples(spec, samples, base_model)
+            bank = spec.apply(
+                bank, base_model.sigma_vth_global, base_model.sigma_kp_rel_global
+            )
             nominal = spec.apply(
                 model.nominal_sample(early.devices),
                 base_model.sigma_vth_global,
@@ -143,8 +137,8 @@ def _process_builder(sim_cls: type, metric_names: Tuple[str, ...]) -> _Builder:
             early_nominal = early.simulate_nominal().as_array()
             late_nominal = late.simulate_nominal().as_array()
         return PairedDataset(
-            early=early.simulate_batch(samples),
-            late=late.simulate_batch(samples),
+            early=early.simulate_batch(bank),
+            late=late.simulate_batch(bank),
             early_nominal=early_nominal,
             late_nominal=late_nominal,
             metric_names=metric_names,

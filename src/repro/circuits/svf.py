@@ -41,7 +41,7 @@ from repro.circuits.batch import StampPlanSimulator
 from repro.circuits.devices import Mosfet, MosfetGeometry, MosfetProcess
 from repro.circuits.mna import ACAnalysis
 from repro.circuits.netlist import Netlist
-from repro.circuits.process import ProcessSample, ProcessVariationModel
+from repro.circuits.process import ProcessBank, ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
 
 __all__ = ["GmCFilterDesign", "SVFMetrics", "GmCStateVariableFilter", "SVF_METRIC_NAMES"]
@@ -410,13 +410,13 @@ class GmCStateVariableFilter(StampPlanSimulator):
 
     def _simulate_batch_vectorized(
         self,
-        samples: List[ProcessSample],
+        bank: ProcessBank,
         memory_budget_mb: float,
     ) -> np.ndarray:
-        n = len(samples)
+        n = len(bank)
         design = self.design
         par = self.parasitics
-        devs = self._batched_device_arrays(samples)
+        devs = self._batched_device_arrays(bank)
         currents = self._batched_bias_currents(devs)
         keep = 1.0 - par.gm_derate_rel
 

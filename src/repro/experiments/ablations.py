@@ -223,10 +223,10 @@ def ablate_process_quality(
             local_scale=scale_factor,
         )
         rng = np.random.default_rng(seed)
-        samples = model.sample(early_sim.devices, n_bank, rng)
+        bank = model.sample_bank(early_sim.devices, n_bank, rng)
         dataset = PairedDataset(
-            early=early_sim.simulate_batch(samples),
-            late=late_sim.simulate_batch(samples),
+            early=early_sim.simulate_batch(bank),
+            late=late_sim.simulate_batch(bank),
             early_nominal=early_sim.simulate_nominal().as_array(),
             late_nominal=late_sim.simulate_nominal().as_array(),
             metric_names=OPAMP_METRIC_NAMES,

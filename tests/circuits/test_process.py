@@ -94,3 +94,20 @@ class TestValidation:
     def test_rejects_bad_correlation(self):
         with pytest.raises(SimulationError):
             ProcessVariationModel(polarity_correlation=1.0)
+
+    def test_rejects_negative_temperature_sigma(self):
+        with pytest.raises(SimulationError, match="sigma_temp"):
+            ProcessVariationModel(sigma_temp=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", ["sigma_vth_global", "sigma_kp_rel_global", "sigma_temp"]
+    )
+    def test_rejects_non_finite_sigma(self, name, value):
+        with pytest.raises(SimulationError, match=name):
+            ProcessVariationModel(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_local_scale(self, value):
+        with pytest.raises(SimulationError, match="local_scale"):
+            ProcessVariationModel(local_scale=value)
