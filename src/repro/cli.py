@@ -140,9 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--checkpoint",
         default=None,
-        help="restore state from this checkpoint if it exists: a directory "
-        "holding manifest.json restores the sharded router, a file one "
-        "unsharded worker (shard flags then conflict); a missing path "
+        help="restore state from this checkpoint if it exists: a file is one "
+        "shard, a directory holding manifest.json several; a missing path "
         "starts fresh by the shard flags",
     )
     serve.add_argument(
@@ -160,9 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shards",
         type=int,
-        default=1,
-        help="shard-worker count for a fresh start (1 without other shard "
-        "flags serves one unsharded worker with a single-file checkpoint)",
+        default=None,
+        help="shard-worker count for a fresh start (default 1: one shard, "
+        "checkpointed to a single file); a restored checkpoint fixes the "
+        "count, and a different --shards exits 2",
     )
     serve.add_argument(
         "--wal-dir",
@@ -214,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     compact = sub.add_parser(
         "compact",
-        help="checkpoint a sharded service and truncate replayed WAL segments",
+        help="checkpoint a service and truncate replayed WAL segments",
     )
     compact.add_argument(
-        "checkpoint", help="sharded checkpoint directory (holds manifest.json)"
+        "checkpoint", help="serving checkpoint (a file, or a directory holding manifest.json)"
     )
     compact.add_argument(
         "--wal-dir", required=True, help="directory holding the shard WALs"
@@ -590,26 +590,13 @@ def _cmd_serve(args) -> int:
     import os
     from pathlib import Path
 
-    from repro.exceptions import ConfigError
-    from repro.serving import ShardedMomentService, ShardWorker, serve_loop
+    from repro.exceptions import ConfigError, ReproError
+    from repro.serving import ShardedMomentService, serve_loop
 
-    # An existing checkpoint picks the entry point by its layout: a
-    # manifest directory restores the router, a single file the worker.
-    # Only a fresh start (no checkpoint on disk) goes by the shard flags.
-    shard_flags = [
-        flag
-        for flag, given in (
-            (f"--shards {args.shards}", args.shards != 1),
-            ("--wal-dir", args.wal_dir is not None),
-            ("--flush-rows", args.flush_rows is not None),
-        )
-        if given
-    ]
     if args.save_on_exit and not args.checkpoint:
         print("--save-on-exit requires --checkpoint", file=sys.stderr)
         return 2
-    service: Any
-    if args.checkpoint and os.path.isdir(args.checkpoint):
+    if args.checkpoint and os.path.exists(args.checkpoint):
         try:
             service = ShardedMomentService.restore(
                 args.checkpoint,
@@ -621,58 +608,51 @@ def _cmd_serve(args) -> int:
         except ConfigError as exc:
             print(f"cannot restore {args.checkpoint}: {exc}", file=sys.stderr)
             return 2
+        if args.shards not in (None, service.n_shards):
+            service.close()
+            layout = "manifest directory" if os.path.isdir(args.checkpoint) else "single-file"
+            print(
+                f"{args.checkpoint} is a {layout} checkpoint of {service.n_shards} shard(s); "
+                f"it conflicts with --shards {args.shards}",
+                file=sys.stderr,
+            )
+            return 2
         print(
             f"restored {service.n_shards}-shard service from {args.checkpoint}",
             file=sys.stderr,
         )
-    elif args.checkpoint and os.path.exists(args.checkpoint):
-        if shard_flags:
+    elif args.wal_dir is not None and sorted(Path(args.wal_dir).glob("shard-*.wal")):
+        service = ShardedMomentService.recover(
+            args.wal_dir,
+            max_sessions_per_shard=args.max_sessions,
+            ttl_ops=args.ttl_ops,
+            flush_rows=args.flush_rows,
+            wal_flush_records=args.wal_flush_records,
+            wal_flush_bytes=args.wal_flush_bytes,
+        )
+        print(
+            f"recovered {service.n_shards} shard(s) by replaying "
+            f"write-ahead logs in {args.wal_dir}",
+            file=sys.stderr,
+        )
+        if args.shards not in (None, service.n_shards):
             print(
-                f"{args.checkpoint} is a single-file checkpoint, which serves "
-                f"one unsharded worker; it conflicts with {', '.join(shard_flags)} "
-                "(sharded serving restores from a manifest directory)",
+                f"warning: --shards {args.shards} ignored — the shard "
+                f"count is fixed by the {service.n_shards} recovered "
+                "WAL file(s); re-shard offline if you need a "
+                "different count",
                 file=sys.stderr,
-            )
-            return 2
-        service = ShardWorker.restore(args.checkpoint)
-        print(f"restored service state from {args.checkpoint}", file=sys.stderr)
-    elif shard_flags:
-        if args.wal_dir is not None and sorted(
-            Path(args.wal_dir).glob("shard-*.wal")
-        ):
-            service = ShardedMomentService.recover(
-                args.wal_dir,
-                max_sessions_per_shard=args.max_sessions,
-                ttl_ops=args.ttl_ops,
-                flush_rows=args.flush_rows,
-                wal_flush_records=args.wal_flush_records,
-                wal_flush_bytes=args.wal_flush_bytes,
-            )
-            print(
-                f"recovered {service.n_shards} shard(s) by replaying "
-                f"write-ahead logs in {args.wal_dir}",
-                file=sys.stderr,
-            )
-            if args.shards != service.n_shards:
-                print(
-                    f"warning: --shards {args.shards} ignored — the shard "
-                    f"count is fixed by the {service.n_shards} recovered "
-                    "WAL file(s); re-shard offline if you need a "
-                    "different count",
-                    file=sys.stderr,
-                )
-        else:
-            service = ShardedMomentService(
-                n_shards=args.shards,
-                max_sessions_per_shard=args.max_sessions,
-                ttl_ops=args.ttl_ops,
-                flush_rows=args.flush_rows,
-                wal_dir=args.wal_dir,
-                wal_flush_records=args.wal_flush_records,
-                wal_flush_bytes=args.wal_flush_bytes,
             )
     else:
-        service = ShardWorker(max_sessions=args.max_sessions, ttl_ops=args.ttl_ops)
+        service = ShardedMomentService(
+            n_shards=1 if args.shards is None else args.shards,
+            max_sessions_per_shard=args.max_sessions,
+            ttl_ops=args.ttl_ops,
+            flush_rows=args.flush_rows,
+            wal_dir=args.wal_dir,
+            wal_flush_records=args.wal_flush_records,
+            wal_flush_bytes=args.wal_flush_bytes,
+        )
     print(
         "repro serving loop: one JSON request per line on stdin "
         "(op: ping/create/ingest/estimate/loglik/yield/sessions/drop/"
@@ -680,6 +660,12 @@ def _cmd_serve(args) -> int:
         file=sys.stderr,
     )
     handled = serve_loop(service)
+    status = 0
+    try:  # a key whose buffered rows are refused loses those rows only
+        service.flush()
+    except (ReproError, ValueError) as exc:
+        print(f"refused buffered rows at shutdown: {type(exc).__name__}: {exc}", file=sys.stderr)
+        status = 1
     if args.save_on_exit:
         sha = service.checkpoint(args.checkpoint)
         print(
@@ -688,7 +674,7 @@ def _cmd_serve(args) -> int:
         )
     service.close()
     print(f"served {handled} requests", file=sys.stderr)
-    return 0
+    return status
 
 
 def _cmd_replay(args) -> int:
@@ -793,45 +779,27 @@ def _emit_wire_requests(args) -> int:
     return 0
 
 
-def _reject_manifest_dir(path: str, verb: str) -> bool:
-    """Report (and return True) when ``path`` is a checkpoint directory:
-    ``ingest``/``query`` work on single-file checkpoints only."""
-    import os
-
-    if not os.path.isdir(path):
-        return False
-    print(
-        f"{path} is a directory (a sharded checkpoint holds a manifest.json); "
-        f"'repro {verb}' works on single-file checkpoints — serve the "
-        f"directory with 'repro serve --checkpoint {path}' instead",
-        file=sys.stderr,
-    )
-    return True
-
-
 def _cmd_ingest(args) -> int:
     import os
 
     from repro.core.prior import PriorKnowledge
     from repro.io import load_dataset
-    from repro.serving import ShardWorker
+    from repro.serving import ShardedMomentService
 
     if args.emit_wire is not None:
         return _emit_wire_requests(args)
-    if _reject_manifest_dir(args.checkpoint, "ingest"):
-        return 2
     dataset = load_dataset(args.dataset)
     if os.path.exists(args.checkpoint):
-        service = ShardWorker.restore(args.checkpoint)
+        service = ShardedMomentService.restore(args.checkpoint)
     elif args.create:
-        service = ShardWorker()
+        service = ShardedMomentService()
     else:
         print(
             f"checkpoint {args.checkpoint} does not exist (pass --create to start one)",
             file=sys.stderr,
         )
         return 2
-    if args.session not in service.store:
+    if args.session not in service.session_keys():
         if not args.create:
             print(
                 f"session {args.session!r} not in checkpoint "
@@ -862,17 +830,15 @@ def _cmd_query(args) -> int:
     import json
 
     from repro.io import load_dataset
-    from repro.serving import ShardWorker
+    from repro.serving import ShardedMomentService
 
-    if _reject_manifest_dir(args.checkpoint, "query"):
-        return 2
-    service = ShardWorker.restore(args.checkpoint)
+    service = ShardedMomentService.restore(args.checkpoint)
 
     if args.kind == "stats":
         print(json.dumps(service.stats(), indent=2, sort_keys=True))  # reprolint: disable=RPL009 -- human-readable console display, never persisted or hashed
         return 0
     if args.kind == "sessions":
-        for key in service.store.keys():
+        for key in service.session_keys():
             print(key)
         return 0
 

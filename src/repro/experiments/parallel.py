@@ -22,62 +22,20 @@ Two practical constraints shape the implementation:
 from __future__ import annotations
 
 import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.exceptions import DimensionError
+from repro.jobs import resolve_n_jobs
 
-__all__ = ["replicate", "resolve_n_jobs", "fork_available", "thread_map"]
+__all__ = ["replicate", "resolve_n_jobs", "fork_available"]
 
 #: Callable + task list inherited by forked workers (never pickled).
 _FORK_STATE: dict = {}
 
 
-def resolve_n_jobs(n_jobs: Optional[int]) -> int:
-    """Normalise an ``n_jobs`` knob to a concrete worker count.
-
-    ``None`` and ``1`` mean serial; ``-1`` means one worker per CPU;
-    positive values are taken literally.  ``0`` and values below ``-1``
-    are rejected — they are invariably typos.
-    """
-    if n_jobs is None:
-        return 1
-    jobs = int(n_jobs)
-    if jobs == -1:
-        return max(os.cpu_count() or 1, 1)
-    if jobs < 1:
-        raise DimensionError(f"n_jobs must be a positive int or -1, got {n_jobs}")
-    return jobs
-
-
 def fork_available() -> bool:
     """Whether the ``fork`` start method exists on this platform."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def thread_map(
-    fn: Callable[[Any], Any],
-    tasks: Sequence[Any],
-    n_jobs: Optional[int] = 1,
-) -> List[Any]:
-    """Evaluate ``fn(task)`` for every task on a thread pool, order-preserving.
-
-    The thread-side sibling of :func:`replicate`, for tasks that are
-    lock- or I/O-bound rather than CPU-bound (the serving router fanning a
-    query out over shard workers is the motivating case: each call mostly
-    waits on a per-shard store lock).  ``fn`` may close over arbitrary
-    shared state — nothing is pickled.  The serial path (``n_jobs`` of
-    ``None``/``1``, or a single task) is the reference semantics; because
-    results come back in task order, the output is identical for every
-    worker count whenever ``fn`` is pure in its task.
-    """
-    jobs = resolve_n_jobs(n_jobs)
-    task_list = list(tasks)
-    if jobs <= 1 or len(task_list) <= 1:
-        return [fn(task) for task in task_list]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(task_list))) as pool:
-        return list(pool.map(fn, task_list))
 
 
 def _call_indexed(index: int) -> Any:

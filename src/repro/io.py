@@ -32,9 +32,15 @@ import numpy as np
 
 from repro.circuits.montecarlo import PairedDataset
 from repro.core.estimators import EstimateInfo, MomentEstimate
-from repro.exceptions import ConfigError, DimensionError, SchemaVersionError
+from repro.exceptions import ConfigError, DimensionError
 from repro.experiments.sweep import SweepResult
-from repro.schemas import RESULT_SCHEMA, canonical_json, fsync_dir, write_json_atomic
+from repro.schemas import (
+    RESULT_SCHEMA,
+    canonical_json,
+    check_schema_version,
+    fsync_dir,
+    write_json_atomic,
+)
 
 __all__ = [
     "canonical_json",
@@ -182,34 +188,6 @@ def load_config(path: PathLike):
     from repro.core.registry import FusionConfig
 
     return FusionConfig.from_json(Path(path).read_text())
-
-
-# ---------------------------------------------------------------------------
-# schema versioning
-# ---------------------------------------------------------------------------
-def check_schema_version(
-    payload: Dict, supported: int, name: str, default: int = 1
-) -> int:
-    """Validate the ``schema_version`` field of a serialized artefact.
-
-    Returns the declared version.  A payload without the field is treated
-    as ``default`` (files written before versioning existed); anything
-    other than ``supported`` raises :class:`~repro.exceptions.SchemaVersionError`
-    — previously unknown future versions loaded silently and produced
-    whatever the old field layout happened to decode to.
-    """
-    version = payload.get("schema_version", default)
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise SchemaVersionError(
-            f"{name}: schema_version must be an integer, got {version!r}"
-        )
-    if version != supported:
-        raise SchemaVersionError(
-            f"{name}: unsupported schema_version {version} "
-            f"(this reader supports version {supported}); "
-            "upgrade the repro package to read this file"
-        )
-    return version
 
 
 # ---------------------------------------------------------------------------

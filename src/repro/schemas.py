@@ -18,6 +18,8 @@ reach them without a layering back-edge:
 * :func:`canonical_json` — the one canonical JSON encoding used for
   every hashed payload, and :func:`parse_json`, its fast ``json.loads``
   twin for request lines and log metadata;
+* :func:`check_schema_version` — the reader-side check of a payload's
+  integer ``schema_version``;
 * :func:`fsync_dir` — the directory-fsync half of the crash-safe
   ``flush -> fsync -> os.replace -> fsync_dir`` write pattern that
   reprolint rule RPL008 enforces;
@@ -31,7 +33,9 @@ import json
 import os
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Union
+
+from repro.exceptions import SchemaVersionError
 
 __all__ = [
     "RESULT_SCHEMA",
@@ -45,6 +49,7 @@ __all__ = [
     "ALL_SCHEMAS",
     "canonical_json",
     "parse_json",
+    "check_schema_version",
     "fsync_dir",
     "write_json_atomic",
 ]
@@ -157,6 +162,31 @@ def parse_json(text: Union[str, bytes]) -> Any:
             if end == len(text):
                 return value
     return json.loads(text)
+
+
+def check_schema_version(
+    payload: Dict, supported: int, name: str, default: int = 1
+) -> int:
+    """Validate the ``schema_version`` field of a serialized artefact.
+
+    Returns the declared version.  A payload without the field is treated
+    as ``default`` (files written before versioning existed); anything
+    other than ``supported`` raises :class:`~repro.exceptions.SchemaVersionError`
+    — previously unknown future versions loaded silently and produced
+    whatever the old field layout happened to decode to.
+    """
+    version = payload.get("schema_version", default)
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise SchemaVersionError(
+            f"{name}: schema_version must be an integer, got {version!r}"
+        )
+    if version != supported:
+        raise SchemaVersionError(
+            f"{name}: unsupported schema_version {version} "
+            f"(this reader supports version {supported}); "
+            "upgrade the repro package to read this file"
+        )
+    return version
 
 
 def fsync_dir(path: PathLike) -> None:

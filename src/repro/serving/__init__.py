@@ -23,13 +23,15 @@ re-touching raw samples.  The stack is layered bottom-up:
 * :mod:`repro.serving.scoring` — the grouped stacked-kernel batch
   scorer all services answer through.
 * :mod:`repro.serving.worker` — :class:`ShardWorker`: one store slice +
-  counters + scorer (+ WAL), with bit-identical log replay.  A worker on
-  its own is the single-process service; it checkpoints to one file.
-* :mod:`repro.serving.router` — :class:`ShardedMomentService`:
-  consistent-hash placement (each key on its home shard), coalesced
-  ingest, home-shard queries, manifest-directory checkpoints.
+  counters + scorer (+ WAL), with bit-identical log replay.  The one
+  place that counts what it applied; it checkpoints to one file.
+* :mod:`repro.serving.router` — :class:`ShardedMomentService`, the one
+  served type at every shard count: consistent-hash placement (each key
+  on its home shard), coalesced ingest, home-shard queries, counters that
+  are shard sums, and checkpoints of one file per shard (bound by a
+  manifest directory when there is more than one).
 * :mod:`repro.serving.protocol` — JSON-lines request handling for the
-  ``repro serve`` CLI verb (fronts either entry point).
+  ``repro serve`` CLI verb.
 """
 
 from repro.core.bmf import map_moments_stack

@@ -15,9 +15,9 @@ checkpoint makes it durable with three guarantees:
   directory, are fsync'd, then atomically renamed over the destination;
   a crash mid-write leaves the previous checkpoint intact.
 
-Versioning follows the :mod:`repro.io` result-schema convention: a
-``schema`` marker plus an integer ``schema_version`` checked through
-:func:`repro.io.check_schema_version`, so files written by a newer layout
+Versioning follows the :mod:`repro.schemas` convention: a ``schema``
+marker plus an integer ``schema_version`` checked through
+:func:`repro.schemas.check_schema_version`, so files written by a newer layout
 are rejected with :class:`~repro.exceptions.SchemaVersionError` instead
 of being misdecoded.
 
@@ -41,8 +41,12 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from repro.exceptions import ConfigError
-from repro.io import canonical_json, check_schema_version, write_json_atomic
-from repro.schemas import CHECKPOINT_SCHEMA
+from repro.schemas import (
+    CHECKPOINT_SCHEMA,
+    canonical_json,
+    check_schema_version,
+    write_json_atomic,
+)
 
 __all__ = [
     "CHECKPOINT_SCHEMA",

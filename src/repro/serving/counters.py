@@ -1,9 +1,10 @@
-"""Thread-safe service counters (shared by shard workers and the router).
+"""Thread-safe service counters: each shard worker counts what it applied.
 
-Extracted to the bottom of the serving sub-layering so every layer above —
-:class:`~repro.serving.worker.ShardWorker` and the shard router — can
-count requests/ingest/latency through one implementation without import
-cycles.
+Extracted to the bottom of the serving sub-layering so every layer above
+can use one implementation without import cycles: each
+:class:`~repro.serving.worker.ShardWorker` counts requests, ingest and
+latency, and the shard router reports their sums
+(:meth:`ServiceCounters.summed`).
 
 Cumulative counters (requests by kind, errors, ingest totals) are exact
 state: they serialize into checkpoints and are replayed from write-ahead
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Mapping
+from typing import Any, Deque, Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +42,24 @@ class ServiceCounters:
         self.wal_bytes = 0
         self.wal_flushes = 0
         self._latencies: Deque[float] = deque(maxlen=int(latency_window))
+
+    @classmethod
+    def summed(cls, parts: Sequence["ServiceCounters"]) -> "ServiceCounters":
+        """New counters holding the sums of ``parts``: every count added,
+        the latency rings concatenated (in ``parts`` order)."""
+        total = cls(sum(part._latencies.maxlen or 0 for part in parts) or 1)
+        for part in parts:
+            with part._lock, total._lock:
+                for kind, count in part.requests.items():
+                    total.requests[kind] = total.requests.get(kind, 0) + count
+                total.errors += part.errors
+                total.ingest_calls += part.ingest_calls
+                total.ingested_samples += part.ingested_samples
+                total.wal_records += part.wal_records
+                total.wal_bytes += part.wal_bytes
+                total.wal_flushes += part.wal_flushes
+                total._latencies.extend(part._latencies)
+        return total
 
     def record_request(self, kind: str) -> None:
         with self._lock:

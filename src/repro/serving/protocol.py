@@ -60,14 +60,13 @@ import json
 import math
 import re
 import sys
-from typing import Any, Callable, Dict, IO, Iterable, Optional, Union
+from typing import Any, Callable, Dict, IO, Iterable, Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigError, ReproError
 from repro.schemas import canonical_json, parse_json
 from repro.serving.router import ShardedMomentService
-from repro.serving.worker import ShardWorker
 from repro.core.prior import PriorKnowledge
 from repro.stats.suffstats import SufficientStats
 
@@ -75,7 +74,6 @@ __all__ = [
     "handle_request",
     "serve_loop",
     "PROTOCOL_OPS",
-    "ServingService",
     "WIRE_B64F64",
     "encode_array",
     "decode_array",
@@ -85,12 +83,6 @@ __all__ = [
 WIRE_B64F64 = "b64f64"
 _WIRE_F8 = np.dtype("<f8")
 _BASE64 = re.compile("[A-Za-z0-9+/]*={0,2}")
-
-#: Any service the wire protocol can front: a single-file
-#: :class:`ShardWorker` or the sharded router.  Both expose the same
-#: session-lifecycle / ingest / synchronous-query / checkpoint surface; the
-#: protocol layer never reaches into stores or workers directly.
-ServingService = Union[ShardWorker, ShardedMomentService]
 
 #: Operations the wire protocol accepts.
 PROTOCOL_OPS = (
@@ -187,12 +179,12 @@ def _require(request: Dict[str, Any], field: str) -> Any:
         ) from None
 
 
-def _op_ping(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_ping(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     del service, request
     return {}
 
 
-def _op_create(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_create(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     prior = PriorKnowledge.shared(
         decode_array(_require(request, "prior_mean")),
@@ -217,7 +209,7 @@ def _op_create(service: ServingService, request: Dict[str, Any]) -> Dict[str, An
     }
 
 
-def _op_ingest(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_ingest(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     if "stats" in request:
         stats = _decode_stats(request["stats"])
@@ -230,7 +222,7 @@ def _op_ingest(service: ServingService, request: Dict[str, Any]) -> Dict[str, An
     return {"key": key, "ingested": folded, "n": total}
 
 
-def _op_estimate(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_estimate(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     estimate = service.query_many([("estimate", key, None)])[0]
     binary = request.get("encoding") == WIRE_B64F64
@@ -248,14 +240,14 @@ def _op_estimate(service: ServingService, request: Dict[str, Any]) -> Dict[str, 
     }
 
 
-def _op_loglik(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_loglik(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     x = decode_array(_require(request, "x"))
     value = service.query_many([("loglik", key, x)])[0]
     return {"key": key, "loglik": float(value)}
 
 
-def _op_yield(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_yield(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     lower = decode_array(_require(request, "lower"))
     upper = decode_array(_require(request, "upper"))
@@ -263,28 +255,28 @@ def _op_yield(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any
     return {"key": key, "yield": float(value)}
 
 
-def _op_sessions(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_sessions(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     del request
     return {"sessions": service.session_keys()}
 
 
-def _op_drop(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_drop(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     return {"key": key, "dropped": service.drop_session(key)}
 
 
-def _op_stats(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_stats(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     del request
     return {"stats": service.stats()}
 
 
-def _op_checkpoint(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_checkpoint(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     path = str(_require(request, "path"))
     sha256 = service.checkpoint(path)
     return {"path": path, "sha256": sha256}
 
 
-_HANDLERS: Dict[str, Callable[[ServingService, Dict[str, Any]], Dict[str, Any]]] = {
+_HANDLERS: Dict[str, Callable[[ShardedMomentService, Dict[str, Any]], Dict[str, Any]]] = {
     "ping": _op_ping,
     "create": _op_create,
     "ingest": _op_ingest,
@@ -298,7 +290,7 @@ _HANDLERS: Dict[str, Callable[[ServingService, Dict[str, Any]], Dict[str, Any]]]
 }
 
 
-def handle_request(service: ServingService, line: str) -> Dict[str, Any]:
+def handle_request(service: ShardedMomentService, line: str) -> Dict[str, Any]:
     """Decode one request line, execute it, and return the response dict.
 
     Never raises for client mistakes — malformed JSON, unknown ops,
@@ -341,7 +333,7 @@ def handle_request(service: ServingService, line: str) -> Dict[str, Any]:
 
 
 def serve_loop(
-    service: ServingService,
+    service: ShardedMomentService,
     lines: Optional[Iterable[str]] = None,
     out: Optional[IO[str]] = None,
 ) -> int:

@@ -22,21 +22,22 @@
   the multi-shard throughput win comes from on a single-core box; the
   rounding difference is covered by the documented 1e-10 equivalence
   bound.
-* **Home-shard queries** — the router snapshots the key's session from
-  its home shard and scores it through the same
-  :class:`~repro.serving.scoring.BatchScorer` every other layer uses.
-  Additivity of the sufficient-statistics triple is what lets blocks
-  coalesce (and shards fold offline with
+* **Home-shard queries** — each query is counted and scored on its key's
+  home worker, one batch per shard.  Additivity of the sufficient
+  statistics is what lets blocks coalesce (and shards fold offline with
   :func:`~repro.stats.suffstats.merge_all`) without new math.
+* **One place that counts** — each worker counts what it applied (a
+  coalesced block as the calls it holds), in the state its checkpoint
+  holds and its log replays; the router's totals are the shard sums.
+* **Layout** — a checkpoint holds one file per shard, and a manifest
+  directory binds them only when there is more than one.
 
 Single-shard mode is the compatibility gate: ``n_shards=1`` defaults to
 ``flush_rows=1``, and a block that alone reaches ``flush_rows`` with
 nothing buffered for its key goes to the worker as sent.  Every ingest
 therefore reaches the one worker at once, a 1-D row down the same Welford
 path, reproducing a bare :class:`~repro.serving.worker.ShardWorker`
-bit-for-bit — counters, eviction order, WAL records and checkpoint bytes
-(the equivalence suite compares ``shard-000.ckpt`` with the worker's
-checkpoint file byte-wise).
+bit-for-bit — counters, eviction order, WAL records and checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import contextlib
 import hashlib
 import json
 import threading
+from collections.abc import Callable
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -61,12 +63,10 @@ from repro.exceptions import (
     SessionNotFoundError,
     WalCorruptionError,
 )
-from repro.experiments.parallel import thread_map
-from repro.io import check_schema_version, write_json_atomic
-from repro.schemas import MANIFEST_SCHEMA
+from repro.jobs import thread_map
+from repro.schemas import MANIFEST_SCHEMA, check_schema_version, write_json_atomic
 from repro.serving.counters import ServiceCounters
-from repro.serving.queue import QUERY_KINDS, build_requests
-from repro.serving.scoring import BatchScorer
+from repro.serving.queue import Request, build_requests
 from repro.serving.sessions import Session, block_rows, stats_rows
 from repro.serving.wal import WriteAheadLog
 from repro.serving.worker import ShardWorker
@@ -102,23 +102,38 @@ def _closing_on_error(service: "ShardedMomentService") -> Iterator[None]:
         raise
 
 
+def _restore_logged(checkpoint: Path, wal_path: Path, shard: int, **bounds: Any) -> ShardWorker:
+    """Shard ``shard`` restored from ``checkpoint`` with the log at
+    ``wal_path`` attached (see :meth:`ShardedMomentService.restore`)."""
+    if wal_path.exists():
+        return ShardWorker._recover(wal_path, checkpoint, shard_id=shard, **bounds)
+    worker = ShardWorker.restore(checkpoint, shard_id=shard)
+    if worker.covered is not None:
+        raise WalCorruptionError(
+            f"{checkpoint} covers write-ahead log {wal_path} through seq {worker.covered}, "
+            "but that log is missing"
+        )
+    wal_path.parent.mkdir(parents=True, exist_ok=True)
+    worker._attach_wal(WriteAheadLog.create(wal_path, shard_id=shard, **bounds))
+    return worker
+
+
 class _KeyRecord:
     """Router-side ingest state of one session key.
 
     The accepted but not yet flushed rows are the first ``pending`` of
     ``rows``, the record's own copy (grown by doubling, released at the
-    flush); ``calls``/``call_rows`` are those the counters have not seen
-    yet, and ``acked`` is the session's row count as acknowledged to
-    clients, buffered rows included.
+    flush); ``calls`` is how many ingest calls sent them, and ``acked`` is
+    the session's row count as acknowledged to clients, buffered rows
+    included.
     """
 
-    __slots__ = ("rows", "pending", "calls", "call_rows", "acked")
+    __slots__ = ("rows", "pending", "calls", "acked")
 
     def __init__(self) -> None:
         self.rows: Optional[np.ndarray] = None
         self.pending = 0
         self.calls = 0
-        self.call_rows = 0
         self.acked = 0
 
     def hold(self, arr: np.ndarray, count: int, limit: int) -> None:
@@ -201,7 +216,7 @@ class ShardedMomentService:
         Ring resolution (see :class:`HashRing`).
     n_jobs:
         Thread fan-out for per-shard checkpointing, normalised by
-        :func:`~repro.experiments.parallel.resolve_n_jobs`.
+        :func:`~repro.jobs.resolve_n_jobs`.
     """
 
     def __init__(
@@ -243,8 +258,6 @@ class ShardedMomentService:
                     wal=wal,
                 )
             )
-        self.counters = ServiceCounters()
-        self.scorer = BatchScorer(self.counters)
         # Ingest-side shared state below is mutated by whichever thread
         # calls ingest/flush/drop (protocol loops, load generators, tests
         # with client pools), so every mutation holds this lock — worker
@@ -271,6 +284,12 @@ class ShardedMomentService:
 
     def _home(self, key: str) -> ShardWorker:
         return self.workers[self.ring.shard_for(str(key))]
+
+    @property
+    def counters(self) -> ServiceCounters:
+        """Read-only view of the shard counters' sums (a fresh copy per
+        read: counting happens on the workers)."""
+        return ServiceCounters.summed([worker.counters for worker in self.workers])
 
     # ------------------------------------------------------------------
     # session lifecycle
@@ -360,9 +379,10 @@ class ShardedMomentService:
         once).  A block that is neither a vector nor a matrix, or not as
         wide as the key's buffered rows, raises
         :class:`~repro.exceptions.DimensionError` here; row values are
-        validated when their buffer flushes.  The ingest counters count
-        the call once it is accepted: buffered, or returned by the worker
-        it went to.  A refused call counts nowhere, as on a bare worker.
+        validated when their buffer flushes.  A call is counted by the
+        worker that applies it: a buffered call when its block is folded,
+        as one of the calls that block holds.  A refused call counts
+        nowhere, as on a bare worker.
         """
         key = str(key)
         arr = np.asarray(samples, dtype=float)
@@ -372,17 +392,13 @@ class ShardedMomentService:
             if not record.pending and not 0 < rows < self.flush_rows:
                 # a lone block goes to the worker as sent
                 record.acked += rows
-                self._fold_locked(key, record, arr, rows, barrier=False)
-            else:
-                record.hold(arr, rows, self.flush_rows)
-                record.acked += rows
-                if record.pending < self.flush_rows:
-                    # counted at its flush: a buffered row takes one lock
-                    record.calls += 1
-                    record.call_rows += rows
-                    return record.acked
+                self._fold_locked(key, record, arr, rows, 1, barrier=False)
+                return record.acked
+            record.hold(arr, rows, self.flush_rows)
+            record.acked += rows
+            record.calls += 1
+            if record.pending >= self.flush_rows:
                 self._flush_key_locked(key, barrier=False)
-            self.counters.record_ingest(rows)
             return record.acked
 
     def ingest_stats(self, key: str, stats: SufficientStats) -> int:
@@ -391,14 +407,13 @@ class ShardedMomentService:
         Statistics merge exactly in any order, so these bypass the row
         buffer (flushing the key first keeps arrival order intact).
         Non-finite statistics are refused before anything is forwarded;
-        the payload is counted once its worker accepts it.
+        the worker that accepts the payload counts it.
         """
         key = str(key)
-        rows = stats_rows(stats)
+        stats_rows(stats)
         with self._ingest_lock:
             self._flush_key_locked(key, barrier=True)
             self._home(key).ingest_stats(key, stats)
-            self.counters.record_ingest(rows)
             record = self._record_locked(key)
             record.acked += stats.n
             return record.acked
@@ -434,39 +449,48 @@ class ShardedMomentService:
                         self._record_locked(key).acked += rows
 
     def _flush_key_locked(self, key: str, barrier: bool) -> None:
-        """Fold ``key``'s buffered rows into its worker (lock held), after
-        counting their calls.  ``barrier`` marks a flush forced before the
-        row threshold (a read or ordering barrier)."""
+        """Fold ``key``'s buffered rows into its worker (lock held).
+        ``barrier`` marks a flush forced before the row threshold (a read
+        or ordering barrier)."""
         record = self._records.get(key)
         if record is None or record.rows is None:
             return
-        if record.calls:
-            self.counters.record_ingests(record.calls, record.call_rows)
-            record.calls = record.call_rows = 0
-        block, rows = record.rows[: record.pending], record.pending
-        record.rows, record.pending = None, 0
-        self._fold_locked(key, record, block, rows, barrier)
+        block, rows, calls = record.rows[: record.pending], record.pending, record.calls
+        record.rows, record.pending, record.calls = None, 0, 0
+        self._fold_locked(key, record, block, rows, calls, barrier)
 
     def _fold_locked(
-        self, key: str, record: _KeyRecord, block: np.ndarray, rows: int, barrier: bool
+        self, key: str, record: _KeyRecord, block: np.ndarray, rows: int, calls: int, barrier: bool
     ) -> None:
-        """Hand ``block`` to ``key``'s worker (lock held); a refused block is
-        dropped, and its rows leave the acknowledged count again."""
+        """Hand ``block`` (sent by ``calls`` ingest calls) to ``key``'s
+        worker (lock held); a refused block is dropped, and its rows leave
+        the acknowledged count again."""
         self._flushed_blocks += 1
         self._flushed_rows += rows
         self._barrier_blocks += int(barrier)
         try:
-            self._home(key).ingest(key, block)
+            self._home(key).ingest(key, block, calls=calls)
         except (ReproError, ValueError):
             record.acked -= rows
             raise
 
     def flush(self) -> None:
-        """Flush every ingest buffer (deterministic key order)."""
+        """Flush every ingest buffer (deterministic key order).
+
+        Every key is flushed even when a worker refuses some key's block,
+        so one refusal never holds back another key's acknowledged rows;
+        the first refusal is raised once all keys are flushed.
+        """
+        refusals: List[BaseException] = []
         with self._ingest_lock:
             pending = [key for key, record in self._records.items() if record.pending]
             for key in sorted(pending):
-                self._flush_key_locked(key, barrier=True)
+                try:
+                    self._flush_key_locked(key, barrier=True)
+                except (ReproError, ValueError) as exc:
+                    refusals.append(exc)
+        if refusals:
+            raise refusals[0]
 
     def flush_keys(self, keys: Iterable[str]) -> None:
         """Per-key read barrier: flush the buffers of ``keys`` only.
@@ -484,25 +508,26 @@ class ShardedMomentService:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _snapshot(self, key: str) -> Session:
-        """Session snapshot for scoring, collected from the key's home shard."""
-        return self._home(key).collect(key)
-
     def query_many(self, queries: Sequence[Tuple[str, str, Any]]) -> List[Any]:
-        """Score ``(kind, key, payload)`` queries as one batch.
+        """Score ``(kind, key, payload)`` queries; results in query order.
 
         The buffers of the queried keys are flushed first
         (read-your-writes, :meth:`flush_keys`); other keys keep their
-        buffers.  The router then collects each key's session from its
-        home shard and scores through the shared grouped scorer.
-        Single-shard mode delegates to the worker so counters land
-        exactly where a bare worker puts them.
+        buffers.  Each query is validated and counted on its key's home
+        worker in submission order, and each home shard scores its queries
+        as one batch (shards in index order).  Raises the first request
+        error in submission order, as a bare worker does.
         """
         self.flush_keys(key for _, key, _ in queries)
-        if self.ring.n_shards == 1:
-            return self.workers[0].query_many(queries)
-        requests = build_requests(queries, self.counters.record_request)
-        self.scorer.score(requests, self._snapshot)
+        requests: List[Request] = []
+        batches: Dict[int, List[Request]] = {}
+        for query in queries:
+            shard = self.ring.shard_for(str(query[1]))
+            (request,) = build_requests([query], self.workers[shard].counters.record_request)
+            requests.append(request)
+            batches.setdefault(shard, []).append(request)
+        for shard in sorted(batches):
+            self.workers[shard].score_requests(batches[shard])
         return [request.result() for request in requests]
 
     def estimate(self, key: str) -> MomentEstimate:
@@ -523,13 +548,15 @@ class ShardedMomentService:
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Router counters plus per-shard snapshots and fleet totals.
+        """Shard-sum counters plus per-shard snapshots and fleet gauges.
 
-        ``stats`` is a global barrier: it flushes every buffer before the
-        shards are read.  ``coalescing`` reports what was still buffered
-        when the call arrived (``pending_keys``/``pending_rows``), the
-        blocks and rows handed to workers so far, and how many of those
-        blocks a barrier forced out before ``flush_rows`` accumulated.
+        The top-level counters (and latency percentiles, over every
+        shard's samples) are the sums of the ``shards`` entries.  ``stats``
+        is a global barrier: it flushes every buffer before the shards are
+        read.  ``coalescing`` reports what was still buffered when the
+        call arrived (``pending_keys``/``pending_rows``), the blocks and
+        rows handed to workers so far, and how many of those blocks a
+        barrier forced out before ``flush_rows`` accumulated.
         """
         with self._ingest_lock:
             pending = [record.pending for record in self._records.values() if record.pending]
@@ -552,53 +579,8 @@ class ShardedMomentService:
         out["coalescing"] = coalescing
         out["sessions_live"] = sum(s["sessions_live"] for s in shards)
         out["sessions_evicted"] = sum(s["sessions_evicted"] for s in shards)
-        # WAL append/flush gauges accrue on the worker counters (each log
-        # observes its worker); surface the fleet totals at router level
-        out["wal_records"] = sum(s["wal_records"] for s in shards)
-        out["wal_bytes"] = sum(s["wal_bytes"] for s in shards)
-        out["wal_flushes"] = sum(s["wal_flushes"] for s in shards)
         out["shards"] = shards
         return out
-
-    def _reconcile_counters(self, base: Optional[Dict[str, Any]] = None) -> None:
-        """Rebuild router-level counters after a recovery.
-
-        Worker counters are exact post-replay state, so the router totals
-        start as their sum.  ``base`` (a manifest ``counters`` state dict)
-        is folded in by elementwise max: in single-shard mode every count
-        also lives on the worker, so the fresher worker sum wins; in
-        multi-shard mode request kinds are counted only on the router
-        (worker ``collect`` touch records carry ``kinds={}``), so the
-        checkpointed value is the best available — it lags by whatever
-        queries arrived after the checkpoint, and ``ingest_calls`` counts
-        post-coalescing blocks rather than accepted calls on a WAL-only
-        recovery.  Both limits are documented in ``docs/SERVING.md``.
-        """
-        requests: Dict[str, int] = {kind: 0 for kind in QUERY_KINDS}
-        errors = 0
-        ingest_calls = 0
-        ingested_samples = 0
-        for worker in self.workers:
-            state = worker.counters.state_dict()
-            for kind, count in state["requests"].items():
-                requests[kind] = requests.get(kind, 0) + int(count)
-            errors += int(state["errors"])
-            ingest_calls += int(state["ingest_calls"])
-            ingested_samples += int(state["ingested_samples"])
-        if base is not None:
-            for kind, count in base["requests"].items():
-                requests[kind] = max(requests.get(kind, 0), int(count))
-            errors = max(errors, int(base["errors"]))
-            ingest_calls = max(ingest_calls, int(base["ingest_calls"]))
-            ingested_samples = max(ingested_samples, int(base["ingested_samples"]))
-        self.counters.load_state_dict(
-            {
-                "requests": requests,
-                "errors": errors,
-                "ingest_calls": ingest_calls,
-                "ingested_samples": ingested_samples,
-            }
-        )
 
     # ------------------------------------------------------------------
     # checkpoint / restore / compaction
@@ -630,72 +612,50 @@ class ShardedMomentService:
             "virtual_nodes": self.ring.virtual_nodes,
             "placement": PLACEMENT,
             "shards": entries,
+            # the shard sums, for readers that still take counters from here
             "counters": self.counters.state_dict(),
         }
         encoded = write_json_atomic(manifest, directory / "manifest.json")
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
-    def checkpoint(self, directory: PathLike) -> str:
-        """Snapshot every shard + a manifest; returns the manifest sha256.
-
-        Buffers are flushed first, each shard checkpoint is individually
-        atomic and self-verifying, and the manifest binds them together
-        (per-shard sha256 + the WAL offset each covers).
-        """
+    def _save(self, path: PathLike, save_shard: Callable[[ShardWorker, Path], str]) -> str:
+        """Flush, then write the layout :meth:`checkpoint` describes,
+        each shard's file with ``save_shard``."""
         self.flush()
-        target = Path(directory)
+        target = Path(path)
+        if self.ring.n_shards == 1 and not target.is_dir():
+            return save_shard(self.workers[0], target)
         target.mkdir(parents=True, exist_ok=True)
         shas = thread_map(
-            lambda shard: self.workers[shard].checkpoint(
-                target / self._shard_file(shard)
-            ),
+            lambda shard: save_shard(self.workers[shard], target / self._shard_file(shard)),
             range(self.ring.n_shards),
             n_jobs=self._n_jobs,
         )
         return self._write_manifest(target, list(shas))
 
-    def compact(self, directory: PathLike) -> str:
+    def checkpoint(self, path: PathLike) -> str:
+        """Snapshot every shard; returns the sha256 of what binds them.
+
+        Buffers are flushed first; each shard file is atomic and
+        self-verifying.  One shard writes its file at ``path`` (byte for
+        byte what a bare worker writes) unless ``path`` is a directory;
+        otherwise a manifest in the directory ``path`` binds the shard
+        files (per-shard sha256 + the WAL offset each covers).
+        """
+        return self._save(path, ShardWorker.checkpoint)
+
+    def compact(self, path: PathLike) -> str:
         """Checkpoint, then truncate each shard's replayed WAL prefix.
 
         Equivalent to :meth:`checkpoint` followed by per-shard
-        ``truncate_through(covered_seq)``; the manifest records the
-        post-compaction (empty-tail) WAL offsets.
+        ``truncate_through(covered_seq)``, in the same layout; a manifest
+        records the post-compaction (empty-tail) WAL offsets.
         """
-        self.flush()
-        target = Path(directory)
-        target.mkdir(parents=True, exist_ok=True)
-        shas = thread_map(
-            lambda shard: self.workers[shard].compact(
-                target / self._shard_file(shard)
-            ),
-            range(self.ring.n_shards),
-            n_jobs=self._n_jobs,
-        )
-        return self._write_manifest(target, list(shas))
+        return self._save(path, ShardWorker.compact)
 
-    @classmethod
-    def restore(
-        cls,
-        directory: PathLike,
-        wal_dir: Optional[PathLike] = None,
-        flush_rows: Optional[int] = None,
-        wal_flush_records: Optional[int] = None,
-        wal_flush_bytes: Optional[int] = None,
-        n_jobs: Optional[int] = 1,
-    ) -> "ShardedMomentService":
-        """Rebuild a sharded service from a manifest directory.
-
-        Each shard restores from its (self-verifying) checkpoint; when
-        ``wal_dir`` is given, each shard's log is recovered in one pass
-        (torn tails dropped, chains verified) that applies only the
-        records past the checkpoint's covered offset — the tail, not the
-        whole history.  Group commit resumes with the log's defaults
-        unless ``wal_flush_records``/``wal_flush_bytes`` override them.
-        A manifest of any placement but ``"hash"`` raises
-        :class:`~repro.exceptions.ConfigError`; a restored key off its
-        ring home raises :class:`~repro.exceptions.WalCorruptionError`.
-        """
-        target = Path(directory)
+    @staticmethod
+    def _read_manifest(target: Path) -> Dict[str, Any]:
+        """The verified manifest of the checkpoint directory ``target``."""
         try:
             manifest = json.loads((target / "manifest.json").read_text())
         except FileNotFoundError as exc:
@@ -713,36 +673,63 @@ class ShardedMomentService:
                 f"{target} was written with placement "
                 f"{manifest.get('placement')!r}; only {PLACEMENT!r} is supported"
             )
-        service = cls(
-            n_shards=int(manifest["n_shards"]),
-            flush_rows=flush_rows,
-            wal_dir=None,
-            virtual_nodes=int(manifest["virtual_nodes"]),
-            n_jobs=n_jobs,
-        )
+        return manifest
+
+    @classmethod
+    def restore(
+        cls,
+        path: PathLike,
+        wal_dir: Optional[PathLike] = None,
+        flush_rows: Optional[int] = None,
+        wal_flush_records: Optional[int] = None,
+        wal_flush_bytes: Optional[int] = None,
+        n_jobs: Optional[int] = 1,
+    ) -> "ShardedMomentService":
+        """Rebuild a service from a checkpoint: a manifest directory, or a
+        regular file read as a one-shard service.
+
+        Each shard restores from its (self-verifying) checkpoint.  With
+        ``wal_dir``, each shard serves with its log in ``wal_dir`` attached
+        (the file its manifest entry names, else ``shard-NNN.wal``).  An
+        existing log is recovered in one pass (torn tails dropped, chains
+        verified) that applies only the records past the checkpoint's
+        covered offset, or all of them when the checkpoint names none; a
+        missing log is created, unless the checkpoint covers one
+        (:class:`~repro.exceptions.WalCorruptionError` names it).  Group
+        commit resumes with the log's defaults unless
+        ``wal_flush_records``/``wal_flush_bytes`` override them.  A
+        manifest of any placement but ``"hash"`` raises
+        :class:`~repro.exceptions.ConfigError`; a restored key off its
+        ring home raises :class:`~repro.exceptions.WalCorruptionError`.
+        """
+        target = Path(path)
+        # each shard's checkpoint file, and the log a manifest names for it
+        shards: List[Tuple[Path, Optional[str]]] = [(target, None)]
+        ring: Dict[str, Any] = {"n_shards": 1}
+        if target.is_dir():
+            manifest = cls._read_manifest(target)
+            ring = {key: int(manifest[key]) for key in ("n_shards", "virtual_nodes")}
+            shards = [
+                (target / str(entry["file"]), (entry.get("wal") or {}).get("file"))
+                for entry in manifest["shards"]
+            ]
+        service = cls(flush_rows=flush_rows, n_jobs=n_jobs, **ring)
         sources: List[Path] = []
         with _closing_on_error(service):
-            for shard, entry in enumerate(manifest["shards"]):
-                checkpoint = target / str(entry["file"])
-                wal_path = None
-                if wal_dir is not None and entry.get("wal") is not None:
-                    wal_path = Path(wal_dir) / str(entry["wal"]["file"])
-                if wal_path is not None and wal_path.exists():
-                    worker = ShardWorker._recover(
-                        wal_path,
-                        checkpoint,
-                        shard_id=shard,
-                        flush_records=wal_flush_records,
-                        flush_bytes=wal_flush_bytes,
-                    )
-                    sources.append(wal_path)
-                else:
-                    worker = ShardWorker.restore(checkpoint, shard_id=shard)
+            for shard, (checkpoint, wal_name) in enumerate(shards):
+                if wal_dir is None:
+                    service.workers[shard] = ShardWorker.restore(checkpoint, shard_id=shard)
                     sources.append(checkpoint)
-                service.workers[shard] = worker
-            # WAL tails may have advanced the workers past the manifest's
-            # counters; reconcile rather than loading the stale snapshot.
-            service._reconcile_counters(base=manifest["counters"])
+                    continue
+                wal_path = Path(wal_dir) / str(wal_name or f"shard-{shard:03d}.wal")
+                service.workers[shard] = _restore_logged(
+                    checkpoint,
+                    wal_path,
+                    shard,
+                    flush_records=wal_flush_records,
+                    flush_bytes=wal_flush_bytes,
+                )
+                sources.append(wal_path)
             service._seed_records(sources)
         return service
 
@@ -808,21 +795,22 @@ class ShardedMomentService:
                     flush_records=wal_flush_records,
                     flush_bytes=wal_flush_bytes,
                 )
-            # Router counters are not logged anywhere; the shard sums are
-            # the best WAL-only reconstruction (exact in single-shard mode,
-            # which routes requests through the worker; multi-shard request
-            # kinds are router-only state and restart from the replayed
-            # touches).
-            service._reconcile_counters()
             service._seed_records([directory / name for name in expected])
         return service
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Flush buffers and close every shard WAL (idempotent)."""
-        self.flush()
-        for worker in self.workers:
-            worker.close()
+        """Flush buffers and close every shard WAL (idempotent).
+
+        Every worker is closed, and so every log's buffered records are
+        written, even when the flush raises a refusal (see :meth:`flush`);
+        the refusal is raised after.
+        """
+        try:
+            self.flush()
+        finally:
+            for worker in self.workers:
+                worker.close()
 
     def __enter__(self) -> "ShardedMomentService":
         return self

@@ -16,9 +16,9 @@ stacked-kernel calls:
     call per distinct bounds set.
 
 The scorer is deliberately ignorant of *where* sessions live: callers
-supply a ``snapshot_one(key) -> Session`` callable.  A shard worker
-hands it a snapshot of its own store slice; the shard router hands it
-snapshots collected from each key's home shard.  Both therefore answer
+supply a ``snapshot_one(key) -> Session`` callable.  Each shard worker
+hands it snapshots of its own store slice, and the shard router scores
+every query on its key's home worker, so every shard count answers
 through literally the same code, which is what makes the sharded
 equivalence guarantees cheap to state: any difference is in the
 statistics handed in (coalesced blocks round differently), never in the
@@ -57,7 +57,7 @@ _CHOL_CLIP = 1e-10
 
 #: Resolves a session key to a frozen :class:`Session` snapshot; raises a
 #: :class:`~repro.exceptions.ReproError` subclass when the key cannot be
-#: served (missing session, failed shard collection, ...).
+#: served (a missing or evicted session).
 SnapshotFn = Callable[[str], Session]
 
 

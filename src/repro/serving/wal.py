@@ -72,8 +72,14 @@ from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConfigError, WalCorruptionError
-from repro.io import canonical_json, fsync_dir
-from repro.schemas import WAL2_MAGIC, WAL_SCHEMA_V1, WAL_SCHEMA_V2, parse_json
+from repro.schemas import (
+    WAL2_MAGIC,
+    WAL_SCHEMA_V1,
+    WAL_SCHEMA_V2,
+    canonical_json,
+    fsync_dir,
+    parse_json,
+)
 
 __all__ = [
     "WAL_SCHEMA_V2",

@@ -4,10 +4,10 @@ A :class:`ShardWorker` is the unit the sharded serving stack replicates:
 it owns one :class:`~repro.serving.sessions.SessionStore` slice, its own
 :class:`~repro.serving.counters.ServiceCounters`, a
 :class:`~repro.serving.scoring.BatchScorer`, and (optionally) a
-:class:`~repro.serving.wal.WriteAheadLog`.  A worker on its own is the
-single-process service, behind single-file checkpoints (``repro serve``
-without shard flags, ``repro ingest``, ``repro query``); the shard router
-owns N of them behind a manifest directory.
+:class:`~repro.serving.wal.WriteAheadLog`.  The shard router owns N of
+them and is the one served type; a worker on its own serves ``repro
+replay`` and is the oracle the router's tests compare against.  Its
+checkpoint file is the file a one-shard router writes.
 
 **Log-then-apply.**  Every state mutation — session create/drop, ingest,
 statistics merge, and the logical-clock ticks queries cause ("touch"
@@ -24,7 +24,9 @@ are part of that contract: a lookup of a missing key ticks the clock and
 is not re-raised.  ``touch`` records carry one key per request in
 submission order (duplicates included) because the scorer re-attempts a
 failed snapshot on every later request naming that key, ticking the
-clock each time; replay reproduces exactly that attempt pattern.
+clock each time; replay reproduces exactly that attempt pattern.  A
+coalesced block's record carries the ingest calls it holds (``calls``,
+when not 1), so replay rebuilds the counters too.
 
 Two pieces of live state are deliberately **not** replayed: the error
 counter (scoring errors depend on request payloads the WAL does not
@@ -94,6 +96,8 @@ class ShardWorker:
         self.store = SessionStore(max_sessions=max_sessions, ttl_ops=ttl_ops)
         self.counters = ServiceCounters()
         self.wal: Optional[WriteAheadLog] = None
+        #: Log offset the state was restored at, kept while no log is attached.
+        self.covered: Optional[int] = None
         if wal is not None:
             self._attach_wal(wal)
         self.scorer = BatchScorer(self.counters)
@@ -136,7 +140,7 @@ class ShardWorker:
         )
         return self.store.create(key, prior, k0, nu0, exist_ok=exist_ok)
 
-    def ingest(self, key: str, samples: ArrayLike) -> int:
+    def ingest(self, key: str, samples: ArrayLike, calls: int = 1) -> int:
         """Fold late-stage samples into a session; returns its new total.
 
         ``samples`` is one ``d``-vector or an ``(n, d)`` block with
@@ -151,10 +155,12 @@ class ShardWorker:
         ``from_samples`` refuses (non-finite, an overflowing scatter, no
         rows) raises before it is logged, ticked or counted, as does an
         update the session refuses (a wrong width, an overflowing scatter).
+        ``calls`` is the number of client ingests a coalesced block holds:
+        the ingest counters count that many calls for it.
         """
         arr = np.asarray(samples, dtype=float)
         if arr.ndim == 2:
-            return self._merge_stats(key, SufficientStats.from_samples(arr))
+            return self._merge_stats(key, SufficientStats.from_samples(arr), calls)
         count = block_rows(arr)
         log = lambda: self._log("ingest", {"key": str(key), "samples": arr})
         total = self.store.fold(key, lambda live: live.pushed(arr), log)
@@ -174,11 +180,15 @@ class ShardWorker:
         stats_rows(stats)
         return self._merge_stats(key, stats)
 
-    def _merge_stats(self, key: str, stats: SufficientStats) -> int:
-        """Merge ``stats`` (logged as an ``ingest_stats`` record) and count it."""
-        log = lambda: self._log("ingest_stats", {"key": str(key), "stats": stats.to_payload()})
+    def _merge_stats(self, key: str, stats: SufficientStats, calls: int = 1) -> int:
+        """Merge ``stats`` (logged as an ``ingest_stats`` record) and count
+        it as ``calls`` ingest calls (logged only when not 1)."""
+        counted = {"calls": calls} if calls != 1 else {}
+        log = lambda: self._log(
+            "ingest_stats", {"key": str(key), "stats": stats.to_payload(), **counted}
+        )
         total = self.store.fold(key, lambda live: live.merged(stats), log)
-        self.counters.record_ingest(stats.n)
+        self.counters.record_ingests(calls, stats.n)
         return total
 
     def _log(self, op: str, payload: Dict[str, Any]) -> None:
@@ -204,32 +214,25 @@ class ShardWorker:
     def _snapshot_one(self, key: str) -> Session:
         return self.store.snapshot([key])[0]
 
-    def _log_touch(self, keys: Sequence[str], kinds: Dict[str, int]) -> None:
-        """Record the clock ticks (and request counts) a query batch causes.
-
-        ``keys`` is the session key of every request in submission order
-        (duplicates included).  The scorer snapshots a key once per batch
-        *on success* but re-attempts on every later request naming a key
-        whose snapshot failed — and each attempt ticks the store clock.
-        Logging the full request-key sequence lets replay reproduce that
-        attempt pattern exactly (see :meth:`apply_record`), which a
-        deduplicated key list cannot.
-        """
-        self._log("touch", {"keys": list(keys), "kinds": kinds})
-
     def score_requests(self, requests: List[Request]) -> None:
         """Score a batch of requests through the grouped scorer.
 
-        Request-rate accounting happened at submission; with a WAL
-        attached, one ``touch`` record captures both the per-key clock
-        ticks and the submission-time kind counts so replay reproduces
-        the counters.
+        Request-rate accounting happened at submission (on this worker,
+        the key's home).  With a WAL attached, one ``touch`` record
+        captures the clock ticks and the submission-time kind counts, so
+        replay reproduces both.  Its ``keys`` are the session key of every
+        request in submission order, duplicates included: the scorer
+        snapshots a key once per batch *on success* but re-attempts on
+        every later request naming a key whose snapshot failed, and each
+        attempt ticks the store clock.  The full sequence lets replay
+        reproduce that attempt pattern exactly (see :meth:`apply_record`),
+        which a deduplicated key list cannot.
         """
         if self.wal is not None:
             kinds: Dict[str, int] = {}
             for request in requests:
                 kinds[request.kind] = kinds.get(request.kind, 0) + 1
-            self._log_touch([request.key for request in requests], kinds)
+            self._log("touch", {"keys": [request.key for request in requests], "kinds": kinds})
         self.scorer.score(requests, self._snapshot_one)
 
     def query_many(self, queries: Sequence[Tuple[str, str, Any]]) -> List[Any]:
@@ -242,18 +245,6 @@ class ShardWorker:
         requests = build_requests(queries, self.counters.record_request)
         self.score_requests(requests)
         return [request.result() for request in requests]
-
-    def collect(self, key: str) -> Session:
-        """Return a detached session snapshot for the router to score.
-
-        The router reads each key from its home shard and scores the
-        snapshot itself; this worker only pays one clock tick (logged as
-        a ``touch`` so replay reproduces it) and one O(d^2) copy.  Raises
-        :class:`~repro.exceptions.SessionNotFoundError` if the key does
-        not live here — after ticking, like any store lookup.
-        """
-        self._log_touch([str(key)], {})
-        return self._snapshot_one(key)
 
     # ------------------------------------------------------------------
     # WAL replay
@@ -289,7 +280,7 @@ class ShardWorker:
         elif op == "ingest_stats":
             stats = SufficientStats.from_dict(payload["stats"])
             self.store.ingest_stats(str(payload["key"]), stats)
-            self.counters.record_ingest(stats.n)
+            self.counters.record_ingests(int(payload.get("calls", 1)), stats.n)
         elif op == "drop":
             self.store.drop(str(payload["key"]))
         elif op == "touch":
@@ -376,14 +367,18 @@ class ShardWorker:
         with one, a ``wal`` entry records
         the log offset the state covers (every op up to and including
         ``seq`` is reflected — appends are synchronous log-then-apply).
+        A worker restored without its log keeps the offset it was restored
+        at: its state still reflects the log through it, so a later
+        restore with the log replays only the records past it.
         """
         state: Dict[str, Any] = {
             "state_version": self.STATE_VERSION,
             "store": self.store.to_dict(),
             "counters": self.counters.state_dict(),
         }
-        if self.wal is not None:
-            state["wal"] = {"seq": self.wal.last_seq}
+        seq = self.covered if self.wal is None else self.wal.last_seq
+        if seq is not None:
+            state["wal"] = {"seq": seq}
         return state
 
     def checkpoint(self, path: Any) -> str:
@@ -397,9 +392,23 @@ class ShardWorker:
         return save_checkpoint(self.state_dict(), path)
 
     @classmethod
-    def _from_checkpoint(cls, path: Any, shard_id: int) -> Tuple["ShardWorker", Optional[int]]:
-        """A log-less worker loaded from a checkpoint, and the WAL seq the
-        checkpoint covers (``None`` when it was taken without a log)."""
+    def restore(
+        cls,
+        path: Any,
+        shard_id: int = 0,
+        wal: Optional[WriteAheadLog] = None,
+    ) -> "ShardWorker":
+        """Rebuild a shard from a checkpoint, replaying only the WAL tail.
+
+        The checkpoint restores bit-identically on its own, and the
+        worker's ``covered`` is the WAL seq it covers (``None`` when it
+        was taken without a log).  When an open WAL is supplied, records
+        with ``seq`` beyond that offset are streamed from it and replayed
+        on top, recovering everything acknowledged after the snapshot.
+        (The router and ``repro replay`` restore from a log *path*
+        instead, through :meth:`_recover`, which verifies the log only
+        once.)
+        """
         state = load_checkpoint(path)
         version = state.get("state_version")
         if version != cls.STATE_VERSION:
@@ -414,28 +423,10 @@ class ShardWorker:
         except KeyError as exc:
             raise ConfigError(f"checkpoint state missing field {exc}") from exc
         covered = state.get("wal", {}).get("seq")
-        return worker, None if covered is None else int(covered)
-
-    @classmethod
-    def restore(
-        cls,
-        path: Any,
-        shard_id: int = 0,
-        wal: Optional[WriteAheadLog] = None,
-    ) -> "ShardWorker":
-        """Rebuild a shard from a checkpoint, replaying only the WAL tail.
-
-        The checkpoint restores bit-identically on its own; when an open
-        WAL is supplied, records with ``seq`` beyond the checkpoint's
-        covered offset are streamed from it and replayed on top,
-        recovering everything acknowledged after the snapshot.  (The
-        router and ``repro replay`` restore from a log *path* instead,
-        through :meth:`_recover`, which verifies the log only once.)
-        """
-        worker, covered = cls._from_checkpoint(path, shard_id)
+        worker.covered = None if covered is None else int(covered)
         if wal is not None:
             worker._attach_wal(wal)
-            worker.replay(wal.records(after=covered))
+            worker.replay(wal.records(after=worker.covered))
         return worker
 
     @classmethod
@@ -465,9 +456,9 @@ class ShardWorker:
         """
         if checkpoint is None:
             worker = cls(0, max_sessions, ttl_ops)
-            covered = None
         else:
-            worker, covered = cls._from_checkpoint(checkpoint, 0)
+            worker = cls.restore(checkpoint)
+        covered = worker.covered
 
         def apply(record: WalRecord) -> None:
             if covered is None or record[0] > covered:

@@ -34,14 +34,19 @@ __all__ = [
     "YieldEstimator",
 ]
 
+#: Seeds the generator each frozen distribution gets, which Genz's QMC
+#: integrator draws from: a box probability depends on its arguments alone.
+_QMC_SEED = 20150607
+
 
 def gaussian_box_probability(mean, covariance, lower, upper) -> float:
     """``P(lower <= X <= upper)`` for ``X ~ N(mean, covariance)``.
 
     Uses scipy's Genz quasi-Monte-Carlo integrator via the frozen
     ``multivariate_normal.cdf`` with ``lower_limit``; infinite bounds are
-    supported.  The result is clipped to ``[0, 1]`` to absorb integrator
-    jitter.
+    supported.  The integrator is seeded from one module constant, so the
+    same arguments give the same bits in every process.  The result is
+    clipped to ``[0, 1]`` to absorb integrator jitter.
     """
     mean_arr = np.atleast_1d(np.asarray(mean, dtype=float))
     lower_arr = np.broadcast_to(np.asarray(lower, dtype=float), mean_arr.shape).copy()
@@ -63,7 +68,9 @@ def gaussian_box_probability(mean, covariance, lower, upper) -> float:
     mean_arr = np.zeros_like(mean_arr)
     from scipy import stats as sps
 
-    dist = sps.multivariate_normal(mean=mean_arr, cov=cov_std, allow_singular=True)
+    dist = sps.multivariate_normal(
+        mean=mean_arr, cov=cov_std, allow_singular=True, seed=np.random.default_rng(_QMC_SEED)
+    )
     if _cdf_supports_lower_limit():
         prob = float(dist.cdf(upper_arr, lower_limit=lower_arr))
     else:  # pragma: no cover - legacy scipy path
@@ -107,9 +114,8 @@ def gaussian_box_probabilities(means, covariances, lower, upper) -> np.ndarray:
     from scipy import stats as sps
 
     for k in range(n):
-        dist = sps.multivariate_normal(
-            mean=zero_mean, cov=cov_std[k], allow_singular=True
-        )
+        seed = np.random.default_rng(_QMC_SEED)
+        dist = sps.multivariate_normal(zero_mean, cov_std[k], allow_singular=True, seed=seed)
         if has_lower_limit:
             prob = float(dist.cdf(upper_std[k], lower_limit=lower_std[k]))
         else:  # pragma: no cover - legacy scipy path

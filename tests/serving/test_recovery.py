@@ -76,7 +76,7 @@ def _drive(worker, prior, rng, n_keys=4):
     _try(worker.query_many, [("estimate", "die/0", None), ("estimate", "die/2", None)])
     for missing in ("die/absent", f"die/{n_keys - 1}"):
         _try(worker.query_many, [("estimate", missing, None), ("estimate", "die/0", None)])
-        _try(worker.collect, missing)
+        _try(worker.query_many, [("estimate", missing, None)])
 
 
 @pytest.fixture
@@ -186,7 +186,7 @@ class TestOnePassEqualsTwoPass:
         live.create_session("k", prior)
         for batch in (["k", "nope", "k", "nope"], ["nope"], ["k"]):
             _try(live.query_many, [("estimate", key, None) for key in batch])
-        _try(live.collect, "nope")
+        _try(live.query_many, [("loglik", "nope", np.zeros(D))])
         live.close()
         got, _ = recover_both(live.wal.path)
         assert _same_store(got, live)

@@ -61,7 +61,7 @@ def _spread_estimates(n_shards, prior, blocks):
     _populate(_Rotating(workers), prior, blocks)
     out = {}
     for key in KEYS:
-        views = [worker.collect(key) for worker in workers]
+        views = [worker.store.snapshot([key])[0] for worker in workers]
         merged = views[0]
         merged.stats = merge_all([view.stats for view in views])
         mean, cov = merged.map_moments()
@@ -341,8 +341,8 @@ class TestSingleShardGate:
             )
             svc.drop_session(KEYS[-1])
         single.checkpoint(tmp_path / "single.ckpt")
-        sharded.checkpoint(tmp_path / "sharded")
-        shard_file = tmp_path / "sharded" / "shard-000.ckpt"
+        sharded.checkpoint(tmp_path / "sharded.ckpt")
+        shard_file = tmp_path / "sharded.ckpt"
         assert shard_file.read_bytes() == (tmp_path / "single.ckpt").read_bytes()
         single.close()
         sharded.close()
@@ -394,10 +394,10 @@ class TestOneShardIdentity:
         for svc in (worker, router):
             self._script(svc, prior, np.random.default_rng(11))
         worker.checkpoint(tmp_path / "worker.ckpt")
-        router.checkpoint(tmp_path / "router")
+        router.checkpoint(tmp_path / "router.ckpt")
         worker.close()
         router.close()
-        assert (tmp_path / "router" / "shard-000.ckpt").read_bytes() == (
+        assert (tmp_path / "router.ckpt").read_bytes() == (
             tmp_path / "worker.ckpt"
         ).read_bytes()
         if logged:

@@ -496,8 +496,8 @@ class TestShardedServingVerbs:
 
 
 class TestCheckpointLayout:
-    """An existing checkpoint picks the entry point by its on-disk layout:
-    a manifest directory restores the router, a single file the worker."""
+    """Every verb serves the router: a single-file checkpoint restores as
+    one shard, a manifest directory as the shards it binds."""
 
     _run_serve = TestShardedServingVerbs._run_serve
     _requests = TestShardedServingVerbs._requests
@@ -536,13 +536,7 @@ class TestCheckpointLayout:
         assert "no shard manifest" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags, named",
-        [
-            (["--shards", "2"], "--shards 2"),
-            (["--wal-dir", "WAL"], "--wal-dir"),
-            (["--flush-rows", "4"], "--flush-rows"),
-        ],
-        ids=["shards", "wal-dir", "flush-rows"],
+        "flags, named", [(["--shards", "2"], "--shards 2")], ids=["shards"]
     )
     def test_serve_file_checkpoint_conflicts_with_shard_flags(
         self, flags, named, bank_path, tmp_path, capsys, monkeypatch
@@ -552,7 +546,6 @@ class TestCheckpointLayout:
         path = tmp_path / "state.ckpt"
         self._ingest_file(bank_path, path)
         before = path.read_bytes()
-        flags = [str(tmp_path / "wal") if f == "WAL" else f for f in flags]
         monkeypatch.setattr("sys.stdin", io_module.StringIO('{"op": "ping"}\n'))
         capsys.readouterr()
         code = main(["serve", "--checkpoint", str(path), "--save-on-exit"] + flags)
@@ -561,18 +554,55 @@ class TestCheckpointLayout:
         assert "single-file checkpoint" in err and named in err
         assert path.read_bytes() == before
 
-    def test_ingest_rejects_checkpoint_dir(
-        self, bank_path, tmp_path, capsys, monkeypatch
+    def test_serve_manifest_dir_conflicts_with_another_shard_count(
+        self, tmp_path, capsys, monkeypatch
     ):
         target, _ = self._manifest_dir(tmp_path, monkeypatch, capsys)
-        args = ["ingest", str(target), "--session", "lna/tt", "--dataset"]
-        assert main(args + [str(bank_path), "--create"]) == 2
-        assert "is a directory" in capsys.readouterr().err
+        code, _ = self._run_serve(
+            monkeypatch, capsys, ["--shards", "3", "--checkpoint", str(target)], []
+        )
+        assert code == 2
 
-    def test_query_rejects_checkpoint_dir(self, tmp_path, capsys, monkeypatch):
+    def test_serve_file_checkpoint_takes_wal_dir_and_flush_rows(
+        self, bank_path, tmp_path, capsys, monkeypatch
+    ):
+        """A file checkpoint serves as one shard with the shard flags: its
+        log is created under ``--wal-dir``, and a restart from the same
+        file with that log replays what was served after the checkpoint."""
+        path, wal_dir = tmp_path / "state.ckpt", tmp_path / "wal"
+        self._ingest_file(bank_path, path)
+        flags = ["--checkpoint", str(path), "--wal-dir", str(wal_dir), "--flush-rows", "4"]
+        rows = load_dataset(bank_path).late[:6].tolist()
+        reqs = [{"op": "ingest", "key": "adc/tt", "samples": row} for row in rows]
+        code, acks = self._run_serve(monkeypatch, capsys, flags, reqs)
+        assert code == 0 and [ack["n"] for ack in acks] == list(range(13, 19))
+        assert (wal_dir / "shard-000.wal").exists()
+        code, again = self._run_serve(
+            monkeypatch, capsys, flags, [{"op": "estimate", "key": "adc/tt"}]
+        )
+        assert code == 0 and again[0]["n"] == 18
+
+    def test_ingest_updates_checkpoint_dir(self, bank_path, tmp_path, capsys, monkeypatch):
         target, _ = self._manifest_dir(tmp_path, monkeypatch, capsys)
-        assert main(["query", str(target), "stats"]) == 2
-        assert "is a directory" in capsys.readouterr().err
+        args = ["ingest", str(target), "--session", "adc/tt", "--dataset"]
+        assert main(args + [str(bank_path), "--samples", "5", "--create"]) == 0
+        assert (target / "manifest.json").exists()
+        reads = [{"op": "estimate", "key": key} for key in ("adc/tt", "lna/tt")]
+        code, responses = self._run_serve(
+            monkeypatch, capsys, ["--checkpoint", str(target)], reads
+        )
+        assert code == 0 and [r["n"] for r in responses] == [5, 24]
+
+    def test_query_reads_checkpoint_dir(self, tmp_path, capsys, monkeypatch):
+        import json
+
+        target, _ = self._manifest_dir(tmp_path, monkeypatch, capsys)
+        assert main(["query", str(target), "stats"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["n_shards"] == 2 and stats["ingested_samples"] == 24
+        assert stats["ingest_calls"] == sum(s["ingest_calls"] for s in stats["shards"])
+        assert main(["query", str(target), "sessions"]) == 0
+        assert capsys.readouterr().out.strip() == "lna/tt"
 
     def test_missing_path_follows_shard_flags(self, tmp_path, capsys, monkeypatch):
         file_path, dir_path = tmp_path / "fresh.ckpt", tmp_path / "fresh-dir"

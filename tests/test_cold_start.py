@@ -1,10 +1,12 @@
-"""Cold start: the fusion and serving paths never load SciPy.
+"""Cold start: the fusion and serving paths never load SciPy, and a server
+loads no circuit code.
 
 Every SciPy import in ``repro`` sits inside the function that calls it, so
 a process that only fuses, serves, recovers or sweeps never pays SciPy's
-import time or memory.  Both tests run in a fresh interpreter
-(``sys.executable``), because the test process itself has long since
-imported SciPy through other tests.
+import time or memory.  The serving stack imports nothing from the circuit
+substrate, the experiment harness or :mod:`repro.io` (which imports both).
+The tests run in a fresh interpreter (``sys.executable``), because the test
+process itself has long since imported all of it through other tests.
 """
 
 from __future__ import annotations
@@ -209,3 +211,14 @@ def test_deferred_scipy_calls_match_in_process():
     # Genz's quasi-Monte-Carlo box integral may move within its tolerance
     assert fresh.pop("yield_total") == pytest.approx(here.pop("yield_total"), abs=1e-5)
     assert fresh == here
+
+
+def test_server_imports_no_circuit_code():
+    loaded = _run_fresh(
+        "import json, sys\n"
+        "import repro.serving\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro.'))))\n"
+    )
+    assert "repro.serving.router" in loaded
+    layers = {module.split(".")[1] for module in loaded}
+    assert layers.isdisjoint({"circuits", "experiments", "io", "scenarios"})

@@ -34,7 +34,7 @@ from reprolint.registry import FileContext, Rule, register
 
 #: Bottom-up layer map for this repository (overridable in pyproject).
 DEFAULT_LAYERS: List[List[str]] = [
-    ["repro.exceptions", "repro._version", "repro.bench", "repro.schemas"],
+    ["repro.exceptions", "repro._version", "repro.bench", "repro.schemas", "repro.jobs"],
     ["repro.linalg"],
     ["repro.stats"],
     ["repro.core"],
