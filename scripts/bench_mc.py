@@ -4,8 +4,9 @@
 Generates the paper's op-amp and flash-ADC sample banks, plus the
 folded-cascode OTA's default 2000-die bank, through ``simulate_batch``
 and through the per-die reference (``loop_bank`` in
-``tests/circuits/loop_oracle.py``: each circuit's ``simulate``, die by
-die), schematic and post-layout stages of the same dies.  The batched
+``tests/circuits/loop_oracle.py``: each circuit's per-die twin — a dense
+AC solve with scalar metric math, or the flash ADC's scalar conversion —
+die by die), schematic and post-layout stages of the same dies.  The batched
 metrics must agree with the reference to ``RTOL`` before any time is
 reported, and the timing summary is appended to ``BENCH_mc.json`` at the
 repository root so regressions are visible in review diffs.

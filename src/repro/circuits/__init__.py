@@ -24,13 +24,7 @@ from repro.circuits.corners import (
     generate_corner_datasets,
 )
 from repro.circuits.devices import Mosfet, MosfetGeometry, MosfetProcess, SmallSignal
-from repro.circuits.mna import (
-    ACAnalysis,
-    ACSolution,
-    BatchedACSolution,
-    MNAStamps,
-    StampPlan,
-)
+from repro.circuits.mna import BatchedACSolution, StampPlan
 from repro.circuits.montecarlo import (
     PairedDataset,
     dataset_cache_path,
@@ -103,9 +97,7 @@ from repro.circuits.testbench import (
 )
 
 __all__ = [
-    "ACAnalysis",
     "BOLTZMANN",
-    "ACSolution",
     "ADCMetrics",
     "BatchedACSolution",
     "ADC_METRIC_NAMES",
@@ -125,7 +117,6 @@ __all__ = [
     "GlobalVariation",
     "Inductor",
     "LinearityResult",
-    "MNAStamps",
     "Mosfet",
     "MosfetGeometry",
     "MosfetProcess",

@@ -104,9 +104,9 @@ class ADCMetrics:
 class FlashADC(DieSeedSimulator):
     """Simulator for one design stage of the flash converter.
 
-    :meth:`simulate` is a scalar reference of its own (``np.sort`` +
-    ``searchsorted`` + a one-record FFT); the vectorized engine runs
-    :meth:`_metrics_from_rows` on the shared draw bank.
+    Every die runs :meth:`_metrics_from_rows`: a bank on the shared draw
+    bank, one die (:meth:`simulate`) or the nominal die
+    (:meth:`simulate_nominal`, zeroed draws) on a single row.
     """
 
     _METRICS = ADCMetrics
@@ -221,8 +221,8 @@ class FlashADC(DieSeedSimulator):
     def _input_record(self) -> np.ndarray:
         """Deterministic input drive: near-full-scale coherent sine.
 
-        Shared by the scalar and vectorized engines (per-die noise is added
-        by the caller), including the post-layout settling compression.
+        The same record drives every die (per-die noise is added by the
+        caller), including the post-layout settling compression.
         """
         design = self.design
         layout = self.layout
@@ -236,75 +236,6 @@ class FlashADC(DieSeedSimulator):
             ac = vin - mid
             vin = vin - layout.input_compression * (ac / amplitude) ** 3 * ac
         return vin
-
-    # ------------------------------------------------------------------
-    def simulate(self, die_seed: int) -> ADCMetrics:
-        """Convert a coherent sine on die ``die_seed`` and measure metrics.
-
-        The seed identifies the *die*: calling the schematic and
-        post-layout simulators with the same seed replays the same process
-        draws through both stages.
-        """
-        design = self.design
-        layout = self.layout
-        offsets_z, ladder_z, bias_z, noise_z = self._split_draws(
-            self._die_row(die_seed)[0]
-        )
-        thresholds = np.sort(self._thresholds(offsets_z, ladder_z))
-
-        vin = self._input_record()
-        noise_rms = math.hypot(design.noise_rms, layout.extra_noise_rms)
-        vin = vin + noise_rms * noise_z
-
-        # Thermometer conversion: the output code counts trip points below
-        # the input — exactly what the comparator bank plus encoder does.
-        codes = np.searchsorted(thresholds, vin, side="left").astype(float)
-
-        spectral = self._analyzer.analyze(codes, design.n_cycles)
-
-        bias = design.comparator_bias * (1.0 + design.sigma_bias_rel * bias_z)
-        bias = np.maximum(bias, 0.0)
-        supply = design.vref
-        nominal_core = design.n_comparators * design.comparator_bias + design.ladder_current
-        # Clock tree / output buffers burn a fixed (variation-free) power
-        # adder post-layout, so the overhead shifts the mean without
-        # re-scaling the variation.
-        power = supply * (
-            float(np.sum(bias))
-            + design.ladder_current
-            + layout.power_overhead_rel * nominal_core
-        )
-        return ADCMetrics(
-            snr=spectral.snr,
-            sinad=spectral.sinad,
-            sfdr=spectral.sfdr,
-            thd=spectral.thd,
-            power=power,
-        )
-
-    def simulate_nominal(self) -> ADCMetrics:
-        """Variation-free conversion (``P_NOM`` for the Sec. 4.1 shift).
-
-        Uses zeroed mismatch and noise but keeps the deterministic layout
-        effects, mirroring a nominal post-layout SPICE run.
-        """
-        design = self.design
-        n_cmp = design.n_comparators
-        thresholds = np.sort(
-            self._thresholds(np.zeros(n_cmp), np.zeros(n_cmp + 1))
-        )
-        vin = self._input_record()
-        codes = np.searchsorted(thresholds, vin, side="left").astype(float)
-        spectral = self._analyzer.analyze(codes, design.n_cycles)
-        nominal_core = n_cmp * design.comparator_bias + design.ladder_current
-        power = design.vref * nominal_core * (1.0 + self.layout.power_overhead_rel)
-        return ADCMetrics(
-            snr=spectral.snr,
-            sinad=spectral.sinad,
-            sfdr=spectral.sfdr,
-            thd=spectral.thd,
-            power=power,
-        )
 
     def measure_linearity(self, die_seed: int):
         """Static INL/DNL of one die's transfer curve (end-point fit).

@@ -9,9 +9,10 @@ Two bases, one per way a circuit names its dies:
 
 Both own the same scaffolding — validation, the forked ``n_jobs``
 fan-out and memory-bounded chunking — so a circuit supplies only its
-physics.  ``simulate_batch`` has one engine; the per-die :meth:`simulate`
-of each circuit is its reference, and the tests compare the two through
-``loop_bank`` in ``tests/circuits/loop_oracle.py``.
+physics.  ``simulate_batch`` is the one engine, and every die runs
+through it, the nominal die of each stage (``P_NOM`` of Sec. 4.1)
+included.  The per-die reference the tests compare it against lives in
+``tests/circuits/loop_oracle.py`` (``loop_bank``).
 
 Process-sample circuits
 -----------------------
@@ -20,19 +21,20 @@ Process-sample circuits
 :class:`repro.circuits.ota.FoldedCascodeOTA` and
 :class:`repro.circuits.svf.GmCStateVariableFilter` each measure a die by
 building a small-signal macromodel netlist from square-law devices and
-solving it over an AC grid.  Their per-die :meth:`simulate` is the
-reference; :meth:`StampPlanSimulator.simulate_batch` runs the whole bank
-through one cached :class:`repro.circuits.mna.StampPlan` instead — one
-symbolic MNA assembly, stacked chunked solves, vectorized metric
-extraction — and agrees with the reference to <=1e-10 relative error
-(pinned by ``tests/circuits/test_vectorized_equivalence.py``).  The bank
-is a :class:`repro.circuits.process.ProcessBank`: chunks and forked
-shards are slices of its arrays, and each device's variation is read
-from its columns.
+solving it over an AC grid.  :meth:`StampPlanSimulator.simulate_batch`
+runs the whole bank through one cached
+:class:`repro.circuits.mna.StampPlan` — one symbolic MNA assembly,
+stacked chunked solves, vectorized metric extraction — and agrees with
+the per-die reference to <=1e-10 relative error (pinned by
+``tests/circuits/test_vectorized_equivalence.py``).  The bank is a
+:class:`repro.circuits.process.ProcessBank`: chunks and forked shards are
+slices of its arrays, and each device's variation is read from its
+columns.  A nominal die is the one row of a one-die bank
+(:meth:`StampPlanSimulator._simulate_one`).
 
 A subclass supplies the circuit: ``_FREQ_GRID``, the ``_VARIABLE``
-component names, :meth:`_netlist` (the macromodel of one die, used once
-at nominal as the plan's template), :meth:`simulate` and
+component names, ``_METRICS``, :meth:`_netlist` (the macromodel of one
+die, used once at nominal as the plan's template) and
 :meth:`_simulate_batch_vectorized`.
 
 Die-seed circuits
@@ -42,9 +44,8 @@ a seed vector into one row of standard normals per die, and a subclass
 supplies ``_stride`` (the row length), :meth:`DieSeedSimulator._bytes_per_die`
 (its working set, which sizes the chunks) and
 :meth:`DieSeedSimulator._metrics_from_rows` (the metrics of a block of
-rows).  The per-die :meth:`DieSeedSimulator.simulate` runs the same
-kernel on one freshly drawn row unless a circuit keeps its own scalar
-reference (the flash ADC does).
+rows).  The per-die :meth:`DieSeedSimulator.simulate` and
+:meth:`DieSeedSimulator.simulate_nominal` run the same kernel on one row.
 
 Cache notes: neither base bumps
 ``repro.circuits.montecarlo._DATASET_CACHE_VERSION``, because cached
@@ -64,6 +65,13 @@ banks stay valid to round-off.
 * The SAR ADC's staircase lookup returns the bit-by-bit search's codes
   exactly, so its rows — and the flash ADC's, whose kernel is unchanged —
   are bit-identical.
+* Taking every nominal die from ``simulate_batch`` (instead of a per-die
+  dense solve with scalar metric math) moves the nominal vectors by
+  <=1.4e-13 relative (op-amp post-layout; the OTA, gm-C filter and flash
+  ADC <=4e-15) and leaves every Monte-Carlo row byte-identical.  Cached
+  banks stay valid to round-off, so ``_DATASET_CACHE_VERSION`` stays 1;
+  the pinned bank digests assert their old bytes with the per-die twin's
+  nominal dies and pin the new ones in a second constant.
 """
 
 from __future__ import annotations
@@ -130,6 +138,9 @@ class StampPlanSimulator:
     #: else in the macromodel is topology shared by the whole bank.
     _VARIABLE: Tuple[str, ...] = ()
 
+    #: Dataclass of one die's metrics (``*row`` constructs it).
+    _METRICS: type
+
     #: Samples per pipeline pass.  Small enough that the ~25 working
     #: (chunk, n_freq) planes stay cache-resident — measured ~4x faster
     #: than streaming the whole bank through memory — while large enough
@@ -149,8 +160,8 @@ class StampPlanSimulator:
         """Layout reshaping of one device's ``(dvth, dkp)`` deviation.
 
         Identity by default; a post-layout variant overrides it.  Called
-        with floats by the per-die path and with ``(n,)`` arrays by the
-        batched one, so both apply the same arithmetic.
+        with floats by :meth:`_varied_devices` and with ``(n,)`` arrays by
+        the batched engine, so both apply the same arithmetic.
         """
         return dvth, dkp
 
@@ -164,10 +175,6 @@ class StampPlanSimulator:
 
     def _netlist(self, sample: ProcessSample) -> Netlist:
         """Small-signal macromodel of one die."""
-        raise NotImplementedError
-
-    def simulate(self, sample: ProcessSample):
-        """Measure one die (the per-die reference path)."""
         raise NotImplementedError
 
     def _simulate_batch_vectorized(
@@ -187,8 +194,9 @@ class StampPlanSimulator:
         """Metrics matrix ``(len(samples), d)`` in metric-name order.
 
         One symbolic MNA assembly, stacked chunked solves and vectorized
-        metric extraction; agrees with the per-die :meth:`simulate` to
-        better than 1e-10 relative error.
+        metric extraction; agrees with the per-die reference of
+        ``tests/circuits/loop_oracle.py`` to better than 1e-10 relative
+        error.
 
         Parameters
         ----------
@@ -220,6 +228,15 @@ class StampPlanSimulator:
             len(bank),
             n_jobs,
         )
+
+    def _simulate_one(self, sample: ProcessSample):
+        """Metrics of one die: the one row of :meth:`simulate_batch`.
+
+        Every nominal die comes through here — each stage's
+        ``simulate_nominal`` and each corner-shifted nominal of the
+        dataset builders.
+        """
+        return self._METRICS(*(float(x) for x in self.simulate_batch([sample])[0]))
 
     def _simulate_chunked(
         self,
@@ -351,7 +368,7 @@ class DieSeedSimulator:
         return self._METRICS(*[float(x) for x in row])
 
     def simulate(self, die_seed: int):
-        """Measure die ``die_seed`` (the per-die reference path).
+        """Measure die ``die_seed`` (the shipped kernel on one draw row).
 
         The seed identifies the *die*: calling the schematic and
         post-layout simulators with the same seed replays the same

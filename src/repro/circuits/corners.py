@@ -112,8 +112,8 @@ def generate_corner_datasets(
         out[corner.name] = PairedDataset(
             early=early_sim.simulate_batch(shifted),
             late=late_sim.simulate_batch(shifted),
-            early_nominal=early_sim.simulate(nominal).as_array(),
-            late_nominal=late_sim.simulate(nominal).as_array(),
+            early_nominal=early_sim._simulate_one(nominal).as_array(),
+            late_nominal=late_sim._simulate_one(nominal).as_array(),
             metric_names=OPAMP_METRIC_NAMES,
         )
     return out

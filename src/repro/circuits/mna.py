@@ -5,24 +5,35 @@ Assembles the complex system ``(G + j*omega*C) x = b`` from a
 grid.  The unknown vector ``x`` stacks node voltages followed by auxiliary
 branch currents (voltage sources, inductors).
 
-The solver is deliberately dense: the behavioural op-amp macromodel has a
-handful of nodes, and a batched ``numpy.linalg.solve`` over the whole
-frequency grid is faster than any sparse machinery at that size.
+Stamp conventions follow standard MNA texts (e.g. Vlach & Singhal):
 
-For Monte-Carlo populations the per-die loop (rebuild netlist, re-stamp,
-solve) is pure overhead: process variation changes stamp *values*, never
-the topology.  :class:`StampPlan` exploits that by assembling the scatter
-structure once (a COO-style index/sign plan) and then stamping and solving
-*all dies at once*: per-sample component values arrive as arrays, are
-scattered into stacked ``(n_samples, n_freq, m, m)`` complex systems, and
-solved in chunks sized by a memory budget.  Nodes driven by a grounded
-voltage source are eliminated symbolically, which shrinks the op-amp
-macromodel to a 2x2/3x3 core solved in closed form.
+* two-terminal admittance ``y``: ``+y`` at ``(p, p)``/``(n, n)``, ``-y``
+  at ``(p, n)``/``(n, p)``;
+* VCCS ``gm`` from control pair ``(cp, cn)`` into output pair ``(p, n)``:
+  ``+gm`` at ``(p, cp)``, ``-gm`` at ``(p, cn)``, ``-gm`` at ``(n, cp)``,
+  ``+gm`` at ``(n, cn)``;
+* voltage source branch ``k``: ``+1`` at ``(p, k)``/``(k, p)``, ``-1`` at
+  ``(n, k)``/``(k, n)``, RHS ``b[k] = amplitude``;
+* independent current source from ``p`` to ``n``: ``b[p] -= I``,
+  ``b[n] += I`` (current leaves ``p``, enters ``n`` externally);
+* inductor branch ``k``: the source links above, with ``-L`` in ``C`` at
+  the branch diagonal.
+
+There is one solver, :class:`StampPlan`.  Process variation changes stamp
+*values*, never the topology, so the plan assembles the scatter structure
+once (a COO-style index/sign plan) and then stamps and solves *all dies
+at once*: per-sample component values arrive as arrays, are scattered
+into stacked ``(n_samples, m, m)`` matrices, and solved in chunks sized
+by a memory budget.  Nodes driven by a grounded voltage source are
+eliminated symbolically, which shrinks every shipped macromodel to a
+core of size <= 3 solved in closed form.  A single netlist is a one-sample
+batch: the transient and noise analyses read their matrices from
+:meth:`StampPlan.assemble_batched` and their solves from
+:meth:`StampPlan.solve_batched`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,9 +53,6 @@ from repro.exceptions import SimulationError, SingularMatrixError
 from repro.linalg.batched import solve_batched
 
 __all__ = [
-    "MNAStamps",
-    "ACSolution",
-    "ACAnalysis",
     "StampPlan",
     "BatchedACSolution",
     "check_memory_budget",
@@ -68,9 +76,8 @@ def _component_stamps(
     ``value_entries`` are scaled by the component's primitive value
     (conductance, capacitance, inductance, gm), ``const_entries`` are
     fixed coefficients (source/inductor branch links), and ``b_updates``
-    are ``(index, amount)`` additions to the excitation vector.  Entry
-    order matches the historical element-by-element stamping so dense
-    assembly stays bit-identical.
+    are ``(index, amount)`` additions to the excitation vector, in the
+    element-by-element order the constant stamps are accumulated in.
     """
     value_entries: List[_Entry] = []
     const_entries: List[_Entry] = []
@@ -166,160 +173,15 @@ def _validate_freqs(freqs) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
-class MNAStamps:
-    """Frequency-independent MNA matrices for a netlist.
-
-    ``G`` collects resistive/transconductance stamps, ``C`` reactive ones,
-    and ``b`` the excitation vector; the system at angular frequency
-    ``omega`` is ``(G + 1j*omega*C) x = b``.  Inductor branch equations put
-    ``-L`` into ``C`` at their branch diagonal.
-    """
-
-    G: np.ndarray
-    C: np.ndarray
-    b: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """System dimension."""
-        return self.G.shape[0]
-
-
-class ACSolution:
-    """Node voltages over a frequency grid.
-
-    Wraps the raw ``(n_freq, size)`` solution matrix with name-based
-    access so callers never deal in matrix indices.
-    """
-
-    def __init__(
-        self,
-        freqs: np.ndarray,
-        solution: np.ndarray,
-        node_map: Dict[Hashable, int],
-        branch_map: Dict[str, int],
-    ) -> None:
-        self.freqs = freqs
-        self._solution = solution
-        self._node_map = node_map
-        self._branch_map = branch_map
-
-    def voltage(self, node: Hashable) -> np.ndarray:
-        """Complex voltage of ``node`` at every frequency (0 for ground)."""
-        if node == "0":
-            return np.zeros_like(self.freqs, dtype=complex)
-        try:
-            idx = self._node_map[node]
-        except KeyError as exc:
-            raise SimulationError(f"unknown node {node!r}") from exc
-        return self._solution[:, idx]
-
-    def branch_current(self, name: str) -> np.ndarray:
-        """Complex branch current of a voltage source / inductor."""
-        try:
-            idx = self._branch_map[name]
-        except KeyError as exc:
-            raise SimulationError(f"no branch current for component {name!r}") from exc
-        return self._solution[:, idx]
-
-    def transfer(self, out_node: Hashable, in_node: Hashable) -> np.ndarray:
-        """Voltage transfer function ``V(out) / V(in)`` over frequency."""
-        vin = self.voltage(in_node)
-        if np.any(np.abs(vin) == 0.0):
-            raise SimulationError(f"input node {in_node!r} has zero voltage")
-        return self.voltage(out_node) / vin
-
-
-class ACAnalysis:
-    """Small-signal AC analysis of a netlist.
-
-    Parameters
-    ----------
-    netlist:
-        The circuit; validated at construction.
-
-    Notes
-    -----
-    Stamp conventions follow standard MNA texts (e.g. Vlach & Singhal):
-
-    * two-terminal admittance ``y``: ``+y`` at ``(p, p)``/``(n, n)``,
-      ``-y`` at ``(p, n)``/``(n, p)``;
-    * VCCS ``gm`` from control pair ``(cp, cn)`` into output pair
-      ``(p, n)``: ``+gm`` at ``(p, cp)``, ``-gm`` at ``(p, cn)``, ``-gm``
-      at ``(n, cp)``, ``+gm`` at ``(n, cn)``;
-    * voltage source branch ``k``: ``+1`` at ``(p, k)``/``(k, p)``, ``-1``
-      at ``(n, k)``/``(k, n)``, RHS ``b[k] = amplitude``;
-    * independent current source from ``p`` to ``n``: ``b[p] -= I``,
-      ``b[n] += I`` (current leaves ``p``, enters ``n`` externally).
-    """
-
-    def __init__(self, netlist: Netlist) -> None:
-        netlist.validate()
-        self.netlist = netlist
-        self._stamps = self._assemble()
-        # Name->index maps are pure topology; building them once here (not
-        # on every solve) keeps repeated solve()/dc_gain() calls cheap.
-        self._node_map = _node_map(netlist)
-        self._branch_map = _branch_map(netlist)
-
-    # ------------------------------------------------------------------
-    @property
-    def stamps(self) -> MNAStamps:
-        """The assembled frequency-independent matrices."""
-        return self._stamps
-
-    def _assemble(self) -> MNAStamps:
-        net = self.netlist
-        size = net.size
-        mats = (np.zeros((size, size)), np.zeros((size, size)))
-        b = np.zeros(size, dtype=complex)
-        for comp in net.components:
-            value, value_entries, const_entries, b_updates = _component_stamps(comp, net)
-            for mat, row, col, coeff in value_entries:
-                mats[mat][row, col] += coeff * value
-            for mat, row, col, coeff in const_entries:
-                mats[mat][row, col] += coeff
-            for idx, amount in b_updates:
-                b[idx] += amount
-        return MNAStamps(G=mats[_MAT_G], C=mats[_MAT_C], b=b)
-
-    # ------------------------------------------------------------------
-    def solve(self, freqs) -> ACSolution:
-        """Solve the AC system at every frequency in ``freqs`` (hertz).
-
-        Uses one batched dense solve over the whole grid.  Raises
-        :class:`SimulationError` when the system is singular at any
-        frequency (e.g. a floating node escaped validation).
-        """
-        f = _validate_freqs(freqs)
-        omega = 2.0 * np.pi * f
-        st = self._stamps
-        systems = st.G[None, :, :] + 1j * omega[:, None, None] * st.C[None, :, :]
-        rhs = np.broadcast_to(st.b, (f.size, st.size))
-        try:
-            solution = solve_batched(systems, rhs)
-        except SingularMatrixError as exc:
-            raise SimulationError("singular MNA system; check for floating nodes") from exc
-        if not np.all(np.isfinite(solution)):
-            raise SimulationError("non-finite AC solution")
-        return ACSolution(f, solution, self._node_map, self._branch_map)
-
-    # ------------------------------------------------------------------
-    def dc_gain(self, out_node: Hashable, in_node: Hashable) -> float:
-        """Zero-frequency transfer magnitude (one solve at f=0)."""
-        sol = self.solve(np.array([0.0]))
-        return float(np.abs(sol.transfer(out_node, in_node))[0])
-
-
 # ---------------------------------------------------------------------------
 # batched Monte-Carlo engine
 # ---------------------------------------------------------------------------
 class BatchedACSolution:
     """Node voltages for a whole sample bank over a frequency grid.
 
-    Same name-based access as :class:`ACSolution` but every quantity has a
-    leading sample axis: :meth:`voltage` returns ``(n_samples, n_freq)``.
+    Name-based access, so callers never deal in matrix indices; every
+    quantity has a leading sample axis: :meth:`voltage` returns
+    ``(n_samples, n_freq)``.
     Nodes eliminated as known (driven by a grounded voltage source) are
     reconstructed as constants; branch currents are available only for
     non-eliminated sources/inductors.  When the solve was restricted to

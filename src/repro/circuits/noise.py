@@ -25,7 +25,7 @@ from typing import Dict, Hashable, Optional
 import numpy as np
 
 from repro.circuits.components import CurrentSource, Resistor, VoltageSource
-from repro.circuits.mna import ACAnalysis
+from repro.circuits.mna import BatchedACSolution, StampPlan
 from repro.circuits.netlist import Netlist
 from repro.exceptions import SimulationError
 
@@ -61,6 +61,11 @@ class NoiseResult:
             for name, contrib in self.contributions.items()
         }
         return max(powers, key=powers.get)
+
+
+def _solve(netlist: Netlist, freqs, outputs) -> BatchedACSolution:
+    """AC solution of one fixed netlist: a one-sample stamp-plan batch."""
+    return StampPlan(netlist).solve_batched(np.empty((1, 0)), freqs, outputs=outputs)
 
 
 class NoiseAnalysis:
@@ -130,8 +135,7 @@ class NoiseAnalysis:
         probe.current_source(
             f"_inoise_{resistor.name}", resistor.pos, resistor.neg, 1.0
         )
-        solution = ACAnalysis(probe).solve(freqs)
-        return solution.voltage(out_node)
+        return _solve(probe, freqs, [out_node]).voltage(out_node)[0]
 
     # ------------------------------------------------------------------
     def input_referred_noise(
@@ -151,9 +155,8 @@ class NoiseAnalysis:
         """
         base = original if original is not None else self._original_with_unit(in_source)
         f = np.atleast_1d(np.asarray(freqs, dtype=float))
-        solution = ACAnalysis(base).solve(f)
         source = base[in_source]
-        h = solution.transfer(out_node, source.pos)
+        h = _solve(base, f, [out_node, source.pos]).transfer(out_node, source.pos)[0]
         gain_sq = np.abs(h) ** 2
         if np.any(gain_sq <= 0.0):
             raise SimulationError("zero forward gain: cannot refer noise to input")

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.circuits.batch import StampPlanSimulator
 from repro.circuits.devices import Mosfet, MosfetGeometry, MosfetProcess
-from repro.circuits.mna import ACAnalysis
 from repro.circuits.netlist import Netlist
 from repro.circuits.process import ProcessBank, ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
@@ -161,8 +160,8 @@ class TwoStageOpAmp(StampPlanSimulator):
 
     Use the class methods :meth:`schematic` and :meth:`post_layout` to get
     the early- and late-stage simulators of the *same* design, then call
-    :meth:`simulate` with a shared :class:`ProcessSample` to obtain the
-    paired metrics the BMF flow fuses.
+    :meth:`simulate_batch` with a shared :class:`ProcessBank` to obtain
+    the paired metrics the BMF flow fuses.
     """
 
     #: Log-spaced analysis grid; wide enough to bracket the unity-gain
@@ -170,6 +169,8 @@ class TwoStageOpAmp(StampPlanSimulator):
     _FREQ_GRID = np.logspace(1, 11, 321)
 
     _VARIABLE = ("Ggm1", "R1", "C1", "Cc", "Ggm6", "R2", "C2")
+
+    _METRICS = OpAmpMetrics
 
     def __init__(self, design: OpAmpDesign, parasitics: Optional[_Parasitics] = None) -> None:
         self.design = design
@@ -306,65 +307,6 @@ class TwoStageOpAmp(StampPlanSimulator):
         i_tail, i_stage2, _ = self._bias_currents(devs)
         return self._macromodel(devs, i_tail, i_stage2)
 
-    @staticmethod
-    def _output_node(netlist: Netlist) -> str:
-        return "out" if "Rwire" in netlist else "out_int"
-
-    # ------------------------------------------------------------------
-    def _offset(self, devs: Dict[str, Mosfet], i_tail: float) -> float:
-        """Input-referred offset from pair and mirror mismatch.
-
-        Standard first-order model: the load-mirror threshold mismatch is
-        referred to the input through ``gm3 / gm1``; current-factor
-        mismatches contribute ``(Vov / 2) * dBeta/Beta`` terms.
-        """
-        i_half = i_tail / 2.0
-        ss1 = devs["M1"].small_signal(i_half)
-        ss3 = devs["M3"].small_signal(i_half)
-        dvth_pair = devs["M1"].dvth - devs["M2"].dvth
-        dvth_load = devs["M3"].dvth - devs["M4"].dvth
-        dbeta_pair = devs["M1"].dkp_rel - devs["M2"].dkp_rel
-        dbeta_load = devs["M3"].dkp_rel - devs["M4"].dkp_rel
-        return (
-            dvth_pair
-            + (ss3.gm / ss1.gm) * dvth_load
-            + (ss1.vov / 2.0) * dbeta_pair
-            + (ss3.gm / ss1.gm) * (ss3.vov / 2.0) * dbeta_load
-            + self.parasitics.offset_systematic
-        )
-
-    # ------------------------------------------------------------------
-    def simulate(self, sample: ProcessSample) -> OpAmpMetrics:
-        """Measure the five metrics for one process draw.
-
-        Runs a full MNA AC sweep and extracts gain / bandwidth / phase
-        margin from the solved transfer function; offset and power come
-        from the operating-point model.
-        """
-        devs = self._varied_devices(sample)
-        i_tail, i_stage2, i_bias = self._bias_currents(devs)
-        net = self._macromodel(devs, i_tail, i_stage2)
-        solution = ACAnalysis(net).solve(self._FREQ_GRID)
-        h = solution.transfer(self._output_node(net), "in")
-
-        gain, bw = self._gain_and_bandwidth(h)
-        pm = self._phase_margin(h)
-        design = self.design
-        # Post-layout overhead (guard rings, well taps, substrate ties) is
-        # a fixed adder referenced to the nominal budget — it shifts the
-        # power mean without re-scaling its variation.
-        nominal_budget = design.i_tail + design.i_stage2 + design.i_bias
-        power = design.vdd * (
-            i_tail
-            + i_stage2
-            + i_bias
-            + self.parasitics.power_overhead_rel * nominal_budget
-        )
-        offset = self._offset(devs, i_tail)
-        return OpAmpMetrics(
-            gain=gain, bw_3db=bw, power=power, offset=offset, phase_margin=pm
-        )
-
     def simulate_nominal(self) -> OpAmpMetrics:
         """Nominal (variation-free) run; supplies ``P_NOM`` for Sec. 4.1.
 
@@ -396,8 +338,7 @@ class TwoStageOpAmp(StampPlanSimulator):
             )
             sim = TwoStageOpAmp(self.design, par)
         model = ProcessVariationModel(0.0, 0.0, 0.0, 0.0, 0.0)
-        nominal = model.nominal_sample(sim.devices)
-        return sim.simulate(nominal)
+        return sim._simulate_one(model.nominal_sample(sim.devices))
 
     # ------------------------------------------------------------------
     # vectorized engine
@@ -405,7 +346,7 @@ class TwoStageOpAmp(StampPlanSimulator):
     def _batched_bias_currents(
         self, devs: Dict[str, Dict[str, np.ndarray]]
     ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Vectorized mirror of :meth:`_bias_currents` (square-law mirrors)."""
+        """Array form of :meth:`_bias_currents` (square-law mirrors)."""
         design = self.design
         m8 = devs["M8"]
         vov8 = np.sqrt(2.0 * design.i_bias / m8["beta"])
@@ -489,7 +430,12 @@ class TwoStageOpAmp(StampPlanSimulator):
     def _offset_batch(
         self, devs: Dict[str, Dict[str, np.ndarray]], i_half: np.ndarray
     ) -> np.ndarray:
-        """Vectorized mirror of :meth:`_offset`."""
+        """Input-referred offset from pair and mirror mismatch.
+
+        Standard first-order model: the load-mirror threshold mismatch is
+        referred to the input through ``gm3 / gm1``; current-factor
+        mismatches contribute ``(Vov / 2) * dBeta/Beta`` terms.
+        """
         gm1 = self._batched_gm(devs["M1"], i_half)
         gm3 = self._batched_gm(devs["M3"], i_half)
         vov1 = self._batched_vov(devs["M1"], i_half)
@@ -509,7 +455,14 @@ class TwoStageOpAmp(StampPlanSimulator):
     def _gain_and_bandwidth_batch(
         self, mag: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized mirror of :meth:`_gain_and_bandwidth`."""
+        """DC gain and -3 dB bandwidth of every ``|H|`` row.
+
+        The first grid point must sit on the flat low-frequency plateau,
+        otherwise "gain" is not the DC gain and every derived metric is
+        silently wrong (dominant pole below the analysis grid); a row
+        that fails this or has no -3 dB point inside the grid raises
+        :class:`SimulationError`.
+        """
         gain = mag[:, 0]
         if np.any(gain <= 0.0):
             raise SimulationError("non-positive DC gain in batch")
@@ -537,7 +490,11 @@ class TwoStageOpAmp(StampPlanSimulator):
         return gain, bw
 
     def _phase_margin_batch(self, h: np.ndarray, mag: np.ndarray) -> np.ndarray:
-        """Vectorized mirror of :meth:`_phase_margin`."""
+        """Phase margin against -180 degrees at each row's unity crossing.
+
+        DC phase is 0 (two inverting stages).  A row without a unity
+        crossing inside the grid raises :class:`SimulationError`.
+        """
         below_unity = mag < 1.0
         if not np.all(below_unity.any(axis=1)):
             raise SimulationError("unity-gain frequency beyond analysis grid in batch")
@@ -560,56 +517,3 @@ class TwoStageOpAmp(StampPlanSimulator):
         slope = (p_hi - p_lo) / (log_f[idx + 1] - log_f[idx])
         phase_u = p_lo + slope * (x - log_f[idx])
         return 180.0 + np.degrees(phase_u)
-
-    # ------------------------------------------------------------------
-    def _gain_and_bandwidth(self, h: np.ndarray) -> Tuple[float, float]:
-        mag = np.abs(h)
-        gain = float(mag[0])
-        if gain <= 0.0:
-            raise SimulationError("non-positive DC gain")
-        # The first grid point must sit on the flat low-frequency plateau,
-        # otherwise "gain" is not the DC gain and every derived metric is
-        # silently wrong (dominant pole below the analysis grid).
-        if abs(float(mag[1]) / gain - 1.0) > 0.05:
-            raise SimulationError(
-                "response not flat at the low end of the analysis grid; "
-                "DC gain not captured"
-            )
-        target = gain / math.sqrt(2.0)
-        below = np.nonzero(mag < target)[0]
-        if below.size == 0:
-            raise SimulationError("-3 dB point beyond analysis grid")
-        j = int(below[0])
-        if j == 0:
-            raise SimulationError("-3 dB point below analysis grid")
-        bw = self._log_crossing(
-            self._FREQ_GRID[j - 1], self._FREQ_GRID[j], mag[j - 1], mag[j], target
-        )
-        return gain, bw
-
-    def _phase_margin(self, h: np.ndarray) -> float:
-        mag = np.abs(h)
-        below_unity = np.nonzero(mag < 1.0)[0]
-        if below_unity.size == 0:
-            raise SimulationError("unity-gain frequency beyond analysis grid")
-        j = int(below_unity[0])
-        if j == 0:
-            raise SimulationError("gain below unity at the lowest frequency")
-        f_u = self._log_crossing(
-            self._FREQ_GRID[j - 1], self._FREQ_GRID[j], mag[j - 1], mag[j], 1.0
-        )
-        phase = np.unwrap(np.angle(h))
-        log_f = np.log10(self._FREQ_GRID)
-        phase_u = float(np.interp(math.log10(f_u), log_f, phase))
-        # DC phase is 0 (two inverting stages); margin against -180 deg.
-        return 180.0 + math.degrees(phase_u)
-
-    @staticmethod
-    def _log_crossing(f_lo: float, f_hi: float, m_lo: float, m_hi: float, target: float) -> float:
-        """Log-log interpolation of the frequency where ``|H|`` hits target."""
-        l_lo, l_hi = math.log10(f_lo), math.log10(f_hi)
-        g_lo, g_hi = math.log10(m_lo), math.log10(m_hi)
-        if g_hi == g_lo:
-            return f_lo
-        frac = (math.log10(target) - g_lo) / (g_hi - g_lo)
-        return 10.0 ** (l_lo + frac * (l_hi - l_lo))

@@ -16,8 +16,7 @@ exact mirror bias physics, an MNA solve of the single-pole macromodel with
 a parasitic pole at the cascode node, and a post-layout variant carrying
 parasitics plus the same two nominal-vs-population bias mechanisms
 (proximity quadratic, extraction derate).  Banks run through the shared
-stamp-plan engine of :mod:`repro.circuits.batch`; the per-die
-:meth:`FoldedCascodeOTA.simulate` stays as its reference.
+stamp-plan engine of :mod:`repro.circuits.batch`, nominal dies included.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import numpy as np
 
 from repro.circuits.batch import StampPlanSimulator
 from repro.circuits.devices import Mosfet, MosfetGeometry, MosfetProcess
-from repro.circuits.mna import ACAnalysis
 from repro.circuits.montecarlo import PairedDataset
 from repro.circuits.netlist import Netlist
 from repro.circuits.process import ProcessBank, ProcessSample, ProcessVariationModel
@@ -126,6 +124,8 @@ class FoldedCascodeOTA(StampPlanSimulator):
     _FREQ_GRID = np.logspace(1, 11, 321)
 
     _VARIABLE = ("Ggm1", "Rfold", "Cfold", "Gcasc", "Rout", "Cout")
+
+    _METRICS = OTAMetrics
 
     def __init__(
         self,
@@ -246,20 +246,6 @@ class FoldedCascodeOTA(StampPlanSimulator):
         cap_scale = self._cap_variation(g.dkp_rel_n, g.dkp_rel_p)
         return self._macromodel(devs, i_tail, i_branch, cap_scale)
 
-    def _offset(self, devs: Dict[str, Mosfet], i_tail: float) -> float:
-        i_half = i_tail / 2.0
-        ss1 = devs["M1"].small_signal(i_half)
-        ss7 = devs["M7"].small_signal(i_half)
-        dvth_pair = devs["M1"].dvth - devs["M2"].dvth
-        dvth_mirror = devs["M7"].dvth - devs["M8"].dvth
-        dbeta_pair = devs["M1"].dkp_rel - devs["M2"].dkp_rel
-        return (
-            dvth_pair
-            + (ss7.gm / ss1.gm) * dvth_mirror
-            + (ss1.vov / 2.0) * dbeta_pair
-            + self.parasitics.offset_systematic
-        )
-
     # ------------------------------------------------------------------
     @staticmethod
     def _cap_variation(dkp_rel_n, dkp_rel_p):
@@ -270,50 +256,10 @@ class FoldedCascodeOTA(StampPlanSimulator):
         ``kp`` deviation with a partial (0.35) sensitivity.  This is what
         keeps slew rate (``I / C``) from being perfectly collinear with
         power (``~ I``), as it would be with ideal capacitors.  Called
-        with floats by the per-die path and with ``(n,)`` arrays by the
-        batched one.
+        with floats by :meth:`_netlist` and with ``(n,)`` arrays by the
+        batched engine.
         """
         return 1.0 + 0.35 * 0.5 * (dkp_rel_n + dkp_rel_p)
-
-    def simulate(self, sample: ProcessSample) -> OTAMetrics:
-        """Measure the five metrics for one process draw."""
-        devs = self._varied_devices(sample)
-        i_tail, i_branch = self._bias_currents(devs)
-        g = sample.global_variation
-        cap_scale = self._cap_variation(g.dkp_rel_n, g.dkp_rel_p)
-        net = self._macromodel(devs, i_tail, i_branch, cap_scale)
-        solution = ACAnalysis(net).solve(self._FREQ_GRID)
-        h = solution.transfer("out", "in")
-
-        mag = np.abs(h)
-        gain = float(mag[0])
-        if gain <= 1.0:
-            raise SimulationError("OTA gain collapsed below unity")
-        below = np.nonzero(mag < 1.0)[0]
-        if below.size == 0:
-            raise SimulationError("unity-gain frequency beyond grid")
-        j = int(below[0])
-        gbw = self._log_crossing(
-            self._FREQ_GRID[j - 1], self._FREQ_GRID[j], mag[j - 1], mag[j]
-        )
-
-        design = self.design
-        c_total = (design.c_load + self.parasitics.c_out) * cap_scale
-        slew = i_tail / c_total
-        nominal_budget = 8.0 * design.i_bias  # tail 6x + diode + margin
-        power = design.vdd * (
-            i_tail
-            + 2.0 * i_branch
-            + design.i_bias
-            + self.parasitics.power_overhead_rel * nominal_budget
-        )
-        return OTAMetrics(
-            gain=gain,
-            gbw=gbw,
-            power=power,
-            offset=self._offset(devs, i_tail),
-            slew_rate=slew,
-        )
 
     def simulate_nominal(self) -> OTAMetrics:
         """Nominal run with the extraction-derated parasitics (Sec. 4.1)."""
@@ -331,7 +277,7 @@ class FoldedCascodeOTA(StampPlanSimulator):
             )
             sim = FoldedCascodeOTA(self.design, par)
         model = ProcessVariationModel(0.0, 0.0, 0.0, 0.0, 0.0)
-        return sim.simulate(model.nominal_sample(sim.devices))
+        return sim._simulate_one(model.nominal_sample(sim.devices))
 
     def measure_step_response(
         self, sample: ProcessSample, tolerance: float = 0.01
@@ -346,7 +292,7 @@ class FoldedCascodeOTA(StampPlanSimulator):
 
         net = self._netlist(sample)
         # Time scale from the dominant pole: gain / GBW.
-        metrics = self.simulate(sample)
+        metrics = self._simulate_one(sample)
         tau = metrics.gain / (2.0 * np.pi * metrics.gbw)
         sim = TransientAnalysis(net)
         result = sim.run(t_stop=12.0 * tau, dt=tau / 400.0, waveform=step())
@@ -355,22 +301,13 @@ class FoldedCascodeOTA(StampPlanSimulator):
             result.overshoot("out"),
         )
 
-    @staticmethod
-    def _log_crossing(f_lo: float, f_hi: float, m_lo: float, m_hi: float) -> float:
-        l_lo, l_hi = math.log10(f_lo), math.log10(f_hi)
-        g_lo, g_hi = math.log10(m_lo), math.log10(m_hi)
-        if g_hi == g_lo:
-            return f_lo
-        frac = (0.0 - g_lo) / (g_hi - g_lo)
-        return 10.0 ** (l_lo + frac * (l_hi - l_lo))
-
     # ------------------------------------------------------------------
     # vectorized engine
     # ------------------------------------------------------------------
     def _batched_bias_currents(
         self, devs: Dict[str, Dict[str, np.ndarray]]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized mirror of :meth:`_bias_currents`."""
+        """Array form of :meth:`_bias_currents`."""
         m10 = devs["M10"]
         vov10 = np.sqrt(2.0 * self.design.i_bias / m10["beta"])
         vgs = m10["vth"] + vov10

@@ -131,8 +131,8 @@ def _process_builder(sim_cls: type, metric_names: Tuple[str, ...]) -> _Builder:
                 base_model.sigma_vth_global,
                 base_model.sigma_kp_rel_global,
             )
-            early_nominal = early.simulate(nominal).as_array()
-            late_nominal = late.simulate(nominal).as_array()
+            early_nominal = early._simulate_one(nominal).as_array()
+            late_nominal = late._simulate_one(nominal).as_array()
         else:
             early_nominal = early.simulate_nominal().as_array()
             late_nominal = late.simulate_nominal().as_array()

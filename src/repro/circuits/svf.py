@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.circuits.batch import StampPlanSimulator
 from repro.circuits.devices import Mosfet, MosfetGeometry, MosfetProcess
-from repro.circuits.mna import ACAnalysis
 from repro.circuits.netlist import Netlist
 from repro.circuits.process import ProcessBank, ProcessSample, ProcessVariationModel
 from repro.exceptions import SimulationError
@@ -148,6 +147,8 @@ class GmCStateVariableFilter(StampPlanSimulator):
     _FREQ_GRID = np.logspace(4, 10, 481)
 
     _VARIABLE = ("Gin", "Rq", "Cbp", "Gfb", "Gint", "Clp", "Rop1", "Rop2")
+
+    _METRICS = SVFMetrics
 
     def __init__(
         self, design: GmCFilterDesign, parasitics: Optional[_SvfParasitics] = None
@@ -261,89 +262,6 @@ class GmCStateVariableFilter(StampPlanSimulator):
         devs = self._varied_devices(sample)
         return self._macromodel(devs, self._bias_currents(devs))
 
-    # ------------------------------------------------------------------
-    # band-pass feature extraction (shared by both engines, row-wise)
-    # ------------------------------------------------------------------
-    def _bandpass_features(self, mag_bp: np.ndarray) -> Tuple[float, float, float]:
-        """``(f_center, q_factor, peak_gain)`` from one |H_bp| row.
-
-        The peak is refined by a log-parabola over the uniform log-f grid;
-        the -3 dB edges by log-log interpolation on each side.  Used
-        verbatim by the scalar and vectorized engines so their metric
-        extraction is *identical* math.
-        """
-        grid = self._FREQ_GRID
-        logf = np.log10(grid)
-        y = np.log10(mag_bp)
-        i = int(np.argmax(y))
-        if i == 0 or i == y.size - 1:
-            raise SimulationError(
-                "band-pass peak at the edge of the analysis grid; "
-                "the design has left the supported frequency window"
-            )
-        # Parabolic refinement on the uniform log-f grid.
-        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-        delta = 0.0 if denom == 0.0 else 0.5 * (y[i - 1] - y[i + 1]) / denom
-        delta = float(np.clip(delta, -0.5, 0.5))
-        step = logf[1] - logf[0]
-        f_center = 10.0 ** (logf[i] + delta * step)
-        peak_log = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * delta
-        peak_gain = 10.0 ** peak_log
-
-        target = peak_log - 0.5 * math.log10(2.0)  # -3 dB in log magnitude
-
-        def crossing(start: int, stop: int, step_dir: int) -> float:
-            k = start
-            while k != stop and y[k] > target:
-                k += step_dir
-            if y[k] > target:
-                raise SimulationError(
-                    "-3 dB edge outside the analysis grid; widen _FREQ_GRID"
-                )
-            # y[k] <= target < y[k - step_dir]: interpolate in log-log
-            # between k and its neighbour toward the peak.
-            k2 = k - step_dir
-            frac = (target - y[k]) / (y[k2] - y[k])
-            return 10.0 ** (logf[k] + frac * (logf[k2] - logf[k]))
-
-        f_lo = crossing(i - 1, 0, -1)
-        f_hi = crossing(i + 1, y.size - 1, 1)
-        return f_center, f_center / (f_hi - f_lo), peak_gain
-
-    # ------------------------------------------------------------------
-    def simulate(self, sample: ProcessSample) -> SVFMetrics:
-        """Measure the five metrics for one process draw."""
-        devs = self._varied_devices(sample)
-        currents = self._bias_currents(devs)
-        net = self._macromodel(devs, currents)
-        solution = ACAnalysis(net).solve(self._FREQ_GRID)
-        mag_bp = np.abs(solution.transfer("bp", "in"))
-        mag_lp = np.abs(solution.transfer("lp", "in"))
-
-        f_center, q_factor, peak_gain = self._bandpass_features(mag_bp)
-        design = self.design
-        nominal_budget = (
-            design.i_in + design.i_int1 + design.i_int2 + design.i_q + 2.0 * design.i_bias
-        )
-        total = (
-            currents["i_in"]
-            + currents["i_int1"]
-            + currents["i_int2"]
-            + currents["i_q"]
-            + design.i_bias
-            + currents["bias"]
-        )
-        power = design.vdd * (
-            total + self.parasitics.power_overhead_rel * nominal_budget
-        )
-        return SVFMetrics(
-            f_center=f_center,
-            q_factor=q_factor,
-            peak_gain=peak_gain,
-            dc_gain_lp=float(mag_lp[0]),
-            power=power,
-        )
-
     def simulate_nominal(self) -> SVFMetrics:
         """Nominal (variation-free) run; supplies ``P_NOM`` for Sec. 4.1.
 
@@ -369,8 +287,7 @@ class GmCStateVariableFilter(StampPlanSimulator):
             )
             sim = GmCStateVariableFilter(self.design, par)
         model = ProcessVariationModel(0.0, 0.0, 0.0, 0.0, 0.0)
-        nominal = model.nominal_sample(sim.devices)
-        return sim.simulate(nominal)
+        return sim._simulate_one(model.nominal_sample(sim.devices))
 
     # ------------------------------------------------------------------
     # vectorized engine
@@ -378,7 +295,7 @@ class GmCStateVariableFilter(StampPlanSimulator):
     def _batched_bias_currents(
         self, devs: Dict[str, Dict[str, np.ndarray]]
     ) -> Dict[str, np.ndarray]:
-        """Vectorized mirror of :meth:`_bias_currents`."""
+        """Array form of :meth:`_bias_currents`."""
         design = self.design
         mnd = devs["MND"]
         vov_nd = np.sqrt(2.0 * design.i_bias / mnd["beta"])
@@ -453,7 +370,7 @@ class GmCStateVariableFilter(StampPlanSimulator):
         mag_bp = np.abs(solution.transfer("bp", "in"))
         mag_lp = np.abs(solution.transfer("lp", "in"))
 
-        features = np.array([self._bandpass_features(row) for row in mag_bp])
+        f_center, q_factor, peak_gain = self._bandpass_features_batch(mag_bp)
         nominal_budget = (
             design.i_in + design.i_int1 + design.i_int2 + design.i_q + 2.0 * design.i_bias
         )
@@ -466,6 +383,60 @@ class GmCStateVariableFilter(StampPlanSimulator):
             + currents["bias"]
         )
         power = design.vdd * (total + par.power_overhead_rel * nominal_budget)
-        return np.column_stack(
-            [features[:, 0], features[:, 1], features[:, 2], mag_lp[:, 0], power]
-        )
+        return np.column_stack([f_center, q_factor, peak_gain, mag_lp[:, 0], power])
+
+    def _bandpass_features_batch(
+        self, mag_bp: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(f_center, q_factor, peak_gain)`` of every ``|H_bp|`` row.
+
+        The peak is refined by a log-parabola over the uniform log-f grid;
+        the -3 dB edges by log-log interpolation between the first grid
+        point at or below the -3 dB level on each side of the peak and its
+        neighbour toward the peak.  A peak on the grid edge, or an edge
+        outside the grid, in any row raises :class:`SimulationError`.
+
+        Powers of ten go through ``np.float_power``, which calls the C
+        library ``pow`` as a scalar ``**`` does; ``np.power``'s SIMD loop
+        can differ from it in the last bit, which would move cached banks.
+        """
+        logf = np.log10(self._FREQ_GRID)
+        y = np.log10(mag_bp)
+        n, m = y.shape
+        rows = np.arange(n)
+        i = np.argmax(y, axis=1)
+        if np.any((i == 0) | (i == m - 1)):
+            raise SimulationError(
+                "band-pass peak at the edge of the analysis grid; "
+                "the design has left the supported frequency window"
+            )
+        y_lo, y_pk, y_hi = y[rows, i - 1], y[rows, i], y[rows, i + 1]
+        # Parabolic refinement on the uniform log-f grid.
+        denom = y_lo - 2.0 * y_pk + y_hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.where(denom == 0.0, 0.0, 0.5 * (y_lo - y_hi) / denom)
+        delta = np.clip(delta, -0.5, 0.5)
+        f_center = np.float_power(10.0, logf[i] + delta * (logf[1] - logf[0]))
+        peak_log = y_pk - 0.25 * (y_lo - y_hi) * delta
+        target = peak_log - 0.5 * math.log10(2.0)  # -3 dB in log magnitude
+
+        cols = np.arange(m)
+        below = y <= target[:, None]
+        lower = below & (cols < i[:, None])
+        upper = below & (cols > i[:, None])
+        if not (lower.any(axis=1).all() and upper.any(axis=1).all()):
+            raise SimulationError(
+                "-3 dB edge outside the analysis grid; widen _FREQ_GRID"
+            )
+        k_lo = m - 1 - np.argmax(lower[:, ::-1], axis=1)
+        k_hi = np.argmax(upper, axis=1)
+
+        def crossing(k: np.ndarray, k2: np.ndarray) -> np.ndarray:
+            # y[k] <= target < y[k2]: interpolate in log-log between k and
+            # its neighbour k2 toward the peak.
+            frac = (target - y[rows, k]) / (y[rows, k2] - y[rows, k])
+            return np.float_power(10.0, logf[k] + frac * (logf[k2] - logf[k]))
+
+        f_lo = crossing(k_lo, k_lo + 1)
+        f_hi = crossing(k_hi, k_hi - 1)
+        return f_center, f_center / (f_hi - f_lo), np.float_power(10.0, peak_log)

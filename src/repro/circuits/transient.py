@@ -7,8 +7,9 @@ transient problem is the linear DAE
 
     C x'(t) + G x(t) = b * u(t),
 
-with ``G``, ``C``, ``b`` exactly the matrices already assembled by
-:class:`~repro.circuits.mna.ACAnalysis` and ``u(t)`` a scalar source
+with ``G``, ``C``, ``b`` exactly the matrices the AC solver stamps
+(:meth:`~repro.circuits.mna.StampPlan.assemble_batched` of a one-sample
+batch) and ``u(t)`` a scalar source
 waveform scaling the excitation vector.  The trapezoidal rule (SPICE's
 default) gives the unconditionally-stable update
 
@@ -25,7 +26,7 @@ from typing import Callable, Dict, Hashable, Optional
 
 import numpy as np
 
-from repro.circuits.mna import ACAnalysis
+from repro.circuits.mna import StampPlan
 from repro.circuits.netlist import Netlist
 from repro.exceptions import SimulationError
 
@@ -124,8 +125,8 @@ class TransientAnalysis:
     """
 
     def __init__(self, netlist: Netlist) -> None:
-        ac = ACAnalysis(netlist)
-        self._stamps = ac.stamps
+        g, c, b = StampPlan(netlist).assemble_batched(np.empty((1, 0)))
+        self._g, self._c, self._b = g[0], c[0], np.real(b)
         self.netlist = netlist
         self._node_map = {
             node: netlist.node_index(node)
@@ -160,10 +161,8 @@ class TransientAnalysis:
         times = np.arange(n_steps + 1) * dt
         u = (waveform if waveform is not None else step())(times)
 
-        g = self._stamps.G
-        c = self._stamps.C
-        b = np.real(self._stamps.b)
-        size = self._stamps.size
+        g, c, b = self._g, self._c, self._b
+        size = g.shape[0]
         state = np.zeros(size) if x0 is None else np.asarray(x0, dtype=float).copy()
         if state.shape != (size,):
             raise SimulationError(f"x0 must have shape ({size},)")

@@ -65,16 +65,18 @@ def build_requests(
 ) -> List[Request]:
     """Turn ``(kind, key, payload)`` queries into one synchronous batch.
 
-    Kinds are validated and counted (``record_request(kind)``) in
-    submission order and every request shares one submission stamp; an
-    unknown kind raises :class:`~repro.exceptions.ConfigError` after the
-    queries before it were counted.
+    Every kind is validated before any is counted: an unknown kind raises
+    :class:`~repro.exceptions.ConfigError` with nothing counted, so a
+    refused batch leaves no count that the write-ahead log cannot replay.
+    Valid batches are counted (``record_request(kind)``) once per query in
+    submission order, and every request shares one submission stamp.
     """
+    for kind, _key, _payload in queries:
+        if kind not in QUERY_KINDS:
+            raise ConfigError(f"unknown request kind {kind!r}; expected {QUERY_KINDS}")
     now = time.perf_counter()
     requests: List[Request] = []
     for kind, key, payload in queries:
-        if kind not in QUERY_KINDS:
-            raise ConfigError(f"unknown request kind {kind!r}; expected {QUERY_KINDS}")
         record_request(kind)
         requests.append(
             Request(kind=kind, key=str(key), payload=payload, submitted_at=now)

@@ -513,18 +513,22 @@ class ShardedMomentService:
 
         The buffers of the queried keys are flushed first
         (read-your-writes, :meth:`flush_keys`); other keys keep their
-        buffers.  Each query is validated and counted on its key's home
-        worker in submission order, and each home shard scores its queries
-        as one batch (shards in index order).  Raises the first request
-        error in submission order, as a bare worker does.
+        buffers.  Every kind is validated before any query is counted;
+        each query is then counted on its key's home worker in submission
+        order, and each home shard scores its queries as one batch (shards
+        in index order).  Raises the first request error in submission
+        order, as a bare worker does.
         """
         self.flush_keys(key for _, key, _ in queries)
-        requests: List[Request] = []
+        homes = [self.ring.shard_for(str(key)) for _, key, _ in queries]
+        # build_requests counts each query once, in submission order, so
+        # the iterator hands every count to that query's home worker.
+        home_of = iter(homes)
+        requests = build_requests(
+            queries, lambda kind: self.workers[next(home_of)].counters.record_request(kind)
+        )
         batches: Dict[int, List[Request]] = {}
-        for query in queries:
-            shard = self.ring.shard_for(str(query[1]))
-            (request,) = build_requests([query], self.workers[shard].counters.record_request)
-            requests.append(request)
+        for shard, request in zip(homes, requests):
             batches.setdefault(shard, []).append(request)
         for shard in sorted(batches):
             self.workers[shard].score_requests(batches[shard])

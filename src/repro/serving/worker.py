@@ -238,9 +238,10 @@ class ShardWorker:
     def query_many(self, queries: Sequence[Tuple[str, str, Any]]) -> List[Any]:
         """Score a list of ``(kind, key, payload)`` queries in one batch.
 
-        Kinds are validated and counted in submission order, then the
-        whole list is scored as one grouped batch.  Raises the first
-        request error encountered, in submission order.
+        Every kind is validated before any is counted, then each query is
+        counted in submission order and the whole list is scored as one
+        grouped batch.  Raises the first request error encountered, in
+        submission order.
         """
         requests = build_requests(queries, self.counters.record_request)
         self.score_requests(requests)

@@ -1,11 +1,17 @@
-"""Tests for the MNA AC solver against hand-solvable circuits."""
+"""The dense reference AC solve against hand-solvable circuits.
+
+:class:`DenseAC` is the reference the stamp-plan solver and every circuit
+engine are checked against (``test_mna_batched.py``, ``loop_oracle.py``);
+these closed-form circuits check the reference itself, stamps included.
+"""
 
 import numpy as np
 import pytest
 
-from repro.circuits.mna import ACAnalysis
 from repro.circuits.netlist import Netlist
 from repro.exceptions import SimulationError
+
+from .loop_oracle import DenseAC
 
 
 def divider_netlist(r1=1000.0, r2=3000.0):
@@ -18,16 +24,16 @@ def divider_netlist(r1=1000.0, r2=3000.0):
 
 class TestResistiveDivider:
     def test_dc_division(self):
-        sol = ACAnalysis(divider_netlist()).solve([0.0])
+        sol = DenseAC(divider_netlist()).solve([0.0])
         assert sol.voltage("out")[0] == pytest.approx(0.75)
 
     def test_flat_over_frequency(self):
-        sol = ACAnalysis(divider_netlist()).solve([0.0, 1e3, 1e6])
+        sol = DenseAC(divider_netlist()).solve([0.0, 1e3, 1e6])
         assert np.allclose(np.abs(sol.voltage("out")), 0.75)
 
     def test_source_current(self):
         # 1 V across 4 kOhm: branch current magnitude 0.25 mA.
-        sol = ACAnalysis(divider_netlist()).solve([0.0])
+        sol = DenseAC(divider_netlist()).solve([0.0])
         assert abs(sol.branch_current("Vin")[0]) == pytest.approx(2.5e-4)
 
 
@@ -39,7 +45,7 @@ class TestRCLowpass:
         net.voltage_source("Vin", "in", "0", 1.0)
         net.resistor("R", "in", "out", r)
         net.capacitor("C", "out", "0", c)
-        sol = ACAnalysis(net).solve([fc])
+        sol = DenseAC(net).solve([fc])
         assert abs(sol.voltage("out")[0]) == pytest.approx(1 / np.sqrt(2), rel=1e-9)
 
     def test_phase_at_pole(self):
@@ -49,7 +55,7 @@ class TestRCLowpass:
         net.voltage_source("Vin", "in", "0", 1.0)
         net.resistor("R", "in", "out", r)
         net.capacitor("C", "out", "0", c)
-        sol = ACAnalysis(net).solve([fc])
+        sol = DenseAC(net).solve([fc])
         assert np.angle(sol.voltage("out")[0], deg=True) == pytest.approx(-45.0)
 
     def test_rolloff_20db_per_decade(self):
@@ -59,7 +65,7 @@ class TestRCLowpass:
         net.voltage_source("Vin", "in", "0", 1.0)
         net.resistor("R", "in", "out", r)
         net.capacitor("C", "out", "0", c)
-        sol = ACAnalysis(net).solve([100 * fc, 1000 * fc])
+        sol = DenseAC(net).solve([100 * fc, 1000 * fc])
         mags = 20 * np.log10(np.abs(sol.voltage("out")))
         assert mags[1] - mags[0] == pytest.approx(-20.0, abs=0.1)
 
@@ -73,7 +79,7 @@ class TestRLCResonance:
         net.resistor("R", "in", "mid", r)
         net.inductor("L", "mid", "out", l)
         net.capacitor("C", "out", "0", c)
-        sol = ACAnalysis(net).solve([f0])
+        sol = DenseAC(net).solve([f0])
         # At resonance L and C cancel: the full source current flows,
         # I = V/R, and |V_C| = I / (w C) = Q.
         q_factor = np.sqrt(l / c) / r
@@ -87,7 +93,7 @@ class TestVCCSAmplifier:
         net.voltage_source("Vin", "in", "0", 1.0)
         net.vccs("G1", "out", "0", "in", "0", gm)
         net.resistor("RL", "out", "0", rl)
-        sol = ACAnalysis(net).solve([0.0])
+        sol = DenseAC(net).solve([0.0])
         # Convention: current flows pos->neg inside the source, so a
         # positive gm pulls the output below ground: gain = -gm*RL.
         assert sol.voltage("out")[0].real == pytest.approx(-gm * rl)
@@ -97,7 +103,7 @@ class TestVCCSAmplifier:
         net.voltage_source("Vin", "in", "0", 2.0)
         net.vccs("G1", "out", "0", "in", "0", 1e-3)
         net.resistor("RL", "out", "0", 1000.0)
-        sol = ACAnalysis(net).solve([0.0])
+        sol = DenseAC(net).solve([0.0])
         assert sol.transfer("out", "in")[0].real == pytest.approx(-1.0)
 
 
@@ -108,7 +114,7 @@ class TestInductorBranch:
         net.resistor("R", "in", "mid", 100.0)
         net.inductor("L", "mid", "out", 1e-6)
         net.resistor("RL", "out", "0", 100.0)
-        sol = ACAnalysis(net).solve([0.0])
+        sol = DenseAC(net).solve([0.0])
         # At DC the inductor is a short: a 50/50 divider.
         assert sol.voltage("out")[0].real == pytest.approx(0.5)
 
@@ -117,7 +123,7 @@ class TestInductorBranch:
         net.voltage_source("Vin", "in", "0", 1.0)
         net.inductor("L", "in", "out", 1e-3)
         net.resistor("RL", "out", "0", 1000.0)
-        sol = ACAnalysis(net).solve([0.0])
+        sol = DenseAC(net).solve([0.0])
         assert abs(sol.branch_current("L")[0]) == pytest.approx(1e-3)
 
     def test_rl_highpass_corner(self):
@@ -127,7 +133,7 @@ class TestInductorBranch:
         net.voltage_source("Vin", "in", "0", 1.0)
         net.resistor("R", "in", "out", r)
         net.inductor("L", "out", "0", l)
-        sol = ACAnalysis(net).solve([fc])
+        sol = DenseAC(net).solve([fc])
         # |V_L / V_in| = 1/sqrt(2) at the RL corner.
         assert abs(sol.voltage("out")[0]) == pytest.approx(1 / np.sqrt(2), rel=1e-9)
 
@@ -137,7 +143,7 @@ class TestCurrentSource:
         net = Netlist()
         net.current_source("I1", "0", "a", 1e-3)
         net.resistor("R1", "a", "0", 2000.0)
-        sol = ACAnalysis(net).solve([0.0])
+        sol = DenseAC(net).solve([0.0])
         # 1 mA pushed into node a through 2 kOhm: +2 V.
         assert sol.voltage("a")[0].real == pytest.approx(2.0)
 
@@ -145,20 +151,20 @@ class TestCurrentSource:
 class TestErrors:
     def test_negative_frequency_rejected(self):
         with pytest.raises(SimulationError):
-            ACAnalysis(divider_netlist()).solve([-1.0])
+            DenseAC(divider_netlist()).solve([-1.0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(SimulationError):
-            ACAnalysis(divider_netlist()).solve([])
+            DenseAC(divider_netlist()).solve([])
 
     def test_unknown_node_voltage(self):
-        sol = ACAnalysis(divider_netlist()).solve([0.0])
+        sol = DenseAC(divider_netlist()).solve([0.0])
         with pytest.raises(SimulationError):
             sol.voltage("nowhere")
 
     def test_ground_voltage_is_zero(self):
-        sol = ACAnalysis(divider_netlist()).solve([0.0, 10.0])
+        sol = DenseAC(divider_netlist()).solve([0.0, 10.0])
         assert np.all(sol.voltage("0") == 0.0)
 
     def test_dc_gain_helper(self):
-        assert ACAnalysis(divider_netlist()).dc_gain("out", "in") == pytest.approx(0.75)
+        assert DenseAC(divider_netlist()).dc_gain("out", "in") == pytest.approx(0.75)

@@ -1,13 +1,15 @@
-"""Batched StampPlan solves against the scalar ACAnalysis reference."""
+"""Batched StampPlan solves against the dense per-netlist reference."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.circuits.mna import ACAnalysis, BatchedACSolution, StampPlan
+from repro.circuits.mna import BatchedACSolution, StampPlan
 from repro.circuits.netlist import Netlist
 from repro.exceptions import SimulationError
+
+from .loop_oracle import DenseAC
 
 FREQS = np.logspace(2, 8, 31)
 
@@ -45,7 +47,7 @@ class TestStampPlanEquivalence:
         assert isinstance(sol, BatchedACSolution)
         assert sol.n_samples == 16
         for i in (0, 7, 15):
-            scalar = ACAnalysis(
+            scalar = DenseAC(
                 rc_netlist(values["R"][i], values["C"][i])
             ).solve(FREQS)
             np.testing.assert_allclose(
@@ -62,7 +64,7 @@ class TestStampPlanEquivalence:
         }
         sol = plan.solve_batched(values, FREQS)
         for i in range(8):
-            scalar = ACAnalysis(
+            scalar = DenseAC(
                 amp_netlist(values["Ggm"][i], values["R"][i], values["C"][i])
             ).solve(FREQS)
             np.testing.assert_allclose(
@@ -74,7 +76,7 @@ class TestStampPlanEquivalence:
         values = sample_values(np.random.default_rng(5), 4)
         sol = plan.solve_batched(values, FREQS)
         h = sol.transfer("out", "in")
-        scalar = ACAnalysis(
+        scalar = DenseAC(
             rc_netlist(values["R"][2], values["C"][2])
         ).solve(FREQS)
         np.testing.assert_allclose(
@@ -146,7 +148,7 @@ class TestStampPlanValidation:
 # R-C ladders: reduced cores past the closed form (m > 3) take the stacked
 # LAPACK branch
 # ---------------------------------------------------------------------------
-#: Agreement gate for the batched solve against per-sample ACAnalysis.
+#: Agreement gate for the batched solve against the per-sample dense solve.
 LADDER_REL_TOL = 1e-9
 
 LADDER_FREQS = np.logspace(2, 8, 7)
@@ -186,7 +188,7 @@ def assert_matches_per_sample(plan, values, out, n_nodes, vccs_gm=None):
     assert batched.shape == (n_samples, LADDER_FREQS.size)
     for i in range(n_samples):
         draw = {name: float(v[i]) for name, v in values.items()}
-        ref = ACAnalysis(ladder_netlist(n_nodes, draw, vccs_gm)).solve(LADDER_FREQS)
+        ref = DenseAC(ladder_netlist(n_nodes, draw, vccs_gm)).solve(LADDER_FREQS)
         expected = ref.voltage(out)
         rel = np.abs(batched[i] - expected) / np.maximum(np.abs(expected), 1e-300)
         assert rel.max() <= LADDER_REL_TOL

@@ -82,8 +82,8 @@ class TestVariationResponse:
 
     def test_deterministic_given_sample(self, early, rng):
         samples = early.process_model().sample(early.devices, 1, rng)
-        a = early.simulate(samples[0]).as_array()
-        b = early.simulate(samples[0]).as_array()
+        a = early.simulate_batch([samples[0]])
+        b = early.simulate_batch([samples[0]])
         assert np.array_equal(a, b)
 
     def test_metrics_actually_vary(self, early, rng):

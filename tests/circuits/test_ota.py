@@ -105,8 +105,8 @@ class TestStepResponse:
         model = ProcessVariationModel(0.0, 0.0, 0.0, 0.0, 0.0)
         nominal = model.nominal_sample(early.devices)
         t_settle, overshoot = early.measure_step_response(nominal, tolerance=0.01)
-        metrics = early.simulate(nominal)
-        tau = metrics.gain / (2.0 * np.pi * metrics.gbw)
+        gain, gbw = early.simulate_batch([nominal])[0, :2]
+        tau = gain / (2.0 * np.pi * gbw)
         assert t_settle / tau == pytest.approx(np.log(100.0), rel=0.1)
         assert overshoot < 0.02  # dominant-pole: no ringing
 

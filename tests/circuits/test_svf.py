@@ -10,8 +10,9 @@ from repro.circuits.svf import (
     GmCFilterDesign,
     GmCStateVariableFilter,
 )
+from repro.exceptions import SimulationError
 
-from .loop_oracle import loop_bank, max_rel_diff
+from .loop_oracle import svf_bandpass_features, loop_bank, max_rel_diff
 
 
 def _analytic(design):
@@ -124,3 +125,44 @@ class TestBatchEquivalence:
         fast = sim.simulate_batch(samples)
         assert fast.shape == (12, len(SVF_METRIC_NAMES))
         assert max_rel_diff(fast, loop_bank(sim, samples)) < 1e-10
+
+
+def _biquad_bp(f0: float, q: float, freqs: np.ndarray) -> np.ndarray:
+    """``|H|`` of an ideal unity-peak band-pass biquad."""
+    s = 1j * freqs / f0
+    return np.abs((s / q) / (s * s + s / q + 1.0))
+
+
+class TestFeatureRefusals:
+    """The vectorized band-pass extraction refuses what it cannot measure.
+
+    A bank with one unmeasurable die fails whole, with
+    :class:`SimulationError`, instead of returning a wrong number for it.
+    """
+
+    @pytest.fixture(scope="class")
+    def sim(self):
+        return GmCStateVariableFilter.schematic()
+
+    def test_good_rows_match_the_per_row_walk(self, sim):
+        grid = sim._FREQ_GRID
+        mag = np.array([_biquad_bp(f0, q, grid) for f0, q in ((1e6, 3.0), (4e7, 0.9))])
+        features = np.column_stack(sim._bandpass_features_batch(mag))
+        walked = np.array([svf_bandpass_features(grid, row) for row in mag])
+        assert np.array_equal(features, walked)
+        assert features[0, 0] == pytest.approx(1e6, rel=1e-3)
+        assert features[0, 1] == pytest.approx(3.0, rel=1e-2)
+
+    def test_peak_at_grid_edge_refused(self, sim):
+        grid = sim._FREQ_GRID
+        mag = np.array([_biquad_bp(1e6, 3.0, grid), _biquad_bp(1e11, 3.0, grid)])
+        with pytest.raises(SimulationError, match="peak at the edge"):
+            sim._bandpass_features_batch(mag)
+
+    def test_edge_outside_grid_refused(self, sim):
+        """A low-Q peak near the grid start has its lower -3 dB edge
+        below the grid."""
+        grid = sim._FREQ_GRID
+        mag = np.array([_biquad_bp(1e6, 3.0, grid), _biquad_bp(1e5, 0.05, grid)])
+        with pytest.raises(SimulationError, match="-3 dB edge outside"):
+            sim._bandpass_features_batch(mag)

@@ -93,12 +93,13 @@ class TestRLCStep:
 class TestSineDrive:
     def test_steady_state_amplitude_matches_ac(self):
         """After transients decay, the sine amplitude must equal |H(f)|."""
-        from repro.circuits.mna import ACAnalysis
+        from repro.circuits.mna import StampPlan
 
         r, c = 1000.0, 1e-9
         f = 1.0 / (2 * np.pi * r * c)  # drive exactly at the pole
         net = rc_netlist(r, c)
-        expected = abs(ACAnalysis(net).solve([f]).voltage("out")[0])
+        ac = StampPlan(net).solve_batched(np.empty((1, 0)), [f])
+        expected = abs(ac.voltage("out")[0, 0])
         sim = TransientAnalysis(net)
         result = sim.run(t_stop=40 / f, dt=1 / (f * 400), waveform=sine(f))
         tail = result.voltage("out")[-2000:]

@@ -2,7 +2,7 @@
 
 The vectorized Monte-Carlo engines of the two-stage op-amp, the
 folded-cascode OTA and the flash ADC must reproduce the per-die scalar
-reference to <=1e-10 relative error across design configurations (nominal,
+reference of ``loop_oracle.py`` to <=1e-10 relative error across design configurations (nominal,
 noisy process corner, derated parasitics, and for the OTA every fleet
 corner, mismatch and divergence variant), and must be bit-for-bit
 deterministic under sharding and memory-budget changes.  The gm-C filter's
@@ -17,12 +17,12 @@ from repro.circuits.corners import STANDARD_CORNERS
 from repro.circuits.opamp import TwoStageOpAmp
 from repro.circuits.ota import FoldedCascodeOTA
 from repro.circuits.process import GlobalVariation, ProcessSample, ProcessVariationModel
-from repro.circuits.registry import generate_dataset
+from repro.circuits.registry import circuit_names, generate_dataset
 from repro.circuits.variants import CircuitVariant
 from repro.exceptions import SimulationError
 from repro.scenarios.library import DIVERGENCE_LEVELS, MISMATCH_LEVELS
 
-from .loop_oracle import loop_bank, max_rel_diff
+from .loop_oracle import die_metrics, loop_bank, max_rel_diff, use_oracle_nominals
 
 N_DIES = 24
 
@@ -166,7 +166,7 @@ class TestOTAEquivalence:
         # +0.5 V on the tail device puts it below the bias diode's gate line.
         cut = ProcessSample(GlobalVariation(0.0, 0.0, 0.0, 0.0), {"M9": (0.5, 0.0)})
         with pytest.raises(SimulationError, match="M9: tail device cut off"):
-            sim.simulate(cut)
+            die_metrics(sim, cut)
         with pytest.raises(SimulationError, match="M9: tail device cut off"):
             sim.simulate_batch(samples + [cut])
 
@@ -219,3 +219,22 @@ class TestADCEquivalence:
         for sim in (FlashADC.schematic(), FlashADC.post_layout()):
             nominal = sim.simulate_nominal()
             assert np.isfinite(nominal.as_array()).all()
+
+
+@pytest.mark.parametrize("circuit", circuit_names())
+@pytest.mark.parametrize(
+    "variant",
+    [CircuitVariant(), CircuitVariant(corner="SF")],
+    ids=["identity", "corner-SF"],
+)
+def test_nominal_dies_match_oracle(circuit, variant, monkeypatch):
+    """Every nominal die of the dataset builders (both stages, identity
+    and corner-shifted) is within 1e-12 of the per-die twin's, and taking
+    it from ``simulate_batch`` leaves the Monte-Carlo rows byte-identical."""
+    production = generate_dataset(circuit, n_samples=4, seed=7, variant=variant, use_cache=False)
+    use_oracle_nominals(monkeypatch)
+    oracle = generate_dataset(circuit, n_samples=4, seed=7, variant=variant, use_cache=False)
+    for stage in ("early", "late"):
+        assert np.array_equal(getattr(production, stage), getattr(oracle, stage))
+        nominal = getattr(production, f"{stage}_nominal")
+        assert max_rel_diff(nominal, getattr(oracle, f"{stage}_nominal")) <= 1e-12

@@ -2,8 +2,12 @@
 
 The CV scorer may change how it computes a score, but not which
 ``(kappa0, v0)`` it picks: every BMF error of this sweep depends on the
-winner alone.  The digest was computed before the closed-form scorer
-landed, so a winner that flips on either bank changes it.
+winner alone.  ``DIGEST`` was computed before the closed-form scorer
+landed, so a winner that flips on either bank changes it.  It was also
+computed while each bank's nominal die came from a per-die engine, so it
+is asserted with the nominal dies taken from that engine's twin in
+``loop_oracle.py``.  ``PRODUCTION_DIGEST`` pins the same sweep with the
+nominal dies of ``simulate_batch``.
 """
 
 import hashlib
@@ -13,6 +17,8 @@ import numpy as np
 from repro.circuits.montecarlo import generate_adc_dataset, generate_opamp_dataset
 from repro.experiments.sweep import ErrorSweep, SweepConfig
 
+from tests.circuits.loop_oracle import use_oracle_nominals
+
 #: Smoke-size paper banks (the e2e benchmark's smoke sizes), paper seed.
 BANKS = {"opamp": (generate_opamp_dataset, 400), "adc": (generate_adc_dataset, 200)}
 SEED = 2015
@@ -20,6 +26,8 @@ SIZES = (8, 16, 32)
 REPEATS = 5
 
 DIGEST = "12f13c0eb60dfc7e3bb05cad91b6ff738c1a2c64c88e709421f31db0b9a58920"
+
+PRODUCTION_DIGEST = "10febcf5870a58ca9721011d7260cff46a7bb348ec846bcd6f71241c84d575d4"
 
 
 def error_digest(results) -> str:
@@ -35,7 +43,7 @@ def error_digest(results) -> str:
     return h.hexdigest()
 
 
-def test_paper_bank_sweep_errors_are_pinned():
+def sweep_digest() -> str:
     config = SweepConfig(sample_sizes=SIZES, n_repeats=REPEATS, seed=SEED)
     results = {
         name: ErrorSweep(
@@ -43,4 +51,13 @@ def test_paper_bank_sweep_errors_are_pinned():
         ).run()
         for name, (generate, size) in BANKS.items()
     }
-    assert error_digest(results) == DIGEST
+    return error_digest(results)
+
+
+def test_paper_bank_sweep_errors_are_pinned(monkeypatch):
+    use_oracle_nominals(monkeypatch)
+    assert sweep_digest() == DIGEST
+
+
+def test_paper_bank_sweep_errors_production_bytes():
+    assert sweep_digest() == PRODUCTION_DIGEST

@@ -5,7 +5,8 @@ samples) in the state its checkpoint holds and its log replays, and a
 coalesced block counts as the calls it holds.  So the router's ``stats()``
 totals are the sums of its shards' entries, and the same live, after
 ``restore`` of a checkpoint plus its log tail, and after ``recover`` from
-the logs alone.
+the logs alone.  A query batch refused for an unknown kind counts nothing,
+live or replayed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.prior import PriorKnowledge
-from repro.serving import ShardedMomentService
+from repro.exceptions import ConfigError
+from repro.serving import ShardedMomentService, ShardWorker
+from repro.serving.wal import WriteAheadLog
 from repro.stats.suffstats import SufficientStats
 
 D = 3
@@ -39,6 +42,10 @@ def _traffic(service, rng, n_rows):
                     ("estimate", KEYS[0], None),
                 ]
             )
+        if i % 70 == 0:
+            # a bad kind after a good query refuses the whole batch
+            with pytest.raises(ConfigError):
+                service.query_many([("estimate", KEYS[k], None), ("bogus", KEYS[0], None)])
     service.ingest_stats(KEYS[2], SufficientStats.from_samples(rng.standard_normal((4, D))))
 
 
@@ -77,3 +84,20 @@ def test_counters_equal_live_restored_and_recovered(n_shards, tmp_path):
         assert _counted(restored.stats()) == want
     with ShardedMomentService.recover(wal_dir) as recovered:
         assert _counted(recovered.stats()) == want
+
+
+def test_bare_worker_counters_equal_live_and_recovered(tmp_path):
+    rng = np.random.default_rng(37)
+    prior = PriorKnowledge(np.zeros(D), np.eye(D) + 0.2, 12)
+    path = tmp_path / "shard-000.wal"
+    with ShardWorker(wal=WriteAheadLog.create(path, shard_id=0)) as live:
+        for key in KEYS:
+            live.create_session(key, prior, kappa0=2.0, v0=D + 2.0)
+        _traffic(live, rng, 150)
+        want = {name: live.stats()[name] for name in COUNTED}
+    assert want["requests"] == {"estimate": 6, "loglik": 3, "yield": 3}
+    recovered = ShardWorker._recover(path)
+    try:
+        assert {name: recovered.stats()[name] for name in COUNTED} == want
+    finally:
+        recovered.close()
