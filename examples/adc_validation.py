@@ -5,9 +5,11 @@ The post-silicon twist on the paper's Sec. 5.2 experiment: late-stage
 die by die.  The example shows
 
 1. fusing a small noisy measurement batch (BMF vs MLE),
-2. streaming the measurements through :class:`SequentialBMF` with a
-   measurement-budget stopping rule — stop paying for bench time once the
-   fused moments stop moving.
+2. streaming the measurements die by die into a :class:`SufficientStats`
+   accumulator, reading the running MAP moments (Eq. 31–32) after each
+   die, with a measurement-budget stopping rule — stop paying for bench
+   time once the fused moments stop moving.  By conjugacy the stream ends
+   exactly where a one-shot fusion of the same dies would.
 
 Run with:  python examples/adc_validation.py
 """
@@ -16,8 +18,14 @@ import numpy as np
 
 from repro import BMFPipeline
 from repro.circuits import ADC_METRIC_NAMES, generate_adc_dataset
+from repro.core.bmf import map_moments_from_stats
 from repro.core.errors import covariance_error, mean_error
-from repro.extensions.sequential import SequentialBMF
+from repro.linalg.norms import frobenius_norm, vector_2norm
+from repro.stats.suffstats import SufficientStats
+
+#: Stopping rule: stop once ``PATIENCE`` consecutive dies each moved the
+#: fused mean by at most ``MEAN_TOL`` and the covariance by at most ``COV_TOL``.
+MEAN_TOL, COV_TOL, PATIENCE = 0.02, 0.05, 5
 
 
 def main() -> None:
@@ -61,22 +69,29 @@ def main() -> None:
     # Streaming fusion with an early-stop rule.
     # ------------------------------------------------------------------
     print("\nstreaming measurements die-by-die (stop when estimate settles):")
-    seq = SequentialBMF(
-        pipeline.prior, kappa0=bmf.info["kappa0"], v0=bmf.info["v0"]
-    )
+    kappa0, v0 = bmf.info["kappa0"], bmf.info["v0"]
+    stats = SufficientStats.empty(pipeline.prior.dim)
     stream = pipeline.transform.transform(noisy.late_subset(64, rng), "late")
+    last_mean = last_cov = None
+    calm = 0  # consecutive dies whose update stayed within tolerance
     stopped_at = None
     for i, row in enumerate(stream, start=1):
-        state = seq.observe(row)
+        stats.push(row)
+        mean, cov = map_moments_from_stats(pipeline.prior, stats, kappa0, v0)
+        if last_mean is None:
+            mean_step = cov_step = float("inf")
+        else:
+            mean_step = vector_2norm(mean - last_mean)
+            cov_step = frobenius_norm(cov - last_cov)
+        last_mean, last_cov = mean, cov
         if i % 8 == 0:
-            err = mean_error(state.mean, exact_mean)
+            err = mean_error(mean, exact_mean)
             print(
-                f"  die {i:>3}: mean step {state.mean_step:.4f}, "
+                f"  die {i:>3}: mean step {mean_step:.4f}, "
                 f"error vs truth {err:.4f}"
             )
-        if stopped_at is None and seq.converged(
-            mean_tol=0.02, cov_tol=0.05, patience=5
-        ):
+        calm = calm + 1 if mean_step <= MEAN_TOL and cov_step <= COV_TOL else 0
+        if stopped_at is None and calm >= PATIENCE:
             stopped_at = i
     if stopped_at is not None:
         print(

@@ -32,8 +32,7 @@ Sub-packages
 ``repro.experiments``
     Harness regenerating every figure of the paper's Sec. 5.
 ``repro.extensions``
-    Future-work features: higher-order moments, sequential fusion,
-    robust fusion.
+    Future-work features: higher-order moments, robust fusion.
 """
 
 from repro._version import __version__

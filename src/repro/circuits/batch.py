@@ -33,9 +33,9 @@ columns.  A nominal die is the one row of a one-die bank
 (:meth:`StampPlanSimulator._simulate_one`).
 
 A subclass supplies the circuit: ``_FREQ_GRID``, the ``_VARIABLE``
-component names, ``_METRICS``, :meth:`_netlist` (the macromodel of one
-die, used once at nominal as the plan's template) and
-:meth:`_simulate_batch_vectorized`.
+component names, ``_METRICS``, the ``_DERATED`` parasitic fields,
+:meth:`_netlist` (the macromodel of one die, used once at nominal as the
+plan's template) and :meth:`_simulate_batch_vectorized`.
 
 Die-seed circuits
 -----------------
@@ -76,7 +76,8 @@ banks stay valid to round-off.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+import dataclasses
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -141,12 +142,18 @@ class StampPlanSimulator:
     #: Dataclass of one die's metrics (``*row`` constructs it).
     _METRICS: type
 
+    #: Parasitic fields that :meth:`simulate_nominal` scales by
+    #: ``1 - extraction_derate``.
+    _DERATED: Tuple[str, ...] = ()
+
     #: Samples per pipeline pass.  Small enough that the ~25 working
     #: (chunk, n_freq) planes stay cache-resident — measured ~4x faster
     #: than streaming the whole bank through memory — while large enough
     #: to amortise per-call numpy overhead.
     _PIPELINE_CHUNK = 512
 
+    design: Any
+    parasitics: Any
     _devices: List[Tuple[Mosfet, str]]
     _plan: Optional[StampPlan] = None
 
@@ -228,6 +235,29 @@ class StampPlanSimulator:
             len(bank),
             n_jobs,
         )
+
+    def simulate_nominal(self):
+        """Nominal (variation-free) run; supplies ``P_NOM`` for Sec. 4.1.
+
+        When ``extraction_derate`` is set, the nominal run sees only a
+        fraction of the layout parasitics (each ``_DERATED`` field times
+        ``1 - extraction_derate``) — modelling a signoff extraction deck
+        that under-captures coupling, a well-documented source of
+        silicon-vs-signoff mean bias.  The Monte-Carlo population always
+        carries the full parasitics, so the Sec. 4.1 nominal shift cannot
+        fully align the early- and late-stage means: exactly the situation
+        in which the paper's op-amp cross validation selects a small
+        ``kappa_0`` (early mean knowledge downweighted).
+        """
+        sim = self
+        derate = self.parasitics.extraction_derate
+        if derate != 0.0:
+            keep = 1.0 - derate
+            scaled = {name: getattr(self.parasitics, name) * keep for name in self._DERATED}
+            par = dataclasses.replace(self.parasitics, extraction_derate=0.0, **scaled)
+            sim = type(self)(self.design, par)
+        model = ProcessVariationModel(0.0, 0.0, 0.0, 0.0, 0.0)
+        return sim._simulate_one(model.nominal_sample(sim.devices))
 
     def _simulate_one(self, sample: ProcessSample):
         """Metrics of one die: the one row of :meth:`simulate_batch`.

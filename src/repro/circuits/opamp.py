@@ -172,6 +172,16 @@ class TwoStageOpAmp(StampPlanSimulator):
 
     _METRICS = OpAmpMetrics
 
+    _DERATED = (
+        "c_node1",
+        "c_out",
+        "c_comp_extra",
+        "r_out_wire",
+        "offset_systematic",
+        "power_overhead_rel",
+        "bias_current_rel",
+    )
+
     def __init__(self, design: OpAmpDesign, parasitics: Optional[_Parasitics] = None) -> None:
         self.design = design
         self.parasitics = parasitics if parasitics is not None else _Parasitics()
@@ -306,39 +316,6 @@ class TwoStageOpAmp(StampPlanSimulator):
         devs = self._varied_devices(sample)
         i_tail, i_stage2, _ = self._bias_currents(devs)
         return self._macromodel(devs, i_tail, i_stage2)
-
-    def simulate_nominal(self) -> OpAmpMetrics:
-        """Nominal (variation-free) run; supplies ``P_NOM`` for Sec. 4.1.
-
-        When ``extraction_derate`` is set, the nominal run sees only a
-        fraction of the layout parasitics — modelling a signoff extraction
-        deck that under-captures coupling, a well-documented source of
-        silicon-vs-signoff mean bias.  The Monte-Carlo population always
-        carries the full parasitics, so the Sec. 4.1 nominal shift cannot
-        fully align the early- and late-stage means: exactly the situation
-        in which the paper's op-amp cross validation selects a small
-        ``kappa_0`` (early mean knowledge downweighted).
-        """
-        sim = self
-        derate = self.parasitics.extraction_derate
-        if derate != 0.0:
-            import dataclasses
-
-            keep = 1.0 - derate
-            par = dataclasses.replace(
-                self.parasitics,
-                c_node1=self.parasitics.c_node1 * keep,
-                c_out=self.parasitics.c_out * keep,
-                c_comp_extra=self.parasitics.c_comp_extra * keep,
-                r_out_wire=self.parasitics.r_out_wire * keep,
-                offset_systematic=self.parasitics.offset_systematic * keep,
-                power_overhead_rel=self.parasitics.power_overhead_rel * keep,
-                bias_current_rel=self.parasitics.bias_current_rel * keep,
-                extraction_derate=0.0,
-            )
-            sim = TwoStageOpAmp(self.design, par)
-        model = ProcessVariationModel(0.0, 0.0, 0.0, 0.0, 0.0)
-        return sim._simulate_one(model.nominal_sample(sim.devices))
 
     # ------------------------------------------------------------------
     # vectorized engine

@@ -22,7 +22,7 @@ stamp-plan engine of :mod:`repro.circuits.batch`, nominal dies included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -126,6 +126,8 @@ class FoldedCascodeOTA(StampPlanSimulator):
     _VARIABLE = ("Ggm1", "Rfold", "Cfold", "Gcasc", "Rout", "Cout")
 
     _METRICS = OTAMetrics
+
+    _DERATED = ("c_out", "c_fold", "offset_systematic", "power_overhead_rel")
 
     def __init__(
         self,
@@ -260,24 +262,6 @@ class FoldedCascodeOTA(StampPlanSimulator):
         batched engine.
         """
         return 1.0 + 0.35 * 0.5 * (dkp_rel_n + dkp_rel_p)
-
-    def simulate_nominal(self) -> OTAMetrics:
-        """Nominal run with the extraction-derated parasitics (Sec. 4.1)."""
-        sim = self
-        derate = self.parasitics.extraction_derate
-        if derate != 0.0:
-            keep = 1.0 - derate
-            par = replace(
-                self.parasitics,
-                c_out=self.parasitics.c_out * keep,
-                c_fold=self.parasitics.c_fold * keep,
-                offset_systematic=self.parasitics.offset_systematic * keep,
-                power_overhead_rel=self.parasitics.power_overhead_rel * keep,
-                extraction_derate=0.0,
-            )
-            sim = FoldedCascodeOTA(self.design, par)
-        model = ProcessVariationModel(0.0, 0.0, 0.0, 0.0, 0.0)
-        return sim._simulate_one(model.nominal_sample(sim.devices))
 
     def measure_step_response(
         self, sample: ProcessSample, tolerance: float = 0.01

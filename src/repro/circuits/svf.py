@@ -150,6 +150,8 @@ class GmCStateVariableFilter(StampPlanSimulator):
 
     _METRICS = SVFMetrics
 
+    _DERATED = ("c_bp_par", "c_lp_par", "gm_derate_rel", "power_overhead_rel", "bias_current_rel")
+
     def __init__(
         self, design: GmCFilterDesign, parasitics: Optional[_SvfParasitics] = None
     ) -> None:
@@ -261,33 +263,6 @@ class GmCStateVariableFilter(StampPlanSimulator):
     def _netlist(self, sample: ProcessSample) -> Netlist:
         devs = self._varied_devices(sample)
         return self._macromodel(devs, self._bias_currents(devs))
-
-    def simulate_nominal(self) -> SVFMetrics:
-        """Nominal (variation-free) run; supplies ``P_NOM`` for Sec. 4.1.
-
-        As with the op-amp, ``extraction_derate`` makes the nominal run
-        see only a fraction of the layout parasitics — an under-capturing
-        signoff deck — so the Sec. 4.1 shift cannot fully align the early
-        and late means.
-        """
-        sim = self
-        derate = self.parasitics.extraction_derate
-        if derate != 0.0:
-            import dataclasses
-
-            keep = 1.0 - derate
-            par = dataclasses.replace(
-                self.parasitics,
-                c_bp_par=self.parasitics.c_bp_par * keep,
-                c_lp_par=self.parasitics.c_lp_par * keep,
-                gm_derate_rel=self.parasitics.gm_derate_rel * keep,
-                power_overhead_rel=self.parasitics.power_overhead_rel * keep,
-                bias_current_rel=self.parasitics.bias_current_rel * keep,
-                extraction_derate=0.0,
-            )
-            sim = GmCStateVariableFilter(self.design, par)
-        model = ProcessVariationModel(0.0, 0.0, 0.0, 0.0, 0.0)
-        return sim._simulate_one(model.nominal_sample(sim.devices))
 
     # ------------------------------------------------------------------
     # vectorized engine

@@ -45,11 +45,6 @@ from repro.core.registry import (
     register_estimator,
     register_selector,
 )
-from repro.core.univariate_bmf import (
-    NormalGammaPrior,
-    UnivariateBMF,
-    UnivariateBMFEstimator,
-)
 
 __all__ = [
     "BMFEstimator",
@@ -74,15 +69,12 @@ __all__ = [
     "MomentEstimate",
     "MomentEstimator",
     "MultiPopulationBMF",
-    "NormalGammaPrior",
     "PipelineResult",
     "PopulationData",
     "PriorKnowledge",
     "ShiftScaleTransform",
     "ShrinkageEstimator",
     "TwoDimensionalCV",
-    "UnivariateBMF",
-    "UnivariateBMFEstimator",
     "available_estimators",
     "covariance_error",
     "default_registry",

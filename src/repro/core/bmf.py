@@ -33,8 +33,8 @@ from repro.stats.suffstats import SufficientStats
 
 __all__ = ["map_moments", "map_moments_from_stats", "map_moments_stack", "BMFEstimator"]
 
-#: Eigenvalue floor applied to stacked MAP covariances; identical to the
-#: scalar floor in :meth:`BMFEstimator.estimate`.
+#: Relative eigenvalue floor of a MAP covariance, stacked (serving) or
+#: single (:class:`BMFEstimator`).
 MAP_EIG_FLOOR = 1e-12
 
 
@@ -261,31 +261,25 @@ class BMFEstimator(MomentEstimator):
     def estimate(
         self, samples, rng: Optional[np.random.Generator] = None
     ) -> MomentEstimate:
-        """Run Algorithm 1 on the late-stage samples."""
+        """Run Algorithm 1 on the late-stage samples.
+
+        Pinned ``(kappa0, v0)`` answer from any ``n >= 1``, as a served
+        session does; only the hyper-parameter search needs ``n >= 2``.
+        """
         data = self._check(samples)
+        if self.kappa0 is not None:
+            self.last_cv_result = None
+            return self._map_estimate(
+                SufficientStats.from_samples(data), self.kappa0, self.v0
+            )
         n = data.shape[0]
         if n < 2:
             raise InsufficientDataError(f"BMF needs at least 2 late samples, got {n}")
-
-        if self.kappa0 is not None:
-            kappa0, v0 = self.kappa0, self.v0
-            self.last_cv_result = None
-        else:
-            self.last_cv_result = self._select(data, rng)
-            kappa0 = self.last_cv_result.kappa0
-            v0 = self.last_cv_result.v0
-
-        mu_map, sigma_map = map_moments(self.prior, data, kappa0, v0)
-        # A tiny eigenvalue floor guards against accumulated rounding when
-        # (v0 - d) is minuscule and n is tiny; it never changes results at
-        # the paper's operating points.
-        sigma_map = clip_eigenvalues(sigma_map, 1e-12)
-        return MomentEstimate(
-            mean=mu_map,
-            covariance=sigma_map,
-            n_samples=n,
-            method=self.name,
-            info={"kappa0": float(kappa0), "v0": float(v0)},
+        self.last_cv_result = self._select(data, rng)
+        return self._map_estimate(
+            SufficientStats.from_samples(data),
+            self.last_cv_result.kappa0,
+            self.last_cv_result.v0,
         )
 
     # ------------------------------------------------------------------
@@ -304,16 +298,23 @@ class BMFEstimator(MomentEstimator):
                 "estimate_from_stats requires pinned (kappa0, v0); "
                 "cross-validated selection needs raw samples"
             )
-        mu_map, sigma_map = map_moments_from_stats(
-            self.prior, stats, self.kappa0, self.v0
-        )
-        sigma_map = clip_eigenvalues(sigma_map, 1e-12)
+        return self._map_estimate(stats, self.kappa0, self.v0)
+
+    def _map_estimate(
+        self, stats: SufficientStats, kappa0: float, v0: float
+    ) -> MomentEstimate:
+        """Eq. 31–32 on ``stats``, then the eigenvalue floor."""
+        mu_map, sigma_map = map_moments_from_stats(self.prior, stats, kappa0, v0)
+        # A tiny eigenvalue floor guards against accumulated rounding when
+        # (v0 - d) is minuscule and n is tiny; it never changes results at
+        # the paper's operating points.
+        sigma_map = clip_eigenvalues(sigma_map, MAP_EIG_FLOOR)
         return MomentEstimate(
             mean=mu_map,
             covariance=sigma_map,
             n_samples=stats.n,
             method=self.name,
-            info={"kappa0": float(self.kappa0), "v0": float(self.v0)},
+            info={"kappa0": float(kappa0), "v0": float(v0)},
         )
 
     # ------------------------------------------------------------------

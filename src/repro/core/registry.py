@@ -35,7 +35,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 from repro.core.estimators import MomentEstimator
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import ConfigError, HyperParameterError, UnknownEstimatorError
+from repro.exceptions import (
+    ConfigError,
+    DimensionError,
+    HyperParameterError,
+    UnknownEstimatorError,
+)
 from repro.schemas import canonical_json
 
 __all__ = [
@@ -490,16 +495,32 @@ def _make_robust_bmf(prior: Optional[PriorKnowledge] = None, **params: Any) -> M
     return RobustBMFEstimator(prior, **params)
 
 
-def _make_sequential_bmf(prior: Optional[PriorKnowledge] = None, **params: Any) -> MomentEstimator:
-    from repro.extensions.sequential import SequentialBMFEstimator  # reprolint: disable=RPL003 -- plugin factory
+def _make_sequential_bmf(
+    prior: Optional[PriorKnowledge] = None,
+    kappa0: Optional[float] = None,
+    v0: Optional[float] = None,
+) -> MomentEstimator:
+    # By conjugacy a row-by-row stream ends at the batch MAP, so streaming
+    # BMF is pinned BMF, by default at the weakly-informative corner (1, d + 1).
+    from repro.core.bmf import BMFEstimator
 
-    return SequentialBMFEstimator(prior, **params)
+    return BMFEstimator(
+        prior,
+        kappa0=1.0 if kappa0 is None else kappa0,
+        v0=prior.dim + 1.0 if v0 is None else v0,
+    )
 
 
-def _make_univariate_bmf(prior: Optional[PriorKnowledge] = None, **params: Any) -> MomentEstimator:
-    from repro.core.univariate_bmf import UnivariateBMFEstimator
+def _make_univariate_bmf(
+    prior: Optional[PriorKnowledge] = None, kappa0: float = 1.0, alpha0: float = 2.0
+) -> MomentEstimator:
+    # Reference [7]'s normal-gamma BMF is Eq. 31-32 at d = 1 with v0 = 2 alpha0
+    # (tests/core/normal_gamma_oracle.py reproduces it).
+    from repro.core.bmf import BMFEstimator
 
-    return UnivariateBMFEstimator(prior, **params)
+    if prior.dim != 1:
+        raise DimensionError(f"univariate BMF needs a 1-D prior, got d = {prior.dim}")
+    return BMFEstimator(prior, kappa0=kappa0, v0=2.0 * alpha0)
 
 
 def _make_bmf_bd(prior: Optional[PriorKnowledge] = None, **params: Any) -> MomentEstimator:
@@ -538,13 +559,13 @@ _DEFAULT_REGISTRY.register(
 _DEFAULT_REGISTRY.register(
     "sequential-bmf",
     _make_sequential_bmf,
-    summary="Streaming conjugate BMF; batch-equivalent final state",
+    summary="Pinned BMF at (1, d + 1): a row-by-row stream's final state",
     accepts_hyperparams=True,
 )
 _DEFAULT_REGISTRY.register(
     "univariate-bmf",
     _make_univariate_bmf,
-    summary="Single-metric normal-gamma BMF (Gu et al., the prior art)",
+    summary="Single-metric normal-gamma BMF (Gu et al.): pinned d = 1 BMF, v0 = 2 alpha0",
     data_kind="univariate",
 )
 _DEFAULT_REGISTRY.register(

@@ -1,16 +1,8 @@
-"""Extensions beyond the paper: streaming and robust fusion."""
+"""Extensions beyond the paper: robust fusion."""
 
 from repro.extensions.robust import RobustBMFEstimator, mahalanobis_gate
-from repro.extensions.sequential import (
-    SequentialBMF,
-    SequentialBMFEstimator,
-    SequentialState,
-)
 
 __all__ = [
     "RobustBMFEstimator",
-    "SequentialBMF",
-    "SequentialBMFEstimator",
-    "SequentialState",
     "mahalanobis_gate",
 ]

@@ -267,7 +267,7 @@ class ShardedMomentService:
         self._ingest_lock = threading.Lock()
         # per-key buffered blocks and acknowledged row count
         self._records: Dict[str, _KeyRecord] = {}
-        # coalescing gauges: blocks and rows handed to workers, and how many
+        # coalescing gauges: blocks and rows workers applied, and how many
         # of those blocks a barrier forced out before the row threshold
         self._flushed_blocks = 0
         self._flushed_rows = 0
@@ -375,9 +375,10 @@ class ShardedMomentService:
         of per-row Welford updates, within the 1e-10 serving bound.  A
         block that alone reaches ``flush_rows`` with nothing buffered for
         its key goes to the worker as sent, so at ``flush_rows=1`` a 1-D
-        row keeps the Welford path (and an empty block is refused at
-        once).  A block that is neither a vector nor a matrix, or not as
-        wide as the key's buffered rows, raises
+        row keeps the Welford path.  An empty block is refused at once,
+        whether or not rows are buffered for its key.  A block that is
+        neither a vector nor a matrix, or not as wide as the key's
+        buffered rows, raises
         :class:`~repro.exceptions.DimensionError` here; row values are
         validated when their buffer flushes.  A call is counted by the
         worker that applies it: a buffered call when its block is folded,
@@ -389,8 +390,9 @@ class ShardedMomentService:
         rows = block_rows(arr)
         with self._ingest_lock:
             record = self._records.get(key) or self._record_locked(key)
-            if not record.pending and not 0 < rows < self.flush_rows:
-                # a lone block goes to the worker as sent
+            if rows == 0 or (not record.pending and rows >= self.flush_rows):
+                # a lone block goes to the worker as sent, and so does an
+                # empty one (to its refusal), even with rows buffered
                 record.acked += rows
                 self._fold_locked(key, record, arr, rows, 1, barrier=False)
                 return record.acked
@@ -463,16 +465,16 @@ class ShardedMomentService:
         self, key: str, record: _KeyRecord, block: np.ndarray, rows: int, calls: int, barrier: bool
     ) -> None:
         """Hand ``block`` (sent by ``calls`` ingest calls) to ``key``'s
-        worker (lock held); a refused block is dropped, and its rows leave
-        the acknowledged count again."""
-        self._flushed_blocks += 1
-        self._flushed_rows += rows
-        self._barrier_blocks += int(barrier)
+        worker (lock held); a refused block is dropped, its rows leave the
+        acknowledged count again, and the coalescing gauges skip it."""
         try:
             self._home(key).ingest(key, block, calls=calls)
         except (ReproError, ValueError):
             record.acked -= rows
             raise
+        self._flushed_blocks += 1
+        self._flushed_rows += rows
+        self._barrier_blocks += int(barrier)
 
     def flush(self) -> None:
         """Flush every ingest buffer (deterministic key order).
@@ -559,8 +561,9 @@ class ShardedMomentService:
         is a global barrier: it flushes every buffer before the shards are
         read.  ``coalescing`` reports what was still buffered when the
         call arrived (``pending_keys``/``pending_rows``), the blocks and
-        rows handed to workers so far, and how many of those blocks a
-        barrier forced out before ``flush_rows`` accumulated.
+        rows workers applied so far (a refused block counts nowhere), and
+        how many of those blocks a barrier forced out before
+        ``flush_rows`` accumulated.
         """
         with self._ingest_lock:
             pending = [record.pending for record in self._records.values() if record.pending]

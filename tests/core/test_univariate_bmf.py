@@ -1,12 +1,21 @@
-"""Tests for the univariate BMF of reference [7] and its d=1 consistency."""
+"""Reference [7]'s univariate BMF (the test oracle) and its d = 1 consistency."""
 
 import numpy as np
 import pytest
 
 from repro.core.bmf import map_moments
 from repro.core.prior import PriorKnowledge
-from repro.core.univariate_bmf import NormalGammaPrior, UnivariateBMF
-from repro.exceptions import HyperParameterError, InsufficientDataError
+from repro.core.registry import EstimatorSpec, make_estimator
+from repro.exceptions import DimensionError, HyperParameterError, InsufficientDataError
+
+from .normal_gamma_oracle import NormalGammaPrior
+
+
+def _univariate_bmf(mean_e, var_e, kappa0, alpha0):
+    """The ``univariate-bmf`` registry estimator on early moments ``(mean_e, var_e)``."""
+    prior = PriorKnowledge(np.array([mean_e]), np.array([[var_e]]))
+    spec = EstimatorSpec("univariate-bmf", {"kappa0": kappa0, "alpha0": alpha0})
+    return make_estimator(spec, prior=prior)
 
 
 class TestNormalGammaPrior:
@@ -47,19 +56,36 @@ class TestNormalGammaPrior:
 
 
 class TestUnivariateBMF:
+    """The ``univariate-bmf`` registry name: pinned d = 1 BMF, ``v0 = 2 alpha0``."""
+
     def test_large_kappa_trusts_prior_mean(self, rng):
-        bmf = UnivariateBMF(mean_e=3.0, var_e=1.0, kappa0=1e8, alpha0=2.0)
-        mean, _var = bmf.estimate(rng.standard_normal(10))
+        est = _univariate_bmf(3.0, 1.0, kappa0=1e8, alpha0=2.0)
+        mean = est.estimate(rng.standard_normal(10)).mean[0]
         assert mean == pytest.approx(3.0, abs=1e-4)
 
     def test_small_kappa_trusts_data(self, rng):
         data = rng.standard_normal(50) + 1.0
-        bmf = UnivariateBMF(mean_e=10.0, var_e=1.0, kappa0=1e-8, alpha0=0.6)
-        assert bmf.estimate_mean(data) == pytest.approx(float(data.mean()), abs=1e-4)
+        est = _univariate_bmf(10.0, 1.0, kappa0=1e-8, alpha0=0.6)
+        assert est.estimate(data).mean[0] == pytest.approx(float(data.mean()), abs=1e-4)
 
     def test_variance_positive(self, rng):
-        bmf = UnivariateBMF(mean_e=0.0, var_e=2.0, kappa0=1.0, alpha0=2.0)
-        assert bmf.estimate_variance(rng.standard_normal(8)) > 0.0
+        est = _univariate_bmf(0.0, 2.0, kappa0=1.0, alpha0=2.0)
+        assert est.estimate(rng.standard_normal(8)).covariance[0, 0] > 0.0
+
+    def test_reports_bmf_hyperparams(self, rng):
+        estimate = _univariate_bmf(0.0, 2.0, kappa0=1.5, alpha0=3.0).estimate(
+            rng.standard_normal(8)
+        )
+        assert estimate.method == "bmf"
+        assert estimate.info == {"kappa0": 1.5, "v0": 6.0}
+
+    def test_rejects_multivariate_prior(self, synthetic_prior):
+        with pytest.raises(DimensionError):
+            make_estimator("univariate-bmf", prior=synthetic_prior)
+
+    def test_rejects_alpha0_at_half(self):
+        with pytest.raises(HyperParameterError):
+            _univariate_bmf(0.0, 1.0, kappa0=1.0, alpha0=0.5)
 
     def test_consistency_with_multivariate_d1(self, rng):
         """The d=1 multivariate BMF must be a normal-gamma in disguise.
@@ -77,14 +103,15 @@ class TestUnivariateBMF:
 
         prior_uv = NormalGammaPrior.from_early_stage(0.2, 1.7, kappa0, alpha0=4.0)
         post = prior_uv.posterior(data)
-        assert mu_mv[0] == pytest.approx(post.mu0)
+        assert abs(mu_mv[0] - post.mu0) <= 1e-12 * max(abs(post.mu0), 1.0)
 
     def test_d1_mean_and_variance_match_over_random_cases(self, rng):
-        """``UnivariateBMF(mean_e, var_e, kappa0, alpha0=v0/2)`` is Eq. 31-32
-        at d=1 in variance as well as mean: with beta0 = (alpha0 - 1/2)
-        var_e, the normal-gamma mode beta_n / (alpha_n - 1/2) is
+        """The oracle with ``alpha0 = v0/2`` is Eq. 31-32 at d=1 in variance
+        as well as mean: with beta0 = (alpha0 - 1/2) var_e, the normal-gamma
+        mode beta_n / (alpha_n - 1/2) is
         [(v0 - 1) var_e + S + kappa0 n / (kappa0 + n) (xbar - mu_E)^2]
-        / (v0 + n - 1), the d=1 case of Eq. 32."""
+        / (v0 + n - 1), the d=1 case of Eq. 32.  Checked on both Eq. 31-32
+        and the ``univariate-bmf`` registry estimator."""
         worst = 0.0
         for _ in range(200):
             mean_e = 3.0 * rng.standard_normal()
@@ -95,7 +122,14 @@ class TestUnivariateBMF:
             data = mean_e + rng.uniform(0.2, 3.0) * rng.standard_normal(n)
             prior = PriorKnowledge(np.array([mean_e]), np.array([[var_e]]))
             mu_mv, sigma_mv = map_moments(prior, data[:, None], kappa0, v0)
-            mean_uv, var_uv = UnivariateBMF(mean_e, var_e, kappa0, alpha0=v0 / 2.0).estimate(data)
-            for a, b in ((mu_mv[0], mean_uv), (sigma_mv[0, 0], var_uv)):
+            oracle = NormalGammaPrior.from_early_stage(mean_e, var_e, kappa0, v0 / 2.0)
+            mean_uv, var_uv = oracle.map_mean_variance(data)
+            registry = _univariate_bmf(mean_e, var_e, kappa0, v0 / 2.0).estimate(data)
+            for a, b in (
+                (mu_mv[0], mean_uv),
+                (sigma_mv[0, 0], var_uv),
+                (registry.mean[0], mean_uv),
+                (registry.covariance[0, 0], var_uv),
+            ):
                 worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
         assert worst <= 1e-12

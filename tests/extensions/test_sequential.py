@@ -1,123 +1,143 @@
-"""Tests for sequential (streaming) BMF."""
+"""Streaming BMF: rows pushed one by one into a ``SufficientStats``.
+
+By conjugacy the normal-Wishart posterior touches the data only through
+``(n, Xbar, S)``, so a stream folded row by row with
+:meth:`SufficientStats.push` and read through
+:func:`~repro.core.bmf.map_moments_from_stats` ends exactly where the
+one-shot :class:`~repro.core.bmf.BMFEstimator` does.  The
+``sequential-bmf`` registry name is that pinned estimator.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.bmf import map_moments
+from repro.core.bmf import BMFEstimator, map_moments, map_moments_from_stats
+from repro.core.registry import EstimatorSpec, make_estimator
 from repro.exceptions import DimensionError, HyperParameterError
-from repro.extensions.sequential import SequentialBMF
+from repro.stats.suffstats import SufficientStats
+
+KAPPA0, V0 = 3.0, 15.0
 
 
-@pytest.fixture
-def seq(synthetic_prior):
-    return SequentialBMF(synthetic_prior, kappa0=3.0, v0=15.0)
+def _stream(prior, rows, kappa0=KAPPA0, v0=V0):
+    """Push ``rows`` one at a time; the accumulator and the running MAP after each."""
+    stats = SufficientStats.empty(prior.dim)
+    states = []
+    for row in rows:
+        stats.push(row)
+        states.append(map_moments_from_stats(prior, stats, kappa0, v0))
+    return stats, states
 
 
 class TestConstruction:
     def test_rejects_bad_hyperparams(self, synthetic_prior):
+        stats = SufficientStats.empty(synthetic_prior.dim)
         with pytest.raises(HyperParameterError):
-            SequentialBMF(synthetic_prior, kappa0=0.0, v0=15.0)
+            map_moments_from_stats(synthetic_prior, stats, 0.0, 15.0)
         with pytest.raises(HyperParameterError):
-            SequentialBMF(synthetic_prior, kappa0=1.0, v0=5.0)
+            map_moments_from_stats(synthetic_prior, stats, 1.0, 5.0)
+        with pytest.raises(HyperParameterError):
+            make_estimator(
+                EstimatorSpec("sequential-bmf", {"kappa0": 0.0, "v0": 15.0}),
+                prior=synthetic_prior,
+            )
 
-    def test_initial_estimate_is_prior_mode(self, seq, synthetic_prior):
-        state = seq.current_estimate()
-        assert state.n_observed == 0
-        assert np.allclose(state.mean, synthetic_prior.mean)
-        assert np.allclose(state.covariance, synthetic_prior.covariance, rtol=1e-8)
+    def test_initial_estimate_is_prior_mode(self, synthetic_prior):
+        stats = SufficientStats.empty(synthetic_prior.dim)
+        mean, cov = map_moments_from_stats(synthetic_prior, stats, KAPPA0, V0)
+        assert stats.n == 0
+        assert np.allclose(mean, synthetic_prior.mean)
+        assert np.allclose(cov, synthetic_prior.covariance, rtol=1e-8)
 
 
 class TestStreamingEqualsBatch:
     """The conjugacy guarantee: streaming == batch, exactly."""
 
-    def test_matches_map_moments(self, seq, synthetic_prior, gaussian5, rng):
+    def test_matches_map_moments(self, synthetic_prior, gaussian5, rng):
         data = gaussian5.sample(13, rng)
-        state = seq.observe_batch(data)
-        mu, sigma = map_moments(synthetic_prior, data, 3.0, 15.0)
-        assert np.allclose(state.mean, mu)
-        assert np.allclose(state.covariance, sigma, rtol=1e-7)
-        assert state.n_observed == 13
+        stats, states = _stream(synthetic_prior, data)
+        mu, sigma = map_moments(synthetic_prior, data, KAPPA0, V0)
+        np.testing.assert_allclose(states[-1][0], mu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(states[-1][1], sigma, rtol=0, atol=1e-12)
+        assert stats.n == 13
 
-    def test_observe_one_by_one(self, seq, synthetic_prior, gaussian5, rng):
+    def test_observe_one_by_one(self, synthetic_prior, gaussian5, rng):
         data = gaussian5.sample(5, rng)
+        stats = SufficientStats.empty(synthetic_prior.dim)
         for row in data:
-            seq.observe(row)
-        mu, _sigma = map_moments(synthetic_prior, data, 3.0, 15.0)
-        assert np.allclose(seq.current_estimate().mean, mu)
+            stats.push(row)
+        mu, _sigma = map_moments(synthetic_prior, data, KAPPA0, V0)
+        mean, _cov = map_moments_from_stats(synthetic_prior, stats, KAPPA0, V0)
+        np.testing.assert_allclose(mean, mu, rtol=0, atol=1e-12)
 
-    def test_history_grows(self, seq, gaussian5, rng):
-        seq.observe_batch(gaussian5.sample(4, rng))
-        assert len(seq.history) == 4
-        assert [s.n_observed for s in seq.history] == [1, 2, 3, 4]
-
-    def test_reset(self, seq, gaussian5, rng):
-        seq.observe_batch(gaussian5.sample(4, rng))
-        seq.reset()
-        assert seq.n_observed == 0
-        assert seq.history == []
+    def test_history_grows(self, synthetic_prior, gaussian5, rng):
+        """The running estimate read after each pushed row counts that row."""
+        stats = SufficientStats.empty(synthetic_prior.dim)
+        pinned = BMFEstimator(synthetic_prior, kappa0=KAPPA0, v0=V0)
+        counts = []
+        for row in gaussian5.sample(4, rng):
+            counts.append(pinned.estimate_from_stats(stats.push(row)).n_samples)
+        assert counts == [1, 2, 3, 4]
 
 
 class TestStepsAndConvergence:
-    def test_first_step_is_infinite(self, seq, gaussian5, rng):
-        state = seq.observe(gaussian5.sample(1, rng)[0])
-        assert state.mean_step == float("inf")
-
-    def test_steps_shrink(self, seq, gaussian5, rng):
-        states = [seq.observe(row) for row in gaussian5.sample(60, rng)]
-        early_steps = np.mean([s.mean_step for s in states[1:6]])
-        late_steps = np.mean([s.mean_step for s in states[-5:]])
-        assert late_steps < early_steps
-
-    def test_converged_flag(self, seq, gaussian5, rng):
-        assert not seq.converged()
-        for row in gaussian5.sample(200, rng):
-            seq.observe(row)
-        assert seq.converged(mean_tol=0.5, cov_tol=2.0, patience=3)
-
-    def test_converged_requires_patience_history(self, seq, gaussian5, rng):
-        seq.observe(gaussian5.sample(1, rng)[0])
-        assert not seq.converged(patience=3)
-
-    def test_converged_rejects_bad_patience(self, seq):
-        with pytest.raises(ValueError):
-            seq.converged(patience=0)
+    def test_steps_shrink(self, synthetic_prior, gaussian5, rng):
+        _stats, states = _stream(synthetic_prior, gaussian5.sample(60, rng))
+        steps = [
+            np.linalg.norm(b[0] - a[0]) for a, b in zip(states, states[1:])
+        ]
+        assert np.mean(steps[-5:]) < np.mean(steps[:5])
 
 
 class TestValidation:
-    def test_rejects_wrong_length(self, seq):
+    def test_rejects_wrong_length(self, synthetic_prior):
+        stats = SufficientStats.empty(synthetic_prior.dim)
         with pytest.raises(DimensionError):
-            seq.observe(np.zeros(3))
+            stats.push(np.zeros(3))
+        assert stats.n == 0
 
-    def test_rejects_empty_batch(self, seq):
+    def test_rejects_empty_batch(self, synthetic_prior):
+        stats = SufficientStats.empty(synthetic_prior.dim)
         with pytest.raises(DimensionError):
-            seq.observe_batch(np.empty((0, 5)))
+            stats.push_batch(np.empty((0, 5)))
+        assert stats.n == 0
 
 
 class TestOneShotEquivalence:
-    """Satellite acceptance: a sample-at-a-time stream reproduces the
-    one-shot BMFEstimator to 1e-10, via the shared suffstats substrate."""
+    """A sample-at-a-time stream reproduces the one-shot BMFEstimator to
+    1e-12, via the shared suffstats substrate."""
 
     def test_streamed_matches_one_shot_estimator(
-        self, seq, synthetic_prior, gaussian5, rng
+        self, synthetic_prior, gaussian5, rng
     ):
-        from repro.core.bmf import BMFEstimator
-
         data = gaussian5.sample(48, rng)
-        for row in data:
-            seq.observe(row)
-        reference = BMFEstimator(synthetic_prior, kappa0=3.0, v0=15.0).estimate(data)
-        state = seq.current_estimate()
-        np.testing.assert_allclose(state.mean, reference.mean, atol=1e-10)
+        stats, _states = _stream(synthetic_prior, data)
+        pinned = BMFEstimator(synthetic_prior, kappa0=KAPPA0, v0=V0)
+        reference = pinned.estimate(data)
+        streamed = pinned.estimate_from_stats(stats)
+        np.testing.assert_allclose(streamed.mean, reference.mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            state.covariance, reference.covariance, atol=1e-10
+            streamed.covariance, reference.covariance, rtol=0, atol=1e-12
         )
+        assert streamed.n_samples == reference.n_samples == 48
 
-    def test_exposes_suffstats_accumulator(self, seq, gaussian5, rng):
-        from repro.stats.suffstats import SufficientStats
-
+    def test_exposes_suffstats_accumulator(self, gaussian5, rng):
         data = gaussian5.sample(7, rng)
-        seq.observe_batch(data)
-        assert isinstance(seq.stats, SufficientStats)
-        assert seq.stats.n == 7
+        stats = SufficientStats.empty(5)
+        for row in data:
+            stats.push(row)
         reference = SufficientStats.from_samples(data)
-        np.testing.assert_allclose(seq.stats.mean, reference.mean, atol=1e-12)
+        assert stats.n == 7
+        np.testing.assert_allclose(stats.mean, reference.mean, atol=1e-12)
+        np.testing.assert_allclose(stats.scatter, reference.scatter, atol=1e-12)
+
+    def test_registry_name_is_pinned_bmf(self, synthetic_prior, gaussian5, rng):
+        """``sequential-bmf`` is pinned BMF at ``(1, d + 1)`` unless told otherwise."""
+        data = gaussian5.sample(9, rng)
+        estimate = make_estimator("sequential-bmf", prior=synthetic_prior).estimate(data)
+        d = synthetic_prior.dim
+        reference = BMFEstimator(synthetic_prior, kappa0=1.0, v0=d + 1.0).estimate(data)
+        assert estimate.method == "bmf"
+        assert estimate.info == {"kappa0": 1.0, "v0": d + 1.0}
+        np.testing.assert_array_equal(estimate.mean, reference.mean)
+        np.testing.assert_array_equal(estimate.covariance, reference.covariance)

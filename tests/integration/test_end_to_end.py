@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.bmf import map_moments_from_stats
 from repro.core.errors import covariance_error, mean_error
 from repro.core.pipeline import BMFPipeline
-from repro.extensions.sequential import SequentialBMF
 from repro.stats.gof import mardia_kurtosis
+from repro.stats.suffstats import SufficientStats
 from repro.yieldest.parametric import YieldEstimator
 from repro.yieldest.specs import Specification, SpecificationSet
 
@@ -86,10 +87,12 @@ class TestSequentialOnCircuitData:
         ds = opamp_dataset_small
         pipeline = BMFPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
         late_iso = pipeline.transform.transform(ds.late, "late")
-        seq = SequentialBMF(pipeline.prior, kappa0=5.0, v0=50.0)
-        state = seq.observe_batch(late_iso[:40])
+        stats = SufficientStats.empty(pipeline.prior.dim)
+        for row in late_iso[:40]:
+            stats.push(row)
+        mean, _cov = map_moments_from_stats(pipeline.prior, stats, 5.0, 50.0)
         exact_mean = late_iso.mean(axis=0)
-        assert mean_error(state.mean, exact_mean) < 0.6
+        assert mean_error(mean, exact_mean) < 0.6
 
 
 class TestModelAssumptionDiagnostics:

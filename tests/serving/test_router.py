@@ -739,6 +739,47 @@ class TestRefusedIngestCounts:
         assert self._counts(ShardedMomentService(n_shards=n_shards, flush_rows=1)) == worker
 
 
+class TestEmptyBlockRefused:
+    """An empty block is refused at acceptance, rows buffered for its key
+    or not: no ack and no count, as on a bare worker, and nothing of it
+    reaches the log."""
+
+    @staticmethod
+    def _drive(svc):
+        svc.create_session("k", PriorKnowledge(np.zeros(2), np.eye(2)), kappa0=KAPPA0, v0=3.0)
+        assert svc.ingest("k", np.array([[1.0, 1.0]])) == 1
+        with pytest.raises(DimensionError):
+            svc.ingest("k", np.empty((0, 2)))
+        assert svc.row_count("k") == 1
+        assert svc.ingest("k", np.array([2.0, 3.0])) == 2
+        return svc.stats()
+
+    @staticmethod
+    def _recovered(service):
+        with service:
+            estimate = service.query_many([("estimate", "k", None)])[0]
+            counters = service.stats()
+        return estimate, (counters["ingest_calls"], counters["ingested_samples"])
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_router_refuses_like_worker(self, n_shards, tmp_path):
+        with ShardWorker(wal=WriteAheadLog.create(tmp_path / "w.wal", shard_id=0)) as worker:
+            stats = self._drive(worker)
+            assert (stats["ingest_calls"], stats["ingested_samples"]) == (2, 2)
+        router = ShardedMomentService(n_shards=n_shards, flush_rows=8, wal_dir=tmp_path / "wal")
+        with router:
+            stats = self._drive(router)
+            assert (stats["ingest_calls"], stats["ingested_samples"]) == (2, 2)
+            # the refused block is no block a worker applied
+            assert (stats["coalescing"]["blocks"], stats["coalescing"]["rows"]) == (1, 2)
+        want, want_counts = self._recovered(ShardWorker._recover(tmp_path / "w.wal"))
+        got, got_counts = self._recovered(ShardedMomentService.recover(tmp_path / "wal"))
+        assert got_counts == want_counts == (2, 2)
+        assert got.n_samples == want.n_samples == 2
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.covariance, want.covariance, rtol=0, atol=1e-10)
+
+
 class TestRowCountAfterEviction:
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_evicted_session_counts_zero(self, n_shards, prior, rng):
