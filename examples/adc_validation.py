@@ -16,7 +16,7 @@ Run with:  python examples/adc_validation.py
 
 import numpy as np
 
-from repro import BMFPipeline
+from repro import FusionPipeline
 from repro.circuits import ADC_METRIC_NAMES, generate_adc_dataset
 from repro.core.bmf import map_moments_from_stats
 from repro.core.errors import covariance_error, mean_error
@@ -35,14 +35,14 @@ def main() -> None:
     # Bench instrumentation noise: 10% of each metric's own sigma.
     noisy = dataset.with_measurement_noise(0.10, rng)
 
-    pipeline = BMFPipeline.fit(noisy.early, noisy.early_nominal, noisy.late_nominal)
+    pipeline = FusionPipeline.fit(noisy.early, noisy.early_nominal, noisy.late_nominal)
 
     # ------------------------------------------------------------------
     # Batch fusion with 10 measured dies.
     # ------------------------------------------------------------------
     batch = noisy.late_subset(10, rng)
     bmf = pipeline.estimate(batch, rng=rng)
-    mle = pipeline.estimate_mle(batch)
+    mle = pipeline.estimate_with("mle", batch)
 
     late_iso = pipeline.transform.transform(noisy.late, "late")
     exact_mean = late_iso.mean(axis=0)

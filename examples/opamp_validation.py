@@ -15,7 +15,7 @@ import argparse
 
 import numpy as np
 
-from repro import BMFPipeline
+from repro import FusionPipeline
 from repro.circuits import OPAMP_METRIC_NAMES, generate_opamp_dataset
 from repro.core.errors import covariance_error, mean_error
 
@@ -34,13 +34,13 @@ def main() -> None:
     print(f"simulating {args.bank} paired op-amp dies (schematic + post-layout)...")
     dataset = generate_opamp_dataset(n_samples=args.bank, seed=7)
 
-    pipeline = BMFPipeline.fit(
+    pipeline = FusionPipeline.fit(
         dataset.early, dataset.early_nominal, dataset.late_nominal
     )
 
     subset = dataset.late_subset(args.samples, rng)
     bmf = pipeline.estimate(subset, rng=rng)
-    mle = pipeline.estimate_mle(subset)
+    mle = pipeline.estimate_with("mle", subset)
 
     print(
         f"\nfused {args.samples} post-layout samples; CV selected "

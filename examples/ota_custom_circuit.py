@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.circuits.ota import OTA_METRIC_NAMES, generate_ota_dataset
 from repro.core.confidence import posterior_credible_summary
-from repro.core.pipeline import BMFPipeline
+from repro.core.pipeline import FusionPipeline
 from repro.experiments.budget import BudgetPlanner
 from repro.experiments.similarity import stage_similarity
 from repro.experiments.sweep import ErrorSweep, SweepConfig
@@ -42,7 +42,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. Fuse 12 post-layout samples; report posterior uncertainty.
     # ------------------------------------------------------------------
-    pipeline = BMFPipeline.fit(
+    pipeline = FusionPipeline.fit(
         dataset.early, dataset.early_nominal, dataset.late_nominal
     )
     subset = dataset.late_subset(12, rng)

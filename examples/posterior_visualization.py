@@ -13,7 +13,7 @@ Run with:  python examples/posterior_visualization.py
 
 import numpy as np
 
-from repro import BMFPipeline
+from repro import FusionPipeline
 from repro.circuits import generate_opamp_dataset
 from repro.core.crossval import TwoDimensionalCV
 
@@ -42,7 +42,7 @@ def main() -> None:
     rng = np.random.default_rng(23)
     print("simulating 1200 paired op-amp dies...")
     dataset = generate_opamp_dataset(n_samples=1200, seed=17)
-    pipeline = BMFPipeline.fit(
+    pipeline = FusionPipeline.fit(
         dataset.early, dataset.early_nominal, dataset.late_nominal
     )
     late_iso = pipeline.transform.transform(dataset.late, "late")

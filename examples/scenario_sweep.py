@@ -64,7 +64,7 @@ def main() -> None:
         rng = np.random.default_rng(7)
         subset = dataset.late_subset(N_LATE, rng)
         bmf = pipeline.estimate(subset, rng=rng)
-        mle = pipeline.estimate_mle(subset)
+        mle = pipeline.estimate_with("mle", subset)
 
         # Ground truth: the full late-stage bank, in the same isotropic
         # space the estimators work in (Eq. 37/38 error metrics).

@@ -18,7 +18,7 @@ Run with:  python examples/yield_estimation.py
 
 import numpy as np
 
-from repro import BMFPipeline
+from repro import FusionPipeline
 from repro.circuits import generate_opamp_dataset
 from repro.core.bmf_bd import BernoulliBMF
 from repro.yieldest import Specification, SpecificationSet, YieldEstimator
@@ -53,12 +53,12 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Fuse 16 late samples and integrate the spec box.
     # ------------------------------------------------------------------
-    pipeline = BMFPipeline.fit(
+    pipeline = FusionPipeline.fit(
         dataset.early, dataset.early_nominal, dataset.late_nominal
     )
     subset = dataset.late_subset(16, rng)
     bmf = pipeline.estimate(subset, rng=rng)
-    mle = pipeline.estimate_mle(subset)
+    mle = pipeline.estimate_with("mle", subset)
 
     estimator = YieldEstimator(specs)
     report_bmf = estimator.from_moments(bmf.mean, bmf.covariance, "bmf")

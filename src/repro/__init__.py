@@ -38,7 +38,6 @@ Sub-packages
 from repro._version import __version__
 from repro.core import (
     BMFEstimator,
-    BMFPipeline,
     EstimatorSpec,
     FusionConfig,
     FusionPipeline,
@@ -53,7 +52,6 @@ from repro.core import (
     TwoDimensionalCV,
     available_estimators,
     covariance_error,
-    default_registry,
     make_estimator,
     map_moments,
     mean_error,
@@ -64,7 +62,6 @@ from repro.stats import MultivariateGaussian, NormalWishart
 
 __all__ = [
     "BMFEstimator",
-    "BMFPipeline",
     "EstimatorSpec",
     "FusionConfig",
     "FusionPipeline",
@@ -83,7 +80,6 @@ __all__ = [
     "__version__",
     "available_estimators",
     "covariance_error",
-    "default_registry",
     "make_estimator",
     "map_moments",
     "mean_error",

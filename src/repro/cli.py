@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuse.add_argument(
         "--selector",
         default=None,
-        choices=["cv", "evidence", "fixed", "none"],
+        choices=["cv", "evidence", "fixed"],
         help="hyper-parameter selection policy (default: cv)",
     )
     fuse.add_argument(
@@ -492,10 +492,14 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_list_estimators(args) -> int:
-    from repro.core.registry import available_selectors, default_registry
+    from repro.core.registry import (
+        available_estimators,
+        available_selectors,
+        estimator_entry,
+    )
 
     print(f"{'name':<20} {'prior':<6} {'hyper':<6} {'data':<13} summary")
-    for entry in default_registry().entries():
+    for entry in map(estimator_entry, available_estimators()):
         print(
             f"{entry.name:<20} "
             f"{'yes' if entry.requires_prior else 'no':<6} "
@@ -506,7 +510,7 @@ def _cmd_list_estimators(args) -> int:
     print(
         "\nselectors: "
         + ", ".join(available_selectors())
-        + " (plus 'fixed' and 'none')"
+        + " (plus 'fixed')"
     )
     return 0
 

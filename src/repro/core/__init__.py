@@ -27,7 +27,6 @@ from repro.core.hypergrid import HyperParameterGrid
 from repro.core.mle import MLEstimator
 from repro.core.multipop import MultiPopulationBMF, PopulationData
 from repro.core.pipeline import (
-    BMFPipeline,
     FusionPipeline,
     FusionProvenance,
     PipelineResult,
@@ -35,12 +34,11 @@ from repro.core.pipeline import (
 from repro.core.preprocessing import ShiftScaleTransform
 from repro.core.prior import PriorKnowledge
 from repro.core.registry import (
-    EstimatorRegistry,
     EstimatorSpec,
     FusionConfig,
     GridSpec,
     available_estimators,
-    default_registry,
+    estimator_entry,
     make_estimator,
     register_estimator,
     register_selector,
@@ -48,7 +46,6 @@ from repro.core.registry import (
 
 __all__ = [
     "BMFEstimator",
-    "BMFPipeline",
     "BernoulliBMF",
     "BernoulliMomentEstimator",
     "BetaPrior",
@@ -56,7 +53,6 @@ __all__ = [
     "CrossValidationResult",
     "EstimateInfo",
     "EstimationError",
-    "EstimatorRegistry",
     "EstimatorSpec",
     "EvidenceResult",
     "EvidenceSelector",
@@ -77,8 +73,8 @@ __all__ = [
     "TwoDimensionalCV",
     "available_estimators",
     "covariance_error",
-    "default_registry",
     "estimation_error",
+    "estimator_entry",
     "log_evidence",
     "log_evidence_grid",
     "make_estimator",

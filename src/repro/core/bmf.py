@@ -28,13 +28,13 @@ from repro.core.prior import PriorKnowledge
 from repro.core.registry import available_selectors, make_selector
 from repro.exceptions import DimensionError, HyperParameterError, InsufficientDataError
 from repro.linalg.batched import clip_eigenvalues_batched, symmetrize_batched
-from repro.linalg.validation import as_samples, clip_eigenvalues
+from repro.linalg.validation import as_samples
 from repro.stats.suffstats import SufficientStats
 
 __all__ = ["map_moments", "map_moments_from_stats", "map_moments_stack", "BMFEstimator"]
 
-#: Relative eigenvalue floor of a MAP covariance, stacked (serving) or
-#: single (:class:`BMFEstimator`).
+#: Relative eigenvalue floor of a MAP covariance, applied by
+#: :func:`map_moments_stack` for the serving scorer and :class:`BMFEstimator`.
 MAP_EIG_FLOOR = 1e-12
 
 
@@ -303,15 +303,25 @@ class BMFEstimator(MomentEstimator):
     def _map_estimate(
         self, stats: SufficientStats, kappa0: float, v0: float
     ) -> MomentEstimate:
-        """Eq. 31–32 on ``stats``, then the eigenvalue floor."""
-        mu_map, sigma_map = map_moments_from_stats(self.prior, stats, kappa0, v0)
-        # A tiny eigenvalue floor guards against accumulated rounding when
-        # (v0 - d) is minuscule and n is tiny; it never changes results at
-        # the paper's operating points.
-        sigma_map = clip_eigenvalues(sigma_map, MAP_EIG_FLOOR)
+        """Eq. 31–32 on ``stats`` with the served scorer's eigenvalue floor.
+
+        The ``B = 1`` call of :func:`map_moments_stack` at its default
+        ``MAP_EIG_FLOOR``, which guards against accumulated rounding when
+        (v0 - d) is minuscule and n is tiny.
+        """
+        _check_hyperparams(kappa0, v0, self.prior.dim)
+        mu_map, sigma_map = map_moments_stack(
+            self.prior.mean[None],
+            self.prior.covariance[None],
+            np.array([kappa0], dtype=float),
+            np.array([v0], dtype=float),
+            np.array([stats.n], dtype=float),
+            stats.mean[None],
+            stats.scatter[None],
+        )
         return MomentEstimate(
-            mean=mu_map,
-            covariance=sigma_map,
+            mean=mu_map[0],
+            covariance=sigma_map[0],
             n_samples=stats.n,
             method=self.name,
             info={"kappa0": float(kappa0), "v0": float(v0)},

@@ -1,11 +1,18 @@
 """End-to-end fusion pipeline: Algorithm 1 as one straight-line flow.
 
-The one-call public API a circuit team would use:
+The one way to configure and run Algorithm 1 is a
+:class:`~repro.core.registry.FusionConfig` handed to
+:class:`FusionPipeline`:
 
 >>> pipeline = FusionPipeline.fit(
 ...     early_samples, early_nominal, late_nominal)   # doctest: +SKIP
 >>> result = pipeline.estimate(late_samples)          # doctest: +SKIP
 >>> result.mean, result.covariance                    # physical units
+>>> pinned = FusionPipeline.fit(
+...     early_samples, early_nominal, late_nominal,
+...     config=FusionConfig(selector="fixed", kappa0=5.0, v0=50.0),
+... )                                                  # doctest: +SKIP
+>>> pipeline.estimate_with("mle", late_samples)       # doctest: +SKIP
 
 :meth:`FusionPipeline.fit` is the one place the Sec. 4.1 shift/scale
 transform and the early-stage prior are fitted.  :meth:`FusionPipeline.estimate`
@@ -14,23 +21,20 @@ then runs the paper's fixed four steps in order:
 1. map the late samples into the isotropic space of the fitted transform
    (identity when disabled);
 2. resolve ``(kappa0, v0)`` for hyper-parameter-aware estimators: pinned
-   spec params, ``"none"``, ``"fixed"``, or any search selector registered
-   via :func:`repro.core.registry.register_selector` (the paper's
-   two-dimensional CV and the fold-free evidence search are two of them);
-3. build the configured estimator through the registry (*any* registered
-   name, not just BMF) and run it — Eq. 31–32 for BMF;
+   spec params, then ``"fixed"``, then a search selector registered via
+   :func:`repro.core.registry.register_selector` (the paper's
+   two-dimensional CV and the fold-free evidence search are two of them)
+   run over the config's grid with the config's fold count;
+3. build the configured estimator from the estimator table (*any*
+   registered name, not just BMF) and run it — Eq. 31–32 for BMF;
 4. map the fused moments back to physical units.
 
-Which estimator runs, how hyper-parameters are selected, the grid, the
-seed — all of it is declarative data in a
-:class:`~repro.core.registry.FusionConfig`, and the returned
-:class:`PipelineResult` carries a typed :class:`FusionProvenance` (estimator
-name, selected hyper-parameters, seed, config hash) instead of a loose
-``Dict[str, float]``, so a saved result is traceable to the exact
+:meth:`FusionPipeline.estimate_with` runs a different estimator through
+the same fitted flow (``estimate_with("mle", ...)`` is the paper's
+baseline).  The returned :class:`PipelineResult` carries a typed
+:class:`FusionProvenance` (estimator name, selected hyper-parameters,
+seed, config hash), so a saved result is traceable to the exact
 configuration that produced it.
-
-:class:`BMFPipeline` keeps the original BMF-only constructor/`fit`
-signature as a thin shim over the config-driven machinery.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ from typing import Any, Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.estimators import EstimateInfo, MomentEstimate
-from repro.core.hypergrid import HyperParameterGrid
 from repro.core.preprocessing import ShiftScaleTransform
 from repro.core.prior import PriorKnowledge
 from repro.core.registry import (
-    EstimatorRegistry,
     EstimatorSpec,
     FusionConfig,
-    default_registry,
+    GridSpec,
+    estimator_entry,
+    make_estimator,
     make_selector,
 )
 from repro.exceptions import ConfigError, DimensionError
@@ -58,7 +62,6 @@ __all__ = [
     "FusionProvenance",
     "PipelineResult",
     "FusionPipeline",
-    "BMFPipeline",
 ]
 
 
@@ -75,8 +78,9 @@ class FusionProvenance:
         Registry name of the estimator that ran (e.g. ``"bmf"``).
     selector:
         How hyper-parameters were resolved (``"cv"``, ``"evidence"``,
-        ``"fixed"``, ``"none"``); ``None`` for estimators that take no
-        hyper-parameters.
+        ``"fixed"``, another registered selector, or ``"estimator"`` when
+        the estimator reports values it fixed itself); ``None`` for
+        estimators that take no hyper-parameters.
     kappa0, v0:
         The normal-Wishart hyper-parameters actually used, when any.
     seed:
@@ -155,12 +159,12 @@ class PipelineResult:
 # pipeline
 # ---------------------------------------------------------------------------
 class FusionPipeline:
-    """Fitted preprocessing + prior, running any registry estimator.
+    """Fitted preprocessing + prior, running any registered estimator.
 
     Construct with :meth:`fit`; then call :meth:`estimate` for each batch
     of late-stage samples (e.g. per die, per corner).  The estimator, the
-    hyper-parameter selection policy, and the grid are all data in a
-    :class:`~repro.core.registry.FusionConfig` — swap estimators by
+    hyper-parameter selector, the fold count and the grid are all data in
+    a :class:`~repro.core.registry.FusionConfig` — swap estimators by
     editing the config (or use :meth:`estimate_with` for one-off runs),
     never by touching pipeline code.
     """
@@ -170,8 +174,6 @@ class FusionPipeline:
         transform: Optional[ShiftScaleTransform],
         prior: PriorKnowledge,
         config: Optional[FusionConfig] = None,
-        registry: Optional[EstimatorRegistry] = None,
-        grid: Optional[HyperParameterGrid] = None,
     ) -> None:
         if transform is not None and transform.dim != prior.dim:
             raise DimensionError(
@@ -180,13 +182,6 @@ class FusionPipeline:
         self.transform = transform
         self.prior = prior
         self.config = config if config is not None else FusionConfig()
-        self.registry = registry if registry is not None else default_registry()
-        if grid is not None:
-            self.grid: Optional[HyperParameterGrid] = grid
-        elif self.config.grid is not None:
-            self.grid = self.config.grid.materialize(prior.dim)
-        else:
-            self.grid = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -196,8 +191,6 @@ class FusionPipeline:
         early_nominal=None,
         late_nominal=None,
         config: Optional[FusionConfig] = None,
-        registry: Optional[EstimatorRegistry] = None,
-        grid: Optional[HyperParameterGrid] = None,
     ) -> "FusionPipeline":
         """Fit preprocessing and prior from early-stage data.
 
@@ -219,13 +212,7 @@ class FusionPipeline:
             transform = None
             early_iso = as_samples(early_samples)
         prior = PriorKnowledge.from_samples(early_iso)
-        return cls(
-            transform=transform,
-            prior=prior,
-            config=cfg,
-            registry=registry,
-            grid=grid,
-        )
+        return cls(transform=transform, prior=prior, config=cfg)
 
     # ------------------------------------------------------------------
     def estimate(
@@ -239,16 +226,14 @@ class FusionPipeline:
         ``rng`` seeds the hyper-parameter search (CV fold splits) and the
         estimator; when omitted and the config carries a ``seed``, a
         generator is derived from it so the whole run is reproducible
-        from the config alone.
+        from the config alone.  ``config`` overrides the fitted one for
+        this call only.
         """
         cfg = config if config is not None else self.config
         seed_used: Optional[int] = None
         if rng is None and cfg.seed is not None:
             rng = np.random.default_rng(cfg.seed)
             seed_used = cfg.seed
-        grid = self.grid
-        if config is not None and config.grid is not None and config is not self.config:
-            grid = config.grid.materialize(self.prior.dim)
 
         data = as_samples(late_samples)
         if self.transform is not None:
@@ -256,14 +241,13 @@ class FusionPipeline:
         else:
             late_iso = np.array(data, dtype=float, copy=True)
 
-        kappa0, v0, selector, score = self._resolve_hyperparams(cfg, grid, late_iso, rng)
-        estimator = self.registry.build(
-            cfg.estimator, prior=self.prior, kappa0=kappa0, v0=v0
-        )
+        kappa0, v0, selector, score = self._resolve_hyperparams(cfg, late_iso, rng)
+        estimator = make_estimator(cfg.estimator, prior=self.prior, kappa0=kappa0, v0=v0)
         iso_estimate = estimator.estimate(late_iso, rng=rng)
         diagnostics: EstimateInfo = dict(iso_estimate.info)
-        # An estimator that self-selected (selector "none") still reports
-        # what it used; fold that back into the provenance.
+        # An estimator that fixes its own hyper-parameters without taking
+        # them (univariate-bmf) still reports what it used; fold that back
+        # into the provenance.
         if kappa0 is None and "kappa0" in diagnostics:
             kappa0 = float(diagnostics["kappa0"])
             selector = selector or "estimator"
@@ -301,32 +285,26 @@ class FusionPipeline:
     def _resolve_hyperparams(
         self,
         cfg: FusionConfig,
-        grid: Optional[HyperParameterGrid],
         late_iso: np.ndarray,
         rng: Optional[np.random.Generator],
     ) -> Tuple[Optional[float], Optional[float], Optional[str], Optional[float]]:
         """``(kappa0, v0, selector, selection score)`` per the config's policy.
 
-        Only estimators whose registry entry advertises
-        ``accepts_hyperparams`` take part.  Precedence: explicit values in
-        the estimator spec's params (they *are* the selection), then
-        ``"none"`` (the estimator selects for itself), then ``"fixed"``,
-        then a registered search selector run on the isotropic samples.
+        Only estimators whose table entry advertises ``accepts_hyperparams``
+        take part.  Precedence: explicit values in the estimator spec's
+        params (they *are* the selection), then ``"fixed"``, then a
+        registered search selector run on the isotropic samples over
+        ``cfg.grid`` (the paper default when unset) with ``cfg.n_folds``.
         """
-        if not self.registry.entry(cfg.estimator.name).accepts_hyperparams:
+        if not estimator_entry(cfg.estimator.name).accepts_hyperparams:
             return None, None, None, None
         params = cfg.estimator.params
         if params.get("kappa0") is not None and params.get("v0") is not None:
             return float(params["kappa0"]), float(params["v0"]), "fixed", None
-        if cfg.selector == "none":
-            return None, None, None, None
         if cfg.selector == "fixed":
             # FusionConfig refuses "fixed" without both values.
             return float(cfg.kappa0), float(cfg.v0), "fixed", None
-        if self.prior is None:
-            raise ConfigError("hyper-parameter selection requires a fitted prior")
-        if grid is None:
-            grid = HyperParameterGrid.paper_default(self.prior.dim)
+        grid = (cfg.grid if cfg.grid is not None else GridSpec()).materialize(self.prior.dim)
         selector = make_selector(cfg.selector, self.prior, grid, cfg.n_folds)
         result = selector.select(late_iso, rng=rng)
         best = getattr(result, "best_score", getattr(result, "best_log_evidence", None))
@@ -344,70 +322,12 @@ class FusionPipeline:
         late_samples,
         rng: Optional[np.random.Generator] = None,
     ) -> PipelineResult:
-        """Run a different registry estimator through the same fitted flow.
+        """Run a different registered estimator through the same fitted flow.
 
         The fair-comparison workhorse: identical preprocessing and prior,
-        only the estimation stage changes.
+        only the estimation stage changes (``"mle"`` is the paper's
+        baseline).
         """
         spec = EstimatorSpec(estimator) if isinstance(estimator, str) else estimator
         cfg = self.config.replace(estimator=spec)
         return self.estimate(late_samples, rng=rng, config=cfg)
-
-    def estimate_mle(
-        self, late_samples, rng: Optional[np.random.Generator] = None
-    ) -> PipelineResult:
-        """Baseline MLE through the same preprocessing, for fair comparison."""
-        return self.estimate_with("mle", late_samples, rng=rng)
-
-
-class BMFPipeline(FusionPipeline):
-    """The original BMF-only facade over :class:`FusionPipeline`.
-
-    Kept for source compatibility: the constructor and :meth:`fit` take the
-    historical ``(grid, n_folds, kappa0, v0)`` arguments and translate them
-    into a :class:`FusionConfig` targeting the ``"bmf"`` registry entry.
-    """
-
-    def __init__(
-        self,
-        transform: ShiftScaleTransform,
-        prior: PriorKnowledge,
-        grid: Optional[HyperParameterGrid] = None,
-        n_folds: int = 4,
-        kappa0: Optional[float] = None,
-        v0: Optional[float] = None,
-    ) -> None:
-        config = FusionConfig(
-            estimator=EstimatorSpec("bmf"),
-            selector="fixed" if kappa0 is not None else "cv",
-            kappa0=kappa0,
-            v0=v0,
-            n_folds=n_folds,
-        )
-        super().__init__(transform, prior, config=config, grid=grid)
-
-    @classmethod
-    def fit(
-        cls,
-        early_samples,
-        early_nominal=None,
-        late_nominal=None,
-        grid: Optional[HyperParameterGrid] = None,
-        n_folds: int = 4,
-        kappa0: Optional[float] = None,
-        v0: Optional[float] = None,
-    ) -> "BMFPipeline":
-        """Fit preprocessing and prior from early-stage data (legacy API).
-
-        ``kappa0``/``v0`` pin the hyper-parameters (ablation mode) and
-        otherwise cross validation selects them per late-stage dataset.
-        """
-        fitted = FusionPipeline.fit(early_samples, early_nominal, late_nominal)
-        return cls(
-            transform=fitted.transform,
-            prior=fitted.prior,
-            grid=grid,
-            n_folds=n_folds,
-            kappa0=kappa0,
-            v0=v0,
-        )

@@ -1,4 +1,4 @@
-"""Estimator registry and declarative fusion configuration.
+"""Estimator and selector tables, and the declarative fusion configuration.
 
 The paper's comparison structure — the MLE baseline (Eq. 10–11) against
 the proposed BMF MAP estimator (Eq. 31–32), plus the prior art it extends
@@ -6,23 +6,30 @@ the proposed BMF MAP estimator (Eq. 31–32), plus the prior art it extends
 prior-free shrinkage baselines — implies a *family* of interchangeable
 moment estimators.  This module makes that family explicit:
 
-* estimators register under short string names (``"mle"``, ``"bmf"``,
-  ``"robust-bmf"``, ``"ledoit-wolf"``, ...) with a factory and typed
-  metadata (:class:`EstimatorEntry`);
+* estimators live in one module-level table under short string names
+  (``"mle"``, ``"bmf"``, ``"robust-bmf"``, ``"ledoit-wolf"``, ...), each
+  with a factory and typed metadata (:class:`EstimatorEntry`):
+  :func:`register_estimator` adds one, :func:`estimator_entry` looks one
+  up, :func:`make_estimator` builds one and :func:`available_estimators`
+  lists them;
+* the (kappa0, v0) search strategies live in the selector table next to
+  it (:func:`register_selector`, :func:`make_selector`,
+  :func:`available_selectors`); ``"fixed"`` is the one reserved name;
 * an :class:`EstimatorSpec` names an estimator plus its constructor
   parameters and is JSON-serializable, so experiment method lists and CLI
   invocations become *config*, not code;
-* a :class:`FusionConfig` bundles everything one fusion run needs —
-  estimator spec, hyper-parameter selection policy, CV fold count, search
-  grid, preprocessing switch, seed — and round-trips losslessly through
+* a :class:`FusionConfig` bundles everything one run of Algorithm 1 needs
+  — estimator spec, hyper-parameter selector, CV fold count, search grid,
+  preprocessing switch, seed — and round-trips losslessly through
   dict/JSON (see :mod:`repro.io`), with a stable :meth:`content hash
-  <FusionConfig.config_hash>` for provenance tracking.
+  <FusionConfig.config_hash>` for provenance tracking.  It is the one way
+  to configure :class:`~repro.core.pipeline.FusionPipeline`.
 
 Adding a new estimator is a one-file operation: implement the
 :class:`~repro.core.estimators.MomentEstimator` protocol, call
 :func:`register_estimator`, and it is immediately usable from the
-pipeline (:class:`~repro.core.pipeline.FusionPipeline`), every experiment
-sweep, and the CLI — none of those layers name concrete classes.
+pipeline, every experiment sweep, and the CLI — none of those layers
+name concrete classes.
 """
 
 from __future__ import annotations
@@ -48,9 +55,8 @@ __all__ = [
     "GridSpec",
     "FusionConfig",
     "EstimatorEntry",
-    "EstimatorRegistry",
-    "default_registry",
     "register_estimator",
+    "estimator_entry",
     "make_estimator",
     "available_estimators",
     "register_selector",
@@ -113,19 +119,8 @@ class EstimatorSpec:
         return EstimatorSpec(name=self.name, params=merged)
 
     # -- factory protocol ----------------------------------------------
-    def build(
-        self,
-        prior: Optional[PriorKnowledge] = None,
-        registry: Optional["EstimatorRegistry"] = None,
-        kappa0: Optional[float] = None,
-        v0: Optional[float] = None,
-    ) -> MomentEstimator:
-        """Construct the estimator through the (default) registry."""
-        reg = registry if registry is not None else default_registry()
-        return reg.build(self, prior=prior, kappa0=kappa0, v0=v0)
-
     def __call__(self, prior: Optional[PriorKnowledge] = None) -> MomentEstimator:
-        return self.build(prior=prior)
+        return make_estimator(self, prior=prior)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +196,8 @@ class FusionConfig:
         Hyper-parameter selection policy for estimators that take
         ``(kappa0, v0)``: ``"cv"`` (the paper's two-dimensional Q-fold
         cross validation), ``"evidence"`` (fold-free marginal likelihood),
-        ``"fixed"`` (pin :attr:`kappa0`/:attr:`v0`), or ``"none"`` (leave
-        selection to the estimator itself).  Custom selectors registered
-        via :func:`register_selector` are addressed by name.
+        or ``"fixed"`` (pin :attr:`kappa0`/:attr:`v0`).  Custom selectors
+        registered via :func:`register_selector` are addressed by name.
     kappa0, v0:
         Pinned hyper-parameters, used when ``selector == "fixed"``.
     n_folds:
@@ -300,7 +294,7 @@ class FusionConfig:
 
 
 # ---------------------------------------------------------------------------
-# registry
+# estimator table
 # ---------------------------------------------------------------------------
 #: Factory signature: ``factory(prior, **params) -> MomentEstimator``.
 #: ``prior`` is ``None`` for estimators with ``requires_prior=False``.
@@ -326,110 +320,8 @@ class EstimatorEntry:
     data_kind: str = "multivariate"
 
 
-class EstimatorRegistry:
-    """Name -> :class:`EstimatorEntry` mapping with helpful failure modes."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, EstimatorEntry] = {}
-
-    # ------------------------------------------------------------------
-    def register(
-        self,
-        name: str,
-        factory: EstimatorFactory,
-        summary: str = "",
-        requires_prior: bool = True,
-        accepts_hyperparams: bool = False,
-        data_kind: str = "multivariate",
-        overwrite: bool = False,
-    ) -> EstimatorEntry:
-        """Register ``factory`` under ``name`` (hyphen-canonicalised)."""
-        key = _canonical_name(name)
-        if not key:
-            raise ConfigError("estimator name must be non-empty")
-        if data_kind not in ("multivariate", "univariate", "binary"):
-            raise ConfigError(
-                f"data_kind must be multivariate/univariate/binary, got {data_kind!r}"
-            )
-        if key in self._entries and not overwrite:
-            raise ConfigError(
-                f"estimator {key!r} is already registered; pass overwrite=True to replace it"
-            )
-        entry = EstimatorEntry(
-            name=key,
-            factory=factory,
-            summary=summary,
-            requires_prior=requires_prior,
-            accepts_hyperparams=accepts_hyperparams,
-            data_kind=data_kind,
-        )
-        self._entries[key] = entry
-        return entry
-
-    def unregister(self, name: str) -> None:
-        """Remove a registration (used by tests to keep the registry clean)."""
-        self._entries.pop(_canonical_name(name), None)
-
-    # ------------------------------------------------------------------
-    def names(self) -> List[str]:
-        """Sorted registered names."""
-        return sorted(self._entries)
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and _canonical_name(name) in self._entries
-
-    def entry(self, name: str) -> EstimatorEntry:
-        """Look up a registration; unknown names list what *is* available."""
-        key = _canonical_name(name)
-        if key not in self._entries:
-            raise UnknownEstimatorError(
-                f"unknown estimator {name!r}; available: {', '.join(self.names())}"
-            )
-        return self._entries[key]
-
-    def entries(self) -> List[EstimatorEntry]:
-        """All registrations, sorted by name."""
-        return [self._entries[k] for k in self.names()]
-
-    # ------------------------------------------------------------------
-    def build(
-        self,
-        spec: "EstimatorSpec | str",
-        prior: Optional[PriorKnowledge] = None,
-        kappa0: Optional[float] = None,
-        v0: Optional[float] = None,
-    ) -> MomentEstimator:
-        """Construct a fresh estimator from a spec (or bare name).
-
-        ``kappa0``/``v0`` are *defaults* injected for hyper-parameter-aware
-        estimators (the pipeline passes its resolved values); explicit
-        spec params always win.
-        """
-        if isinstance(spec, str):
-            spec = EstimatorSpec(spec)
-        entry = self.entry(spec.name)
-        if entry.requires_prior and prior is None:
-            raise ConfigError(
-                f"estimator {spec.name!r} requires a fitted PriorKnowledge"
-            )
-        kwargs = dict(spec.params)
-        if entry.accepts_hyperparams:
-            if kappa0 is not None:
-                kwargs.setdefault("kappa0", kappa0)
-            if v0 is not None:
-                kwargs.setdefault("v0", v0)
-        return entry.factory(prior, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# default registry + built-in registrations
-# ---------------------------------------------------------------------------
-_DEFAULT_REGISTRY = EstimatorRegistry()
-
-
-def default_registry() -> EstimatorRegistry:
-    """The process-wide registry the pipeline/sweeps/CLI consult."""
-    return _DEFAULT_REGISTRY
+#: The one estimator table: canonical name -> :class:`EstimatorEntry`.
+_ESTIMATORS: Dict[str, EstimatorEntry] = {}
 
 
 def register_estimator(
@@ -439,36 +331,68 @@ def register_estimator(
     requires_prior: bool = True,
     accepts_hyperparams: bool = False,
     data_kind: str = "multivariate",
-    overwrite: bool = False,
 ) -> EstimatorEntry:
-    """Register an estimator in the default registry (plug-in entry point)."""
-    return _DEFAULT_REGISTRY.register(
-        name,
-        factory,
+    """Register ``factory`` under ``name`` (hyphen-canonicalised)."""
+    key = _canonical_name(name)
+    if not key:
+        raise ConfigError("estimator name must be non-empty")
+    if data_kind not in ("multivariate", "univariate", "binary"):
+        raise ConfigError(
+            f"data_kind must be multivariate/univariate/binary, got {data_kind!r}"
+        )
+    if key in _ESTIMATORS:
+        raise ConfigError(f"estimator {key!r} is already registered")
+    entry = EstimatorEntry(
+        name=key,
+        factory=factory,
         summary=summary,
         requires_prior=requires_prior,
         accepts_hyperparams=accepts_hyperparams,
         data_kind=data_kind,
-        overwrite=overwrite,
     )
+    _ESTIMATORS[key] = entry
+    return entry
+
+
+def estimator_entry(name: str) -> EstimatorEntry:
+    """Look up a registration; unknown names list what *is* available."""
+    key = _canonical_name(name)
+    if key not in _ESTIMATORS:
+        raise UnknownEstimatorError(
+            f"unknown estimator {name!r}; available: {', '.join(available_estimators())}"
+        )
+    return _ESTIMATORS[key]
 
 
 def make_estimator(
     spec: "EstimatorSpec | str",
     prior: Optional[PriorKnowledge] = None,
-    registry: Optional[EstimatorRegistry] = None,
     kappa0: Optional[float] = None,
     v0: Optional[float] = None,
 ) -> MomentEstimator:
-    """Build an estimator by registry name or :class:`EstimatorSpec`."""
-    reg = registry if registry is not None else _DEFAULT_REGISTRY
-    return reg.build(spec, prior=prior, kappa0=kappa0, v0=v0)
+    """Build a fresh estimator by registry name or :class:`EstimatorSpec`.
+
+    ``kappa0``/``v0`` are *defaults* injected for hyper-parameter-aware
+    estimators (the pipeline passes its resolved values); explicit spec
+    params always win.
+    """
+    if isinstance(spec, str):
+        spec = EstimatorSpec(spec)
+    entry = estimator_entry(spec.name)
+    if entry.requires_prior and prior is None:
+        raise ConfigError(f"estimator {spec.name!r} requires a fitted PriorKnowledge")
+    kwargs = dict(spec.params)
+    if entry.accepts_hyperparams:
+        if kappa0 is not None:
+            kwargs.setdefault("kappa0", kappa0)
+        if v0 is not None:
+            kwargs.setdefault("v0", v0)
+    return entry.factory(prior, **kwargs)
 
 
-def available_estimators(registry: Optional[EstimatorRegistry] = None) -> List[str]:
+def available_estimators() -> List[str]:
     """Sorted names usable with :func:`make_estimator` / ``fuse --estimator``."""
-    reg = registry if registry is not None else _DEFAULT_REGISTRY
-    return reg.names()
+    return sorted(_ESTIMATORS)
 
 
 # The built-in factories import their classes lazily: the registry is
@@ -538,56 +462,56 @@ def _make_shrinkage(kind: str) -> EstimatorFactory:
     return factory
 
 
-_DEFAULT_REGISTRY.register(
+register_estimator(
     "mle",
     _make_mle,
     summary="Maximum-likelihood moments, the paper's baseline (Eq. 10-11)",
     requires_prior=False,
 )
-_DEFAULT_REGISTRY.register(
+register_estimator(
     "bmf",
     _make_bmf,
     summary="Multivariate Bayesian model fusion MAP moments (Eq. 31-32)",
     accepts_hyperparams=True,
 )
-_DEFAULT_REGISTRY.register(
+register_estimator(
     "robust-bmf",
     _make_robust_bmf,
     summary="BMF with a prior-based Mahalanobis outlier gate",
     accepts_hyperparams=True,
 )
-_DEFAULT_REGISTRY.register(
+register_estimator(
     "sequential-bmf",
     _make_sequential_bmf,
     summary="Pinned BMF at (1, d + 1): a row-by-row stream's final state",
     accepts_hyperparams=True,
 )
-_DEFAULT_REGISTRY.register(
+register_estimator(
     "univariate-bmf",
     _make_univariate_bmf,
     summary="Single-metric normal-gamma BMF (Gu et al.): pinned d = 1 BMF, v0 = 2 alpha0",
     data_kind="univariate",
 )
-_DEFAULT_REGISTRY.register(
+register_estimator(
     "bmf-bd",
     _make_bmf_bd,
     summary="Beta-Bernoulli yield fusion on pass/fail data (Fang et al.)",
     requires_prior=False,
     data_kind="binary",
 )
-_DEFAULT_REGISTRY.register(
+register_estimator(
     "ledoit-wolf",
     _make_shrinkage("ledoit_wolf"),
     summary="Prior-free Ledoit-Wolf shrinkage towards scaled identity",
     requires_prior=False,
 )
-_DEFAULT_REGISTRY.register(
+register_estimator(
     "oas",
     _make_shrinkage("oas"),
     summary="Prior-free Oracle Approximating Shrinkage covariance",
     requires_prior=False,
 )
-_DEFAULT_REGISTRY.register(
+register_estimator(
     "diagonal-shrinkage",
     _make_shrinkage("diagonal"),
     summary="Convex shrinkage of the sample covariance towards its diagonal",
@@ -596,7 +520,7 @@ _DEFAULT_REGISTRY.register(
 
 
 # ---------------------------------------------------------------------------
-# hyper-parameter selector registry (Algorithm 1's (kappa0, v0) search; the
+# hyper-parameter selector table (Algorithm 1's (kappa0, v0) search; the
 # pipeline and BMFEstimator both dispatch through make_selector)
 # ---------------------------------------------------------------------------
 #: Selector factory: ``(prior, grid, n_folds) -> object with .select(data, rng)``
@@ -606,15 +530,13 @@ SelectorFactory = Callable[[PriorKnowledge, HyperParameterGrid, int], Any]
 _SELECTORS: Dict[str, SelectorFactory] = {}
 
 
-def register_selector(name: str, factory: SelectorFactory, overwrite: bool = False) -> None:
+def register_selector(name: str, factory: SelectorFactory) -> None:
     """Register a hyper-parameter search strategy under ``name``."""
     key = _canonical_name(name)
-    if key in ("fixed", "none"):
-        raise ConfigError(f"selector name {key!r} is reserved")
-    if key in _SELECTORS and not overwrite:
-        raise ConfigError(
-            f"selector {key!r} is already registered; pass overwrite=True to replace it"
-        )
+    if key == "fixed":
+        raise ConfigError("selector name 'fixed' is reserved")
+    if key in _SELECTORS:
+        raise ConfigError(f"selector {key!r} is already registered")
     _SELECTORS[key] = factory
 
 
@@ -626,13 +548,13 @@ def make_selector(
     if key not in _SELECTORS:
         raise UnknownEstimatorError(
             f"unknown selector {name!r}; available: "
-            f"{', '.join(available_selectors())} (plus 'fixed' and 'none')"
+            f"{', '.join(available_selectors())} (plus 'fixed')"
         )
     return _SELECTORS[key](prior, grid, n_folds)
 
 
 def available_selectors() -> List[str]:
-    """Sorted search-based selector names (excludes 'fixed'/'none')."""
+    """Sorted search-based selector names (excludes 'fixed')."""
     return sorted(_SELECTORS)
 
 

@@ -338,8 +338,8 @@ def mahalanobis_sq_batched(chol: ArrayLike, means: ArrayLike, x: ArrayLike) -> n
     """Squared Mahalanobis distances of ``x`` rows under ``B`` Gaussians.
 
     ``chol`` is the ``(B, d, d)`` stack of covariance Cholesky factors,
-    ``means`` is ``(B, d)`` and ``x`` is a shared ``(n, d)`` sample matrix.
-    Returns ``(B, n)``.
+    ``means`` is ``(B, d)`` and ``x`` is a shared ``(n, d)`` sample matrix
+    or a ``(B, n, d)`` stack of per-member blocks.  Returns ``(B, n)``.
     """
     factors = as_spd_stack(chol, "chol")
     mu = np.asarray(means, dtype=float)
@@ -350,10 +350,12 @@ def mahalanobis_sq_batched(chol: ArrayLike, means: ArrayLike, x: ArrayLike) -> n
         raise DimensionError(
             f"means shape {mu.shape} does not match chol stack {factors.shape}"
         )
-    if pts.ndim != 2 or pts.shape[1] != factors.shape[1]:
+    if pts.ndim not in (2, 3) or pts.shape[-1] != factors.shape[1] or (
+        pts.ndim == 3 and pts.shape[0] != factors.shape[0]
+    ):
         raise DimensionError(
-            f"x has {pts.shape[-1] if pts.ndim else 0} columns, expected {factors.shape[1]}"
+            f"x shape {pts.shape} does not fit chol stack {factors.shape}"
         )
-    diff = np.swapaxes(pts[None, :, :] - mu[:, None, :], -1, -2)  # (B, d, n)
+    diff = np.swapaxes(pts - mu[:, None, :], -1, -2)  # (B, d, n)
     z = _solve_triangular(factors, diff, True)
     return np.sum(z * z, axis=1)

@@ -8,9 +8,8 @@ stacked-kernel calls:
     one vectorised Eq. (31)–(32) pass per distinct metric dimension
     (:func:`~repro.core.bmf.map_moments_stack`);
 ``loglik``
-    one ``cholesky_batched_safe`` + ``solve_triangular_batched`` stack per
-    ``(d, n_rows)`` group, mirroring
-    :func:`repro.stats.multivariate_gaussian.gaussian_loglik_batch`;
+    one :func:`~repro.stats.multivariate_gaussian.gaussian_loglik_batch`
+    call per ``(d, n_rows)`` group, on per-request sample blocks;
 ``yield``
     one :func:`~repro.yieldest.parametric.gaussian_box_probabilities`
     call per distinct bounds set.
@@ -27,7 +26,6 @@ scoring.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -36,24 +34,13 @@ import numpy as np
 from repro.core.bmf import map_moments_stack
 from repro.core.estimators import MomentEstimate
 from repro.exceptions import DimensionError, ReproError, SpecificationError
-from repro.linalg.batched import (
-    cholesky_batched_safe,
-    logdet_batched,
-    solve_triangular_batched,
-)
 from repro.serving.counters import ServiceCounters
 from repro.serving.queue import Request
 from repro.serving.sessions import Session
+from repro.stats.multivariate_gaussian import gaussian_loglik_batch
 from repro.yieldest.parametric import gaussian_box_probabilities
 
 __all__ = ["BatchScorer", "SnapshotFn"]
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
-#: Jitter/clip policy for batched covariance factorisation; identical to
-#: :func:`repro.stats.multivariate_gaussian.gaussian_loglik_batch`.
-_CHOL_JITTER = 1e-10
-_CHOL_CLIP = 1e-10
 
 #: Resolves a session key to a frozen :class:`Session` snapshot; raises a
 #: :class:`~repro.exceptions.ReproError` subclass when the key cannot be
@@ -164,11 +151,11 @@ class BatchScorer:
         sessions: Dict[str, Session],
         moments: Dict[str, Tuple[np.ndarray, np.ndarray]],
     ) -> None:
-        """Grouped log-likelihood: one Cholesky stack per ``(d, n)`` shape.
+        """Grouped log-likelihood: one kernel call per ``(d, n)`` shape.
 
-        Mirrors :func:`repro.stats.multivariate_gaussian.gaussian_loglik_batch`
-        — same repair ladder, same per-row-then-sum accumulation order —
-        but with a *per-request* sample block instead of one shared one.
+        The payload checks live here; the arithmetic is
+        :func:`~repro.stats.multivariate_gaussian.gaussian_loglik_batch`
+        on the group's stacked per-request sample blocks.
         """
         groups: Dict[Tuple[int, int], List[Tuple[Request, np.ndarray]]] = {}
         for request in requests:
@@ -191,21 +178,11 @@ class BatchScorer:
 
         for dim, n_rows in sorted(groups):
             members = groups[(dim, n_rows)]
-            covs = np.stack([moments[req.key][1] for req, _ in members])
-            means = np.stack([moments[req.key][0] for req, _ in members])
-            xs = np.stack([x for _, x in members])
-            chol, ok = cholesky_batched_safe(
-                covs, jitter_rel=_CHOL_JITTER, clip_floor_rel=_CHOL_CLIP
+            out = gaussian_loglik_batch(
+                np.stack([moments[req.key][0] for req, _ in members]),
+                np.stack([moments[req.key][1] for req, _ in members]),
+                np.stack([x for _, x in members]),
             )
-            out = np.full(len(members), -np.inf)
-            sel = np.flatnonzero(ok)
-            if sel.size:
-                diffs = np.swapaxes(xs[sel] - means[sel][:, None, :], -1, -2)
-                z = solve_triangular_batched(chol[sel], diffs, lower=True)
-                maha = np.sum(z * z, axis=1)
-                log_det = logdet_batched(chol[sel])
-                logpdf = -0.5 * (dim * _LOG_2PI + log_det[:, None] + maha)
-                out[sel] = logpdf.sum(axis=1)
             for i, (request, _) in enumerate(members):
                 self._finish(request, float(out[i]))
 

@@ -190,7 +190,7 @@ def gaussian_loglik(mean, covariance, x) -> float:
 def gaussian_loglik_batch(
     means, covariances, x, repair: bool = True
 ) -> np.ndarray:
-    """Joint log-likelihood of one dataset under ``B`` Gaussians at once.
+    """Joint log-likelihood of one dataset per Gaussian, ``B`` Gaussians at once.
 
     Parameters
     ----------
@@ -202,7 +202,11 @@ def gaussian_loglik_batch(
         path applies (jitter retry, then — when ``repair`` is True — an
         eigenvalue clip at relative floor ``1e-10``).
     x:
-        Shared ``(n, d)`` sample matrix scored under every Gaussian.
+        Either one shared ``(n, d)`` sample matrix scored under every
+        Gaussian, or a ``(B, n, d)`` stack of per-member sample blocks.
+        The shared matrix is checked like any sample input; the stacked
+        blocks are taken as given (the serving scorer validates its own
+        payloads, and a non-finite row scores as NaN).
     repair:
         Enable the eigenvalue-clip fallback for indefinite members.
 
@@ -215,15 +219,21 @@ def gaussian_loglik_batch(
     cov = np.asarray(covariances, dtype=float)
     if cov.ndim == 2:
         cov = cov[None]
-    samples = as_samples(x)
+    samples = np.asarray(x, dtype=float)
+    if samples.ndim != 3:
+        samples = as_samples(x)
+    elif samples.shape[0] != mu.shape[0]:
+        raise DimensionError(
+            f"sample blocks {samples.shape} do not match means stack {mu.shape}"
+        )
     if mu.shape[0] != cov.shape[0]:
         raise DimensionError(
             f"means stack {mu.shape} does not match covariance stack {cov.shape}"
         )
     d = mu.shape[1]
-    if samples.shape[1] != d:
+    if samples.shape[-1] != d:
         raise DimensionError(
-            f"samples have {samples.shape[1]} columns, expected {d}"
+            f"samples have {samples.shape[-1]} columns, expected {d}"
         )
     chol, ok = cholesky_batched_safe(
         cov, jitter_rel=1e-10, clip_floor_rel=1e-10 if repair else None
@@ -232,7 +242,9 @@ def gaussian_loglik_batch(
     sel = np.flatnonzero(ok)
     if sel.size == 0:
         return out
-    maha = mahalanobis_sq_batched(chol[sel], mu[sel], samples)
+    maha = mahalanobis_sq_batched(
+        chol[sel], mu[sel], samples[sel] if samples.ndim == 3 else samples
+    )
     log_det = logdet_batched(chol[sel])
     # Per-sample log-density first, then the row sum, to keep the floating
     # point accumulation order identical to MultivariateGaussian.loglik.

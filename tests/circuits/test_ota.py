@@ -125,18 +125,18 @@ class TestDatasetAndFusion:
 
     def test_bmf_works_on_ota(self, tmp_path):
         """The full pipeline generalises beyond the paper's two circuits."""
-        from repro.core.pipeline import BMFPipeline
+        from repro.core.pipeline import FusionPipeline
 
         ds = generate_ota_dataset(250, seed=6, cache_dir=tmp_path)
         rng = np.random.default_rng(7)
-        pipeline = BMFPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
+        pipeline = FusionPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
         late_iso = pipeline.transform.transform(ds.late, "late")
         exact_cov = np.cov(late_iso.T, bias=True)
         wins = 0
         for _ in range(6):
             subset = ds.late_subset(8, rng)
             bmf = pipeline.estimate(subset, rng=rng)
-            mle = pipeline.estimate_mle(subset)
+            mle = pipeline.estimate_with("mle", subset)
             bmf_err = np.linalg.norm(bmf.isotropic.covariance - exact_cov)
             mle_err = np.linalg.norm(mle.isotropic.covariance - exact_cov)
             wins += bmf_err < mle_err

@@ -1,4 +1,4 @@
-"""Tests for the end-to-end BMF pipeline (Algorithm 1 + Sec. 4.1)."""
+"""Tests for the end-to-end fusion pipeline (Algorithm 1 + Sec. 4.1)."""
 
 from types import SimpleNamespace
 
@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 import repro.core.registry as registry_module
+from repro.core.crossval import TwoDimensionalCV
 from repro.core.hypergrid import HyperParameterGrid
-from repro.core.pipeline import (
-    BMFPipeline,
-    FusionPipeline,
-    FusionProvenance,
-)
+from repro.core.pipeline import FusionPipeline, FusionProvenance
 from repro.core.preprocessing import ShiftScaleTransform
 from repro.core.prior import PriorKnowledge
 from repro.core.registry import (
     EstimatorSpec,
     FusionConfig,
-    default_registry,
+    GridSpec,
+    available_selectors,
+    make_estimator,
     make_selector,
     register_selector,
 )
@@ -45,8 +44,6 @@ _POLICIES = {
     "cv": (FusionConfig(selector="cv"), None, "cv", "cv"),
     "evidence": (FusionConfig(selector="evidence"), None, "evidence", "evidence"),
     "fixed": (FusionConfig(selector="fixed", kappa0=2.0, v0=15.0), None, None, "fixed"),
-    # "none" leaves selection to the estimator, whose default search is CV.
-    "none": (FusionConfig(selector="none"), None, "cv", "estimator"),
     "spec-pinned": (
         FusionConfig(estimator=EstimatorSpec("bmf", {"kappa0": 2.0, "v0": 15.0})),
         None,
@@ -60,7 +57,7 @@ _POLICIES = {
 class TestFit:
     def test_fit_builds_isotropic_prior(self, stage_pair):
         early, _late, e_nom, l_nom, _truth = stage_pair
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom)
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom)
         # The prior lives in the isotropic space: variances near 1.
         assert np.allclose(np.diag(pipeline.prior.covariance), 1.0, atol=0.2)
 
@@ -69,13 +66,13 @@ class TestFit:
         transform = ShiftScaleTransform.fit(early, e_nom, l_nom)
         prior = PriorKnowledge(np.zeros(3), np.eye(3))
         with pytest.raises(DimensionError):
-            BMFPipeline(transform, prior)
+            FusionPipeline(transform, prior)
 
 
 class TestEstimate:
     def test_physical_units_returned(self, stage_pair, rng):
         early, late, e_nom, l_nom, truth = stage_pair
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom)
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom)
         result = pipeline.estimate(late[:16], rng=rng)
         # The fused mean must be near the late-stage truth, in raw units.
         assert np.linalg.norm(result.mean - truth.mean) < 2.0
@@ -83,13 +80,15 @@ class TestEstimate:
 
     def test_info_has_hyperparams(self, stage_pair, rng):
         early, late, e_nom, l_nom, _truth = stage_pair
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom)
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom)
         result = pipeline.estimate(late[:16], rng=rng)
         assert "kappa0" in result.info and "v0" in result.info
 
     def test_pinned_hyperparams_respected(self, stage_pair, rng):
         early, late, e_nom, l_nom, _truth = stage_pair
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom, kappa0=3.0, v0=20.0)
+        pipeline = FusionPipeline.fit(
+            early, e_nom, l_nom, config=FusionConfig(selector="fixed", kappa0=3.0, v0=20.0)
+        )
         result = pipeline.estimate(late[:16], rng=rng)
         assert result.info == {"kappa0": 3.0, "v0": 20.0}
 
@@ -122,7 +121,7 @@ class TestEstimate:
                 )
             elif prov_selector == "fixed":
                 kappa0, v0 = 2.0, 15.0
-            estimator = default_registry().build(
+            estimator = make_estimator(
                 config.estimator, prior=prior, kappa0=kappa0, v0=v0
             )
             iso = estimator.estimate(late_iso, rng=rng)
@@ -130,7 +129,7 @@ class TestEstimate:
                 iso.mean, iso.covariance, "late"
             )
             diagnostics = dict(iso.info)
-            if score is not None and policy != "none":
+            if score is not None:
                 diagnostics["selection_score"] = float(score)
             expected = FusionProvenance(
                 estimator=config.estimator.name,
@@ -147,20 +146,20 @@ class TestEstimate:
 
     def test_mle_baseline_through_same_preprocessing(self, stage_pair):
         early, late, e_nom, l_nom, _truth = stage_pair
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom)
-        result = pipeline.estimate_mle(late[:32])
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom)
+        result = pipeline.estimate_with("mle", late[:32])
         assert result.isotropic.method == "mle"
         expected_mean = late[:32].mean(axis=0)
         assert np.allclose(result.mean, expected_mean, atol=1e-8)
 
     def test_bmf_beats_mle_on_cov_small_n(self, stage_pair, rng):
         early, late, e_nom, l_nom, truth = stage_pair
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom)
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom)
         wins = 0
         for k in range(10):
             idx = rng.choice(late.shape[0], size=8, replace=False)
             bmf = pipeline.estimate(late[idx], rng=rng)
-            mle = pipeline.estimate_mle(late[idx])
+            mle = pipeline.estimate_with("mle", late[idx])
             bmf_err = np.linalg.norm(bmf.covariance - truth.covariance)
             mle_err = np.linalg.norm(mle.covariance - truth.covariance)
             wins += bmf_err < mle_err
@@ -170,7 +169,7 @@ class TestEstimate:
 class TestProvenance:
     def test_typed_provenance_fields(self, stage_pair, rng):
         early, late, e_nom, l_nom, _truth = stage_pair
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom)
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom)
         result = pipeline.estimate(late[:16], rng=rng)
         prov = result.provenance
         assert prov.estimator == "bmf"
@@ -182,7 +181,7 @@ class TestProvenance:
 
     def test_provenance_dict_round_trip(self, stage_pair, rng):
         early, late, e_nom, l_nom, _truth = stage_pair
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom)
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom)
         prov = pipeline.estimate(late[:12], rng=rng).provenance
         assert FusionProvenance.from_dict(prov.to_dict()) == prov
 
@@ -225,23 +224,8 @@ class TestFusionPipeline:
 
     def test_shift_scale_true_needs_nominals(self, stage_pair):
         early, _late, _e_nom, _l_nom, _truth = stage_pair
-        for pipeline_cls in (FusionPipeline, BMFPipeline):
-            with pytest.raises(ConfigError, match="early_nominal and late_nominal"):
-                pipeline_cls.fit(early)
-
-    def test_matches_legacy_bmf_pipeline_bitwise(self, stage_pair):
-        """The staged flow reproduces the pre-refactor path exactly."""
-        early, late, e_nom, l_nom, _truth = stage_pair
-        subset = late[:14]
-        legacy = BMFPipeline.fit(early, e_nom, l_nom).estimate(
-            subset, rng=np.random.default_rng(3)
-        )
-        staged = FusionPipeline.fit(early, e_nom, l_nom).estimate(
-            subset, rng=np.random.default_rng(3)
-        )
-        np.testing.assert_array_equal(legacy.mean, staged.mean)
-        np.testing.assert_array_equal(legacy.covariance, staged.covariance)
-        assert legacy.provenance.kappa0 == staged.provenance.kappa0
+        with pytest.raises(ConfigError, match="early_nominal and late_nominal"):
+            FusionPipeline.fit(early)
 
     def test_evidence_selector_via_config(self, stage_pair, rng):
         early, late, e_nom, l_nom, _truth = stage_pair
@@ -294,3 +278,38 @@ class TestFusionPipeline:
         np.testing.assert_array_equal(
             via_config.isotropic.covariance, via_spec.covariance
         )
+
+    @pytest.mark.parametrize("name", available_selectors())
+    def test_config_grid_and_folds_reach_every_selector(
+        self, name, stage_pair, monkeypatch
+    ):
+        """``FusionConfig.grid`` and ``n_folds`` are what the search runs on:
+        the chosen (kappa0, v0) lies on the configured grid, and the CV
+        scores ``Q`` folds."""
+        early, late, e_nom, l_nom, _truth = stage_pair
+        built = []
+        table = dict(registry_module._SELECTORS)
+        factory = table[name]
+
+        def recording(prior, grid, n_folds):
+            selector = factory(prior, grid, n_folds)
+            built.append((grid, n_folds, selector))
+            return selector
+
+        table[name] = recording
+        monkeypatch.setattr(registry_module, "_SELECTORS", table)
+        spec = GridSpec("linear", n_kappa=3, n_v=3, upper=50.0)
+        config = FusionConfig(selector=name, n_folds=8, grid=spec)
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom, config=config)
+        prov = pipeline.estimate(late[:24], rng=np.random.default_rng(5)).provenance
+
+        expected = spec.materialize(pipeline.prior.dim)
+        [(grid, n_folds, selector)] = built
+        np.testing.assert_array_equal(grid.kappa0_values, expected.kappa0_values)
+        np.testing.assert_array_equal(grid.v0_values, expected.v0_values)
+        assert n_folds == 8
+        assert prov.selector == name
+        assert prov.kappa0 in expected.kappa0_values.tolist()
+        assert prov.v0 in expected.v0_values.tolist()
+        if isinstance(selector, TwoDimensionalCV):
+            assert selector.n_folds == 8

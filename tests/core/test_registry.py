@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.registry as registry_module
 from repro.core.estimators import MomentEstimate, MomentEstimator
 from repro.core.pipeline import FusionPipeline
 from repro.core.prior import PriorKnowledge
@@ -21,7 +22,7 @@ from repro.core.registry import (
     GridSpec,
     available_estimators,
     available_selectors,
-    default_registry,
+    estimator_entry,
     make_estimator,
     make_selector,
     register_estimator,
@@ -58,7 +59,7 @@ def _fixture_for(entry, gaussian5, rng):
 class TestSpec:
     def test_canonicalizes_names(self):
         assert EstimatorSpec("Robust_BMF").name == "robust-bmf"
-        assert "ROBUST_bmf" in default_registry()
+        assert estimator_entry("ROBUST_bmf").name == "robust-bmf"
 
     def test_json_round_trip(self):
         spec = EstimatorSpec("bmf", {"kappa0": 3.0, "v0": 20.0})
@@ -82,7 +83,7 @@ class TestSpec:
 class TestRegistryLookup:
     def test_unknown_name_lists_available(self):
         with pytest.raises(UnknownEstimatorError) as excinfo:
-            default_registry().entry("kalman")
+            estimator_entry("kalman")
         message = str(excinfo.value)
         assert "kalman" in message
         for name in ("mle", "bmf", "ledoit-wolf"):
@@ -120,7 +121,7 @@ class TestEveryRegisteredName:
         "bmf-bd", "ledoit-wolf", "oas", "diagonal-shrinkage",
     ])
     def test_builds_and_estimates_spd(self, name, gaussian5, rng):
-        entry = default_registry().entry(name)
+        entry = estimator_entry(name)
         spec = EstimatorSpec(name)
         assert EstimatorSpec.from_dict(spec.to_dict()) == spec
         prior, samples = _fixture_for(entry, gaussian5, rng)
@@ -233,15 +234,17 @@ class TestPluginEstimator:
     """A runtime-registered estimator works everywhere without code changes."""
 
     @pytest.fixture
-    def registered(self):
+    def registered(self, monkeypatch):
+        # Register into a private copy so the process-wide table is restored.
+        monkeypatch.setattr(
+            registry_module, "_ESTIMATORS", dict(registry_module._ESTIMATORS)
+        )
         register_estimator(
             "prior-mean",
             lambda prior, **kw: _TestPriorMeanEstimator(prior),
             summary="test-only plug-in",
-            overwrite=True,
         )
-        yield "prior-mean"
-        default_registry().unregister("prior-mean")
+        return "prior-mean"
 
     def test_usable_from_pipeline(self, registered, opamp_dataset_small, rng):
         ds = opamp_dataset_small

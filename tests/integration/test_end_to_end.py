@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.bmf import map_moments_from_stats
 from repro.core.errors import covariance_error, mean_error
-from repro.core.pipeline import BMFPipeline
+from repro.core.pipeline import FusionPipeline
 from repro.stats.gof import mardia_kurtosis
 from repro.stats.suffstats import SufficientStats
 from repro.yieldest.parametric import YieldEstimator
@@ -18,7 +18,7 @@ class TestOpampPipeline:
     @pytest.fixture(scope="class")
     def pipeline(self, opamp_dataset_small):
         ds = opamp_dataset_small
-        return BMFPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
+        return FusionPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
 
     def test_fused_moments_close_to_truth(self, pipeline, opamp_dataset_small, rng):
         ds = opamp_dataset_small
@@ -39,7 +39,7 @@ class TestOpampPipeline:
         for _ in range(8):
             subset = ds.late_subset(16, rng)
             bmf = pipeline.estimate(subset, rng=rng)
-            mle = pipeline.estimate_mle(subset)
+            mle = pipeline.estimate_with("mle", subset)
             bmf_err = np.linalg.norm(bmf.covariance - truth_cov)
             mle_err = np.linalg.norm(mle.covariance - truth_cov)
             bmf_wins += bmf_err < mle_err
@@ -61,7 +61,7 @@ class TestAdcYieldFlow:
         self, adc_dataset_small, rng
     ):
         ds = adc_dataset_small
-        pipeline = BMFPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
+        pipeline = FusionPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
         result = pipeline.estimate(ds.late_subset(32, rng), rng=rng)
 
         # Specs chosen to sit inside the population spread.
@@ -85,7 +85,7 @@ class TestAdcYieldFlow:
 class TestSequentialOnCircuitData:
     def test_streaming_on_opamp(self, opamp_dataset_small, rng):
         ds = opamp_dataset_small
-        pipeline = BMFPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
+        pipeline = FusionPipeline.fit(ds.early, ds.early_nominal, ds.late_nominal)
         late_iso = pipeline.transform.transform(ds.late, "late")
         stats = SufficientStats.empty(pipeline.prior.dim)
         for row in late_iso[:40]:

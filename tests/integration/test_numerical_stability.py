@@ -9,7 +9,7 @@ metrics, the two ways real datasets break naive implementations.
 import numpy as np
 import pytest
 
-from repro.core.pipeline import BMFPipeline
+from repro.core.pipeline import FusionPipeline
 from repro.linalg.validation import is_spd
 from repro.stats.multivariate_gaussian import MultivariateGaussian
 from repro.yieldest.parametric import YieldEstimator
@@ -37,7 +37,7 @@ def extreme_pair(rng):
 class TestExtremeScales:
     def test_pipeline_survives(self, extreme_pair, rng):
         early, late, e_nom, l_nom, truth = extreme_pair
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom)
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom)
         result = pipeline.estimate(late[:16], rng=rng)
         assert np.all(np.isfinite(result.mean))
         assert is_spd(result.covariance / np.outer(
@@ -49,7 +49,7 @@ class TestExtremeScales:
 
     def test_yield_from_extreme_moments(self, extreme_pair, rng):
         early, late, e_nom, l_nom, truth = extreme_pair
-        pipeline = BMFPipeline.fit(early, e_nom, l_nom)
+        pipeline = FusionPipeline.fit(early, e_nom, l_nom)
         result = pipeline.estimate(late[:32], rng=rng)
         stds = np.sqrt(np.diag(truth.covariance))
         specs = SpecificationSet(
@@ -97,7 +97,7 @@ class TestNearCollinearMetrics:
         truth = MultivariateGaussian(np.zeros(d), cov)
         early = truth.sample(500, rng) + 1.0
         late = truth.sample(200, rng) + 1.5
-        pipeline = BMFPipeline.fit(early, np.ones(d), np.full(d, 1.5))
+        pipeline = FusionPipeline.fit(early, np.ones(d), np.full(d, 1.5))
         result = pipeline.estimate(late[:10], rng=rng)
         corr = result.covariance / np.outer(
             np.sqrt(np.diag(result.covariance)),

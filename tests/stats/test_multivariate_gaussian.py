@@ -153,6 +153,25 @@ class TestGaussianLoglikBatch:
                 MultivariateGaussian(means[i], covs[i]).loglik(x), abs=1e-10
             )
 
+    def test_per_member_blocks_match_shared_calls_bitwise(self, rng):
+        """A ``(B, n, d)`` stack scores each member on its own block, bit for
+        bit as a one-member call with that block shared; a non-finite row
+        scores NaN instead of being refused."""
+        from repro.stats.multivariate_gaussian import gaussian_loglik_batch
+
+        means, covs = self._stack(rng)
+        blocks = rng.standard_normal((6, 5, 3))
+        blocks[4, 2, 0] = np.nan
+        got = gaussian_loglik_batch(means, covs, blocks)
+        for i in range(6):
+            if i == 4:
+                assert np.isnan(got[i])
+                continue
+            alone = gaussian_loglik_batch(means[i : i + 1], covs[i : i + 1], blocks[i])
+            assert got[i] == alone[0]
+        with pytest.raises(DimensionError):
+            gaussian_loglik_batch(means, covs, blocks[:4])
+
     def test_irreparable_member_scores_minus_inf(self, rng):
         from repro.stats.multivariate_gaussian import gaussian_loglik_batch
 

@@ -38,7 +38,7 @@ class TestTopLevelExports:
     def test_key_classes_importable(self):
         from repro import (
             BMFEstimator,
-            BMFPipeline,
+            FusionPipeline,
             MLEstimator,
             MultivariateGaussian,
             NormalWishart,
